@@ -46,7 +46,6 @@ from .exact import (
     Series,
     format_scalar,
     parse_scalar,
-    re_compare,
     row_space_closure,
 )
 from .rootsys import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -17,6 +18,7 @@ from .criteria import (
     criterion_set,
     cyclicity_guaranteed,
     irreducibility_guaranteed,
+    scan_pairs,
 )
 from .dims import (
     chain_dim,
@@ -42,6 +44,10 @@ from .rootsys import (
 )
 from .ysl2 import defining_relation_failures, submodule_dimension, tensor_module
 
+# Largest product dimension prod(m + 1) that `sl2` builds: twice the largest
+# measured (128), as the dense engine's cost grows about cubically in it.
+MAX_SL2_DIM = 256
+
 
 class SchemaError(ValueError):
     def __init__(self, pointer: str, message: str):
@@ -62,7 +68,7 @@ def _parse_type(doc, pointer="") -> LieType:
     rank = doc.get("rank")
     if rank is None and family == "G2":
         rank = 2
-    if not isinstance(rank, int):
+    if type(rank) is not int:
         raise SchemaError(f"{pointer}/rank", "expected an integer rank")
     try:
         return lie_type(family, rank)
@@ -113,7 +119,7 @@ def parse_chain_doc(doc) -> FactorChain:
         if not isinstance(factor, dict):
             raise SchemaError(f"/factors/{i}", "expected an object")
         node = factor.get("node")
-        if not isinstance(node, int) or not 1 <= node <= t.rank:
+        if type(node) is not int or not 1 <= node <= t.rank:
             raise SchemaError(f"/factors/{i}/node", f"expected a node in 1..{t.rank}")
         parsed.append((node, _parse_scalar_at(factor.get("a"), f"/factors/{i}/a")))
     return FactorChain(t, tuple(parsed))
@@ -127,7 +133,7 @@ def parse_sl2_doc(doc):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"/{i}", "expected a [m, a] pair")
         m, a = item
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise SchemaError(f"/{i}/0", "expected a positive integer m")
         spec.append((m, _parse_scalar_at(a, f"/{i}/1")))
     return tuple(spec)
@@ -228,33 +234,23 @@ def _cmd_info(args) -> int:
 def _cmd_weyl(args) -> int:
     pi = parse_tuple_doc(_load_doc(args.document))
     chain = order_factors(pi)
-    audit = []
-    factors = chain.factors
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            diff = factors[j][1] - factors[i][1]
-            values = criterion_set(chain.lie_type, factors[i][0], factors[j][0]).values
-            audit.append(
-                {
-                    "i": i + 1,
-                    "j": j + 1,
-                    "difference": format_scalar(diff),
-                    "in_criterion_set": diff.im == 0 and diff.re in values,
-                }
-            )
+    audit = [
+        {"i": i, "j": j, "difference": format_scalar(diff), "in_criterion_set": hit}
+        for i, j, diff, hit in scan_pairs(chain)
+    ]
     body = {
         "input": tuple_to_doc(pi),
         "chain": chain_to_doc(chain)["factors"],
         "dimension": weyl_module_dim(pi),
         "pair_audit": audit,
     }
-    assert chain_to_poly(chain) == pi
-    assert chain_dim(chain) == body["dimension"]
+    if chain_to_poly(chain) != pi or chain_dim(chain) != body["dimension"]:
+        raise RuntimeError("ordered factorization does not reproduce the input module")
     lines = [
         f"ordered factorization over {chain.lie_type}:",
         *(
             f"  {k + 1}: node {node}, a = {format_scalar(a)}"
-            for k, (node, a) in enumerate(factors)
+            for k, (node, a) in enumerate(chain.factors)
         ),
         f"dimension = {body['dimension']}",
         "pair audit (i < j, difference, in criterion set):",
@@ -287,6 +283,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_sl2(args) -> int:
     spec = parse_sl2_doc(_load_doc(args.document))
+    if args.order < 0:
+        raise SchemaError("--order", "expected a nonnegative order")
+    dim = math.prod(m + 1 for m, _ in spec)
+    if dim > MAX_SL2_DIM:
+        raise SchemaError("/", f"module dimension {dim} exceeds {MAX_SL2_DIM}")
     body: dict = {"spec": [[m, format_scalar(a)] for m, a in spec]}
     lines = []
     if args.verify == "closure":

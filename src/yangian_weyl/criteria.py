@@ -176,8 +176,20 @@ def criterion_set_from_ledger(t: LieType, b_m: int, b_n: int) -> CriterionSet:
     return _criterion_set_from_ledger(t.family, t.rank, b_m, b_n)
 
 
-def _difference_in(diff: GaussianRational, values: FrozenSet[Fraction]) -> bool:
-    return diff.im == 0 and diff.re in values
+def scan_pairs(chain: FactorChain, both_orders: bool = False):
+    """Yield (i, j, a_j - a_i, in_set) for 1-based i < j, or for every
+    i != j when both_orders; in_set says whether the difference lies in
+    the criterion set of the node pair (b_i, b_j)."""
+    t = chain.lie_type
+    factors = chain.factors
+    for i, (b_i, a_i) in enumerate(factors):
+        for j in range(0 if both_orders else i + 1, len(factors)):
+            if j == i:
+                continue
+            b_j, a_j = factors[j]
+            diff = a_j - a_i
+            values = criterion_set(t, b_i, b_j).values
+            yield i + 1, j + 1, diff, diff.im == 0 and diff.re in values
 
 
 def cyclicity_guaranteed(chain: FactorChain) -> Verdict:
@@ -186,16 +198,8 @@ def cyclicity_guaranteed(chain: FactorChain) -> Verdict:
     A chain with weakly decreasing real parts passes automatically, since
     every criterion value is a positive real number.
     """
-    t = chain.lie_type
-    witnesses = []
-    factors = chain.factors
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            diff = factors[j][1] - factors[i][1]
-            values = criterion_set(t, factors[i][0], factors[j][0]).values
-            if _difference_in(diff, values):
-                witnesses.append((i + 1, j + 1, diff))
-    return Verdict(guaranteed=not witnesses, exact=False, witnesses=tuple(witnesses))
+    witnesses = tuple((i, j, diff) for i, j, diff, hit in scan_pairs(chain) if hit)
+    return Verdict(guaranteed=not witnesses, exact=False, witnesses=witnesses)
 
 
 def dual_chain(chain: FactorChain) -> FactorChain:
@@ -216,17 +220,9 @@ def irreducibility_guaranteed(chain: FactorChain) -> Verdict:
     The verdict is recomputed as cyclicity of the chain and of its dual,
     and the two computations must agree.
     """
-    t = chain.lie_type
-    factors = chain.factors
-    witnesses = []
-    for i in range(len(factors)):
-        for j in range(len(factors)):
-            if i == j:
-                continue
-            diff = factors[j][1] - factors[i][1]
-            values = criterion_set(t, factors[i][0], factors[j][0]).values
-            if _difference_in(diff, values):
-                witnesses.append((i + 1, j + 1, diff))
+    witnesses = tuple(
+        (i, j, diff) for i, j, diff, hit in scan_pairs(chain, both_orders=True) if hit
+    )
     guaranteed = not witnesses
     via_duality = (
         cyclicity_guaranteed(chain).guaranteed
@@ -239,6 +235,6 @@ def irreducibility_guaranteed(chain: FactorChain) -> Verdict:
         )
     return Verdict(
         guaranteed=guaranteed,
-        exact=t.family == "A",
-        witnesses=tuple(witnesses),
+        exact=chain.lie_type.family == "A",
+        witnesses=witnesses,
     )

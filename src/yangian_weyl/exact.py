@@ -21,8 +21,8 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -177,20 +177,6 @@ def ordering_key(value: GaussianRational):
     return (-value.re, -value.im)
 
 
-def re_compare(x: GaussianRational, y: GaussianRational) -> int:
-    """-1 if x precedes y, +1 if y precedes x, 0 if equal.
-
-    Total order: larger real part first, ties broken by larger imaginary
-    part first.
-    """
-    kx, ky = ordering_key(x), ordering_key(y)
-    if kx < ky:
-        return -1
-    if kx > ky:
-        return 1
-    return 0
-
-
 def as_scalar(value) -> GaussianRational:
     out = GaussianRational._coerce(value)
     if out is None:
@@ -328,10 +314,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
-
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(vec_add(a, b) for a, b in zip(self.rows, other.rows))
 
@@ -393,10 +375,6 @@ class Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
-
-
-def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b + b @ a
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -480,32 +458,13 @@ def solve_linear(rows: Sequence[Vector], rhs: Vector):
     """Unique exact solution of the linear system rows * x = rhs.
 
     Returns the solution vector, or None when the system is inconsistent
-    or underdetermined.
+    (a pivot in the rhs column) or underdetermined (fewer pivots than
+    unknowns).
     """
-    m = [list(row) + [b] for row, b in zip(rows, rhs)]
-    nrows = len(m)
     ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [inv * e for e in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                coef = m[i][c]
-                m[i] = [a - coef * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None  # inconsistent
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    sol = [ZERO] * ncols
-    for row_idx, c in enumerate(pivots):
-        sol[c] = m[row_idx][ncols]
-    return tuple(sol)
+    basis = _RrefBasis(ncols + 1)
+    for row, b in zip(rows, rhs):
+        basis.insert(tuple(row) + (b,))
+    if basis.pivots != list(range(ncols)):
+        return None
+    return tuple(row[ncols] for row in basis.rows)

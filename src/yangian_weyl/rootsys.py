@@ -1,9 +1,11 @@
 """Cartan data for the classical families A, B, C, D and for G2.
 
 Weights are integer vectors in fundamental-weight coordinates throughout;
-roots are integer vectors in the simple-root basis.  The ambient
-("mu") coordinates used by the classical realizations are kept as
-conversion tables for documentation and tests only.
+roots are integer vectors in the simple-root basis.  Positive roots are
+generated from the Cartan matrix alone, as the reflection closure of the
+simple roots.  The ambient ("mu") coordinates used by the classical
+realizations are kept as tables for the tests only, which check the
+generated roots against them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class LieType:
             warnings.warn(
                 "D with rank 3 is accepted (it is A3 relabelled) but the "
                 "series formulas assume rank >= 4",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
 
     def __str__(self):
@@ -271,77 +273,20 @@ def duality_shift(t: LieType) -> Fraction:
     }[t.family]
 
 
-def _mu_to_alpha(t: LieType, mu_vec) -> Root:
-    """Express an ambient-coordinate vector in the simple-root basis."""
-    datum = cartan_datum(t)
-    cols = datum.simple_roots_mu
-    dim = len(mu_vec)
-    l = t.rank
-    # Gaussian elimination on the (dim x l | rhs) system.
-    m = [[cols[j][i] for j in range(l)] + [Fraction(mu_vec[i])] for i in range(dim)]
-    coeffs = [Fraction(0)] * l
-    pivot_cols = []
-    r = 0
-    for c in range(l):
-        pivot = next((i for i in range(r, dim) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [inv * e for e in m[r]]
-        for i in range(dim):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if m[i][l]:
-            raise ValueError("vector not in the root lattice span")
-    for row, c in enumerate(pivot_cols):
-        coeffs[c] = m[row][l]
-    out = []
-    for value in coeffs:
-        if value.denominator != 1:
-            raise ValueError("non-integer root coordinates")
-        out.append(int(value))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _positive_roots(family: str, rank: int) -> Tuple[Root, ...]:
     t = LieType(family, rank)
-    l = rank
-    if family == "G2":
-        return ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
-    F = Fraction
-    mu_roots = []
-    if family == "A":
-        dim = l + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                vec = [F(0)] * dim
-                vec[i], vec[j] = F(1), F(-1)
-                mu_roots.append(tuple(vec))
-    else:
-        for i in range(l):
-            for j in range(i + 1, l):
-                plus = [F(0)] * l
-                plus[i], plus[j] = F(1), F(1)
-                minus = [F(0)] * l
-                minus[i], minus[j] = F(1), F(-1)
-                mu_roots.extend([tuple(minus), tuple(plus)])
-        if family == "B":
-            for i in range(l):
-                vec = [F(0)] * l
-                vec[i] = F(1)
-                mu_roots.append(tuple(vec))
-        elif family == "C":
-            for i in range(l):
-                vec = [F(0)] * l
-                vec[i] = F(2)
-                mu_roots.append(tuple(vec))
-    return tuple(_mu_to_alpha(t, vec) for vec in mu_roots)
+    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    found = set(simple)
+    frontier = list(simple)
+    while frontier:
+        root = frontier.pop()
+        for i in all_nodes(t):
+            image = reflect_root(t, root, i)
+            if is_positive_root_vector(image) and image not in found:
+                found.add(image)
+                frontier.append(image)
+    return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
 def positive_roots(t: LieType) -> Tuple[Root, ...]:

@@ -134,6 +134,13 @@ def test_human_output_runs(capsys):
          "/factors/0/node"),
         (["sl2", '[[0,"1"]]'], "/0/0"),
         (["sl2", '[[1,"1/0"]]'], "/0/1"),
+        (["check", '{"type":"A","rank":true,"factors":[{"node":1,"a":"0"}]}'],
+         "/rank"),
+        (["check", '{"type":"A","rank":2,"factors":[{"node":true,"a":"0"}]}'],
+         "/factors/0/node"),
+        (["sl2", '[[true,"0"]]'], "/0/0"),
+        (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "-1"], "--order"),
+        (["sl2", json.dumps([[1, "0"]] * 12)], "/"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
@@ -141,6 +148,14 @@ def test_schema_errors(capsys, argv, pointer):
     err = capsys.readouterr().err
     assert code == 2
     assert pointer in err
+
+
+def test_weyl_invariant_survives_optimized_mode(monkeypatch):
+    import yangian_weyl.cli as cli
+
+    monkeypatch.setattr(cli, "chain_dim", lambda chain: -1)
+    with pytest.raises(RuntimeError):
+        main(["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]}}'])
 
 
 def test_json_documents_roundtrip():

@@ -16,9 +16,10 @@ from yangian_weyl.exact import (
     Series,
     ZERO,
     format_scalar,
+    ordering_key,
     parse_scalar,
-    re_compare,
     row_space_closure,
+    solve_linear,
     unit_vector,
     vec_is_zero,
     vec_sub,
@@ -61,20 +62,21 @@ def test_format_parse_roundtrip(re, im):
     assert parse_scalar(format_scalar(value)) == value
 
 
-def test_re_compare_examples():
-    assert re_compare(G(2), G(1, 1)) == -1
-    assert re_compare(G(1, 1), G(1, -1)) == -1
-    assert re_compare(G(0), G(0)) == 0
-    assert re_compare(G(0, -1), G(1)) == 1
+def test_ordering_key_examples():
+    assert ordering_key(G(2)) < ordering_key(G(1, 1))
+    assert ordering_key(G(1, 1)) < ordering_key(G(1, -1))
+    assert ordering_key(G(0)) == ordering_key(G(0))
+    assert ordering_key(G(0, -1)) > ordering_key(G(1))
 
 
 @given(st.lists(st.tuples(fractions_st, fractions_st), min_size=2, max_size=6))
-def test_re_compare_total_order(pairs):
+def test_ordering_key_total_order(pairs):
     values = [G(re, im) for re, im in pairs]
-    # Antisymmetry and transitivity through the sort key.
+    # Equal keys only for equal scalars, and the order is antisymmetric.
     for x in values:
         for y in values:
-            assert re_compare(x, y) == -re_compare(y, x)
+            assert (ordering_key(x) == ordering_key(y)) == (x == y)
+            assert (ordering_key(x) < ordering_key(y)) == (ordering_key(y) > ordering_key(x))
 
 
 def test_scalar_arithmetic():
@@ -144,7 +146,7 @@ def _in_span(basis, vec):
 
 def test_closure_rejects_bad_input():
     with pytest.raises(ValueError):
-        row_space_closure([Matrix.zeros(2, 3)], unit_vector(2, 0))
+        row_space_closure([Matrix([[ZERO] * 3] * 2)], unit_vector(2, 0))
     with pytest.raises(ValueError):
         row_space_closure([Matrix.identity(3)], unit_vector(2, 0))
     with pytest.raises(ValueError):
@@ -188,6 +190,16 @@ def _rref(vectors):
     for vec in vectors:
         basis.insert(vec)
     return tuple(basis.rows)
+
+
+def test_solve_linear_contract():
+    rows = [(G(1), G(1)), (G(1), G(-1)), (G(2), G(0))]
+    assert solve_linear(rows, (G(3), G(1, 2), G(4, 2))) == (G(2, 1), G(1, -1))
+    # Inconsistent: the third equation contradicts the first two.
+    assert solve_linear(rows, (G(3), G(1), G(5))) is None
+    # Underdetermined: one equation in two unknowns, consistent.
+    assert solve_linear([(G(1), G(1))], (G(3),)) is None
+    assert solve_linear([(G(0), G(2))], (G(3),)) is None
 
 
 # -- series ------------------------------------------------------------------

@@ -69,6 +69,12 @@ def test_invalid_ranks():
         lie_type("D", 3)
 
 
+def test_d3_warning_points_past_dataclass_init():
+    with pytest.warns(UserWarning) as record:
+        lie_type("D", 3)
+    assert record[0].filename != "<string>"
+
+
 def test_reflect_examples():
     for l in (4, 5, 6):
         t = lie_type("D", l)
