@@ -1,14 +1,17 @@
-"""Exact scalar arithmetic: Gaussian rationals, truncated series, dense linear algebra.
+"""Exact scalar arithmetic: Gaussian rationals, truncated series, sparse linear algebra.
 
 Everything in this package computes over Q(i) with `fractions.Fraction`
-components; no floating point is used anywhere.
+components; no floating point is used anywhere.  Matrices and row
+reduction keep sparse rows that never store a zero; vectors cross the
+public API as dense tuples.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 
 class ScalarParseError(ValueError):
@@ -259,21 +262,17 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact vectors and matrices.
+# Exact vectors and sparse matrices.
+#
+# Public vectors are dense tuples.  Inside matrices and row reduction a
+# vector is sparse: a dict {index: nonzero scalar} that never stores a zero.
 
 Vector = tuple  # tuple[GaussianRational, ...]
-
-
-def vector(entries: Iterable) -> Vector:
-    return tuple(as_scalar(e) for e in entries)
 
 
 def unit_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
@@ -286,18 +285,87 @@ def vec_is_zero(a: Vector) -> bool:
     return all(not x for x in a)
 
 
-class Matrix:
-    """Dense rectangular matrix over the Gaussian rationals."""
+def _sparse(vec: Iterable) -> dict:
+    return {j: as_scalar(e) for j, e in enumerate(vec) if e}
 
-    __slots__ = ("rows",)
+
+def _dense(vec: dict, n: int) -> Vector:
+    return tuple(vec.get(j, ZERO) for j in range(n))
+
+
+def _add_multiples(base: dict, terms) -> dict:
+    """base + sum(c * row for c, row in terms), as a new sparse vector.
+
+    Products are summed on the rational parts, so each touched entry makes
+    one scalar; entries of base that no term touches are shared, not copied.
+    """
+    acc = {}
+    for c, row in terms:
+        cre, cim = c.re, c.im
+        for j, e in row.items():
+            ere, eim = e.re, e.im
+            re = cre * ere - cim * eim
+            im = cre * eim + cim * ere
+            slot = acc.get(j)
+            if slot is None:
+                acc[j] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+    out = dict(base)
+    for j, (re, im) in acc.items():
+        old = out.get(j)
+        if old is not None:
+            re += old.re
+            im += old.im
+        if re or im:
+            out[j] = GaussianRational(re, im)
+        elif old is not None:
+            del out[j]
+    return out
+
+
+def _add_rows(a: dict, b: dict, sign: int) -> dict:
+    """a + b (sign 1) or a - b (sign -1), as a new sparse vector."""
+    out = dict(a)
+    for j, e in b.items():
+        old = out.get(j)
+        if old is None:
+            out[j] = e if sign > 0 else -e
+        else:
+            total = old + e if sign > 0 else old - e
+            if total:
+                out[j] = total
+            else:
+                del out[j]
+    return out
+
+
+class Matrix:
+    """Sparse rectangular matrix over the Gaussian rationals.
+
+    `rows` holds one dict {column: nonzero scalar} per row; no zero is ever
+    stored, so every product, sum and matrix-vector application touches
+    only nonzero entries.  `Matrix(rows)` takes dense rows.
+    """
+
+    __slots__ = ("rows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable]):
-        object.__setattr__(
-            self, "rows", tuple(tuple(as_scalar(e) for e in row) for row in rows)
-        )
-        widths = {len(r) for r in self.rows}
+        dense = [tuple(row) for row in rows]
+        widths = {len(r) for r in dense}
         if len(widths) > 1:
             raise ValueError("ragged rows")
+        object.__setattr__(self, "rows", tuple(_sparse(row) for row in dense))
+        object.__setattr__(self, "ncols", widths.pop() if widths else 0)
+
+    @classmethod
+    def _of(cls, rows: Iterable[dict], ncols: int) -> "Matrix":
+        """A matrix from sparse rows that already hold no zero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", tuple(rows))
+        object.__setattr__(out, "ncols", ncols)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -306,71 +374,81 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(({i: ONE} for i in range(n)), n)
+
+    def _check_same_shape(self, other: "Matrix"):
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("matrix shape mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(vec_add(a, b) for a, b in zip(self.rows, other.rows))
+        self._check_same_shape(other)
+        return Matrix._of(
+            (_add_rows(a, b, 1) for a, b in zip(self.rows, other.rows)), self.ncols
+        )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(vec_sub(a, b) for a, b in zip(self.rows, other.rows))
+        self._check_same_shape(other)
+        return Matrix._of(
+            (_add_rows(a, b, -1) for a, b in zip(self.rows, other.rows)), self.ncols
+        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        ncols = other.ncols
         orows = other.rows
-        zero = Fraction(0)
-        out = []
-        for row in self.rows:
-            acc_re = [zero] * ncols
-            acc_im = [zero] * ncols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                are, aim = a.re, a.im
-                for j, b in enumerate(orows[k]):
-                    if not b:
-                        continue
-                    acc_re[j] += are * b.re - aim * b.im
-                    acc_im[j] += are * b.im + aim * b.re
-            out.append(
-                tuple(GaussianRational(r, i) for r, i in zip(acc_re, acc_im))
-            )
-        return Matrix(out)
+        return Matrix._of(
+            (
+                _add_multiples({}, ((a, orows[k]) for k, a in row.items()))
+                for row in self.rows
+            ),
+            other.ncols,
+        )
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix(tuple(c * e for e in row) for row in self.rows)
+        if not c:
+            return Matrix._of(({} for _ in self.rows), self.ncols)
+        return Matrix._of(
+            ({j: c * e for j, e in row.items()} for row in self.rows), self.ncols
+        )
+
+    def apply(self, vec: dict) -> dict:
+        """The image of a sparse vector, as a sparse vector."""
+        out = {}
+        for i, row in enumerate(self.rows):
+            small, big = (row, vec) if len(row) <= len(vec) else (vec, row)
+            re = im = 0
+            for k, a in small.items():
+                b = big.get(k)
+                if b is not None:
+                    re += a.re * b.re - a.im * b.im
+                    im += a.re * b.im + a.im * b.re
+            if re or im:
+                out[i] = GaussianRational(re, im)
+        return out
 
     def matvec(self, v: Vector) -> Vector:
         if self.ncols != len(v):
             raise ValueError("matrix/vector shape mismatch")
-        out = []
-        for row in self.rows:
-            acc = ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return _dense(self.apply(_sparse(v)), self.nrows)
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (
+            isinstance(other, Matrix)
+            and self.ncols == other.ncols
+            and self.rows == other.rows
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.ncols, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self):
-        return f"Matrix({[[str(e) for e in row] for row in self.rows]})"
+        return f"Matrix({[[str(e) for e in _dense(row, self.ncols)] for row in self.rows]})"
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -379,11 +457,19 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i1*b.nrows + i2, j1*b.ncols + j2)."""
-    rows = []
-    for arow in a.rows:
-        for brow in b.rows:
-            rows.append(tuple(ae * be for ae in arow for be in brow))
-    return Matrix(rows)
+    bn = b.ncols
+    return Matrix._of(
+        (
+            {
+                j1 * bn + j2: x * y
+                for j1, x in arow.items()
+                for j2, y in brow.items()
+            }
+            for arow in a.rows
+            for brow in b.rows
+        ),
+        a.ncols * bn,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,67 +477,72 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 class _RrefBasis:
-    """Reduced-row-echelon basis of a growing subspace."""
+    """Reduced-row-echelon basis of a growing subspace.
+
+    `rows` maps each pivot to its sparse row, which is 1 at that pivot and
+    0 at every other pivot.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[Vector] = []       # kept in pivot order
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict] = {}
 
-    def reduce(self, vec: Vector) -> Vector:
-        for pivot, row in zip(self.pivots, self.rows):
-            c = vec[pivot]
-            if c:
-                vec = vec_sub(vec, vec_scale(c, row))
+    def reduce(self, vec: dict) -> dict:
+        # Rows vanish at each other's pivots, so the multiples to subtract
+        # are read off vec once.
+        rows = self.rows
+        terms = [(-c, rows[p]) for p, c in vec.items() if p in rows]
+        return _add_multiples(vec, terms) if terms else vec
+
+    def insert(self, vec: dict):
+        """Reduce vec against the basis; if independent, add it and return
+        the new row, else return None."""
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        pivot = min(vec)
+        lead = vec[pivot]
+        if lead != ONE:
+            inv = ONE / lead
+            vec = {j: inv * e for j, e in vec.items()}
+        rows = self.rows
+        for p, row in rows.items():
+            c = row.get(pivot)
+            if c is not None:
+                rows[p] = _add_multiples(row, ((-c, vec),))
+        rows[pivot] = vec
         return vec
 
-    def insert(self, vec: Vector) -> bool:
-        """Reduce vec against the basis; grow the basis if independent."""
-        vec = self.reduce(vec)
-        pivot = next((j for j, e in enumerate(vec) if e), None)
-        if pivot is None:
-            return False
-        vec = vec_scale(ONE / vec[pivot], vec)
-        for k, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                self.rows[k] = vec_sub(row, vec_scale(c, vec))
-        pos = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.pivots.insert(pos, pivot)
-        self.rows.insert(pos, vec)
-        return True
-
-    def contains(self, vec: Vector) -> bool:
-        return vec_is_zero(self.reduce(vec))
+    def dense_rows(self) -> Tuple[Vector, ...]:
+        """The basis as dense tuples in pivot order."""
+        return tuple(_dense(self.rows[p], self.dim) for p in sorted(self.rows))
 
 
 def row_space_closure(generators: Sequence[Matrix], seed: Vector):
     """Smallest subspace containing seed and closed under every generator.
 
-    Returns (dimension, basis) with the basis in reduced row-echelon form;
-    deterministic for a fixed generator order.
+    Returns (dimension, basis) with the basis as dense tuples in reduced
+    row-echelon form, which the subspace determines uniquely.  Vectors are
+    spun in sparse form; when the generators map weight spaces to weight
+    spaces and the seed is a weight vector, every vector spun and every
+    basis row stays inside one weight space.
     """
     n = len(seed)
     for g in generators:
         if g.nrows != g.ncols or g.nrows != n:
             raise ValueError("generators must be square and match the seed length")
-    if vec_is_zero(seed):
+    start = _sparse(seed)
+    if not start:
         raise ValueError("seed vector is zero")
     basis = _RrefBasis(n)
-    basis.insert(seed)
-    queue = list(basis.rows)
-    while queue:
-        vec = queue.pop(0)
+    queue = deque([basis.insert(start)])
+    while queue and len(basis.rows) < n:
+        vec = queue.popleft()
         for g in generators:
-            image = basis.reduce(g.matvec(vec))
-            if not vec_is_zero(image):
-                before = set(basis.pivots)
-                basis.insert(image)
-                added = [r for p, r in zip(basis.pivots, basis.rows) if p not in before]
-                queue.extend(added)
-        if len(basis.rows) == n:
-            break
-    return len(basis.rows), tuple(basis.rows)
+            row = basis.insert(g.apply(vec))
+            if row is not None:
+                queue.append(row)
+    return len(basis.rows), basis.dense_rows()
 
 
 def solve_linear(rows: Sequence[Vector], rhs: Vector):
@@ -464,7 +555,7 @@ def solve_linear(rows: Sequence[Vector], rhs: Vector):
     ncols = len(rows[0]) if rows else 0
     basis = _RrefBasis(ncols + 1)
     for row, b in zip(rows, rhs):
-        basis.insert(tuple(row) + (b,))
-    if basis.pivots != list(range(ncols)):
+        basis.insert(_sparse(tuple(row) + (b,)))
+    if sorted(basis.rows) != list(range(ncols)):
         return None
-    return tuple(row[ncols] for row in basis.rows)
+    return tuple(basis.rows[p].get(ncols, ZERO) for p in range(ncols))

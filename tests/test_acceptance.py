@@ -38,6 +38,7 @@ from yangian_weyl.ysl2 import (
     defining_relation_failures,
     evaluation_module,
     extend_generators,
+    is_highest_weight,
     submodule_dimension,
     tensor_module,
     trivial_submodule_check,
@@ -354,3 +355,34 @@ def test_criterion_12_defining_relations_on_registry():
         assert len(_MODULE_REGISTRY) > 200, "criteria 1-5 must run first"
         for module in _MODULE_REGISTRY:
             assert defining_relation_failures(module, K=2) == []
+
+
+def _highest_weight_by_strings(spec):
+    """Chari-Pressley string rule: the ordered product of W_m(a) fails to be
+    highest weight iff some i < j has a_j - a_i = k, an integer with
+    0 < k <= m_i < k + m_j."""
+    for i, (m_i, a_i) in enumerate(spec):
+        for m_j, a_j in spec[i + 1:]:
+            k = a_j - a_i
+            if k.im == 0 and k.re.denominator == 1 and 0 < k.re <= m_i < k.re + m_j:
+                return False
+    return True
+
+
+def test_criterion_13_oracle_matches_string_rule_up_to_dimension_128():
+    with _Timer("criterion 13: oracle = string rule on 6 and 7 factors", limit=30.0):
+        # Half the products list their parameters in decreasing order, which
+        # makes them highest weight; the rest keep the order they were drawn in.
+        rng = random.Random(1313)
+        specs = []
+        for k in (6, 6, 6, 6, 6, 6, 7):
+            params = [F(rng.randint(-4, 4), rng.choice((1, 1, 2))) for _ in range(k)]
+            if len(specs) % 2 == 0:
+                params.sort(reverse=True)
+            specs.append(tuple((1, G(a)) for a in params))
+        verdicts = set()
+        for spec in specs:
+            hw = is_highest_weight(spec)
+            assert hw == _highest_weight_by_strings(spec), spec
+            verdicts.add(hw)
+        assert verdicts == {True, False}

@@ -141,6 +141,12 @@ def test_human_output_runs(capsys):
         (["sl2", '[[true,"0"]]'], "/0/0"),
         (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "-1"], "--order"),
         (["sl2", json.dumps([[1, "0"]] * 12)], "/"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"01":["5"]}}'],
+         "/polys/01"),
+        (["weyl", '{"type":"A","rank":2,"polys":{" 2":["0"]}}'], "/polys/ 2"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"+1":["0"]}}'], "/polys/+1"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"1":["5"]}}'], "/"),
+        (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "33"], "--order"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):

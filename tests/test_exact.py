@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.exact import (
     GaussianRational,
@@ -16,6 +16,7 @@ from yangian_weyl.exact import (
     Series,
     ZERO,
     format_scalar,
+    kron,
     ordering_key,
     parse_scalar,
     row_space_closure,
@@ -180,16 +181,26 @@ def test_closure_monotone_and_self_contained():
                 assert _in_span(basis, row)
             union.extend(sub_basis)
         for vec in basis:
-            assert _in_span(_rref(union), vec)
+            assert _in_span(_gauss_jordan(union), vec)
 
 
-def _rref(vectors):
-    from yangian_weyl.exact import _RrefBasis
-
-    basis = _RrefBasis(len(vectors[0]))
-    for vec in vectors:
-        basis.insert(vec)
-    return tuple(basis.rows)
+def _gauss_jordan(vectors):
+    """Reduced row-echelon basis of the span, by textbook Gauss-Jordan."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [e / lead for e in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                c = row[col]
+                rows[i] = [x - c * y for x, y in zip(row, rows[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in rows[:rank])
 
 
 def test_solve_linear_contract():
@@ -200,6 +211,96 @@ def test_solve_linear_contract():
     # Underdetermined: one equation in two unknowns, consistent.
     assert solve_linear([(G(1), G(1))], (G(3),)) is None
     assert solve_linear([(G(0), G(2))], (G(3),)) is None
+
+
+# -- sparse matrices against dense loops --------------------------------------
+
+entry_st = st.builds(
+    G,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([0, 0, 1, -2]),
+)
+
+
+@st.composite
+def _half_zero_rows(draw, nrows, ncols):
+    """Dense rows of which at least half the entries are zero."""
+    size = nrows * ncols
+    entries = draw(st.lists(entry_st, min_size=size, max_size=size))
+    keep = draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=size // 2))
+    flat = [e if k in keep else ZERO for k, e in enumerate(entries)]
+    return [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+
+
+def _naive_matmul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _naive_kron(a, b):
+    return [
+        [x * y for x in arow for y in brow] for arow in a for brow in b
+    ]
+
+
+def _naive_closure(gens, seed):
+    """Span of seed under gens, grown by dense loops until it stops."""
+    span = _gauss_jordan([seed])
+    while True:
+        images = [
+            tuple(sum((g[i][k] * v[k] for k in range(len(v))), ZERO) for i in range(len(g)))
+            for g in gens
+            for v in span
+        ]
+        grown = _gauss_jordan(list(span) + images)
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def _stores_no_zero(m):
+    return all(e for row in m.rows for e in row.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_matrix_ops_match_dense_loops(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = data.draw(_half_zero_rows(n, k))
+    a2 = data.draw(_half_zero_rows(n, k))
+    b = data.draw(_half_zero_rows(k, m))
+    c = data.draw(entry_st)
+    v = data.draw(st.lists(entry_st, min_size=k, max_size=k))
+    A, A2, B = Matrix(a), Matrix(a2), Matrix(b)
+
+    results = {
+        "matmul": (A @ B, _naive_matmul(a, b)),
+        "kron": (kron(A, B), _naive_kron(a, b)),
+        "add": (A + A2, [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)]),
+        "sub": (A - A2, [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)]),
+        "scale": (A.scale(c), [[c * x for x in r] for r in a]),
+    }
+    for name, (got, want) in results.items():
+        assert got == Matrix(want), name
+        assert _stores_no_zero(got), name
+        assert (got.nrows, got.ncols) == (len(want), len(want[0])), name
+    assert A.matvec(tuple(v)) == tuple(
+        sum((x * y for x, y in zip(row, v)), ZERO) for row in a
+    )
+
+    assert (A + A2) - A2 == A
+    assert (A - A).is_zero() and _stores_no_zero(A - A)
+    built = [A, A @ Matrix.identity(k), Matrix.identity(n) @ A, (A + A) - A, A.scale(1)]
+    for other in built:
+        assert other == A and hash(other) == hash(A)
+
+    gens = [data.draw(_half_zero_rows(k, k)) for _ in range(data.draw(st.integers(1, 3)))]
+    seed = tuple(v) if any(v) else unit_vector(k, 0)
+    dim, basis = row_space_closure([Matrix(g) for g in gens], seed)
+    assert basis == _naive_closure(gens, seed)
+    assert dim == len(basis)
 
 
 # -- series ------------------------------------------------------------------
