@@ -7,8 +7,12 @@ its inverse (recovering the multiset from a series) live here too.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import comb, isqrt, lcm
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .exact import (
@@ -111,23 +115,50 @@ def shift_tuple(pi: DrinfeldTuple, a) -> DrinfeldTuple:
     )
 
 
+def _check_shift(d) -> None:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError("d must be a positive integer")
+
+
 def eigenvalue_series(roots: Iterable, d: int, order: int) -> Series:
     """Truncated expansion of prod (u + d - a)/(u - a) about u = infinity.
 
     Each factor contributes 1 + d*(a^(k-1)) u^-k.
     """
-    if d <= 0:
-        raise ValueError("d must be a positive integer")
-    out = Series.one(order)
-    for root in roots:
-        a = as_scalar(root)
-        coeffs = [ONE]
-        power = ONE
-        for _ in range(order):
-            coeffs.append(d * power)
-            power = power * a
-        out = out * Series(coeffs)
-    return out
+    _check_shift(d)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    # With x = 1/u each factor is 1 + d*x/(1 - a*x).  Over the common
+    # denominator L of the roots, C_k = c_k * L^k obeys the same recurrence
+    # in Z[i] with A = a*L and d*L, so the loop runs on Python ints.
+    den, scaled = _clear_denominators([as_scalar(r) for r in roots])
+    dl = d * den
+    c_re = [1] + [0] * order
+    c_im = [0] * (order + 1)
+    for a_re, a_im in scaled:
+        # g = C/(1 - A*X) runs one step behind: C_k += dL * g_{k-1}.
+        g_re = g_im = 0
+        for k in range(order + 1):
+            x_re, x_im = c_re[k], c_im[k]
+            c_re[k] = x_re + dl * g_re
+            c_im[k] = x_im + dl * g_im
+            g_re, g_im = x_re + a_re * g_re - a_im * g_im, x_im + a_re * g_im + a_im * g_re
+    coeffs = []
+    scale = 1
+    for x_re, x_im in zip(c_re, c_im):
+        coeffs.append(GaussianRational(Fraction(x_re, scale), Fraction(x_im, scale)))
+        scale *= den
+    return Series(coeffs)
+
+
+def _clear_denominators(values):
+    """(L, [(re*L, im*L) for each value]) with L the least common
+    denominator of the parts of `values`: Gaussian rationals as Z[i] pairs."""
+    den = lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    return den, [
+        (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+        for v in values
+    ]
 
 
 class NotDrinfeldSeriesError(ValueError):
@@ -141,8 +172,7 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
     Solved by equating Laurent coefficients (a linear system in the
     coefficients of Q); roots must lie in Q(i).
     """
-    if d <= 0:
-        raise ValueError("d must be a positive integer")
+    _check_shift(d)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if series.coeffs[0] != ONE:
@@ -170,7 +200,7 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
             # q_j * u^power coefficient of (u+d)^j
             t = power
             if 0 <= t <= j:
-                coef = GaussianRational(_binomial(j, t) * (Fraction(d) ** (j - t)))
+                coef = GaussianRational(comb(j, t) * d ** (j - t))
                 if j == degree:
                     target = target - coef
                 else:
@@ -199,75 +229,76 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
     return _canonical(roots)
 
 
-def _binomial(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
-
-
 # ---------------------------------------------------------------------------
 # Root extraction over Q(i) via the rational root theorem in Z[i].
 
 
 def _gaussian_rational_roots(coeffs) -> list:
-    """Roots in Q(i) of sum coeffs[j] u^j, with multiplicity."""
-    coeffs = [as_scalar(c) for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    """Roots in Q(i) of sum coeffs[j] u^j, with multiplicity.
+
+    The leading coefficient must be nonzero.  Over Z[i] a root p/q in
+    lowest terms has p dividing the constant and q the leading
+    coefficient.  A factor's constant and leading coefficients divide the
+    polynomial's, so one pass over these candidates finds every root: each
+    is tried until it stops dividing the deflated polynomial.
+    """
+    _, poly = _clear_denominators(coeffs)
     roots = []
-    while len(coeffs) > 1:
-        root = _find_one_root(coeffs)
-        if root is None:
-            break
-        roots.append(root)
-        coeffs = _deflate(coeffs, root)
+    while len(poly) > 1 and poly[0] == (0, 0):
+        roots.append(ZERO)
+        poly = poly[1:]
+    if len(poly) == 1:
+        return roots
+    # Cauchy's bound on |root| and on |1/root| limits N(p)/N(q) to a window.
+    norms = [_gi_norm(c) for c in poly]
+    upper = _cauchy_square(norms[-1], max(norms[:-1]))
+    lower = _cauchy_square(norms[0], max(norms[1:]))
+    denominators = list(_gaussian_divisors(poly[-1]))
+    denominator_norms = [norm for norm, _ in denominators]
+    for p_norm, (a, b) in _gaussian_divisors(poly[0]):
+        first = bisect_left(denominator_norms, -(-norms[-1] * p_norm // upper))
+        last = bisect_right(denominator_norms, lower * p_norm // norms[0])
+        for _, q in denominators[first:last]:
+            for num in ((a, b), (-a, -b), (-b, a), (b, -a)):  # p times each unit
+                while (quotient := _divide_linear(poly, q, num)) is not None:
+                    roots.append(_gi_to_scalar(num, q))
+                    poly = quotient
+                    if len(poly) == 1:
+                        return roots
     return roots
 
 
-def _deflate(coeffs, root):
-    out = [ZERO] * (len(coeffs) - 1)
-    carry = ZERO
-    for j in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[j] + carry
-        out[j - 1] = carry
-        carry = carry * root
+def _cauchy_square(top: int, rest: int) -> int:
+    """An integer at least (sqrt(top) + sqrt(rest))^2.
+
+    With top = N(a_n) and rest = max N(a_j) over j < n, every root z of
+    sum a_j u^j has |z| <= 1 + max |a_j|/|a_n|, so N(z) <= this / top.
+    """
+    return top + rest + 2 * isqrt(top * rest) + 2
+
+
+def _divide_linear(poly, q, p):
+    """poly / (q*u - p) over Z[i] if exact, else None.
+
+    poly lists Gaussian-integer pairs from the constant term up; the
+    quotient is built from the top, and the first inexact step rejects.
+    """
+    q_re, q_im = q
+    p_re, p_im = p
+    norm = q_re * q_re + q_im * q_im
+    out = [None] * (len(poly) - 1)
+    c_re = c_im = 0  # p times the quotient coefficient one degree up
+    for j in range(len(poly) - 1, 0, -1):
+        t_re, t_im = poly[j][0] + c_re, poly[j][1] + c_im
+        r_re, rest_re = divmod(t_re * q_re + t_im * q_im, norm)
+        r_im, rest_im = divmod(t_im * q_re - t_re * q_im, norm)
+        if rest_re or rest_im:
+            return None
+        out[j - 1] = (r_re, r_im)
+        c_re, c_im = p_re * r_re - p_im * r_im, p_re * r_im + p_im * r_re
+    if poly[0][0] + c_re or poly[0][1] + c_im:
+        return None
     return out
-
-
-def _poly_eval(coeffs, x):
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _find_one_root(coeffs):
-    if not coeffs[0]:
-        return ZERO
-    # Clear denominators to a Z[i] polynomial.
-    denom = 1
-    for c in coeffs:
-        denom = _lcm(denom, c.re.denominator)
-        denom = _lcm(denom, c.im.denominator)
-    zs = [(int(c.re * denom), int(c.im * denom)) for c in coeffs]
-    lead = zs[-1]
-    const = zs[0]
-    units = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    for p in _gaussian_divisors(const):
-        for q in _gaussian_divisors(lead):
-            for u in units:
-                num = _gi_mul(p, u)
-                cand = _gi_to_scalar(num, q)
-                if cand is not None and not _poly_eval(coeffs, cand):
-                    return cand
-    return None
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    b = abs(b)
-    return a // gcd(a, b) * b if b else a
 
 
 def _gi_mul(a, b):
@@ -290,8 +321,6 @@ def _gi_divmod_exact(a, b):
 
 def _gi_to_scalar(num, den):
     n = _gi_norm(den)
-    if n == 0:
-        return None
     re = Fraction(num[0] * den[0] + num[1] * den[1], n)
     im = Fraction(num[1] * den[0] - num[0] * den[1], n)
     return GaussianRational(re, im)
@@ -321,31 +350,21 @@ def _gaussian_prime_factors(z):
 
 
 def _gaussian_divisors(z):
-    """All divisors of z in Z[i] up to units (z nonzero)."""
-    factors = _gaussian_prime_factors(z)
-    counted: dict = {}
-    for f in factors:
-        counted[f] = counted.get(f, 0) + 1
-    divisors = [(1, 0)]
-    for prime, mult in counted.items():
-        grown = []
-        for div in divisors:
-            power = (1, 0)
-            for _ in range(mult + 1):
-                grown.append(_gi_mul(div, power))
-                power = _gi_mul(power, prime)
-        divisors = grown
-    # Deduplicate up to units.
-    seen = set()
-    out = []
-    for d in divisors:
-        key = max(
-            (d[0], d[1]), (-d[0], -d[1]), (-d[1], d[0]), (d[1], -d[0])
-        )
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return out
+    """Yield (norm, divisor) for the divisors of z in Z[i] (z nonzero), one
+    per class of associates, lazily and by ascending norm."""
+    # The primes are pairwise non-associate, so no product repeats.  Only
+    # the divisor with one factor fewer of its last prime pushes a divisor,
+    # so each is pushed once, and no divisor is popped before a smaller one.
+    primes = list(Counter(_gaussian_prime_factors(z)).items())
+    heap = [(1, (1, 0), 0, 0)]  # norm, divisor, last prime, its exponent
+    while heap:
+        norm, div, last, exponent = heappop(heap)
+        yield norm, div
+        for i in range(last, len(primes)):
+            prime, mult = primes[i]
+            k = exponent if i == last else 0
+            if k < mult:
+                heappush(heap, (norm * _gi_norm(prime), _gi_mul(div, prime), i, k + 1))
 
 
 def _prime_factors(n: int) -> list:

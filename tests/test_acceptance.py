@@ -386,3 +386,20 @@ def test_criterion_13_oracle_matches_string_rule_up_to_dimension_128():
             assert hw == _highest_weight_by_strings(spec), spec
             verdicts.add(hw)
         assert verdicts == {True, False}
+
+
+def test_criterion_14_degree_12_series_roundtrip():
+    with _Timer("criterion 14: degree-12 series roundtrip", limit=30.0):
+        # The first eight seeded instances, none picked by its timing.
+        for seed in range(8):
+            rng = random.Random(seed)
+            roots = [
+                G(F(rng.randint(-9, 9), rng.randint(1, 5)),
+                  F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)))
+                for _ in range(12)
+            ]
+            series = eigenvalue_series(roots, 2, 24)
+            recovered = series_to_roots(series, 12, 2)
+            assert sorted((r.re, r.im) for r in recovered) == sorted(
+                (r.re, r.im) for r in roots
+            )

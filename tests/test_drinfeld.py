@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.drinfeld import (
     DrinfeldTuple,
     FactorChain,
     NotDrinfeldSeriesError,
     TrivialModuleError,
+    _gaussian_divisors,
     chain_to_poly,
     eigenvalue_series,
     order_factors,
@@ -106,6 +108,11 @@ def test_series_to_roots_examples():
     assert series_to_roots(s2, 2, 1) == (G(2), G(3))
     assert s2.coeffs[:4] == (G(1), G(2), G(6), G(18))
 
+    # Zero roots and a triple root come back with their multiplicities.
+    h = G(Fraction(3, 2))
+    s3 = eigenvalue_series([G(0), h, G(-2, 1), h, G(0), h], 2, 12)
+    assert series_to_roots(s3, 6, 2) == (G(-2, 1), G(0), G(0), h, h, h)
+
 
 def test_series_to_roots_rejects_non_drinfeld():
     bogus = Series([G(1), G(1), G(0), G(1), G(0)])
@@ -141,6 +148,111 @@ def test_series_roundtrip_gaussian_roots():
     assert sorted((r.re, r.im) for r in recovered) == sorted(
         (r.re, r.im) for r in roots
     )
+
+
+def _per_root_product(roots, d, order):
+    """prod_a (1 + sum_k d a^(k-1) u^-k), multiplied with Series.__mul__."""
+    out = Series.one(order)
+    for a in roots:
+        out = out * Series([G(1)] + [d * a ** (k - 1) for k in range(1, order + 1)])
+    return out
+
+
+real_root_st = st.builds(
+    lambda p, q: G(Fraction(p, q)), st.integers(-10**9, 10**9), st.integers(1, 6)
+)
+gaussian_root_st = st.builds(
+    lambda p, q, s, t: G(Fraction(p, q), Fraction(s, t)),
+    st.integers(-10**6, 10**6), st.integers(1, 6),
+    st.integers(-10**6, 10**6), st.integers(1, 6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.one_of(real_root_st, gaussian_root_st), max_size=5),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 16),
+)
+def test_eigenvalue_series_matches_series_product(roots, d, order):
+    assert eigenvalue_series(roots, d, order) == _per_root_product(roots, d, order)
+
+
+small_root_st = st.builds(
+    lambda p, q, s, t: G(Fraction(p, q), Fraction(s, t)),
+    st.integers(-9, 9), st.integers(1, 6),
+    st.sampled_from([0, 0, 1, -1, 2]), st.integers(1, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_roundtrip_with_multiplicity_and_zero_roots(data):
+    distinct = data.draw(st.lists(small_root_st, min_size=1, max_size=4, unique=True))
+    roots = data.draw(
+        st.lists(st.sampled_from(distinct + [G(0)]), min_size=1, max_size=8)
+    )
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    series = eigenvalue_series(roots, d, 2 * len(roots))
+    recovered = series_to_roots(series, len(roots), d)
+    assert sorted((r.re, r.im) for r in recovered) == sorted(
+        (r.re, r.im) for r in roots
+    )
+
+
+def test_gaussian_divisors_against_brute_force():
+    def associate_class(w):
+        a, b = w
+        return max((a, b), (-a, -b), (-b, a), (b, -a))
+
+    rng = random.Random(7)
+    for z in [(1, 0), (0, 3), (2, 0), (-6, 8), (45, 0)] + [
+        (rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(20)
+    ]:
+        norm = z[0] ** 2 + z[1] ** 2
+        expected = {
+            associate_class((a, b))
+            for a in range(-45, 46)
+            for b in range(-45, 46)
+            if (a or b)
+            and ((z[0] * a + z[1] * b) % (a * a + b * b)
+                 == (z[1] * a - z[0] * b) % (a * a + b * b) == 0)
+        }
+        got = list(_gaussian_divisors(z))
+        assert [n for n, _ in got] == sorted(n for n, _ in got)
+        assert all(n == w[0] ** 2 + w[1] ** 2 for n, w in got)
+        assert sorted(associate_class(w) for _, w in got) == sorted(expected), z
+        assert norm in {n for n, _ in got}
+
+
+@pytest.mark.parametrize(
+    "d, order, message",
+    [
+        (True, 2, "d must be"),
+        (Fraction(1, 2), 4, "d must be"),
+        (2.0, 4, "d must be"),
+        ("1", 4, "d must be"),
+        (0, 4, "d must be"),
+        (-1, 4, "d must be"),
+        (1, -1, "order must be"),
+        (1, -3, "order must be"),
+    ],
+)
+def test_eigenvalue_series_rejects_bad_arguments(d, order, message):
+    with pytest.raises(ValueError, match=message):
+        eigenvalue_series([G(1)], d, order)
+
+
+# 1 + d u^-1 + d a u^-2 + ..., the series of the root 1/3 with shift 1/2.
+HALF_SHIFT = Series(
+    [G(1), G(Fraction(1, 2)), G(Fraction(1, 6)), G(Fraction(1, 18)), G(Fraction(1, 54))]
+)
+
+
+@pytest.mark.parametrize("d", [True, False, Fraction(1, 2), 0.5, 0, -1])
+def test_series_to_roots_rejects_bad_shift(d):
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        series_to_roots(HALF_SHIFT, 1, d)
 
 
 def test_tuple_validation():
