@@ -74,6 +74,7 @@ from .ysl2 import (
     extend_generators,
     is_highest_weight,
     is_irreducible,
+    lowering_levels,
     tensor_module,
     trivial_submodule_check,
     verify_drinfeld_series,

@@ -32,7 +32,6 @@ from .exact import (
     ScalarParseError,
     format_scalar,
     parse_scalar,
-    unit_vector,
 )
 from .rootsys import (
     LieType,
@@ -42,12 +41,12 @@ from .rootsys import (
     longest_word,
     node_involution,
 )
-from .ysl2 import defining_relation_failures, submodule_dimension, tensor_module
+from .ysl2 import defining_relation_failures, lowering_levels, tensor_module
 
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
-# two-dimensional factors (dimension 256; Python 3.11, one Xeon core) the
-# sparse engine takes 18 s for closure, 22 s for identities and 11 s for
-# series at order 5, against 2.3, 7.7 and 3.5 s at dimension 128.
+# two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
+# (dimension 256; Python 3.11, one Xeon core) closure takes 0.8 s, identities
+# 9.1 s and series (order 5) 5.0 s; on the first seven, 0.2, 3.0 and 1.5 s.
 MAX_SL2_DIM = 256
 # Largest `sl2 --order`: the series check builds the generator ladder up to
 # it, at a cost linear in the order.  32 is over six times the largest order
@@ -300,8 +299,7 @@ def _cmd_sl2(args) -> int:
     lines = []
     if args.verify == "closure":
         module = tensor_module(spec)
-        seed = unit_vector(module.dim, module.highest_index)
-        dim = submodule_dimension(module, seed)
+        dim = sum(lowering_levels(module))
         body.update(
             {
                 "dimension": module.dim,

@@ -30,10 +30,6 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -272,17 +268,6 @@ Vector = tuple  # tuple[GaussianRational, ...]
 
 def unit_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = as_scalar(c)
-    return tuple(c * x for x in a)
-
-def vec_is_zero(a: Vector) -> bool:
-    return all(not x for x in a)
 
 
 def _sparse(vec: Iterable) -> dict:

@@ -1,25 +1,32 @@
 """Exact rank-one Yangian engine: evaluation modules, tensor products,
 generator ladders, and brute-force cyclicity oracles.
 
-Evaluation modules carry the closed-form action; tensor products are built
-from the coproduct of the level-0 and level-1 generators, and all higher
-generators come from the defining-relation recursion, which is exact on
-any module.  Submodule spinning turns these matrices into a brute-force
-check of highest-weightness and irreducibility used to validate the
-criterion machinery elsewhere in the package.
+Evaluation modules carry the closed-form action of x_0^+/-, h_0 and h_1,
+tensor products the coproduct of those four; all higher generators, x_1^+/-
+included, come from the defining-relation recursion, exact on any module.
+
+The top tensor vector v is a highest-weight vector, so it generates Y^- v.
+As h_0 is a scalar on each weight space, the recursion for x_{k+1}^- makes
+level r+1 of Y^- v (r+1 lowering steps below v) equal to C[h_1] x_0^- of
+level r: `lowering_levels` spins the levels one at a time with x_0^- and h_1
+only.  `submodule_dimension` spins any seed under all six level-0/1
+generators and stays as the independent cross-check.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, Sequence, Tuple
 
 from .exact import (
     GaussianRational,
     Matrix,
     ONE,
     ZERO,
+    _RrefBasis,
     as_scalar,
     commutator,
     kron,
@@ -32,16 +39,22 @@ HALF = GaussianRational(Fraction(1, 2))
 
 @dataclass(frozen=True)
 class SL2Module:
-    """Matrices of the six level-0/1 generators on a finite-dimensional space."""
+    """Level-0/1 generator matrices; x_1^+/- are derived on first access."""
 
     factor_spec: Tuple[Tuple[int, GaussianRational], ...]
     basis_labels: Tuple[Tuple[int, ...], ...]
     x0p: Matrix
     x0m: Matrix
-    x1p: Matrix
-    x1m: Matrix
     h0: Matrix
     h1: Matrix
+
+    @cached_property
+    def x1p(self) -> Matrix:
+        return _next_xp(self.h0, self.h1, self.x0p)
+
+    @cached_property
+    def x1m(self) -> Matrix:
+        return _next_xm(self.h0, self.h1, self.x0m)
 
     @property
     def dim(self) -> int:
@@ -67,43 +80,25 @@ def evaluation_module(m: int, a) -> SL2Module:
     x_k^- w_s = (s+a-1)^k (m-s+1) w_{s-1}
     h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
     """
-    if m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     a = as_scalar(a)
     n = m + 1
-
-    def xp(k: int) -> Matrix:
-        rows = [[ZERO] * n for _ in range(n)]
-        for s in range(m):
-            rows[s + 1][s] = (s + a) ** k * (s + 1) if k else GaussianRational(s + 1)
-        return Matrix(rows)
-
-    def xm(k: int) -> Matrix:
-        rows = [[ZERO] * n for _ in range(n)]
-        for s in range(1, n):
-            coef = GaussianRational(m - s + 1)
-            if k:
-                coef = (s + a - 1) ** k * coef
-            rows[s - 1][s] = coef
-        return Matrix(rows)
-
-    def h(k: int) -> Matrix:
-        rows = [[ZERO] * n for _ in range(n)]
-        for s in range(n):
-            lower = (s + a - 1) ** k * (s * (m - s + 1)) if k else GaussianRational(s * (m - s + 1))
-            upper = (s + a) ** k * ((s + 1) * (m - s)) if k else GaussianRational((s + 1) * (m - s))
-            rows[s][s] = lower - upper
-        return Matrix(rows)
-
+    xp, xm, h0, h1 = ([[ZERO] * n for _ in range(n)] for _ in range(4))
+    for s in range(n):
+        lower, upper = s * (m - s + 1), (s + 1) * (m - s)
+        h0[s][s] = GaussianRational(lower - upper)
+        h1[s][s] = (s + a - 1) * lower - (s + a) * upper
+        if s < m:
+            xp[s + 1][s] = GaussianRational(s + 1)
+            xm[s][s + 1] = GaussianRational(m - s)
     return SL2Module(
         factor_spec=((m, a),),
         basis_labels=tuple((s,) for s in range(n)),
-        x0p=xp(0),
-        x0m=xm(0),
-        x1p=xp(1),
-        x1m=xm(1),
-        h0=h(0),
-        h1=h(1),
+        x0p=Matrix(xp),
+        x0m=Matrix(xm),
+        h0=Matrix(h0),
+        h1=Matrix(h1),
     )
 
 
@@ -127,8 +122,6 @@ def _tensor_pair(left: SL2Module, right: SL2Module) -> SL2Module:
         + kron(left.h0, right.h0)
         - kron(left.x0m, right.x0p).scale(2)
     )
-    x1m = _next_xm(h0, h1, x0m)
-    x1p = _next_xp(h0, h1, x0p)
     labels = tuple(
         ll + rl for ll in left.basis_labels for rl in right.basis_labels
     )
@@ -137,8 +130,6 @@ def _tensor_pair(left: SL2Module, right: SL2Module) -> SL2Module:
         basis_labels=labels,
         x0p=x0p,
         x0m=x0m,
-        x1p=x1p,
-        x1m=x1m,
         h0=h0,
         h1=h1,
     )
@@ -187,15 +178,42 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
+    """Dimension of the submodule seed generates, spun under all six generators."""
     dim, _ = row_space_closure(module.generators(), seed)
     return dim
 
 
+def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
+    """(dim W_r, dim V_r) for r = 0 .. sum(m).  V_r is spanned by the basis
+    vectors r lowering steps below the top; W_r, the part of Y top in V_r, is
+    spun as W_0 = <top>, W_{r+1} = C[h_1] x_0^- W_r.  A level that fills V_r
+    is closed under h_1 already, so its spinning stops there."""
+    top = sum(m for m, _ in module.factor_spec)
+    sizes = Counter(top - sum(label) for label in module.basis_labels)
+    level = [{module.highest_index: ONE}]
+    yield 1, 1
+    for r in range(1, top + 1):
+        basis = _RrefBasis(module.dim)
+        queue = deque((module.x0m, vec) for vec in level)
+        while queue and len(basis.rows) < sizes[r]:
+            g, vec = queue.popleft()
+            row = basis.insert(g.apply(vec))
+            if row is not None:
+                queue.append((module.h1, row))
+        level = list(basis.rows.values())
+        yield len(level), sizes[r]
+
+
+def lowering_levels(module: SL2Module) -> Tuple[int, ...]:
+    """dim W_r for every depth r = 0 .. sum(m) below the top vector; their
+    sum is the dimension of the submodule the top vector generates."""
+    return tuple(w for w, _ in _spin_levels(module))
+
+
 def is_highest_weight(spec: Sequence[Tuple[int, object]]) -> bool:
-    """True iff the ordered tensor product is generated by its top vector."""
-    module = tensor_module(spec)
-    seed = unit_vector(module.dim, module.highest_index)
-    return submodule_dimension(module, seed) == module.dim
+    """True iff the ordered tensor product is generated by its top vector;
+    the spin stops at the first level that falls short of its weight space."""
+    return all(w == v for w, v in _spin_levels(tensor_module(spec)))
 
 
 def is_irreducible(spec: Sequence[Tuple[int, object]]) -> bool:

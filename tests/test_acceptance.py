@@ -8,6 +8,7 @@ must run after them (pytest executes this file top to bottom).
 
 from __future__ import annotations
 
+import json
 import random
 import time
 import warnings
@@ -16,6 +17,7 @@ from itertools import product
 
 import pytest
 
+from yangian_weyl.cli import main
 from yangian_weyl.criteria import (
     criterion_set,
     criterion_set_from_ledger,
@@ -31,7 +33,7 @@ from yangian_weyl.drinfeld import (
     order_factors,
     series_to_roots,
 )
-from yangian_weyl.exact import GaussianRational as G, ZERO, unit_vector
+from yangian_weyl.exact import GaussianRational as G, ZERO, format_scalar, unit_vector
 from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_involution
 from yangian_weyl.weylpath import chain_root_positivity, descent_chain
 from yangian_weyl.ysl2 import (
@@ -403,3 +405,17 @@ def test_criterion_14_degree_12_series_roundtrip():
             assert sorted((r.re, r.im) for r in recovered) == sorted(
                 (r.re, r.im) for r in roots
             )
+
+
+def test_criterion_15_level_spin_on_eight_factors(capsys):
+    with _Timer("criterion 15: level spin = string rule at dimension 256", limit=10.0):
+        params = [F(0), F(7, 2), F(-5, 3), F(2), F(1, 7), F(-9, 4), F(5), F(11, 5)]
+        spec = tuple((1, G(a)) for a in params)
+        expected = _highest_weight_by_strings(spec)
+        assert is_highest_weight(spec) == expected
+        doc = json.dumps([[1, format_scalar(G(a))] for a in params])
+        assert main(["sl2", doc, "--verify", "closure", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dimension"] == 256
+        assert report["highest_weight"] == expected
+        assert (report["closure_dimension"] == 256) == expected

@@ -22,12 +22,21 @@ from yangian_weyl.exact import (
     row_space_closure,
     solve_linear,
     unit_vector,
-    vec_is_zero,
-    vec_sub,
-    vec_scale,
 )
 
 G = GaussianRational
+
+
+def vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(c, a):
+    return tuple(c * x for x in a)
+
+
+def vec_is_zero(a):
+    return all(not x for x in a)
 
 
 def test_parse_examples():

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from yangian_weyl.exact import GaussianRational as G, ZERO, unit_vector
+from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, unit_vector
 from yangian_weyl.ysl2 import (
     defining_relation_failures,
     evaluation_module,
     extend_generators,
     is_highest_weight,
     is_irreducible,
+    lowering_levels,
     submodule_dimension,
     tensor_module,
     trivial_submodule_check,
@@ -51,10 +54,27 @@ def test_evaluation_module_level_one_actions():
     assert mod2.x1m.matvec(w2) == tuple((a + 1) * e for e in unit_vector(3, 1))
     assert mod2.h1.matvec(w2) == tuple(2 * (a + 1) * e for e in w2)
 
+    # x_1^+/- come from the recursion; the closed form is
+    # x_1^+ w_s = (s+a)(s+1) w_{s+1} and x_1^- w_s = (s+a-1)(m-s+1) w_{s-1}.
+    for m, a in product([1, 2, 3], [G(0), G(F(-5, 3)), G(F(1, 2), 2)]):
+        mod = evaluation_module(m, a)
+        n = m + 1
+        xp = [[ZERO] * n for _ in range(n)]
+        xm = [[ZERO] * n for _ in range(n)]
+        for s in range(m):
+            xp[s + 1][s] = (s + a) * (s + 1)
+            xm[s][s + 1] = (s + a) * (m - s)
+        assert mod.x1p == Matrix(xp)
+        assert mod.x1m == Matrix(xm)
+
 
 def test_evaluation_module_rejects_bad_m():
-    with pytest.raises(ValueError):
-        evaluation_module(0, G(0))
+    # A bool is not a dimension, although it is an int subclass.
+    for m in (0, -1, True, False, 1.5, F(2), "2", G(1)):
+        with pytest.raises(ValueError):
+            evaluation_module(m, G(0))
+        with pytest.raises(ValueError):
+            tensor_module([(1, G(0)), (m, G(1))])
 
 
 @pytest.mark.parametrize("a", [G(0), G(1), G(-2), G(F(1, 2))])
@@ -159,6 +179,7 @@ def test_coassociativity_of_level_one():
     assert left.h1 == right.h1
     assert left.x1m == right.x1m
     assert left.x1p == right.x1p
+    assert left.x1m is left.x1m
 
 
 def test_is_highest_weight_examples():
@@ -166,6 +187,68 @@ def test_is_highest_weight_examples():
     assert not is_highest_weight([(1, G(0)), (1, G(1))])
     assert is_highest_weight([(1, G(F(7, 2)))])
     assert is_highest_weight([(2, G(0))])
+
+
+def test_lowering_levels_examples():
+    # W_1(0) (x) W_1(1): the middle level is the line x_0^- top, and the
+    # bottom vector is x_0^- of it.
+    assert lowering_levels(tensor_module([(1, G(0)), (1, G(1))])) == (1, 1, 1)
+    assert lowering_levels(tensor_module([(1, G(1)), (1, G(0))])) == (1, 2, 1)
+    # W_1(1) (x) W_1(0) (x) W_1(2): the last factor sits one above the
+    # first, so the top vector generates 6 of 8 dimensions.
+    assert lowering_levels(
+        tensor_module([(1, G(1)), (1, G(0)), (1, G(2))])
+    ) == (1, 2, 2, 1)
+    assert lowering_levels(evaluation_module(3, G(F(1, 2), 1))) == (1, 1, 1, 1)
+
+
+def _depth_sizes(module):
+    """dim V_r: the number of basis labels r lowering steps below the top."""
+    top = sum(m for m, _ in module.factor_spec)
+    counts = Counter(top - sum(label) for label in module.basis_labels)
+    return tuple(counts[r] for r in range(top + 1))
+
+
+@st.composite
+def _spec_st(draw):
+    """2-5 factors with m in {1,2,3} and dimension at most 96.  Parameters
+    cluster within integer steps of a common base so that strings often
+    overlap; the imaginary parts come from a small set, often shared."""
+    k = draw(st.integers(2, 5))
+    ms, budget = [], 96
+    for i in range(k):
+        cap = budget // 2 ** (k - i - 1)
+        m = draw(st.integers(1, min(3, cap - 1)))
+        ms.append(m)
+        budget //= m + 1
+    base = F(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+    ims = draw(st.sampled_from([(0,), (1,), (0, F(1, 2)), (2, -1)]))
+    return [
+        (
+            m,
+            G(
+                base + draw(st.integers(0, 2)) + draw(st.sampled_from([0, 0, 0, F(1, 2)])),
+                draw(st.sampled_from(ims)),
+            ),
+        )
+        for m in ms
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_spec_st())
+def test_lowering_levels_agree_with_six_generator_closure(spec):
+    module = tensor_module(spec)
+    levels = lowering_levels(module)
+    sizes = _depth_sizes(module)
+    top = unit_vector(module.dim, module.highest_index)
+    closure = submodule_dimension(module, top)
+    assert sum(levels) == closure
+    assert len(levels) == len(sizes)
+    assert all(w <= v for w, v in zip(levels, sizes))
+    hw = closure == module.dim
+    assert (levels == sizes) is hw
+    assert is_highest_weight(spec) is hw
 
 
 def test_is_irreducible_examples():
