@@ -37,12 +37,6 @@ class Verdict:
     witnesses: Tuple[Tuple[int, int, GaussianRational], ...]
 
 
-def _check_nodes(t: LieType, b_m: int, b_n: int):
-    for b in (b_m, b_n):
-        if not 1 <= b <= t.rank:
-            raise ValueError(f"node {b} out of range for {t}")
-
-
 def _set_a(l: int, b_m: int, b_n: int):
     lo = 1 if b_m <= b_n else b_m - b_n + 1
     hi = min(b_m, l - b_n + 1)
@@ -117,9 +111,11 @@ _G2_SETS = {
 
 
 @lru_cache(maxsize=None)
-def _criterion_set(family: str, rank: int, b_m: int, b_n: int) -> CriterionSet:
-    t = LieType(family, rank)
-    _check_nodes(t, b_m, b_n)
+def criterion_set(t: LieType, b_m: int, b_n: int) -> CriterionSet:
+    """Closed-form criterion set for the node pair (b_m, b_n)."""
+    t.check_node(b_m)
+    t.check_node(b_n)
+    family, rank = t.family, t.rank
     if family == "A":
         values = _set_a(rank, b_m, b_n)
     elif family == "B":
@@ -135,19 +131,23 @@ def _criterion_set(family: str, rank: int, b_m: int, b_n: int) -> CriterionSet:
     return CriterionSet(t, b_m, b_n, frozenset(values))
 
 
-def criterion_set(t: LieType, b_m: int, b_n: int) -> CriterionSet:
-    """Closed-form criterion set for the node pair (b_m, b_n)."""
-    return _criterion_set(t.family, t.rank, b_m, b_n)
-
-
 class CriterionSetMismatch(RuntimeError):
     """Ledger-derived and closed-form criterion sets disagree."""
 
 
 @lru_cache(maxsize=None)
-def _criterion_set_from_ledger(family: str, rank: int, b_m: int, b_n: int) -> CriterionSet:
-    t = LieType(family, rank)
-    _check_nodes(t, b_m, b_n)
+def criterion_set_from_ledger(t: LieType, b_m: int, b_n: int) -> CriterionSet:
+    """Criterion set rederived from the parameter ledger of node b_m.
+
+    At a chain step landing on node b_n with rescaling divisor d, a second
+    factor parameter a_n obstructs exactly when (a_n - root)/d = 1 for some
+    root of the step polynomial, i.e. a_n - a_m = offset + d.  This is a
+    test oracle: a disagreement with criterion_set means a transcription
+    bug, and the call fails loudly with both sets rather than returning
+    either one.
+    """
+    t.check_node(b_m)
+    t.check_node(b_n)
     values = set()
     for entry in parameter_ledger(t, b_m).entries:
         if entry.node != b_n:
@@ -163,33 +163,23 @@ def _criterion_set_from_ledger(family: str, rank: int, b_m: int, b_n: int) -> Cr
     return CriterionSet(t, b_m, b_n, frozenset(values))
 
 
-def criterion_set_from_ledger(t: LieType, b_m: int, b_n: int) -> CriterionSet:
-    """Criterion set rederived from the parameter ledger of node b_m.
-
-    At a chain step landing on node b_n with rescaling divisor d, a second
-    factor parameter a_n obstructs exactly when (a_n - root)/d = 1 for some
-    root of the step polynomial, i.e. a_n - a_m = offset + d.  This is a
-    test oracle: a disagreement with criterion_set means a transcription
-    bug, and the call fails loudly with both sets rather than returning
-    either one.
-    """
-    return _criterion_set_from_ledger(t.family, t.rank, b_m, b_n)
-
-
 def scan_pairs(chain: FactorChain, both_orders: bool = False):
     """Yield (i, j, a_j - a_i, in_set) for 1-based i < j, or for every
     i != j when both_orders; in_set says whether the difference lies in
     the criterion set of the node pair (b_i, b_j)."""
     t = chain.lie_type
     factors = chain.factors
+    # One cache lookup per node pair, not per factor pair: a hit keyed on
+    # the LieType dataclass costs more than indexing this table.
+    nodes = {b for b, _ in factors}
+    sets = {(p, q): criterion_set(t, p, q).values for p in nodes for q in nodes}
     for i, (b_i, a_i) in enumerate(factors):
         for j in range(0 if both_orders else i + 1, len(factors)):
             if j == i:
                 continue
             b_j, a_j = factors[j]
             diff = a_j - a_i
-            values = criterion_set(t, b_i, b_j).values
-            yield i + 1, j + 1, diff, diff.im == 0 and diff.re in values
+            yield i + 1, j + 1, diff, diff.im == 0 and diff.re in sets[b_i, b_j]
 
 
 def cyclicity_guaranteed(chain: FactorChain) -> Verdict:

@@ -18,9 +18,10 @@ G2_NODE1_DECOMPOSITION: Tuple[Tuple[int, int], ...] = ((1, 1), (0, 1))
 
 
 @lru_cache(maxsize=None)
-def _decomposition_table(family: str, rank: int):
-    t = LieType(family, rank)
-    l = rank
+def decomposition_table(t: LieType):
+    """Per node: the Yangian fundamental module as a list of
+    (Lie fundamental weight index or 0 for trivial, multiplicity)."""
+    family, l = t.family, t.rank
     rows = []
     for i in range(1, l + 1):
         if family in ("A", "C"):
@@ -40,17 +41,10 @@ def _decomposition_table(family: str, rank: int):
     return tuple(rows)
 
 
-def decomposition_table(t: LieType):
-    """Per node: the Yangian fundamental module as a list of
-    (Lie fundamental weight index or 0 for trivial, multiplicity)."""
-    return _decomposition_table(t.family, t.rank)
-
-
 def lie_fundamental_dim(t: LieType, i: int) -> int:
     """Dimension of the i-th fundamental module of the underlying Lie algebra."""
+    t.check_node(i)
     l = t.rank
-    if not 1 <= i <= l:
-        raise ValueError(f"node {i} out of range for {t}")
     if t.family == "A":
         return comb(l + 1, i)
     if t.family == "B":
@@ -68,6 +62,7 @@ def _summand_dim(t: LieType, index: int) -> int:
 
 def yangian_fundamental_dim(t: LieType, i: int) -> int:
     """Dimension of the i-th fundamental Yangian module."""
+    t.check_node(i)
     row = decomposition_table(t)[i - 1]
     return sum(mult * _summand_dim(t, idx) for idx, mult in row)
 

@@ -47,8 +47,7 @@ class DrinfeldTuple:
     def from_dict(cls, t: LieType, polys: Dict[int, Sequence]) -> "DrinfeldTuple":
         rows = [[] for _ in range(t.rank)]
         for node, roots in polys.items():
-            if not 1 <= node <= t.rank:
-                raise ValueError(f"node {node} out of range for {t}")
+            t.check_node(node)
             rows[node - 1] = list(roots)
         return cls(t, tuple(tuple(r) for r in rows))
 
@@ -71,8 +70,7 @@ class FactorChain:
     def __post_init__(self):
         fixed = []
         for node, a in self.factors:
-            if not 1 <= node <= self.lie_type.rank:
-                raise ValueError(f"node {node} out of range for {self.lie_type}")
+            self.lie_type.check_node(node)
             fixed.append((node, as_scalar(a)))
         object.__setattr__(self, "factors", tuple(fixed))
 

@@ -210,20 +210,9 @@ class Series:
     def one(cls, order: int) -> "Series":
         return cls([ONE] + [ZERO] * order)
 
-    def _check_order(self, other: "Series"):
+    def __mul__(self, other: "Series") -> "Series":
         if self.order != other.order:
             raise ValueError("series orders differ")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Series") -> "Series":
-        self._check_order(other)
-        return Series(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __mul__(self, other: "Series") -> "Series":
-        self._check_order(other)
         n = self.order
         out = [ZERO] * (n + 1)
         for i, a in enumerate(self.coeffs):
@@ -233,18 +222,6 @@ class Series:
                 b = other.coeffs[j]
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return Series(out)
-
-    def inverse(self) -> "Series":
-        if not self.coeffs[0]:
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = ONE / self.coeffs[0]
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-inv0 * acc)
         return Series(out)
 
     def __eq__(self, other):

@@ -6,6 +6,10 @@ generated from the Cartan matrix alone, as the reflection closure of the
 simple roots.  The ambient ("mu") coordinates used by the classical
 realizations are kept as tables for the tests only, which check the
 generated roots against them.
+
+Per-type tables, here and in weylpath, criteria and dims, are pure
+functions of the validated LieType and are cached on it, so no table
+rebuilds the type or repeats its validation (and its D3 warning).
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ class LieType:
 
     def __str__(self):
         return self.family if self.family == "G2" else f"{self.family}{self.rank}"
+
+    def check_node(self, i: int):
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"node {i} out of range for {self}")
 
 
 def lie_type(family: str, rank: int | None = None) -> LieType:
@@ -85,9 +93,8 @@ def _partial_sums(l: int, dim: int):
 
 
 @lru_cache(maxsize=None)
-def _cartan_datum(family: str, rank: int) -> CartanDatum:
-    t = LieType(family, rank)
-    l = rank
+def cartan_datum(t: LieType) -> CartanDatum:
+    family, l = t.family, t.rank
     F = Fraction
     if family == "A":
         cartan = _tridiagonal(l)
@@ -159,30 +166,21 @@ def _cartan_datum(family: str, rank: int) -> CartanDatum:
     )
 
 
-def cartan_datum(t: LieType) -> CartanDatum:
-    return _cartan_datum(t.family, t.rank)
-
-
 def fundamental_weight(t: LieType, i: int) -> Weight:
-    _check_node(t, i)
+    t.check_node(i)
     return tuple(1 if j == i - 1 else 0 for j in range(t.rank))
-
-
-def _check_node(t: LieType, i: int):
-    if not 1 <= i <= t.rank:
-        raise ValueError(f"node {i} out of range for {t}")
 
 
 def simple_root_in_weights(t: LieType, i: int) -> Weight:
     """alpha_i in fundamental-weight coordinates: the i-th Cartan column."""
-    _check_node(t, i)
+    t.check_node(i)
     cartan = cartan_datum(t).cartan
     return tuple(cartan[j][i - 1] for j in range(t.rank))
 
 
 def reflect(t: LieType, w: Weight, i: int) -> Weight:
     """Simple reflection s_i(w) = w - w_i * alpha_i."""
-    _check_node(t, i)
+    t.check_node(i)
     c = w[i - 1]
     if c == 0:
         return tuple(w)
@@ -192,7 +190,7 @@ def reflect(t: LieType, w: Weight, i: int) -> Weight:
 
 def reflect_root(t: LieType, root: Root, i: int) -> Root:
     """s_i acting on a vector in the simple-root basis."""
-    _check_node(t, i)
+    t.check_node(i)
     row = cartan_datum(t).cartan[i - 1]
     pairing = sum(a * c for a, c in zip(row, root))
     return tuple(
@@ -201,8 +199,13 @@ def reflect_root(t: LieType, root: Root, i: int) -> Root:
 
 
 @lru_cache(maxsize=None)
-def _longest_word(family: str, rank: int) -> Tuple[int, ...]:
-    l = rank
+def longest_word(t: LieType) -> Tuple[int, ...]:
+    """A reduced expression for the longest Weyl group element.
+
+    The sequence is read as a product of simple reflections; apply_word
+    applies the rightmost factor first.
+    """
+    family, l = t.family, t.rank
     word: list[int] = []
     if family == "A":
         for k in range(l):
@@ -223,15 +226,6 @@ def _longest_word(family: str, rank: int) -> Tuple[int, ...]:
     return tuple(word)
 
 
-def longest_word(t: LieType) -> Tuple[int, ...]:
-    """A reduced expression for the longest Weyl group element.
-
-    The sequence is read as a product of simple reflections; apply_word
-    applies the rightmost factor first.
-    """
-    return _longest_word(t.family, t.rank)
-
-
 def apply_word(t: LieType, word, w: Weight) -> Weight:
     for i in reversed(tuple(word)):
         w = reflect(t, w, i)
@@ -239,14 +233,14 @@ def apply_word(t: LieType, word, w: Weight) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def _node_involution(family: str, rank: int) -> Tuple[int, ...]:
-    t = LieType(family, rank)
+def node_involution(t: LieType) -> Tuple[int, ...]:
+    """The permutation i -> -w0(i), as a tuple indexed by node-1."""
     word = longest_word(t)
     nu = []
-    for i in range(1, rank + 1):
+    for i in all_nodes(t):
         image = apply_word(t, word, fundamental_weight(t, i))
         negative = tuple(-c for c in image)
-        matches = [j for j in range(1, rank + 1) if fundamental_weight(t, j) == negative]
+        matches = [j for j in all_nodes(t) if fundamental_weight(t, j) == negative]
         if len(matches) != 1:
             raise RuntimeError(
                 f"longest word of {t} does not send node {i} to minus a "
@@ -254,11 +248,6 @@ def _node_involution(family: str, rank: int) -> Tuple[int, ...]:
             )
         nu.append(matches[0])
     return tuple(nu)
-
-
-def node_involution(t: LieType) -> Tuple[int, ...]:
-    """The permutation i -> -w0(i), as a tuple indexed by node-1."""
-    return _node_involution(t.family, t.rank)
 
 
 def duality_shift(t: LieType) -> Fraction:
@@ -274,9 +263,8 @@ def duality_shift(t: LieType) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _positive_roots(family: str, rank: int) -> Tuple[Root, ...]:
-    t = LieType(family, rank)
-    simple = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+def positive_roots(t: LieType) -> Tuple[Root, ...]:
+    simple = [tuple(int(j == i) for j in range(t.rank)) for i in range(t.rank)]
     found = set(simple)
     frontier = list(simple)
     while frontier:
@@ -287,10 +275,6 @@ def _positive_roots(family: str, rank: int) -> Tuple[Root, ...]:
                 found.add(image)
                 frontier.append(image)
     return tuple(sorted(found, key=lambda r: (sum(r), r)))
-
-
-def positive_roots(t: LieType) -> Tuple[Root, ...]:
-    return _positive_roots(t.family, t.rank)
 
 
 def is_positive_root_vector(root: Root) -> bool:

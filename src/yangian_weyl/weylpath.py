@@ -68,10 +68,7 @@ def _applied_node_order(t: LieType, b: int):
 
 
 @lru_cache(maxsize=None)
-def _descent_chain(family: str, rank: int, b: int) -> SigmaChain:
-    t = LieType(family, rank)
-    if not 1 <= b <= rank:
-        raise ValueError(f"node {b} out of range for {t}")
+def descent_chain(t: LieType, b: int) -> SigmaChain:
     w = fundamental_weight(t, b)
     steps = []
     for node in _applied_node_order(t, b):
@@ -86,10 +83,6 @@ def _descent_chain(family: str, rank: int, b: int) -> SigmaChain:
         steps.append(ChainStep(len(steps), node, w, after, c))
         w = after
     return SigmaChain(t, b, tuple(steps))
-
-
-def descent_chain(t: LieType, b: int) -> SigmaChain:
-    return _descent_chain(t.family, t.rank, b)
 
 
 def lowering_word(t: LieType, b: int) -> Tuple[Tuple[int, int], ...]:
@@ -227,11 +220,15 @@ _G2_LEDGERS = {
 
 
 @lru_cache(maxsize=None)
-def _parameter_ledger(family: str, rank: int, b: int) -> Ledger:
-    t = LieType(family, rank)
-    if not 1 <= b <= rank:
-        raise ValueError(f"node {b} out of range for {t}")
-    l = rank
+def parameter_ledger(t: LieType, b: int) -> Ledger:
+    """Per-step polynomial roots along the descent chain of node b.
+
+    Entry k belongs to chain step k; its root multiset has exactly the
+    step coefficient many elements and its divisor is the symmetrizer of
+    the step node.
+    """
+    t.check_node(b)
+    family, l = t.family, t.rank
     if family == "A":
         entries = _ledger_a(l, b)
     elif family == "B":
@@ -245,16 +242,6 @@ def _parameter_ledger(family: str, rank: int, b: int) -> Ledger:
     ledger = Ledger(t, b, tuple(entries))
     _check_alignment(ledger)
     return ledger
-
-
-def parameter_ledger(t: LieType, b: int) -> Ledger:
-    """Per-step polynomial roots along the descent chain of node b.
-
-    Entry k belongs to chain step k; its root multiset has exactly the
-    step coefficient many elements and its divisor is the symmetrizer of
-    the step node.
-    """
-    return _parameter_ledger(t.family, t.rank, b)
 
 
 def _check_alignment(ledger: Ledger):

@@ -212,7 +212,6 @@ def _pair_battery(b, a):
     )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_06_chain_coefficients_and_positivity():
     with _Timer("criterion 6: descent chain combinatorics", limit=5.0):
         sweep = (
@@ -236,7 +235,6 @@ def test_criterion_06_chain_coefficients_and_positivity():
                 assert chain_root_positivity(t, b)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_criterion_07_criterion_set_oracle_equivalence():
     with _Timer("criterion 7: ledger-derived criterion sets", limit=5.0):
         sweep = [lie_type("A", l) for l in range(2, 11)] + [lie_type("G2")]

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,9 @@ from yangian_weyl.cli import (
 from yangian_weyl.drinfeld import DrinfeldTuple
 from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import lie_type
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _run_json(capsys, argv):
@@ -44,6 +51,23 @@ def test_info_a1_and_d4(capsys):
     code, report = _run_json(capsys, ["info", "--type", "D", "--rank", "4"])
     assert code == 0
     assert report["involution"] == {"1": 1, "2": 2, "3": 3, "4": 4}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["info", "--type", "D", "--rank", "3"], ["ssets", "--type", "D", "--rank", "3", "--json"]],
+    ids=["info", "ssets"],
+)
+def test_d3_warns_once_per_run(argv):
+    # Cached tables are keyed on the validated type, so no table rebuilds
+    # it and repeats the warning.
+    result = subprocess.run(
+        [sys.executable, "-m", "yangian_weyl.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("UserWarning") == 1, result.stderr
 
 
 def test_weyl_command(capsys):

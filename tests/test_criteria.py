@@ -78,7 +78,6 @@ def _oracle_sweep_types():
         )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("t", _oracle_sweep_types(), ids=str)
 def test_oracle_matches_closed_form_sweep(t):
     for b_m in all_nodes(t):

@@ -326,14 +326,3 @@ def test_series_multiplication_associative(a, b, c):
     f, g, h = Series(a), Series(b), Series(c)
     assert (f * g) * h == f * (g * h)
 
-
-@given(st.lists(small_scalars, min_size=4, max_size=4))
-def test_series_inverse(coeffs):
-    coeffs[0] = ONE
-    f = Series(coeffs)
-    assert f * f.inverse() == Series.one(f.order)
-
-
-def test_series_inverse_requires_unit():
-    with pytest.raises(ZeroDivisionError):
-        Series([ZERO, ONE]).inverse()

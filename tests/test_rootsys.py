@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from yangian_weyl.criteria import criterion_set, criterion_set_from_ledger
+from yangian_weyl.dims import lie_fundamental_dim, yangian_fundamental_dim
+from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain
 from yangian_weyl.rootsys import (
     LieType,
     all_nodes,
@@ -23,6 +26,7 @@ from yangian_weyl.rootsys import (
     reflect,
     reflect_root,
 )
+from yangian_weyl.weylpath import descent_chain, parameter_ledger
 
 ALL_SMALL = [
     lie_type("A", 1), lie_type("A", 2), lie_type("A", 3), lie_type("A", 5),
@@ -73,6 +77,31 @@ def test_d3_warning_points_past_dataclass_init():
     with pytest.warns(UserWarning) as record:
         lie_type("D", 3)
     assert record[0].filename != "<string>"
+
+
+# Every public function that takes a node, called with node b.
+NODE_TAKERS = {
+    "criterion_set(b, 1)": lambda t, b: criterion_set(t, b, 1),
+    "criterion_set(1, b)": lambda t, b: criterion_set(t, 1, b),
+    "criterion_set_from_ledger(b, 1)": lambda t, b: criterion_set_from_ledger(t, b, 1),
+    "criterion_set_from_ledger(1, b)": lambda t, b: criterion_set_from_ledger(t, 1, b),
+    "descent_chain": descent_chain,
+    "parameter_ledger": parameter_ledger,
+    "lie_fundamental_dim": lie_fundamental_dim,
+    "yangian_fundamental_dim": yangian_fundamental_dim,
+    "fundamental_weight": fundamental_weight,
+    "reflect": lambda t, b: reflect(t, (1,) * t.rank, b),
+    "DrinfeldTuple.from_dict": lambda t, b: DrinfeldTuple.from_dict(t, {b: [0]}),
+    "FactorChain": lambda t, b: FactorChain(t, ((b, 0),)),
+}
+
+
+@pytest.mark.parametrize("t", [lie_type("A", 1), lie_type("B", 3), lie_type("G2")], ids=str)
+@pytest.mark.parametrize("name", sorted(NODE_TAKERS))
+def test_node_taking_functions_reject_out_of_range_nodes(name, t):
+    for b in (0, -1, t.rank + 1):
+        with pytest.raises(ValueError, match=f"^node {b} out of range for {t}$"):
+            NODE_TAKERS[name](t, b)
 
 
 def test_reflect_examples():
