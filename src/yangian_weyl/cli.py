@@ -45,8 +45,9 @@ from .ysl2 import defining_relation_failures, lowering_levels, tensor_module
 
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
-# (dimension 256; Python 3.11, one Xeon core) closure takes 0.8 s, identities
-# 9.1 s and series (order 5) 5.0 s; on the first seven, 0.2, 3.0 and 1.5 s.
+# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.6 s,
+# identities 3.8 s and series (order 5) 0.7 s; on the first seven, 0.2, 1.4
+# and 0.4 s.  Identities sets the bound.
 MAX_SL2_DIM = 256
 # Largest `sl2 --order`: the series check builds the generator ladder up to
 # it, at a cost linear in the order.  32 is over six times the largest order

@@ -3,7 +3,9 @@
 Everything in this package computes over Q(i) with `fractions.Fraction`
 components; no floating point is used anywhere.  Matrices and row
 reduction keep sparse rows that never store a zero; vectors cross the
-public API as dense tuples.
+public API as dense tuples.  The matrix and row-reduction kernels sum
+products on integer numerators over a common denominator and normalise
+each result entry once.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Tuple
 
 
@@ -132,6 +135,8 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+_MINUS_ONE = GaussianRational(-1)
+_ZERO_PART = ZERO.re
 
 
 def _format_fraction(value: Fraction) -> str:
@@ -255,51 +260,88 @@ def _dense(vec: dict, n: int) -> Vector:
     return tuple(vec.get(j, ZERO) for j in range(n))
 
 
-def _add_multiples(base: dict, terms) -> dict:
-    """base + sum(c * row for c, row in terms), as a new sparse vector.
+def _parts(x: GaussianRational):
+    """Integers (re, im, d) with x = (re + im*i) / d."""
+    r, i = x.re, x.im
+    d, di = r.denominator, i.denominator
+    if d == di:
+        return r.numerator, i.numerator, d
+    g = gcd(d, di)
+    return r.numerator * (di // g), i.numerator * (d // g), d // g * di
 
-    Products are summed on the rational parts, so each touched entry makes
-    one scalar; entries of base that no term touches are shared, not copied.
+
+def _triples(row: dict) -> list:
+    """The entries of a sparse vector as (j, re, im, d), each (re + im*i) / d."""
+    return [(j, *_parts(e)) for j, e in row.items()]
+
+
+def _accumulate(acc: dict, c: GaussianRational, triples):
+    """acc[j] += c * e for every (j, e) in triples, in integers.
+
+    A slot [re, im, d] of acc stands for (re + im*i) / d.  A term over the
+    slot's denominator is added directly, any other over the lcm of the two
+    denominators; nothing is reduced until `_settle`.
     """
-    acc = {}
-    for c, row in terms:
-        cre, cim = c.re, c.im
-        for j, e in row.items():
-            ere, eim = e.re, e.im
-            re = cre * ere - cim * eim
-            im = cre * eim + cim * ere
-            slot = acc.get(j)
-            if slot is None:
-                acc[j] = [re, im]
-            else:
-                slot[0] += re
-                slot[1] += im
-    out = dict(base)
-    for j, (re, im) in acc.items():
-        old = out.get(j)
-        if old is not None:
-            re += old.re
-            im += old.im
+    cr, ci, cd = _parts(c)
+    for j, er, ei, d in triples:
+        re = cr * er - ci * ei
+        im = cr * ei + ci * er
+        d *= cd
+        slot = acc.get(j)
+        if slot is None:
+            acc[j] = [re, im, d]
+        elif slot[2] == d:
+            slot[0] += re
+            slot[1] += im
+        else:
+            sd = slot[2]
+            g = gcd(sd, d)
+            sd //= g
+            d //= g
+            slot[0] = slot[0] * d + re * sd
+            slot[1] = slot[1] * d + im * sd
+            slot[2] = sd * d * g
+
+
+def _settle(out: dict, acc: dict) -> dict:
+    """Write the accumulated slots into out as scalars; a slot that sums to
+    zero removes its entry.  Each nonzero part is one new Fraction, and a
+    zero part is the shared zero."""
+    for j, (re, im, d) in acc.items():
         if re or im:
-            out[j] = GaussianRational(re, im)
-        elif old is not None:
-            del out[j]
+            out[j] = GaussianRational(
+                Fraction(re, d) if re else _ZERO_PART,
+                Fraction(im, d) if im else _ZERO_PART,
+            )
+        else:
+            out.pop(j, None)
     return out
 
 
+def _add_multiples(base: dict, terms) -> dict:
+    """base + sum(c * row for c, row in terms), as a new sparse vector;
+    each row comes as `_triples`.
+
+    Entries of base that no term touches are shared, not copied.
+    """
+    acc = {}
+    for c, triples in terms:
+        _accumulate(acc, c, triples)
+    if base:
+        _accumulate(acc, ONE, [(j, *_parts(base[j])) for j in acc if j in base])
+    return _settle(dict(base), acc)
+
+
 def _add_rows(a: dict, b: dict, sign: int) -> dict:
-    """a + b (sign 1) or a - b (sign -1), as a new sparse vector."""
-    out = dict(a)
+    """a + b (sign 1) or a - b (sign -1), as a new sparse vector.  Entries
+    in both are summed by `_add_multiples`; entries of b alone are shared,
+    or negated, not rebuilt."""
+    both = [(j, *_parts(e)) for j, e in b.items() if j in a]
+    c = ONE if sign > 0 else _MINUS_ONE
+    out = _add_multiples(a, ((c, both),)) if both else dict(a)
     for j, e in b.items():
-        old = out.get(j)
-        if old is None:
+        if j not in a:
             out[j] = e if sign > 0 else -e
-        else:
-            total = old + e if sign > 0 else old - e
-            if total:
-                out[j] = total
-            else:
-                del out[j]
     return out
 
 
@@ -308,10 +350,11 @@ class Matrix:
 
     `rows` holds one dict {column: nonzero scalar} per row; no zero is ever
     stored, so every product, sum and matrix-vector application touches
-    only nonzero entries.  `Matrix(rows)` takes dense rows.
+    only nonzero entries.  `Matrix(rows)` takes dense rows.  The columns,
+    which `apply` reads, are indexed on first use.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows", "ncols", "_cols")
 
     def __init__(self, rows: Iterable[Iterable]):
         dense = [tuple(row) for row in rows]
@@ -320,6 +363,7 @@ class Matrix:
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", tuple(_sparse(row) for row in dense))
         object.__setattr__(self, "ncols", widths.pop() if widths else 0)
+        object.__setattr__(self, "_cols", None)
 
     @classmethod
     def _of(cls, rows: Iterable[dict], ncols: int) -> "Matrix":
@@ -327,6 +371,7 @@ class Matrix:
         out = object.__new__(cls)
         object.__setattr__(out, "rows", tuple(rows))
         object.__setattr__(out, "ncols", ncols)
+        object.__setattr__(out, "_cols", None)
         return out
 
     def __setattr__(self, name, value):
@@ -359,7 +404,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        orows = other.rows
+        orows = [_triples(row) for row in other.rows]
         return Matrix._of(
             (
                 _add_multiples({}, ((a, orows[k]) for k, a in row.items()))
@@ -373,23 +418,26 @@ class Matrix:
         if not c:
             return Matrix._of(({} for _ in self.rows), self.ncols)
         return Matrix._of(
-            ({j: c * e for j, e in row.items()} for row in self.rows), self.ncols
+            (_add_multiples({}, ((c, _triples(row)),)) for row in self.rows),
+            self.ncols,
         )
 
+    def _columns(self) -> dict:
+        """{column: [(row, re, im, d), ...]} over the nonzero entries."""
+        cols = self._cols
+        if cols is None:
+            cols = {}
+            for i, row in enumerate(self.rows):
+                for j, re, im, d in _triples(row):
+                    cols.setdefault(j, []).append((i, re, im, d))
+            object.__setattr__(self, "_cols", cols)
+        return cols
+
     def apply(self, vec: dict) -> dict:
-        """The image of a sparse vector, as a sparse vector."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            small, big = (row, vec) if len(row) <= len(vec) else (vec, row)
-            re = im = 0
-            for k, a in small.items():
-                b = big.get(k)
-                if b is not None:
-                    re += a.re * b.re - a.im * b.im
-                    im += a.re * b.im + a.im * b.re
-            if re or im:
-                out[i] = GaussianRational(re, im)
-        return out
+        """The image of a sparse vector, as a sparse vector: the sum of
+        vec[k] times column k."""
+        cols = self._columns()
+        return _add_multiples({}, ((c, cols[k]) for k, c in vec.items() if k in cols))
 
     def matvec(self, v: Vector) -> Vector:
         if self.ncols != len(v):
@@ -453,7 +501,7 @@ class _RrefBasis:
         # Rows vanish at each other's pivots, so the multiples to subtract
         # are read off vec once.
         rows = self.rows
-        terms = [(-c, rows[p]) for p, c in vec.items() if p in rows]
+        terms = [(-c, _triples(rows[p])) for p, c in vec.items() if p in rows]
         return _add_multiples(vec, terms) if terms else vec
 
     def insert(self, vec: dict):
@@ -465,13 +513,13 @@ class _RrefBasis:
         pivot = min(vec)
         lead = vec[pivot]
         if lead != ONE:
-            inv = ONE / lead
-            vec = {j: inv * e for j, e in vec.items()}
+            vec = _add_multiples({}, ((ONE / lead, _triples(vec)),))
+        triples = _triples(vec)
         rows = self.rows
         for p, row in rows.items():
             c = row.get(pivot)
             if c is not None:
-                rows[p] = _add_multiples(row, ((-c, vec),))
+                rows[p] = _add_multiples(row, ((-c, triples),))
         rows[pivot] = vec
         return vec
 

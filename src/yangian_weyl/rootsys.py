@@ -9,7 +9,8 @@ generated roots against them.
 
 Per-type tables, here and in weylpath, criteria and dims, are pure
 functions of the validated LieType and are cached on it, so no table
-rebuilds the type or repeats its validation (and its D3 warning).
+rebuilds the type or repeats its validation.  `lie_type`, the one place
+that builds a LieType, issues the D3 warning at its caller's line.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ class LieType:
             raise ValueError(f"{self.family} requires rank >= {minimum}")
         if self.family == "G2" and self.rank != 2:
             raise ValueError("G2 has rank 2")
-        if self.family == "D" and self.rank == 3:
-            warnings.warn(
-                "D with rank 3 is accepted (it is A3 relabelled) but the "
-                "series formulas assume rank >= 4",
-                stacklevel=3,  # past the dataclass-generated __init__
-            )
 
     def __str__(self):
         return self.family if self.family == "G2" else f"{self.family}{self.rank}"
@@ -59,7 +54,14 @@ def lie_type(family: str, rank: int | None = None) -> LieType:
         rank = 2
     if rank is None:
         raise ValueError("rank required")
-    return LieType(family, rank)
+    t = LieType(family, rank)
+    if family == "D" and rank == 3:
+        warnings.warn(
+            "D with rank 3 is accepted (it is A3 relabelled) but the "
+            "series formulas assume rank >= 4",
+            stacklevel=2,
+        )
+    return t
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ from .exact import (
     ONE,
     ZERO,
     _RrefBasis,
+    _add_rows,
     as_scalar,
     commutator,
     kron,
     row_space_closure,
-    unit_vector,
 )
 
 HALF = GaussianRational(Fraction(1, 2))
@@ -50,11 +50,19 @@ class SL2Module:
 
     @cached_property
     def x1p(self) -> Matrix:
-        return _next_xp(self.h0, self.h1, self.x0p)
+        return _next_xp(self, self.x0p)
 
     @cached_property
     def x1m(self) -> Matrix:
-        return _next_xm(self.h0, self.h1, self.x0m)
+        return _next_xm(self, self.x0m)
+
+    @cached_property
+    def _half_diff(self) -> Matrix:
+        return (self.h1 - self.h0).scale(HALF)
+
+    @cached_property
+    def _half_sum(self) -> Matrix:
+        return (self.h1 + self.h0).scale(HALF)
 
     @property
     def dim(self) -> int:
@@ -102,12 +110,17 @@ def evaluation_module(m: int, a) -> SL2Module:
     )
 
 
-def _next_xm(h0: Matrix, h1: Matrix, xkm: Matrix) -> Matrix:
-    return (commutator(h1, xkm) + h0 @ xkm + xkm @ h0).scale(-HALF)
+# The ladder steps of `extend_generators`, factored with D = (h_1 - h_0)/2
+# and S = (h_1 + h_0)/2 so that each takes two products and one difference:
+# x_{k+1}^+ = D x_k^+ - x_k^+ S and x_{k+1}^- = x_k^- D - S x_k^-.
 
 
-def _next_xp(h0: Matrix, h1: Matrix, xkp: Matrix) -> Matrix:
-    return (commutator(h1, xkp) - h0 @ xkp - xkp @ h0).scale(HALF)
+def _next_xm(module: SL2Module, xkm: Matrix) -> Matrix:
+    return xkm @ module._half_diff - module._half_sum @ xkm
+
+
+def _next_xp(module: SL2Module, xkp: Matrix) -> Matrix:
+    return module._half_diff @ xkp - xkp @ module._half_sum
 
 
 def _tensor_pair(left: SL2Module, right: SL2Module) -> SL2Module:
@@ -170,8 +183,8 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
     xp = [module.x0p, module.x1p]
     xm = [module.x0m, module.x1m]
     for _ in range(K - 1):
-        xm.append(_next_xm(module.h0, module.h1, xm[-1]))
-        xp.append(_next_xp(module.h0, module.h1, xp[-1]))
+        xm.append(_next_xm(module, xm[-1]))
+        xp.append(_next_xp(module, xp[-1]))
     h = [module.h0, module.h1]
     h.extend(commutator(xp[k], module.x0m) for k in range(2, K + 1))
     return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h))
@@ -229,24 +242,38 @@ def is_irreducible(spec: Sequence[Tuple[int, object]]) -> bool:
     return is_highest_weight(spec) and is_highest_weight(tuple(reversed(tuple(spec))))
 
 
+def _h_on_top(module: SL2Module, order: int) -> Iterator[dict]:
+    """h_k applied to the top vector, for k = 0..order, as sparse vectors.
+
+    h_k = [x_k^+, x_0^-] as in `extend_generators`, but only x_k^+ is built
+    (x_1^+ and then the recursion), and the commutator acts on the top
+    vector through two sparse applications instead of two matrix products.
+    """
+    top = {module.highest_index: ONE}
+    down = module.x0m.apply(top)
+    xp = module.x0p
+    for k in range(order + 1):
+        if k:
+            xp = module.x1p if k == 1 else _next_xp(module, xp)
+        yield _add_rows(xp.apply(down), module.x0m.apply(xp.apply(top)), -1)
+
+
 def verify_drinfeld_series(spec: Sequence[Tuple[int, object]], order: int) -> bool:
     """Check that h_k acts on the top tensor vector by the coefficients of
     the product eigenvalue series, for all k <= order."""
     from .drinfeld import eigenvalue_series
 
     module = tensor_module(spec)
-    ladder = extend_generators(module, max(order, 1))
     roots = []
     for m, a in spec:
         a = as_scalar(a)
         roots.extend(a + s for s in range(m))
     series = eigenvalue_series(roots, 1, order + 1)
-    top = unit_vector(module.dim, module.highest_index)
-    for k in range(order + 1):
-        expected = tuple(series.coeffs[k + 1] * e for e in top)
-        if ladder.h[k].matvec(top) != expected:
-            return False
-    return True
+    top = module.highest_index
+    return all(
+        image == ({top: c} if c else {})
+        for image, c in zip(_h_on_top(module, order), series.coeffs[1:])
+    )
 
 
 def trivial_submodule_check(a) -> bool:

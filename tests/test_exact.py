@@ -230,14 +230,20 @@ entry_st = st.builds(
     st.sampled_from([0, 0, 1, -2]),
 )
 
+# Both parts fractional, over distinct small and large primes and large
+# composites, so the kernels combine many unequal denominators.
+_wide_denominators = st.sampled_from([1, 2, 3, 7, 11, 97, 65536, 999979, 999983, 10**6])
+_wide_part = st.builds(Fraction, st.integers(-(10**6), 10**6), _wide_denominators)
+wide_entry_st = st.builds(G, _wide_part, _wide_part)
+
 
 @st.composite
-def _half_zero_rows(draw, nrows, ncols):
+def _half_zero_rows(draw, nrows, ncols, entries=entry_st):
     """Dense rows of which at least half the entries are zero."""
     size = nrows * ncols
-    entries = draw(st.lists(entry_st, min_size=size, max_size=size))
+    values = draw(st.lists(entries, min_size=size, max_size=size))
     keep = draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=size // 2))
-    flat = [e if k in keep else ZERO for k, e in enumerate(entries)]
+    flat = [e if k in keep else ZERO for k, e in enumerate(values)]
     return [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
 
 
@@ -254,34 +260,46 @@ def _naive_kron(a, b):
     ]
 
 
+def _naive_matvec(a, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
+
+
 def _naive_closure(gens, seed):
     """Span of seed under gens, grown by dense loops until it stops."""
     span = _gauss_jordan([seed])
     while True:
-        images = [
-            tuple(sum((g[i][k] * v[k] for k in range(len(v))), ZERO) for i in range(len(g)))
-            for g in gens
-            for v in span
-        ]
+        images = [_naive_matvec(g, v) for g in gens for v in span]
         grown = _gauss_jordan(list(span) + images)
         if len(grown) == len(span):
             return span
         span = grown
 
 
+def _naive_solve(rows, rhs):
+    """The unique solution read off the Gauss-Jordan form of [rows | rhs]."""
+    ncols = len(rows[0])
+    reduced = _gauss_jordan([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    pivots = [next(j for j, e in enumerate(r) if e) for r in reduced]
+    if pivots != list(range(ncols)):
+        return None
+    return tuple(r[ncols] for r in reduced)
+
+
 def _stores_no_zero(m):
     return all(e for row in m.rows for e in row.values())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_sparse_matrix_ops_match_dense_loops(data):
+def _fraction_parts(values):
+    return all(type(e.re) is Fraction and type(e.im) is Fraction for e in values)
+
+
+def _check_against_dense_loops(data, entries):
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
-    a = data.draw(_half_zero_rows(n, k))
-    a2 = data.draw(_half_zero_rows(n, k))
-    b = data.draw(_half_zero_rows(k, m))
-    c = data.draw(entry_st)
-    v = data.draw(st.lists(entry_st, min_size=k, max_size=k))
+    a = data.draw(_half_zero_rows(n, k, entries))
+    a2 = data.draw(_half_zero_rows(n, k, entries))
+    b = data.draw(_half_zero_rows(k, m, entries))
+    c = data.draw(entries)
+    v = tuple(data.draw(st.lists(entries, min_size=k, max_size=k)))
     A, A2, B = Matrix(a), Matrix(a2), Matrix(b)
 
     results = {
@@ -294,10 +312,11 @@ def test_sparse_matrix_ops_match_dense_loops(data):
     for name, (got, want) in results.items():
         assert got == Matrix(want), name
         assert _stores_no_zero(got), name
+        assert _fraction_parts(e for row in got.rows for e in row.values()), name
         assert (got.nrows, got.ncols) == (len(want), len(want[0])), name
-    assert A.matvec(tuple(v)) == tuple(
-        sum((x * y for x, y in zip(row, v)), ZERO) for row in a
-    )
+    image = A.matvec(v)
+    assert image == _naive_matvec(a, v)
+    assert _fraction_parts(image)
 
     assert (A + A2) - A2 == A
     assert (A - A).is_zero() and _stores_no_zero(A - A)
@@ -305,11 +324,30 @@ def test_sparse_matrix_ops_match_dense_loops(data):
     for other in built:
         assert other == A and hash(other) == hash(A)
 
-    gens = [data.draw(_half_zero_rows(k, k)) for _ in range(data.draw(st.integers(1, 3)))]
-    seed = tuple(v) if any(v) else unit_vector(k, 0)
+    gens = [data.draw(_half_zero_rows(k, k, entries)) for _ in range(data.draw(st.integers(1, 3)))]
+    seed = v if any(v) else unit_vector(k, 0)
     dim, basis = row_space_closure([Matrix(g) for g in gens], seed)
     assert basis == _naive_closure(gens, seed)
     assert dim == len(basis)
+    assert all(_fraction_parts(row) for row in basis)
+
+    # A square system with the drawn matrix gens[0]: uniquely solvable,
+    # inconsistent or underdetermined as the oracle says.
+    x = solve_linear(gens[0], v)
+    assert x == _naive_solve(gens[0], v)
+    assert x is None or _fraction_parts(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_matrix_ops_match_dense_loops(data):
+    _check_against_dense_loops(data, entry_st)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_kernels_match_dense_loops_on_wide_denominators(data):
+    _check_against_dense_loops(data, wide_entry_st)
 
 
 # -- series ------------------------------------------------------------------

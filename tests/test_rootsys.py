@@ -76,7 +76,7 @@ def test_invalid_ranks():
 def test_d3_warning_points_past_dataclass_init():
     with pytest.warns(UserWarning) as record:
         lie_type("D", 3)
-    assert record[0].filename != "<string>"
+    assert record[0].filename == __file__
 
 
 # Every public function that takes a node, called with node b.

@@ -5,12 +5,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, unit_vector
 from yangian_weyl.ysl2 import (
+    _h_on_top,
     defining_relation_failures,
     evaluation_module,
     extend_generators,
@@ -276,6 +278,36 @@ def test_verify_drinfeld_series_examples():
     # Mixed factor sizes: the top-vector eigenvalues still multiply.
     assert verify_drinfeld_series([(1, G(3)), (2, G(0))], 4)
     assert verify_drinfeld_series([(3, G(F(1, 2))), (1, G(F(1, 2)))], 3)
+
+
+@st.composite
+def _series_spec_st(draw):
+    """1-4 factors with m in {1,2,3} and dimension at most 48; the
+    parameters are all real or all Gaussian."""
+    ms = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+            lambda ms: prod(m + 1 for m in ms) <= 48
+        )
+    )
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    gauss = draw(st.booleans())
+    return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series_spec_st(), st.integers(0, 6))
+def test_series_check_h_on_top_matches_ladder(spec, order):
+    # The series check builds only x_k^+ and applies [x_k^+, x_0^-] to the
+    # top vector; the full ladder's h_k matrices must give the same vectors.
+    module = tensor_module(spec)
+    ladder = extend_generators(module, max(order, 1))
+    top = unit_vector(module.dim, module.highest_index)
+    images = list(_h_on_top(module, order))
+    assert len(images) == order + 1
+    for k, image in enumerate(images):
+        dense = tuple(image.get(j, ZERO) for j in range(module.dim))
+        assert dense == ladder.h[k].matvec(top), k
+    assert verify_drinfeld_series(spec, order)
 
 
 def test_trivial_submodule_check():
