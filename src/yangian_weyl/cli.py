@@ -45,10 +45,18 @@ from .ysl2 import defining_relation_failures, lowering_levels, tensor_module
 
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
-# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.6 s,
-# identities 3.8 s and series (order 5) 0.7 s; on the first seven, 0.2, 1.4
-# and 0.4 s.  Identities sets the bound.
+# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.4-0.5 s,
+# identities 2.8-4.0 s and series (order 5) 0.5-0.8 s; on the first seven,
+# 0.1-0.2, 1.2-1.4 and 0.3 s.  Identities sets the bound.
 MAX_SL2_DIM = 256
+# Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
+# tables grow with the rank l (`_tridiagonal` allocates an l x l list, and
+# `check --mode irreducible` builds the longest word, O(l^2) letters), and the
+# cost grows about as l^4.  At rank 64 `info`, `ssets` and
+# `check --mode irreducible` take 0.8-3.2 s on A-D, against 0.2-0.6 s at rank
+# 32 and 1.7-5.9 s at rank 80 (Python 3.11, one shared Xeon core).  The
+# tests, demos and benchmark use rank 12 at most.
+MAX_RANK = 64
 # Largest `sl2 --order`: the series check builds the generator ladder up to
 # it, at a cost linear in the order.  32 is over six times the largest order
 # the tests, demos and benchmark use (5).
@@ -76,6 +84,8 @@ def _parse_type(doc, pointer="") -> LieType:
         rank = 2
     if type(rank) is not int:
         raise SchemaError(f"{pointer}/rank", "expected an integer rank")
+    if rank > MAX_RANK:
+        raise SchemaError(f"{pointer}/rank", f"expected a rank of at most {MAX_RANK}")
     try:
         return lie_type(family, rank)
     except ValueError as exc:
@@ -365,7 +375,9 @@ def _load_doc(text: str):
         text = sys.stdin.read()
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except SchemaError:
+        raise
+    except ValueError as exc:  # malformed, or an integer with too many digits
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
 
 

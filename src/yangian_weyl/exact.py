@@ -150,12 +150,12 @@ _SCALAR_RE = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i
 
 
 def _parse_fraction(token: str) -> Fraction:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        if int(den) == 0:
-            raise ScalarParseError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in {token!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ScalarParseError(f"scalar part too long: {exc}") from exc
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -459,10 +459,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[[str(e) for e in _dense(row, self.ncols)] for row in self.rows]})"
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

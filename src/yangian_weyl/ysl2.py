@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence, Tuple
 
 from .exact import (
@@ -29,7 +29,6 @@ from .exact import (
     _RrefBasis,
     _add_rows,
     as_scalar,
-    commutator,
     kron,
     row_space_closure,
 )
@@ -186,7 +185,7 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
         xm.append(_next_xm(module, xm[-1]))
         xp.append(_next_xp(module, xp[-1]))
     h = [module.h0, module.h1]
-    h.extend(commutator(xp[k], module.x0m) for k in range(2, K + 1))
+    h.extend(xp[k] @ module.x0m - module.x0m @ xp[k] for k in range(2, K + 1))
     return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h))
 
 
@@ -291,50 +290,53 @@ def trivial_submodule_check(a) -> bool:
 
 
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
-    """Names of defining relations that fail as exact matrix identities."""
+    """Names of defining relations that fail as exact matrix identities.
+
+    Each relation is checked as `lhs op rhs == 0`.  A family with x_k^+/-
+    is written once for x in "+-": the x^- form differs only in the sign
+    `op` of its symmetric term.  Each generator product is formed once.
+    """
     ladder = extend_generators(module, K)
-    xp, xm, h = ladder.xp, ladder.xm, ladder.h
+    gens = {"+": ladder.xp, "-": ladder.xm, "h": ladder.h}
+    signs = (("+", "-"), ("-", "+"))  # x, and op for its symmetric term
     failures = []
 
-    def check(name, matrix):
-        if not matrix.is_zero():
+    def label(g, k):
+        return f"h{k}" if g == "h" else f"x{k}{g}"
+
+    @cache
+    def mul(a, r, b, s):
+        return gens[a][r] @ gens[b][s]
+
+    def bracket(a, r, b, s):
+        return mul(a, r, b, s) - mul(b, s, a, r)
+
+    def check(name, lhs, op, rhs):
+        if not (lhs - rhs if op == "-" else lhs + rhs).is_zero():
             failures.append(name)
 
-    for r in range(len(h)):
-        for s in range(r, len(h)):
-            check(f"[h{r},h{s}]", commutator(h[r], h[s]))
+    for r in range(K + 1):
+        for s in range(r + 1, K + 1):  # [h_r, h_r] is zero on any matrix
+            check(f"[h{r},h{s}]", mul("h", r, "h", s), "-", mul("h", s, "h", r))
     for k in range(K + 1):
-        check(f"[h0,x{k}+] - 2 x{k}+", commutator(h[0], xp[k]) - xp[k].scale(2))
-        check(f"[h0,x{k}-] + 2 x{k}-", commutator(h[0], xm[k]) + xm[k].scale(2))
+        for x, op in signs:
+            X, twice = label(x, k), gens[x][k].scale(2)
+            check(f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k), op, twice)
     for r in range(K + 1):
         for s in range(K + 1 - r):
-            check(f"[x{r}+,x{s}-] - h{r+s}", commutator(xp[r], xm[s]) - h[r + s])
-    for r in range(K):
-        for s in range(K):
-            check(
-                f"[x{r+1}+,x{s}+] - [x{r}+,x{s+1}+] - (x{r}+x{s}+ + x{s}+x{r}+)",
-                commutator(xp[r + 1], xp[s])
-                - commutator(xp[r], xp[s + 1])
-                - (xp[r] @ xp[s] + xp[s] @ xp[r]),
-            )
-            check(
-                f"[x{r+1}-,x{s}-] - [x{r}-,x{s+1}-] + (x{r}-x{s}- + x{s}-x{r}-)",
-                commutator(xm[r + 1], xm[s])
-                - commutator(xm[r], xm[s + 1])
-                + (xm[r] @ xm[s] + xm[s] @ xm[r]),
-            )
-    for r in range(K):
-        for s in range(K):
-            check(
-                f"[h{r+1},x{s}+] - [h{r},x{s+1}+] - (h{r}x{s}+ + x{s}+h{r})",
-                commutator(h[r + 1], xp[s])
-                - commutator(h[r], xp[s + 1])
-                - (h[r] @ xp[s] + xp[s] @ h[r]),
-            )
-            check(
-                f"[h{r+1},x{s}-] - [h{r},x{s+1}-] + (h{r}x{s}- + x{s}-h{r})",
-                commutator(h[r + 1], xm[s])
-                - commutator(h[r], xm[s + 1])
-                + (h[r] @ xm[s] + xm[s] @ h[r]),
-            )
+            name = f"[x{r}+,x{s}-] - h{r+s}"
+            check(name, bracket("+", r, "-", s), "-", gens["h"][r + s])
+    for left in ("x", "h"):
+        for r in range(K):
+            for s in range(K):
+                for x, op in signs:
+                    g = x if left == "x" else "h"
+                    A0, A1 = label(g, r), label(g, r + 1)
+                    X0, X1 = label(x, s), label(x, s + 1)
+                    check(
+                        f"[{A1},{X0}] - [{A0},{X1}] {op} ({A0}{X0} + {X0}{A0})",
+                        bracket(g, r + 1, x, s) - bracket(g, r, x, s + 1),
+                        op,
+                        mul(g, r, x, s) + mul(x, s, g, r),
+                    )
     return failures

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from yangian_weyl.cli import (
+    MAX_RANK,
     SchemaError,
     chain_to_doc,
     main,
@@ -144,6 +145,10 @@ def test_human_output_runs(capsys):
     assert "S(1,1)" in out
 
 
+# More digits than Python converts between int and str by default (4,300).
+_LONG_INT = "7" * 5000
+
+
 @pytest.mark.parametrize(
     "argv,pointer",
     [
@@ -171,6 +176,13 @@ def test_human_output_runs(capsys):
         (["weyl", '{"type":"A","rank":2,"polys":{"+1":["0"]}}'], "/polys/+1"),
         (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"1":["5"]}}'], "/"),
         (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "33"], "--order"),
+        (["check", '{"type":"A","rank":%s,"factors":[]}' % _LONG_INT], "/"),
+        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"%s"}]}' % _LONG_INT],
+         "/factors/0/a"),
+        (["sl2", '[[1,"1/%s"]]' % _LONG_INT], "/0/1"),
+        (["info", "--type", "A", "--rank", str(MAX_RANK + 1)], "/rank"),
+        (["check", json.dumps({"type": "B", "rank": MAX_RANK + 1,
+                               "factors": [{"node": 1, "a": "0"}]})], "/rank"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):

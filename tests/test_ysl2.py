@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -335,6 +336,175 @@ def test_defining_relations_on_various_modules():
     for mod in modules:
         assert defining_relation_failures(mod, K=3) == []
 
+
+# What `defining_relation_failures` reports at K = 1, 2 and 3 once one
+# level-0/1 generator is doubled; both products in the test give these
+# lists, and doubling x0p or x0m breaks the same relations.
+_SCALED_X0_FAILURES = (
+    [
+        "[x0+,x0-] - h0", "[x0+,x1-] - h1", "[x1+,x0-] - h1",
+    ],
+    [
+        "[x0+,x0-] - h0", "[x0+,x1-] - h1", "[x1+,x0-] - h1",
+        "[h2,x0+] - [h1,x1+] - (h1x0+ + x0+h1)",
+        "[h2,x0-] - [h1,x1-] + (h1x0- + x0-h1)",
+        "[h2,x1+] - [h1,x2+] - (h1x1+ + x1+h1)",
+        "[h2,x1-] - [h1,x2-] + (h1x1- + x1-h1)",
+    ],
+    [
+        "[x0+,x0-] - h0", "[x0+,x1-] - h1", "[x1+,x0-] - h1",
+        "[h2,x0+] - [h1,x1+] - (h1x0+ + x0+h1)",
+        "[h2,x0-] - [h1,x1-] + (h1x0- + x0-h1)",
+        "[h2,x1+] - [h1,x2+] - (h1x1+ + x1+h1)",
+        "[h2,x1-] - [h1,x2-] + (h1x1- + x1-h1)",
+        "[h2,x2+] - [h1,x3+] - (h1x2+ + x2+h1)",
+        "[h2,x2-] - [h1,x3-] + (h1x2- + x2-h1)",
+    ],
+)
+_SCALED_H0_FAILURES = (
+    [
+        "[h0,x0+] - 2 x0+", "[h0,x0-] + 2 x0-", "[h0,x1+] - 2 x1+", "[h0,x1-] + 2 x1-",
+        "[x0+,x0-] - h0", "[x0+,x1-] - h1", "[x1+,x0-] - h1",
+        "[x1+,x0+] - [x0+,x1+] - (x0+x0+ + x0+x0+)",
+        "[x1-,x0-] - [x0-,x1-] + (x0-x0- + x0-x0-)",
+        "[h1,x0+] - [h0,x1+] - (h0x0+ + x0+h0)",
+        "[h1,x0-] - [h0,x1-] + (h0x0- + x0-h0)",
+    ],
+    [
+        "[h1,h2]", "[h0,x0+] - 2 x0+", "[h0,x0-] + 2 x0-", "[h0,x1+] - 2 x1+",
+        "[h0,x1-] + 2 x1-", "[h0,x2+] - 2 x2+", "[h0,x2-] + 2 x2-", "[x0+,x0-] - h0",
+        "[x0+,x1-] - h1", "[x0+,x2-] - h2", "[x1+,x0-] - h1", "[x1+,x1-] - h2",
+        "[x1+,x0+] - [x0+,x1+] - (x0+x0+ + x0+x0+)",
+        "[x1-,x0-] - [x0-,x1-] + (x0-x0- + x0-x0-)",
+        "[x1+,x1+] - [x0+,x2+] - (x0+x1+ + x1+x0+)",
+        "[x1-,x1-] - [x0-,x2-] + (x0-x1- + x1-x0-)",
+        "[x2+,x0+] - [x1+,x1+] - (x1+x0+ + x0+x1+)",
+        "[x2-,x0-] - [x1-,x1-] + (x1-x0- + x0-x1-)",
+        "[x2+,x1+] - [x1+,x2+] - (x1+x1+ + x1+x1+)",
+        "[x2-,x1-] - [x1-,x2-] + (x1-x1- + x1-x1-)",
+        "[h1,x0+] - [h0,x1+] - (h0x0+ + x0+h0)",
+        "[h1,x0-] - [h0,x1-] + (h0x0- + x0-h0)",
+        "[h1,x1+] - [h0,x2+] - (h0x1+ + x1+h0)",
+        "[h1,x1-] - [h0,x2-] + (h0x1- + x1-h0)",
+        "[h2,x0+] - [h1,x1+] - (h1x0+ + x0+h1)",
+        "[h2,x0-] - [h1,x1-] + (h1x0- + x0-h1)",
+        "[h2,x1+] - [h1,x2+] - (h1x1+ + x1+h1)",
+        "[h2,x1-] - [h1,x2-] + (h1x1- + x1-h1)",
+    ],
+    [
+        "[h1,h2]", "[h1,h3]", "[h2,h3]", "[h0,x0+] - 2 x0+", "[h0,x0-] + 2 x0-",
+        "[h0,x1+] - 2 x1+", "[h0,x1-] + 2 x1-", "[h0,x2+] - 2 x2+", "[h0,x2-] + 2 x2-",
+        "[h0,x3+] - 2 x3+", "[h0,x3-] + 2 x3-", "[x0+,x0-] - h0", "[x0+,x1-] - h1",
+        "[x0+,x2-] - h2", "[x0+,x3-] - h3", "[x1+,x0-] - h1", "[x1+,x1-] - h2",
+        "[x1+,x2-] - h3", "[x2+,x1-] - h3", "[x1+,x0+] - [x0+,x1+] - (x0+x0+ + x0+x0+)",
+        "[x1-,x0-] - [x0-,x1-] + (x0-x0- + x0-x0-)",
+        "[x1+,x1+] - [x0+,x2+] - (x0+x1+ + x1+x0+)",
+        "[x1-,x1-] - [x0-,x2-] + (x0-x1- + x1-x0-)",
+        "[x1+,x2+] - [x0+,x3+] - (x0+x2+ + x2+x0+)",
+        "[x1-,x2-] - [x0-,x3-] + (x0-x2- + x2-x0-)",
+        "[x2+,x0+] - [x1+,x1+] - (x1+x0+ + x0+x1+)",
+        "[x2-,x0-] - [x1-,x1-] + (x1-x0- + x0-x1-)",
+        "[x2+,x1+] - [x1+,x2+] - (x1+x1+ + x1+x1+)",
+        "[x2-,x1-] - [x1-,x2-] + (x1-x1- + x1-x1-)",
+        "[x2+,x2+] - [x1+,x3+] - (x1+x2+ + x2+x1+)",
+        "[x2-,x2-] - [x1-,x3-] + (x1-x2- + x2-x1-)",
+        "[x3+,x0+] - [x2+,x1+] - (x2+x0+ + x0+x2+)",
+        "[x3-,x0-] - [x2-,x1-] + (x2-x0- + x0-x2-)",
+        "[x3+,x1+] - [x2+,x2+] - (x2+x1+ + x1+x2+)",
+        "[x3-,x1-] - [x2-,x2-] + (x2-x1- + x1-x2-)",
+        "[x3+,x2+] - [x2+,x3+] - (x2+x2+ + x2+x2+)",
+        "[x3-,x2-] - [x2-,x3-] + (x2-x2- + x2-x2-)",
+        "[h1,x0+] - [h0,x1+] - (h0x0+ + x0+h0)",
+        "[h1,x0-] - [h0,x1-] + (h0x0- + x0-h0)",
+        "[h1,x1+] - [h0,x2+] - (h0x1+ + x1+h0)",
+        "[h1,x1-] - [h0,x2-] + (h0x1- + x1-h0)",
+        "[h1,x2+] - [h0,x3+] - (h0x2+ + x2+h0)",
+        "[h1,x2-] - [h0,x3-] + (h0x2- + x2-h0)",
+        "[h2,x0+] - [h1,x1+] - (h1x0+ + x0+h1)",
+        "[h2,x0-] - [h1,x1-] + (h1x0- + x0-h1)",
+        "[h2,x1+] - [h1,x2+] - (h1x1+ + x1+h1)",
+        "[h2,x1-] - [h1,x2-] + (h1x1- + x1-h1)",
+        "[h2,x2+] - [h1,x3+] - (h1x2+ + x2+h1)",
+        "[h2,x2-] - [h1,x3-] + (h1x2- + x2-h1)",
+        "[h3,x0+] - [h2,x1+] - (h2x0+ + x0+h2)",
+        "[h3,x0-] - [h2,x1-] + (h2x0- + x0-h2)",
+        "[h3,x1+] - [h2,x2+] - (h2x1+ + x1+h2)",
+        "[h3,x1-] - [h2,x2-] + (h2x1- + x1-h2)",
+        "[h3,x2+] - [h2,x3+] - (h2x2+ + x2+h2)",
+        "[h3,x2-] - [h2,x3-] + (h2x2- + x2-h2)",
+    ],
+)
+_SCALED_H1_FAILURES = (
+    [
+        "[x0+,x1-] - h1", "[x1+,x0-] - h1", "[x1+,x0+] - [x0+,x1+] - (x0+x0+ + x0+x0+)",
+        "[x1-,x0-] - [x0-,x1-] + (x0-x0- + x0-x0-)",
+    ],
+    [
+        "[h1,h2]", "[x0+,x1-] - h1", "[x0+,x2-] - h2", "[x1+,x0-] - h1",
+        "[x1+,x1-] - h2", "[x1+,x0+] - [x0+,x1+] - (x0+x0+ + x0+x0+)",
+        "[x1-,x0-] - [x0-,x1-] + (x0-x0- + x0-x0-)",
+        "[x1+,x1+] - [x0+,x2+] - (x0+x1+ + x1+x0+)",
+        "[x1-,x1-] - [x0-,x2-] + (x0-x1- + x1-x0-)",
+        "[x2+,x0+] - [x1+,x1+] - (x1+x0+ + x0+x1+)",
+        "[x2-,x0-] - [x1-,x1-] + (x1-x0- + x0-x1-)",
+        "[x2+,x1+] - [x1+,x2+] - (x1+x1+ + x1+x1+)",
+        "[x2-,x1-] - [x1-,x2-] + (x1-x1- + x1-x1-)",
+        "[h2,x0+] - [h1,x1+] - (h1x0+ + x0+h1)",
+        "[h2,x0-] - [h1,x1-] + (h1x0- + x0-h1)",
+        "[h2,x1+] - [h1,x2+] - (h1x1+ + x1+h1)",
+        "[h2,x1-] - [h1,x2-] + (h1x1- + x1-h1)",
+    ],
+    [
+        "[h1,h2]", "[h1,h3]", "[h2,h3]", "[x0+,x1-] - h1", "[x0+,x2-] - h2",
+        "[x0+,x3-] - h3", "[x1+,x0-] - h1", "[x1+,x1-] - h2", "[x1+,x2-] - h3",
+        "[x2+,x1-] - h3", "[x1+,x0+] - [x0+,x1+] - (x0+x0+ + x0+x0+)",
+        "[x1-,x0-] - [x0-,x1-] + (x0-x0- + x0-x0-)",
+        "[x1+,x1+] - [x0+,x2+] - (x0+x1+ + x1+x0+)",
+        "[x1-,x1-] - [x0-,x2-] + (x0-x1- + x1-x0-)",
+        "[x1+,x2+] - [x0+,x3+] - (x0+x2+ + x2+x0+)",
+        "[x1-,x2-] - [x0-,x3-] + (x0-x2- + x2-x0-)",
+        "[x2+,x0+] - [x1+,x1+] - (x1+x0+ + x0+x1+)",
+        "[x2-,x0-] - [x1-,x1-] + (x1-x0- + x0-x1-)",
+        "[x2+,x1+] - [x1+,x2+] - (x1+x1+ + x1+x1+)",
+        "[x2-,x1-] - [x1-,x2-] + (x1-x1- + x1-x1-)",
+        "[x2+,x2+] - [x1+,x3+] - (x1+x2+ + x2+x1+)",
+        "[x2-,x2-] - [x1-,x3-] + (x1-x2- + x2-x1-)",
+        "[x3+,x0+] - [x2+,x1+] - (x2+x0+ + x0+x2+)",
+        "[x3-,x0-] - [x2-,x1-] + (x2-x0- + x0-x2-)",
+        "[x3+,x1+] - [x2+,x2+] - (x2+x1+ + x1+x2+)",
+        "[x3-,x1-] - [x2-,x2-] + (x2-x1- + x1-x2-)",
+        "[x3+,x2+] - [x2+,x3+] - (x2+x2+ + x2+x2+)",
+        "[x3-,x2-] - [x2-,x3-] + (x2-x2- + x2-x2-)",
+        "[h2,x0+] - [h1,x1+] - (h1x0+ + x0+h1)",
+        "[h2,x0-] - [h1,x1-] + (h1x0- + x0-h1)",
+        "[h2,x1+] - [h1,x2+] - (h1x1+ + x1+h1)",
+        "[h2,x1-] - [h1,x2-] + (h1x1- + x1-h1)",
+        "[h2,x2+] - [h1,x3+] - (h1x2+ + x2+h1)",
+        "[h2,x2-] - [h1,x3-] + (h1x2- + x2-h1)",
+        "[h3,x0+] - [h2,x1+] - (h2x0+ + x0+h2)",
+        "[h3,x0-] - [h2,x1-] + (h2x0- + x0-h2)",
+        "[h3,x1+] - [h2,x2+] - (h2x1+ + x1+h2)",
+        "[h3,x1-] - [h2,x2-] + (h2x1- + x1-h2)",
+        "[h3,x2+] - [h2,x3+] - (h2x2+ + x2+h2)",
+        "[h3,x2-] - [h2,x3-] + (h2x2- + x2-h2)",
+    ],
+)
+
+
+def test_relation_failures_on_perturbed_modules():
+    expected = {
+        "x0p": _SCALED_X0_FAILURES,
+        "x0m": _SCALED_X0_FAILURES,
+        "h0": _SCALED_H0_FAILURES,
+        "h1": _SCALED_H1_FAILURES,
+    }
+    for spec in ([(1, G(0)), (2, G(3))], [(1, G(HALF, 1)), (1, G(-1, -2))]):
+        module = tensor_module(spec)
+        for field, lists in expected.items():
+            scaled = replace(module, **{field: getattr(module, field).scale(2)})
+            for K, names in enumerate(lists, start=1):
+                assert names
+                assert defining_relation_failures(scaled, K) == names, (spec, field, K)
 
 def test_tensor_module_rejects_empty():
     with pytest.raises(ValueError):
