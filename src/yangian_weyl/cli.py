@@ -30,6 +30,7 @@ from .drinfeld import DrinfeldTuple, FactorChain, chain_to_poly, order_factors
 from .exact import (
     GaussianRational,
     ScalarParseError,
+    as_scalar,
     format_scalar,
     parse_scalar,
 )
@@ -45,9 +46,9 @@ from .ysl2 import defining_relation_failures, lowering_levels, tensor_module
 
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
-# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.4-0.5 s,
-# identities 2.8-4.0 s and series (order 5) 0.5-0.8 s; on the first seven,
-# 0.1-0.2, 1.2-1.4 and 0.3 s.  Identities sets the bound.
+# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.3 s,
+# identities 1.5-1.7 s and series (order 5) 0.45-0.5 s; on the first seven,
+# 0.2-0.5, 0.7 and 0.25-0.35 s.  Identities sets the bound.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, and
@@ -61,6 +62,13 @@ MAX_RANK = 64
 # it, at a cost linear in the order.  32 is over six times the largest order
 # the tests, demos and benchmark use (5).
 MAX_SL2_ORDER = 32
+# Largest total degree `weyl` accepts and longest chain `check` accepts.  The
+# pair audit and the criterion scans visit every pair of factors, and `weyl`
+# prints a JSON row per pair.  At 500 roots or factors on A4 and D5, `weyl`
+# takes 2.2-2.8 s (13.5 MB of JSON) and `check` 0.9-3.1 s, against 11-13 s
+# (54 MB) and 3.5-16 s at 1,000 (Python 3.11, one shared Xeon core).  The
+# benchmark's longest chain and largest degree are 120.
+MAX_FACTORS = 500
 
 
 class SchemaError(ValueError):
@@ -69,8 +77,14 @@ class SchemaError(ValueError):
         self.pointer = pointer
 
 
-def _fraction_str(value) -> str:
-    return format_scalar(GaussianRational(value))
+def _scalar_str(value) -> str:
+    """A scalar (or rational) as the reports print it.  An input small enough
+    to pass the schema can still yield a part with more digits than `str`
+    converts; that input is refused, as one too large."""
+    try:
+        return format_scalar(as_scalar(value))
+    except ValueError as exc:
+        raise SchemaError("/", f"output scalar too long to print: {exc}") from exc
 
 
 def _parse_type(doc, pointer="") -> LieType:
@@ -124,6 +138,8 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
     pi = DrinfeldTuple.from_dict(t, rows)
     if pi.total_degree == 0:
         raise SchemaError("/polys", "trivial module: at least one root is required")
+    if pi.total_degree > MAX_FACTORS:
+        raise SchemaError("/polys", f"expected at most {MAX_FACTORS} roots in all")
     return pi
 
 
@@ -132,6 +148,8 @@ def parse_chain_doc(doc) -> FactorChain:
     factors = doc.get("factors")
     if not isinstance(factors, list) or not factors:
         raise SchemaError("/factors", "expected a nonempty list")
+    if len(factors) > MAX_FACTORS:
+        raise SchemaError("/factors", f"expected at most {MAX_FACTORS} factors")
     parsed = []
     for i, factor in enumerate(factors):
         if not isinstance(factor, dict):
@@ -160,7 +178,7 @@ def parse_sl2_doc(doc):
 def tuple_to_doc(pi: DrinfeldTuple) -> dict:
     t = pi.lie_type
     polys = {
-        str(node): [format_scalar(r) for r in roots]
+        str(node): [_scalar_str(r) for r in roots]
         for node, roots in enumerate(pi.roots, start=1)
         if roots
     }
@@ -173,7 +191,7 @@ def chain_to_doc(chain: FactorChain) -> dict:
         "type": t.family,
         "rank": t.rank,
         "factors": [
-            {"node": node, "a": format_scalar(a)} for node, a in chain.factors
+            {"node": node, "a": _scalar_str(a)} for node, a in chain.factors
         ],
     }
 
@@ -183,7 +201,7 @@ def _verdict_doc(verdict: Verdict) -> dict:
         "guaranteed": verdict.guaranteed,
         "exact": verdict.exact,
         "witnesses": [
-            {"i": i, "j": j, "difference": format_scalar(d)}
+            {"i": i, "j": j, "difference": _scalar_str(d)}
             for i, j, d in verdict.witnesses
         ],
     }
@@ -224,7 +242,7 @@ def _cmd_info(args) -> int:
         "lie_type": {"type": t.family, "rank": t.rank},
         "cartan": [list(row) for row in datum.cartan],
         "d": list(datum.d),
-        "kappa": _fraction_str(duality_shift(t)),
+        "kappa": _scalar_str(duality_shift(t)),
         "longest_word": list(longest_word(t)),
         "involution": {str(i): nu[i - 1] for i in range(1, t.rank + 1)},
         "fundamental_dims": dims,
@@ -253,7 +271,7 @@ def _cmd_weyl(args) -> int:
     pi = parse_tuple_doc(_load_doc(args.document))
     chain = order_factors(pi)
     audit = [
-        {"i": i, "j": j, "difference": format_scalar(diff), "in_criterion_set": hit}
+        {"i": i, "j": j, "difference": _scalar_str(diff), "in_criterion_set": hit}
         for i, j, diff, hit in scan_pairs(chain)
     ]
     body = {
@@ -267,7 +285,7 @@ def _cmd_weyl(args) -> int:
     lines = [
         f"ordered factorization over {chain.lie_type}:",
         *(
-            f"  {k + 1}: node {node}, a = {format_scalar(a)}"
+            f"  {k + 1}: node {node}, a = {_scalar_str(a)}"
             for k, (node, a) in enumerate(chain.factors)
         ),
         f"dimension = {body['dimension']}",
@@ -291,7 +309,7 @@ def _cmd_check(args) -> int:
     lines = [
         f"{args.mode} guaranteed: {verdict.guaranteed} (exact={verdict.exact})",
         *(
-            f"  witness ({i},{j}): difference {format_scalar(d)}"
+            f"  witness ({i},{j}): difference {_scalar_str(d)}"
             for i, j, d in verdict.witnesses
         ),
     ]
@@ -306,7 +324,7 @@ def _cmd_sl2(args) -> int:
     dim = math.prod(m + 1 for m, _ in spec)
     if dim > MAX_SL2_DIM:
         raise SchemaError("/", f"module dimension {dim} exceeds {MAX_SL2_DIM}")
-    body: dict = {"spec": [[m, format_scalar(a)] for m, a in spec]}
+    body: dict = {"spec": [[m, _scalar_str(a)] for m, a in spec]}
     lines = []
     if args.verify == "closure":
         module = tensor_module(spec)
@@ -336,12 +354,12 @@ def _cmd_sl2(args) -> int:
             {
                 "order": order,
                 "matches": ok,
-                "series": [format_scalar(c) for c in series.coeffs],
+                "series": [_scalar_str(c) for c in series.coeffs],
             }
         )
         lines = [
             f"eigenvalue series to order {order}: "
-            + ", ".join(format_scalar(c) for c in series.coeffs),
+            + ", ".join(_scalar_str(c) for c in series.coeffs),
             f"matrix action matches: {ok}",
         ]
     else:  # identities
@@ -361,9 +379,9 @@ def _cmd_ssets(args) -> int:
     for b_m in range(1, t.rank + 1):
         for b_n in range(1, t.rank + 1):
             values = sorted(criterion_set(t, b_m, b_n).values)
-            table[f"{b_m},{b_n}"] = [_fraction_str(v) for v in values]
+            table[f"{b_m},{b_n}"] = [_scalar_str(v) for v in values]
             lines.append(
-                f"  S({b_m},{b_n}) = {{{', '.join(_fraction_str(v) for v in values)}}}"
+                f"  S({b_m},{b_n}) = {{{', '.join(_scalar_str(v) for v in values)}}}"
             )
     body = {"lie_type": {"type": t.family, "rank": t.rank}, "sets": table}
     _emit(_report("ssets", body), args.json, lines)

@@ -1,11 +1,12 @@
 """Exact scalar arithmetic: Gaussian rationals, truncated series, sparse linear algebra.
 
-Everything in this package computes over Q(i) with `fractions.Fraction`
-components; no floating point is used anywhere.  Matrices and row
-reduction keep sparse rows that never store a zero; vectors cross the
-public API as dense tuples.  The matrix and row-reduction kernels sum
-products on integer numerators over a common denominator and normalise
-each result entry once.
+Everything in this package computes over Q(i); no floating point is used
+anywhere.  Scalars are `GaussianRational`s with `fractions.Fraction` parts.
+Matrices and row reduction keep sparse rows that never store a zero, and
+store each entry as the integer triple (re, im, d) that their kernels
+compute with; a kernel sums products over a common denominator and reduces
+each result entry once, by one gcd.  Scalars and dense tuples appear only
+where values cross the public API.
 """
 
 from __future__ import annotations
@@ -135,8 +136,6 @@ class GaussianRational:
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-_MINUS_ONE = GaussianRational(-1)
-_ZERO_PART = ZERO.re
 
 
 def _format_fraction(value: Fraction) -> str:
@@ -242,26 +241,23 @@ class Series:
 # ---------------------------------------------------------------------------
 # Exact vectors and sparse matrices.
 #
-# Public vectors are dense tuples.  Inside matrices and row reduction a
-# vector is sparse: a dict {index: nonzero scalar} that never stores a zero.
+# Public vectors are dense tuples of scalars.  Inside matrices and row
+# reduction a vector is sparse: a dict {index: entry} that never stores a
+# zero, each entry a triple of integers (re, im, d) standing for
+# (re + im*i) / d, with d > 0 and gcd(re, im, d) = 1.  That form is unique,
+# so equal rows compare and hash equal.
 
 Vector = tuple  # tuple[GaussianRational, ...]
+
+_UNIT = (1, 0, 1)
 
 
 def unit_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
-def _sparse(vec: Iterable) -> dict:
-    return {j: as_scalar(e) for j, e in enumerate(vec) if e}
-
-
-def _dense(vec: dict, n: int) -> Vector:
-    return tuple(vec.get(j, ZERO) for j in range(n))
-
-
 def _parts(x: GaussianRational):
-    """Integers (re, im, d) with x = (re + im*i) / d."""
+    """The entry (re, im, d) of x, in lowest terms."""
     r, i = x.re, x.im
     d, di = r.denominator, i.denominator
     if d == di:
@@ -270,20 +266,29 @@ def _parts(x: GaussianRational):
     return r.numerator * (di // g), i.numerator * (d // g), d // g * di
 
 
-def _triples(row: dict) -> list:
-    """The entries of a sparse vector as (j, re, im, d), each (re + im*i) / d."""
-    return [(j, *_parts(e)) for j, e in row.items()]
+def _scalar(entry) -> GaussianRational:
+    """The scalar an entry (re, im, d) stands for."""
+    re, im, d = entry
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
 
 
-def _accumulate(acc: dict, c: GaussianRational, triples):
-    """acc[j] += c * e for every (j, e) in triples, in integers.
+def _sparse(vec: Iterable) -> dict:
+    return {j: _parts(as_scalar(e)) for j, e in enumerate(vec) if e}
+
+
+def _dense(vec: dict, n: int) -> Vector:
+    return tuple(_scalar(vec[j]) if j in vec else ZERO for j in range(n))
+
+
+def _accumulate(acc: dict, c, row: dict):
+    """acc[j] += c * e for every entry e = row[j], in integers.
 
     A slot [re, im, d] of acc stands for (re + im*i) / d.  A term over the
     slot's denominator is added directly, any other over the lcm of the two
     denominators; nothing is reduced until `_settle`.
     """
-    cr, ci, cd = _parts(c)
-    for j, er, ei, d in triples:
+    cr, ci, cd = c
+    for j, (er, ei, d) in row.items():
         re = cr * er - ci * ei
         im = cr * ei + ci * er
         d *= cd
@@ -304,54 +309,38 @@ def _accumulate(acc: dict, c: GaussianRational, triples):
 
 
 def _settle(out: dict, acc: dict) -> dict:
-    """Write the accumulated slots into out as scalars; a slot that sums to
-    zero removes its entry.  Each nonzero part is one new Fraction, and a
-    zero part is the shared zero."""
+    """Write the accumulated slots into out in lowest terms; a slot that
+    sums to zero removes its entry."""
     for j, (re, im, d) in acc.items():
         if re or im:
-            out[j] = GaussianRational(
-                Fraction(re, d) if re else _ZERO_PART,
-                Fraction(im, d) if im else _ZERO_PART,
-            )
+            g = gcd(re, im, d)
+            out[j] = (re, im, d) if g == 1 else (re // g, im // g, d // g)
         else:
             out.pop(j, None)
     return out
 
 
 def _add_multiples(base: dict, terms) -> dict:
-    """base + sum(c * row for c, row in terms), as a new sparse vector;
-    each row comes as `_triples`.
+    """base + sum(c * row for c, row in terms), as a new sparse vector.
 
     Entries of base that no term touches are shared, not copied.
     """
     acc = {}
-    for c, triples in terms:
-        _accumulate(acc, c, triples)
+    for c, row in terms:
+        _accumulate(acc, c, row)
     if base:
-        _accumulate(acc, ONE, [(j, *_parts(base[j])) for j in acc if j in base])
+        _accumulate(acc, _UNIT, {j: base[j] for j in acc if j in base})
     return _settle(dict(base), acc)
-
-
-def _add_rows(a: dict, b: dict, sign: int) -> dict:
-    """a + b (sign 1) or a - b (sign -1), as a new sparse vector.  Entries
-    in both are summed by `_add_multiples`; entries of b alone are shared,
-    or negated, not rebuilt."""
-    both = [(j, *_parts(e)) for j, e in b.items() if j in a]
-    c = ONE if sign > 0 else _MINUS_ONE
-    out = _add_multiples(a, ((c, both),)) if both else dict(a)
-    for j, e in b.items():
-        if j not in a:
-            out[j] = e if sign > 0 else -e
-    return out
 
 
 class Matrix:
     """Sparse rectangular matrix over the Gaussian rationals.
 
-    `rows` holds one dict {column: nonzero scalar} per row; no zero is ever
-    stored, so every product, sum and matrix-vector application touches
-    only nonzero entries.  `Matrix(rows)` takes dense rows.  The columns,
-    which `apply` reads, are indexed on first use.
+    `rows` holds one dict {column: nonzero entry} per row, in the entry form
+    above; no zero is ever stored, so every product, sum and matrix-vector
+    application touches only nonzero entries.  `Matrix(rows)` takes dense
+    rows of scalars.  The columns, which `apply` reads, are indexed on first
+    use.
     """
 
     __slots__ = ("rows", "ncols", "_cols")
@@ -383,28 +372,27 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(({i: ONE} for i in range(n)), n)
+        return cls._of(({i: _UNIT} for i in range(n)), n)
 
-    def _check_same_shape(self, other: "Matrix"):
+    def _plus(self, other: "Matrix", c) -> "Matrix":
+        """self + c * other, for c = 1 or -1."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix shape mismatch")
+        return Matrix._of(
+            (_add_multiples(a, ((c, b),)) for a, b in zip(self.rows, other.rows)),
+            self.ncols,
+        )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix._of(
-            (_add_rows(a, b, 1) for a, b in zip(self.rows, other.rows)), self.ncols
-        )
+        return self._plus(other, _UNIT)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix._of(
-            (_add_rows(a, b, -1) for a, b in zip(self.rows, other.rows)), self.ncols
-        )
+        return self._plus(other, (-1, 0, 1))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        orows = [_triples(row) for row in other.rows]
+        orows = other.rows
         return Matrix._of(
             (
                 _add_multiples({}, ((a, orows[k]) for k, a in row.items()))
@@ -414,22 +402,19 @@ class Matrix:
         )
 
     def scale(self, c) -> "Matrix":
-        c = as_scalar(c)
-        if not c:
-            return Matrix._of(({} for _ in self.rows), self.ncols)
+        c = _parts(as_scalar(c))
         return Matrix._of(
-            (_add_multiples({}, ((c, _triples(row)),)) for row in self.rows),
-            self.ncols,
+            (_add_multiples({}, ((c, row),)) for row in self.rows), self.ncols
         )
 
     def _columns(self) -> dict:
-        """{column: [(row, re, im, d), ...]} over the nonzero entries."""
+        """{column: {row: entry}} over the nonzero entries."""
         cols = self._cols
         if cols is None:
             cols = {}
             for i, row in enumerate(self.rows):
-                for j, re, im, d in _triples(row):
-                    cols.setdefault(j, []).append((i, re, im, d))
+                for j, e in row.items():
+                    cols.setdefault(j, {})[i] = e
             object.__setattr__(self, "_cols", cols)
         return cols
 
@@ -466,11 +451,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     bn = b.ncols
     return Matrix._of(
         (
-            {
-                j1 * bn + j2: x * y
-                for j1, x in arow.items()
-                for j2, y in brow.items()
-            }
+            _settle(
+                {},
+                {
+                    j1 * bn + j2: (xr * yr - xi * yi, xr * yi + xi * yr, xd * yd)
+                    for j1, (xr, xi, xd) in arow.items()
+                    for j2, (yr, yi, yd) in brow.items()
+                },
+            )
             for arow in a.rows
             for brow in b.rows
         ),
@@ -497,7 +485,7 @@ class _RrefBasis:
         # Rows vanish at each other's pivots, so the multiples to subtract
         # are read off vec once.
         rows = self.rows
-        terms = [(-c, _triples(rows[p])) for p, c in vec.items() if p in rows]
+        terms = [((-r, -i, d), rows[p]) for p, (r, i, d) in vec.items() if p in rows]
         return _add_multiples(vec, terms) if terms else vec
 
     def insert(self, vec: dict):
@@ -507,15 +495,14 @@ class _RrefBasis:
         if not vec:
             return None
         pivot = min(vec)
-        lead = vec[pivot]
-        if lead != ONE:
-            vec = _add_multiples({}, ((ONE / lead, _triples(vec)),))
-        triples = _triples(vec)
+        r, i, d = vec[pivot]
+        if (r, i, d) != _UNIT:  # divide by (r + i*i)/d
+            vec = _add_multiples({}, (((d * r, -d * i, r * r + i * i), vec),))
         rows = self.rows
         for p, row in rows.items():
             c = row.get(pivot)
             if c is not None:
-                rows[p] = _add_multiples(row, ((-c, triples),))
+                rows[p] = _add_multiples(row, (((-c[0], -c[1], c[2]), vec),))
         rows[pivot] = vec
         return vec
 
@@ -564,4 +551,4 @@ def solve_linear(rows: Sequence[Vector], rhs: Vector):
         basis.insert(_sparse(tuple(row) + (b,)))
     if sorted(basis.rows) != list(range(ncols)):
         return None
-    return tuple(basis.rows[p].get(ncols, ZERO) for p in range(ncols))
+    return _dense({p: row[ncols] for p, row in basis.rows.items() if ncols in row}, ncols)

@@ -27,7 +27,9 @@ from .exact import (
     ONE,
     ZERO,
     _RrefBasis,
-    _add_rows,
+    _UNIT,
+    _add_multiples,
+    _parts,
     as_scalar,
     kron,
     row_space_closure,
@@ -202,7 +204,7 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
     is closed under h_1 already, so its spinning stops there."""
     top = sum(m for m, _ in module.factor_spec)
     sizes = Counter(top - sum(label) for label in module.basis_labels)
-    level = [{module.highest_index: ONE}]
+    level = [{module.highest_index: _UNIT}]
     yield 1, 1
     for r in range(1, top + 1):
         basis = _RrefBasis(module.dim)
@@ -248,13 +250,15 @@ def _h_on_top(module: SL2Module, order: int) -> Iterator[dict]:
     (x_1^+ and then the recursion), and the commutator acts on the top
     vector through two sparse applications instead of two matrix products.
     """
-    top = {module.highest_index: ONE}
+    top = {module.highest_index: _UNIT}
     down = module.x0m.apply(top)
+    minus = _parts(-ONE)
     xp = module.x0p
     for k in range(order + 1):
         if k:
             xp = module.x1p if k == 1 else _next_xp(module, xp)
-        yield _add_rows(xp.apply(down), module.x0m.apply(xp.apply(top)), -1)
+        up = module.x0m.apply(xp.apply(top))
+        yield _add_multiples(xp.apply(down), ((minus, up),))
 
 
 def verify_drinfeld_series(spec: Sequence[Tuple[int, object]], order: int) -> bool:
@@ -270,7 +274,7 @@ def verify_drinfeld_series(spec: Sequence[Tuple[int, object]], order: int) -> bo
     series = eigenvalue_series(roots, 1, order + 1)
     top = module.highest_index
     return all(
-        image == ({top: c} if c else {})
+        image == ({top: _parts(c)} if c else {})
         for image, c in zip(_h_on_top(module, order), series.coeffs[1:])
     )
 

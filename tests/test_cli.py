@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from yangian_weyl.cli import (
+    MAX_FACTORS,
     MAX_RANK,
     SchemaError,
     chain_to_doc,
@@ -183,13 +184,22 @@ _LONG_INT = "7" * 5000
         (["info", "--type", "A", "--rank", str(MAX_RANK + 1)], "/rank"),
         (["check", json.dumps({"type": "B", "rank": MAX_RANK + 1,
                                "factors": [{"node": 1, "a": "0"}]})], "/rank"),
+        # Inputs that pass the schema but print a part too long for str().
+        (["sl2", '[[1,"%s"]]' % ("3" * 2500), "--verify", "series", "--order", "2",
+          "--json"], "/"),
+        (["weyl", json.dumps({"type": "A", "rank": 1, "polys": {
+            "1": ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1"]}})], "/"),
+        (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
+            "1": [str(k) for k in range(MAX_FACTORS)], "2": ["0"]}})], "/polys"),
+        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
+            {"node": 1, "a": str(k)} for k in range(MAX_FACTORS + 1)]})], "/factors"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert pointer in err
+    assert f"schema error at {pointer}:" in err
 
 
 def test_weyl_invariant_survives_optimized_mode(monkeypatch):
