@@ -11,14 +11,15 @@ import argparse
 import json
 import math
 import sys
+from itertools import combinations
 
 from . import __version__
 from .criteria import (
     Verdict,
+    criterion_hits,
     criterion_set,
     cyclicity_guaranteed,
     irreducibility_guaranteed,
-    scan_pairs,
 )
 from .dims import (
     chain_dim,
@@ -62,11 +63,11 @@ MAX_RANK = 64
 # it, at a cost linear in the order.  32 is over six times the largest order
 # the tests, demos and benchmark use (5).
 MAX_SL2_ORDER = 32
-# Largest total degree `weyl` accepts and longest chain `check` accepts.  The
-# pair audit and the criterion scans visit every pair of factors, and `weyl`
-# prints a JSON row per pair.  At 500 roots or factors on A4 and D5, `weyl`
-# takes 2.2-2.8 s (13.5 MB of JSON) and `check` 0.9-3.1 s, against 11-13 s
-# (54 MB) and 3.5-16 s at 1,000 (Python 3.11, one shared Xeon core).  The
+# Largest total degree `weyl` accepts and longest chain `check` accepts.
+# `weyl` prints a JSON row for every pair of factors, so it sets the bound:
+# at 500 roots on A4 and D5 it takes 2.7-3.0 s (13 MB of JSON), against
+# 11-13 s (54 MB) at 1,000.  `check` finds its witnesses by a hash join and
+# takes 0.02-0.2 s at 500 factors (Python 3.11, one shared Xeon core).  The
 # benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
@@ -87,23 +88,29 @@ def _scalar_str(value) -> str:
         raise SchemaError("/", f"output scalar too long to print: {exc}") from exc
 
 
-def _parse_type(doc, pointer="") -> LieType:
+def _pointer(*segments) -> str:
+    """The JSON pointer (RFC 6901) to the value reached through the given
+    object keys and list indices: "~" is escaped as "~0" and "/" as "~1"."""
+    return "".join("/" + str(s).replace("~", "~0").replace("/", "~1") for s in segments)
+
+
+def _parse_type(doc) -> LieType:
     if not isinstance(doc, dict):
-        raise SchemaError(pointer or "/", "expected an object")
+        raise SchemaError("/", "expected an object")
     family = doc.get("type")
     if family not in ("A", "B", "C", "D", "G2"):
-        raise SchemaError(f"{pointer}/type", "expected one of A, B, C, D, G2")
+        raise SchemaError("/type", "expected one of A, B, C, D, G2")
     rank = doc.get("rank")
     if rank is None and family == "G2":
         rank = 2
     if type(rank) is not int:
-        raise SchemaError(f"{pointer}/rank", "expected an integer rank")
+        raise SchemaError("/rank", "expected an integer rank")
     if rank > MAX_RANK:
-        raise SchemaError(f"{pointer}/rank", f"expected a rank of at most {MAX_RANK}")
+        raise SchemaError("/rank", f"expected a rank of at most {MAX_RANK}")
     try:
         return lie_type(family, rank)
     except ValueError as exc:
-        raise SchemaError(f"{pointer}/rank", str(exc)) from exc
+        raise SchemaError("/rank", str(exc)) from exc
 
 
 def _parse_scalar_at(text, pointer) -> GaussianRational:
@@ -126,14 +133,15 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
             node = int(key)
         except (TypeError, ValueError):
             node = None
+        at = _pointer("polys", key)
         if node is None or key != str(node):
-            raise SchemaError(f"/polys/{key}", "node keys must be decimal integers")
+            raise SchemaError(at, "node keys must be decimal integers")
         if not 1 <= node <= t.rank:
-            raise SchemaError(f"/polys/{key}", f"node out of range 1..{t.rank}")
+            raise SchemaError(at, f"node out of range 1..{t.rank}")
         if not isinstance(roots, list):
-            raise SchemaError(f"/polys/{key}", "expected a list of scalar strings")
+            raise SchemaError(at, "expected a list of scalar strings")
         rows[node] = [
-            _parse_scalar_at(root, f"/polys/{key}/{i}") for i, root in enumerate(roots)
+            _parse_scalar_at(root, f"{at}/{i}") for i, root in enumerate(roots)
         ]
     pi = DrinfeldTuple.from_dict(t, rows)
     if pi.total_degree == 0:
@@ -152,12 +160,13 @@ def parse_chain_doc(doc) -> FactorChain:
         raise SchemaError("/factors", f"expected at most {MAX_FACTORS} factors")
     parsed = []
     for i, factor in enumerate(factors):
+        at = _pointer("factors", i)
         if not isinstance(factor, dict):
-            raise SchemaError(f"/factors/{i}", "expected an object")
+            raise SchemaError(at, "expected an object")
         node = factor.get("node")
         if type(node) is not int or not 1 <= node <= t.rank:
-            raise SchemaError(f"/factors/{i}/node", f"expected a node in 1..{t.rank}")
-        parsed.append((node, _parse_scalar_at(factor.get("a"), f"/factors/{i}/a")))
+            raise SchemaError(f"{at}/node", f"expected a node in 1..{t.rank}")
+        parsed.append((node, _parse_scalar_at(factor.get("a"), f"{at}/a")))
     return FactorChain(t, tuple(parsed))
 
 
@@ -166,12 +175,13 @@ def parse_sl2_doc(doc):
         raise SchemaError("/", "expected a nonempty list of [m, a] pairs")
     spec = []
     for i, item in enumerate(doc):
+        at = _pointer(i)
         if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"/{i}", "expected a [m, a] pair")
+            raise SchemaError(at, "expected a [m, a] pair")
         m, a = item
         if type(m) is not int or m < 1:
-            raise SchemaError(f"/{i}/0", "expected a positive integer m")
-        spec.append((m, _parse_scalar_at(a, f"/{i}/1")))
+            raise SchemaError(f"{at}/0", "expected a positive integer m")
+        spec.append((m, _parse_scalar_at(a, f"{at}/1")))
     return tuple(spec)
 
 
@@ -270,9 +280,16 @@ def _cmd_info(args) -> int:
 def _cmd_weyl(args) -> int:
     pi = parse_tuple_doc(_load_doc(args.document))
     chain = order_factors(pi)
+    # The JSON contract lists every pair i < j, not only the hits.
+    hits = {(i, j) for i, j, _ in criterion_hits(chain)}
     audit = [
-        {"i": i, "j": j, "difference": _scalar_str(diff), "in_criterion_set": hit}
-        for i, j, diff, hit in scan_pairs(chain)
+        {
+            "i": i,
+            "j": j,
+            "difference": _scalar_str(a_j - a_i),
+            "in_criterion_set": (i, j) in hits,
+        }
+        for (i, (_, a_i)), (j, (_, a_j)) in combinations(enumerate(chain.factors, 1), 2)
     ]
     body = {
         "input": tuple_to_doc(pi),

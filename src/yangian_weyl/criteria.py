@@ -7,6 +7,12 @@ is guaranteed to be a highest weight module when no difference a_j - a_i
 pair (b_i, b_j); it is guaranteed irreducible when the same holds for all
 ordered pairs i != j.  Membership is exact: a difference belongs to a set
 only when its imaginary part is zero and its real part equals a member.
+
+The pairs are found by a hash join, not by comparing every pair: a hit
+means a_j = a_i + s for some s in S(b_i, b_j), so the chain is indexed once
+by (node, parameter) and each factor looks up a_i + s for every node q in
+the chain and every s in S(b_i, q).  That is k * sum_q |S(b_i, q)| lookups
+for k factors instead of k^2 subtractions.
 """
 
 from __future__ import annotations
@@ -126,8 +132,11 @@ def criterion_set(t: LieType, b_m: int, b_n: int) -> CriterionSet:
         values = _set_d(rank, b_m, b_n)
     else:
         values = {Fraction(v) for v in _G2_SETS[(b_m, b_n)]}
-    if any(v <= 0 for v in values):
-        raise RuntimeError(f"criterion set for {t} ({b_m},{b_n}) not positive")
+    # The join in criterion_hits relies on both properties.
+    if any(v <= 0 or (2 * v).denominator != 1 for v in values):
+        raise RuntimeError(
+            f"criterion set for {t} ({b_m},{b_n}) not positive half-integers"
+        )
     return CriterionSet(t, b_m, b_n, frozenset(values))
 
 
@@ -163,23 +172,44 @@ def criterion_set_from_ledger(t: LieType, b_m: int, b_n: int) -> CriterionSet:
     return CriterionSet(t, b_m, b_n, frozenset(values))
 
 
-def scan_pairs(chain: FactorChain, both_orders: bool = False):
-    """Yield (i, j, a_j - a_i, in_set) for 1-based i < j, or for every
-    i != j when both_orders; in_set says whether the difference lies in
-    the criterion set of the node pair (b_i, b_j)."""
+@lru_cache(maxsize=None)
+def _doubled_sets(t: LieType, p: int):
+    """(q, 2s) for every node q of t and every s in S(p, q), as integers."""
+    return tuple(
+        (q, int(2 * s)) for q in range(1, t.rank + 1) for s in criterion_set(t, p, q).values
+    )
+
+
+def _doubled(x: Fraction):
+    """2x as (numerator, denominator) in lowest terms."""
+    n, d = x.numerator, x.denominator
+    return (n, d // 2) if d % 2 == 0 else (2 * n, d)
+
+
+def criterion_hits(chain: FactorChain, both_orders: bool = False):
+    """Yield (i, j, a_j - a_i), in (i, j) order, for the 1-based pairs
+    i < j (every i != j when both_orders) whose difference lies in the
+    criterion set of the node pair (b_i, b_j)."""
     t = chain.lie_type
     factors = chain.factors
-    # One cache lookup per node pair, not per factor pair: a hit keyed on
-    # the LieType dataclass costs more than indexing this table.
+    # The hash join of the module docstring, on integer keys (node, Im a,
+    # 2 Re a = n/d).  2s is an integer, so 2 Re(a + s) = (n + 2s * d)/d, and
+    # that is still in lowest terms.
+    keys = [(b, a.im.numerator, a.im.denominator, *_doubled(a.re)) for b, a in factors]
+    index = {}
+    for j, key in enumerate(keys):
+        index.setdefault(key, []).append(j)
     nodes = {b for b, _ in factors}
-    sets = {(p, q): criterion_set(t, p, q).values for p in nodes for q in nodes}
-    for i, (b_i, a_i) in enumerate(factors):
-        for j in range(0 if both_orders else i + 1, len(factors)):
-            if j == i:
-                continue
-            b_j, a_j = factors[j]
-            diff = a_j - a_i
-            yield i + 1, j + 1, diff, diff.im == 0 and diff.re in sets[b_i, b_j]
+    shifts = {p: [(q, s2) for q, s2 in _doubled_sets(t, p) if q in nodes] for p in nodes}
+    for i, (b_i, im_n, im_d, n, d) in enumerate(keys):
+        hits = sorted(
+            j
+            for q, s2 in shifts[b_i]
+            for j in index.get((q, im_n, im_d, n + s2 * d, d), ())
+            if both_orders or j > i  # s > 0, so j != i
+        )
+        for j in hits:
+            yield i + 1, j + 1, factors[j][1] - factors[i][1]
 
 
 def cyclicity_guaranteed(chain: FactorChain) -> Verdict:
@@ -188,7 +218,7 @@ def cyclicity_guaranteed(chain: FactorChain) -> Verdict:
     A chain with weakly decreasing real parts passes automatically, since
     every criterion value is a positive real number.
     """
-    witnesses = tuple((i, j, diff) for i, j, diff, hit in scan_pairs(chain) if hit)
+    witnesses = tuple(criterion_hits(chain))
     return Verdict(guaranteed=not witnesses, exact=False, witnesses=witnesses)
 
 
@@ -210,9 +240,7 @@ def irreducibility_guaranteed(chain: FactorChain) -> Verdict:
     The verdict is recomputed as cyclicity of the chain and of its dual,
     and the two computations must agree.
     """
-    witnesses = tuple(
-        (i, j, diff) for i, j, diff, hit in scan_pairs(chain, both_orders=True) if hit
-    )
+    witnesses = tuple(criterion_hits(chain, both_orders=True))
     guaranteed = not witnesses
     via_duality = (
         cyclicity_guaranteed(chain).guaranteed

@@ -34,9 +34,6 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, GaussianRational):
@@ -87,12 +84,6 @@ class GaussianRational:
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

@@ -417,3 +417,54 @@ def test_criterion_15_level_spin_on_eight_factors(capsys):
         assert report["dimension"] == 256
         assert report["highest_weight"] == expected
         assert (report["closure_dimension"] == 256) == expected
+
+
+def _doubled_scan(t, rows):
+    """Oracle for criterion 16 that shares no scalar code with the package:
+    a scan of every ordered pair i != j on the doubled parameters
+    (2 Re a, 2 Im a), integers for the chains below.  Yields (i, j, d),
+    1-based, for the pairs with a_j - a_i = d/2 in S(b_i, b_j)."""
+    doubled = {}
+    for p, q in product(all_nodes(t), repeat=2):
+        values = {2 * v for v in criterion_set(t, p, q).values}
+        assert all(v.denominator == 1 for v in values)
+        doubled[p, q] = {int(v) for v in values}
+    for i, (b_i, x_i, y_i) in enumerate(rows, 1):
+        for j, (b_j, x_j, y_j) in enumerate(rows, 1):
+            if j != i and y_j == y_i and x_j - x_i in doubled[b_i, b_j]:
+                yield i, j, x_j - x_i
+
+
+def test_criterion_16_verdicts_at_max_factors(capsys):
+    # 500 factors, the most `check` accepts: Gaussian parameters, and dense
+    # half-integer real ones with thousands of witnesses.
+    from yangian_weyl.cli import MAX_FACTORS
+
+    rng = random.Random(16)
+    cases = []
+    for t in (lie_type("A", 4), lie_type("B", 4), lie_type("C", 4), lie_type("D", 5),
+              lie_type("G2")):
+        for dense in (False, True):
+            rows = [
+                (rng.randint(1, t.rank), rng.randint(-40, 40), 0) if dense else
+                (rng.randint(1, t.rank), rng.randint(-120, 120), rng.choice((-2, -1, 1, 3)))
+                for _ in range(MAX_FACTORS)
+            ]
+            doc = {"type": t.family, "rank": t.rank, "factors": [
+                {"node": b, "a": format_scalar(G(F(x, 2), F(y, 2)))} for b, x, y in rows]}
+            cases.append((t, rows, dense, json.dumps(doc)))
+    outputs = []
+    with _Timer("criterion 16: check on 500-factor chains", limit=6.0):
+        for t, rows, dense, doc in cases:
+            for mode in ("cyclic", "irreducible"):
+                assert main(["check", doc, "--mode", mode, "--json"]) == 0
+                outputs.append(capsys.readouterr().out)
+    for k, (t, rows, dense, doc) in enumerate(cases):
+        pairs = [(i, j, format_scalar(G(F(d, 2)))) for i, j, d in _doubled_scan(t, rows)]
+        assert len(pairs) > (1000 if dense else 100)
+        for mode, out in zip(("cyclic", "irreducible"), outputs[2 * k:2 * k + 2]):
+            expected = [w for w in pairs if mode == "irreducible" or w[0] < w[1]]
+            verdict = json.loads(out)["verdict"]
+            got = [(w["i"], w["j"], w["difference"]) for w in verdict["witnesses"]]
+            assert got == expected
+            assert verdict["guaranteed"] == (not expected)

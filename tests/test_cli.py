@@ -193,6 +193,9 @@ _LONG_INT = "7" * 5000
             "1": [str(k) for k in range(MAX_FACTORS)], "2": ["0"]}})], "/polys"),
         (["check", json.dumps({"type": "A", "rank": 2, "factors": [
             {"node": 1, "a": str(k)} for k in range(MAX_FACTORS + 1)]})], "/factors"),
+        # RFC 6901 escapes in keys: "/" as "~1", "~" as "~0".
+        (["weyl", '{"type":"A","rank":2,"polys":{"1/2":["0"]}}'], "/polys/1~12"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"a~b":["0"]}}'], "/polys/a~0b"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):

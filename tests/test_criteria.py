@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.criteria import (
     criterion_set,
@@ -165,13 +166,72 @@ def _random_chain(rng, t, max_len=5):
     ids=str,
 )
 def test_irreducibility_agrees_with_duality_route(t):
-    # irreducibility_guaranteed raises internally if the direct pair scan
+    # irreducibility_guaranteed raises internally if the direct check
     # ever disagrees with cyclicity of the chain and of its dual.
     rng = random.Random(hash(str(t)) & 0xFFFF)
     for _ in range(300):
         chain = _random_chain(rng, t)
         verdict = irreducibility_guaranteed(chain)
         assert verdict.guaranteed == (not verdict.witnesses)
+
+
+def scan_pairs(chain, both_orders=False):
+    """Oracle for the hash join in `criterion_hits`: the quadratic scan it
+    replaced.  Yields (i, j, a_j - a_i) for every 1-based pair i < j (every
+    i != j when both_orders) whose difference lies in S(b_i, b_j)."""
+    t = chain.lie_type
+    for i, (b_i, a_i) in enumerate(chain.factors, 1):
+        for j, (b_j, a_j) in enumerate(chain.factors, 1):
+            if j > i or (both_orders and j != i):
+                diff = a_j - a_i
+                if diff.im == 0 and diff.re in criterion_set(t, b_i, b_j).values:
+                    yield i, j, diff
+
+
+_JOIN_TYPES = [
+    lie_type("A", 1), lie_type("A", 4), lie_type("B", 2), lie_type("B", 4),
+    lie_type("C", 4), lie_type("D", 4), lie_type("D", 5), lie_type("G2"),
+]
+# Integer and half-integer real parts; real and Gaussian parameters.
+_PARAMS = st.builds(
+    G,
+    st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2])),
+    st.sampled_from([0, 0, 1, -1, F(1, 2)]),
+)
+
+
+@st.composite
+def _planted_chains(draw):
+    """A chain whose parameters repeat, with hits planted by setting
+    a_j = a_i + s for some s in S(b_i, b_j).  Returns the chain and the
+    0-based pair of the last plant (None if none), a hit of the chain."""
+    t = draw(st.sampled_from(_JOIN_TYPES))
+    pool = draw(st.lists(_PARAMS, min_size=1, max_size=4))
+    factors = [
+        [draw(st.integers(1, t.rank)), draw(st.sampled_from(pool) | _PARAMS)]
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+    last = None
+    for _ in range(draw(st.integers(0, 3)) if len(factors) > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, len(factors) - 1), min_size=2, max_size=2,
+                             unique=True))
+        values = sorted(criterion_set(t, factors[i][0], factors[j][0]).values)
+        factors[j][1] = factors[i][1] + draw(st.sampled_from(values))
+        last = (i, j)
+    return FactorChain(t, tuple(map(tuple, factors))), last
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_chains())
+def test_verdict_witnesses_match_the_pair_scan(planted):
+    chain, last = planted
+    cyclic = cyclicity_guaranteed(chain)
+    irreducible = irreducibility_guaranteed(chain)
+    assert cyclic.witnesses == tuple(scan_pairs(chain))
+    assert irreducible.witnesses == tuple(scan_pairs(chain, both_orders=True))
+    if last is not None:
+        i, j = last
+        assert (i + 1, j + 1) in {(i, j) for i, j, _ in irreducible.witnesses}
 
 
 def test_node_validation():
