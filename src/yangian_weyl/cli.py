@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from itertools import combinations
 
 from . import __version__
@@ -32,7 +33,7 @@ from .exact import (
     GaussianRational,
     ScalarParseError,
     as_scalar,
-    format_scalar,
+    format_triple,
     parse_scalar,
 )
 from .rootsys import (
@@ -65,10 +66,11 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 it takes 2.7-3.0 s (13 MB of JSON), against
-# 11-13 s (54 MB) at 1,000.  `check` finds its witnesses by a hash join and
-# takes 0.02-0.2 s at 500 factors (Python 3.11, one shared Xeon core).  The
-# benchmark's longest chain and largest degree are 120.
+# at 500 roots on A4 and D5 it takes 1.4-1.8 s (13 MB of JSON), most of it
+# in `json.dumps`; the time and the output grow as the square of the
+# degree.  `check` finds its witnesses by a hash join and takes 0.02-0.2 s
+# at 500 factors (Python 3.11, one shared Xeon core).  The benchmark's
+# longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
 
@@ -78,20 +80,32 @@ class SchemaError(ValueError):
         self.pointer = pointer
 
 
-def _scalar_str(value) -> str:
-    """A scalar (or rational) as the reports print it.  An input small enough
-    to pass the schema can still yield a part with more digits than `str`
-    converts; that input is refused, as one too large."""
+def _triple_str(re: int, im: int, d: int) -> str:
+    """The scalar (re + im*i) / d as the reports print it.  An input small
+    enough to pass the schema can still yield a part with more digits than
+    `str` converts; that input is refused, as one too large."""
     try:
-        return format_scalar(as_scalar(value))
+        return format_triple(re, im, d)
     except ValueError as exc:
         raise SchemaError("/", f"output scalar too long to print: {exc}") from exc
+
+
+def _scalar_str(value) -> str:
+    return _triple_str(*as_scalar(value).triple)
 
 
 def _pointer(*segments) -> str:
     """The JSON pointer (RFC 6901) to the value reached through the given
     object keys and list indices: "~" is escaped as "~0" and "/" as "~1"."""
     return "".join("/" + str(s).replace("~", "~0").replace("/", "~1") for s in segments)
+
+
+def _known_keys(doc: dict, keys, *at):
+    """Refuse the first key of the object doc, found at the path `at`, that
+    is not one of `keys`."""
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(_pointer(*at, key), f"unknown key; expected one of {', '.join(keys)}")
 
 
 def _parse_type(doc) -> LieType:
@@ -124,6 +138,7 @@ def _parse_scalar_at(text, pointer) -> GaussianRational:
 
 def parse_tuple_doc(doc) -> DrinfeldTuple:
     t = _parse_type(doc)
+    _known_keys(doc, ("type", "rank", "polys"))
     polys = doc.get("polys")
     if not isinstance(polys, dict):
         raise SchemaError("/polys", "expected an object mapping nodes to root lists")
@@ -153,6 +168,7 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
 
 def parse_chain_doc(doc) -> FactorChain:
     t = _parse_type(doc)
+    _known_keys(doc, ("type", "rank", "factors"))
     factors = doc.get("factors")
     if not isinstance(factors, list) or not factors:
         raise SchemaError("/factors", "expected a nonempty list")
@@ -163,6 +179,7 @@ def parse_chain_doc(doc) -> FactorChain:
         at = _pointer("factors", i)
         if not isinstance(factor, dict):
             raise SchemaError(at, "expected an object")
+        _known_keys(factor, ("node", "a"), "factors", i)
         node = factor.get("node")
         if type(node) is not int or not 1 <= node <= t.rank:
             raise SchemaError(f"{at}/node", f"expected a node in 1..{t.rank}")
@@ -222,10 +239,12 @@ def _report(command: str, body: dict) -> dict:
 
 
 def _emit(report: dict, as_json: bool, lines):
+    """Print the report as JSON, or else the human-mode lines that
+    `lines()` builds; they are built only when printed."""
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -257,7 +276,7 @@ def _cmd_info(args) -> int:
         "involution": {str(i): nu[i - 1] for i in range(1, t.rank + 1)},
         "fundamental_dims": dims,
     }
-    lines = [
+    lines = lambda: [
         f"type {t}",
         "cartan matrix:",
         *("  " + " ".join(f"{e:3d}" for e in row) for row in datum.cartan),
@@ -280,16 +299,20 @@ def _cmd_info(args) -> int:
 def _cmd_weyl(args) -> int:
     pi = parse_tuple_doc(_load_doc(args.document))
     chain = order_factors(pi)
-    # The JSON contract lists every pair i < j, not only the hits.
+    # The JSON contract lists every pair i < j, not only the hits.  Each
+    # difference is taken over the denominator d_i * d_j and printed with
+    # its parts in lowest terms, so it needs no reduction of its own.
     hits = {(i, j) for i, j, _ in criterion_hits(chain)}
     audit = [
         {
             "i": i,
             "j": j,
-            "difference": _scalar_str(a_j - a_i),
+            "difference": _triple_str(r_j * d_i - r_i * d_j, m_j * d_i - m_i * d_j, d_i * d_j),
             "in_criterion_set": (i, j) in hits,
         }
-        for (i, (_, a_i)), (j, (_, a_j)) in combinations(enumerate(chain.factors, 1), 2)
+        for (i, (r_i, m_i, d_i)), (j, (r_j, m_j, d_j)) in combinations(
+            enumerate((a.triple for _, a in chain.factors), 1), 2
+        )
     ]
     body = {
         "input": tuple_to_doc(pi),
@@ -299,12 +322,9 @@ def _cmd_weyl(args) -> int:
     }
     if chain_to_poly(chain) != pi or chain_dim(chain) != body["dimension"]:
         raise RuntimeError("ordered factorization does not reproduce the input module")
-    lines = [
+    lines = lambda: [
         f"ordered factorization over {chain.lie_type}:",
-        *(
-            f"  {k + 1}: node {node}, a = {_scalar_str(a)}"
-            for k, (node, a) in enumerate(chain.factors)
-        ),
+        *(f"  {k}: node {f['node']}, a = {f['a']}" for k, f in enumerate(body["chain"], 1)),
         f"dimension = {body['dimension']}",
         "pair audit (i < j, difference, in criterion set):",
         *(
@@ -323,11 +343,11 @@ def _cmd_check(args) -> int:
     else:
         verdict = irreducibility_guaranteed(chain)
     body = {"mode": args.mode, "chain": chain_to_doc(chain), "verdict": _verdict_doc(verdict)}
-    lines = [
+    lines = lambda: [
         f"{args.mode} guaranteed: {verdict.guaranteed} (exact={verdict.exact})",
         *(
-            f"  witness ({i},{j}): difference {_scalar_str(d)}"
-            for i, j, d in verdict.witnesses
+            f"  witness ({w['i']},{w['j']}): difference {w['difference']}"
+            for w in body["verdict"]["witnesses"]
         ),
     ]
     _emit(_report("check", body), args.json, lines)
@@ -342,18 +362,11 @@ def _cmd_sl2(args) -> int:
     if dim > MAX_SL2_DIM:
         raise SchemaError("/", f"module dimension {dim} exceeds {MAX_SL2_DIM}")
     body: dict = {"spec": [[m, _scalar_str(a)] for m, a in spec]}
-    lines = []
     if args.verify == "closure":
         module = tensor_module(spec)
         dim = sum(lowering_levels(module))
-        body.update(
-            {
-                "dimension": module.dim,
-                "closure_dimension": dim,
-                "highest_weight": dim == module.dim,
-            }
-        )
-        lines = [
+        body.update(dimension=module.dim, closure_dimension=dim, highest_weight=dim == module.dim)
+        lines = lambda: [
             f"dimension {module.dim}, closure from the top vector {dim}",
             f"highest weight: {body['highest_weight']}",
         ]
@@ -367,40 +380,35 @@ def _cmd_sl2(args) -> int:
         for m, a in spec:
             roots.extend(a + s for s in range(m))
         series = eigenvalue_series(roots, 1, order + 1)
-        body.update(
-            {
-                "order": order,
-                "matches": ok,
-                "series": [_scalar_str(c) for c in series.coeffs],
-            }
-        )
-        lines = [
-            f"eigenvalue series to order {order}: "
-            + ", ".join(_scalar_str(c) for c in series.coeffs),
+        body.update(order=order, matches=ok, series=[_scalar_str(c) for c in series.coeffs])
+        lines = lambda: [
+            f"eigenvalue series to order {order}: " + ", ".join(body["series"]),
             f"matrix action matches: {ok}",
         ]
     else:  # identities
         module = tensor_module(spec)
         failures = defining_relation_failures(module, K=2)
-        body.update({"relations_hold": not failures, "failures": failures})
-        lines = [f"defining relations hold: {not failures}"]
-        lines.extend(f"  failed: {name}" for name in failures)
+        body.update(relations_hold=not failures, failures=failures)
+        lines = lambda: [
+            f"defining relations hold: {not failures}",
+            *(f"  failed: {name}" for name in failures),
+        ]
     _emit(_report("sl2", body), args.json, lines)
     return 0
 
 
 def _cmd_ssets(args) -> int:
     t = _parse_type({"type": args.type, "rank": args.rank})
-    table = {}
-    lines = [f"criterion sets for {t}:"]
-    for b_m in range(1, t.rank + 1):
-        for b_n in range(1, t.rank + 1):
-            values = sorted(criterion_set(t, b_m, b_n).values)
-            table[f"{b_m},{b_n}"] = [_scalar_str(v) for v in values]
-            lines.append(
-                f"  S({b_m},{b_n}) = {{{', '.join(_scalar_str(v) for v in values)}}}"
-            )
+    table = {
+        f"{b_m},{b_n}": [_scalar_str(v) for v in sorted(criterion_set(t, b_m, b_n).values)]
+        for b_m in range(1, t.rank + 1)
+        for b_n in range(1, t.rank + 1)
+    }
     body = {"lie_type": {"type": t.family, "rank": t.rank}, "sets": table}
+    lines = lambda: [
+        f"criterion sets for {t}:",
+        *(f"  S({pair}) = {{{', '.join(values)}}}" for pair, values in table.items()),
+    ]
     _emit(_report("ssets", body), args.json, lines)
     return 0
 
@@ -477,9 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args fills a fresh namespace on every call.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -180,10 +180,10 @@ def _doubled_sets(t: LieType, p: int):
     )
 
 
-def _doubled(x: Fraction):
-    """2x as (numerator, denominator) in lowest terms."""
-    n, d = x.numerator, x.denominator
-    return (n, d // 2) if d % 2 == 0 else (2 * n, d)
+def _doubled(a: GaussianRational):
+    """The triple (re, im, d) of 2a, in lowest terms."""
+    re, im, d = a.triple
+    return (re, im, d // 2) if d % 2 == 0 else (2 * re, 2 * im, d)
 
 
 def criterion_hits(chain: FactorChain, both_orders: bool = False):
@@ -192,20 +192,20 @@ def criterion_hits(chain: FactorChain, both_orders: bool = False):
     criterion set of the node pair (b_i, b_j)."""
     t = chain.lie_type
     factors = chain.factors
-    # The hash join of the module docstring, on integer keys (node, Im a,
-    # 2 Re a = n/d).  2s is an integer, so 2 Re(a + s) = (n + 2s * d)/d, and
-    # that is still in lowest terms.
-    keys = [(b, a.im.numerator, a.im.denominator, *_doubled(a.re)) for b, a in factors]
+    # The hash join of the module docstring, on integer keys (node, triple
+    # of 2a).  2s is an integer, so 2(a + s) has the triple (re + 2s * d,
+    # im, d), and that is still in lowest terms.
+    keys = [(b, *_doubled(a)) for b, a in factors]
     index = {}
     for j, key in enumerate(keys):
         index.setdefault(key, []).append(j)
     nodes = {b for b, _ in factors}
     shifts = {p: [(q, s2) for q, s2 in _doubled_sets(t, p) if q in nodes] for p in nodes}
-    for i, (b_i, im_n, im_d, n, d) in enumerate(keys):
+    for i, (b_i, re, im, d) in enumerate(keys):
         hits = sorted(
             j
             for q, s2 in shifts[b_i]
-            for j in index.get((q, im_n, im_d, n + s2 * d, d), ())
+            for j in index.get((q, re + s2 * d, im, d), ())
             if both_orders or j > i  # s > 0, so j != i
         )
         for j in hits:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from math import comb, isqrt, lcm
 from typing import Dict, Iterable, Sequence, Tuple
@@ -20,6 +19,7 @@ from .exact import (
     ONE,
     Series,
     ZERO,
+    _reduced,
     as_scalar,
     ordering_key,
     solve_linear,
@@ -28,7 +28,8 @@ from .rootsys import LieType
 
 
 def _canonical(roots: Iterable) -> Tuple[GaussianRational, ...]:
-    return tuple(sorted((as_scalar(r) for r in roots), key=lambda s: (s.re, s.im)))
+    """The roots by ascending real part, then ascending imaginary part."""
+    return tuple(sorted((as_scalar(r) for r in roots), key=ordering_key, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,17 @@ def eigenvalue_series(roots: Iterable, d: int, order: int) -> Series:
     coeffs = []
     scale = 1
     for x_re, x_im in zip(c_re, c_im):
-        coeffs.append(GaussianRational(Fraction(x_re, scale), Fraction(x_im, scale)))
+        coeffs.append(_reduced(x_re, x_im, scale))
         scale *= den
     return Series(coeffs)
 
 
 def _clear_denominators(values):
     """(L, [(re*L, im*L) for each value]) with L the least common
-    denominator of the parts of `values`: Gaussian rationals as Z[i] pairs."""
-    den = lcm(*(part.denominator for v in values for part in (v.re, v.im)))
-    return den, [
-        (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-        for v in values
-    ]
+    denominator of `values`: Gaussian rationals as Z[i] pairs."""
+    triples = [v.triple for v in values]
+    den = lcm(*(d for _, _, d in triples))
+    return den, [(re * (den // d), im * (den // d)) for re, im, d in triples]
 
 
 class NotDrinfeldSeriesError(ValueError):
@@ -318,10 +317,10 @@ def _gi_divmod_exact(a, b):
 
 
 def _gi_to_scalar(num, den):
-    n = _gi_norm(den)
-    re = Fraction(num[0] * den[0] + num[1] * den[1], n)
-    im = Fraction(num[1] * den[0] - num[0] * den[1], n)
-    return GaussianRational(re, im)
+    """num / den for Gaussian integers num and den != 0."""
+    return _reduced(
+        num[0] * den[0] + num[1] * den[1], num[1] * den[0] - num[0] * den[1], _gi_norm(den)
+    )
 
 
 def _gaussian_prime_factors(z):

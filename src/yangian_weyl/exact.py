@@ -1,12 +1,13 @@
 """Exact scalar arithmetic: Gaussian rationals, truncated series, sparse linear algebra.
 
 Everything in this package computes over Q(i); no floating point is used
-anywhere.  Scalars are `GaussianRational`s with `fractions.Fraction` parts.
-Matrices and row reduction keep sparse rows that never store a zero, and
-store each entry as the integer triple (re, im, d) that their kernels
-compute with; a kernel sums products over a common denominator and reduces
-each result entry once, by one gcd.  Scalars and dense tuples appear only
-where values cross the public API.
+anywhere.  A scalar is a `GaussianRational` that stores one integer triple
+(re, im, d) standing for (re + im*i) / d, in lowest terms.  Arithmetic and
+formatting work on those integers, and each result is reduced once.
+Matrices and row reduction keep sparse rows that never store a zero, with
+the same triples as entries; a kernel sums products over a common
+denominator and reduces each result entry once.  Scalars and dense tuples
+appear only where values cross the public API.
 """
 
 from __future__ import annotations
@@ -23,67 +24,85 @@ class ScalarParseError(ValueError):
 
 
 class GaussianRational:
-    """A Gaussian rational re + im*i with exact rational parts."""
+    """A Gaussian rational (re + im*i) / d.
 
-    __slots__ = ("re", "im")
+    `triple` holds the integers (re, im, d) in lowest terms: d > 0 and
+    gcd(re, im, d) = 1.  That form is unique, so equal values have equal
+    triples.  `GaussianRational(re, im)` takes the real and imaginary parts
+    as anything `Fraction` accepts; `.re` and `.im` give them back as
+    Fractions.
+    """
+
+    __slots__ = ("triple",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            triple = (re, im, 1)
+        else:
+            re, im = Fraction(re), Fraction(im)
+            dr, di = re.denominator, im.denominator
+            # Over d = lcm(dr, di) no prime divides all three integers.
+            d = dr // gcd(dr, di) * di
+            triple = (re.numerator * (d // dr), im.numerator * (d // di), d)
+        _set(self, "triple", triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _triple(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        ar, ai, ad = self.triple
+        br, bi, bd = other
+        if ad == bd:
+            return _reduced(ar + br, ai + bi, ad)
+        g = gcd(ad, bd)
+        ad //= g
+        bd //= g
+        return _reduced(ar * bd + br * ad, ai * bd + bi * ad, ad * bd * g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _triple(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        br, bi, bd = other
+        return self + _of((-br, -bi, bd))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _triple(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        ar, ai, ad = self.triple
+        br, bi, bd = other
+        return _reduced(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _triple(other)
         if other is None:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        ar, ai, ad = self.triple
+        br, bi, bd = other
+        norm = br * br + bi * bi
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # (a/ad) / (b/bd) = a * conj(b) * bd / (ad * |b|^2)
+        return _reduced((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * norm)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -98,54 +117,97 @@ class GaussianRational:
         return out
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        re, im, d = self.triple
+        return _of((-re, -im, d))
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _triple(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.triple == other
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.triple)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        re, im, _ = self.triple
+        return bool(re or im)
 
     def __str__(self):
-        if self.im == 0:
-            return _format_fraction(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{_format_fraction(self.re)}{sign}{_format_fraction(abs(self.im))}i"
+        return format_triple(*self.triple)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _of(triple) -> GaussianRational:
+    """The scalar of a triple (re, im, d) already in lowest terms."""
+    out = _new(GaussianRational)
+    _set(out, "triple", triple)
+    return out
+
+
+def _reduced(re: int, im: int, d: int) -> GaussianRational:
+    """The scalar (re + im*i) / d for any d > 0, reduced by one gcd."""
+    g = gcd(re, im, d)
+    return _of((re, im, d) if g == 1 else (re // g, im // g, d // g))
+
+
+def _triple(value):
+    """The triple of a scalar, an int or a Fraction; None for anything else."""
+    if type(value) is GaussianRational:
+        return value.triple
+    if isinstance(value, int):
+        return (int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return (value.numerator, 0, value.denominator)
+    return None
 
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
-def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _rational_text(n: int, d: int) -> str:
+    """n/d in lowest terms, as "n" or "n/d"."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != d:
+            return f"{n // g}/{d // g}"
+        n //= d
+    return str(n)
+
+
+def format_triple(re: int, im: int, d: int) -> str:
+    """The printed form of (re + im*i) / d for any d > 0, each part in
+    lowest terms; the triple itself need not be reduced."""
+    if not im:
+        return _rational_text(re, d)
+    sign = "+" if im > 0 else "-"
+    return f"{_rational_text(re, d)}{sign}{_rational_text(abs(im), d)}i"
 
 
 _RAT = r"-?\d+(?:/\d+)?"
 _SCALAR_RE = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?$")
 
 
-def _parse_fraction(token: str) -> Fraction:
+def _parse_rational(token: str):
+    """(n, d) with n/d the value of `int("/" posint)?`."""
+    num, _, den = token.partition("/")
     try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ScalarParseError(f"zero denominator in {token!r}") from None
+        n, d = int(num), int(den or 1)
     except ValueError as exc:  # more digits than int() converts
         raise ScalarParseError(f"scalar part too long: {exc}") from exc
+    if d == 0:
+        raise ScalarParseError(f"zero denominator in {token!r}")
+    return n, d
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -153,13 +215,14 @@ def parse_scalar(text: str) -> GaussianRational:
     match = _SCALAR_RE.match(text.strip())
     if match is None:
         raise ScalarParseError(f"malformed scalar {text!r}")
-    real = _parse_fraction(match.group("re"))
+    n, d = _parse_rational(match.group("re"))
     if match.group("im") is None:
-        return GaussianRational(real)
-    imag = _parse_fraction(match.group("im"))
+        return _reduced(n, 0, d)
+    m, e = _parse_rational(match.group("im"))
     if match.group("sign") == "-":
-        imag = -imag
-    return GaussianRational(real, imag)
+        m = -m
+    g = gcd(d, e)
+    return _reduced(n * (e // g), m * (d // g), d // g * e)
 
 
 def format_scalar(value: GaussianRational) -> str:
@@ -168,14 +231,15 @@ def format_scalar(value: GaussianRational) -> str:
 
 def ordering_key(value: GaussianRational):
     """Sort key for descending real part, then descending imaginary part."""
-    return (-value.re, -value.im)
+    re, im, d = value.triple
+    return (Fraction(-re, d), Fraction(-im, d))
 
 
 def as_scalar(value) -> GaussianRational:
-    out = GaussianRational._coerce(value)
-    if out is None:
+    triple = _triple(value)
+    if triple is None:
         raise TypeError(f"cannot interpret {value!r} as a scalar")
-    return out
+    return value if type(value) is GaussianRational else _of(triple)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +298,8 @@ class Series:
 #
 # Public vectors are dense tuples of scalars.  Inside matrices and row
 # reduction a vector is sparse: a dict {index: entry} that never stores a
-# zero, each entry a triple of integers (re, im, d) standing for
-# (re + im*i) / d, with d > 0 and gcd(re, im, d) = 1.  That form is unique,
-# so equal rows compare and hash equal.
+# zero, each entry the triple of a scalar.  The triple is unique, so equal
+# rows compare and hash equal.
 
 Vector = tuple  # tuple[GaussianRational, ...]
 
@@ -247,28 +310,12 @@ def unit_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
-def _parts(x: GaussianRational):
-    """The entry (re, im, d) of x, in lowest terms."""
-    r, i = x.re, x.im
-    d, di = r.denominator, i.denominator
-    if d == di:
-        return r.numerator, i.numerator, d
-    g = gcd(d, di)
-    return r.numerator * (di // g), i.numerator * (d // g), d // g * di
-
-
-def _scalar(entry) -> GaussianRational:
-    """The scalar an entry (re, im, d) stands for."""
-    re, im, d = entry
-    return GaussianRational(Fraction(re, d), Fraction(im, d))
-
-
 def _sparse(vec: Iterable) -> dict:
-    return {j: _parts(as_scalar(e)) for j, e in enumerate(vec) if e}
+    return {j: as_scalar(e).triple for j, e in enumerate(vec) if e}
 
 
 def _dense(vec: dict, n: int) -> Vector:
-    return tuple(_scalar(vec[j]) if j in vec else ZERO for j in range(n))
+    return tuple(_of(vec[j]) if j in vec else ZERO for j in range(n))
 
 
 def _accumulate(acc: dict, c, row: dict):
@@ -393,7 +440,7 @@ class Matrix:
         )
 
     def scale(self, c) -> "Matrix":
-        c = _parts(as_scalar(c))
+        c = as_scalar(c).triple
         return Matrix._of(
             (_add_multiples({}, ((c, row),)) for row in self.rows), self.ncols
         )

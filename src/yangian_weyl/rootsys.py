@@ -3,9 +3,7 @@
 Weights are integer vectors in fundamental-weight coordinates throughout;
 roots are integer vectors in the simple-root basis.  Positive roots are
 generated from the Cartan matrix alone, as the reflection closure of the
-simple roots.  The ambient ("mu") coordinates used by the classical
-realizations are kept as tables for the tests only, which check the
-generated roots against them.
+simple roots.
 
 Per-type tables, here and in weylpath, criteria and dims, are pure
 functions of the validated LieType and are cached on it, so no table
@@ -69,12 +67,6 @@ class CartanDatum:
     lie_type: LieType
     cartan: Tuple[Tuple[int, ...], ...]
     d: Tuple[int, ...]
-    # Ambient-coordinate tables (documentation/tests): simple roots and
-    # fundamental weights as vectors of Fractions, plus the Gram matrix of
-    # the ambient form (None means the standard dot product).
-    simple_roots_mu: Tuple[Tuple[Fraction, ...], ...]
-    fundamental_weights_mu: Tuple[Tuple[Fraction, ...], ...]
-    mu_gram: Tuple[Tuple[Fraction, ...], ...] | None
 
 
 def _tridiagonal(l: int) -> list[list[int]]:
@@ -87,85 +79,29 @@ def _tridiagonal(l: int) -> list[list[int]]:
     return m
 
 
-def _partial_sums(l: int, dim: int):
-    out = []
-    for i in range(1, l + 1):
-        out.append(tuple(Fraction(1) if j < i else Fraction(0) for j in range(dim)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def cartan_datum(t: LieType) -> CartanDatum:
     family, l = t.family, t.rank
-    F = Fraction
+    if family == "G2":  # node 1 is the long root, node 2 the short one
+        return CartanDatum(t, ((2, -1), (-3, 2)), (3, 1))
+    cartan = _tridiagonal(l)
     if family == "A":
-        cartan = _tridiagonal(l)
         d = (1,) * l
-        dim = l + 1
-        roots = [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(dim))
-            for i in range(l)
-        ]
-        weights = _partial_sums(l, dim)
-        gram = None
     elif family == "B":
-        cartan = _tridiagonal(l)
         cartan[l - 1][l - 2] = -2
         # Symmetrizer convention for the odd orthogonal family; deliberately
         # not the coprime-minimal choice.
         d = (2,) * (l - 1) + (1,)
-        roots = [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(l))
-            for i in range(l - 1)
-        ]
-        roots.append(tuple(F(1) if j == l - 1 else F(0) for j in range(l)))
-        weights = _partial_sums(l - 1, l) + [tuple(F(1, 2) for _ in range(l))]
-        gram = None
     elif family == "C":
-        cartan = _tridiagonal(l)
         cartan[l - 2][l - 1] = -2
         d = (1,) * (l - 1) + (2,)
-        roots = [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(l))
-            for i in range(l - 1)
-        ]
-        roots.append(tuple(F(2) if j == l - 1 else F(0) for j in range(l)))
-        weights = _partial_sums(l, l)
-        gram = None
-    elif family == "D":
-        cartan = _tridiagonal(l)
+    else:  # D
         cartan[l - 2][l - 1] = 0
         cartan[l - 1][l - 2] = 0
         cartan[l - 3][l - 1] = -1
         cartan[l - 1][l - 3] = -1
         d = (1,) * l
-        roots = [
-            tuple(F(1) if j == i else F(-1) if j == i + 1 else F(0) for j in range(l))
-            for i in range(l - 1)
-        ]
-        roots.append(
-            tuple(F(1) if j in (l - 2, l - 1) else F(0) for j in range(l))
-        )
-        weights = _partial_sums(l - 2, l)
-        weights.append(
-            tuple(F(1, 2) if j < l - 1 else F(-1, 2) for j in range(l))
-        )
-        weights.append(tuple(F(1, 2) for _ in range(l)))
-        gram = None
-    else:  # G2; node 1 is the long root, node 2 the short one
-        cartan = [[2, -1], [-3, 2]]
-        d = (3, 1)
-        roots = [(F(1), F(0)), (F(0), F(1))]
-        weights = [(F(2), F(3)), (F(1), F(2))]
-        gram = ((F(6), F(-3)), (F(-3), F(2)))
-    return CartanDatum(
-        lie_type=t,
-        cartan=tuple(tuple(row) for row in cartan),
-        d=tuple(d),
-        simple_roots_mu=tuple(roots),
-        fundamental_weights_mu=tuple(weights),
-        mu_gram=gram,
-    )
+    return CartanDatum(t, tuple(tuple(row) for row in cartan), d)
 
 
 def fundamental_weight(t: LieType, i: int) -> Weight:

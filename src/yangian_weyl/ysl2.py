@@ -29,7 +29,6 @@ from .exact import (
     _RrefBasis,
     _UNIT,
     _add_multiples,
-    _parts,
     as_scalar,
     kron,
     row_space_closure,
@@ -252,7 +251,7 @@ def _h_on_top(module: SL2Module, order: int) -> Iterator[dict]:
     """
     top = {module.highest_index: _UNIT}
     down = module.x0m.apply(top)
-    minus = _parts(-ONE)
+    minus = (-1, 0, 1)
     xp = module.x0p
     for k in range(order + 1):
         if k:
@@ -274,7 +273,7 @@ def verify_drinfeld_series(spec: Sequence[Tuple[int, object]], order: int) -> bo
     series = eigenvalue_series(roots, 1, order + 1)
     top = module.highest_index
     return all(
-        image == ({top: _parts(c)} if c else {})
+        image == ({top: c.triple} if c else {})
         for image, c in zip(_h_on_top(module, order), series.coeffs[1:])
     )
 

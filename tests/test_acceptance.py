@@ -14,6 +14,7 @@ import time
 import warnings
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -468,3 +469,65 @@ def test_criterion_16_verdicts_at_max_factors(capsys):
             got = [(w["i"], w["j"], w["difference"]) for w in verdict["witnesses"]]
             assert got == expected
             assert verdict["guaranteed"] == (not expected)
+
+
+def _sixths_text(x: int) -> str:
+    """x/6 in lowest terms, printed without the package's scalar code."""
+    g = gcd(x, 6)
+    return str(x // 6) if g == 6 else f"{x // g}/{6 // g}"
+
+
+def test_criterion_17_weyl_audit_at_max_factors(capsys):
+    # 500 roots, the most `weyl` accepts, over A4 and D5: real and Gaussian
+    # parameters in sixths, so the audit meets denominators 1, 2, 3 and 6.
+    # Each parameter is (x + y*i)/6 for integers x and y, and every audit row
+    # is checked against the integer-pair difference of its two factors.
+    from yangian_weyl.cli import MAX_FACTORS
+
+    rng = random.Random(17)
+    cases = []
+    for t in (lie_type("A", 4), lie_type("D", 5)):
+        rows = [
+            (rng.randint(1, t.rank), rng.randint(-360, 360) * rng.choice((1, 2, 3)),
+             rng.choice((0, 0, 3, -3, 6, 12, -4)))
+            for _ in range(MAX_FACTORS)
+        ]
+        names = {}
+        polys = {}
+        for b, x, y in rows:
+            text = _sixths_text(x) if y == 0 else (
+                f"{_sixths_text(x)}{'+' if y > 0 else '-'}{_sixths_text(abs(y))}i")
+            names[text] = (x, y)
+            polys.setdefault(str(b), []).append(text)
+        cases.append((t, rows, names, json.dumps({"type": t.family, "rank": t.rank,
+                                                  "polys": polys})))
+    outputs = []
+    with _Timer("criterion 17: weyl audit on 500-root tuples", limit=5.5):
+        for t, rows, names, doc in cases:
+            assert main(["weyl", doc, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+    for (t, rows, names, doc), out in zip(cases, outputs):
+        report = json.loads(out)
+        chain = [(f["node"], *names[f["a"]]) for f in report["chain"]]
+        assert sorted(chain) == sorted(rows)
+        doubled = {
+            (p, q): {int(2 * v) for v in criterion_set(t, p, q).values}
+            for p, q in product(all_nodes(t), repeat=2)
+        }
+        audit = report["pair_audit"]
+        assert len(audit) == MAX_FACTORS * (MAX_FACTORS - 1) // 2
+        rows_seen = iter(audit)
+        hits = 0
+        for i, (b_i, x_i, y_i) in enumerate(chain, 1):
+            for j in range(i + 1, MAX_FACTORS + 1):
+                b_j, x_j, y_j = chain[j - 1]
+                dx, dy = x_j - x_i, y_j - y_i
+                want = _sixths_text(dx) if dy == 0 else (
+                    f"{_sixths_text(dx)}{'+' if dy > 0 else '-'}{_sixths_text(abs(dy))}i")
+                # a_j - a_i = dx/6 lies in S iff it is real and 2 dx/6 in 2S.
+                hit = dy == 0 and dx % 3 == 0 and dx // 3 in doubled[b_i, b_j]
+                row = next(rows_seen)
+                assert (row["i"], row["j"], row["difference"], row["in_criterion_set"]) == (
+                    i, j, want, hit)
+                hits += hit
+        assert hits == 0  # the ordered chain is cyclic: no pair i < j hits

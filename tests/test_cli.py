@@ -196,6 +196,16 @@ _LONG_INT = "7" * 5000
         # RFC 6901 escapes in keys: "/" as "~1", "~" as "~0".
         (["weyl", '{"type":"A","rank":2,"polys":{"1/2":["0"]}}'], "/polys/1~12"),
         (["weyl", '{"type":"A","rank":2,"polys":{"a~b":["0"]}}'], "/polys/a~0b"),
+        # Unknown keys, at the top level and in a check factor; the top
+        # level is checked first.
+        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","extra":1}]}'],
+         "/factors/0/extra"),
+        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","extra":1}],"zzz":2}'],
+         "/zzz"),
+        (["check", '{"type":"G2","factors":[{"node":1,"a":"0"},{"a":"1","node":2,"a/b":0}]}'],
+         "/factors/1/a~1b"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"":1}'], "/"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"factors":[]}'], "/factors"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
@@ -203,6 +213,20 @@ def test_schema_errors(capsys, argv, pointer):
     err = capsys.readouterr().err
     assert code == 2
     assert f"schema error at {pointer}:" in err
+
+
+def test_consecutive_calls_do_not_leak_options(capsys):
+    # main builds its parser once; each call must still see the defaults.
+    chain = '{"type":"A","rank":2,"factors":[{"node":1,"a":"0"}]}'
+    assert _run_json(capsys, ["check", chain, "--mode", "irreducible"])[1]["mode"] == "irreducible"
+    assert _run_json(capsys, ["check", chain])[1]["mode"] == "cyclic"
+    spec = '[[1,"0"]]'
+    assert _run_json(capsys, ["sl2", spec, "--verify", "series", "--order", "5"])[1]["order"] == 5
+    assert _run_json(capsys, ["sl2", spec, "--verify", "series"])[1]["order"] == 3
+    assert _run_json(capsys, ["sl2", spec, "--order", "5"])[1]["spec"] == [[1, "0"]]
+    assert "order" not in _run_json(capsys, ["sl2", spec])[1]
+    assert main(["check", chain]) == 0
+    assert capsys.readouterr().out.startswith("cyclic guaranteed:")
 
 
 def test_weyl_invariant_survives_optimized_mode(monkeypatch):

@@ -19,6 +19,8 @@ from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain, order_factors
 from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import all_nodes, lie_type
 
+from ambient_tables import ambient
+
 
 def test_lie_fundamental_dims():
     assert lie_fundamental_dim(lie_type("A", 3), 2) == 6
@@ -91,29 +93,17 @@ def test_chain_dim_examples():
 def _product_formula_dim(t, b):
     # Independent oracle: the classical product over positive roots,
     # evaluated exactly with the ambient tables.
-    from yangian_weyl.rootsys import cartan_datum, positive_roots
+    from yangian_weyl.rootsys import positive_roots
 
-    datum = cartan_datum(t)
-    gram = datum.mu_gram
-
-    def form(u, v):
-        if gram is None:
-            return sum(a * b for a, b in zip(u, v))
-        return sum(
-            u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
-        )
-
-    dim = len(datum.simple_roots_mu[0])
-    rho = [sum(w[i] for w in datum.fundamental_weights_mu) for i in range(dim)]
-    lam = datum.fundamental_weights_mu[b - 1]
+    tables = ambient(t)
+    weights = tables.fundamental_weights
+    rho = [sum(w[i] for w in weights) for i in range(len(weights[0]))]
+    lam = weights[b - 1]
     num = den = Fraction(1)
     for root in positive_roots(t):
-        vec = [
-            sum(Fraction(root[j]) * datum.simple_roots_mu[j][i] for j in range(t.rank))
-            for i in range(dim)
-        ]
-        num *= form([x + r for x, r in zip(lam, rho)], vec)
-        den *= form(rho, vec)
+        vec = tables.root_vector(root)
+        num *= tables.form([x + r for x, r in zip(lam, rho)], vec)
+        den *= tables.form(rho, vec)
     return num / den
 
 

@@ -28,6 +28,8 @@ from yangian_weyl.rootsys import (
 )
 from yangian_weyl.weylpath import descent_chain, parameter_ledger
 
+from ambient_tables import ambient
+
 ALL_SMALL = [
     lie_type("A", 1), lie_type("A", 2), lie_type("A", 3), lie_type("A", 5),
     lie_type("B", 2), lie_type("B", 3), lie_type("B", 5),
@@ -249,17 +251,9 @@ def test_weyl_group_order_by_orbit(t, order):
 @pytest.mark.parametrize("t", ALL_SMALL, ids=str)
 def test_mu_tables_match_cartan_data(t):
     datum = cartan_datum(t)
-    gram = datum.mu_gram
-
-    def form(u, v):
-        if gram is None:
-            return sum(a * b for a, b in zip(u, v))
-        return sum(
-            u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
-        )
-
-    roots = datum.simple_roots_mu
-    weights = datum.fundamental_weights_mu
+    form = ambient(t).form
+    roots = ambient(t).simple_roots
+    weights = ambient(t).fundamental_weights
     for i in range(t.rank):
         for j in range(t.rank):
             # <alpha_i, alpha_j-coroot> recovers the Cartan matrix entry a_{ji}.

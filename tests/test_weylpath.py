@@ -23,6 +23,8 @@ from yangian_weyl.weylpath import (
     root_lattice_balance,
 )
 
+from ambient_tables import ambient
+
 SWEEP = (
     [lie_type("A", l) for l in range(1, 9)]
     + [lie_type("B", l) for l in range(2, 9)]
@@ -159,34 +161,16 @@ def test_final_weight_equals_longest_word_action():
             assert descent_chain(t, b).final_weight == expected
 
 
-def _ambient_form(t, u, v):
-    gram = cartan_datum(t).mu_gram
-    if gram is None:
-        return sum(a * b for a, b in zip(u, v))
-    return sum(
-        u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
-    )
-
-
 @pytest.mark.parametrize("t", SWEEP, ids=str)
 def test_chain_length_counts_nonorthogonal_positive_roots(t):
     # Independent oracle from the root tables: the chain of node b has one
     # step per positive root that pairs nonzero with the starting weight.
     from yangian_weyl.rootsys import positive_roots
 
-    datum = cartan_datum(t)
-    dim = len(datum.simple_roots_mu[0])
+    tables = ambient(t)
     for b in all_nodes(t):
-        omega = datum.fundamental_weights_mu[b - 1]
-        count = 0
-        for root in positive_roots(t):
-            vec = [
-                sum(
-                    Fraction(root[j]) * datum.simple_roots_mu[j][i]
-                    for j in range(t.rank)
-                )
-                for i in range(dim)
-            ]
-            if _ambient_form(t, omega, vec) != 0:
-                count += 1
+        omega = tables.fundamental_weights[b - 1]
+        count = sum(
+            tables.form(omega, tables.root_vector(root)) != 0 for root in positive_roots(t)
+        )
         assert len(descent_chain(t, b).steps) == count
