@@ -13,6 +13,7 @@ import math
 import sys
 from functools import cache
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .criteria import (
@@ -66,9 +67,10 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 it takes 1.4-1.8 s (13 MB of JSON), most of it
-# in `json.dumps`; the time and the output grow as the square of the
-# degree.  `check` finds its witnesses by a hash join and takes 0.02-0.2 s
+# at 500 roots on A4 and D5 it takes 0.45-0.5 s (13.7 MB of JSON), of which
+# writing the JSON takes 0.17-0.18 s and forming and formatting the 124,750
+# differences most of the rest; the time and the output grow as the square
+# of the degree.  `check` finds its witnesses by a hash join and takes 0.02-0.2 s
 # at 500 factors (Python 3.11, one shared Xeon core).  The benchmark's
 # longest chain and largest degree are 120.
 MAX_FACTORS = 500
@@ -136,6 +138,17 @@ def _parse_scalar_at(text, pointer) -> GaussianRational:
         raise SchemaError(pointer, str(exc)) from exc
 
 
+def _check_node_at(t: LieType, node, pointer):
+    """Refuse, at `pointer`, a node that is not an integer (a JSON boolean
+    included) or that `t.check_node` refuses."""
+    if type(node) is not int:
+        raise SchemaError(pointer, f"expected an integer node in 1..{t.rank}")
+    try:
+        t.check_node(node)
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from exc
+
+
 def parse_tuple_doc(doc) -> DrinfeldTuple:
     t = _parse_type(doc)
     _known_keys(doc, ("type", "rank", "polys"))
@@ -151,8 +164,7 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
         at = _pointer("polys", key)
         if node is None or key != str(node):
             raise SchemaError(at, "node keys must be decimal integers")
-        if not 1 <= node <= t.rank:
-            raise SchemaError(at, f"node out of range 1..{t.rank}")
+        _check_node_at(t, node, at)
         if not isinstance(roots, list):
             raise SchemaError(at, "expected a list of scalar strings")
         rows[node] = [
@@ -181,8 +193,7 @@ def parse_chain_doc(doc) -> FactorChain:
             raise SchemaError(at, "expected an object")
         _known_keys(factor, ("node", "a"), "factors", i)
         node = factor.get("node")
-        if type(node) is not int or not 1 <= node <= t.rank:
-            raise SchemaError(f"{at}/node", f"expected a node in 1..{t.rank}")
+        _check_node_at(t, node, f"{at}/node")
         parsed.append((node, _parse_scalar_at(factor.get("a"), f"{at}/a")))
     return FactorChain(t, tuple(parsed))
 
@@ -238,14 +249,40 @@ def _report(command: str, body: dict) -> dict:
     return {"version": __version__, "exact": True, "command": command, **body}
 
 
-def _emit(report: dict, as_json: bool, lines):
+def _emit(report: dict, as_json: bool, lines, pair_audit=None):
     """Print the report as JSON, or else the human-mode lines that
-    `lines()` builds; they are built only when printed."""
+    `lines()` builds; they are built only when printed.  A `weyl` report
+    holds an empty "pair_audit" and passes its rows as `pair_audit`: they
+    are written by `_audit_json` and spliced in where the empty list is
+    printed, so the output is that of `json.dumps` on the full report."""
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if pair_audit:
+            key = '\n  "pair_audit": '
+            text = text.replace(key + "[]", key + _audit_json(pair_audit), 1)
+        print(text)
     else:
         for line in lines():
             print(line)
+
+
+# One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
+# a list under a top-level key of the report.
+_AUDIT_ROW = (
+    '{\n      "difference": %s,\n      "i": %d,\n'
+    '      "in_criterion_set": %s,\n      "j": %d\n    }'
+)
+
+
+def _audit_json(rows) -> str:
+    """The nonempty list of audit rows (i, j, difference, in_criterion_set)
+    as `json.dumps(indent=2)` prints it under a top-level key.  With
+    `indent` set, `json` encodes in pure Python, at several times the cost
+    of this template; the strings go through the same C string encoder."""
+    return "[\n    " + ",\n    ".join([
+        _AUDIT_ROW % (encode_basestring_ascii(d), i, "true" if hit else "false", j)
+        for i, j, d, hit in rows
+    ]) + "\n  ]"
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +341,8 @@ def _cmd_weyl(args) -> int:
     # its parts in lowest terms, so it needs no reduction of its own.
     hits = {(i, j) for i, j, _ in criterion_hits(chain)}
     audit = [
-        {
-            "i": i,
-            "j": j,
-            "difference": _triple_str(r_j * d_i - r_i * d_j, m_j * d_i - m_i * d_j, d_i * d_j),
-            "in_criterion_set": (i, j) in hits,
-        }
+        (i, j, _triple_str(r_j * d_i - r_i * d_j, m_j * d_i - m_i * d_j, d_i * d_j),
+         (i, j) in hits)
         for (i, (r_i, m_i, d_i)), (j, (r_j, m_j, d_j)) in combinations(
             enumerate((a.triple for _, a in chain.factors), 1), 2
         )
@@ -318,7 +351,7 @@ def _cmd_weyl(args) -> int:
         "input": tuple_to_doc(pi),
         "chain": chain_to_doc(chain)["factors"],
         "dimension": weyl_module_dim(pi),
-        "pair_audit": audit,
+        "pair_audit": [],
     }
     if chain_to_poly(chain) != pi or chain_dim(chain) != body["dimension"]:
         raise RuntimeError("ordered factorization does not reproduce the input module")
@@ -327,12 +360,9 @@ def _cmd_weyl(args) -> int:
         *(f"  {k}: node {f['node']}, a = {f['a']}" for k, f in enumerate(body["chain"], 1)),
         f"dimension = {body['dimension']}",
         "pair audit (i < j, difference, in criterion set):",
-        *(
-            "  ({i},{j}) diff {difference} -> {in_criterion_set}".format(**row)
-            for row in audit
-        ),
+        *(f"  ({i},{j}) diff {d} -> {hit}" for i, j, d, hit in audit),
     ]
-    _emit(_report("weyl", body), args.json, lines)
+    _emit(_report("weyl", body), args.json, lines, audit)
     return 0
 
 

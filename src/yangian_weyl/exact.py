@@ -265,10 +265,6 @@ class Series:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls([ONE] + [ZERO] * order)
-
     def __mul__(self, other: "Series") -> "Series":
         if self.order != other.order:
             raise ValueError("series orders differ")

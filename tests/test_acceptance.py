@@ -502,7 +502,7 @@ def test_criterion_17_weyl_audit_at_max_factors(capsys):
         cases.append((t, rows, names, json.dumps({"type": t.family, "rank": t.rank,
                                                   "polys": polys})))
     outputs = []
-    with _Timer("criterion 17: weyl audit on 500-root tuples", limit=5.5):
+    with _Timer("criterion 17: weyl audit on 500-root tuples", limit=3.0):
         for t, rows, names, doc in cases:
             assert main(["weyl", doc, "--json"]) == 0
             outputs.append(capsys.readouterr().out)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -11,11 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yangian_weyl.cli import (
     MAX_FACTORS,
     MAX_RANK,
     SchemaError,
+    _emit,
     chain_to_doc,
     main,
     parse_chain_doc,
@@ -24,7 +29,7 @@ from yangian_weyl.cli import (
     tuple_to_doc,
 )
 from yangian_weyl.drinfeld import DrinfeldTuple
-from yangian_weyl.exact import GaussianRational as G
+from yangian_weyl.exact import GaussianRational as G, format_scalar
 from yangian_weyl.rootsys import lie_type
 
 
@@ -206,6 +211,9 @@ _LONG_INT = "7" * 5000
          "/factors/1/a~1b"),
         (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"":1}'], "/"),
         (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"factors":[]}'], "/factors"),
+        # Node 0 and node rank + 1, on both sides of the range.
+        (["weyl", '{"type":"A","rank":2,"polys":{"0":["0"]}}'], "/polys/0"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"3":["0"]}}'], "/polys/3"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
@@ -262,6 +270,52 @@ def test_json_documents_roundtrip():
         chain = order_factors(pi)
         chain_doc = chain_to_doc(chain)
         assert parse_chain_doc(json.loads(json.dumps(chain_doc))) == chain
+
+
+_fraction_st = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _weyl_docs(draw):
+    """A `weyl` document of 1-60 Gaussian roots, most of them on
+    half-integer shifts of one base, so that many pairs differ by an element
+    of their criterion set (the ordered chain puts each such pair the
+    cyclic way round)."""
+    family, rank = draw(st.sampled_from(
+        [("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G2", 2)]))
+    base_re, base_im = draw(_fraction_st), draw(_fraction_st)
+    polys = {}
+    for _ in range(draw(st.integers(1, 60))):
+        if draw(st.booleans()) or draw(st.booleans()):
+            re, im = base_re + Fraction(draw(st.integers(0, 12)), 2), base_im
+        else:
+            re, im = draw(_fraction_st), draw(_fraction_st)
+        node = draw(st.integers(1, rank))
+        polys.setdefault(str(node), []).append(format_scalar(G(re, im)))
+    return {"type": family, "rank": rank, "polys": polys}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weyl_docs(), st.randoms(use_true_random=False))
+def test_weyl_json_is_what_json_dumps_prints(doc, rng):
+    # `weyl` writes its pair audit from a row template; the whole report
+    # must be the bytes json.dumps(indent=2, sort_keys=True) gives for it.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["weyl", json.dumps(doc), "--json"]) == 0
+    text = out.getvalue()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # The ordered chain is cyclic, so every row above reads false: flip
+    # some to check the writer's `true` too.
+    rows = [(r["i"], r["j"], r["difference"], rng.random() < 0.3)
+            for r in report["pair_audit"]]
+    report["pair_audit"] = [
+        {"i": i, "j": j, "difference": d, "in_criterion_set": hit} for i, j, d, hit in rows]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit({**report, "pair_audit": []}, True, None, rows)
+    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_parse_sl2_doc():

@@ -20,7 +20,7 @@ from yangian_weyl.drinfeld import (
     series_to_roots,
     shift_tuple,
 )
-from yangian_weyl.exact import GaussianRational as G, Series
+from yangian_weyl.exact import ZERO, GaussianRational as G, Series
 from yangian_weyl.rootsys import lie_type
 
 A2 = lie_type("A", 2)
@@ -152,7 +152,7 @@ def test_series_roundtrip_gaussian_roots():
 
 def _per_root_product(roots, d, order):
     """prod_a (1 + sum_k d a^(k-1) u^-k), multiplied with Series.__mul__."""
-    out = Series.one(order)
+    out = Series([G(1)] + [ZERO] * order)
     for a in roots:
         out = out * Series([G(1)] + [d * a ** (k - 1) for k in range(1, order + 1)])
     return out
