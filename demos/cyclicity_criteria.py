@@ -31,9 +31,11 @@ def main():
             values = sorted(criterion_set(g2, bm, bn).values)
             print(f"  S({bm},{bn}) = {[str(v) for v in values]}")
 
-    # The sets are not ad hoc: they fall out of the descent-chain ledger.
-    # Each chain step carries the roots of a rank-one polynomial; shifting
-    # by the node's rescaling divisor reproduces the closed form.
+    # The sets are not ad hoc: they fall out of the descent-chain ledger,
+    # which is computed from the Cartan data by lowering an l-weight along
+    # the chain.  Each chain step carries the roots of a rank-one
+    # polynomial; shifting by the node's rescaling divisor reproduces the
+    # closed form.
     print("\nledger of G2 node 1 (offsets from the leading parameter):")
     for entry in parameter_ledger(g2, 1).entries:
         offs = ", ".join(str(o) for o in entry.offsets)

@@ -77,6 +77,9 @@ MAX_FACTORS = 500
 
 
 class SchemaError(ValueError):
+    """Input refused at `pointer`: an RFC 6901 JSON pointer into the
+    document ("" for the whole document) or the name of an option."""
+
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}")
         self.pointer = pointer
@@ -89,7 +92,7 @@ def _triple_str(re: int, im: int, d: int) -> str:
     try:
         return format_triple(re, im, d)
     except ValueError as exc:
-        raise SchemaError("/", f"output scalar too long to print: {exc}") from exc
+        raise SchemaError("", f"output scalar too long to print: {exc}") from exc
 
 
 def _scalar_str(value) -> str:
@@ -112,7 +115,7 @@ def _known_keys(doc: dict, keys, *at):
 
 def _parse_type(doc) -> LieType:
     if not isinstance(doc, dict):
-        raise SchemaError("/", "expected an object")
+        raise SchemaError("", "expected an object")
     family = doc.get("type")
     if family not in ("A", "B", "C", "D", "G2"):
         raise SchemaError("/type", "expected one of A, B, C, D, G2")
@@ -200,7 +203,7 @@ def parse_chain_doc(doc) -> FactorChain:
 
 def parse_sl2_doc(doc):
     if not isinstance(doc, list) or not doc:
-        raise SchemaError("/", "expected a nonempty list of [m, a] pairs")
+        raise SchemaError("", "expected a nonempty list of [m, a] pairs")
     spec = []
     for i, item in enumerate(doc):
         at = _pointer(i)
@@ -390,7 +393,7 @@ def _cmd_sl2(args) -> int:
         raise SchemaError("--order", f"expected an order in 0..{MAX_SL2_ORDER}")
     dim = math.prod(m + 1 for m, _ in spec)
     if dim > MAX_SL2_DIM:
-        raise SchemaError("/", f"module dimension {dim} exceeds {MAX_SL2_DIM}")
+        raise SchemaError("", f"module dimension {dim} exceeds {MAX_SL2_DIM}")
     body: dict = {"spec": [[m, _scalar_str(a)] for m, a in spec]}
     if args.verify == "closure":
         module = tensor_module(spec)
@@ -451,7 +454,7 @@ def _load_doc(text: str):
     except SchemaError:
         raise
     except ValueError as exc:  # malformed, or an integer with too many digits
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
+        raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
 def _unique_keys(pairs) -> dict:
@@ -460,7 +463,7 @@ def _unique_keys(pairs) -> dict:
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise SchemaError("/", f"repeated object key {key!r}")
+            raise SchemaError("", f"repeated object key {key!r}")
         doc[key] = value
     return doc
 

@@ -219,8 +219,9 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
     roots = _gaussian_rational_roots(coeffs)
     if len(roots) != degree:
         raise NotDrinfeldSeriesError("polynomial does not split over Q(i)")
-    # The linear system used only a window of coefficients; confirm the
-    # recovered multiset reproduces the whole series.
+    # The system has one equation for each of c_1..c_n, so its solution
+    # already fixes the whole series; re-expanding the recovered roots is
+    # an independent re-check of the solve and of the root extraction.
     if eigenvalue_series(roots, d, n) != series:
         raise NotDrinfeldSeriesError("series is not of Drinfeld form")
     return _canonical(roots)

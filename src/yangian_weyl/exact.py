@@ -29,8 +29,8 @@ class GaussianRational:
     `triple` holds the integers (re, im, d) in lowest terms: d > 0 and
     gcd(re, im, d) = 1.  That form is unique, so equal values have equal
     triples.  `GaussianRational(re, im)` takes the real and imaginary parts
-    as anything `Fraction` accepts; `.re` and `.im` give them back as
-    Fractions.
+    as ints or Fractions and raises TypeError for anything else (a float or
+    a string included); `.re` and `.im` give them back as Fractions.
     """
 
     __slots__ = ("triple",)
@@ -39,6 +39,8 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             triple = (re, im, 1)
         else:
+            if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+                raise TypeError(f"expected int or Fraction parts, got {re!r} and {im!r}")
             re, im = Fraction(re), Fraction(im)
             dr, di = re.denominator, im.denominator
             # Over d = lcm(dr, di) no prime divides all three integers.

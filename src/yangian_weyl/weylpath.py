@@ -5,11 +5,14 @@ highest weight down to the lowest one, one simple reflection at a time.
 The parameter ledger records, for every chain step, the roots of the
 rank-one polynomial attached to that step (affine expressions in the first
 factor parameter) together with the rescaling divisor of the sl2 copy at
-that node.
+that node.  Ledgers are computed, not tabulated: one loop lowers an
+l-weight along the chain, reading only the Cartan matrix and the
+symmetrizers.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -109,165 +112,41 @@ class Ledger:
     entries: Tuple[LedgerEntry, ...]
 
 
-def _entry(node: int, offsets, divisor: int) -> LedgerEntry:
-    return LedgerEntry(node, tuple(Fraction(o) for o in offsets), divisor)
-
-
-def _ledger_a(l: int, b: int):
-    entries = []
-    for r in range(b):
-        for s in range(l - b + 1):
-            entries.append(_entry(b - r + s, [Fraction(r + s, 2)], 1))
-    return entries
-
-
-def _ledger_d(l: int, b: int):
-    F = Fraction
-    entries = []
-    if b <= l - 2:
-        for p in range(1, b + 1):
-            base = F(p - 1)
-            for j in range(l - 1 - b):
-                entries.append(_entry(b + j, [base + F(j, 2)], 1))
-            entries.append(_entry(l - 1, [base + F(l - 1 - b, 2)], 1))
-            entries.append(_entry(l, [base + F(l - 1 - b, 2)], 1))
-            for m in range(l - 2, b - 1, -1):
-                entries.append(_entry(m, [base + F(2 * l - b - 2 - m, 2)], 1))
-            for m in range(b - 1, p - 1, -1):
-                entries.append(
-                    _entry(m, [base + F(2 * l - b - m - 2, 2), base + F(b - m, 2)], 1)
-                )
-    else:
-        # Spin nodes: alternating end node, all steps simple.
-        for q in range(1, l):
-            base = F(q - 1)
-            if b == l - 1:
-                end = l - 1 if q % 2 == 1 else l
-            else:
-                end = l if q % 2 == 1 else l - 1
-            entries.append(_entry(end, [base], 1))
-            for m in range(l - 2, q - 1, -1):
-                entries.append(_entry(m, [base + F(l - 1 - m, 2)], 1))
-    return entries
-
-
-def _ledger_c(l: int, b: int):
-    F = Fraction
-    entries = []
-    if b <= l - 1:
-        for p in range(1, b + 1):
-            base = F(p - 1)
-            for j in range(l - b):
-                entries.append(_entry(b + j, [base + F(j, 2)], 1))
-            entries.append(_entry(l, [base + F(l - b + 1, 2)], 2))
-            for m in range(l - 1, b - 1, -1):
-                entries.append(_entry(m, [base + F(2 * l - b + 2 - m, 2)], 1))
-            for m in range(b - 1, p - 1, -1):
-                entries.append(
-                    _entry(m, [base + F(2 * l - b - m + 2, 2), base + F(b - m, 2)], 1)
-                )
-    else:
-        for q in range(1, l + 1):
-            base = F(q - 1)
-            entries.append(_entry(l, [base], 2))
-            for m in range(l - 1, q - 1, -1):
-                entries.append(
-                    _entry(m, [base + F(l - m - 1, 2), base + F(l - m + 1, 2)], 1)
-                )
-    return entries
-
-
-def _ledger_b(l: int, b: int):
-    F = Fraction
-    entries = []
-    if b <= l - 1:
-        for p in range(1, b + 1):
-            base = F(2 * (p - 1))
-            for j in range(l - b):
-                entries.append(_entry(b + j, [base + j], 2))
-            entries.append(_entry(l, [base + l - b - 1, base + l - b], 1))
-            for m in range(l - 1, b - 1, -1):
-                entries.append(_entry(m, [base + 2 * l - b - 1 - m], 2))
-            for m in range(b - 1, p - 1, -1):
-                entries.append(
-                    _entry(m, [base + 2 * l - b - m - 1, base + b - m], 2)
-                )
-    else:
-        for q in range(1, l + 1):
-            base = F(2 * (q - 1))
-            entries.append(_entry(l, [base], 1))
-            for m in range(l - 1, q - 1, -1):
-                entries.append(_entry(m, [base + l - m], 2))
-    return entries
-
-
-_G2_LEDGERS = {
-    1: (
-        (1, (Fraction(0),), 3),
-        (2, (Fraction(3, 2), Fraction(1, 2), Fraction(-1, 2)), 1),
-        (1, (Fraction(2), Fraction(1)), 3),
-        (2, (Fraction(7, 2), Fraction(5, 2), Fraction(3, 2)), 1),
-        (1, (Fraction(3),), 3),
-    ),
-    2: (
-        (2, (Fraction(0),), 1),
-        (1, (Fraction(3, 2),), 3),
-        (2, (Fraction(3), Fraction(2)), 1),
-        (1, (Fraction(7, 2),), 3),
-        (2, (Fraction(5),), 1),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def parameter_ledger(t: LieType, b: int) -> Ledger:
     """Per-step polynomial roots along the descent chain of node b.
 
-    Entry k belongs to chain step k; its root multiset has exactly the
-    step coefficient many elements and its divisor is the symmetrizer of
-    the step node.
+    The ledger is read off an l-weight, a product of Y_{j,x} kept as a
+    Counter of powers per node, that starts at Y_{b,0}.  A step on node i
+    records the x of every Y_{i,x}, with multiplicity and in ascending
+    order, then lowers each of them: Y_{i,x} becomes Y_{i,x+d_i}^-1 times
+    Y_{j, x + (d_j - k + 1)/2 + s} for s = 0..k-1 at every node j with
+    k = -C_ji > 0 (Frenkel-Mukhin lowering, written additively).  A step
+    must hold exactly its coefficient many x and no Y_i of negative power.
     """
     t.check_node(b)
-    family, l = t.family, t.rank
-    if family == "A":
-        entries = _ledger_a(l, b)
-    elif family == "B":
-        entries = _ledger_b(l, b)
-    elif family == "C":
-        entries = _ledger_c(l, b)
-    elif family == "D":
-        entries = _ledger_d(l, b)
-    else:
-        entries = [_entry(node, offs, div) for node, offs, div in _G2_LEDGERS[b]]
-    ledger = Ledger(t, b, tuple(entries))
-    _check_alignment(ledger)
-    return ledger
-
-
-def _check_alignment(ledger: Ledger):
-    chain = descent_chain(ledger.lie_type, ledger.node)
-    d = cartan_datum(ledger.lie_type).d
-    if len(chain.steps) != len(ledger.entries):
-        raise RuntimeError(
-            f"ledger/chain length mismatch for {ledger.lie_type} node {ledger.node}: "
-            f"{len(ledger.entries)} entries vs {len(chain.steps)} steps"
-        )
-    for step, entry in zip(chain.steps, ledger.entries):
-        if step.node != entry.node:
+    datum = cartan_datum(t)
+    powers = defaultdict(Counter)
+    powers[b][Fraction(0)] = 1
+    entries = []
+    for step in descent_chain(t, b).steps:
+        i, held = step.node, powers[step.node]
+        xs = sorted(held.elements())
+        if len(xs) != step.coefficient or any(p < 0 for p in held.values()):
             raise RuntimeError(
-                f"ledger/chain node mismatch at step {step.index} of "
-                f"{ledger.lie_type} node {ledger.node}"
+                f"l-weight at step {step.index} of {t} node {b} does not "
+                f"match the step coefficient {step.coefficient}"
             )
-        if len(entry.offsets) != step.coefficient:
-            raise RuntimeError(
-                f"ledger entry size != step coefficient at step {step.index} of "
-                f"{ledger.lie_type} node {ledger.node}"
-            )
-        if entry.divisor != d[entry.node - 1]:
-            raise RuntimeError(
-                f"ledger divisor != symmetrizer at step {step.index} of "
-                f"{ledger.lie_type} node {ledger.node}"
-            )
+        d_i = datum.d[i - 1]
+        entries.append(LedgerEntry(i, tuple(xs), d_i))
+        for x in xs:
+            held[x] -= 1
+            held[x + d_i] -= 1
+            for j, row in enumerate(datum.cartan, 1):
+                k = -row[i - 1]  # positive only at the neighbours of i
+                for s in range(k):
+                    powers[j][x + Fraction(datum.d[j - 1] - k + 1, 2) + s] += 1
+    return Ledger(t, b, tuple(entries))
 
 
 def chain_root_positivity(t: LieType, b: int) -> bool:

@@ -163,7 +163,7 @@ _LONG_INT = "7" * 5000
         (["weyl", '{"type":"A","rank":2,"polys":{"5":["0"]}}'], "/polys/5"),
         (["weyl", '{"type":"A","rank":2,"polys":{"1":["x"]}}'], "/polys/1/0"),
         (["weyl", '{"type":"A","rank":2,"polys":{}}'], "/polys"),
-        (["weyl", "not json"], "/"),
+        (["weyl", "not json"], ""),
         (["check", '{"type":"A","rank":2,"factors":[]}'], "/factors"),
         (["check", '{"type":"A","rank":2,"factors":[{"node":9,"a":"0"}]}'],
          "/factors/0/node"),
@@ -175,14 +175,14 @@ _LONG_INT = "7" * 5000
          "/factors/0/node"),
         (["sl2", '[[true,"0"]]'], "/0/0"),
         (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "-1"], "--order"),
-        (["sl2", json.dumps([[1, "0"]] * 12)], "/"),
+        (["sl2", json.dumps([[1, "0"]] * 12)], ""),
         (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"01":["5"]}}'],
          "/polys/01"),
         (["weyl", '{"type":"A","rank":2,"polys":{" 2":["0"]}}'], "/polys/ 2"),
         (["weyl", '{"type":"A","rank":2,"polys":{"+1":["0"]}}'], "/polys/+1"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"1":["5"]}}'], "/"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"1":["5"]}}'], ""),
         (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "33"], "--order"),
-        (["check", '{"type":"A","rank":%s,"factors":[]}' % _LONG_INT], "/"),
+        (["check", '{"type":"A","rank":%s,"factors":[]}' % _LONG_INT], ""),
         (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"%s"}]}' % _LONG_INT],
          "/factors/0/a"),
         (["sl2", '[[1,"1/%s"]]' % _LONG_INT], "/0/1"),
@@ -191,9 +191,9 @@ _LONG_INT = "7" * 5000
                                "factors": [{"node": 1, "a": "0"}]})], "/rank"),
         # Inputs that pass the schema but print a part too long for str().
         (["sl2", '[[1,"%s"]]' % ("3" * 2500), "--verify", "series", "--order", "2",
-          "--json"], "/"),
+          "--json"], ""),
         (["weyl", json.dumps({"type": "A", "rank": 1, "polys": {
-            "1": ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1"]}})], "/"),
+            "1": ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1"]}})], ""),
         (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
             "1": [str(k) for k in range(MAX_FACTORS)], "2": ["0"]}})], "/polys"),
         (["check", json.dumps({"type": "A", "rank": 2, "factors": [
@@ -214,6 +214,15 @@ _LONG_INT = "7" * 5000
         # Node 0 and node rank + 1, on both sides of the range.
         (["weyl", '{"type":"A","rank":2,"polys":{"0":["0"]}}'], "/polys/0"),
         (["weyl", '{"type":"A","rank":2,"polys":{"3":["0"]}}'], "/polys/3"),
+        # The whole document is the empty pointer; "/" names the key "".
+        (["weyl", "[1]"], ""),
+        (["sl2", '{"m":1}'], ""),
+        # Refusals that no other row reaches.
+        (["weyl", '{"type":"B","rank":1,"polys":{}}'], "/rank"),
+        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":0}]}'], "/factors/0/a"),
+        (["weyl", '{"type":"A","rank":2,"polys":[]}'], "/polys"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":"0"}}'], "/polys/1"),
+        (["check", '{"type":"A","rank":2,"factors":[3]}'], "/factors/0"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
@@ -221,6 +230,16 @@ def test_schema_errors(capsys, argv, pointer):
     err = capsys.readouterr().err
     assert code == 2
     assert f"schema error at {pointer}:" in err
+
+
+def test_dash_reads_the_document_from_stdin(capsys, monkeypatch):
+    doc = '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2","3-1i"]}}'
+    for flags in ([], ["--json"]):
+        assert main(["weyl", doc, *flags]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        assert main(["weyl", "-", *flags]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_consecutive_calls_do_not_leak_options(capsys):

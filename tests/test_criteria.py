@@ -73,8 +73,8 @@ def _oracle_sweep_types():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return (
-            [lie_type("A", l) for l in range(2, 11)]
-            + [lie_type(f, l) for f in "BCD" for l in range(2, 7) if not (f == "D" and l < 3)]
+            [lie_type("A", l) for l in range(2, 13)]
+            + [lie_type(f, l) for f in "BCD" for l in range(2, 13) if not (f == "D" and l < 3)]
             + [lie_type("G2")]
         )
 
@@ -260,7 +260,7 @@ def test_oracle_mismatch_is_loud(monkeypatch):
     # closed form ever disagreed, the call must fail with both sets.
     import yangian_weyl.criteria as crit
 
-    t = lie_type("A", 12)  # rank unused elsewhere, so nothing is cached yet
+    t = lie_type("A", 13)  # rank unused elsewhere, so nothing is cached yet
     real = crit.criterion_set
 
     def skewed(tt, bm, bn):

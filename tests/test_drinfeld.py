@@ -125,6 +125,22 @@ def test_series_to_roots_rejects_non_drinfeld():
         series_to_roots(eigenvalue_series([G(1)], 1, 4), 2, 1)
 
 
+def test_series_to_roots_rejects_polynomials_that_do_not_split():
+    # Q(u) = u^2 + 2: Q(u+1)/Q(u) = 1 + 2u^-1 + u^-2 - 4u^-3 - 2u^-4 + ...
+    # The linear system solves, but the roots +-i*sqrt(2) are not in Q(i).
+    series = Series([G(c) for c in (1, 2, 1, -4, -2)])
+    with pytest.raises(NotDrinfeldSeriesError, match="does not split"):
+        series_to_roots(series, 2, 1)
+
+
+def test_series_to_roots_degree_bounds():
+    assert series_to_roots(Series([G(1), ZERO, ZERO]), 0, 1) == ()
+    with pytest.raises(NotDrinfeldSeriesError):
+        series_to_roots(Series([G(1), G(1), ZERO]), 0, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_to_roots(Series([G(1), ZERO, ZERO]), -1, 1)
+
+
 def test_series_roundtrip_random():
     rng = random.Random(23)
     for _ in range(60):

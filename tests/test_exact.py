@@ -101,6 +101,16 @@ def test_scalar_arithmetic():
         x / G(0)
 
 
+@pytest.mark.parametrize(
+    "re,im", [(0.1, 0), (Fraction(1, 2), 0.5), ("1/2", 0), (0, "3"), (1j, 0), (G(1), 0)]
+)
+def test_scalar_parts_must_be_exact(re, im):
+    # Only ints and Fractions, the inputs every operator accepts, become
+    # parts; a float would carry its binary rounding into exact arithmetic.
+    with pytest.raises(TypeError):
+        G(re, im)
+
+
 # -- row space closure -------------------------------------------------------
 
 

@@ -1,8 +1,21 @@
-"""Descent chains, lowering words, and parameter ledgers."""
+"""Descent chains, lowering words, and parameter ledgers.
+
+tests/data/ledger_golden.json pins the parameter ledger of every node of
+A1-A8, B2-B8, C2-C8, D3-D8 and G2.  Each entry is stored as
+[node, divisor, offsets] with the offsets as strings in ascending numeric
+order.  Regenerate it, from the repository root, only when the ledgers are
+meant to change:
+
+    PYTHONPATH=src python tests/test_weylpath.py > tests/data/ledger_golden.json
+"""
 
 from __future__ import annotations
 
+import json
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +37,8 @@ from yangian_weyl.weylpath import (
 )
 
 from ambient_tables import ambient
+
+LEDGER_CORPUS = Path(__file__).resolve().parent / "data" / "ledger_golden.json"
 
 SWEEP = (
     [lie_type("A", l) for l in range(1, 9)]
@@ -147,6 +162,64 @@ def test_type_a_ledger_entry_counts(l):
             assert count == max(expected, 0)
 
 
+def _corpus_types():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # D3 is A3 relabelled
+        return (
+            [lie_type("A", l) for l in range(1, 9)]
+            + [lie_type(f, l) for f in "BC" for l in range(2, 9)]
+            + [lie_type("D", l) for l in range(3, 9)]
+            + [lie_type("G2")]
+        )
+
+
+def build_ledger_corpus():
+    """{type: {node: [[node, divisor, [offset, ...]], ...]}} with sorted offsets."""
+    return {
+        str(t): {
+            str(b): [
+                [e.node, e.divisor, [str(o) for o in sorted(e.offsets)]]
+                for e in parameter_ledger(t, b).entries
+            ]
+            for b in all_nodes(t)
+        }
+        for t in _corpus_types()
+    }
+
+
+def test_ledgers_match_the_golden_corpus():
+    corpus = json.loads(LEDGER_CORPUS.read_text())
+    assert sum(len(ledgers) for ledgers in corpus.values()) == 141
+    assert corpus == build_ledger_corpus()
+
+
+def test_ledger_offsets_ascend():
+    for t in _corpus_types():
+        for b in all_nodes(t):
+            for entry in parameter_ledger(t, b).entries:
+                assert list(entry.offsets) == sorted(entry.offsets), (str(t), b)
+
+
+def test_ledger_refuses_a_chain_its_l_weight_does_not_match(monkeypatch):
+    # A step coefficient that the l-weight does not reproduce is an error,
+    # not a ledger entry of the wrong size.
+    import dataclasses
+
+    import yangian_weyl.weylpath as wp
+
+    real = wp.descent_chain
+
+    def skewed(t, b):
+        chain = real(t, b)
+        first = dataclasses.replace(chain.steps[0], coefficient=2)
+        return dataclasses.replace(chain, steps=(first,) + chain.steps[1:])
+
+    monkeypatch.setattr(wp, "descent_chain", skewed)
+    t = lie_type("C", 13)  # rank unused elsewhere, so nothing is cached yet
+    with pytest.raises(RuntimeError, match="step coefficient 2"):
+        wp.parameter_ledger(t, 1)
+
+
 def test_chain_rejects_bad_node():
     with pytest.raises(ValueError):
         descent_chain(lie_type("A", 2), 3)
@@ -174,3 +247,8 @@ def test_chain_length_counts_nonorthogonal_positive_roots(t):
             tables.form(omega, tables.root_vector(root)) != 0 for root in positive_roots(t)
         )
         assert len(descent_chain(t, b).steps) == count
+
+
+if __name__ == "__main__":
+    json.dump(build_ledger_corpus(), sys.stdout, separators=(",", ":"))
+    sys.stdout.write("\n")
