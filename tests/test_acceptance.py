@@ -30,11 +30,12 @@ from yangian_weyl.dims import chain_dim, weyl_module_dim, yangian_fundamental_di
 from yangian_weyl.drinfeld import (
     DrinfeldTuple,
     FactorChain,
+    NotDrinfeldSeriesError,
     eigenvalue_series,
     order_factors,
     series_to_roots,
 )
-from yangian_weyl.exact import GaussianRational as G, ZERO, format_scalar, unit_vector
+from yangian_weyl.exact import GaussianRational as G, Series, ZERO, format_scalar, unit_vector
 from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_involution
 from yangian_weyl.weylpath import chain_root_positivity, descent_chain
 from yangian_weyl.ysl2 import (
@@ -531,3 +532,14 @@ def test_criterion_17_weyl_audit_at_max_factors(capsys):
                     i, j, want, hit)
                 hits += hit
         assert hits == 0  # the ordered chain is cyclic: no pair i < j hits
+
+
+def test_criterion_18_prime_constant_refused_fast():
+    # Q(u) = u^2 + p with p = 100000007, a prime = 3 mod 4: Q has no root
+    # in Q(i), and N(p) = p^2 is the square of a large prime.
+    # Q(u+1)/Q(u) = 1 + (2u + 1)/(u^2 + p) = 1 + 2u^-1 + u^-2 - 2p u^-3 - p u^-4 + ...
+    p = 100000007
+    series = Series([G(c) for c in (1, 2, 1, -2 * p, -p)])
+    with _Timer("criterion 18: refusing the series of u^2 + 100000007", limit=0.05):
+        with pytest.raises(NotDrinfeldSeriesError, match=r"^polynomial does not split over Q\(i\)$"):
+            series_to_roots(series, 2, 1)

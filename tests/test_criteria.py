@@ -255,12 +255,24 @@ def test_rank_two_relabelling_consistency():
     assert duality_shift(b2) == duality_shift(c2)
 
 
-def test_oracle_mismatch_is_loud(monkeypatch):
+@pytest.fixture
+def uncached_ledger_sets():
+    """Clear the cache of `criterion_set_from_ledger` around a test that
+    patches what it calls, so that no earlier test's result answers it and
+    no patched result outlives it."""
+    import yangian_weyl.criteria as crit
+
+    crit.criterion_set_from_ledger.cache_clear()
+    yield
+    crit.criterion_set_from_ledger.cache_clear()
+
+
+def test_oracle_mismatch_is_loud(uncached_ledger_sets, monkeypatch):
     # The ledger rederivation is a cross-check, not a fallback: if the
     # closed form ever disagreed, the call must fail with both sets.
     import yangian_weyl.criteria as crit
 
-    t = lie_type("A", 13)  # rank unused elsewhere, so nothing is cached yet
+    t = lie_type("A", 3)
     real = crit.criterion_set
 
     def skewed(tt, bm, bn):

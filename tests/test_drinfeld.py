@@ -13,7 +13,9 @@ from yangian_weyl.drinfeld import (
     FactorChain,
     NotDrinfeldSeriesError,
     TrivialModuleError,
+    _clear_denominators,
     _gaussian_divisors,
+    _gaussian_rational_roots,
     chain_to_poly,
     eigenvalue_series,
     order_factors,
@@ -22,6 +24,8 @@ from yangian_weyl.drinfeld import (
 )
 from yangian_weyl.exact import ZERO, GaussianRational as G, Series
 from yangian_weyl.rootsys import lie_type
+
+from roots_oracle import divisor_search_roots, series_to_roots_by_linear_system
 
 A2 = lie_type("A", 2)
 
@@ -222,7 +226,7 @@ def test_gaussian_divisors_against_brute_force():
         return max((a, b), (-a, -b), (-b, a), (b, -a))
 
     rng = random.Random(7)
-    for z in [(1, 0), (0, 3), (2, 0), (-6, 8), (45, 0)] + [
+    for z in [(1, 0), (0, 3), (2, 0), (-6, 8), (45, 0), (12, 0), (0, 18), (10, 20)] + [
         (rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(20)
     ]:
         norm = z[0] ** 2 + z[1] ** 2
@@ -239,6 +243,85 @@ def test_gaussian_divisors_against_brute_force():
         assert all(n == w[0] ** 2 + w[1] ** 2 for n, w in got)
         assert sorted(associate_class(w) for _, w in got) == sorted(expected), z
         assert norm in {n for n, _ in got}
+
+
+# Roots for the oracle comparison: the units and 0, where q*t - p vanishes
+# at t = 1 or t = -1; small Gaussian rationals; and (x + y i)/(1+i)^k,
+# whose denominators carry the ramified prime 1+i.
+unit_root_st = st.sampled_from([G(0), G(1), G(-1), G(0, 1), G(0, -1)])
+ramified_root_st = st.builds(
+    lambda x, y, k: G(x, y) / G(1, 1) ** k,
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_series_to_roots_matches_linear_system_oracle(data):
+    distinct = data.draw(st.lists(
+        st.one_of(unit_root_st, small_root_st, ramified_root_st),
+        min_size=1, max_size=4, unique=True,
+    ))
+    roots = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=7))
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    series = eigenvalue_series(roots, d, 2 * len(roots))
+    recovered = series_to_roots(series, len(roots), d)
+    assert recovered == series_to_roots_by_linear_system(series, len(roots), d)
+    assert sorted((r.re, r.im) for r in recovered) == sorted(
+        (r.re, r.im) for r in roots
+    )
+    # One coefficient off: both give the same roots or the same refusal.
+    k = data.draw(st.integers(2, series.order))
+    bumped = list(series.coeffs)
+    bumped[k] += data.draw(st.sampled_from([G(1), G(-1, 1), G(Fraction(1, 2))]))
+    outcomes = []
+    for recover in (series_to_roots, series_to_roots_by_linear_system):
+        try:
+            outcomes.append(recover(Series(bumped), len(roots), d))
+        except NotDrinfeldSeriesError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.one_of(unit_root_st, small_root_st, ramified_root_st), max_size=5),
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
+)
+def test_pruned_divisor_search_matches_unpruned(roots, cofactor):
+    # The planted roots times a cofactor that may or may not split: the
+    # prune at t = 1 and t = -1 must find exactly what the unpruned
+    # search finds.
+    coeffs = [G(re, im) for re, im in cofactor[:-1]] + [G(*cofactor[-1]) or G(1)]
+    for root in roots:  # times u - root
+        coeffs = [a - root * b for a, b in zip([ZERO] + coeffs, coeffs + [ZERO])]
+    _, poly = _clear_denominators(coeffs)
+    found = _gaussian_rational_roots(poly)
+    assert sorted(found, key=lambda r: r.triple) == sorted(
+        divisor_search_roots(poly), key=lambda r: r.triple
+    )
+    assert len(found) >= len(roots)
+
+
+def test_series_matching_only_the_first_coefficients_is_refused(monkeypatch):
+    # c_1..c_(deg+1) fix Q; a later coefficient off by one must be refused
+    # by the remaining equations, before any root search.
+    import yangian_weyl.drinfeld as dr
+
+    def no_search(poly):
+        raise AssertionError("root search ran on a refused series")
+
+    roots = [G(2), G(-1, 1), G(Fraction(1, 2))]
+    series = eigenvalue_series(roots, 2, 6)
+    monkeypatch.setattr(dr, "_gaussian_rational_roots", no_search)
+    for k in (5, 6):
+        bumped = list(series.coeffs)
+        bumped[k] += G(1)
+        for recover in (series_to_roots, series_to_roots_by_linear_system):
+            with pytest.raises(
+                NotDrinfeldSeriesError, match="no monic polynomial matches the series"
+            ):
+                recover(Series(bumped), 3, 2)
 
 
 @pytest.mark.parametrize(

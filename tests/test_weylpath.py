@@ -200,7 +200,19 @@ def test_ledger_offsets_ascend():
                 assert list(entry.offsets) == sorted(entry.offsets), (str(t), b)
 
 
-def test_ledger_refuses_a_chain_its_l_weight_does_not_match(monkeypatch):
+@pytest.fixture
+def uncached_ledgers():
+    """Clear the cache of `parameter_ledger` around a test that patches
+    what it calls, so that no earlier test's ledger answers it and no
+    patched ledger outlives it."""
+    import yangian_weyl.weylpath as wp
+
+    wp.parameter_ledger.cache_clear()
+    yield
+    wp.parameter_ledger.cache_clear()
+
+
+def test_ledger_refuses_a_chain_its_l_weight_does_not_match(uncached_ledgers, monkeypatch):
     # A step coefficient that the l-weight does not reproduce is an error,
     # not a ledger entry of the wrong size.
     import dataclasses
@@ -215,7 +227,7 @@ def test_ledger_refuses_a_chain_its_l_weight_does_not_match(monkeypatch):
         return dataclasses.replace(chain, steps=(first,) + chain.steps[1:])
 
     monkeypatch.setattr(wp, "descent_chain", skewed)
-    t = lie_type("C", 13)  # rank unused elsewhere, so nothing is cached yet
+    t = lie_type("C", 3)
     with pytest.raises(RuntimeError, match="step coefficient 2"):
         wp.parameter_ledger(t, 1)
 
