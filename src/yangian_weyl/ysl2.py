@@ -1,8 +1,12 @@
 """Exact rank-one Yangian engine: evaluation modules, tensor products,
 generator ladders, and brute-force cyclicity oracles.
 
-Evaluation modules carry the closed-form action of x_0^+/-, h_0 and h_1,
-tensor products the coproduct of those four; all higher generators, x_1^+/-
+Evaluation modules carry the closed-form action of x_0^+/-, h_0 and h_1.
+An ordered product of N of them is written in one pass over its basis from
+the N-factor (iterated) coproduct, with g(k) the action of g on factor k:
+    x_0^+/- = sum_k x_0^+/-(k),   h_0 = sum_k h_0(k),
+    h_1 = sum_k h_1(k) + sum_{k<l} h_0(k) h_0(l) - 2 sum_{k<l} x_0^-(k) x_0^+(l);
+an evaluation module is the case N = 1.  All higher generators, x_1^+/-
 included, come from the defining-relation recursion, exact on any module.
 
 The top tensor vector v is a highest-weight vector, so it generates Y^- v.
@@ -16,9 +20,11 @@ generators and stays as the independent cross-check.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
+from itertools import product
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Tuple
 
 from .exact import (
@@ -30,6 +36,9 @@ from .exact import (
     _UNIT,
     _add_multiples,
     as_scalar,
+    # Not called here: the benchmark's traced run wraps `ysl2.kron` by
+    # name, and tests/test_bench_sites.py requires every wrapped name to
+    # exist.
     kron,
     row_space_closure,
 )
@@ -81,33 +90,15 @@ class SL2Module:
 
 
 def evaluation_module(m: int, a) -> SL2Module:
-    """The (m+1)-dimensional evaluation module with parameter a.
+    """The (m+1)-dimensional evaluation module with parameter a, built as
+    the one-factor case of `tensor_module`.
 
     Basis w_0 .. w_m; the highest weight vector is w_m.  Closed-form action:
     x_k^+ w_s = (s+a)^k (s+1) w_{s+1}
     x_k^- w_s = (s+a-1)^k (m-s+1) w_{s-1}
     h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
-    a = as_scalar(a)
-    n = m + 1
-    xp, xm, h0, h1 = ([[ZERO] * n for _ in range(n)] for _ in range(4))
-    for s in range(n):
-        lower, upper = s * (m - s + 1), (s + 1) * (m - s)
-        h0[s][s] = GaussianRational(lower - upper)
-        h1[s][s] = (s + a - 1) * lower - (s + a) * upper
-        if s < m:
-            xp[s + 1][s] = GaussianRational(s + 1)
-            xm[s][s + 1] = GaussianRational(m - s)
-    return SL2Module(
-        factor_spec=((m, a),),
-        basis_labels=tuple((s,) for s in range(n)),
-        x0p=Matrix(xp),
-        x0m=Matrix(xm),
-        h0=Matrix(h0),
-        h1=Matrix(h1),
-    )
+    return tensor_module(((m, a),))
 
 
 # The ladder steps of `extend_generators`, factored with D = (h_1 - h_0)/2
@@ -123,49 +114,82 @@ def _next_xp(module: SL2Module, xkp: Matrix) -> Matrix:
     return module._half_diff @ xkp - xkp @ module._half_sum
 
 
-def _tensor_pair(left: SL2Module, right: SL2Module) -> SL2Module:
-    il = Matrix.identity(left.dim)
-    ir = Matrix.identity(right.dim)
-    x0p = kron(left.x0p, ir) + kron(il, right.x0p)
-    x0m = kron(left.x0m, ir) + kron(il, right.x0m)
-    h0 = kron(left.h0, ir) + kron(il, right.h0)
-    h1 = (
-        kron(left.h1, ir)
-        + kron(il, right.h1)
-        + kron(left.h0, right.h0)
-        - kron(left.x0m, right.x0p).scale(2)
-    )
-    labels = tuple(
-        ll + rl for ll in left.basis_labels for rl in right.basis_labels
-    )
-    return SL2Module(
-        factor_spec=left.factor_spec + right.factor_spec,
-        basis_labels=labels,
-        x0p=x0p,
-        x0m=x0m,
-        h0=h0,
-        h1=h1,
-    )
-
-
 def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
-    """Left-associated tensor product of evaluation modules."""
+    """Ordered tensor product W_{m_1}(a_1) (x) ... (x) W_{m_N}(a_N), written
+    from the N-factor coproduct in the module docstring.
+
+    Basis labels (t_1, .., t_N) with 0 <= t_k <= m_k run in mixed radix,
+    the first factor most significant: label t has index
+    i = sum_k t_k stride_k.  On one factor, h_0 w_t = (2t - m) w_t and
+    h_1 w_t = (a (2t - m) + t (3t - 2m - 1)) w_t.  Row i of h_1 holds
+    -2 (m_k - t_k) t_l at column i + stride_k - stride_l for each k < l
+    with t_k < m_k and t_l > 0, and on the diagonal an integer plus
+    sum_k a_k (2 t_k - m_k), summed over the common denominator of the
+    a_k.  Every other entry is an integer.
+    """
     if not spec:
         raise ValueError("empty factor list")
-    module = evaluation_module(*spec[0])
-    for m, a in spec[1:]:
-        module = _tensor_pair(module, evaluation_module(m, a))
-    return module
+    factor_spec = []
+    for m, a in spec:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError("m must be a positive integer")
+        factor_spec.append((m, as_scalar(a)))
+    ms = [m for m, _ in factor_spec]
+    strides = [prod(m + 1 for m in ms[k + 1:]) for k in range(len(ms))]
+    triples = [a.triple for _, a in factor_spec]
+    den = lcm(*(d for _, _, d in triples))
+    params = [(re * (den // d), im * (den // d)) for re, im, d in triples]
+    labels = tuple(product(*(range(m + 1) for m in ms)))
+    rows = xp, xm, h0, h1 = [], [], [], []
+    for i, label in enumerate(labels):
+        up, down, h1_row = {}, {}, {}
+        # weight: the h_0 eigenvalue on the factors before k, then on all
+        weight = const = re = im = 0
+        for k, (t, m, stride, (ar, ai)) in enumerate(zip(label, ms, strides, params)):
+            w = 2 * t - m
+            const += t * (3 * t - 2 * m - 1) + weight * w
+            re += ar * w
+            im += ai * w
+            weight += w
+            if t:
+                up[i - stride] = (t, 0, 1)
+            if t < m:
+                down[i + stride] = (m - t, 0, 1)
+                for l in range(k + 1, len(label)):
+                    if label[l]:
+                        h1_row[i + stride - strides[l]] = (-2 * (m - t) * label[l], 0, 1)
+        re += const * den
+        if re or im:
+            g = gcd(re, im, den)
+            h1_row[i] = (re // g, im // g, den // g)
+        xp.append(up)
+        xm.append(down)
+        h0.append({i: (weight, 0, 1)} if weight else {})
+        h1.append(h1_row)
+    n = len(labels)
+    return SL2Module(tuple(factor_spec), labels, *(Matrix._of(r, n) for r in rows))
 
 
 @dataclass(frozen=True)
 class GeneratorLadder:
-    """Matrices of x_k^+/-, h_k for k = 0..K on a fixed module."""
+    """Matrices of x_k^+/-, h_k for k = 0..K on a fixed module, and the
+    products of two of them formed so far."""
 
     module: SL2Module
     xp: Tuple[Matrix, ...]
     xm: Tuple[Matrix, ...]
     h: Tuple[Matrix, ...]
+    products: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def product(self, a: str, r: int, b: str, s: int) -> Matrix:
+        """a_r b_s for generator names "+" (x^+), "-" (x^-) and "h", formed
+        once per ladder."""
+        key = (a, r, b, s)
+        out = self.products.get(key)
+        if out is None:
+            gens = {"+": self.xp, "-": self.xm, "h": self.h}
+            out = self.products[key] = gens[a][r] @ gens[b][s]
+        return out
 
     @property
     def order(self) -> int:
@@ -186,8 +210,12 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
         xm.append(_next_xm(module, xm[-1]))
         xp.append(_next_xp(module, xp[-1]))
     h = [module.h0, module.h1]
-    h.extend(xp[k] @ module.x0m - module.x0m @ xp[k] for k in range(2, K + 1))
-    return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h))
+    products = {}
+    for k in range(2, K + 1):
+        up = products["+", k, "-", 0] = xp[k] @ module.x0m
+        down = products["-", 0, "+", k] = module.x0m @ xp[k]
+        h.append(up - down)
+    return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h), products)
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
@@ -302,14 +330,11 @@ def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     ladder = extend_generators(module, K)
     gens = {"+": ladder.xp, "-": ladder.xm, "h": ladder.h}
     signs = (("+", "-"), ("-", "+"))  # x, and op for its symmetric term
+    mul = ladder.product
     failures = []
 
     def label(g, k):
         return f"h{k}" if g == "h" else f"x{k}{g}"
-
-    @cache
-    def mul(a, r, b, s):
-        return gens[a][r] @ gens[b][s]
 
     def bracket(a, r, b, s):
         return mul(a, r, b, s) - mul(b, s, a, r)

@@ -26,6 +26,8 @@ from yangian_weyl.ysl2 import (
     verify_drinfeld_series,
 )
 
+import tensor_oracle
+
 F = Fraction
 HALF = F(1, 2)
 
@@ -176,9 +178,7 @@ def test_coassociativity_of_level_one():
     left = tensor_module(params)
 
     mid = tensor_module(params[1:])
-    from yangian_weyl.ysl2 import _tensor_pair
-
-    right = _tensor_pair(evaluation_module(*params[0]), mid)
+    right = tensor_oracle.tensor_pair(evaluation_module(*params[0]), mid)
     assert left.h1 == right.h1
     assert left.x1m == right.x1m
     assert left.x1p == right.x1p
@@ -506,5 +506,35 @@ def test_relation_failures_on_perturbed_modules():
                 assert defining_relation_failures(scaled, K) == names, (spec, field, K)
 
 def test_tensor_module_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty factor list$"):
         tensor_module([])
+
+
+@pytest.mark.parametrize("bad", [True, 0, -1, 1.0])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_tensor_module_refuses_bad_m_in_any_position(bad, position):
+    spec = [(1, G(0)), (2, G(1)), (1, G(F(1, 2), 1))]
+    spec[position] = (bad, spec[position][1])
+    with pytest.raises(ValueError, match="^m must be a positive integer$"):
+        tensor_module(spec)
+
+
+@st.composite
+def _oracle_spec_st(draw):
+    """1-5 factors with m in {1,2,3} and dimension at most 256; the
+    parameters are all real or all Gaussian, with denominators up to 5."""
+    ms = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(
+            lambda ms: prod(m + 1 for m in ms) <= 256
+        )
+    )
+    part = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    gauss = draw(st.booleans())
+    return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_spec_st())
+def test_tensor_module_matches_kron_fold(spec):
+    # Labels, factor_spec and all four matrices, as dataclass equality.
+    assert tensor_module(spec) == tensor_oracle.tensor_module(spec)
