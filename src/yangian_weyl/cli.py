@@ -45,13 +45,14 @@ from .rootsys import (
     longest_word,
     node_involution,
 )
-from .ysl2 import defining_relation_failures, lowering_levels, tensor_module
+from .ysl2 import _series_check, defining_relation_failures, lowering_levels, tensor_module
 
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
-# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.3 s,
-# identities 1.5-1.7 s and series (order 5) 0.45-0.5 s; on the first seven,
-# 0.2-0.5, 0.7 and 0.25-0.35 s.  Identities sets the bound.
+# (dimension 256; Python 3.11, one shared Xeon core) closure takes 0.08-0.09 s,
+# identities 0.7-0.8 s and series 0.012-0.018 s at order 5 and 0.022 s at
+# order 32; on the first seven, 0.02, 0.26 and 0.006-0.015 s.  Identities,
+# whose 74 generator products are whole matrices, sets the bound.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, and
@@ -61,9 +62,10 @@ MAX_SL2_DIM = 256
 # 32 and 1.7-5.9 s at rank 80 (Python 3.11, one shared Xeon core).  The
 # tests, demos and benchmark use rank 12 at most.
 MAX_RANK = 64
-# Largest `sl2 --order`: the series check builds the generator ladder up to
-# it, at a cost linear in the order.  32 is over six times the largest order
-# the tests, demos and benchmark use (5).
+# Largest `sl2 --order`: the series check runs the x_k^+ ladder up to it on
+# the vectors top and x_0^- top, about order^2 / 2 sparse applications each,
+# on vectors that stay in the top two weight spaces; at order 32 it takes
+# 0.022 s on the eight factors above.  32 is over six times the order the benchmark uses (5).
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
@@ -404,15 +406,8 @@ def _cmd_sl2(args) -> int:
             f"highest weight: {body['highest_weight']}",
         ]
     elif args.verify == "series":
-        from .drinfeld import eigenvalue_series
-        from .ysl2 import verify_drinfeld_series
-
         order = args.order
-        ok = verify_drinfeld_series(spec, order)
-        roots = []
-        for m, a in spec:
-            roots.extend(a + s for s in range(m))
-        series = eigenvalue_series(roots, 1, order + 1)
+        ok, series = _series_check(spec, order)
         body.update(order=order, matches=ok, series=[_scalar_str(c) for c in series.coeffs])
         lines = lambda: [
             f"eigenvalue series to order {order}: " + ", ".join(body["series"]),

@@ -465,9 +465,6 @@ class Matrix:
             raise ValueError("matrix/vector shape mismatch")
         return _dense(self.apply(_sparse(v)), self.nrows)
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -543,3 +543,18 @@ def test_criterion_18_prime_constant_refused_fast():
     with _Timer("criterion 18: refusing the series of u^2 + 100000007", limit=0.05):
         with pytest.raises(NotDrinfeldSeriesError, match=r"^polynomial does not split over Q\(i\)$"):
             series_to_roots(series, 2, 1)
+
+
+def test_criterion_19_series_to_order_32_on_eight_factors(capsys):
+    # The README's eight two-dimensional factors (dimension 256, the largest
+    # `sl2` accepts) at the largest order it accepts.
+    params = [F(0), F(7, 2), F(-5, 3), F(2), F(1, 7), F(-9, 4), F(5), F(11, 5)]
+    doc = json.dumps([[1, format_scalar(G(a))] for a in params])
+    assert main(["sl2", doc, "--verify", "identities", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["relations_hold"] is True and report["failures"] == []
+    with _Timer("criterion 19: series to order 32 at dimension 256", limit=0.5):
+        assert main(["sl2", doc, "--verify", "series", "--order", "32", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["order"] == 32 and len(report["series"]) == 34  # h_k pairs with c_{k+1}
+    assert report["matches"] is True

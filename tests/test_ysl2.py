@@ -9,7 +9,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, _dense, unit_vector
 from yangian_weyl.ysl2 import (
@@ -26,6 +26,7 @@ from yangian_weyl.ysl2 import (
     verify_drinfeld_series,
 )
 
+import relations_oracle
 import tensor_oracle
 
 F = Fraction
@@ -295,19 +296,34 @@ def _series_spec_st(draw):
     return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
 
 
+# h_0 or h_1 plus a raising or lowering matrix: h_0 and h_1 then need not
+# commute, and neither need D = (h_1 - h_0)/2 and S = (h_1 + h_0)/2.
+_OFF_COMMUTING = (("h1", "x0p"), ("h1", "x0m"), ("h0", "x0p"), ("h0", "x0m"))
+
+
 @settings(max_examples=40, deadline=None)
-@given(_series_spec_st(), st.integers(0, 6))
-def test_series_check_h_on_top_matches_ladder(spec, order):
-    # The series check builds only x_k^+ and applies [x_k^+, x_0^-] to the
-    # top vector; the full ladder's h_k matrices must give the same vectors.
+@given(_series_spec_st(), st.integers(0, 6), st.sampled_from((None, *_OFF_COMMUTING)))
+def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
+    # The series check runs the x_k^+ recursion on vectors and applies
+    # [x_k^+, x_0^-] to the top vector; the full ladder's h_k matrices must
+    # give the same vectors, on true modules and off the commuting case.
     module = tensor_module(spec)
+    if perturbation:
+        field, addend = perturbation
+        module = replace(module, **{field: getattr(module, field) + getattr(module, addend)})
+        diff, total = module._half_diff, module._half_sum
+        assume(diff @ total != total @ diff)
     ladder = extend_generators(module, max(order, 1))
     top = unit_vector(module.dim, module.highest_index)
     images = list(_h_on_top(module, order))
     assert len(images) == order + 1
     for k, image in enumerate(images):
-        assert _dense(image, module.dim) == ladder.h[k].matvec(top), k
-    assert verify_drinfeld_series(spec, order)
+        bracket = ladder.product("+", k, "-", 0) - ladder.product("-", 0, "+", k)
+        assert _dense(image, module.dim) == bracket.matvec(top), k
+        if not perturbation:  # off a module, h_0 and h_1 are no commutators
+            assert bracket == ladder.h[k], k
+    if not perturbation:
+        assert verify_drinfeld_series(spec, order)
 
 
 def test_trivial_submodule_check():
@@ -504,6 +520,29 @@ def test_relation_failures_on_perturbed_modules():
             for K, names in enumerate(lists, start=1):
                 assert names
                 assert defining_relation_failures(scaled, K) == names, (spec, field, K)
+
+
+_SCALE_PART = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    _series_spec_st(),
+    st.sampled_from((None, "x0p", "x0m", "h0", "h1")),
+    st.builds(G, _SCALE_PART, _SCALE_PART).filter(bool),
+)
+def test_relation_failures_match_subtracting_oracle(spec, field, c):
+    # One of x0p, x0m, h0, h1 scaled by a nonzero Gaussian rational, or none:
+    # the fused vanishing sums must fail exactly the relations whose
+    # difference matrix, formed and subtracted in full, is nonzero.
+    module = tensor_module(spec)
+    if field:
+        module = replace(module, **{field: getattr(module, field).scale(c)})
+    for K in (1, 2, 3):
+        assert defining_relation_failures(module, K) == (
+            relations_oracle.defining_relation_failures(module, K)
+        ), K
+
 
 def test_tensor_module_rejects_empty():
     with pytest.raises(ValueError, match="^empty factor list$"):
