@@ -14,7 +14,6 @@ from yangian_weyl import (
     FactorChain,
     GaussianRational as G,
     criterion_set,
-    criterion_set_from_ledger,
     cyclicity_guaranteed,
     dual_chain,
     irreducibility_guaranteed,
@@ -34,14 +33,15 @@ def main():
     # The sets are not ad hoc: they fall out of the descent-chain ledger,
     # which is computed from the Cartan data by lowering an l-weight along
     # the chain.  Each chain step carries the roots of a rank-one
-    # polynomial; shifting by the node's rescaling divisor reproduces the
-    # closed form.
+    # polynomial; each root shifted by the node's rescaling divisor is a
+    # member of the set for the step's node.
     print("\nledger of G2 node 1 (offsets from the leading parameter):")
-    for entry in parameter_ledger(g2, 1).entries:
+    entries = parameter_ledger(g2, 1).entries
+    for entry in entries:
         offs = ", ".join(str(o) for o in entry.offsets)
         print(f"  node {entry.node} (divisor {entry.divisor}): {offs}")
-    derived = sorted(criterion_set_from_ledger(g2, 1, 2).values)
-    print(f"  -> derived S(1,2) = {[str(v) for v in derived]}")
+    derived = sorted({o + e.divisor for e in entries if e.node == 2 for o in e.offsets})
+    print(f"  -> S(1,2) = {[str(v) for v in derived]}")
 
     a3 = lie_type("A", 3)
     chain = FactorChain(a3, ((1, G(0)), (2, G(Fraction(3, 2)))))

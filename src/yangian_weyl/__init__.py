@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 from .criteria import (
     CriterionSet,
-    CriterionSetMismatch,
     Verdict,
     criterion_set,
-    criterion_set_from_ledger,
     cyclicity_guaranteed,
     dual_chain,
     irreducibility_guaranteed,

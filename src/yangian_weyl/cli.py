@@ -18,8 +18,9 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .criteria import (
     Verdict,
+    _doubled_sets,
     criterion_hits,
-    criterion_set,
+    criterion_set,  # unused here; bench/spans.py counts calls through this name
     cyclicity_guaranteed,
     irreducibility_guaranteed,
 )
@@ -55,12 +56,14 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 # whose 74 generator products are whole matrices, sets the bound.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
-# tables grow with the rank l (`_tridiagonal` allocates an l x l list, and
-# `check --mode irreducible` builds the longest word, O(l^2) letters), and the
-# cost grows about as l^4.  At rank 64 `info`, `ssets` and
-# `check --mode irreducible` take 0.8-3.2 s on A-D, against 0.2-0.6 s at rank
-# 32 and 1.7-5.9 s at rank 80 (Python 3.11, one shared Xeon core).  The
-# tests, demos and benchmark use rank 12 at most.
+# tables grow with the rank l (`_tridiagonal` allocates an l x l list,
+# `check --mode irreducible` builds the longest word, O(l^2) letters, and
+# `ssets` walks that word once for the ledger of every node), and the cost
+# grows about as l^4.  At rank 64 `info` and `check --mode irreducible` take
+# 0.8-3.2 s on A-D, against 0.2-0.6 s at rank 32 and 1.7-5.9 s at rank 80;
+# `ssets --json` takes 0.3-0.5 s on A64 and 0.7-1.2 s on B64, C64 and D64
+# (wall time per CLI run; Python 3.11, one shared Xeon core).  The demos and
+# the benchmark use rank 12 at most; the tests reach rank 64.
 MAX_RANK = 64
 # Largest `sl2 --order`: the series check runs the x_k^+ ladder up to it on
 # the vectors top and x_0^- top, about order^2 / 2 sparse applications each,
@@ -428,9 +431,9 @@ def _cmd_sl2(args) -> int:
 def _cmd_ssets(args) -> int:
     t = _parse_type({"type": args.type, "rank": args.rank})
     table = {
-        f"{b_m},{b_n}": [_scalar_str(v) for v in sorted(criterion_set(t, b_m, b_n).values)]
+        f"{b_m},{b_n}": [format_triple(s2, 0, 2) for s2 in doubled]
         for b_m in range(1, t.rank + 1)
-        for b_n in range(1, t.rank + 1)
+        for b_n, doubled in enumerate(_doubled_sets(t, b_m), 1)
     }
     body = {"lie_type": {"type": t.family, "rank": t.rank}, "sets": table}
     lines = lambda: [

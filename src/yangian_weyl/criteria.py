@@ -7,6 +7,8 @@ is guaranteed to be a highest weight module when no difference a_j - a_i
 pair (b_i, b_j); it is guaranteed irreducible when the same holds for all
 ordered pairs i != j.  Membership is exact: a difference belongs to a set
 only when its imaginary part is zero and its real part equals a member.
+The sets are not tabulated: each is read off the parameter ledger of
+b_i, which is computed from the Cartan data (see weylpath).
 
 The pairs are found by a hash join, not by comparing every pair: a hit
 means a_j = a_i + s for some s in S(b_i, b_j), so the chain is indexed once
@@ -43,141 +45,36 @@ class Verdict:
     witnesses: Tuple[Tuple[int, int, GaussianRational], ...]
 
 
-def _set_a(l: int, b_m: int, b_n: int):
-    lo = 1 if b_m <= b_n else b_m - b_n + 1
-    hi = min(b_m, l - b_n + 1)
-    return {Fraction(b_n - b_m, 2) + k for k in range(lo, hi + 1)}
+@lru_cache(maxsize=None)
+def _doubled_sets(t: LieType, p: int):
+    """The sets 2 S(p, q) for q = 1..l, as ascending tuples of integers.
 
-
-def _set_d(l: int, b_m: int, b_n: int):
-    parity = l % 2  # 0 for even rank, 1 for odd
-    spin = {l - 1, l}
-    if b_m in spin and b_n in spin:
-        if b_m == b_n:
-            top = l - 1 - parity
-        else:
-            top = l - 2 + parity
-        start = 1 if b_m == b_n else 2
-        return {Fraction(v) for v in range(start, top + 1, 2)}
-    if b_m in spin or b_n in spin:
-        other = b_n if b_m in spin else b_m
-        return {Fraction(l - 1 - other, 2) + 1 + r for r in range(other)}
-    out = set()
-    for r in range(min(b_m, b_n)):
-        out.add(Fraction(abs(b_m - b_n), 2) + 1 + r)
-        out.add(Fraction(l + r) - Fraction(b_m + b_n, 2))
-    return out
-
-
-def _set_c(l: int, b_m: int, b_n: int):
-    if b_m == l and b_n == l:
-        return {Fraction(v) for v in range(2, l + 2)}
-    if b_m == l:
-        out = set()
-        for r in range(b_n):
-            out.add(Fraction(l - b_n + 1, 2) + 1 + r)
-            out.add(Fraction(l - b_n - 1, 2) + 1 + r)
-        return out
-    if b_n == l:
-        return {Fraction(l - b_m + 1, 2) + 2 + r for r in range(b_m)}
-    out = set()
-    for r in range(min(b_m, b_n)):
-        out.add(Fraction(abs(b_m - b_n), 2) + 1 + r)
-        out.add(Fraction(l + 2 + r) - Fraction(b_m + b_n, 2))
-    return out
-
-
-def _set_b(l: int, b_m: int, b_n: int):
-    if b_m == l and b_n == l:
-        return {Fraction(v) for v in range(1, 2 * l, 2)}
-    if b_m == l:
-        return {Fraction(l - b_n + 2 + 2 * r) for r in range(b_n)}
-    if b_n == l:
-        # Both polynomial roots of each spin-node chain step obstruct, and
-        # consecutive blocks sit two apart, so the range runs to l + b_m - 1;
-        # the shorter variant fails the ledger cross-check.
-        out = set()
-        for r in range(b_m):
-            out.add(Fraction(l - b_m + 2 * r))
-            out.add(Fraction(l - b_m + 1 + 2 * r))
-        return out
-    out = set()
-    for r in range(min(b_m, b_n)):
-        out.add(Fraction(abs(b_m - b_n) + 2 + 2 * r))
-        out.add(Fraction(2 * l - (b_m + b_n) + 1 + 2 * r))
-    return out
-
-
-_G2_SETS = {
-    (1, 1): (3, 4, 5, 6),
-    (1, 2): (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2), Fraction(9, 2)),
-    (2, 1): (Fraction(9, 2), Fraction(13, 2)),
-    (2, 2): (1, 3, 4, 6),
-}
+    They are read off the parameter ledger of node p: at a chain step on
+    node q with rescaling divisor d, a second factor parameter a_q
+    obstructs exactly when (a_q - root)/d = 1 for some root of the step
+    polynomial, that is when a_q - a_p = offset + d.
+    """
+    sets = [set() for _ in range(t.rank)]
+    for entry in parameter_ledger(t, p).entries:
+        for offset in entry.offsets:
+            s2, rest = divmod(2 * offset.numerator, offset.denominator)
+            s2 += 2 * entry.divisor
+            # The join in criterion_hits relies on both properties.
+            if rest or s2 <= 0:
+                raise RuntimeError(
+                    f"criterion set for {t} ({p},{entry.node}) not positive half-integers"
+                )
+            sets[entry.node - 1].add(s2)
+    return tuple(tuple(sorted(values)) for values in sets)
 
 
 @lru_cache(maxsize=None)
 def criterion_set(t: LieType, b_m: int, b_n: int) -> CriterionSet:
-    """Closed-form criterion set for the node pair (b_m, b_n)."""
-    t.check_node(b_m)
+    """Criterion set for the node pair (b_m, b_n), derived from the
+    parameter ledger of node b_m; every value is a positive half-integer."""
     t.check_node(b_n)
-    family, rank = t.family, t.rank
-    if family == "A":
-        values = _set_a(rank, b_m, b_n)
-    elif family == "B":
-        values = _set_b(rank, b_m, b_n)
-    elif family == "C":
-        values = _set_c(rank, b_m, b_n)
-    elif family == "D":
-        values = _set_d(rank, b_m, b_n)
-    else:
-        values = {Fraction(v) for v in _G2_SETS[(b_m, b_n)]}
-    # The join in criterion_hits relies on both properties.
-    if any(v <= 0 or (2 * v).denominator != 1 for v in values):
-        raise RuntimeError(
-            f"criterion set for {t} ({b_m},{b_n}) not positive half-integers"
-        )
-    return CriterionSet(t, b_m, b_n, frozenset(values))
-
-
-class CriterionSetMismatch(RuntimeError):
-    """Ledger-derived and closed-form criterion sets disagree."""
-
-
-@lru_cache(maxsize=None)
-def criterion_set_from_ledger(t: LieType, b_m: int, b_n: int) -> CriterionSet:
-    """Criterion set rederived from the parameter ledger of node b_m.
-
-    At a chain step landing on node b_n with rescaling divisor d, a second
-    factor parameter a_n obstructs exactly when (a_n - root)/d = 1 for some
-    root of the step polynomial, i.e. a_n - a_m = offset + d.  This is a
-    test oracle: a disagreement with criterion_set means a transcription
-    bug, and the call fails loudly with both sets rather than returning
-    either one.
-    """
-    t.check_node(b_m)
-    t.check_node(b_n)
-    values = set()
-    for entry in parameter_ledger(t, b_m).entries:
-        if entry.node != b_n:
-            continue
-        for offset in entry.offsets:
-            values.add(offset + entry.divisor)
-    closed = criterion_set(t, b_m, b_n).values
-    if frozenset(values) != closed:
-        raise CriterionSetMismatch(
-            f"{t} pair ({b_m},{b_n}): ledger-derived set "
-            f"{sorted(values)} != closed form {sorted(closed)}"
-        )
-    return CriterionSet(t, b_m, b_n, frozenset(values))
-
-
-@lru_cache(maxsize=None)
-def _doubled_sets(t: LieType, p: int):
-    """(q, 2s) for every node q of t and every s in S(p, q), as integers."""
-    return tuple(
-        (q, int(2 * s)) for q in range(1, t.rank + 1) for s in criterion_set(t, p, q).values
-    )
+    values = _doubled_sets(t, b_m)[b_n - 1]
+    return CriterionSet(t, b_m, b_n, frozenset(Fraction(s2, 2) for s2 in values))
 
 
 def _doubled(a: GaussianRational):
@@ -200,7 +97,7 @@ def criterion_hits(chain: FactorChain, both_orders: bool = False):
     for j, key in enumerate(keys):
         index.setdefault(key, []).append(j)
     nodes = {b for b, _ in factors}
-    shifts = {p: [(q, s2) for q, s2 in _doubled_sets(t, p) if q in nodes] for p in nodes}
+    shifts = {p: [(q, s2) for q in nodes for s2 in _doubled_sets(t, p)[q - 1]] for p in nodes}
     for i, (b_i, re, im, d) in enumerate(keys):
         hits = sorted(
             j

@@ -7,12 +7,11 @@ rank-one polynomial attached to that step (affine expressions in the first
 factor parameter) together with the rescaling divisor of the sl2 copy at
 that node.  Ledgers are computed, not tabulated: one loop lowers an
 l-weight along the chain, reading only the Cartan matrix and the
-symmetrizers.
+symmetrizers.  The criterion sets of `criteria` are read off them.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -113,67 +112,76 @@ class Ledger:
 
 
 @lru_cache(maxsize=None)
+def _half(x: int) -> Fraction:
+    """x/2; ledger offsets repeat, so each is built once."""
+    return Fraction(x, 2)
+
+
+def _bump(powers: dict, x: int, by: int):
+    """Add `by` to the power of x, dropping x when the power reaches 0."""
+    p = powers.get(x, 0) + by
+    if p:
+        powers[x] = p
+    else:
+        del powers[x]
+
+
+@lru_cache(maxsize=None)
 def parameter_ledger(t: LieType, b: int) -> Ledger:
     """Per-step polynomial roots along the descent chain of node b.
 
-    The ledger is read off an l-weight, a product of Y_{j,x} kept as a
-    Counter of powers per node, that starts at Y_{b,0}.  A step on node i
-    records the x of every Y_{i,x}, with multiplicity and in ascending
-    order, then lowers each of them: Y_{i,x} becomes Y_{i,x+d_i}^-1 times
-    Y_{j, x + (d_j - k + 1)/2 + s} for s = 0..k-1 at every node j with
-    k = -C_ji > 0 (Frenkel-Mukhin lowering, written additively).  A step
-    must hold exactly its coefficient many x and no Y_i of negative power.
+    The ledger is read off an l-weight, a product of Y_{j,x} kept per node
+    as a map from 2x to its nonzero power, that starts at Y_{b,0}.  The
+    chain's weight is tracked alongside, without `descent_chain`: a step
+    on node i with coefficient c reflects it sparsely, to -c at i and up
+    by c * k at every neighbour j with k = -C_ji > 0.  The step records
+    the x of every Y_{i,x}, with multiplicity and in ascending order, then
+    lowers each of them: Y_{i,x} becomes Y_{i,x+d_i}^-1 times
+    Y_{j, x + (d_j - k + 1)/2 + s} for s = 0..k-1 at every such j
+    (Frenkel-Mukhin lowering, written additively).  A step must hold
+    exactly c many x and no Y_i of negative power.
     """
     t.check_node(b)
     datum = cartan_datum(t)
-    powers = defaultdict(Counter)
-    powers[b][Fraction(0)] = 1
-    entries = []
-    for step in descent_chain(t, b).steps:
-        i, held = step.node, powers[step.node]
-        xs = sorted(held.elements())
-        if len(xs) != step.coefficient or any(p < 0 for p in held.values()):
-            raise RuntimeError(
-                f"l-weight at step {step.index} of {t} node {b} does not "
-                f"match the step coefficient {step.coefficient}"
-            )
-        d_i = datum.d[i - 1]
-        entries.append(LedgerEntry(i, tuple(xs), d_i))
-        for x in xs:
-            held[x] -= 1
-            held[x + d_i] -= 1
-            for j, row in enumerate(datum.cartan, 1):
-                k = -row[i - 1]  # positive only at the neighbours of i
-                for s in range(k):
-                    powers[j][x + Fraction(datum.d[j - 1] - k + 1, 2) + s] += 1
-    return Ledger(t, b, tuple(entries))
-
-
-def chain_root_positivity(t: LieType, b: int) -> bool:
-    """Each step's simple root, pulled back through the earlier steps,
-    stays positive: the chain always moves strictly downward."""
-    from .rootsys import is_positive_root_vector, reflect_root
-
-    chain = descent_chain(t, b)
+    cartan, d = datum.cartan, datum.d
     l = t.rank
-    for k, step in enumerate(chain.steps):
-        vec = tuple(1 if j == step.node - 1 else 0 for j in range(l))
-        for earlier in reversed(chain.steps[:k]):
-            vec = reflect_root(t, vec, earlier.node)
-        if not is_positive_root_vector(vec):
-            return False
-    return True
-
-
-def root_lattice_balance(t: LieType, b: int) -> bool:
-    """Sum of exponent * alpha_node over the lowering word equals
-    omega_b - w0(omega_b) in fundamental-weight coordinates."""
-    from .rootsys import apply_word, simple_root_in_weights
-
-    total = [0] * t.rank
-    for node, exp in lowering_word(t, b):
-        alpha = simple_root_in_weights(t, node)
-        total = [acc + exp * a for acc, a in zip(total, alpha)]
-    start = fundamental_weight(t, b)
-    end = apply_word(t, longest_word(t), start)
-    return tuple(total) == tuple(s - e for s, e in zip(start, end))
+    # raised[i]: (j, 2 * shift) for every Y_{j, x + shift} that lowering
+    # Y_{i,x} brings in; node j occurs k = -C_ji times.
+    raised = [
+        [
+            (j, d[j] - k + 1 + 2 * s)
+            for j in range(l)
+            if (k := -cartan[j][i]) > 0
+            for s in range(k)
+        ]
+        for i in range(l)
+    ]
+    weight = [0] * l
+    weight[b - 1] = 1
+    powers = [{} for _ in range(l)]
+    powers[b - 1][0] = 1
+    entries = []
+    for node in _applied_node_order(t, b):
+        i = node - 1
+        c = weight[i]
+        if c == 0:
+            continue
+        held = powers[i]
+        xs = sorted(x for x, p in held.items() for _ in range(p))
+        if len(xs) != c or min(held.values()) < 0:
+            raise RuntimeError(
+                f"l-weight at step {len(entries)} of {t} node {b} does not "
+                f"match the step coefficient {c}"
+            )
+        entries.append(LedgerEntry(node, tuple(map(_half, xs)), d[i]))
+        # Every Y_{i,x} held is lowered, so node i keeps only the new
+        # Y_{i,x+d_i}^-1.
+        weight[i] = -c
+        powers[i] = held = {}
+        for x in xs:
+            _bump(held, x + 2 * d[i], -1)
+        for j, shift in raised[i]:
+            weight[j] += c
+            for x in xs:
+                _bump(powers[j], x + shift, 1)
+    return Ledger(t, b, tuple(entries))

@@ -21,7 +21,6 @@ import pytest
 from yangian_weyl.cli import main
 from yangian_weyl.criteria import (
     criterion_set,
-    criterion_set_from_ledger,
     cyclicity_guaranteed,
     dual_chain,
     irreducibility_guaranteed,
@@ -37,7 +36,7 @@ from yangian_weyl.drinfeld import (
 )
 from yangian_weyl.exact import GaussianRational as G, Series, ZERO, format_scalar, unit_vector
 from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_involution
-from yangian_weyl.weylpath import chain_root_positivity, descent_chain
+from yangian_weyl.weylpath import descent_chain
 from yangian_weyl.ysl2 import (
     defining_relation_failures,
     evaluation_module,
@@ -47,6 +46,9 @@ from yangian_weyl.ysl2 import (
     tensor_module,
     trivial_submodule_check,
 )
+
+from criteria_oracle import closed_form_set
+from test_weylpath import chain_root_positivity
 
 F = Fraction
 
@@ -238,7 +240,7 @@ def test_criterion_06_chain_coefficients_and_positivity():
 
 
 def test_criterion_07_criterion_set_oracle_equivalence():
-    with _Timer("criterion 7: ledger-derived criterion sets", limit=5.0):
+    with _Timer("criterion 7: ledger-derived criterion sets = closed forms", limit=5.0):
         sweep = [lie_type("A", l) for l in range(2, 11)] + [lie_type("G2")]
         sweep += [lie_type(f, l) for f in "BC" for l in range(2, 7)]
         with warnings.catch_warnings():
@@ -248,8 +250,7 @@ def test_criterion_07_criterion_set_oracle_equivalence():
             for b_m in all_nodes(t):
                 for b_n in all_nodes(t):
                     assert (
-                        criterion_set(t, b_m, b_n).values
-                        == criterion_set_from_ledger(t, b_m, b_n).values
+                        criterion_set(t, b_m, b_n).values == closed_form_set(t, b_m, b_n)
                     ), (str(t), b_m, b_n)
 
 
@@ -558,3 +559,28 @@ def test_criterion_19_series_to_order_32_on_eight_factors(capsys):
         report = json.loads(capsys.readouterr().out)
     assert report["order"] == 32 and len(report["series"]) == 34  # h_k pairs with c_{k+1}
     assert report["matches"] is True
+
+
+def test_criterion_20_ssets_at_max_rank(capsys):
+    # `ssets` derives every criterion set of the type from the ledgers of
+    # all its nodes, so rank 64, the most the command line accepts, is its
+    # largest input.  The caches are cleared so that each call derives
+    # them afresh.
+    import yangian_weyl.criteria as crit
+    import yangian_weyl.weylpath as wp
+    from yangian_weyl.cli import MAX_RANK
+
+    for family in "BCD":
+        crit._doubled_sets.cache_clear()
+        wp.parameter_ledger.cache_clear()
+        capsys.readouterr()  # the previous type's PASS line
+        with _Timer(f"criterion 20: ssets on {family}{MAX_RANK}", limit=3.0):
+            assert main(["ssets", "--type", family, "--rank", str(MAX_RANK), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+        t = lie_type(family, MAX_RANK)
+        sets = report["sets"]
+        assert len(sets) == MAX_RANK**2
+        for b_m in (1, MAX_RANK):
+            for b_n in all_nodes(t):
+                expected = [format_scalar(G(v)) for v in sorted(closed_form_set(t, b_m, b_n))]
+                assert sets[f"{b_m},{b_n}"] == expected, (family, b_m, b_n)

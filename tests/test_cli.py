@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yangian_weyl import __version__
 from yangian_weyl.cli import (
     MAX_FACTORS,
     MAX_RANK,
@@ -30,8 +32,9 @@ from yangian_weyl.cli import (
 )
 from yangian_weyl.drinfeld import DrinfeldTuple
 from yangian_weyl.exact import GaussianRational as G, format_scalar
-from yangian_weyl.rootsys import lie_type
+from yangian_weyl.rootsys import all_nodes, lie_type
 
+from criteria_oracle import closed_form_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,6 +145,28 @@ def test_ssets_command(capsys):
     assert code == 0
     assert report["sets"]["2,1"] == ["9/2", "13/2"]
     assert report["sets"]["1,1"] == ["3", "4", "5", "6"]
+
+
+def test_ssets_matches_oracle(capsys):
+    # The whole `ssets --json` report, rendered from the closed forms of the
+    # oracle without the package's scalar printing, for every type of rank
+    # 12 or less.
+    types = [("A", l) for l in range(1, 13)] + [(f, l) for f in "BC" for l in range(2, 13)]
+    types += [("D", l) for l in range(3, 13)] + [("G2", 2)]
+    for family, rank in types:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # D3 is A3 relabelled
+            t = lie_type(family, rank)
+            assert main(["ssets", "--type", family, "--rank", str(rank), "--json"]) == 0
+        sets = {
+            f"{b_m},{b_n}": [str(v) for v in sorted(closed_form_set(t, b_m, b_n))]
+            for b_m in all_nodes(t)
+            for b_n in all_nodes(t)
+        }
+        expected = {"version": __version__, "exact": True, "command": "ssets",
+                    "lie_type": {"type": family, "rank": rank}, "sets": sets}
+        out = capsys.readouterr().out
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", str(t)
 
 
 def test_human_output_runs(capsys):

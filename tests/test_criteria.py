@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.criteria import (
     criterion_set,
-    criterion_set_from_ledger,
     cyclicity_guaranteed,
     dual_chain,
     irreducibility_guaranteed,
@@ -18,6 +17,8 @@ from yangian_weyl.criteria import (
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain, order_factors
 from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import all_nodes, lie_type
+
+from criteria_oracle import closed_form_set
 
 F = Fraction
 
@@ -58,13 +59,12 @@ def test_type_a_symmetries(l):
 
 
 def test_oracle_matches_closed_form_spot():
-    assert criterion_set_from_ledger(lie_type("A", 3), 1, 2).values == {F(3, 2)}
-    assert criterion_set_from_ledger(lie_type("A", 4), 2, 3).values == {
-        F(3, 2), F(5, 2),
-    }
-    assert criterion_set_from_ledger(lie_type("G2"), 1, 2).values == _values(
-        lie_type("G2"), 1, 2
-    )
+    for t, b_m, b_n, expected in (
+        (lie_type("A", 3), 1, 2, {F(3, 2)}),
+        (lie_type("A", 4), 2, 3, {F(3, 2), F(5, 2)}),
+        (lie_type("G2"), 1, 2, {F(1, 2), F(3, 2), F(5, 2), F(7, 2), F(9, 2)}),
+    ):
+        assert _values(t, b_m, b_n) == closed_form_set(t, b_m, b_n) == expected
 
 
 def _oracle_sweep_types():
@@ -73,8 +73,8 @@ def _oracle_sweep_types():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return (
-            [lie_type("A", l) for l in range(2, 13)]
-            + [lie_type(f, l) for f in "BCD" for l in range(2, 13) if not (f == "D" and l < 3)]
+            [lie_type("A", l) for l in range(1, 17)]
+            + [lie_type(f, l) for f in "BCD" for l in range(2, 17) if not (f == "D" and l < 3)]
             + [lie_type("G2")]
         )
 
@@ -83,9 +83,17 @@ def _oracle_sweep_types():
 def test_oracle_matches_closed_form_sweep(t):
     for b_m in all_nodes(t):
         for b_n in all_nodes(t):
-            closed = criterion_set(t, b_m, b_n).values
-            derived = criterion_set_from_ledger(t, b_m, b_n).values
-            assert closed == derived, (str(t), b_m, b_n)
+            assert _values(t, b_m, b_n) == closed_form_set(t, b_m, b_n), (str(t), b_m, b_n)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_oracle_matches_closed_form_rank_64_end_rows(family):
+    # The full rows of the first and the last node at the largest rank the
+    # command line accepts.
+    t = lie_type(family, 64)
+    for b_m in (1, 64):
+        for b_n in all_nodes(t):
+            assert _values(t, b_m, b_n) == closed_form_set(t, b_m, b_n), (str(t), b_m, b_n)
 
 
 def test_cyclicity_examples():
@@ -237,8 +245,6 @@ def test_verdict_witnesses_match_the_pair_scan(planted):
 def test_node_validation():
     with pytest.raises(ValueError):
         criterion_set(lie_type("A", 3), 0, 1)
-    with pytest.raises(ValueError):
-        criterion_set_from_ledger(lie_type("A", 3), 1, 4)
 
 
 def test_rank_two_relabelling_consistency():
@@ -253,37 +259,6 @@ def test_rank_two_relabelling_consistency():
         for bn in (1, 2):
             assert _values(b2, bm, bn) == _values(c2, swap[bm], swap[bn])
     assert duality_shift(b2) == duality_shift(c2)
-
-
-@pytest.fixture
-def uncached_ledger_sets():
-    """Clear the cache of `criterion_set_from_ledger` around a test that
-    patches what it calls, so that no earlier test's result answers it and
-    no patched result outlives it."""
-    import yangian_weyl.criteria as crit
-
-    crit.criterion_set_from_ledger.cache_clear()
-    yield
-    crit.criterion_set_from_ledger.cache_clear()
-
-
-def test_oracle_mismatch_is_loud(uncached_ledger_sets, monkeypatch):
-    # The ledger rederivation is a cross-check, not a fallback: if the
-    # closed form ever disagreed, the call must fail with both sets.
-    import yangian_weyl.criteria as crit
-
-    t = lie_type("A", 3)
-    real = crit.criterion_set
-
-    def skewed(tt, bm, bn):
-        full = real(tt, bm, bn)
-        return crit.CriterionSet(
-            tt, bm, bn, frozenset(set(full.values) | {Fraction(999)})
-        )
-
-    monkeypatch.setattr(crit, "criterion_set", skewed)
-    with pytest.raises(crit.CriterionSetMismatch, match="999"):
-        crit.criterion_set_from_ledger(t, 1, 2)
 
 
 def test_rank_one_irreducibility_matches_brute_force():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangian_weyl.criteria import criterion_set, criterion_set_from_ledger
+from yangian_weyl.criteria import criterion_set
 from yangian_weyl.dims import lie_fundamental_dim, yangian_fundamental_dim
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain
 from yangian_weyl.rootsys import (
@@ -85,8 +85,6 @@ def test_d3_warning_points_past_dataclass_init():
 NODE_TAKERS = {
     "criterion_set(b, 1)": lambda t, b: criterion_set(t, b, 1),
     "criterion_set(1, b)": lambda t, b: criterion_set(t, 1, b),
-    "criterion_set_from_ledger(b, 1)": lambda t, b: criterion_set_from_ledger(t, b, 1),
-    "criterion_set_from_ledger(1, b)": lambda t, b: criterion_set_from_ledger(t, 1, b),
     "descent_chain": descent_chain,
     "parameter_ledger": parameter_ledger,
     "lie_fundamental_dim": lie_fundamental_dim,

@@ -24,17 +24,14 @@ from yangian_weyl.rootsys import (
     apply_word,
     cartan_datum,
     fundamental_weight,
+    is_positive_root_vector,
     lie_type,
     longest_word,
     node_involution,
+    reflect_root,
+    simple_root_in_weights,
 )
-from yangian_weyl.weylpath import (
-    chain_root_positivity,
-    descent_chain,
-    lowering_word,
-    parameter_ledger,
-    root_lattice_balance,
-)
+from yangian_weyl.weylpath import descent_chain, lowering_word, parameter_ledger
 
 from ambient_tables import ambient
 
@@ -47,6 +44,32 @@ SWEEP = (
     + [lie_type("D", l) for l in range(4, 9)]
     + [lie_type("G2")]
 )
+
+
+def chain_root_positivity(t, b) -> bool:
+    """Each step's simple root, pulled back through the earlier steps,
+    stays positive: the chain always moves strictly downward."""
+    chain = descent_chain(t, b)
+    l = t.rank
+    for k, step in enumerate(chain.steps):
+        vec = tuple(1 if j == step.node - 1 else 0 for j in range(l))
+        for earlier in reversed(chain.steps[:k]):
+            vec = reflect_root(t, vec, earlier.node)
+        if not is_positive_root_vector(vec):
+            return False
+    return True
+
+
+def root_lattice_balance(t, b) -> bool:
+    """Sum of exponent * alpha_node over the lowering word equals
+    omega_b - w0(omega_b) in fundamental-weight coordinates."""
+    total = [0] * t.rank
+    for node, exp in lowering_word(t, b):
+        alpha = simple_root_in_weights(t, node)
+        total = [acc + exp * a for acc, a in zip(total, alpha)]
+    start = fundamental_weight(t, b)
+    end = apply_word(t, longest_word(t), start)
+    return tuple(total) == tuple(s - e for s, e in zip(start, end))
 
 
 def test_g2_chain_matches_weight_path():
@@ -213,22 +236,22 @@ def uncached_ledgers():
 
 
 def test_ledger_refuses_a_chain_its_l_weight_does_not_match(uncached_ledgers, monkeypatch):
-    # A step coefficient that the l-weight does not reproduce is an error,
-    # not a ledger entry of the wrong size.
+    # The ledger tracks the chain's weight from the Cartan matrix alone and
+    # lowers the l-weight with the symmetrizers too.  With wrong
+    # symmetrizers the two part ways: a step coefficient that the l-weight
+    # does not reproduce is an error, not a ledger entry of the wrong size.
     import dataclasses
 
     import yangian_weyl.weylpath as wp
 
-    real = wp.descent_chain
+    real = wp.cartan_datum
 
-    def skewed(t, b):
-        chain = real(t, b)
-        first = dataclasses.replace(chain.steps[0], coefficient=2)
-        return dataclasses.replace(chain, steps=(first,) + chain.steps[1:])
+    def skewed(t):
+        return dataclasses.replace(real(t), d=(1,) * t.rank)
 
-    monkeypatch.setattr(wp, "descent_chain", skewed)
+    monkeypatch.setattr(wp, "cartan_datum", skewed)
     t = lie_type("C", 3)
-    with pytest.raises(RuntimeError, match="step coefficient 2"):
+    with pytest.raises(RuntimeError, match="step 3 of C3 node 1 .* step coefficient 1$"):
         wp.parameter_ledger(t, 1)
 
 
