@@ -56,14 +56,16 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 # whose 74 generator products are whole matrices, sets the bound.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
-# tables grow with the rank l (`_tridiagonal` allocates an l x l list,
-# `check --mode irreducible` builds the longest word, O(l^2) letters, and
-# `ssets` walks that word once for the ledger of every node), and the cost
-# grows about as l^4.  At rank 64 `info` and `check --mode irreducible` take
-# 0.8-3.2 s on A-D, against 0.2-0.6 s at rank 32 and 1.7-5.9 s at rank 80;
-# `ssets --json` takes 0.3-0.5 s on A64 and 0.7-1.2 s on B64, C64 and D64
-# (wall time per CLI run; Python 3.11, one shared Xeon core).  The demos and
-# the benchmark use rank 12 at most; the tests reach rank 64.
+# tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
+# node involution of `info` and `check --mode irreducible` runs every
+# fundamental weight through the longest word, O(l^2) letters, and `ssets`
+# derives the ledger of every node), so `ssets` sets the bound.  At rank 64,
+# with the per-type caches empty, `ssets --json` takes 0.2 s on A64 and
+# 0.6-0.7 s on B64, C64 and D64, against 0.03-0.08 s at rank 32 and
+# 0.35-1.4 s at rank 80; `info` and `check --mode irreducible` take at most
+# 0.045 s at rank 64 (in-process `main` calls; Python 3.11, one shared Xeon
+# core).  The demos and the benchmark use rank 12 at most; the tests reach
+# rank 64.
 MAX_RANK = 64
 # Largest `sl2 --order`: the series check runs the x_k^+ ladder up to it on
 # the vectors top and x_0^- top, about order^2 / 2 sparse applications each,
@@ -72,12 +74,12 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 it takes 0.45-0.5 s (13.7 MB of JSON), of which
-# writing the JSON takes 0.17-0.18 s and forming and formatting the 124,750
+# at 500 roots on A4 and D5 it takes 0.19-0.21 s (13.7 MB of JSON), of which
+# writing the JSON takes 0.07-0.08 s and forming and formatting the 124,750
 # differences most of the rest; the time and the output grow as the square
-# of the degree.  `check` finds its witnesses by a hash join and takes 0.02-0.2 s
-# at 500 factors (Python 3.11, one shared Xeon core).  The benchmark's
-# longest chain and largest degree are 120.
+# of the degree.  `check` finds its witnesses by a hash join and takes
+# 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).  The
+# benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
 
@@ -137,24 +139,28 @@ def _parse_type(doc) -> LieType:
         raise SchemaError("/rank", str(exc)) from exc
 
 
-def _parse_scalar_at(text, pointer) -> GaussianRational:
+def _parse_scalar_at(text, *at) -> GaussianRational:
+    """The scalar string `text` found at the path `at`; the pointer is
+    built only when the string is refused."""
     if not isinstance(text, str):
-        raise SchemaError(pointer, "expected a scalar string")
+        raise SchemaError(_pointer(*at), "expected a scalar string")
     try:
         return parse_scalar(text)
     except ScalarParseError as exc:
-        raise SchemaError(pointer, str(exc)) from exc
+        raise SchemaError(_pointer(*at), str(exc)) from exc
 
 
-def _check_node_at(t: LieType, node, pointer):
-    """Refuse, at `pointer`, a node that is not an integer (a JSON boolean
-    included) or that `t.check_node` refuses."""
-    if type(node) is not int:
-        raise SchemaError(pointer, f"expected an integer node in 1..{t.rank}")
+def _check_node_at(t: LieType, node, *at):
+    """Refuse, at the path `at`, a node that is not an integer (a JSON
+    boolean included) or that `t.check_node` refuses."""
+    if type(node) is int and 1 <= node <= t.rank:
+        return
     try:
+        if type(node) is not int:
+            raise ValueError(f"expected an integer node in 1..{t.rank}")
         t.check_node(node)
     except ValueError as exc:
-        raise SchemaError(pointer, str(exc)) from exc
+        raise SchemaError(_pointer(*at), str(exc)) from exc
 
 
 def parse_tuple_doc(doc) -> DrinfeldTuple:
@@ -169,14 +175,13 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
             node = int(key)
         except (TypeError, ValueError):
             node = None
-        at = _pointer("polys", key)
         if node is None or key != str(node):
-            raise SchemaError(at, "node keys must be decimal integers")
-        _check_node_at(t, node, at)
+            raise SchemaError(_pointer("polys", key), "node keys must be decimal integers")
+        _check_node_at(t, node, "polys", key)
         if not isinstance(roots, list):
-            raise SchemaError(at, "expected a list of scalar strings")
+            raise SchemaError(_pointer("polys", key), "expected a list of scalar strings")
         rows[node] = [
-            _parse_scalar_at(root, f"{at}/{i}") for i, root in enumerate(roots)
+            _parse_scalar_at(root, "polys", key, i) for i, root in enumerate(roots)
         ]
     pi = DrinfeldTuple.from_dict(t, rows)
     if pi.total_degree == 0:
@@ -196,13 +201,12 @@ def parse_chain_doc(doc) -> FactorChain:
         raise SchemaError("/factors", f"expected at most {MAX_FACTORS} factors")
     parsed = []
     for i, factor in enumerate(factors):
-        at = _pointer("factors", i)
         if not isinstance(factor, dict):
-            raise SchemaError(at, "expected an object")
+            raise SchemaError(_pointer("factors", i), "expected an object")
         _known_keys(factor, ("node", "a"), "factors", i)
         node = factor.get("node")
-        _check_node_at(t, node, f"{at}/node")
-        parsed.append((node, _parse_scalar_at(factor.get("a"), f"{at}/a")))
+        _check_node_at(t, node, "factors", i, "node")
+        parsed.append((node, _parse_scalar_at(factor.get("a"), "factors", i, "a")))
     return FactorChain(t, tuple(parsed))
 
 
@@ -211,13 +215,12 @@ def parse_sl2_doc(doc):
         raise SchemaError("", "expected a nonempty list of [m, a] pairs")
     spec = []
     for i, item in enumerate(doc):
-        at = _pointer(i)
         if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(at, "expected a [m, a] pair")
+            raise SchemaError(_pointer(i), "expected a [m, a] pair")
         m, a = item
         if type(m) is not int or m < 1:
-            raise SchemaError(f"{at}/0", "expected a positive integer m")
-        spec.append((m, _parse_scalar_at(a, f"{at}/1")))
+            raise SchemaError(_pointer(i, 0), "expected a positive integer m")
+        spec.append((m, _parse_scalar_at(a, i, 1)))
     return tuple(spec)
 
 
@@ -257,21 +260,26 @@ def _report(command: str, body: dict) -> dict:
     return {"version": __version__, "exact": True, "command": command, **body}
 
 
-def _emit(report: dict, as_json: bool, lines, pair_audit=None):
+def _emit(report: dict, as_json: bool, lines):
     """Print the report as JSON, or else the human-mode lines that
-    `lines()` builds; they are built only when printed.  A `weyl` report
-    holds an empty "pair_audit" and passes its rows as `pair_audit`: they
-    are written by `_audit_json` and spliced in where the empty list is
-    printed, so the output is that of `json.dumps` on the full report."""
+    `lines()` builds; they are built only when printed.
+
+    The JSON is the text `json.dumps(report, indent=2, sort_keys=True)`
+    prints, written by `_write_json` into one list of pieces that is
+    joined once; a `weyl` pair audit is written in the same pass, row by
+    row from one template.  With `indent` set, `json` encodes in pure
+    Python: on the 500-root `weyl` reports of `MAX_FACTORS` it takes
+    0.53-0.75 s, against 0.07-0.08 s here."""
     if as_json:
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if pair_audit:
-            key = '\n  "pair_audit": '
-            text = text.replace(key + "[]", key + _audit_json(pair_audit), 1)
-        print(text)
+        print(_json_text(report))
     else:
         for line in lines():
             print(line)
+
+
+class _PairAudit(list):
+    """The rows (i, j, difference, in_criterion_set) of a `weyl` pair audit,
+    written as a list of objects under a top-level key of the report."""
 
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
@@ -282,15 +290,62 @@ _AUDIT_ROW = (
 )
 
 
-def _audit_json(rows) -> str:
-    """The nonempty list of audit rows (i, j, difference, in_criterion_set)
-    as `json.dumps(indent=2)` prints it under a top-level key.  With
-    `indent` set, `json` encodes in pure Python, at several times the cost
-    of this template; the strings go through the same C string encoder."""
-    return "[\n    " + ",\n    ".join([
-        _AUDIT_ROW % (encode_basestring_ascii(d), i, "true" if hit else "false", j)
-        for i, j, d, hit in rows
-    ]) + "\n  ]"
+def _json_text(value) -> str:
+    """The JSON text of `value`; its pieces are freed when this returns,
+    before the text is printed."""
+    out: list = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list, nl: str):
+    """Append to `out` the pieces of `value` as `json.dumps(indent=2,
+    sort_keys=True)` prints it; `nl` is a newline and the indent of the
+    line that holds `value`.  Strings go through the C string encoder that
+    `json` uses.  Any type but str, int, bool, None, a dict with str keys,
+    a list and a _PairAudit raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif not value and (kind is dict or kind is list or kind is _PairAudit):
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list:
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is _PairAudit:
+        # Joined in chunks, so that beside the written text only one
+        # chunk's row strings are alive at a time.
+        sep = "[\n    "
+        for k in range(0, len(value), 1024):
+            out.append(sep + ",\n    ".join([
+                _AUDIT_ROW % (encode_basestring_ascii(d), i, "true" if hit else "false", j)
+                for i, j, d, hit in value[k:k + 1024]
+            ]))
+            sep = ",\n    "
+        out.append("\n  ]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +403,18 @@ def _cmd_weyl(args) -> int:
     # difference is taken over the denominator d_i * d_j and printed with
     # its parts in lowest terms, so it needs no reduction of its own.
     hits = {(i, j) for i, j, _ in criterion_hits(chain)}
-    audit = [
+    audit = _PairAudit(
         (i, j, _triple_str(r_j * d_i - r_i * d_j, m_j * d_i - m_i * d_j, d_i * d_j),
          (i, j) in hits)
         for (i, (r_i, m_i, d_i)), (j, (r_j, m_j, d_j)) in combinations(
             enumerate((a.triple for _, a in chain.factors), 1), 2
         )
-    ]
+    )
     body = {
         "input": tuple_to_doc(pi),
         "chain": chain_to_doc(chain)["factors"],
         "dimension": weyl_module_dim(pi),
-        "pair_audit": [],
+        "pair_audit": audit,
     }
     if chain_to_poly(chain) != pi or chain_dim(chain) != body["dimension"]:
         raise RuntimeError("ordered factorization does not reproduce the input module")
@@ -370,7 +425,7 @@ def _cmd_weyl(args) -> int:
         "pair audit (i < j, difference, in criterion set):",
         *(f"  ({i},{j}) diff {d} -> {hit}" for i, j, d, hit in audit),
     ]
-    _emit(_report("weyl", body), args.json, lines, audit)
+    _emit(_report("weyl", body), args.json, lines)
     return 0
 
 
@@ -457,12 +512,15 @@ def _load_doc(text: str):
 
 def _unique_keys(pairs) -> dict:
     """A JSON object, refused if a key repeats: json.loads would keep only
-    the last value."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise SchemaError("", f"repeated object key {key!r}")
-        doc[key] = value
+    the last value.  The pairs are walked only when a key repeats, to name
+    the first one."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("", f"repeated object key {key!r}")
+            seen.add(key)
     return doc
 
 

@@ -14,7 +14,11 @@ The pairs are found by a hash join, not by comparing every pair: a hit
 means a_j = a_i + s for some s in S(b_i, b_j), so the chain is indexed once
 by (node, parameter) and each factor looks up a_i + s for every node q in
 the chain and every s in S(b_i, q).  That is k * sum_q |S(b_i, q)| lookups
-for k factors instead of k^2 subtractions.
+for k factors instead of k^2 subtractions.  Since 2s is an integer, 2a_i
+and 2a_j then have the same imaginary part and the same denominator d in
+lowest terms, so the factors are first bucketed by that pair (im, d), and
+a factor alone in its bucket makes no lookup: a chain whose parameters
+have pairwise distinct imaginary parts makes none at all.
 """
 
 from __future__ import annotations
@@ -89,24 +93,36 @@ def criterion_hits(chain: FactorChain, both_orders: bool = False):
     criterion set of the node pair (b_i, b_j)."""
     t = chain.lie_type
     factors = chain.factors
-    # The hash join of the module docstring, on integer keys (node, triple
-    # of 2a).  2s is an integer, so 2(a + s) has the triple (re + 2s * d,
-    # im, d), and that is still in lowest terms.
-    keys = [(b, *_doubled(a)) for b, a in factors]
-    index = {}
-    for j, key in enumerate(keys):
-        index.setdefault(key, []).append(j)
+    # The hash join of the module docstring, on integer keys: 2a has the
+    # triple (re, im, d) in lowest terms, and as 2s is an integer, 2(a + s)
+    # has the triple (re + 2s * d, im, d), still in lowest terms.  So only
+    # factors with the same (im, d) can pair, and a factor alone in its
+    # bucket makes no lookup.
+    buckets = {}
+    for j, (b, a) in enumerate(factors):
+        re, im, d = _doubled(a)
+        buckets.setdefault((im, d), []).append((j, b, re))
     nodes = {b for b, _ in factors}
-    shifts = {p: [(q, s2) for q in nodes for s2 in _doubled_sets(t, p)[q - 1]] for p in nodes}
-    for i, (b_i, re, im, d) in enumerate(keys):
-        hits = sorted(
-            j
-            for q, s2 in shifts[b_i]
-            for j in index.get((q, re + s2 * d, im, d), ())
-            if both_orders or j > i  # s > 0, so j != i
-        )
-        for j in hits:
-            yield i + 1, j + 1, factors[j][1] - factors[i][1]
+    shifts = {}
+    pairs = []
+    for (_, d), members in buckets.items():
+        if len(members) < 2:
+            continue
+        index = {}
+        for j, b, re in members:
+            index.setdefault((b, re), []).append(j)
+        for i, b_i, re in members:
+            if b_i not in shifts:
+                shifts[b_i] = [(q, s2) for q in nodes for s2 in _doubled_sets(t, b_i)[q - 1]]
+            pairs.extend(
+                (i, j)
+                for q, s2 in shifts[b_i]
+                for j in index.get((q, re + s2 * d), ())
+                if both_orders or j > i  # s > 0, so j != i
+            )
+    pairs.sort()
+    for i, j in pairs:
+        yield i + 1, j + 1, factors[j][1] - factors[i][1]
 
 
 def cyclicity_guaranteed(chain: FactorChain) -> Verdict:

@@ -196,32 +196,32 @@ def format_triple(re: int, im: int, d: int) -> str:
     return f"{_rational_text(re, d)}{sign}{_rational_text(abs(im), d)}i"
 
 
-_RAT = r"-?\d+(?:/\d+)?"
-_SCALAR_RE = re.compile(rf"^(?P<re>{_RAT})(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?$")
-
-
-def _parse_rational(token: str):
-    """(n, d) with n/d the value of `int("/" posint)?`."""
-    num, _, den = token.partition("/")
-    try:
-        n, d = int(num), int(den or 1)
-    except ValueError as exc:  # more digits than int() converts
-        raise ScalarParseError(f"scalar part too long: {exc}") from exc
-    if d == 0:
-        raise ScalarParseError(f"zero denominator in {token!r}")
-    return n, d
+# Real numerator and denominator, sign, imaginary numerator and denominator.
+_SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?i)?")
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse `rat(("+"|"-") rat "i")?` with rat = `int("/" posint)?`."""
-    match = _SCALAR_RE.match(text.strip())
+    """Parse `rat(("+"|"-") rat "i")?` with rat = `int("/" posint)?`.
+
+    The real part is converted and checked before the imaginary part, so
+    an input with faults in both parts is refused for the real one."""
+    match = _SCALAR_RE.fullmatch(text.strip())
     if match is None:
         raise ScalarParseError(f"malformed scalar {text!r}")
-    n, d = _parse_rational(match.group("re"))
-    if match.group("im") is None:
+    n, d, sign, m, e = match.groups()
+    try:
+        n, d = int(n), int(d) if d else 1
+        if d and m:
+            m, e = int(m), int(e) if e else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise ScalarParseError(f"scalar part too long: {exc}") from exc
+    if not d:
+        raise ScalarParseError(f"zero denominator in {match.group(1) + '/' + match.group(2)!r}")
+    if m is None:
         return _reduced(n, 0, d)
-    m, e = _parse_rational(match.group("im"))
-    if match.group("sign") == "-":
+    if not e:
+        raise ScalarParseError(f"zero denominator in {match.group(4) + '/' + match.group(5)!r}")
+    if sign == "-":
         m = -m
     g = gcd(d, e)
     return _reduced(n * (e // g), m * (d // g), d // g * e)

@@ -172,19 +172,33 @@ def apply_word(t: LieType, word, w: Weight) -> Weight:
 
 @lru_cache(maxsize=None)
 def node_involution(t: LieType) -> Tuple[int, ...]:
-    """The permutation i -> -w0(i), as a tuple indexed by node-1."""
-    word = longest_word(t)
+    """The permutation i -> -w0(i), as a tuple indexed by node-1.
+
+    Each fundamental weight goes through the longest word (l^2 letters)
+    sparsely: a letter s_k subtracts w_k times the nonzero entries of
+    alpha_k, the k-th Cartan column, and a letter with w_k = 0 is skipped.
+    """
+    cartan = cartan_datum(t).cartan
+    columns = [
+        [(j, row[k]) for j, row in enumerate(cartan) if row[k]] for k in range(t.rank)
+    ]
+    word = longest_word(t)[::-1]  # the rightmost letter acts first
     nu = []
     for i in all_nodes(t):
-        image = apply_word(t, word, fundamental_weight(t, i))
-        negative = tuple(-c for c in image)
-        matches = [j for j in all_nodes(t) if fundamental_weight(t, j) == negative]
-        if len(matches) != 1:
+        w = [0] * t.rank
+        w[i - 1] = 1
+        for k in word:
+            c = w[k - 1]
+            if c:
+                for j, a in columns[k - 1]:
+                    w[j] -= c * a
+        support = [j for j, c in enumerate(w, 1) if c]
+        if len(support) != 1 or w[support[0] - 1] != -1:
             raise RuntimeError(
                 f"longest word of {t} does not send node {i} to minus a "
                 "fundamental weight; word table is broken"
             )
-        nu.append(matches[0])
+        nu.append(support[0])
     return tuple(nu)
 
 

@@ -584,3 +584,43 @@ def test_criterion_20_ssets_at_max_rank(capsys):
             for b_n in all_nodes(t):
                 expected = [format_scalar(G(v)) for v in sorted(closed_form_set(t, b_m, b_n))]
                 assert sets[f"{b_m},{b_n}"] == expected, (family, b_m, b_n)
+
+
+def test_criterion_21_involution_at_max_rank(capsys):
+    # `info` prints the node involution i -> -w0(i), and the duality check
+    # of `check --mode irreducible` twists the dual chain's nodes by it; at
+    # rank 64 the longest word has up to 4,096 letters.  The factors'
+    # imaginary parts differ pairwise, so the chain has no witness and the
+    # duality check builds the dual chain.  Every per-type cache is cleared
+    # before each call, so each call derives its tables afresh.
+    import yangian_weyl.criteria as crit
+    import yangian_weyl.dims as dims
+    import yangian_weyl.rootsys as rs
+    import yangian_weyl.weylpath as wp
+    from yangian_weyl.cli import MAX_RANK
+
+    cached = [f for module in (rs, wp, crit, dims) for f in vars(module).values()
+              if hasattr(f, "cache_clear")]
+    rank = MAX_RANK
+    for family in "ABCD":
+        doc = json.dumps({"type": family, "rank": rank, "factors": [
+            {"node": b, "a": a} for b, a in
+            ((1, "0"), (rank, "1/2+1i"), (2, "3+2i"), (rank - 1, "-1-1i"), (rank // 2, "5/2+3i"))]})
+        runs = (
+            ("info", ["info", "--type", family, "--rank", str(rank), "--json"]),
+            ("check --mode irreducible", ["check", doc, "--mode", "irreducible", "--json"]),
+        )
+        reports = []
+        for name, argv in runs:
+            for f in cached:
+                f.cache_clear()
+            capsys.readouterr()  # the previous PASS line
+            with _Timer(f"criterion 21: {name} on {family}{rank}", limit=0.25):
+                assert main(argv) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+        info, check = reports
+        # -w0 reverses the nodes of A and is the identity on B, C and D of
+        # even rank.
+        expected = {i: rank + 1 - i if family == "A" else i for i in range(1, rank + 1)}
+        assert info["involution"] == {str(i): j for i, j in expected.items()}
+        assert check["verdict"] == {"guaranteed": True, "exact": family == "A", "witnesses": []}

@@ -22,6 +22,7 @@ from yangian_weyl.cli import (
     MAX_FACTORS,
     MAX_RANK,
     SchemaError,
+    _PairAudit,
     _emit,
     chain_to_doc,
     main,
@@ -248,6 +249,16 @@ _LONG_INT = "7" * 5000
         (["weyl", '{"type":"A","rank":2,"polys":[]}'], "/polys"),
         (["weyl", '{"type":"A","rank":2,"polys":{"1":"0"}}'], "/polys/1"),
         (["check", '{"type":"A","rank":2,"factors":[3]}'], "/factors/0"),
+        # Pointers past index 0, built only when the input is refused.
+        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
+            {"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 1, "a": "2"},
+            {"node": 2, "a": "1/0"}]})], "/factors/3/a"),
+        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
+            {"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 0, "a": "2"}]})],
+         "/factors/2/node"),
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2","x"]}}'], "/polys/2/1"),
+        (["sl2", '[[1,"0"],[2,"1/2"],[1,"x"]]'], "/2/1"),
+        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","a":"1"}]}'], ""),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
@@ -358,8 +369,35 @@ def test_weyl_json_is_what_json_dumps_prints(doc, rng):
         {"i": i, "j": j, "difference": d, "in_criterion_set": hit} for i, j, d, hit in rows]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _emit({**report, "pair_audit": []}, True, None, rows)
+        _emit({**report, "pair_audit": _PairAudit(rows)}, True, None)
     assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+_json_strings = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n\t\r", "\u00e9", "\u2028", "\U0001f600", "\ud800",
+     'a"b\\c'])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_writer_is_what_json_dumps_prints(value):
+    # `_emit` writes every report with its own writer, not with json.dumps.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value, True, None)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [Fraction(1, 2)]}, G(1)])
+def test_writer_refuses_what_json_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        _emit(value, True, None)
 
 
 def test_parse_sl2_doc():

@@ -200,11 +200,13 @@ _JOIN_TYPES = [
     lie_type("A", 1), lie_type("A", 4), lie_type("B", 2), lie_type("B", 4),
     lie_type("C", 4), lie_type("D", 4), lie_type("D", 5), lie_type("G2"),
 ]
-# Integer and half-integer real parts; real and Gaussian parameters.
+# Real and Gaussian parameters whose parts have denominators 1, 2, 3 and
+# 6, so that 2a has denominator 1 or 3 and the join meets buckets (im, d)
+# of several factors with d > 1.
 _PARAMS = st.builds(
     G,
-    st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2])),
-    st.sampled_from([0, 0, 1, -1, F(1, 2)]),
+    st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 3, 6])),
+    st.sampled_from([0, 0, 1, -1, F(1, 2), F(1, 3), F(-5, 6)]),
 )
 
 
