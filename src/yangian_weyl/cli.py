@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from functools import cache
-from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -36,7 +35,9 @@ from .exact import (
     ScalarParseError,
     as_scalar,
     format_triple,
+    imaginary_suffix,
     parse_scalar,
+    rational_text,
 )
 from .rootsys import (
     LieType,
@@ -74,12 +75,15 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 it takes 0.19-0.21 s (13.7 MB of JSON), of which
-# writing the JSON takes 0.07-0.08 s and forming and formatting the 124,750
-# differences most of the rest; the time and the output grow as the square
-# of the degree.  `check` finds its witnesses by a hash join and takes
-# 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).  The
-# benchmark's longest chain and largest degree are 120.
+# at 500 roots on A4 and D5 it takes 0.13-0.24 s (13.7 MB of JSON), of which
+# forming the 124,750 differences, with their 8,800-9,000 distinct real and
+# 133 distinct imaginary parts formatted once each, takes 0.07-0.12 s and
+# writing the JSON 0.04-0.07 s.  On 500 roots with pairwise-distinct
+# denominators, where no part repeats, it takes 0.27-0.32 s.  The time and
+# the output grow as the square of the degree.  `check` finds its witnesses
+# by a hash join and takes 0.01-0.13 s at 500 factors (Python 3.11, one
+# shared Xeon core).  The benchmark's longest chain and largest degree are
+# 120.
 MAX_FACTORS = 500
 
 
@@ -99,7 +103,11 @@ def _triple_str(re: int, im: int, d: int) -> str:
     try:
         return format_triple(re, im, d)
     except ValueError as exc:
-        raise SchemaError("", f"output scalar too long to print: {exc}") from exc
+        raise _too_long(exc) from exc
+
+
+def _too_long(exc: ValueError) -> SchemaError:
+    return SchemaError("", f"output scalar too long to print: {exc}")
 
 
 def _scalar_str(value) -> str:
@@ -266,10 +274,11 @@ def _emit(report: dict, as_json: bool, lines):
 
     The JSON is the text `json.dumps(report, indent=2, sort_keys=True)`
     prints, written by `_write_json` into one list of pieces that is
-    joined once; a `weyl` pair audit is written in the same pass, row by
-    row from one template.  With `indent` set, `json` encodes in pure
-    Python: on the 500-root `weyl` reports of `MAX_FACTORS` it takes
-    0.53-0.75 s, against 0.07-0.08 s here."""
+    joined once; a `weyl` pair audit is written in the same pass, each row
+    one concatenation of cached fragments around its encoded difference.
+    With `indent` set, `json` encodes in pure Python: on the 500-root
+    `weyl` reports of `MAX_FACTORS` it takes 0.53-0.94 s, against
+    0.04-0.07 s here."""
     if as_json:
         print(_json_text(report))
     else:
@@ -279,15 +288,16 @@ def _emit(report: dict, as_json: bool, lines):
 
 class _PairAudit(list):
     """The rows (i, j, difference, in_criterion_set) of a `weyl` pair audit,
-    written as a list of objects under a top-level key of the report."""
+    with int indices, a str difference and a bool in_criterion_set, written
+    as a list of objects under a top-level key of the report."""
 
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
-# a list under a top-level key of the report.
-_AUDIT_ROW = (
-    '{\n      "difference": %s,\n      "i": %d,\n'
-    '      "in_criterion_set": %s,\n      "j": %d\n    }'
-)
+# a list under a top-level key of the report: the opening, the difference,
+# the text that names i and the hit, and the text that names j.
+_AUDIT_OPEN = '{\n      "difference": '
+_AUDIT_I = ',\n      "i": %d,\n      "in_criterion_set": %s'
+_AUDIT_J = ',\n      "j": %d\n    }'
 
 
 def _json_text(value) -> str:
@@ -334,15 +344,28 @@ def _write_json(value, out: list, nl: str):
             sep = "," + inner
         out.append(nl + "]")
     elif kind is _PairAudit:
-        # Joined in chunks, so that beside the written text only one
-        # chunk's row strings are alive at a time.
-        sep = "[\n    "
+        # The text that names i (with the hit) and the text that names j
+        # are formatted once per index, so that a row is one concatenation
+        # around its encoded difference.  The rows are joined in chunks, so
+        # that beside the written text only one chunk's row strings are
+        # alive at a time.
+        named_i = {False: {}, True: {}}
+        named_j = {}
+        between = ",\n    " + _AUDIT_OPEN
+        sep = "[\n    " + _AUDIT_OPEN
         for k in range(0, len(value), 1024):
-            out.append(sep + ",\n    ".join([
-                _AUDIT_ROW % (encode_basestring_ascii(d), i, "true" if hit else "false", j)
-                for i, j, d, hit in value[k:k + 1024]
-            ]))
-            sep = ",\n    "
+            rows = []
+            for i, j, d, hit in value[k:k + 1024]:
+                texts = named_i[hit]
+                text_i = texts.get(i)
+                if text_i is None:
+                    text_i = texts[i] = _AUDIT_I % (i, "true" if hit else "false")
+                text_j = named_j.get(j)
+                if text_j is None:
+                    text_j = named_j[j] = _AUDIT_J % j
+                rows.append(encode_basestring_ascii(d) + text_i + text_j)
+            out.append(sep + between.join(rows))
+            sep = between
         out.append("\n  ]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -396,20 +419,61 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _pair_audit(chain: FactorChain) -> _PairAudit:
+    """The rows (i, j, a_j - a_i as printed, in criterion set) of every
+    pair i < j of the chain, in (i, j) order: the JSON contract lists every
+    pair, not only the hits.
+
+    Each difference is taken over the denominator d = d_i * d_j and printed
+    with its parts in lowest terms, so it needs no reduction of its own.
+    The first pair over each d is formatted whole.  When d comes again, the
+    text is the real part's text followed by the imaginary suffix ("" or
+    "+...i" or "-...i"), each formatted once per (numerator, d): a chain
+    whose denominators and numerators repeat has far fewer distinct parts
+    than pairs, and one whose denominators never repeat makes no caches.
+    A part too long to print is refused at the first row that holds it,
+    the real part before the imaginary one, as when each whole difference
+    is formatted."""
+    hits = {}
+    for i, j, _ in criterion_hits(chain):
+        hits.setdefault(i, set()).add(j)
+    # The index ints are made once, so that the rows share them.
+    indexed = list(enumerate((a.triple for _, a in chain.factors), 1))
+    seen = set()  # each d met once so far
+    texts = {}  # each d met again -> ({real numerator: text}, {imaginary numerator: suffix})
+    audit = _PairAudit()
+    append = audit.append
+    try:
+        for i, (r_i, m_i, d_i) in indexed:
+            hits_i = hits.get(i, ())
+            for j, (r_j, m_j, d_j) in indexed[i:]:
+                d = d_i * d_j
+                re = r_j * d_i - r_i * d_j
+                im = m_j * d_i - m_i * d_j
+                parts = texts.get(d)
+                if parts is None:
+                    if d not in seen:
+                        seen.add(d)
+                        append((i, j, format_triple(re, im, d), j in hits_i))
+                        continue
+                    parts = texts[d] = ({}, {})
+                reals, imags = parts
+                re_text = reals.get(re)
+                if re_text is None:
+                    re_text = reals[re] = rational_text(re, d)
+                im_text = imags.get(im)
+                if im_text is None:
+                    im_text = imags[im] = imaginary_suffix(im, d)
+                append((i, j, re_text + im_text, j in hits_i))
+    except ValueError as exc:  # a part with more digits than str() converts
+        raise _too_long(exc) from exc
+    return audit
+
+
 def _cmd_weyl(args) -> int:
     pi = parse_tuple_doc(_load_doc(args.document))
     chain = order_factors(pi)
-    # The JSON contract lists every pair i < j, not only the hits.  Each
-    # difference is taken over the denominator d_i * d_j and printed with
-    # its parts in lowest terms, so it needs no reduction of its own.
-    hits = {(i, j) for i, j, _ in criterion_hits(chain)}
-    audit = _PairAudit(
-        (i, j, _triple_str(r_j * d_i - r_i * d_j, m_j * d_i - m_i * d_j, d_i * d_j),
-         (i, j) in hits)
-        for (i, (r_i, m_i, d_i)), (j, (r_j, m_j, d_j)) in combinations(
-            enumerate((a.triple for _, a in chain.factors), 1), 2
-        )
-    )
+    audit = _pair_audit(chain)
     body = {
         "input": tuple_to_doc(pi),
         "chain": chain_to_doc(chain)["factors"],

@@ -177,7 +177,7 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
-def _rational_text(n: int, d: int) -> str:
+def rational_text(n: int, d: int) -> str:
     """n/d in lowest terms, as "n" or "n/d"."""
     if d != 1:
         g = gcd(n, d)
@@ -187,13 +187,23 @@ def _rational_text(n: int, d: int) -> str:
     return str(n)
 
 
+def imaginary_suffix(im: int, d: int) -> str:
+    """The text that follows the real part in the printed form of
+    (re + im*i) / d: "" when im = 0, else the sign, |im|/d in lowest terms
+    and "i"."""
+    if not im:
+        return ""
+    if im > 0:
+        return f"+{rational_text(im, d)}i"
+    return f"-{rational_text(-im, d)}i"
+
+
 def format_triple(re: int, im: int, d: int) -> str:
     """The printed form of (re + im*i) / d for any d > 0, each part in
     lowest terms; the triple itself need not be reduced."""
     if not im:
-        return _rational_text(re, d)
-    sign = "+" if im > 0 else "-"
-    return f"{_rational_text(re, d)}{sign}{_rational_text(abs(im), d)}i"
+        return rational_text(re, d)
+    return rational_text(re, d) + imaginary_suffix(im, d)
 
 
 # Real numerator and denominator, sign, imaginary numerator and denominator.

@@ -24,6 +24,7 @@ from yangian_weyl.cli import (
     SchemaError,
     _PairAudit,
     _emit,
+    _pair_audit,
     chain_to_doc,
     main,
     parse_chain_doc,
@@ -31,10 +32,11 @@ from yangian_weyl.cli import (
     parse_tuple_doc,
     tuple_to_doc,
 )
-from yangian_weyl.drinfeld import DrinfeldTuple
+from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain, order_factors
 from yangian_weyl.exact import GaussianRational as G, format_scalar
 from yangian_weyl.rootsys import all_nodes, lie_type
 
+from audit_oracle import pair_audit
 from criteria_oracle import closed_form_set
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -179,6 +181,20 @@ def test_human_output_runs(capsys):
 
 # More digits than Python converts between int and str by default (4,300).
 _LONG_INT = "7" * 5000
+# `weyl` documents that pass the schema but whose one difference has a real
+# part, or a zero real part and an imaginary part, with a denominator of
+# about 6,000 digits.
+_LONG_REAL = json.dumps({"type": "A", "rank": 1, "polys": {
+    "1": ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1"]}})
+_LONG_IMAGINARY = json.dumps({"type": "A", "rank": 1, "polys": {
+    "1": ["2+1/" + "7" * 3000 + "i", "2+1/" + "3" * 2999 + "1i"]}})
+# The same, but the too-long part, 2 * 5 * 10^4299 = 10^4300, is in a later
+# difference over a denominator already met, not in the first.
+_X = "5" + "0" * 4299
+_LONG_LATER_REAL = json.dumps({"type": "A", "rank": 1, "polys": {
+    "1": ["0", "1", _X, "-" + _X]}})
+_LONG_LATER_IMAGINARY = json.dumps({"type": "A", "rank": 1, "polys": {
+    "1": ["0", "1+1i", "1+%si" % _X, "1-%si" % _X]}})
 
 
 @pytest.mark.parametrize(
@@ -218,8 +234,7 @@ _LONG_INT = "7" * 5000
         # Inputs that pass the schema but print a part too long for str().
         (["sl2", '[[1,"%s"]]' % ("3" * 2500), "--verify", "series", "--order", "2",
           "--json"], ""),
-        (["weyl", json.dumps({"type": "A", "rank": 1, "polys": {
-            "1": ["1/" + "7" * 3000, "1/" + "3" * 2999 + "1"]}})], ""),
+        (["weyl", _LONG_REAL], ""),
         (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
             "1": [str(k) for k in range(MAX_FACTORS)], "2": ["0"]}})], "/polys"),
         (["check", json.dumps({"type": "A", "rank": 2, "factors": [
@@ -259,6 +274,10 @@ _LONG_INT = "7" * 5000
         (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2","x"]}}'], "/polys/2/1"),
         (["sl2", '[[1,"0"],[2,"1/2"],[1,"x"]]'], "/2/1"),
         (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","a":"1"}]}'], ""),
+        # A difference with real part 0 and an imaginary part too long to print.
+        (["weyl", _LONG_IMAGINARY], ""),
+        (["weyl", _LONG_LATER_REAL], ""),
+        (["weyl", _LONG_LATER_IMAGINARY], ""),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):
@@ -266,6 +285,21 @@ def test_schema_errors(capsys, argv, pointer):
     err = capsys.readouterr().err
     assert code == 2
     assert f"schema error at {pointer}:" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_LONG_REAL, _LONG_IMAGINARY, _LONG_LATER_REAL, _LONG_LATER_IMAGINARY],
+    ids=["real", "imaginary", "later-real", "later-imaginary"],
+)
+def test_refused_weyl_prints_nothing(capsys, doc):
+    # The audit is refused before any line of the report is printed, in
+    # human mode as well as with --json.
+    for flags in ([], ["--json"]):
+        assert main(["weyl", doc, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schema error at : output scalar too long to print" in captured.err
 
 
 def test_dash_reads_the_document_from_stdin(capsys, monkeypatch):
@@ -371,6 +405,75 @@ def test_weyl_json_is_what_json_dumps_prints(doc, rng):
     with contextlib.redirect_stdout(out):
         _emit({**report, "pair_audit": _PairAudit(rows)}, True, None)
     assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# Pairwise coprime and repeated denominators up to 10^6, and numerators of
+# one or two digits or of 201-301 digits.
+_audit_parts = st.builds(
+    Fraction,
+    st.integers(-12, 12) | st.builds(int.__mul__, st.integers(10**200, 10**300),
+                                     st.sampled_from([1, -1])),
+    st.sampled_from([1, 2, 3, 5, 6, 7, 12, 999_983, 10**6]) | st.integers(1, 10**6),
+)
+
+
+@st.composite
+def _audit_chains(draw):
+    """A chain of 1-30 factors in drawn order.  The parts come from small
+    pools, so that many differences are purely real, purely imaginary or
+    zero; about half the factors are real, on half-integer shifts of one
+    base, so that many pairs differ by an element of their criterion set."""
+    family, rank = draw(st.sampled_from(
+        [("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G2", 2)]))
+    reals = draw(st.lists(_audit_parts, min_size=1, max_size=4))
+    imags = [Fraction(0)] + draw(st.lists(_audit_parts, max_size=3))
+    base = draw(_audit_parts)
+    factors = []
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.booleans()):
+            a = G(base + Fraction(draw(st.integers(0, 12)), 2))
+        else:
+            a = G(draw(st.sampled_from(reals)), draw(st.sampled_from(imags)))
+        factors.append((draw(st.integers(1, rank)), a))
+    return FactorChain(lie_type(family, rank), tuple(factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_audit_chains())
+def test_pair_audit_is_the_oracle_audit(chain):
+    # The audit formats the first difference over each denominator whole,
+    # and each part of a later one once per (numerator, denominator), and
+    # finds hits in j-sets per i; the oracle formats every whole difference
+    # and looks up (i, j) pairs.
+    audit = _pair_audit(chain)
+    assert audit == pair_audit(chain)
+    # The writer, on rows that read true as well as false.
+    rows = [{"i": i, "j": j, "difference": d, "in_criterion_set": hit}
+            for i, j, d, hit in audit]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit({"pair_audit": audit}, True, None)
+    assert out.getvalue() == json.dumps({"pair_audit": rows}, indent=2, sort_keys=True) + "\n"
+    # `weyl --json` on the same factors, which it puts in its own order.
+    t = chain.lie_type
+    polys = {}
+    for node, a in chain.factors:
+        polys.setdefault(str(node), []).append(format_scalar(a))
+    doc = {"type": t.family, "rank": t.rank, "polys": polys}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["weyl", json.dumps(doc), "--json"]) == 0
+    report = json.loads(out.getvalue())
+    assert [(r["i"], r["j"], r["difference"], r["in_criterion_set"])
+            for r in report["pair_audit"]] == pair_audit(order_factors(parse_tuple_doc(doc)))
+
+
+def test_pair_audit_marks_criterion_hits():
+    # S(1, 1) = {1} on A1.  `weyl` orders its chain by descending real
+    # part, so none of its rows is a hit; this chain is in ascending order.
+    chain = FactorChain(lie_type("A", 1), ((1, G(0)), (1, G(1)), (1, G(2))))
+    expected = [(1, 2, "1", True), (1, 3, "2", False), (2, 3, "1", True)]
+    assert _pair_audit(chain) == expected == pair_audit(chain)
 
 
 _json_strings = st.text() | st.sampled_from(
