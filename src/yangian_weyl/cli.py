@@ -12,13 +12,13 @@ import json
 import math
 import sys
 from functools import cache
+from itertools import chain as iter_chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .criteria import (
     Verdict,
     _doubled_sets,
-    criterion_hits,
     criterion_set,  # unused here; bench/spans.py counts calls through this name
     cyclicity_guaranteed,
     irreducibility_guaranteed,
@@ -29,7 +29,7 @@ from .dims import (
     weyl_module_dim,
     yangian_fundamental_dim,
 )
-from .drinfeld import DrinfeldTuple, FactorChain, chain_to_poly, order_factors
+from .drinfeld import DrinfeldTuple, FactorChain, order_factors
 from .exact import (
     GaussianRational,
     ScalarParseError,
@@ -75,15 +75,13 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 it takes 0.13-0.24 s (13.7 MB of JSON), of which
-# forming the 124,750 differences, with their 8,800-9,000 distinct real and
-# 133 distinct imaginary parts formatted once each, takes 0.07-0.12 s and
-# writing the JSON 0.04-0.07 s.  On 500 roots with pairwise-distinct
-# denominators, where no part repeats, it takes 0.27-0.32 s.  The time and
-# the output grow as the square of the degree.  `check` finds its witnesses
-# by a hash join and takes 0.01-0.13 s at 500 factors (Python 3.11, one
-# shared Xeon core).  The benchmark's longest chain and largest degree are
-# 120.
+# at 500 roots on A4 and D5 (acceptance criterion 17) it takes 0.14-0.16 s
+# (13.7 MB of JSON), of which forming the 124,750 differences takes 0.06 s
+# and writing the JSON 0.04 s; with pairwise-distinct six-digit
+# denominators, where no part repeats, 0.34-0.44 s.  Both grow as the
+# square of the degree.  `check` finds its witnesses by a hash join and
+# takes 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).
+# The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
 
@@ -274,11 +272,9 @@ def _emit(report: dict, as_json: bool, lines):
 
     The JSON is the text `json.dumps(report, indent=2, sort_keys=True)`
     prints, written by `_write_json` into one list of pieces that is
-    joined once; a `weyl` pair audit is written in the same pass, each row
-    one concatenation of cached fragments around its encoded difference.
-    With `indent` set, `json` encodes in pure Python: on the 500-root
-    `weyl` reports of `MAX_FACTORS` it takes 0.53-0.94 s, against
-    0.04-0.07 s here."""
+    joined once, a `weyl` pair audit included.  With `indent` set, `json`
+    encodes in pure Python: on the 500-root `weyl` reports of
+    `MAX_FACTORS` it takes 0.53-0.94 s, against 0.03-0.05 s here."""
     if as_json:
         print(_json_text(report))
     else:
@@ -287,17 +283,20 @@ def _emit(report: dict, as_json: bool, lines):
 
 
 class _PairAudit(list):
-    """The rows (i, j, difference, in_criterion_set) of a `weyl` pair audit,
-    with int indices, a str difference and a bool in_criterion_set, written
-    as a list of objects under a top-level key of the report."""
+    """A `weyl` pair audit: for i = 1 .. n-1, the list of the texts of
+    a_j - a_i for j = i+1 .. n, written as a list of row objects under a
+    top-level key of the report."""
 
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
-# a list under a top-level key of the report: the opening, the difference,
-# the text that names i and the hit, and the text that names j.
-_AUDIT_OPEN = '{\n      "difference": '
-_AUDIT_I = ',\n      "i": %d,\n      "in_criterion_set": %s'
-_AUDIT_J = ',\n      "j": %d\n    }'
+# a list under a top-level key of the report: the opening of the list and its
+# first row, the difference, the text that names i (every row reads false, see
+# `_pair_audit`), and the text that names j, which also holds the separator
+# and the opening of the next row.
+_AUDIT_OPEN = '[\n    {\n      "difference": '
+_AUDIT_I = ',\n      "i": %d,\n      "in_criterion_set": false'
+_AUDIT_NEXT = ',\n    {\n      "difference": '
+_AUDIT_J = ',\n      "j": %d\n    }' + _AUDIT_NEXT
 
 
 def _json_text(value) -> str:
@@ -344,29 +343,14 @@ def _write_json(value, out: list, nl: str):
             sep = "," + inner
         out.append(nl + "]")
     elif kind is _PairAudit:
-        # The text that names i (with the hit) and the text that names j
-        # are formatted once per index, so that a row is one concatenation
-        # around its encoded difference.  The rows are joined in chunks, so
-        # that beside the written text only one chunk's row strings are
-        # alive at a time.
-        named_i = {False: {}, True: {}}
-        named_j = {}
-        between = ",\n    " + _AUDIT_OPEN
-        sep = "[\n    " + _AUDIT_OPEN
-        for k in range(0, len(value), 1024):
-            rows = []
-            for i, j, d, hit in value[k:k + 1024]:
-                texts = named_i[hit]
-                text_i = texts.get(i)
-                if text_i is None:
-                    text_i = texts[i] = _AUDIT_I % (i, "true" if hit else "false")
-                text_j = named_j.get(j)
-                if text_j is None:
-                    text_j = named_j[j] = _AUDIT_J % j
-                rows.append(encode_basestring_ascii(d) + text_i + text_j)
-            out.append(sep + between.join(rows))
-            sep = between
-        out.append("\n  ]")
+        # Each i's rows are joined in one call, so that no bytecode runs per
+        # row.  The last row, (n-1, n), opens no next row.
+        named_j = [_AUDIT_J % j for j in range(len(value) + 2)]
+        out.append(_AUDIT_OPEN)
+        for i, diffs in enumerate(value, 1):
+            out.append("".join(iter_chain.from_iterable(zip(
+                map(encode_basestring_ascii, diffs), repeat(_AUDIT_I % i), named_j[i + 1:]))))
+        out[-1] = out[-1][:-len(_AUDIT_NEXT)] + "\n  ]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -420,9 +404,11 @@ def _cmd_info(args) -> int:
 
 
 def _pair_audit(chain: FactorChain) -> _PairAudit:
-    """The rows (i, j, a_j - a_i as printed, in criterion set) of every
-    pair i < j of the chain, in (i, j) order: the JSON contract lists every
-    pair, not only the hits.
+    """The texts of a_j - a_i for every pair i < j of the chain, one list
+    per i: the JSON contract lists every pair.  No join runs, and every row
+    reads "in_criterion_set": false: `order_factors` orders the chain by
+    descending real part, so Re(a_j - a_i) <= 0 for i < j, and every
+    criterion value is a positive half-integer.  (`check` runs the join.)
 
     Each difference is taken over the denominator d = d_i * d_j and printed
     with its parts in lowest terms, so it needs no reduction of its own.
@@ -434,19 +420,15 @@ def _pair_audit(chain: FactorChain) -> _PairAudit:
     A part too long to print is refused at the first row that holds it,
     the real part before the imaginary one, as when each whole difference
     is formatted."""
-    hits = {}
-    for i, j, _ in criterion_hits(chain):
-        hits.setdefault(i, set()).add(j)
-    # The index ints are made once, so that the rows share them.
-    indexed = list(enumerate((a.triple for _, a in chain.factors), 1))
+    triples = [a.triple for _, a in chain.factors]
     seen = set()  # each d met once so far
     texts = {}  # each d met again -> ({real numerator: text}, {imaginary numerator: suffix})
     audit = _PairAudit()
-    append = audit.append
     try:
-        for i, (r_i, m_i, d_i) in indexed:
-            hits_i = hits.get(i, ())
-            for j, (r_j, m_j, d_j) in indexed[i:]:
+        for i, (r_i, m_i, d_i) in enumerate(triples[:-1], 1):
+            row = []
+            append = row.append
+            for r_j, m_j, d_j in triples[i:]:
                 d = d_i * d_j
                 re = r_j * d_i - r_i * d_j
                 im = m_j * d_i - m_i * d_j
@@ -454,7 +436,7 @@ def _pair_audit(chain: FactorChain) -> _PairAudit:
                 if parts is None:
                     if d not in seen:
                         seen.add(d)
-                        append((i, j, format_triple(re, im, d), j in hits_i))
+                        append(format_triple(re, im, d))
                         continue
                     parts = texts[d] = ({}, {})
                 reals, imags = parts
@@ -464,10 +446,17 @@ def _pair_audit(chain: FactorChain) -> _PairAudit:
                 im_text = imags.get(im)
                 if im_text is None:
                     im_text = imags[im] = imaginary_suffix(im, d)
-                append((i, j, re_text + im_text, j in hits_i))
+                append(re_text + im_text)
+            audit.append(row)
     except ValueError as exc:  # a part with more digits than str() converts
         raise _too_long(exc) from exc
     return audit
+
+
+def _root_multiset(pairs) -> list:
+    """The (node, root) pairs as sorted (node, triple) pairs: equal lists
+    hold the same roots at the same nodes, each as often."""
+    return sorted((node, a.triple) for node, a in pairs)
 
 
 def _cmd_weyl(args) -> int:
@@ -480,14 +469,17 @@ def _cmd_weyl(args) -> int:
         "dimension": weyl_module_dim(pi),
         "pair_audit": audit,
     }
-    if chain_to_poly(chain) != pi or chain_dim(chain) != body["dimension"]:
+    roots = ((node, r) for node, row in enumerate(pi.roots, 1) for r in row)
+    if (_root_multiset(chain.factors) != _root_multiset(roots)
+            or chain_dim(chain) != body["dimension"]):
         raise RuntimeError("ordered factorization does not reproduce the input module")
     lines = lambda: [
         f"ordered factorization over {chain.lie_type}:",
         *(f"  {k}: node {f['node']}, a = {f['a']}" for k, f in enumerate(body["chain"], 1)),
         f"dimension = {body['dimension']}",
         "pair audit (i < j, difference, in criterion set):",
-        *(f"  ({i},{j}) diff {d} -> {hit}" for i, j, d, hit in audit),
+        *(f"  ({i},{j}) diff {d} -> False"
+          for i, row in enumerate(audit, 1) for j, d in enumerate(row, i + 1)),
     ]
     _emit(_report("weyl", body), args.json, lines)
     return 0

@@ -23,7 +23,6 @@ from .exact import (
     ZERO,
     _reduced,
     as_scalar,
-    ordering_key,
     # Not called here: the benchmark's traced run wraps
     # `drinfeld.solve_linear` by name, and tests/test_bench_sites.py
     # requires every wrapped name to exist.
@@ -32,9 +31,21 @@ from .exact import (
 from .rootsys import LieType
 
 
+def _scaled_keys(triples: list) -> list:
+    """Integer sort keys (floor(re 2^B / d), floor(im 2^B / d)) of the
+    triples (re, im, d), with 2^B > D^2 for their largest denominator D.
+    Distinct parts p/d and q/e differ by at least 1/(de) > 2^-B, so their
+    scaled floors differ and the keys sort exactly as the parts do.  (Keys
+    over a common denominator would grow with the lcm of all of them.)"""
+    b = 2 * max((d for _, _, d in triples), default=1).bit_length() + 1
+    return [((re << b) // d, (im << b) // d) for re, im, d in triples]
+
+
 def _canonical(roots: Iterable) -> Tuple[GaussianRational, ...]:
     """The roots by ascending real part, then ascending imaginary part."""
-    return tuple(sorted((as_scalar(r) for r in roots), key=ordering_key, reverse=True))
+    roots = [as_scalar(r) for r in roots]
+    keys = _scaled_keys([r.triple for r in roots])
+    return tuple(roots[k] for k in sorted(range(len(roots)), key=keys.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -101,8 +112,9 @@ def order_factors(pi: DrinfeldTuple) -> FactorChain:
         for node, roots in enumerate(pi.roots, start=1)
         for root in roots
     ]
-    items.sort(key=lambda pair: (*ordering_key(pair[1]), pair[0]))
-    return FactorChain(pi.lie_type, tuple(items))
+    keys = _scaled_keys([a.triple for _, a in items])
+    order = sorted(range(len(items)), key=lambda k: (*keys[k], -items[k][0]), reverse=True)
+    return FactorChain(pi.lie_type, tuple(items[k] for k in order))
 
 
 def chain_to_poly(chain: FactorChain) -> DrinfeldTuple:

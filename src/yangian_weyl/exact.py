@@ -241,12 +241,6 @@ def format_scalar(value: GaussianRational) -> str:
     return str(value)
 
 
-def ordering_key(value: GaussianRational):
-    """Sort key for descending real part, then descending imaginary part."""
-    re, im, d = value.triple
-    return (Fraction(-re, d), Fraction(-im, d))
-
-
 def as_scalar(value) -> GaussianRational:
     triple = _triple(value)
     if triple is None:

@@ -1,10 +1,12 @@
 """The `weyl` pair audit as the package built it before it cached part
-texts, kept as the oracle for `cli._pair_audit`.
+texts and dropped the criterion join, kept as the oracle for
+`cli._pair_audit`.
 
 Every difference a_j - a_i is formed as a whole triple over d_i * d_j and
 formatted on its own, and a row is a hit when its (i, j) pair is among the
 criterion hits of the chain.  `tests/test_cli.py` checks the package's
-audit, and the `weyl --json` rows, against it.
+audit, and the `weyl --json` rows, against it, and checks that the join
+finds no pair on the ordered chains that `weyl` prints.
 """
 
 from __future__ import annotations

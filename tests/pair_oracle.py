@@ -161,6 +161,10 @@ def format_scalar(value: PairRational) -> str:
     return str(value)
 
 
-def ordering_key(value: PairRational):
-    """Sort key for descending real part, then descending imaginary part."""
+def ordering_key(value):
+    """Sort key for descending real part, then descending imaginary part.
+
+    It reads only `.re` and `.im` as Fractions, so it keys a
+    `GaussianRational` too: it is the oracle for the integer sort keys of
+    `yangian_weyl.drinfeld`, which sorted on this key before."""
     return (-value.re, -value.im)

@@ -48,6 +48,7 @@ from yangian_weyl.ysl2 import (
 )
 
 from criteria_oracle import closed_form_set
+from pair_oracle import ordering_key
 from test_weylpath import chain_root_positivity
 
 F = Fraction
@@ -624,3 +625,32 @@ def test_criterion_21_involution_at_max_rank(capsys):
         expected = {i: rank + 1 - i if family == "A" else i for i in range(1, rank + 1)}
         assert info["involution"] == {str(i): j for i, j in expected.items()}
         assert check["verdict"] == {"guaranteed": True, "exact": family == "A", "witnesses": []}
+
+
+def test_criterion_22_ordering_with_distinct_large_denominators():
+    # 500 roots, the most `weyl` accepts, whose 1,000-digit denominators
+    # differ pairwise: a common denominator of them would have about
+    # 500,000 digits.  Parsing, ordering and the self-check of `weyl` sort
+    # on scaled floors of the parts instead, whose size follows the
+    # largest denominator alone.
+    from yangian_weyl.cli import MAX_FACTORS, _root_multiset, parse_tuple_doc
+
+    rng = random.Random(22)
+    dens = set()
+    while len(dens) < MAX_FACTORS:
+        dens.add(rng.randrange(10**999, 10**1000))
+    polys = {}
+    for d in sorted(dens):
+        text = f"{rng.randrange(-10 * d, 10 * d)}/{d}"
+        if rng.random() < 0.5:
+            text += f"{rng.choice('+-')}{rng.randrange(1, 10 * d)}/{d}i"
+        polys.setdefault(str(rng.randint(1, 4)), []).append(text)
+    doc = {"type": "A", "rank": 4, "polys": polys}
+    with _Timer("criterion 22: ordering 500 roots over 1,000-digit denominators", limit=0.5):
+        pi = parse_tuple_doc(doc)
+        chain = order_factors(pi)
+        roots = ((node, r) for node, row in enumerate(pi.roots, 1) for r in row)
+        assert _root_multiset(chain.factors) == _root_multiset(roots)
+    assert list(chain.factors) == sorted(
+        chain.factors, key=lambda pair: (*ordering_key(pair[1]), pair[0]))
+    assert all(list(row) == sorted(row, key=ordering_key, reverse=True) for row in pi.roots)

@@ -22,7 +22,6 @@ from yangian_weyl.cli import (
     MAX_FACTORS,
     MAX_RANK,
     SchemaError,
-    _PairAudit,
     _emit,
     _pair_audit,
     chain_to_doc,
@@ -334,6 +333,37 @@ def test_weyl_invariant_survives_optimized_mode(monkeypatch):
         main(["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]}}'])
 
 
+@pytest.mark.parametrize("fault", ["drop", "duplicate", "alter", "move"])
+def test_weyl_self_check_catches_a_wrong_chain(capsys, monkeypatch, fault):
+    # Both dimensions read 1, so that only the comparison of the chain's
+    # roots with the input's can see the fault.
+    import yangian_weyl.cli as cli
+
+    doc = '{"type":"A","rank":2,"polys":{"1":["0","1/2+1i"],"2":["3/2","0"]}}'
+    monkeypatch.setattr(cli, "chain_dim", lambda chain: 1)
+    monkeypatch.setattr(cli, "weyl_module_dim", lambda pi: 1)
+    assert main(["weyl", doc]) == 0
+    capsys.readouterr()
+
+    def faulty(pi):
+        chain = order_factors(pi)
+        factors = list(chain.factors)
+        node, a = factors[1]
+        if fault == "drop":
+            del factors[1]
+        elif fault == "duplicate":
+            factors.insert(1, (node, a))
+        elif fault == "alter":
+            factors[1] = (node, a + G(Fraction(1, 10**30)))
+        else:  # the same root at the other node
+            factors[1] = (3 - node, a)
+        return FactorChain(chain.lie_type, tuple(factors))
+
+    monkeypatch.setattr(cli, "order_factors", faulty)
+    with pytest.raises(RuntimeError, match="does not reproduce the input module"):
+        main(["weyl", doc])
+
+
 def test_json_documents_roundtrip():
     rng = random.Random(97)
     types = [lie_type("A", 3), lie_type("B", 2), lie_type("C", 3), lie_type("G2")]
@@ -385,9 +415,9 @@ def _weyl_docs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_weyl_docs(), st.randoms(use_true_random=False))
-def test_weyl_json_is_what_json_dumps_prints(doc, rng):
-    # `weyl` writes its pair audit from a row template; the whole report
+@given(_weyl_docs())
+def test_weyl_json_is_what_json_dumps_prints(doc):
+    # `weyl` writes its pair audit from row fragments; the whole report
     # must be the bytes json.dumps(indent=2, sort_keys=True) gives for it.
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -395,16 +425,9 @@ def test_weyl_json_is_what_json_dumps_prints(doc, rng):
     text = out.getvalue()
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    # The ordered chain is cyclic, so every row above reads false: flip
-    # some to check the writer's `true` too.
-    rows = [(r["i"], r["j"], r["difference"], rng.random() < 0.3)
-            for r in report["pair_audit"]]
-    report["pair_audit"] = [
-        {"i": i, "j": j, "difference": d, "in_criterion_set": hit} for i, j, d, hit in rows]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _emit({**report, "pair_audit": _PairAudit(rows)}, True, None)
-    assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    n = len(report["chain"])
+    assert [(r["i"], r["j"], r["in_criterion_set"]) for r in report["pair_audit"]] == [
+        (i, j, False) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 # Pairwise coprime and repeated denominators up to 10^6, and numerators of
@@ -419,10 +442,11 @@ _audit_parts = st.builds(
 
 @st.composite
 def _audit_chains(draw):
-    """A chain of 1-30 factors in drawn order.  The parts come from small
+    """The ordered chain of 1-30 factors.  The parts come from small
     pools, so that many differences are purely real, purely imaginary or
     zero; about half the factors are real, on half-integer shifts of one
-    base, so that many pairs differ by an element of their criterion set."""
+    base, so that in some order many pairs differ by an element of their
+    criterion set."""
     family, rank = draw(st.sampled_from(
         [("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G2", 2)]))
     reals = draw(st.lists(_audit_parts, min_size=1, max_size=4))
@@ -435,7 +459,10 @@ def _audit_chains(draw):
         else:
             a = G(draw(st.sampled_from(reals)), draw(st.sampled_from(imags)))
         factors.append((draw(st.integers(1, rank)), a))
-    return FactorChain(lie_type(family, rank), tuple(factors))
+    polys = {}
+    for node, a in factors:
+        polys.setdefault(node, []).append(a)
+    return order_factors(DrinfeldTuple.from_dict(lie_type(family, rank), polys))
 
 
 @settings(max_examples=150, deadline=None)
@@ -443,18 +470,22 @@ def _audit_chains(draw):
 def test_pair_audit_is_the_oracle_audit(chain):
     # The audit formats the first difference over each denominator whole,
     # and each part of a later one once per (numerator, denominator), and
-    # finds hits in j-sets per i; the oracle formats every whole difference
-    # and looks up (i, j) pairs.
+    # runs no join; the oracle formats every whole difference and joins
+    # the chain with its criterion sets, which on an ordered chain finds
+    # no pair.
+    expected = pair_audit(chain)
+    assert not any(hit for _, _, _, hit in expected)
     audit = _pair_audit(chain)
-    assert audit == pair_audit(chain)
-    # The writer, on rows that read true as well as false.
+    assert [(i, j, d, False) for i, row in enumerate(audit, 1)
+            for j, d in enumerate(row, i + 1)] == expected
+    # The writer.
     rows = [{"i": i, "j": j, "difference": d, "in_criterion_set": hit}
-            for i, j, d, hit in audit]
+            for i, j, d, hit in expected]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit({"pair_audit": audit}, True, None)
     assert out.getvalue() == json.dumps({"pair_audit": rows}, indent=2, sort_keys=True) + "\n"
-    # `weyl --json` on the same factors, which it puts in its own order.
+    # `weyl --json` on the same factors.
     t = chain.lie_type
     polys = {}
     for node, a in chain.factors:
@@ -465,15 +496,21 @@ def test_pair_audit_is_the_oracle_audit(chain):
         assert main(["weyl", json.dumps(doc), "--json"]) == 0
     report = json.loads(out.getvalue())
     assert [(r["i"], r["j"], r["difference"], r["in_criterion_set"])
-            for r in report["pair_audit"]] == pair_audit(order_factors(parse_tuple_doc(doc)))
+            for r in report["pair_audit"]] == expected
 
 
-def test_pair_audit_marks_criterion_hits():
-    # S(1, 1) = {1} on A1.  `weyl` orders its chain by descending real
-    # part, so none of its rows is a hit; this chain is in ascending order.
-    chain = FactorChain(lie_type("A", 1), ((1, G(0)), (1, G(1)), (1, G(2))))
-    expected = [(1, 2, "1", True), (1, 3, "2", False), (2, 3, "1", True)]
-    assert _pair_audit(chain) == expected == pair_audit(chain)
+def test_pair_audit_of_the_ordered_chain_has_no_hits(capsys):
+    # S(1, 1) = {1} on A1: in ascending order the oracle's join finds two
+    # pairs.  `weyl` orders the chain by descending real part, where the
+    # join finds none, and prints every row false without running it.
+    ascending = FactorChain(lie_type("A", 1), ((1, G(0)), (1, G(1)), (1, G(2))))
+    assert pair_audit(ascending) == [(1, 2, "1", True), (1, 3, "2", False), (2, 3, "1", True)]
+    doc = {"type": "A", "rank": 1, "polys": {"1": ["0", "1", "2"]}}
+    code, report = _run_json(capsys, ["weyl", json.dumps(doc)])
+    assert code == 0
+    rows = [(r["i"], r["j"], r["difference"], r["in_criterion_set"]) for r in report["pair_audit"]]
+    expected = [(1, 2, "-1", False), (1, 3, "-2", False), (2, 3, "-1", False)]
+    assert rows == expected == pair_audit(order_factors(parse_tuple_doc(doc)))
 
 
 _json_strings = st.text() | st.sampled_from(

@@ -25,6 +25,7 @@ from yangian_weyl.drinfeld import (
 from yangian_weyl.exact import ZERO, GaussianRational as G, Series
 from yangian_weyl.rootsys import lie_type
 
+from pair_oracle import ordering_key
 from roots_oracle import divisor_search_roots, series_to_roots_by_linear_system
 
 A2 = lie_type("A", 2)
@@ -63,6 +64,59 @@ def test_order_factors_real_parts_weakly_decreasing():
         res = [a.re for _, a in chain.factors]
         assert all(x >= y for x, y in zip(res, res[1:]))
         assert chain_to_poly(chain) == DrinfeldTuple.from_dict(A2, rows)
+
+
+# Denominators small, just past 2^64, and near 10^30, some of them sharing
+# factors.
+_sort_dens = st.sampled_from([1, 2, 3, 6, 2**64 + 1, 2**64 + 13, 3 * (2**64 + 1), 10**30 - 1])
+_sort_dens |= st.integers(1, 2**70)
+
+
+@st.composite
+def _sort_parts(draw, base):
+    """A real or imaginary part: one of the `base` values, a value q/e
+    exactly 1/(de) above or below a base value p/d, or a fresh value.  A
+    gap of 1/(de) is the least two parts over d and e can have."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.sampled_from(base))
+    if kind == 1:
+        sign = draw(st.sampled_from([1, -1]))
+        x = sign * draw(st.sampled_from(base))
+        p, d = x.numerator, x.denominator
+        k = draw(st.integers(0, 2**70))
+        # e = -1/p (mod d), so that d divides p*e + 1 and q*d - p*e = 1.
+        e = (-pow(p, -1, d)) % d + d * k if d > 1 else k + 1
+        return sign * Fraction((p * e + 1) // d, e)
+    d = draw(_sort_dens)
+    return Fraction(draw(st.integers(-4 * d, 4 * d)), d)
+
+
+@st.composite
+def _sort_roots(draw):
+    """(node, root) pairs on two nodes whose parts tie across
+    denominators, sit exactly 1/(de) apart, and repeat whole."""
+    base = draw(st.lists(st.builds(Fraction, st.integers(-5, 5), _sort_dens),
+                         min_size=1, max_size=3))
+    roots = draw(st.lists(
+        st.tuples(st.integers(1, 2), st.builds(G, _sort_parts(base), _sort_parts(base))),
+        min_size=1, max_size=12))
+    return roots + draw(st.lists(st.sampled_from(roots), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sort_roots())
+def test_integer_sort_keys_match_the_fraction_oracle(roots):
+    # `_canonical` and `order_factors` sort on scaled floors of the parts;
+    # the oracle sorts on the parts as Fractions.  Values tied under the
+    # oracle are equal, so the sorted sequences must be equal.
+    pi = DrinfeldTuple.from_dict(A2, {1: [a for b, a in roots if b == 1],
+                                      2: [a for b, a in roots if b == 2]})
+    for node in (1, 2):
+        row = [a for b, a in roots if b == node]
+        assert list(pi.roots[node - 1]) == sorted(row, key=ordering_key, reverse=True)
+    expected = sorted(roots, key=lambda pair: (*ordering_key(pair[1]), pair[0]))
+    assert list(order_factors(pi).factors) == expected
 
 
 def test_order_factors_rejects_trivial():

@@ -18,12 +18,13 @@ from yangian_weyl.exact import (
     ZERO,
     format_scalar,
     kron,
-    ordering_key,
     parse_scalar,
     row_space_closure,
     solve_linear,
     unit_vector,
 )
+
+from pair_oracle import ordering_key
 
 G = GaussianRational
 
@@ -73,6 +74,8 @@ def test_format_parse_roundtrip(re, im):
     assert parse_scalar(format_scalar(value)) == value
 
 
+# The Fraction key that `drinfeld` sorted on before it built integer keys;
+# it is now their oracle.
 def test_ordering_key_examples():
     assert ordering_key(G(2)) < ordering_key(G(1, 1))
     assert ordering_key(G(1, 1)) < ordering_key(G(1, -1))
