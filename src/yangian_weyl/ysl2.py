@@ -20,7 +20,7 @@ generators and stays as the independent cross-check.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -34,7 +34,6 @@ from .exact import (
     ZERO,
     _RrefBasis,
     _UNIT,
-    _accumulate,
     _add_multiples,
     as_scalar,
     # Not called here: the benchmark's traced run wraps `ysl2.kron` by
@@ -173,24 +172,12 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
 
 @dataclass(frozen=True)
 class GeneratorLadder:
-    """Matrices of x_k^+/-, h_k for k = 0..K on a fixed module, and the
-    products of two of them formed so far."""
+    """Matrices of x_k^+/-, h_k for k = 0..K on a fixed module."""
 
     module: SL2Module
     xp: Tuple[Matrix, ...]
     xm: Tuple[Matrix, ...]
     h: Tuple[Matrix, ...]
-    products: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def product(self, a: str, r: int, b: str, s: int) -> Matrix:
-        """a_r b_s for generator names "+" (x^+), "-" (x^-) and "h", formed
-        once per ladder."""
-        key = (a, r, b, s)
-        out = self.products.get(key)
-        if out is None:
-            gens = {"+": self.xp, "-": self.xm, "h": self.h}
-            out = self.products[key] = gens[a][r] @ gens[b][s]
-        return out
 
     @property
     def order(self) -> int:
@@ -211,12 +198,9 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
         xm.append(_next_xm(module, xm[-1]))
         xp.append(_next_xp(module, xp[-1]))
     h = [module.h0, module.h1]
-    products = {}
     for k in range(2, K + 1):
-        up = products["+", k, "-", 0] = xp[k] @ module.x0m
-        down = products["-", 0, "+", k] = module.x0m @ xp[k]
-        h.append(up - down)
-    return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h), products)
+        h.append(xp[k] @ module.x0m - module.x0m @ xp[k])
+    return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h))
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
@@ -341,63 +325,86 @@ def trivial_submodule_check(a) -> bool:
     )
 
 
-def _vanishes(terms) -> bool:
-    """True iff sum(c * M for c, M in terms) is the zero matrix, for
-    integers c.
-
-    The rows of all the terms are summed together, one row at a time, into
-    integer slots; the walk stops at the first slot with a nonzero
-    numerator.  No sum matrix is formed and no slot is reduced: a slot
-    whose numerators cancel is zero whatever its denominator.
-    """
-    for rows in zip(*(m.rows for _, m in terms)):
-        acc = {}
-        for (c, _), row in zip(terms, rows):
-            _accumulate(acc, (c, 0, 1), row)
-        for re, im, _ in acc.values():
-            if re or im:
-                return False
-    return True
+def _integer_rows(matrix: Matrix, den: int) -> list:
+    """Rows of den * matrix as lists of (column, re, im) in integers; den
+    is a multiple of every entry's denominator."""
+    return [
+        [(j, re * (den // d), im * (den // d)) for j, (re, im, d) in row.items()]
+        for row in matrix.rows
+    ]
 
 
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
-    """Names of defining relations that fail as exact matrix identities.
+    """Names of defining relations that fail as exact matrix identities,
+    tested on the packed rows of `_packed_relations`; each relation's walk
+    stops at its first nonzero row."""
+    *_, relations = _packed_relations(module, K)
+    return [name for name, rows in relations if any(value for _, value in rows)]
 
-    Each relation is a list of signed terms (c, M) whose sum must vanish,
-    e.g. [h_0, x_k^+] - 2 x_k^+ is (1, h_0 x_k^+), (-1, x_k^+ h_0),
-    (-2, x_k^+), and `_vanishes` tests the sum row by row without forming
-    it.  A family with x_k^+/- is written once for x in "+-": the x^- form
-    differs only in the sign of its symmetric term.  Each generator product
-    is formed once, by `GeneratorLadder.product`.
+
+def _packed_relations(module: SL2Module, K: int):
+    """(L, S, order, relations): the defining relations up to level K as
+    packed integer rows, with `relations` a list of (name, rows) and rows
+    yielding (base, value) for each row i of the relation's sum.
+
+    Each relation is a list of signed terms (c, A, B) whose products must
+    sum to zero, e.g. [h_0, x_k^+] - 2 x_k^+ is (1, h_0, x_k^+),
+    (-1, x_k^+, h_0), (-2, 1, x_k^+), with 1 the identity.  A family with
+    x_k^+/- is written once for x in "+-": the x^- form differs only in the
+    sign of its symmetric term.  No product and no sum is formed as a
+    matrix.
+
+    Every ladder matrix is written once as Z[i] rows over one common
+    denominator L (and the identity as L I), and the basis is put in
+    h_0-weight order, column order[t] at slot t, so that each weight space
+    is a run of slots.  Row k of a right factor B, with entries
+    b_j = br_j + bi_j i, is packed from the start `base` of the run of its
+    lowest column into two integers in digits of S bits: p holds br_j and
+    bi_j in digits 2(t - base) and 2(t - base) + 1, with t the slot of j,
+    and q holds -bi_j and br_j there, so that the packed row of
+    (ar + ai i) b is ar p + ai q.  Row i of sum c A B, times L^2, is then
+    one integer `value`, summed over the nonzeros A[i, k] of each term with
+    one multiply-add each; a term whose row starts at another base is
+    shifted into place, which only happens off weight-homogeneous matrices
+    (a perturbed module).  A row with no term is (None, 0).  The relation
+    holds iff every row's value is 0.
+
+    Exactness: write |a| = |re| + |im| for an entry, let top be the
+    largest of L and the sums of |a| over a row of L times a ladder
+    matrix, and bound = top^2 times the largest sum of |c| over the terms
+    of one relation.  A digit of row i collects at most
+    sum_t |c_t| sum_k |A_t[i, k]| |B_t[k, j]| <= bound in absolute value,
+    partial sums included, and S = bit_length(bound) + 2 keeps every digit
+    below 2^(S - 1): each row's value has exactly one expansion
+    sum_s d_s 2^(sS) in such digits, the entries of the row.  It is 0 only
+    if every d_s is: with d_s the lowest nonzero digit, the value is
+    d_s 2^(sS) modulo 2^((s + 1)S), which is not 0 as 0 < |d_s| < 2^S.
     """
     ladder = extend_generators(module, K)
     gens = {"+": ladder.xp, "-": ladder.xm, "h": ladder.h}
     signs = (("+", "-", -1), ("-", "+", 1))  # x, and the op and sign of its symmetric term
-    mul = ladder.product
-    failures = []
+    relations = []
 
     def label(g, k):
         return f"h{k}" if g == "h" else f"x{k}{g}"
 
     def bracket(a, r, b, s, c=1):
         """c [a_r, b_s] as two signed terms."""
-        return [(c, mul(a, r, b, s)), (-c, mul(b, s, a, r))]
-
-    def check(name, terms):
-        if not _vanishes(terms):
-            failures.append(name)
+        return [(c, (a, r), (b, s)), (-c, (b, s), (a, r))]
 
     for r in range(K + 1):
         for s in range(r + 1, K + 1):  # [h_r, h_r] is zero on any matrix
-            check(f"[h{r},h{s}]", bracket("h", r, "h", s))
+            relations.append((f"[h{r},h{s}]", bracket("h", r, "h", s)))
     for k in range(K + 1):
         for x, op, sign in signs:
             X = label(x, k)
-            check(f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, gens[x][k])])
+            relations.append(
+                (f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, None, (x, k))])
+            )
     for r in range(K + 1):
         for s in range(K + 1 - r):
             name = f"[x{r}+,x{s}-] - h{r+s}"
-            check(name, bracket("+", r, "-", s) + [(-1, gens["h"][r + s])])
+            relations.append((name, bracket("+", r, "-", s) + [(-1, None, ("h", r + s))]))
     for left in ("x", "h"):
         for r in range(K):
             for s in range(K):
@@ -405,10 +412,74 @@ def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
                     g = x if left == "x" else "h"
                     A0, A1 = label(g, r), label(g, r + 1)
                     X0, X1 = label(x, s), label(x, s + 1)
-                    check(
+                    relations.append((
                         f"[{A1},{X0}] - [{A0},{X1}] {op} ({A0}{X0} + {X0}{A0})",
                         bracket(g, r + 1, x, s)
                         + bracket(g, r, x, s + 1, -1)
-                        + [(sign, mul(g, r, x, s)), (sign, mul(x, s, g, r))],
-                    )
-    return failures
+                        + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))],
+                    ))
+
+    n = module.dim
+    keys = [(g, k) for g in gens for k in range(K + 1)]
+    den = lcm(*{d for g, k in keys for row in gens[g][k].rows for _, _, d in row.values()})
+    rows = {(g, k): _integer_rows(gens[g][k], den) for g, k in keys}
+    rows[None] = [[(i, den, 0)] for i in range(n)]
+    top = max(sum(abs(re) + abs(im) for _, re, im in row) for m in rows.values() for row in m)
+    bound = max(sum(abs(c) for c, _, _ in terms) for _, terms in relations) * top * top
+    S = bound.bit_length() + 2
+    width = 2 * S
+
+    ms = [m for m, _ in module.factor_spec]
+    weights = [sum(2 * t - m for t, m in zip(ts, ms)) for ts in module.basis_labels]
+    order = sorted(range(n), key=weights.__getitem__)
+    slot = [0] * n
+    run = {}  # weight -> the slot its run starts at
+    for t, j in enumerate(order):
+        slot[j] = t
+        run.setdefault(weights[j], t)
+    start = [run[w] for w in weights]  # the run start of each column
+
+    def pack(row):
+        """A row of a right factor as (base, p, q), or None if it is 0."""
+        if not row:
+            return None
+        base = min(start[j] for j, _, _ in row)
+        p = q = 0
+        for j, re, im in row:
+            shift = (slot[j] - base) * width
+            p += (re << shift) + (im << (shift + S))
+            q += (re << (shift + S)) - (im << shift)
+        return base, p, q
+
+    used = [term for _, terms in relations for term in terms]
+    packed = {b: [pack(row) for row in rows[b]] for b in {b for _, _, b in used}}
+    scaled = {  # c times the rows of a left factor a
+        (c, a): rows[a] if c == 1 else [
+            [(k, c * re, c * im) for k, re, im in row] for row in rows[a]
+        ]
+        for c, a in {(c, a) for c, a, _ in used}
+    }
+
+    def row_sums(terms):
+        factors = [(scaled[c, a], packed[b]) for c, a, b in terms]
+        for i in range(n):
+            value = 0
+            at = None
+            for left, right in factors:
+                for k, ar, ai in left[i]:
+                    entry = right[k]
+                    if entry is None:
+                        continue
+                    base, p, q = entry
+                    v = ar * p + ai * q if ai else ar * p
+                    if base == at:
+                        value += v
+                    elif at is None:
+                        value, at = v, base
+                    elif base > at:
+                        value += v << ((base - at) * width)
+                    else:
+                        value, at = (value << ((at - base) * width)) + v, base
+            yield at, value
+
+    return den, S, order, [(name, row_sums(terms)) for name, terms in relations]

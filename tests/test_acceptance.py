@@ -654,3 +654,15 @@ def test_criterion_22_ordering_with_distinct_large_denominators():
     assert list(chain.factors) == sorted(
         chain.factors, key=lambda pair: (*ordering_key(pair[1]), pair[0]))
     assert all(list(row) == sorted(row, key=ordering_key, reverse=True) for row in pi.roots)
+
+
+def test_criterion_23_identities_on_eight_factors(capsys):
+    # The README's eight two-dimensional factors (dimension 256, the largest
+    # `sl2` accepts): the relation suite on packed integer rows, ladder
+    # included, through the command line.
+    params = [F(0), F(7, 2), F(-5, 3), F(2), F(1, 7), F(-9, 4), F(5), F(11, 5)]
+    doc = json.dumps([[1, format_scalar(G(a))] for a in params])
+    with _Timer("criterion 23: identities at dimension 256", limit=0.65):
+        assert main(["sl2", doc, "--verify", "identities", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["relations_hold"] is True and report["failures"] == []

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, _dense, unit_vector
 from yangian_weyl.ysl2 import (
     _h_on_top,
+    _packed_relations,
     defining_relation_failures,
     evaluation_module,
     extend_generators,
@@ -318,7 +319,7 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     images = list(_h_on_top(module, order))
     assert len(images) == order + 1
     for k, image in enumerate(images):
-        bracket = ladder.product("+", k, "-", 0) - ladder.product("-", 0, "+", k)
+        bracket = ladder.xp[k] @ module.x0m - module.x0m @ ladder.xp[k]
         assert _dense(image, module.dim) == bracket.matvec(top), k
         if not perturbation:  # off a module, h_0 and h_1 are no commutators
             assert bracket == ladder.h[k], k
@@ -525,23 +526,91 @@ def test_relation_failures_on_perturbed_modules():
 _SCALE_PART = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    _series_spec_st(),
-    st.sampled_from((None, "x0p", "x0m", "h0", "h1")),
+@st.composite
+def _wide_spec_st(draw):
+    """1-3 factors with m in {1,2} and dimension at most 12; the parameters
+    have numerators up to 10^12 and denominators up to 10^9, and are all
+    real or all Gaussian."""
+    ms = draw(
+        st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(
+            lambda ms: prod(m + 1 for m in ms) <= 12
+        )
+    )
+    part = st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**9))
+    gauss = draw(st.booleans())
+    return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
+
+
+# One of x0p, x0m, h0, h1 scaled by a nonzero Gaussian rational c, h_0 or
+# h_1 plus c x_0^+/-, or neither.  The sums mix weight spaces, so a row of
+# one term of a relation can start at another weight than a row of the
+# next.
+_PERTURBED_MODULE_ARGS = (
+    st.one_of(_series_spec_st(), _wide_spec_st()),
+    st.sampled_from((None, "x0p", "x0m", "h0", "h1", *_OFF_COMMUTING)),
     st.builds(G, _SCALE_PART, _SCALE_PART).filter(bool),
 )
-def test_relation_failures_match_subtracting_oracle(spec, field, c):
-    # One of x0p, x0m, h0, h1 scaled by a nonzero Gaussian rational, or none:
-    # the fused vanishing sums must fail exactly the relations whose
-    # difference matrix, formed and subtracted in full, is nonzero.
+
+
+def _perturbed_module(spec, perturbation, c):
     module = tensor_module(spec)
-    if field:
-        module = replace(module, **{field: getattr(module, field).scale(c)})
+    if isinstance(perturbation, str):
+        return replace(module, **{perturbation: getattr(module, perturbation).scale(c)})
+    if perturbation:
+        field, addend = perturbation
+        added = getattr(module, field) + getattr(module, addend).scale(c)
+        return replace(module, **{field: added})
+    return module
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PERTURBED_MODULE_ARGS)
+def test_relation_failures_match_subtracting_oracle(spec, perturbation, c):
+    # The packed row sums must fail exactly the relations whose difference
+    # matrix, formed and subtracted in full, is nonzero.
+    module = _perturbed_module(spec, perturbation, c)
     for K in (1, 2, 3):
         assert defining_relation_failures(module, K) == (
             relations_oracle.defining_relation_failures(module, K)
         ), K
+
+
+def _unpack(base, value, S, n):
+    """The balanced S-bit digits of value, two per slot from the slot
+    `base` up to slot n, as {slot: (re, im)}; whatever is left over is kept
+    under the key "rest"."""
+    parts = {}
+    for digit_at in range(2 * (base or 0), 2 * n):
+        digit = value & ((1 << S) - 1)
+        if digit >> (S - 1):
+            digit -= 1 << S
+        if digit:
+            parts.setdefault(digit_at // 2, [0, 0])[digit_at % 2] = digit
+        value = (value - digit) >> S
+    out = {t: tuple(part) for t, part in parts.items()}
+    if value:
+        out["rest"] = value
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_PERTURBED_MODULE_ARGS)
+def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
+    # Every row of every relation, read back digit by digit, is L^2 times
+    # that row of the oracle's difference matrix: no digit overflows into
+    # the next, and every term was shifted to its own slots.
+    module = _perturbed_module(spec, perturbation, c)
+    den, S, order, relations = _packed_relations(module, 2)
+    slot = {j: t for t, j in enumerate(order)}
+    differences = list(relations_oracle.relation_differences(module, 2))
+    assert [name for name, _ in relations] == [name for name, _ in differences]
+    for (name, rows), (_, diff) in zip(relations, differences):
+        for i, ((base, value), row) in enumerate(zip(rows, diff.rows)):
+            want = {
+                slot[j]: (re * den * den // d, im * den * den // d)
+                for j, (re, im, d) in row.items()
+            }
+            assert _unpack(base, value, S, len(order)) == want, (name, i)
 
 
 def test_tensor_module_rejects_empty():
