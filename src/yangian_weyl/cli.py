@@ -52,12 +52,12 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
 # (dimension 256; in-process `main` calls, Python 3.11, one shared Xeon core)
-# closure takes 0.08-0.11 s, identities 0.2-0.45 s and series 0.014-0.016 s
-# at order 5 and 0.025 s at order 32; on the first seven, 0.025, 0.09-0.12
-# and 0.007-0.017 s.  Identities still sets the bound: about 40% of it builds
-# the generator ladder from whole-matrix products, and the rest sums packed
-# rows that span whole weight spaces.  With a ninth factor, -7/2, its relation
-# suite takes about 1.15 s.
+# closure takes 0.07-0.09 s, identities 0.18-0.23 s and series 0.011-0.016 s
+# at order 5 and 0.011-0.019 s at order 32; on the first seven, 0.02,
+# 0.05-0.075 and 0.005-0.012 s.  Identities still sets the bound: most of it
+# sums packed rows that span whole weight spaces, and about a fifth builds
+# the generator ladder on integer rows.  With a ninth factor, -7/2, its
+# relation suite takes about 0.87 s, of which the ladder is about 0.12 s.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the

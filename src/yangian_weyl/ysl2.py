@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
@@ -34,7 +33,6 @@ from .exact import (
     ZERO,
     _RrefBasis,
     _UNIT,
-    _add_multiples,
     as_scalar,
     # Not called here: the benchmark's traced run wraps `ysl2.kron` by
     # name, and tests/test_bench_sites.py requires every wrapped name to
@@ -42,8 +40,6 @@ from .exact import (
     kron,
     row_space_closure,
 )
-
-HALF = GaussianRational(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -59,19 +55,11 @@ class SL2Module:
 
     @cached_property
     def x1p(self) -> Matrix:
-        return _next_xp(self, self.x0p)
+        return extend_generators(self, 1).xp[1]
 
     @cached_property
     def x1m(self) -> Matrix:
-        return _next_xm(self, self.x0m)
-
-    @cached_property
-    def _half_diff(self) -> Matrix:
-        return (self.h1 - self.h0).scale(HALF)
-
-    @cached_property
-    def _half_sum(self) -> Matrix:
-        return (self.h1 + self.h0).scale(HALF)
+        return extend_generators(self, 1).xm[1]
 
     @property
     def dim(self) -> int:
@@ -99,19 +87,6 @@ def evaluation_module(m: int, a) -> SL2Module:
     h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
     """
     return tensor_module(((m, a),))
-
-
-# The ladder steps of `extend_generators`, factored with D = (h_1 - h_0)/2
-# and S = (h_1 + h_0)/2 so that each takes two products and one difference:
-# x_{k+1}^+ = D x_k^+ - x_k^+ S and x_{k+1}^- = x_k^- D - S x_k^-.
-
-
-def _next_xm(module: SL2Module, xkm: Matrix) -> Matrix:
-    return xkm @ module._half_diff - module._half_sum @ xkm
-
-
-def _next_xp(module: SL2Module, xkp: Matrix) -> Matrix:
-    return module._half_diff @ xkp - xkp @ module._half_sum
 
 
 def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
@@ -184,23 +159,113 @@ class GeneratorLadder:
         return len(self.h) - 1
 
 
+def _row_sum(terms, i: int) -> list:
+    """Row i of sum c A B over Z[i], for terms (c, A, B) with c an integer
+    and A, B lists of Z[i] rows, each a list of (column, re, im) with no
+    zero.  No entry is reduced: the caller tracks the scale.  A matrix
+    applied to a vector v is the case A = [v], i = 0, with B the matrix's
+    columns."""
+    acc = {}
+    for c, A, B in terms:
+        for k, ar, ai in A[i]:
+            ar *= c
+            ai *= c
+            for j, br, bi in B[k]:
+                slot = acc.get(j)
+                if slot is None:
+                    acc[j] = [ar * br - ai * bi, ar * bi + ai * br]
+                else:
+                    slot[0] += ar * br - ai * bi
+                    slot[1] += ar * bi + ai * br
+    return [(j, re, im) for j, (re, im) in acc.items() if re or im]
+
+
+def _over_scale(matrix: Matrix):
+    """(rows, scale) with matrix = rows / scale: Z[i] rows as in
+    `_row_sum`, and scale the lcm of the denominators of its entries."""
+    scale = lcm(*(d for row in matrix.rows for _, _, d in row.values()))
+    return [
+        [(j, re * (scale // d), im * (scale // d)) for j, (re, im, d) in row.items()]
+        for row in matrix.rows
+    ], scale
+
+
+def _reduce(row: list, scale: int) -> dict:
+    """A Z[i] row over scale as a sparse row of triples in lowest terms."""
+    out = {}
+    for j, re, im in row:
+        g = gcd(re, im, scale)
+        out[j] = (re // g, im // g, scale // g)
+    return out
+
+
+def _columns(rows: list) -> list:
+    """The columns of a square matrix of rows, as rows."""
+    out = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, re, im in row:
+            out[j].append((i, re, im))
+    return out
+
+
+def _level_zero(module: SL2Module):
+    """(start, D, S, step): the ladder's start {("+", 0): x_0^+,
+    ("-", 0): x_0^-, ("h", 0): h_0, ("h", 1): h_1}, each as (rows, scale)
+    from `_over_scale`, and D = step (h_1 - h_0)/2, S = step (h_1 + h_0)/2
+    as Z[i] rows, with step = 2 lcm(scale of h_0, scale of h_1)."""
+    start = {
+        ("+", 0): _over_scale(module.x0p),
+        ("-", 0): _over_scale(module.x0m),
+        ("h", 0): _over_scale(module.h0),
+        ("h", 1): _over_scale(module.h1),
+    }
+    (h0, s0), (h1, s1) = start["h", 0], start["h", 1]
+    lh = lcm(s0, s1)
+    one = [[(i, 1, 0)] for i in range(module.dim)]
+    D = [_row_sum(((lh // s1, h1, one), (-(lh // s0), h0, one)), i) for i in range(module.dim)]
+    S = [_row_sum(((lh // s1, h1, one), (lh // s0, h0, one)), i) for i in range(module.dim)]
+    return start, D, S, 2 * lh
+
+
+def _integer_ladder(module: SL2Module, K: int) -> dict:
+    """{(g, k): (rows, scale)} for x_k^+ (g = "+"), x_k^- ("-") and h_k
+    ("h"), k = 0..K with K >= 1, each the matrix rows / scale with rows
+    over Z[i].
+
+    With D and S the integer matrices of `_level_zero`, which are step
+    times (h_1 -/+ h_0)/2, the ladder steps x_{k+1}^+ = D x_k^+ - x_k^+ S
+    and x_{k+1}^- = x_k^- D - S x_k^- keep their form on the rows, over
+    step times the scale of level k; h_k = [x_k^+, x_0^-] is over the
+    product of their scales.  Nothing is reduced, so x_k^+/- is over
+    scale(x_0^+/-) step^k.
+    """
+    ladder, D, S, step = _level_zero(module)
+    (x0m, sm), n = ladder["-", 0], module.dim
+    for k in range(K):
+        xp, sp = ladder["+", k]
+        xm, sx = ladder["-", k]
+        ladder["+", k + 1] = [_row_sum(((1, D, xp), (-1, xp, S)), i) for i in range(n)], sp * step
+        ladder["-", k + 1] = [_row_sum(((1, xm, D), (-1, S, xm)), i) for i in range(n)], sx * step
+    for k in range(2, K + 1):
+        xp, sp = ladder["+", k]
+        ladder["h", k] = [_row_sum(((1, xp, x0m), (-1, x0m, xp)), i) for i in range(n)], sp * sm
+    return ladder
+
+
 def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
     """Generators up to level K from the defining-relation recursion:
     x_{k+1}^- = -1/2([h_1, x_k^-] + h_0 x_k^- + x_k^- h_0),
     x_{k+1}^+ = +1/2([h_1, x_k^+] - h_0 x_k^+ - x_k^+ h_0),
-    h_k = [x_k^+, x_0^-].
+    h_k = [x_k^+, x_0^-];
+    the matrices of `_integer_ladder`, each entry reduced once.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    xp = [module.x0p, module.x1p]
-    xm = [module.x0m, module.x1m]
-    for _ in range(K - 1):
-        xm.append(_next_xm(module, xm[-1]))
-        xp.append(_next_xp(module, xp[-1]))
-    h = [module.h0, module.h1]
-    for k in range(2, K + 1):
-        h.append(xp[k] @ module.x0m - module.x0m @ xp[k])
-    return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h))
+    view = {
+        key: Matrix._of([_reduce(row, scale) for row in rows], module.dim)
+        for key, (rows, scale) in _integer_ladder(module, K).items()
+    }
+    return GeneratorLadder(module, *(tuple(view[g, k] for k in range(K + 1)) for g in "+-h"))
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
@@ -264,26 +329,40 @@ def _h_on_top(module: SL2Module, order: int) -> Iterator[dict]:
     gives w_{k+1,j} = D w_{k,j} - w_{k,j+1} by associativity alone, so D
     and S need not commute.  The recursion runs for u = top and
     u = x_0^- top, with O(order^2) sparse applications.
+
+    It runs on Z[i] vectors with the integer matrices step D and step S
+    of `_level_zero`: the numerator of w_{k,j} over
+    scale(x_0^+) step^(k+j) (times scale(x_0^-) for u = x_0^- top) obeys
+    the same step, and h_k top is over scale(x_0^+) scale(x_0^-) step^k.
+    Each image is reduced once per entry.
     """
-    top = {module.highest_index: _UNIT}
-    diff, total, x0m = module._half_diff, module._half_sum, module.x0m
-    minus = (-1, 0, 1)
+    start, D, S, step = _level_zero(module)
+    (x0p, sp), (x0m, sm) = start["+", 0], start["-", 0]
+    one = [[(i, 1, 0)] for i in range(module.dim)]
+    D, S, x0p, x0m = (_columns(m) for m in (D, S, x0p, x0m))
+
+    def apply(columns, v):
+        return _row_sum(((1, [v], columns),), 0)
+
+    top = [(module.highest_index, 1, 0)]
     # ladders[0] for u = top and ladders[1] for u = x_0^- top hold w_{k,j}
     # for j = 0..order-k.
     ladders = []
-    for u in (top, x0m.apply(top)):
+    for u in (top, apply(x0m, top)):
         powers = [u]
         for _ in range(order):
-            powers.append(total.apply(powers[-1]))
-        ladders.append([module.x0p.apply(v) for v in powers])
+            powers.append(apply(S, powers[-1]))
+        ladders.append([apply(x0p, v) for v in powers])
+    scale = sp * sm
     for k in range(order + 1):
         if k:
             ladders = [
-                [_add_multiples(diff.apply(w), ((minus, w_next),)) for w, w_next in zip(ws, ws[1:])]
+                [_row_sum(((1, [w], D), (-1, [w_next], one)), 0) for w, w_next in zip(ws, ws[1:])]
                 for ws in ladders
             ]
+            scale *= step
         on_top, on_down = ladders
-        yield _add_multiples(on_down[0], ((minus, x0m.apply(on_top[0])),))
+        yield _reduce(_row_sum(((1, [on_down[0]], one), (-1, [on_top[0]], x0m)), 0), scale)
 
 
 def _series_check(spec: Sequence[Tuple[int, object]], order: int):
@@ -325,15 +404,6 @@ def trivial_submodule_check(a) -> bool:
     )
 
 
-def _integer_rows(matrix: Matrix, den: int) -> list:
-    """Rows of den * matrix as lists of (column, re, im) in integers; den
-    is a multiple of every entry's denominator."""
-    return [
-        [(j, re * (den // d), im * (den // d)) for j, (re, im, d) in row.items()]
-        for row in matrix.rows
-    ]
-
-
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     """Names of defining relations that fail as exact matrix identities,
     tested on the packed rows of `_packed_relations`; each relation's walk
@@ -354,8 +424,9 @@ def _packed_relations(module: SL2Module, K: int):
     sign of its symmetric term.  No product and no sum is formed as a
     matrix.
 
-    Every ladder matrix is written once as Z[i] rows over one common
-    denominator L (and the identity as L I), and the basis is put in
+    Every matrix of `_integer_ladder` is brought to Z[i] rows over one
+    common denominator L, the lcm of the reduced denominators of all its
+    entries (and the identity is L I), and the basis is put in
     h_0-weight order, column order[t] at slot t, so that each weight space
     is a run of slots.  Row k of a right factor B, with entries
     b_j = br_j + bi_j i, is packed from the start `base` of the run of its
@@ -380,8 +451,7 @@ def _packed_relations(module: SL2Module, K: int):
     if every d_s is: with d_s the lowest nonzero digit, the value is
     d_s 2^(sS) modulo 2^((s + 1)S), which is not 0 as 0 < |d_s| < 2^S.
     """
-    ladder = extend_generators(module, K)
-    gens = {"+": ladder.xp, "-": ladder.xm, "h": ladder.h}
+    ladder = _integer_ladder(module, K)
     signs = (("+", "-", -1), ("-", "+", 1))  # x, and the op and sign of its symmetric term
     relations = []
 
@@ -419,10 +489,26 @@ def _packed_relations(module: SL2Module, K: int):
                         + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))],
                     ))
 
+    # Over the lcm `common` of the ladder's scales, den = common / g, with g
+    # the gcd of common and of every numerator brought over common, is the
+    # lcm of the reduced denominators of all entries.  den times a matrix
+    # m / scale is m times f / g, f = common / scale, and q = g / gcd(f, g)
+    # divides every numerator of m.
     n = module.dim
-    keys = [(g, k) for g in gens for k in range(K + 1)]
-    den = lcm(*{d for g, k in keys for row in gens[g][k].rows for _, _, d in row.values()})
-    rows = {(g, k): _integer_rows(gens[g][k], den) for g, k in keys}
+    common = lcm(*(scale for _, scale in ladder.values()))
+    g = gcd(common, *(
+        common // scale * gcd(*(part for row in m for _, re, im in row for part in (re, im)))
+        for m, scale in ladder.values()
+    ))
+    den = common // g
+    rows = {}
+    for key, (m, scale) in ladder.items():
+        f = common // scale
+        h = gcd(f, g)
+        q, f = g // h, f // h
+        rows[key] = m if q == f == 1 else [
+            [(j, re // q * f, im // q * f) for j, re, im in row] for row in m
+        ]
     rows[None] = [[(i, den, 0)] for i in range(n)]
     top = max(sum(abs(re) + abs(im) for _, re, im in row) for m in rows.values() for row in m)
     bound = max(sum(abs(c) for c, _, _ in terms) for _, terms in relations) * top * top

@@ -1,16 +1,52 @@
-"""The package's former relation suite, kept as the oracle for the new one.
+"""The package's former relation suite and generator ladder, kept as the
+oracles for the new ones.
 
 `relation_differences` writes each defining relation of Y(sl2) as
 `lhs op rhs` the way `yangian_weyl.ysl2.defining_relation_failures` did
 before it came to test signed terms as one fused vanishing sum: both sides
 are formed as matrices and subtracted or added.  A relation fails iff its
-difference has a nonzero row.  `tests/test_ysl2.py` checks the package
-against it.
+difference has a nonzero row.  Its generators come from `oracle_ladder`,
+the ladder recursion on `Matrix` products that
+`yangian_weyl.ysl2.extend_generators` ran before it came to run on Z[i]
+rows over tracked scales.  `tests/test_ysl2.py` checks the package
+against both.
 """
 
 from __future__ import annotations
 
-from yangian_weyl.ysl2 import SL2Module, extend_generators
+from fractions import Fraction
+
+from yangian_weyl.exact import GaussianRational, Matrix
+from yangian_weyl.ysl2 import GeneratorLadder, SL2Module
+
+HALF = GaussianRational(Fraction(1, 2))
+
+
+def half_diff(module: SL2Module) -> Matrix:
+    """D = (h_1 - h_0)/2."""
+    return (module.h1 - module.h0).scale(HALF)
+
+
+def half_sum(module: SL2Module) -> Matrix:
+    """S = (h_1 + h_0)/2."""
+    return (module.h1 + module.h0).scale(HALF)
+
+
+def oracle_ladder(module: SL2Module, K: int) -> GeneratorLadder:
+    """x_k^+/-, h_k for k = 0..K >= 1 from the defining-relation
+    recursion on whole matrices: x_{k+1}^+ = D x_k^+ - x_k^+ S and
+    x_{k+1}^- = x_k^- D - S x_k^-, two products and one difference each,
+    and h_k = [x_k^+, x_0^-] for k >= 2."""
+    D, S = half_diff(module), half_sum(module)
+    xp = [module.x0p]
+    xm = [module.x0m]
+    for _ in range(K):
+        xp.append(D @ xp[-1] - xp[-1] @ S)
+        xm.append(xm[-1] @ D - S @ xm[-1])
+    h = [module.h0, module.h1]
+    for k in range(2, K + 1):
+        h.append(xp[k] @ module.x0m - module.x0m @ xp[k])
+    return GeneratorLadder(module, tuple(xp), tuple(xm), tuple(h))
 
 
 def relation_differences(module: SL2Module, K: int = 2):
@@ -19,7 +55,7 @@ def relation_differences(module: SL2Module, K: int = 2):
     A family with x_k^+/- is written once for x in "+-": the x^- form
     differs only in the sign `op` of its symmetric term.
     """
-    ladder = extend_generators(module, K)
+    ladder = oracle_ladder(module, K)
     gens = {"+": ladder.xp, "-": ladder.xm, "h": ladder.h}
     signs = (("+", "-"), ("-", "+"))  # x, and op for its symmetric term
     products = {}

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -312,9 +312,9 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     if perturbation:
         field, addend = perturbation
         module = replace(module, **{field: getattr(module, field) + getattr(module, addend)})
-        diff, total = module._half_diff, module._half_sum
+        diff, total = relations_oracle.half_diff(module), relations_oracle.half_sum(module)
         assume(diff @ total != total @ diff)
-    ladder = extend_generators(module, max(order, 1))
+    ladder = relations_oracle.oracle_ladder(module, max(order, 1))
     top = unit_vector(module.dim, module.highest_index)
     images = list(_h_on_top(module, order))
     assert len(images) == order + 1
@@ -575,6 +575,22 @@ def test_relation_failures_match_subtracting_oracle(spec, perturbation, c):
         ), K
 
 
+@settings(max_examples=40, deadline=None)
+@given(*_PERTURBED_MODULE_ARGS)
+def test_ladder_is_the_oracle_ladder(spec, perturbation, c):
+    # The Z[i] ladder over tracked scales, reduced once per entry, must be
+    # the whole-matrix recursion matrix for matrix, x_1^+/- included.
+    module = _perturbed_module(spec, perturbation, c)
+    oracle = relations_oracle.oracle_ladder(module, 3)
+    for K in (1, 2, 3):
+        ladder = extend_generators(module, K)
+        assert ladder.module is module
+        assert (ladder.xp, ladder.xm, ladder.h) == (
+            oracle.xp[: K + 1], oracle.xm[: K + 1], oracle.h[: K + 1]
+        ), K
+    assert (module.x1p, module.x1m) == (oracle.xp[1], oracle.xm[1])
+
+
 def _unpack(base, value, S, n):
     """The balanced S-bit digits of value, two per slot from the slot
     `base` up to slot n, as {slot: (re, im)}; whatever is left over is kept
@@ -598,9 +614,13 @@ def _unpack(base, value, S, n):
 def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
     # Every row of every relation, read back digit by digit, is L^2 times
     # that row of the oracle's difference matrix: no digit overflows into
-    # the next, and every term was shifted to its own slots.
+    # the next, and every term was shifted to its own slots.  L is the lcm
+    # of the reduced denominators of the oracle ladder's entries.
     module = _perturbed_module(spec, perturbation, c)
     den, S, order, relations = _packed_relations(module, 2)
+    ladder = relations_oracle.oracle_ladder(module, 2)
+    matrices = ladder.xp + ladder.xm + ladder.h
+    assert den == lcm(*(d for m in matrices for row in m.rows for _, _, d in row.values()))
     slot = {j: t for t, j in enumerate(order)}
     differences = list(relations_oracle.relation_differences(module, 2))
     assert [name for name, _ in relations] == [name for name, _ in differences]
