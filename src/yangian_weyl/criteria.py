@@ -23,18 +23,18 @@ have pairwise distinct imaginary parts makes none at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import FrozenSet, Tuple
 
 from .drinfeld import FactorChain
 from .exact import GaussianRational
+from .record import record
 from .rootsys import LieType, duality_shift, node_involution
 from .weylpath import parameter_ledger
 
 
-@dataclass(frozen=True)
+@record
 class CriterionSet:
     lie_type: LieType
     b_m: int
@@ -42,7 +42,7 @@ class CriterionSet:
     values: FrozenSet[Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     guaranteed: bool
     exact: bool

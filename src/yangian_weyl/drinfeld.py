@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import comb, gcd, isqrt, lcm
 from typing import Dict, Iterable, Sequence, Tuple
@@ -28,6 +27,7 @@ from .exact import (
     # requires every wrapped name to exist.
     solve_linear,
 )
+from .record import record
 from .rootsys import LieType
 
 
@@ -48,7 +48,7 @@ def _canonical(roots: Iterable) -> Tuple[GaussianRational, ...]:
     return tuple(roots[k] for k in sorted(range(len(roots)), key=keys.__getitem__))
 
 
-@dataclass(frozen=True)
+@record
 class DrinfeldTuple:
     """One monic polynomial per node, each stored as its root multiset."""
 
@@ -77,7 +77,7 @@ class DrinfeldTuple:
         return sum(self.degrees)
 
 
-@dataclass(frozen=True)
+@record
 class FactorChain:
     """Ordered sequence of fundamental factors (node, parameter)."""
 
@@ -185,6 +185,13 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
 
     The coefficients of Q follow from the series by forward substitution,
     one division each; roots must lie in Q(i).
+
+    A series of order below 2*degree is refused, the bound of the windowed
+    linear solve that forward substitution replaced.  The substitution
+    itself needs only c_1..c_(degree+1); the coefficients past those are
+    checks that the series has Drinfeld form.  The bound stays as part of
+    the contract: lowering it would turn that refusal of a series of order
+    degree+1 .. 2*degree-1 into an answer.
     """
     _check_shift(d)
     if degree < 0:

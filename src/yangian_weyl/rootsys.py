@@ -14,10 +14,11 @@ that builds a LieType, issues the D3 warning at its caller's line.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
+
+from .record import record
 
 Weight = Tuple[int, ...]
 Root = Tuple[int, ...]
@@ -25,7 +26,7 @@ Root = Tuple[int, ...]
 FAMILIES = ("A", "B", "C", "D", "G2")
 
 
-@dataclass(frozen=True)
+@record
 class LieType:
     family: str
     rank: int
@@ -62,7 +63,7 @@ def lie_type(family: str, rank: int | None = None) -> LieType:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class CartanDatum:
     lie_type: LieType
     cartan: Tuple[Tuple[int, ...], ...]

@@ -12,11 +12,11 @@ symmetrizers.  The criterion sets of `criteria` are read off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
+from .record import record
 from .rootsys import (
     LieType,
     Weight,
@@ -27,7 +27,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ChainStep:
     index: int          # 0-based position in the chain
     node: int           # node of the reflection applied at this step
@@ -36,7 +36,7 @@ class ChainStep:
     coefficient: int    # node coefficient of weight_before; the operator power
 
 
-@dataclass(frozen=True)
+@record
 class SigmaChain:
     lie_type: LieType
     node: int
@@ -93,7 +93,7 @@ def lowering_word(t: LieType, b: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((s.node, s.coefficient) for s in reversed(chain.steps))
 
 
-@dataclass(frozen=True)
+@record
 class LedgerEntry:
     node: int
     offsets: Tuple[Fraction, ...]  # roots are a_1 + offset, unrescaled
@@ -104,7 +104,7 @@ class LedgerEntry:
         return tuple(a + offset for offset in self.offsets)
 
 
-@dataclass(frozen=True)
+@record
 class Ledger:
     lie_type: LieType
     node: int

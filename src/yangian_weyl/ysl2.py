@@ -20,7 +20,6 @@ generators and stays as the independent cross-check.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
@@ -40,9 +39,10 @@ from .exact import (
     kron,
     row_space_closure,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SL2Module:
     """Level-0/1 generator matrices; x_1^+/- are derived on first access."""
 
@@ -145,7 +145,7 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
     return SL2Module(tuple(factor_spec), labels, *(Matrix._of(r, n) for r in rows))
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorLadder:
     """Matrices of x_k^+/-, h_k for k = 0..K on a fixed module."""
 

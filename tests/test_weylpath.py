@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from yangian_weyl.rootsys import (
+    CartanDatum,
     all_nodes,
     apply_word,
     cartan_datum,
@@ -240,14 +241,13 @@ def test_ledger_refuses_a_chain_its_l_weight_does_not_match(uncached_ledgers, mo
     # lowers the l-weight with the symmetrizers too.  With wrong
     # symmetrizers the two part ways: a step coefficient that the l-weight
     # does not reproduce is an error, not a ledger entry of the wrong size.
-    import dataclasses
-
     import yangian_weyl.weylpath as wp
 
     real = wp.cartan_datum
 
     def skewed(t):
-        return dataclasses.replace(real(t), d=(1,) * t.rank)
+        datum = real(t)
+        return CartanDatum(datum.lie_type, datum.cartan, (1,) * t.rank)
 
     monkeypatch.setattr(wp, "cartan_datum", skewed)
     t = lie_type("C", 3)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -13,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, _dense, unit_vector
 from yangian_weyl.ysl2 import (
+    SL2Module,
     _h_on_top,
     _packed_relations,
     defining_relation_failures,
@@ -39,6 +39,11 @@ def _vec(module, coeffs):
     for label, value in coeffs.items():
         out[module.basis_index(label)] = value
     return tuple(out)
+
+
+def _with(module, **changes):
+    """A new SL2Module from the fields of `module`, with `changes` made."""
+    return SL2Module(*(changes.get(f, getattr(module, f)) for f in SL2Module.__match_args__))
 
 
 def _apply(matrices, vec):
@@ -311,7 +316,7 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     module = tensor_module(spec)
     if perturbation:
         field, addend = perturbation
-        module = replace(module, **{field: getattr(module, field) + getattr(module, addend)})
+        module = _with(module, **{field: getattr(module, field) + getattr(module, addend)})
         diff, total = relations_oracle.half_diff(module), relations_oracle.half_sum(module)
         assume(diff @ total != total @ diff)
     ladder = relations_oracle.oracle_ladder(module, max(order, 1))
@@ -517,7 +522,7 @@ def test_relation_failures_on_perturbed_modules():
     for spec in ([(1, G(0)), (2, G(3))], [(1, G(HALF, 1)), (1, G(-1, -2))]):
         module = tensor_module(spec)
         for field, lists in expected.items():
-            scaled = replace(module, **{field: getattr(module, field).scale(2)})
+            scaled = _with(module, **{field: getattr(module, field).scale(2)})
             for K, names in enumerate(lists, start=1):
                 assert names
                 assert defining_relation_failures(scaled, K) == names, (spec, field, K)
@@ -555,11 +560,11 @@ _PERTURBED_MODULE_ARGS = (
 def _perturbed_module(spec, perturbation, c):
     module = tensor_module(spec)
     if isinstance(perturbation, str):
-        return replace(module, **{perturbation: getattr(module, perturbation).scale(c)})
+        return _with(module, **{perturbation: getattr(module, perturbation).scale(c)})
     if perturbation:
         field, addend = perturbation
         added = getattr(module, field) + getattr(module, addend).scale(c)
-        return replace(module, **{field: added})
+        return _with(module, **{field: added})
     return module
 
 
@@ -664,5 +669,5 @@ def _oracle_spec_st(draw):
 @settings(max_examples=60, deadline=None)
 @given(_oracle_spec_st())
 def test_tensor_module_matches_kron_fold(spec):
-    # Labels, factor_spec and all four matrices, as dataclass equality.
+    # Labels, factor_spec and all four matrices, as record equality.
     assert tensor_module(spec) == tensor_oracle.tensor_module(spec)
