@@ -8,7 +8,8 @@ simple roots.
 Per-type tables, here and in weylpath, criteria and dims, are pure
 functions of the validated LieType and are cached on it, so no table
 rebuilds the type or repeats its validation.  `lie_type`, the one place
-that builds a LieType, issues the D3 warning at its caller's line.
+that builds a LieType, hands out one instance per (family, rank) and
+issues the D3 warning at its caller's line.
 """
 
 from __future__ import annotations
@@ -49,11 +50,14 @@ class LieType:
 
 
 def lie_type(family: str, rank: int | None = None) -> LieType:
+    """The one `LieType` of (family, rank), so that the tables cached on
+    it find their key by identity.  The D3 warning is issued on every call,
+    outside the cache."""
     if family == "G2" and rank is None:
         rank = 2
     if rank is None:
         raise ValueError("rank required")
-    t = LieType(family, rank)
+    t = _lie_type(family, rank)
     if family == "D" and rank == 3:
         warnings.warn(
             "D with rank 3 is accepted (it is A3 relabelled) but the "
@@ -61,6 +65,9 @@ def lie_type(family: str, rank: int | None = None) -> LieType:
             stacklevel=2,
         )
     return t
+
+
+_lie_type = lru_cache(maxsize=None, typed=True)(LieType)
 
 
 @record

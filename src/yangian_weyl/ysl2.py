@@ -15,12 +15,18 @@ level r+1 of Y^- v (r+1 lowering steps below v) equal to C[h_1] x_0^- of
 level r: `lowering_levels` spins the levels one at a time with x_0^- and h_1
 only.  `submodule_dimension` spins any seed under all six level-0/1
 generators and stays as the independent cross-check.
+
+Everything that depends only on the factor dimensions m = (m_1, .., m_N),
+the shape, is built once per shape by `_shape` and shared read-only: the
+basis labels, x_0^+/- and h_0, h_1 without its parameter-dependent
+diagonal, the weight-order tables of the relation suite, and x_0^- of
+every full level, on which the spin of the next level starts.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Tuple
@@ -77,6 +83,99 @@ class SL2Module:
         return self.basis_labels.index(label)
 
 
+# Factor-dimension tuples (shapes) `_shape` keeps: a `spin` benchmark run
+# meets 13 in 80 ops and a `relations` run 11 in 140.
+SHAPE_CACHE_SIZE = 32
+
+
+@record
+class _Shape:
+    """The parameter-free part of every product of one shape ms.
+
+    `labels` run in mixed radix, the first factor most significant: label
+    t has index i = sum_k t_k stride_k.  x0p, x0m and h0 are integral and
+    shared read-only by every module of the shape.  `h1_off` holds the
+    rows of h_1 without their diagonal: -2 (m_k - t_k) t_l at column
+    i + stride_k - stride_l for each k < l with t_k < m_k and t_l > 0;
+    `consts` holds the integer part of each diagonal entry.  `sizes[r]` is
+    dim V_r, the number of labels r lowering steps below the top.  `order`,
+    `slot` and `start` put the basis in h_0-weight order for
+    `_packed_relations`.  `lowered[r]` holds the RREF rows of x_0^- V_{r-1},
+    filled on first use by `_lowered`.
+    """
+
+    ms: Tuple[int, ...]
+    labels: Tuple[Tuple[int, ...], ...]
+    x0p: Matrix
+    x0m: Matrix
+    h0: Matrix
+    h1_off: Tuple[dict, ...]
+    consts: Tuple[int, ...]
+    sizes: Tuple[int, ...]
+    order: Tuple[int, ...]
+    slot: Tuple[int, ...]
+    start: Tuple[int, ...]
+    lowered: dict
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape(ms: Tuple[int, ...]) -> _Shape:
+    """The `_Shape` of W_{m_1}(a_1) (x) ... (x) W_{m_N}(a_N), for ms = (m_1, .., m_N)."""
+    strides = [prod(m + 1 for m in ms[k + 1:]) for k in range(len(ms))]
+    labels = tuple(product(*(range(m + 1) for m in ms)))
+    xp, xm, h0, h1_off, consts, weights = [], [], [], [], [], []
+    for i, label in enumerate(labels):
+        up, down, off = {}, {}, {}
+        weight = const = 0  # the h_0 eigenvalue on the factors before k, then on all
+        for k, (t, m, stride) in enumerate(zip(label, ms, strides)):
+            w = 2 * t - m
+            const += t * (3 * t - 2 * m - 1) + weight * w
+            weight += w
+            if t:
+                up[i - stride] = (t, 0, 1)
+            if t < m:
+                down[i + stride] = (m - t, 0, 1)
+                for l in range(k + 1, len(label)):
+                    if label[l]:
+                        off[i + stride - strides[l]] = (-2 * (m - t) * label[l], 0, 1)
+        xp.append(up)
+        xm.append(down)
+        h0.append({i: (weight, 0, 1)} if weight else {})
+        h1_off.append(off)
+        consts.append(const)
+        weights.append(weight)
+    n, top = len(labels), sum(ms)
+    sizes = Counter((top - w) // 2 for w in weights)
+    order = sorted(range(n), key=weights.__getitem__)
+    slot = [0] * n
+    run = {}  # weight -> the slot its run starts at
+    for t, j in enumerate(order):
+        slot[j] = t
+        run.setdefault(weights[j], t)
+    return _Shape(
+        ms, labels, *(Matrix._of(rows, n) for rows in (xp, xm, h0)),
+        tuple(h1_off), tuple(consts), tuple(sizes[r] for r in range(top + 1)),
+        tuple(order), tuple(slot), tuple(run[w] for w in weights), {},
+    )
+
+
+def _lowered(shape: _Shape, r: int) -> dict:
+    """{pivot: row}, the RREF basis of x_0^- V_{r-1}, for r >= 1: the
+    images of the basis vectors r - 1 steps below the top, reduced until
+    they fill V_r.  Built once per shape and depth; callers copy it."""
+    rows = shape.lowered.get(r)
+    if rows is None:
+        basis = _RrefBasis(len(shape.labels))
+        above = sum(shape.ms) - r + 1
+        for j, label in enumerate(shape.labels):
+            if sum(label) == above:
+                basis.insert(shape.x0m.apply({j: _UNIT}))
+                if len(basis.rows) == shape.sizes[r]:
+                    break
+        rows = shape.lowered[r] = basis.rows
+    return rows
+
+
 def evaluation_module(m: int, a) -> SL2Module:
     """The (m+1)-dimensional evaluation module with parameter a, built as
     the one-factor case of `tensor_module`.
@@ -93,14 +192,12 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
     """Ordered tensor product W_{m_1}(a_1) (x) ... (x) W_{m_N}(a_N), written
     from the N-factor coproduct in the module docstring.
 
-    Basis labels (t_1, .., t_N) with 0 <= t_k <= m_k run in mixed radix,
-    the first factor most significant: label t has index
-    i = sum_k t_k stride_k.  On one factor, h_0 w_t = (2t - m) w_t and
-    h_1 w_t = (a (2t - m) + t (3t - 2m - 1)) w_t.  Row i of h_1 holds
-    -2 (m_k - t_k) t_l at column i + stride_k - stride_l for each k < l
-    with t_k < m_k and t_l > 0, and on the diagonal an integer plus
-    sum_k a_k (2 t_k - m_k), summed over the common denominator of the
-    a_k.  Every other entry is an integer.
+    Everything but the diagonal of h_1 depends only on the factor
+    dimensions and comes from `_shape`: modules of one shape share their
+    labels and x_0^+/-, h_0 read-only.  On one factor h_1 w_t =
+    (a (2t - m) + t (3t - 2m - 1)) w_t, so the diagonal of h_1 at label t
+    is the shape's integer `consts` entry plus sum_k a_k (2 t_k - m_k),
+    summed over the common denominator of the a_k.
     """
     if not spec:
         raise ValueError("empty factor list")
@@ -109,40 +206,30 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValueError("m must be a positive integer")
         factor_spec.append((m, as_scalar(a)))
-    ms = [m for m, _ in factor_spec]
-    strides = [prod(m + 1 for m in ms[k + 1:]) for k in range(len(ms))]
+    ms = tuple(m for m, _ in factor_spec)
+    shape = _shape(ms)
     triples = [a.triple for _, a in factor_spec]
     den = lcm(*(d for _, _, d in triples))
     params = [(re * (den // d), im * (den // d)) for re, im, d in triples]
-    labels = tuple(product(*(range(m + 1) for m in ms)))
-    rows = xp, xm, h0, h1 = [], [], [], []
-    for i, label in enumerate(labels):
-        up, down, h1_row = {}, {}, {}
-        # weight: the h_0 eigenvalue on the factors before k, then on all
-        weight = const = re = im = 0
-        for k, (t, m, stride, (ar, ai)) in enumerate(zip(label, ms, strides, params)):
-            w = 2 * t - m
-            const += t * (3 * t - 2 * m - 1) + weight * w
-            re += ar * w
-            im += ai * w
-            weight += w
-            if t:
-                up[i - stride] = (t, 0, 1)
-            if t < m:
-                down[i + stride] = (m - t, 0, 1)
-                for l in range(k + 1, len(label)):
-                    if label[l]:
-                        h1_row[i + stride - strides[l]] = (-2 * (m - t) * label[l], 0, 1)
+
+    def along(part):
+        """sum_k params[k][part] (2 t_k - m_k) over the labels, in order."""
+        return [sum(terms) for terms in product(*(
+            [p[part] * (2 * t - m) for t in range(m + 1)] for m, p in zip(ms, params)
+        ))]
+
+    h1 = []
+    for i, (off, const, re, im) in enumerate(zip(shape.h1_off, shape.consts, along(0), along(1))):
+        row = off.copy()
         re += const * den
         if re or im:
             g = gcd(re, im, den)
-            h1_row[i] = (re // g, im // g, den // g)
-        xp.append(up)
-        xm.append(down)
-        h0.append({i: (weight, 0, 1)} if weight else {})
-        h1.append(h1_row)
-    n = len(labels)
-    return SL2Module(tuple(factor_spec), labels, *(Matrix._of(r, n) for r in rows))
+            row[i] = (re // g, im // g, den // g)
+        h1.append(row)
+    return SL2Module(
+        tuple(factor_spec), shape.labels, shape.x0p, shape.x0m, shape.h0,
+        Matrix._of(h1, len(h1)),
+    )
 
 
 @record
@@ -278,14 +365,27 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
     """(dim W_r, dim V_r) for r = 0 .. sum(m).  V_r is spanned by the basis
     vectors r lowering steps below the top; W_r, the part of Y top in V_r, is
     spun as W_0 = <top>, W_{r+1} = C[h_1] x_0^- W_r.  A level that fills V_r
-    is closed under h_1 already, so its spinning stops there."""
-    top = sum(m for m, _ in module.factor_spec)
-    sizes = Counter(top - sum(label) for label in module.basis_labels)
+    is closed under h_1 already, so its spinning stops there.
+
+    When W_{r-1} fills V_{r-1} (always at r = 1), x_0^- W_{r-1} is the
+    parameter-free x_0^- V_{r-1}: on a module that shares its shape's x_0^-,
+    the spin starts from a copy of that subspace's RREF rows, `_lowered`,
+    and runs under h_1 alone.  A subspace has one RREF basis and its
+    h_1-closure does not depend on the spanning set spun, so the levels are
+    exactly those of spinning x_0^- W_{r-1}.  A level below a short one is
+    spun from x_0^- W_{r-1} as it stands."""
+    shape = _shape(tuple(m for m, _ in module.factor_spec))
+    shared = module.x0m is shape.x0m
+    sizes = shape.sizes
     level = [{module.highest_index: _UNIT}]
     yield 1, 1
-    for r in range(1, top + 1):
+    for r in range(1, len(sizes)):
         basis = _RrefBasis(module.dim)
-        queue = deque((module.x0m, vec) for vec in level)
+        if shared and len(level) == sizes[r - 1]:
+            basis.rows.update(_lowered(shape, r))
+            queue = deque((module.h1, row) for row in basis.rows.values())
+        else:
+            queue = deque((module.x0m, vec) for vec in level)
         while queue and len(basis.rows) < sizes[r]:
             g, vec = queue.popleft()
             row = basis.insert(g.apply(vec))
@@ -412,6 +512,51 @@ def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     return [name for name, rows in relations if any(value for _, value in rows)]
 
 
+@lru_cache(maxsize=4)
+def _relation_terms(K: int) -> tuple:
+    """The defining relations up to level K as (name, terms), each a list
+    of signed terms (c, A, B) as described in `_packed_relations`, with
+    A and B keys of `_integer_ladder` or None for the identity."""
+    signs = (("+", "-", -1), ("-", "+", 1))  # x, and the op and sign of its symmetric term
+    relations = []
+
+    def label(g, k):
+        return f"h{k}" if g == "h" else f"x{k}{g}"
+
+    def bracket(a, r, b, s, c=1):
+        """c [a_r, b_s] as two signed terms."""
+        return [(c, (a, r), (b, s)), (-c, (b, s), (a, r))]
+
+    for r in range(K + 1):
+        for s in range(r + 1, K + 1):  # [h_r, h_r] is zero on any matrix
+            relations.append((f"[h{r},h{s}]", bracket("h", r, "h", s)))
+    for k in range(K + 1):
+        for x, op, sign in signs:
+            X = label(x, k)
+            relations.append(
+                (f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, None, (x, k))])
+            )
+    for r in range(K + 1):
+        for s in range(K + 1 - r):
+            name = f"[x{r}+,x{s}-] - h{r+s}"
+            relations.append((name, bracket("+", r, "-", s) + [(-1, None, ("h", r + s))]))
+    for left in ("x", "h"):
+        for r in range(K):
+            for s in range(K):
+                for x, op, sign in signs:
+                    g = x if left == "x" else "h"
+                    A0, A1 = label(g, r), label(g, r + 1)
+                    X0, X1 = label(x, s), label(x, s + 1)
+                    relations.append((
+                        f"[{A1},{X0}] - [{A0},{X1}] {op} ({A0}{X0} + {X0}{A0})",
+                        bracket(g, r + 1, x, s)
+                        + bracket(g, r, x, s + 1, -1)
+                        + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))],
+                    ))
+
+    return tuple(relations)
+
+
 def _packed_relations(module: SL2Module, K: int):
     """(L, S, order, relations): the defining relations up to level K as
     packed integer rows, with `relations` a list of (name, rows) and rows
@@ -452,42 +597,7 @@ def _packed_relations(module: SL2Module, K: int):
     d_s 2^(sS) modulo 2^((s + 1)S), which is not 0 as 0 < |d_s| < 2^S.
     """
     ladder = _integer_ladder(module, K)
-    signs = (("+", "-", -1), ("-", "+", 1))  # x, and the op and sign of its symmetric term
-    relations = []
-
-    def label(g, k):
-        return f"h{k}" if g == "h" else f"x{k}{g}"
-
-    def bracket(a, r, b, s, c=1):
-        """c [a_r, b_s] as two signed terms."""
-        return [(c, (a, r), (b, s)), (-c, (b, s), (a, r))]
-
-    for r in range(K + 1):
-        for s in range(r + 1, K + 1):  # [h_r, h_r] is zero on any matrix
-            relations.append((f"[h{r},h{s}]", bracket("h", r, "h", s)))
-    for k in range(K + 1):
-        for x, op, sign in signs:
-            X = label(x, k)
-            relations.append(
-                (f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, None, (x, k))])
-            )
-    for r in range(K + 1):
-        for s in range(K + 1 - r):
-            name = f"[x{r}+,x{s}-] - h{r+s}"
-            relations.append((name, bracket("+", r, "-", s) + [(-1, None, ("h", r + s))]))
-    for left in ("x", "h"):
-        for r in range(K):
-            for s in range(K):
-                for x, op, sign in signs:
-                    g = x if left == "x" else "h"
-                    A0, A1 = label(g, r), label(g, r + 1)
-                    X0, X1 = label(x, s), label(x, s + 1)
-                    relations.append((
-                        f"[{A1},{X0}] - [{A0},{X1}] {op} ({A0}{X0} + {X0}{A0})",
-                        bracket(g, r + 1, x, s)
-                        + bracket(g, r, x, s + 1, -1)
-                        + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))],
-                    ))
+    relations = _relation_terms(K)
 
     # Over the lcm `common` of the ladder's scales, den = common / g, with g
     # the gcd of common and of every numerator brought over common, is the
@@ -515,15 +625,8 @@ def _packed_relations(module: SL2Module, K: int):
     S = bound.bit_length() + 2
     width = 2 * S
 
-    ms = [m for m, _ in module.factor_spec]
-    weights = [sum(2 * t - m for t, m in zip(ts, ms)) for ts in module.basis_labels]
-    order = sorted(range(n), key=weights.__getitem__)
-    slot = [0] * n
-    run = {}  # weight -> the slot its run starts at
-    for t, j in enumerate(order):
-        slot[j] = t
-        run.setdefault(weights[j], t)
-    start = [run[w] for w in weights]  # the run start of each column
+    shape = _shape(tuple(m for m, _ in module.factor_spec))
+    order, slot, start = shape.order, shape.slot, shape.start
 
     def pack(row):
         """A row of a right factor as (base, p, q), or None if it is 0."""

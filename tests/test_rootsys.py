@@ -81,6 +81,20 @@ def test_d3_warning_points_past_dataclass_init():
     assert record[0].filename == __file__
 
 
+def test_lie_type_hands_out_one_instance_per_family_and_rank():
+    # Tables cached on the type then find their key by identity.
+    assert lie_type("B", 3) is lie_type("B", 3)
+    assert lie_type("G2") is lie_type("G2", 2)
+    assert lie_type("C", 3) is not lie_type("B", 3)
+    # The D3 warning stays outside the cache: every call raises it.
+    types = []
+    for _ in range(2):
+        with pytest.warns(UserWarning) as record:
+            types.append(lie_type("D", 3))
+        assert record[0].filename == __file__
+    assert types[0] is types[1]
+
+
 # Every public function that takes a node, called with node b.
 NODE_TAKERS = {
     "criterion_set(b, 1)": lambda t, b: criterion_set(t, b, 1),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -14,7 +15,11 @@ from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, _dense, unit
 from yangian_weyl.ysl2 import (
     SL2Module,
     _h_on_top,
+    _lowered,
     _packed_relations,
+    _series_check,
+    _shape,
+    _spin_levels,
     defining_relation_failures,
     evaluation_module,
     extend_generators,
@@ -28,6 +33,7 @@ from yangian_weyl.ysl2 import (
 )
 
 import relations_oracle
+import spin_oracle
 import tensor_oracle
 
 F = Fraction
@@ -210,6 +216,18 @@ def test_lowering_levels_examples():
         tensor_module([(1, G(1)), (1, G(0)), (1, G(2))])
     ) == (1, 2, 2, 1)
     assert lowering_levels(evaluation_module(3, G(F(1, 2), 1))) == (1, 1, 1, 1)
+    # W_2(0) (x) W_2(1) is full at depth 1 and short at depth 2, so its
+    # depth-2 spin starts from the cached x_0^- V_1 and its depth 3 does
+    # not; W_2(1) (x) W_2(0) is full.  Each order of the two runs on a
+    # shape cache the other one warmed.
+    short = ([(2, G(0)), (2, G(1))], (1, 2, 2, 2, 1))
+    full = ([(2, G(1)), (2, G(0))], (1, 2, 3, 2, 1))
+    for products in ((short, full), (full, short)):
+        _shape.cache_clear()
+        for spec, levels in products:
+            module = tensor_module(spec)
+            assert lowering_levels(module) == levels
+            assert _depth_sizes(module) == (1, 2, 3, 2, 1)
 
 
 def _depth_sizes(module):
@@ -259,6 +277,85 @@ def test_lowering_levels_agree_with_six_generator_closure(spec):
     hw = closure == module.dim
     assert (levels == sizes) is hw
     assert is_highest_weight(spec) is hw
+
+
+# A few shapes drawn again and again, so that the shape cache both hits
+# and misses.
+_SHAPE_POOL = ((1, 1), (2, 2), (1, 1, 1), (2, 1, 1), (1, 3), (1, 1, 1, 1), (2, 2, 1))
+
+
+@st.composite
+def _pool_spec_st(draw):
+    """A shape from `_SHAPE_POOL`, with parameters within integer steps of
+    a common base, all real or all Gaussian."""
+    ms = draw(st.sampled_from(_SHAPE_POOL))
+    base = F(draw(st.integers(-4, 4)), draw(st.integers(1, 2)))
+    gauss = draw(st.booleans())
+    return [
+        (
+            m,
+            G(
+                base + draw(st.integers(0, 3)) + draw(st.sampled_from([0, 0, HALF])),
+                draw(st.sampled_from([0, 1, -1])) if gauss else 0,
+            ),
+        )
+        for m in ms
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_spec_st(), _pool_spec_st()), st.sampled_from((None, "scale", "shift")))
+def test_lowering_levels_are_the_oracle_levels(spec, h1_change):
+    # Level by level, the spin that starts full levels from the shape's
+    # cached rows must be the spin from x_0^- of every level as it stands.
+    # An h_1 scaled by 3 or shifted by h_0 keeps x_0^- shared and still
+    # maps every V_r into itself.
+    module = tensor_module(spec)
+    if h1_change == "scale":
+        module = _with(module, h1=module.h1.scale(3))
+    elif h1_change == "shift":
+        module = _with(module, h1=module.h1 + module.h0)
+    assert tuple(_spin_levels(module)) == tuple(spin_oracle._spin_levels(module))
+    assert lowering_levels(module) == spin_oracle.lowering_levels(module)
+
+
+def test_shape_cache_entries_stay_as_built():
+    # Spins, relation checks and series checks on products of the pooled
+    # shapes read the cached entries; afterwards every entry must equal a
+    # fresh uncached build, its lazily filled levels included, so none of
+    # them wrote into a shared row.
+    rng = random.Random(5)
+    for _ in range(3):
+        for ms in _SHAPE_POOL:
+            base = rng.randint(-3, 3)
+            im = rng.choice((0, 0, 1))
+            spec = [(m, G(base + rng.randint(0, 2), im and rng.randint(-1, 1))) for m in ms]
+            module = tensor_module(spec)
+            lowering_levels(module)
+            defining_relation_failures(module, 2)
+            defining_relation_failures(_with(module, h1=module.h1.scale(2)), 1)
+            _series_check(spec, 3)
+    for ms in _SHAPE_POOL:
+        cached = _shape(ms)
+        assert cached.lowered
+        fresh = _shape.__wrapped__(ms)
+        for r in cached.lowered:
+            _lowered(fresh, r)
+        assert cached == fresh, ms
+
+
+def test_modules_of_one_shape_share_their_parameter_free_matrices():
+    one = tensor_module([(2, G(0)), (1, G(F(1, 2), 1))])
+    other = tensor_module([(2, G(5)), (1, G(-3))])
+    assert one.x0m is other.x0m
+    assert one.x0p is other.x0p and one.h0 is other.h0
+    assert one.basis_labels is other.basis_labels
+    assert one.h1 != other.h1
+    # Once the cache has dropped the shape, a module built before spins
+    # every level from x_0^- as it stands, with the same levels.
+    _shape.cache_clear()
+    assert tensor_module([(2, G(0)), (1, G(1))]).x0m is not one.x0m
+    assert lowering_levels(one) == spin_oracle.lowering_levels(one)
 
 
 def test_is_irreducible_examples():
