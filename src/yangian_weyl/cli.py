@@ -90,6 +90,8 @@ MAX_SL2_ORDER = 32
 # takes 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
+# The families a document's "type" and the `--type` option name.
+_LIE_TYPES = ("A", "B", "C", "D", "G2")
 
 
 class SchemaError(ValueError):
@@ -137,7 +139,7 @@ def _parse_type(doc) -> LieType:
     if not isinstance(doc, dict):
         raise SchemaError("", "expected an object")
     family = doc.get("type")
-    if family not in ("A", "B", "C", "D", "G2"):
+    if family not in _LIE_TYPES:
         raise SchemaError("/type", "expected one of A, B, C, D, G2")
     rank = doc.get("rank")
     if rank is None and family == "G2":
@@ -587,6 +589,42 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+# The command-line grammar, each option written once: `build_parser` builds
+# argparse's parser from it and `_table_parse` reads argv with it.  Per
+# command: its handler, its help, the help of its one positional `document`
+# (None when it takes none) and its options.  An option is (flag, kind,
+# default, required), where kind is a tuple of choices, `int` for an integer
+# or `bool` for a switch; its attribute is the flag without its "--".
+_JSON = ("--json", bool, False, False)
+_TYPE_OPTIONS = (("--type", _LIE_TYPES, None, True), ("--rank", int, None, False), _JSON)
+_COMMANDS = {
+    "info": (_cmd_info, "Cartan data, longest word, dimensions", None, _TYPE_OPTIONS),
+    "weyl": (
+        _cmd_weyl,
+        "ordered tensor factorization of a local Weyl module",
+        "Drinfeld tuple JSON (or - for stdin)",
+        (_JSON,),
+    ),
+    "check": (
+        _cmd_check,
+        "cyclicity/irreducibility verdicts",
+        "factor chain JSON (or - for stdin)",
+        (("--mode", ("cyclic", "irreducible"), "cyclic", False), _JSON),
+    ),
+    "sl2": (
+        _cmd_sl2,
+        "rank-one brute-force oracles",
+        "[[m, a], ...] JSON (or - for stdin)",
+        (
+            ("--verify", ("series", "closure", "identities"), "closure", False),
+            ("--order", int, 3, False),
+            _JSON,
+        ),
+    ),
+    "ssets": (_cmd_ssets, "dump all criterion sets for a type", None, _TYPE_OPTIONS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yangian-weyl",
@@ -598,51 +636,94 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="Cartan data, longest word, dimensions")
-    p_info.add_argument("--type", required=True, choices=["A", "B", "C", "D", "G2"])
-    p_info.add_argument("--rank", type=int, default=None)
-    p_info.add_argument("--json", action="store_true")
-    p_info.set_defaults(func=_cmd_info)
-
-    p_weyl = sub.add_parser(
-        "weyl", help="ordered tensor factorization of a local Weyl module"
-    )
-    p_weyl.add_argument("document", help="Drinfeld tuple JSON (or - for stdin)")
-    p_weyl.add_argument("--json", action="store_true")
-    p_weyl.set_defaults(func=_cmd_weyl)
-
-    p_check = sub.add_parser("check", help="cyclicity/irreducibility verdicts")
-    p_check.add_argument("document", help="factor chain JSON (or - for stdin)")
-    p_check.add_argument(
-        "--mode", choices=["cyclic", "irreducible"], default="cyclic"
-    )
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=_cmd_check)
-
-    p_sl2 = sub.add_parser("sl2", help="rank-one brute-force oracles")
-    p_sl2.add_argument("document", help="[[m, a], ...] JSON (or - for stdin)")
-    p_sl2.add_argument(
-        "--verify", choices=["series", "closure", "identities"], default="closure"
-    )
-    p_sl2.add_argument("--order", type=int, default=3)
-    p_sl2.add_argument("--json", action="store_true")
-    p_sl2.set_defaults(func=_cmd_sl2)
-
-    p_ssets = sub.add_parser("ssets", help="dump all criterion sets for a type")
-    p_ssets.add_argument("--type", required=True, choices=["A", "B", "C", "D", "G2"])
-    p_ssets.add_argument("--rank", type=int, default=None)
-    p_ssets.add_argument("--json", action="store_true")
-    p_ssets.set_defaults(func=_cmd_ssets)
+    for name, (func, help_text, document, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if document is not None:
+            command.add_argument("document", help=document)
+        for flag, kind, default, required in options:
+            if kind is bool:
+                how = {"action": "store_true"}
+            elif kind is int:
+                how = {"type": int}
+            else:
+                how = {"choices": kind}
+            command.add_argument(flag, default=default, required=required, **how)
+        command.set_defaults(func=func)
     return parser
 
 
-# One parser per process: parse_args fills a fresh namespace on every call.
+# argparse's parser, built once per process when an argv first needs it;
+# parse_args fills a fresh namespace on every call.
 _parser = cache(build_parser)
+
+# Per command, what `_table_parse` reads argv with: the namespace before any
+# option is read, {flag: (attribute, kind)}, and the attributes that argv
+# must set (the document, if any, and every required option).
+_TABLE = {
+    name: (
+        {"command": name, "func": func,
+         **{flag[2:]: default for flag, _, default, required in options if not required}},
+        {flag: (flag[2:], kind) for flag, kind, _, _ in options},
+        (() if document is None else ("document",))
+        + tuple(flag[2:] for flag, _, _, required in options if required),
+    )
+    for name, (func, _, document, options) in _COMMANDS.items()
+}
+
+
+def _table_parse(argv):
+    """The namespace `_parser().parse_args(argv)` returns, read from the
+    table in a few microseconds, or None.  Every token after the command
+    name must be an exact long option of that command, with a valid choice
+    or a plain ASCII-digit integer as its next token, or `--json`, or the
+    command's one positional, which does not start with "-".  Anything else
+    (help, abbreviations, "=" forms, "--", "-" as the document, a usage
+    error) is None, and argparse, which alone prints help and usage errors,
+    parses it."""
+    table = _TABLE.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    defaults, flags, required = table
+    values = dict(defaults)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if "document" in values or "document" not in required:
+                return None
+            values["document"] = token
+            continue
+        option = flags.get(token)
+        if option is None:
+            return None
+        dest, kind = option
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None:
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than Python converts
+                return None
+        elif value not in kind:
+            return None
+        values[dest] = value
+    for dest in required:
+        if dest not in values:
+            return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _table_parse(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -113,7 +113,9 @@ def order_factors(pi: DrinfeldTuple) -> FactorChain:
         for root in roots
     ]
     keys = _scaled_keys([a.triple for _, a in items])
-    order = sorted(range(len(items)), key=lambda k: (*keys[k], -items[k][0]), reverse=True)
+    # Equal keys mean equal roots, and the stable sort keeps such items in
+    # their ascending node order.
+    order = sorted(range(len(items)), key=keys.__getitem__, reverse=True)
     return FactorChain(pi.lie_type, tuple(items[k] for k in order))
 
 

@@ -12,9 +12,10 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yangian_weyl import __version__
@@ -24,6 +25,8 @@ from yangian_weyl.cli import (
     SchemaError,
     _emit,
     _pair_audit,
+    _table_parse,
+    build_parser,
     chain_to_doc,
     main,
     parse_chain_doc,
@@ -284,6 +287,23 @@ def test_schema_errors(capsys, argv, pointer):
     err = capsys.readouterr().err
     assert code == 2
     assert f"schema error at {pointer}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,listed",
+    [
+        (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
+            "1": [str(k) for k in range(MAX_FACTORS)]}})], lambda r: r["chain"]),
+        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
+            {"node": 1, "a": str(k)} for k in range(MAX_FACTORS)]})],
+         lambda r: r["chain"]["factors"]),
+    ],
+    ids=["weyl", "check"],
+)
+def test_max_factors_is_accepted(capsys, argv, listed):
+    # The bound is inclusive: one root or factor more is a schema error.
+    code, report = _run_json(capsys, argv)
+    assert code == 0 and len(listed(report)) == MAX_FACTORS
 
 
 @pytest.mark.parametrize(
@@ -553,3 +573,107 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# argv grammar for the table parse: valid calls of every command, and the
+# spellings only argparse reads (abbreviations, "=" forms, "--", "-" as the
+# document, help), unknown options and commands, and bad values.
+_DOCS = {
+    "weyl": '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2"]}}',
+    "check": '{"type":"A","rank":2,"factors":[{"node":1,"a":"0"},{"node":2,"a":"3/2"}]}',
+    "sl2": '[[1,"0"],[1,"1"]]',
+}
+_VALID = {
+    "--type": ["A", "B", "C", "D", "G2"],
+    "--rank": ["1", "2", "3", "03", str(MAX_RANK + 1)],
+    "--mode": ["cyclic", "irreducible"],
+    "--verify": ["series", "closure", "identities"],
+    "--order": ["0", "2", "5", "33"],
+}
+_OPTIONS = {
+    "info": ["--type", "--rank"],
+    "ssets": ["--type", "--rank"],
+    "weyl": [],
+    "check": ["--mode"],
+    "sl2": ["--verify", "--order"],
+}
+_BAD_VALUES = ["", "-1", "--1", "+2", " 2", "1_0", "\u0663", "2.0", "x", "cyc", "a", "9" * 4301]
+_ODD_TOKENS = [
+    "", "-", "--", "-1", "-x", "x", "\u0663", "not json", "-h", "--help", "--version",
+    "--j", "--js", "--ver", "--verif", "--ord", "--mo", "--ty", "--ra", "--bogus",
+    "--json=1", "--order=2", "--mode=irreducible", "--type=A", "--verify=series",
+    *_VALID, "--json", "A", "cyclic", "series", *_DOCS.values(),
+]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_OPTIONS] * 3 + ["bogus", "SL2", "sl", "", "--version", "-h"]))
+    rare = st.integers(0, 7).map(lambda k: k == 0)
+    pieces = []
+    if command in _DOCS and draw(st.integers(0, 7)):
+        pieces.append([draw(st.sampled_from([_DOCS[command]] * 3 + ["-"]))])
+    for flag in _OPTIONS.get(command, []):
+        if not draw(st.integers(0, 7 if flag == "--type" else 1)):
+            continue
+        value = draw(st.sampled_from(_BAD_VALUES if draw(rare) else _VALID[flag]))
+        spelling = draw(st.sampled_from([flag] * 5 + [flag[:3], flag[:-1], "=", "bare", "bare"]))
+        if spelling == "=":
+            pieces.append([f"{flag}={value}"])
+        else:
+            pieces.append([flag] if spelling == "bare" else [spelling, value])
+    pieces.extend([["--json"]] * draw(st.integers(0, 2)))
+    pieces = draw(st.permutations(pieces))
+    for _ in range(draw(st.integers(0, 2)) * draw(st.booleans())):
+        pieces.insert(draw(st.integers(0, len(pieces))), [draw(st.sampled_from(_ODD_TOKENS))])
+    return [command, *(token for piece in pieces for token in piece)]
+
+
+_ARGPARSE = build_parser()
+
+
+def _argparse_main(argv):
+    """`main` with argparse reading every argv."""
+    args = _ARGPARSE.parse_args(argv)
+    try:
+        return args.func(args)
+    except SchemaError as exc:
+        print(f"schema error at {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(run, argv):
+    """(exit status, stdout, stderr) of run(argv), with the command's own
+    document on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(_DOCS.get(argv[0], ""))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", stdin), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # D3 is A3 relabelled
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argv())
+@example(["sl2", _DOCS["sl2"], "--order"])
+@example(["sl2", _DOCS["sl2"], _DOCS["sl2"]])
+@example(["check", _DOCS["check"], "--mode", "cyc"])
+@example(["info", "--rank", "2"])
+@example(["weyl", _DOCS["weyl"], "--json=1"])
+@example(["sl2", "-", "--verify", "series", "--order", "-1"])
+def test_table_parse_agrees_with_argparse(argv):
+    # The table reads argv as argparse does or declines it, and `main`
+    # prints and exits as argparse alone would, on every argv.
+    args = _table_parse(argv)
+    if args is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = _ARGPARSE.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the table read an argv that argparse refuses: {argv!r}")
+        assert args == expected
+    assert _outcome(main, argv) == _outcome(_argparse_main, argv)

@@ -255,6 +255,40 @@ def test_ledger_refuses_a_chain_its_l_weight_does_not_match(uncached_ledgers, mo
         wp.parameter_ledger(t, 1)
 
 
+def _revisit_node_one(wp, monkeypatch):
+    monkeypatch.setattr(wp, "_applied_node_order", lambda t, b: [1, 1, 2, 3])
+
+
+def _lose_inverses(wp, monkeypatch):
+    bump = wp._bump
+
+    def positive_only(powers, x, by):
+        if by > 0:
+            bump(powers, x, by)
+
+    monkeypatch.setattr(wp, "_bump", positive_only)
+
+
+@pytest.mark.parametrize(
+    "fault,b,message",
+    [
+        # Node 1 again at once: its coefficient is -1, held as Y^-1.
+        (_revisit_node_one, 1, "step 1 of A3 node 1 .* step coefficient -1$"),
+        # A lowering that drops each Y_{i,x+d_i}^-1 leaves every power
+        # positive, so only the count of the x held trips the guard.
+        (_lose_inverses, 2, "step 3 of A3 node 2 .* step coefficient 1$"),
+    ],
+    ids=["node-order", "lost-inverses"],
+)
+def test_ledger_guard_catches_a_faulty_walk(monkeypatch, fault, b, message):
+    # The uncached function, so that the lru cache keeps no faulty ledger.
+    import yangian_weyl.weylpath as wp
+
+    fault(wp, monkeypatch)
+    with pytest.raises(RuntimeError, match=message):
+        wp.parameter_ledger.__wrapped__(lie_type("A", 3), b)
+
+
 def test_chain_rejects_bad_node():
     with pytest.raises(ValueError):
         descent_chain(lie_type("A", 2), 3)
