@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import cache
 from itertools import chain as iter_chain, repeat
@@ -51,17 +52,14 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 
 # Largest product dimension prod(m + 1) that `sl2` builds.  On eight
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
-# (dimension 256; in-process `main` calls, Python 3.11, one shared Xeon core;
-# cold is the first call in a fresh process, before `ysl2._shape` holds the
-# shape, warm a repeated call) closure takes 0.09-0.10 s cold and
-# 0.05-0.07 s warm, identities 0.14-0.20 s either way, and series
-# 0.017-0.022 s cold and 0.009-0.013 s warm at order 5, 0.014-0.022 s and
-# 0.008-0.013 s at order 32; on the first seven, closure 0.02-0.03 s cold
-# and about 0.01 s warm, identities 0.04-0.08 s.  Identities still sets the
-# bound: most of it sums packed rows that span whole weight spaces, and the
-# rest builds the generator ladder on integer rows.  With a ninth factor,
-# -7/2, its relation suite takes about 0.85 s, of which the ladder is
-# 0.07-0.08 s.
+# (dimension 256; in-process `main` calls, Python 3.11.7, one shared Xeon
+# core; cold is the first call in a fresh process, with `ysl2._shape`
+# empty, warm a repeated one) closure takes about 0.07 s cold and
+# 0.03-0.04 s warm, identities 0.18-0.20 s, and series 0.007-0.013 s at
+# order 5 or 32; on the first seven, closure 0.014 s cold and
+# 0.006-0.007 s warm, identities 0.04-0.07 s.  Identities sets the bound:
+# with a ninth factor, -7/2, its relation suite takes 0.65-0.71 s, of
+# which the ladder is 0.11-0.13 s.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
@@ -729,6 +727,11 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error at {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is left in the buffer goes
+        # to os.devnull, so that the flush at exit raises nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

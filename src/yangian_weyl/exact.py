@@ -4,10 +4,11 @@ Everything in this package computes over Q(i); no floating point is used
 anywhere.  A scalar is a `GaussianRational` that stores one integer triple
 (re, im, d) standing for (re + im*i) / d, in lowest terms.  Arithmetic and
 formatting work on those integers, and each result is reduced once.
-Matrices and row reduction keep sparse rows that never store a zero, with
-the same triples as entries; a kernel sums products over a common
-denominator and reduces each result entry once.  Scalars and dense tuples
-appear only where values cross the public API.
+A matrix keeps sparse Gaussian-integer rows that never store a zero over
+one denominator, in lowest terms.  One row kernel forms every product, sum
+and matrix-vector application, and one fraction-free echelon does all row
+reduction inside Z[i].  Scalars and dense tuples appear only where values
+cross the public API.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
 
@@ -298,109 +300,112 @@ class Series:
 # ---------------------------------------------------------------------------
 # Exact vectors and sparse matrices.
 #
-# Public vectors are dense tuples of scalars.  Inside matrices and row
-# reduction a vector is sparse: a dict {index: entry} that never stores a
-# zero, each entry the triple of a scalar.  The triple is unique, so equal
-# rows compare and hash equal.
+# Public vectors are dense tuples of scalars.  Inside the package a vector
+# or a matrix row is a sparse Z[i] row: a dict {index: (re, im)} of
+# Gaussian integers that never stores a zero.  A matrix puts all its rows
+# over one denominator; a vector's denominator is tracked by its caller,
+# or does not matter, as in row reduction, where scaling a vector keeps
+# its span.
 
 Vector = tuple  # tuple[GaussianRational, ...]
-
-_UNIT = (1, 0, 1)
 
 
 def unit_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
-def _sparse(vec: Iterable) -> dict:
-    return {j: as_scalar(e).triple for j, e in enumerate(vec) if e}
+@lru_cache(maxsize=64)
+def _units(n: int) -> tuple:
+    """The rows of the n x n identity, shared read-only."""
+    return tuple({i: (1, 0)} for i in range(n))
 
 
-def _dense(vec: dict, n: int) -> Vector:
-    return tuple(_of(vec[j]) if j in vec else ZERO for j in range(n))
+def _integral(vectors) -> tuple:
+    """(rows, den): dense vectors of scalars as Z[i] rows over den, the lcm
+    of the denominators of their entries."""
+    triples = [[as_scalar(e).triple for e in v] for v in vectors]
+    den = lcm(*(d for t in triples for _, _, d in t))
+    return [
+        {j: (re * (den // d), im * (den // d)) for j, (re, im, d) in enumerate(t) if re or im}
+        for t in triples
+    ], den
 
 
-def _accumulate(acc: dict, c, row: dict):
-    """acc[j] += c * e for every entry e = row[j], in integers.
-
-    A slot [re, im, d] of acc stands for (re + im*i) / d.  A term over the
-    slot's denominator is added directly, any other over the lcm of the two
-    denominators; nothing is reduced until `_settle`.
-    """
-    cr, ci, cd = c
-    for j, (er, ei, d) in row.items():
-        re = cr * er - ci * ei
-        im = cr * ei + ci * er
-        d *= cd
-        slot = acc.get(j)
-        if slot is None:
-            acc[j] = [re, im, d]
-        elif slot[2] == d:
-            slot[0] += re
-            slot[1] += im
-        else:
-            sd = slot[2]
-            g = gcd(sd, d)
-            sd //= g
-            d //= g
-            slot[0] = slot[0] * d + re * sd
-            slot[1] = slot[1] * d + im * sd
-            slot[2] = sd * d * g
+def _dense(row: dict, den: int, n: int) -> Vector:
+    """The Z[i] row over den as a dense tuple of scalars."""
+    return tuple(_reduced(*row[j], den) if j in row else ZERO for j in range(n))
 
 
-def _settle(out: dict, acc: dict) -> dict:
-    """Write the accumulated slots into out in lowest terms; a slot that
-    sums to zero removes its entry."""
-    for j, (re, im, d) in acc.items():
-        if re or im:
-            g = gcd(re, im, d)
-            out[j] = (re, im, d) if g == 1 else (re // g, im // g, d // g)
-        else:
-            out.pop(j, None)
-    return out
-
-
-def _add_multiples(base: dict, terms) -> dict:
-    """base + sum(c * row for c, row in terms), as a new sparse vector.
-
-    Entries of base that no term touches are shared, not copied.
-    """
+def _row_sum(terms, i: int) -> dict:
+    """Row i of sum c A B over Z[i], for terms (c, A, B) with c an integer,
+    A a sequence of Z[i] rows and B any sequence or mapping that holds a
+    Z[i] row for every column of A[i].  No entry is reduced.  A matrix
+    applied to a vector v is the case A = [v], i = 0, with B the matrix's
+    columns; a sum of matrices has the identity rows `_units(n)` as B."""
     acc = {}
-    for c, row in terms:
-        _accumulate(acc, c, row)
-    if base:
-        _accumulate(acc, _UNIT, {j: base[j] for j in acc if j in base})
-    return _settle(dict(base), acc)
+    for c, A, B in terms:
+        for k, (ar, ai) in A[i].items():
+            ar *= c
+            ai *= c
+            for j, (br, bi) in B[k].items():
+                slot = acc.get(j)
+                if slot is None:
+                    acc[j] = [ar * br - ai * bi, ar * bi + ai * br]
+                else:
+                    slot[0] += ar * br - ai * bi
+                    slot[1] += ar * bi + ai * br
+    return {j: (re, im) for j, (re, im) in acc.items() if re or im}
+
+
+def _content(entries, g: int = 0) -> int:
+    """The gcd of g and both parts of every Gaussian integer in entries,
+    read only until it reaches 1."""
+    for re, im in entries:
+        g = gcd(g, re, im)
+        if g == 1:
+            break
+    return g
+
+
+def _lowest(rows, den: int, ncols: int) -> "Matrix":
+    """The matrix rows / den, for Z[i] rows with no zero and any den > 0,
+    in lowest terms: everything divided by the gcd of den and every part."""
+    rows = tuple(rows)
+    if den != 1:
+        g = _content((e for row in rows for e in row.values()), den)
+        if g != 1:
+            den //= g
+            rows = tuple({j: (re // g, im // g) for j, (re, im) in row.items()} for row in rows)
+    return Matrix._of(rows, den, ncols)
 
 
 class Matrix:
-    """Sparse rectangular matrix over the Gaussian rationals.
+    """Sparse rectangular matrix over the Gaussian rationals, rows / den.
 
-    `rows` holds one dict {column: nonzero entry} per row, in the entry form
-    above; no zero is ever stored, so every product, sum and matrix-vector
-    application touches only nonzero entries.  `Matrix(rows)` takes dense
-    rows of scalars.  The columns, which `apply` reads, are indexed on first
-    use.
+    `rows` holds one Z[i] row {column: (re, im)} per row, with no zero
+    stored, and `den` is a positive integer.  The matrix is kept in lowest
+    terms, gcd(den, every re and im) = 1, a form its value determines, so
+    equal matrices compare and hash equal.  Every product, sum and
+    matrix-vector application runs the row kernel `_row_sum` on the
+    nonzero entries.  `Matrix(rows)` takes dense rows of scalars.  The
+    columns, which `apply` reads, are indexed on first use.
     """
 
-    __slots__ = ("rows", "ncols", "_cols")
+    __slots__ = ("rows", "den", "ncols", "_cols")
 
-    def __init__(self, rows: Iterable[Iterable]):
+    def __new__(cls, rows: Iterable[Iterable]):
         dense = [tuple(row) for row in rows]
         widths = {len(r) for r in dense}
         if len(widths) > 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", tuple(_sparse(row) for row in dense))
-        object.__setattr__(self, "ncols", widths.pop() if widths else 0)
-        object.__setattr__(self, "_cols", None)
+        return cls._of(*_integral(dense), widths.pop() if widths else 0)
 
     @classmethod
-    def _of(cls, rows: Iterable[dict], ncols: int) -> "Matrix":
-        """A matrix from sparse rows that already hold no zero."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "rows", tuple(rows))
-        object.__setattr__(out, "ncols", ncols)
-        object.__setattr__(out, "_cols", None)
+    def _of(cls, rows: Iterable[dict], den: int, ncols: int) -> "Matrix":
+        """rows / den, already in lowest terms."""
+        out = _new(cls)
+        for name, value in zip(cls.__slots__, (tuple(rows), den, ncols, None)):
+            _set(out, name, value)
         return out
 
     def __setattr__(self, name, value):
@@ -412,93 +417,83 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(({i: _UNIT} for i in range(n)), n)
+        return cls._of(_units(n), 1, n)
 
-    def _plus(self, other: "Matrix", c) -> "Matrix":
-        """self + c * other, for c = 1 or -1."""
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, over the lcm of the two denominators."""
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix shape mismatch")
-        return Matrix._of(
-            (_add_multiples(a, ((c, b),)) for a, b in zip(self.rows, other.rows)),
-            self.ncols,
-        )
+        den, units = lcm(self.den, other.den), _units(self.ncols)
+        a, b = den // self.den, sign * (den // other.den)
+        terms = ((a, self.rows, units), (b, other.rows, units))
+        return _lowest((_row_sum(terms, i) for i in range(self.nrows)), den, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, _UNIT)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, (-1, 0, 1))
+        return self._plus(other, -1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
-        orows = other.rows
-        return Matrix._of(
-            (
-                _add_multiples({}, ((a, orows[k]) for k, a in row.items()))
-                for row in self.rows
-            ),
-            other.ncols,
+        terms = ((1, self.rows, other.rows),)
+        return _lowest(
+            (_row_sum(terms, i) for i in range(self.nrows)), self.den * other.den, other.ncols
         )
 
     def scale(self, c) -> "Matrix":
-        c = as_scalar(c).triple
-        return Matrix._of(
-            (_add_multiples({}, ((c, row),)) for row in self.rows), self.ncols
-        )
+        """c times the matrix: its Kronecker product with the 1 x 1 matrix [c]."""
+        return kron(self, Matrix([[c]]))
 
-    def _columns(self) -> dict:
-        """{column: {row: entry}} over the nonzero entries."""
+    def _columns(self) -> list:
+        """The columns as Z[i] rows, built on first use."""
         cols = self._cols
         if cols is None:
-            cols = {}
+            cols = [{} for _ in range(self.ncols)]
             for i, row in enumerate(self.rows):
                 for j, e in row.items():
-                    cols.setdefault(j, {})[i] = e
-            object.__setattr__(self, "_cols", cols)
+                    cols[j][i] = e
+            _set(self, "_cols", cols)
         return cols
 
     def apply(self, vec: dict) -> dict:
-        """The image of a sparse vector, as a sparse vector: the sum of
-        vec[k] times column k."""
-        cols = self._columns()
-        return _add_multiples({}, ((c, cols[k]) for k, c in vec.items() if k in cols))
+        """den times the image of a Z[i] vector, as a Z[i] vector: the sum
+        of vec[k] times column k of the rows."""
+        return _row_sum(((1, (vec,), self._columns()),), 0)
 
     def matvec(self, v: Vector) -> Vector:
         if self.ncols != len(v):
             raise ValueError("matrix/vector shape mismatch")
-        return _dense(self.apply(_sparse(v)), self.nrows)
+        (vec,), den = _integral((v,))
+        return _dense(self.apply(vec), den * self.den, self.nrows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return isinstance(other, Matrix) and (self.ncols, self.den, self.rows) == (
+            other.ncols, other.den, other.rows)
 
     def __hash__(self):
-        return hash((self.ncols, tuple(frozenset(row.items()) for row in self.rows)))
+        return hash((self.ncols, self.den, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self):
-        return f"Matrix({[[str(e) for e in _dense(row, self.ncols)] for row in self.rows]})"
+        dense = [[str(e) for e in _dense(row, self.den, self.ncols)] for row in self.rows]
+        return f"Matrix({dense})"
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i1*b.nrows + i2, j1*b.ncols + j2)."""
     bn = b.ncols
-    return Matrix._of(
+    return _lowest(
         (
-            _settle(
-                {},
-                {
-                    j1 * bn + j2: (xr * yr - xi * yi, xr * yi + xi * yr, xd * yd)
-                    for j1, (xr, xi, xd) in arow.items()
-                    for j2, (yr, yi, yd) in brow.items()
-                },
-            )
+            {
+                j1 * bn + j2: (xr * yr - xi * yi, xr * yi + xi * yr)
+                for j1, (xr, xi) in arow.items()
+                for j2, (yr, yi) in brow.items()
+            }
             for arow in a.rows
             for brow in b.rows
         ),
+        a.den * b.den,
         a.ncols * bn,
     )
 
@@ -507,45 +502,57 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # Row reduction and subspace spinning.
 
 
-class _RrefBasis:
-    """Reduced-row-echelon basis of a growing subspace.
+def _primitive(row: dict) -> dict:
+    """A nonzero Z[i] row divided by the integer gcd of its parts."""
+    g = _content(row.values())
+    return row if g == 1 else {j: (re // g, im // g) for j, (re, im) in row.items()}
 
-    `rows` maps each pivot to its sparse row, which is 1 at that pivot and
-    0 at every other pivot.
+
+class _Echelon:
+    """Fraction-free reduced echelon basis of a growing subspace of Q(i)^n.
+
+    `rows` maps each pivot p to a Z[i] row whose entry at p is a positive
+    integer, which is 0 at every other pivot, and whose parts have integer
+    gcd 1.  Row p is then the reduced-row-echelon row at p times the lcm of
+    that row's denominators, so the subspace determines every row.  A
+    vector's denominator does not change its span and is never asked for.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self, n: int):
+        self.units = _units(n)
         self.rows: dict[int, dict] = {}
 
-    def reduce(self, vec: dict) -> dict:
-        # Rows vanish at each other's pivots, so the multiples to subtract
-        # are read off vec once.
-        rows = self.rows
-        terms = [((-r, -i, d), rows[p]) for p, (r, i, d) in vec.items() if p in rows]
-        return _add_multiples(vec, terms) if terms else vec
-
     def insert(self, vec: dict):
-        """Reduce vec against the basis; if independent, add it and return
-        the new row, else return None."""
-        vec = self.reduce(vec)
+        """Reduce vec against the basis; if it is independent, add the
+        result and return it, else return None."""
+        rows, units = self.rows, self.units
+        hits = [(p, e, rows[p][p][0]) for p, e in vec.items() if p in rows]
+        if hits:
+            # Rows vanish at each other's pivots, so over the lcm L of the
+            # pivots met the multiples to subtract are read off vec once.
+            L = lcm(*(q for _, _, q in hits))
+            coeffs = {p: (L // q * re, L // q * im) for p, (re, im), q in hits}
+            vec = _row_sum(((L, (vec,), units), (-1, (coeffs,), rows)), 0)
         if not vec:
             return None
         pivot = min(vec)
-        r, i, d = vec[pivot]
-        if (r, i, d) != _UNIT:  # divide by (r + i*i)/d
-            vec = _add_multiples({}, (((d * r, -d * i, r * r + i * i), vec),))
-        rows = self.rows
+        re, im = vec[pivot]
+        if im or re < 0:  # times the conjugate of the pivot entry
+            vec = {j: (re * a + im * b, re * b - im * a) for j, (a, b) in vec.items()}
+        vec = _primitive(vec)
+        q = vec[pivot][0]
+        new = {pivot: vec}
         for p, row in rows.items():
-            c = row.get(pivot)
-            if c is not None:
-                rows[p] = _add_multiples(row, (((-c[0], -c[1], c[2]), vec),))
+            e = row.get(pivot)
+            if e is not None:
+                rows[p] = _primitive(_row_sum(((q, (row,), units), (-1, ({pivot: e},), new)), 0))
         rows[pivot] = vec
         return vec
 
-    def dense_rows(self) -> Tuple[Vector, ...]:
-        """The basis as dense tuples in pivot order."""
-        return tuple(_dense(self.rows[p], self.dim) for p in sorted(self.rows))
+    def scalar_rows(self) -> Tuple[Vector, ...]:
+        """The reduced-row-echelon basis as dense tuples in pivot order."""
+        n = len(self.units)
+        return tuple(_dense(self.rows[p], self.rows[p][p][0], n) for p in sorted(self.rows))
 
 
 def row_space_closure(generators: Sequence[Matrix], seed: Vector):
@@ -561,10 +568,10 @@ def row_space_closure(generators: Sequence[Matrix], seed: Vector):
     for g in generators:
         if g.nrows != g.ncols or g.nrows != n:
             raise ValueError("generators must be square and match the seed length")
-    start = _sparse(seed)
+    (start,), _ = _integral((seed,))
     if not start:
         raise ValueError("seed vector is zero")
-    basis = _RrefBasis(n)
+    basis = _Echelon(n)
     queue = deque([basis.insert(start)])
     while queue and len(basis.rows) < n:
         vec = queue.popleft()
@@ -572,7 +579,7 @@ def row_space_closure(generators: Sequence[Matrix], seed: Vector):
             row = basis.insert(g.apply(vec))
             if row is not None:
                 queue.append(row)
-    return len(basis.rows), basis.dense_rows()
+    return len(basis.rows), basis.scalar_rows()
 
 
 def solve_linear(rows: Sequence[Vector], rhs: Vector):
@@ -583,9 +590,9 @@ def solve_linear(rows: Sequence[Vector], rhs: Vector):
     unknowns).
     """
     ncols = len(rows[0]) if rows else 0
-    basis = _RrefBasis(ncols + 1)
-    for row, b in zip(rows, rhs):
-        basis.insert(_sparse(tuple(row) + (b,)))
+    basis = _Echelon(ncols + 1)
+    for vec in _integral(tuple(row) + (b,) for row, b in zip(rows, rhs))[0]:
+        basis.insert(vec)
     if sorted(basis.rows) != list(range(ncols)):
         return None
-    return _dense({p: row[ncols] for p, row in basis.rows.items() if ncols in row}, ncols)
+    return tuple(row[ncols] for row in basis.scalar_rows())

@@ -21,6 +21,12 @@ the shape, is built once per shape by `_shape` and shared read-only: the
 basis labels, x_0^+/- and h_0, h_1 without its parameter-dependent
 diagonal, the weight-order tables of the relation suite, and x_0^- of
 every full level, on which the spin of the next level starts.
+
+Every matrix is a `Matrix` of Z[i] rows over one denominator: 1 for the
+parameter-free ones, the lcm of the parameters' denominators for h_1.
+The ladder, the relation suite and the series check run the row kernel
+`_row_sum` on those rows as they stand, and the level spin reduces them
+in the fraction-free echelon `_Echelon`.
 """
 
 from __future__ import annotations
@@ -28,16 +34,18 @@ from __future__ import annotations
 from collections import Counter, deque
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterator, Sequence, Tuple
 
 from .exact import (
     GaussianRational,
     Matrix,
-    ONE,
-    ZERO,
-    _RrefBasis,
-    _UNIT,
+    _Echelon,
+    _content,
+    _lowest,
+    _reduced,
+    _row_sum,
+    _units,
     as_scalar,
     # Not called here: the benchmark's traced run wraps `ysl2.kron` by
     # name, and tests/test_bench_sites.py requires every wrapped name to
@@ -93,15 +101,16 @@ class _Shape:
     """The parameter-free part of every product of one shape ms.
 
     `labels` run in mixed radix, the first factor most significant: label
-    t has index i = sum_k t_k stride_k.  x0p, x0m and h0 are integral and
-    shared read-only by every module of the shape.  `h1_off` holds the
-    rows of h_1 without their diagonal: -2 (m_k - t_k) t_l at column
-    i + stride_k - stride_l for each k < l with t_k < m_k and t_l > 0;
+    t has index i = sum_k t_k stride_k.  x0p, x0m and h0 are integral
+    (den 1) and shared read-only by every module of the shape.  `h1_off`
+    holds the entries (i, j, a) of h_1 off its diagonal, row by row:
+    a = -2 (m_k - t_k) t_l at column j = i + stride_k - stride_l for each
+    k < l with t_k < m_k and t_l > 0;
     `consts` holds the integer part of each diagonal entry.  `sizes[r]` is
     dim V_r, the number of labels r lowering steps below the top.  `order`,
     `slot` and `start` put the basis in h_0-weight order for
-    `_packed_relations`.  `lowered[r]` holds the RREF rows of x_0^- V_{r-1},
-    filled on first use by `_lowered`.
+    `_packed_relations`.  `lowered[r]` holds the echelon rows of
+    x_0^- V_{r-1}, filled on first use by `_lowered`.
     """
 
     ms: Tuple[int, ...]
@@ -109,7 +118,7 @@ class _Shape:
     x0p: Matrix
     x0m: Matrix
     h0: Matrix
-    h1_off: Tuple[dict, ...]
+    h1_off: Tuple[Tuple[int, int, int], ...]
     consts: Tuple[int, ...]
     sizes: Tuple[int, ...]
     order: Tuple[int, ...]
@@ -125,23 +134,22 @@ def _shape(ms: Tuple[int, ...]) -> _Shape:
     labels = tuple(product(*(range(m + 1) for m in ms)))
     xp, xm, h0, h1_off, consts, weights = [], [], [], [], [], []
     for i, label in enumerate(labels):
-        up, down, off = {}, {}, {}
+        up, down = {}, {}
         weight = const = 0  # the h_0 eigenvalue on the factors before k, then on all
         for k, (t, m, stride) in enumerate(zip(label, ms, strides)):
             w = 2 * t - m
             const += t * (3 * t - 2 * m - 1) + weight * w
             weight += w
             if t:
-                up[i - stride] = (t, 0, 1)
+                up[i - stride] = (t, 0)
             if t < m:
-                down[i + stride] = (m - t, 0, 1)
+                down[i + stride] = (m - t, 0)
                 for l in range(k + 1, len(label)):
                     if label[l]:
-                        off[i + stride - strides[l]] = (-2 * (m - t) * label[l], 0, 1)
+                        h1_off.append((i, i + stride - strides[l], -2 * (m - t) * label[l]))
         xp.append(up)
         xm.append(down)
-        h0.append({i: (weight, 0, 1)} if weight else {})
-        h1_off.append(off)
+        h0.append({i: (weight, 0)} if weight else {})
         consts.append(const)
         weights.append(weight)
     n, top = len(labels), sum(ms)
@@ -153,23 +161,23 @@ def _shape(ms: Tuple[int, ...]) -> _Shape:
         slot[j] = t
         run.setdefault(weights[j], t)
     return _Shape(
-        ms, labels, *(Matrix._of(rows, n) for rows in (xp, xm, h0)),
+        ms, labels, *(Matrix._of(rows, 1, n) for rows in (xp, xm, h0)),
         tuple(h1_off), tuple(consts), tuple(sizes[r] for r in range(top + 1)),
         tuple(order), tuple(slot), tuple(run[w] for w in weights), {},
     )
 
 
 def _lowered(shape: _Shape, r: int) -> dict:
-    """{pivot: row}, the RREF basis of x_0^- V_{r-1}, for r >= 1: the
+    """{pivot: row}, the `_Echelon` rows of x_0^- V_{r-1}, for r >= 1: the
     images of the basis vectors r - 1 steps below the top, reduced until
     they fill V_r.  Built once per shape and depth; callers copy it."""
     rows = shape.lowered.get(r)
     if rows is None:
-        basis = _RrefBasis(len(shape.labels))
+        basis = _Echelon(len(shape.labels))
         above = sum(shape.ms) - r + 1
         for j, label in enumerate(shape.labels):
-            if sum(label) == above:
-                basis.insert(shape.x0m.apply({j: _UNIT}))
+            if sum(label) == above:  # x_0^- of basis vector j is its column j
+                basis.insert(shape.x0m._columns()[j])
                 if len(basis.rows) == shape.sizes[r]:
                     break
         rows = shape.lowered[r] = basis.rows
@@ -196,8 +204,9 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
     dimensions and comes from `_shape`: modules of one shape share their
     labels and x_0^+/-, h_0 read-only.  On one factor h_1 w_t =
     (a (2t - m) + t (3t - 2m - 1)) w_t, so the diagonal of h_1 at label t
-    is the shape's integer `consts` entry plus sum_k a_k (2 t_k - m_k),
-    summed over the common denominator of the a_k.
+    is the shape's integer `consts` entry plus sum_k a_k (2 t_k - m_k).
+    h_1 is written over the common denominator of the a_k and brought to
+    lowest terms by one gcd.
     """
     if not spec:
         raise ValueError("empty factor list")
@@ -218,17 +227,18 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
             [p[part] * (2 * t - m) for t in range(m + 1)] for m, p in zip(ms, params)
         ))]
 
-    h1 = []
-    for i, (off, const, re, im) in enumerate(zip(shape.h1_off, shape.consts, along(0), along(1))):
-        row = off.copy()
-        re += const * den
+    diagonal = [(re + const * den, im) for const, re, im in zip(shape.consts, along(0), along(1))]
+    g = _content(diagonal, den)
+    den //= g
+    h1 = [{} for _ in diagonal]
+    for i, j, a in shape.h1_off:
+        h1[i][j] = (den * a, 0)
+    for i, (row, (re, im)) in enumerate(zip(h1, diagonal)):
         if re or im:
-            g = gcd(re, im, den)
-            row[i] = (re // g, im // g, den // g)
-        h1.append(row)
+            row[i] = (re // g, im // g)
     return SL2Module(
         tuple(factor_spec), shape.labels, shape.x0p, shape.x0m, shape.h0,
-        Matrix._of(h1, len(h1)),
+        Matrix._of(h1, den, len(h1)),
     )
 
 
@@ -246,69 +256,17 @@ class GeneratorLadder:
         return len(self.h) - 1
 
 
-def _row_sum(terms, i: int) -> list:
-    """Row i of sum c A B over Z[i], for terms (c, A, B) with c an integer
-    and A, B lists of Z[i] rows, each a list of (column, re, im) with no
-    zero.  No entry is reduced: the caller tracks the scale.  A matrix
-    applied to a vector v is the case A = [v], i = 0, with B the matrix's
-    columns."""
-    acc = {}
-    for c, A, B in terms:
-        for k, ar, ai in A[i]:
-            ar *= c
-            ai *= c
-            for j, br, bi in B[k]:
-                slot = acc.get(j)
-                if slot is None:
-                    acc[j] = [ar * br - ai * bi, ar * bi + ai * br]
-                else:
-                    slot[0] += ar * br - ai * bi
-                    slot[1] += ar * bi + ai * br
-    return [(j, re, im) for j, (re, im) in acc.items() if re or im]
-
-
-def _over_scale(matrix: Matrix):
-    """(rows, scale) with matrix = rows / scale: Z[i] rows as in
-    `_row_sum`, and scale the lcm of the denominators of its entries."""
-    scale = lcm(*(d for row in matrix.rows for _, _, d in row.values()))
-    return [
-        [(j, re * (scale // d), im * (scale // d)) for j, (re, im, d) in row.items()]
-        for row in matrix.rows
-    ], scale
-
-
-def _reduce(row: list, scale: int) -> dict:
-    """A Z[i] row over scale as a sparse row of triples in lowest terms."""
-    out = {}
-    for j, re, im in row:
-        g = gcd(re, im, scale)
-        out[j] = (re // g, im // g, scale // g)
-    return out
-
-
-def _columns(rows: list) -> list:
-    """The columns of a square matrix of rows, as rows."""
-    out = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, re, im in row:
-            out[j].append((i, re, im))
-    return out
-
-
 def _level_zero(module: SL2Module):
     """(start, D, S, step): the ladder's start {("+", 0): x_0^+,
-    ("-", 0): x_0^-, ("h", 0): h_0, ("h", 1): h_1}, each as (rows, scale)
-    from `_over_scale`, and D = step (h_1 - h_0)/2, S = step (h_1 + h_0)/2
-    as Z[i] rows, with step = 2 lcm(scale of h_0, scale of h_1)."""
-    start = {
-        ("+", 0): _over_scale(module.x0p),
-        ("-", 0): _over_scale(module.x0m),
-        ("h", 0): _over_scale(module.h0),
-        ("h", 1): _over_scale(module.h1),
-    }
+    ("-", 0): x_0^-, ("h", 0): h_0, ("h", 1): h_1}, each as the pair
+    (rows, scale) of its `Matrix` rows and den, and D = step (h_1 - h_0)/2,
+    S = step (h_1 + h_0)/2 as Z[i] rows, with step = 2 lcm(scale of h_0,
+    scale of h_1)."""
+    start = {("+", 0): module.x0p, ("-", 0): module.x0m, ("h", 0): module.h0, ("h", 1): module.h1}
+    start = {key: (m.rows, m.den) for key, m in start.items()}
     (h0, s0), (h1, s1) = start["h", 0], start["h", 1]
     lh = lcm(s0, s1)
-    one = [[(i, 1, 0)] for i in range(module.dim)]
+    one = _units(module.dim)
     D = [_row_sum(((lh // s1, h1, one), (-(lh // s0), h0, one)), i) for i in range(module.dim)]
     S = [_row_sum(((lh // s1, h1, one), (lh // s0, h0, one)), i) for i in range(module.dim)]
     return start, D, S, 2 * lh
@@ -344,12 +302,12 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
     x_{k+1}^- = -1/2([h_1, x_k^-] + h_0 x_k^- + x_k^- h_0),
     x_{k+1}^+ = +1/2([h_1, x_k^+] - h_0 x_k^+ - x_k^+ h_0),
     h_k = [x_k^+, x_0^-];
-    the matrices of `_integer_ladder`, each entry reduced once.
+    the pairs of `_integer_ladder`, each a `Matrix` in lowest terms.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
     view = {
-        key: Matrix._of([_reduce(row, scale) for row in rows], module.dim)
+        key: _lowest(rows, scale, module.dim)
         for key, (rows, scale) in _integer_ladder(module, K).items()
     }
     return GeneratorLadder(module, *(tuple(view[g, k] for k in range(K + 1)) for g in "+-h"))
@@ -369,18 +327,18 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
 
     When W_{r-1} fills V_{r-1} (always at r = 1), x_0^- W_{r-1} is the
     parameter-free x_0^- V_{r-1}: on a module that shares its shape's x_0^-,
-    the spin starts from a copy of that subspace's RREF rows, `_lowered`,
-    and runs under h_1 alone.  A subspace has one RREF basis and its
+    the spin starts from a copy of that subspace's echelon rows, `_lowered`,
+    and runs under h_1 alone.  A subspace has one `_Echelon` basis and its
     h_1-closure does not depend on the spanning set spun, so the levels are
     exactly those of spinning x_0^- W_{r-1}.  A level below a short one is
     spun from x_0^- W_{r-1} as it stands."""
     shape = _shape(tuple(m for m, _ in module.factor_spec))
     shared = module.x0m is shape.x0m
     sizes = shape.sizes
-    level = [{module.highest_index: _UNIT}]
+    level = [{module.highest_index: (1, 0)}]
     yield 1, 1
     for r in range(1, len(sizes)):
-        basis = _RrefBasis(module.dim)
+        basis = _Echelon(module.dim)
         if shared and len(level) == sizes[r - 1]:
             basis.rows.update(_lowered(shape, r))
             queue = deque((module.h1, row) for row in basis.rows.values())
@@ -420,8 +378,8 @@ def is_irreducible(spec: Sequence[Tuple[int, object]]) -> bool:
     return is_highest_weight(spec) and is_highest_weight(tuple(reversed(tuple(spec))))
 
 
-def _h_on_top(module: SL2Module, order: int) -> Iterator[dict]:
-    """h_k applied to the top vector, for k = 0..order, as sparse vectors.
+def _h_on_top(module: SL2Module, order: int) -> Iterator[Tuple[dict, int]]:
+    """h_k top for k = 0..order, each as an unreduced pair (Z[i] vector, scale).
 
     h_k top = x_k^+ x_0^- top - x_0^- x_k^+ top, as in `extend_generators`,
     but no x_k^+ with k >= 1 is formed as a matrix.  For a vector u put
@@ -434,35 +392,31 @@ def _h_on_top(module: SL2Module, order: int) -> Iterator[dict]:
     of `_level_zero`: the numerator of w_{k,j} over
     scale(x_0^+) step^(k+j) (times scale(x_0^-) for u = x_0^- top) obeys
     the same step, and h_k top is over scale(x_0^+) scale(x_0^-) step^k.
-    Each image is reduced once per entry.
     """
     start, D, S, step = _level_zero(module)
-    (x0p, sp), (x0m, sm) = start["+", 0], start["-", 0]
-    one = [[(i, 1, 0)] for i in range(module.dim)]
-    D, S, x0p, x0m = (_columns(m) for m in (D, S, x0p, x0m))
-
-    def apply(columns, v):
-        return _row_sum(((1, [v], columns),), 0)
-
-    top = [(module.highest_index, 1, 0)]
+    (_, sp), (_, sm) = start["+", 0], start["-", 0]
+    one, x0m = _units(module.dim), module.x0m._columns()
+    D, S = (Matrix._of(m, 1, module.dim) for m in (D, S))
+    top = {module.highest_index: (1, 0)}
     # ladders[0] for u = top and ladders[1] for u = x_0^- top hold w_{k,j}
     # for j = 0..order-k.
     ladders = []
-    for u in (top, apply(x0m, top)):
+    for u in (top, module.x0m.apply(top)):
         powers = [u]
         for _ in range(order):
-            powers.append(apply(S, powers[-1]))
-        ladders.append([apply(x0p, v) for v in powers])
+            powers.append(S.apply(powers[-1]))
+        ladders.append([module.x0p.apply(v) for v in powers])
     scale = sp * sm
     for k in range(order + 1):
         if k:
             ladders = [
-                [_row_sum(((1, [w], D), (-1, [w_next], one)), 0) for w, w_next in zip(ws, ws[1:])]
+                [_row_sum(((1, [w], D._columns()), (-1, [w_next], one)), 0)
+                 for w, w_next in zip(ws, ws[1:])]
                 for ws in ladders
             ]
             scale *= step
         on_top, on_down = ladders
-        yield _reduce(_row_sum(((1, [on_down[0]], one), (-1, [on_top[0]], x0m)), 0), scale)
+        yield _row_sum(((1, [on_down[0]], one), (-1, [on_top[0]], x0m)), 0), scale
 
 
 def _series_check(spec: Sequence[Tuple[int, object]], order: int):
@@ -478,8 +432,8 @@ def _series_check(spec: Sequence[Tuple[int, object]], order: int):
     series = eigenvalue_series(roots, 1, order + 1)
     top = module.highest_index
     matches = all(
-        image == ({top: c.triple} if c else {})
-        for image, c in zip(_h_on_top(module, order), series.coeffs[1:])
+        image.keys() <= {top} and _reduced(*image.get(top, (0, 0)), scale) == c
+        for (image, scale), c in zip(_h_on_top(module, order), series.coeffs[1:])
     )
     return matches, series
 
@@ -495,13 +449,8 @@ def trivial_submodule_check(a) -> bool:
     all six generators."""
     a = as_scalar(a)
     module = tensor_module([(1, a + 1), (1, a)])
-    v0 = [ZERO] * module.dim
-    v0[module.basis_index((1, 0))] = ONE
-    v0[module.basis_index((0, 1))] = -ONE
-    v0 = tuple(v0)
-    return all(
-        all(not e for e in g.matvec(v0)) for g in module.generators()
-    )
+    v0 = {module.basis_index((1, 0)): (1, 0), module.basis_index((0, 1)): (-1, 0)}
+    return not any(g.apply(v0) for g in module.generators())
 
 
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
@@ -569,9 +518,9 @@ def _packed_relations(module: SL2Module, K: int):
     sign of its symmetric term.  No product and no sum is formed as a
     matrix.
 
-    Every matrix of `_integer_ladder` is brought to Z[i] rows over one
-    common denominator L, the lcm of the reduced denominators of all its
-    entries (and the identity is L I), and the basis is put in
+    Every matrix of `_integer_ladder` is brought to lowest terms and then
+    to Z[i] rows over one common denominator L, the lcm of their
+    denominators (and the identity is L I), and the basis is put in
     h_0-weight order, column order[t] at slot t, so that each weight space
     is a run of slots.  Row k of a right factor B, with entries
     b_j = br_j + bi_j i, is packed from the start `base` of the run of its
@@ -599,28 +548,18 @@ def _packed_relations(module: SL2Module, K: int):
     ladder = _integer_ladder(module, K)
     relations = _relation_terms(K)
 
-    # Over the lcm `common` of the ladder's scales, den = common / g, with g
-    # the gcd of common and of every numerator brought over common, is the
-    # lcm of the reduced denominators of all entries.  den times a matrix
-    # m / scale is m times f / g, f = common / scale, and q = g / gcd(f, g)
-    # divides every numerator of m.
     n = module.dim
-    common = lcm(*(scale for _, scale in ladder.values()))
-    g = gcd(common, *(
-        common // scale * gcd(*(part for row in m for _, re, im in row for part in (re, im)))
-        for m, scale in ladder.values()
-    ))
-    den = common // g
-    rows = {}
-    for key, (m, scale) in ladder.items():
-        f = common // scale
-        h = gcd(f, g)
-        q, f = g // h, f // h
-        rows[key] = m if q == f == 1 else [
-            [(j, re // q * f, im // q * f) for j, re, im in row] for row in m
+    lowest = {key: _lowest(m, scale, n) for key, (m, scale) in ladder.items()}
+    den = lcm(*(m.den for m in lowest.values()))
+    rows = {
+        key: m.rows if m.den == den else [
+            {j: (re * f, im * f) for j, (re, im) in row.items()} for row in m.rows
         ]
-    rows[None] = [[(i, den, 0)] for i in range(n)]
-    top = max(sum(abs(re) + abs(im) for _, re, im in row) for m in rows.values() for row in m)
+        for key, m in lowest.items()
+        for f in (den // m.den,)
+    }
+    rows[None] = [{i: (den, 0)} for i in range(n)]
+    top = max(sum(abs(re) + abs(im) for re, im in row.values()) for m in rows.values() for row in m)
     bound = max(sum(abs(c) for c, _, _ in terms) for _, terms in relations) * top * top
     S = bound.bit_length() + 2
     width = 2 * S
@@ -632,9 +571,9 @@ def _packed_relations(module: SL2Module, K: int):
         """A row of a right factor as (base, p, q), or None if it is 0."""
         if not row:
             return None
-        base = min(start[j] for j, _, _ in row)
+        base = min(start[j] for j in row)
         p = q = 0
-        for j, re, im in row:
+        for j, (re, im) in row.items():
             shift = (slot[j] - base) * width
             p += (re << shift) + (im << (shift + S))
             q += (re << (shift + S)) - (im << shift)
@@ -642,9 +581,9 @@ def _packed_relations(module: SL2Module, K: int):
 
     used = [term for _, terms in relations for term in terms]
     packed = {b: [pack(row) for row in rows[b]] for b in {b for _, _, b in used}}
-    scaled = {  # c times the rows of a left factor a
-        (c, a): rows[a] if c == 1 else [
-            [(k, c * re, c * im) for k, re, im in row] for row in rows[a]
+    scaled = {  # c times the rows of a left factor a, as iterables of (k, (re, im))
+        (c, a): [row.items() for row in rows[a]] if c == 1 else [
+            [(k, (c * re, c * im)) for k, (re, im) in row.items()] for row in rows[a]
         ]
         for c, a in {(c, a) for c, a, _ in used}
     }
@@ -655,7 +594,7 @@ def _packed_relations(module: SL2Module, K: int):
             value = 0
             at = None
             for left, right in factors:
-                for k, ar, ai in left[i]:
+                for k, (ar, ai) in left[i]:
                     entry = right[k]
                     if entry is None:
                         continue

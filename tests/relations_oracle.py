@@ -10,6 +10,13 @@ the ladder recursion on `Matrix` products that
 `yangian_weyl.ysl2.extend_generators` ran before it came to run on Z[i]
 rows over tracked scales.  `tests/test_ysl2.py` checks the package
 against both.
+
+Its products, sums and scalings are `Matrix` operations, so they run the
+package's one row kernel, `exact._row_sum`, the same kernel the ladder and
+the series check use.  The kernel's independent check is
+`tests/test_exact.py::_check_against_dense_loops`, which compares every
+`Matrix` operation with dense loops over scalars on both entry strategies
+(small entries and wide denominators).
 """
 
 from __future__ import annotations

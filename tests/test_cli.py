@@ -85,6 +85,24 @@ def test_d3_warns_once_per_run(argv):
     assert result.stderr.count("UserWarning") == 1, result.stderr
 
 
+def test_reader_that_closes_early_ends_the_run_quietly():
+    # `weyl` on 400 roots writes a report of megabytes; the reader takes 10
+    # bytes and closes the pipe.  The run ends with status 1 and no
+    # traceback.
+    doc = json.dumps({"type": "A", "rank": 1, "polys": {"1": [f"{k}/7" for k in range(400)]}})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "yangian_weyl.cli", "weyl", doc, "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def test_weyl_command(capsys):
     doc = '{"type":"A","rank":2,"polys":{"1":["2"],"2":["0"]}}'
     code, report = _run_json(capsys, ["weyl", doc])

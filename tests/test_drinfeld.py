@@ -13,6 +13,7 @@ from yangian_weyl.drinfeld import (
     FactorChain,
     NotDrinfeldSeriesError,
     TrivialModuleError,
+    _cauchy_square,
     _clear_denominators,
     _gaussian_divisors,
     _gaussian_rational_roots,
@@ -272,6 +273,23 @@ def test_series_roundtrip_with_multiplicity_and_zero_roots(data):
     assert sorted((r.re, r.im) for r in recovered) == sorted(
         (r.re, r.im) for r in roots
     )
+
+
+# Norms for the Cauchy window: small values, perfect squares, and values
+# around 10^30.
+_norm_st = st.one_of(
+    st.integers(0, 1000),
+    st.integers(1, 10**15).map(lambda x: x * x),
+    st.integers(10**30 - 1000, 10**30 + 1000),
+)
+
+
+@given(_norm_st.filter(lambda t: t >= 1), _norm_st)
+def test_cauchy_square_covers_the_cross_term(t, r):
+    # (sqrt(t) + sqrt(r))^2 = t + r + 2 sqrt(tr), so the window needs
+    # d >= 2 sqrt(tr): d >= 0 and d^2 >= 4tr, exactly in integers.
+    d = _cauchy_square(t, r) - t - r
+    assert d >= 0 and d * d >= 4 * t * r
 
 
 def test_gaussian_divisors_against_brute_force():

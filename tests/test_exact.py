@@ -300,12 +300,15 @@ def _naive_solve(rows, rhs):
 
 
 def _canonical_entries(m):
-    """Every stored entry is a nonzero (re, im, d) with d > 0 and
-    gcd(re, im, d) = 1, the one form of its value."""
-    return all(
-        (re or im) and d > 0 and gcd(re, im, d) == 1
-        for row in m.rows
-        for re, im, d in row.values()
+    """Every stored entry is a nonzero Gaussian integer, den > 0, and
+    gcd(den, every re and im) = 1: the lowest terms of the matrix, the one
+    form of its value."""
+    parts = [part for row in m.rows for re, im in row.values() for part in (re, im)]
+    return (
+        all(type(p) is int for p in parts)
+        and all(re or im for row in m.rows for re, im in row.values())
+        and m.den > 0
+        and gcd(m.den, *parts) == 1
     )
 
 

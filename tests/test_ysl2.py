@@ -422,7 +422,7 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     assert len(images) == order + 1
     for k, image in enumerate(images):
         bracket = ladder.xp[k] @ module.x0m - module.x0m @ ladder.xp[k]
-        assert _dense(image, module.dim) == bracket.matvec(top), k
+        assert _dense(*image, module.dim) == bracket.matvec(top), k
         if not perturbation:  # off a module, h_0 and h_1 are no commutators
             assert bracket == ladder.h[k], k
     if not perturbation:
@@ -717,20 +717,20 @@ def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
     # Every row of every relation, read back digit by digit, is L^2 times
     # that row of the oracle's difference matrix: no digit overflows into
     # the next, and every term was shifted to its own slots.  L is the lcm
-    # of the reduced denominators of the oracle ladder's entries.
+    # of the oracle ladder's denominators, each matrix in lowest terms.
     module = _perturbed_module(spec, perturbation, c)
     den, S, order, relations = _packed_relations(module, 2)
     ladder = relations_oracle.oracle_ladder(module, 2)
     matrices = ladder.xp + ladder.xm + ladder.h
-    assert den == lcm(*(d for m in matrices for row in m.rows for _, _, d in row.values()))
+    assert den == lcm(*(m.den for m in matrices))
     slot = {j: t for t, j in enumerate(order)}
     differences = list(relations_oracle.relation_differences(module, 2))
     assert [name for name, _ in relations] == [name for name, _ in differences]
     for (name, rows), (_, diff) in zip(relations, differences):
         for i, ((base, value), row) in enumerate(zip(rows, diff.rows)):
             want = {
-                slot[j]: (re * den * den // d, im * den * den // d)
-                for j, (re, im, d) in row.items()
+                slot[j]: (re * den * den // diff.den, im * den * den // diff.den)
+                for j, (re, im) in row.items()
             }
             assert _unpack(base, value, S, len(order)) == want, (name, i)
 
