@@ -55,11 +55,11 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 # (dimension 256; in-process `main` calls, Python 3.11.7, one shared Xeon
 # core; cold is the first call in a fresh process, with `ysl2._shape`
 # empty, warm a repeated one) closure takes about 0.07 s cold and
-# 0.03-0.04 s warm, identities 0.18-0.20 s, and series 0.007-0.013 s at
-# order 5 or 32; on the first seven, closure 0.014 s cold and
-# 0.006-0.007 s warm, identities 0.04-0.07 s.  Identities sets the bound:
-# with a ninth factor, -7/2, its relation suite takes 0.65-0.71 s, of
-# which the ladder is 0.11-0.13 s.
+# 0.03-0.04 s warm, identities 0.18-0.20 s, and series 0.005-0.008 s cold
+# and 0.002-0.004 s warm at order 5 or 32; on the first seven, closure
+# 0.014 s cold and 0.006-0.007 s warm, identities 0.04-0.07 s.  Identities
+# sets the bound: with a ninth factor, -7/2, its relation suite takes
+# 0.65-0.71 s, of which the ladder is 0.11-0.13 s.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
@@ -73,10 +73,10 @@ MAX_SL2_DIM = 256
 # core).  The demos and the benchmark use rank 12 at most; the tests reach
 # rank 64.
 MAX_RANK = 64
-# Largest `sl2 --order`: the series check runs the x_k^+ ladder up to it on
-# the vectors top and x_0^- top, about order^2 / 2 sparse applications each,
-# on vectors that stay in the top two weight spaces; at order 32 it takes
-# 0.022 s on the eight factors above.  32 is over six times the order the benchmark uses (5).
+# Largest `sl2 --order`: the series check applies h_0 and h_1 to a vector of
+# the second weight space up to `order` times, then runs the x_k^+ ladder as
+# about order^2 / 2 products of Gaussian integers; at order 32 it takes
+# 0.005-0.008 s cold on the eight factors above.  32 is over six times the order the benchmark uses (5).
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:

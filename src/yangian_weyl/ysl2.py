@@ -24,9 +24,10 @@ every full level, on which the spin of the next level starts.
 
 Every matrix is a `Matrix` of Z[i] rows over one denominator: 1 for the
 parameter-free ones, the lcm of the parameters' denominators for h_1.
-The ladder, the relation suite and the series check run the row kernel
-`_row_sum` on those rows as they stand, and the level spin reduces them
-in the fraction-free echelon `_Echelon`.
+The ladder and the relation suite run the row kernel `_row_sum` on
+those rows as they stand, the series check runs it only on vectors of the
+top two weight spaces, and the level spin reduces them in the
+fraction-free echelon `_Echelon`.
 """
 
 from __future__ import annotations
@@ -256,36 +257,26 @@ class GeneratorLadder:
         return len(self.h) - 1
 
 
-def _level_zero(module: SL2Module):
-    """(start, D, S, step): the ladder's start {("+", 0): x_0^+,
-    ("-", 0): x_0^-, ("h", 0): h_0, ("h", 1): h_1}, each as the pair
-    (rows, scale) of its `Matrix` rows and den, and D = step (h_1 - h_0)/2,
-    S = step (h_1 + h_0)/2 as Z[i] rows, with step = 2 lcm(scale of h_0,
-    scale of h_1)."""
-    start = {("+", 0): module.x0p, ("-", 0): module.x0m, ("h", 0): module.h0, ("h", 1): module.h1}
-    start = {key: (m.rows, m.den) for key, m in start.items()}
-    (h0, s0), (h1, s1) = start["h", 0], start["h", 1]
-    lh = lcm(s0, s1)
-    one = _units(module.dim)
-    D = [_row_sum(((lh // s1, h1, one), (-(lh // s0), h0, one)), i) for i in range(module.dim)]
-    S = [_row_sum(((lh // s1, h1, one), (lh // s0, h0, one)), i) for i in range(module.dim)]
-    return start, D, S, 2 * lh
-
-
 def _integer_ladder(module: SL2Module, K: int) -> dict:
     """{(g, k): (rows, scale)} for x_k^+ (g = "+"), x_k^- ("-") and h_k
     ("h"), k = 0..K with K >= 1, each the matrix rows / scale with rows
-    over Z[i].
+    over Z[i], starting from the `Matrix` rows and den of x_0^+/-, h_0, h_1.
 
-    With D and S the integer matrices of `_level_zero`, which are step
-    times (h_1 -/+ h_0)/2, the ladder steps x_{k+1}^+ = D x_k^+ - x_k^+ S
-    and x_{k+1}^- = x_k^- D - S x_k^- keep their form on the rows, over
-    step times the scale of level k; h_k = [x_k^+, x_0^-] is over the
-    product of their scales.  Nothing is reduced, so x_k^+/- is over
+    With lh = lcm(scale of h_0, scale of h_1), D = lh (h_1 - h_0) and
+    S = lh (h_1 + h_0) are integer matrices, step = 2 lh times
+    (h_1 -/+ h_0)/2, so the ladder steps x_{k+1}^+ = D x_k^+ - x_k^+ S and
+    x_{k+1}^- = x_k^- D - S x_k^- keep their form on the rows, over step
+    times the scale of level k; h_k = [x_k^+, x_0^-] is over the product
+    of their scales.  Nothing is reduced, so x_k^+/- is over
     scale(x_0^+/-) step^k.
     """
-    ladder, D, S, step = _level_zero(module)
-    (x0m, sm), n = ladder["-", 0], module.dim
+    start = {("+", 0): module.x0p, ("-", 0): module.x0m, ("h", 0): module.h0, ("h", 1): module.h1}
+    ladder = {key: (m.rows, m.den) for key, m in start.items()}
+    (x0m, sm), (h0, s0), (h1, s1) = ladder["-", 0], ladder["h", 0], ladder["h", 1]
+    n, lh = module.dim, lcm(s0, s1)
+    one, step = _units(n), 2 * lh
+    D = [_row_sum(((lh // s1, h1, one), (-(lh // s0), h0, one)), i) for i in range(n)]
+    S = [_row_sum(((lh // s1, h1, one), (lh // s0, h0, one)), i) for i in range(n)]
     for k in range(K):
         xp, sp = ladder["+", k]
         xm, sx = ladder["-", k]
@@ -379,44 +370,49 @@ def is_irreducible(spec: Sequence[Tuple[int, object]]) -> bool:
 
 
 def _h_on_top(module: SL2Module, order: int) -> Iterator[Tuple[dict, int]]:
-    """h_k top for k = 0..order, each as an unreduced pair (Z[i] vector, scale).
+    """h_k top for k = 0..order, each as an unreduced pair (Z[i] vector, scale),
+    read off the top two weight spaces: D and S of `_integer_ladder` and
+    x_k^+ for k >= 1 are never formed.
 
-    h_k top = x_k^+ x_0^- top - x_0^- x_k^+ top, as in `extend_generators`,
-    but no x_k^+ with k >= 1 is formed as a matrix.  For a vector u put
-    w_{k,j} = x_k^+ S^j u; the ladder step x_{k+1}^+ = D x_k^+ - x_k^+ S
-    gives w_{k+1,j} = D w_{k,j} - w_{k,j+1} by associativity alone, so D
-    and S need not commute.  The recursion runs for u = top and
-    u = x_0^- top, with O(order^2) sparse applications.
+    h_k top = x_k^+ x_0^- top - x_0^- x_k^+ top, as in `extend_generators`.
+    Put w_{k,j} = x_k^+ S^j x_0^- top; the ladder step
+    x_{k+1}^+ = D x_k^+ - x_k^+ S gives w_{k+1,j} = D w_{k,j} - w_{k,j+1}
+    by associativity alone, so D and S need not commute.  If x_0^+ top = 0
+    and h_0, h_1 keep the line <top>, so does D, with the integer delta
+    at (top, top), and x_k^+ top = 0 for every k; if every w_{0,j} lies on
+    <top> too, then so does every w_{k,j}, and h_k top = w_{k,0} comes
+    from the scalar step w_{k+1,j} = delta w_{k,j} - w_{k,j+1}.  Each of
+    these conditions is checked, and ValueError raised if one fails;
+    every module `tensor_module` builds passes them.
 
-    It runs on Z[i] vectors with the integer matrices step D and step S
-    of `_level_zero`: the numerator of w_{k,j} over
-    scale(x_0^+) step^(k+j) (times scale(x_0^-) for u = x_0^- top) obeys
-    the same step, and h_k top is over scale(x_0^+) scale(x_0^-) step^k.
+    S^j x_0^- top is formed as lh/s_1 h_1 v + lh/s_0 h_0 v from the
+    columns of h_0 and h_1 (scales s_0, s_1).  With step = 2 lh, the
+    numerator of w_{k,j} over scale(x_0^+) scale(x_0^-) step^(k+j) obeys
+    the same step, so h_k top is over scale(x_0^+) scale(x_0^-) step^k.
     """
-    start, D, S, step = _level_zero(module)
-    (_, sp), (_, sm) = start["+", 0], start["-", 0]
-    one, x0m = _units(module.dim), module.x0m._columns()
-    D, S = (Matrix._of(m, 1, module.dim) for m in (D, S))
-    top = {module.highest_index: (1, 0)}
-    # ladders[0] for u = top and ladders[1] for u = x_0^- top hold w_{k,j}
-    # for j = 0..order-k.
-    ladders = []
-    for u in (top, module.x0m.apply(top)):
-        powers = [u]
-        for _ in range(order):
-            powers.append(S.apply(powers[-1]))
-        ladders.append([module.x0p.apply(v) for v in powers])
-    scale = sp * sm
+    top, x0p, h0, h1 = module.highest_index, module.x0p, module.h0, module.h1
+    h0c, h1c = h0._columns(), h1._columns()
+    if x0p._columns()[top] or (h0c[top].keys() | h1c[top].keys()) - {top}:
+        raise ValueError("top is not a highest-weight vector of x_0^+, h_0 and h_1")
+    lh = lcm(h0.den, h1.den)
+    a, b = lh // h1.den, lh // h0.den
+    (r1, i1), (r0, i0) = h1c[top].get(top, (0, 0)), h0c[top].get(top, (0, 0))
+    dr, di = a * r1 - b * r0, a * i1 - b * i0  # delta, D at (top, top)
+    v, ws = module.x0m._columns()[top], []  # S^j x_0^- top, and the w_{0,j}
+    for j in range(order + 1):
+        if j:
+            v = _row_sum(((a, (v,), h1c), (b, (v,), h0c)), 0)
+        w = x0p.apply(v)
+        if w.keys() - {top}:
+            raise ValueError(f"x_0^+ S^{j} x_0^- top is off the line of top")
+        ws.append(w.get(top, (0, 0)))
+    scale = x0p.den * module.x0m.den
     for k in range(order + 1):
         if k:
-            ladders = [
-                [_row_sum(((1, [w], D._columns()), (-1, [w_next], one)), 0)
-                 for w, w_next in zip(ws, ws[1:])]
-                for ws in ladders
-            ]
-            scale *= step
-        on_top, on_down = ladders
-        yield _row_sum(((1, [on_down[0]], one), (-1, [on_top[0]], x0m)), 0), scale
+            ws = [(dr * wr - di * wi - nr, dr * wi + di * wr - ni)
+                  for (wr, wi), (nr, ni) in zip(ws, ws[1:])]
+            scale *= 2 * lh
+        yield ({top: ws[0]} if any(ws[0]) else {}), scale
 
 
 def _series_check(spec: Sequence[Tuple[int, object]], order: int):
@@ -424,6 +420,8 @@ def _series_check(spec: Sequence[Tuple[int, object]], order: int):
     whether h_k acts on the top tensor vector by its coefficients."""
     from .drinfeld import eigenvalue_series
 
+    if order < 0:
+        raise ValueError("order must be non-negative")
     module = tensor_module(spec)
     roots = []
     for m, a in spec:
@@ -457,6 +455,8 @@ def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     """Names of defining relations that fail as exact matrix identities,
     tested on the packed rows of `_packed_relations`; each relation's walk
     stops at its first nonzero row."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
     *_, relations = _packed_relations(module, K)
     return [name for name, rows in relations if any(value for _, value in rows)]
 

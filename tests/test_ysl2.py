@@ -404,18 +404,46 @@ def _series_spec_st(draw):
 _OFF_COMMUTING = (("h1", "x0p"), ("h1", "x0m"), ("h0", "x0p"), ("h0", "x0m"))
 
 
+def _top_is_highest(module, order):
+    """The conditions `_h_on_top` checks, on the dense matrices: x_0^+ top
+    is 0, h_0 top and h_1 top lie on the line of top, and so does
+    x_0^+ S^j x_0^- top for j = 0..order, with S = (h_1 + h_0)/2."""
+    t = module.highest_index
+    top = unit_vector(module.dim, t)
+
+    def on_line(v):
+        return not any(e for i, e in enumerate(v) if i != t)
+
+    if any(module.x0p.matvec(top)) or not all(on_line(h.matvec(top)) for h in (module.h0, module.h1)):
+        return False
+    S, v = relations_oracle.half_sum(module), module.x0m.matvec(top)
+    for _ in range(order + 1):
+        if not on_line(module.x0p.matvec(v)):
+            return False
+        v = S.matvec(v)
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(_series_spec_st(), st.integers(0, 6), st.sampled_from((None, *_OFF_COMMUTING)))
 def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
-    # The series check runs the x_k^+ recursion on vectors and applies
-    # [x_k^+, x_0^-] to the top vector; the full ladder's h_k matrices must
-    # give the same vectors, on true modules and off the commuting case.
+    # The series check runs the x_k^+ recursion on the top two weight
+    # spaces and reads h_k top = [x_k^+, x_0^-] top off one scalar
+    # recursion.  It must refuse exactly the modules on which the dense
+    # matrices break one of its conditions, never a true module, and
+    # elsewhere give the vectors of the full ladder's brackets, on true
+    # modules and off the commuting case.
     module = tensor_module(spec)
     if perturbation:
         field, addend = perturbation
         module = _with(module, **{field: getattr(module, field) + getattr(module, addend)})
         diff, total = relations_oracle.half_diff(module), relations_oracle.half_sum(module)
         assume(diff @ total != total @ diff)
+    if not _top_is_highest(module, order):
+        assert perturbation
+        with pytest.raises(ValueError):
+            list(_h_on_top(module, order))
+        return
     ladder = relations_oracle.oracle_ladder(module, max(order, 1))
     top = unit_vector(module.dim, module.highest_index)
     images = list(_h_on_top(module, order))
@@ -427,6 +455,44 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
             assert bracket == ladder.h[k], k
     if not perturbation:
         assert verify_drinfeld_series(spec, order)
+
+
+def test_h_on_top_refuses_a_top_vector_it_cannot_read():
+    module = tensor_module([(1, G(2)), (2, G(F(1, 2), 1))])
+    x0p, x0m, n, top = module.x0p, module.x0m, module.dim, module.highest_index
+    # Each module breaks one condition alone at order 0: x_0^+ top != 0
+    # (an entry taking top to the lowest basis vector), h_1 top off the
+    # line of top, and x_0^+ x_0^- top off that line with x_0^+ top = 0.
+    corner = Matrix([[G(int(i == 0 and j == top)) for j in range(n)] for i in range(n)])
+    broken = (
+        _with(module, x0p=x0p + corner),
+        _with(module, h1=module.h1 + x0m),
+        _with(module, x0p=x0p + x0m @ x0p),
+    )
+    for bad in broken:
+        assert not _top_is_highest(bad, 0)
+        with pytest.raises(ValueError):
+            list(_h_on_top(bad, 0))
+
+
+def test_series_check_refuses_a_negative_order():
+    spec = [(1, G(0)), (2, G(3))]
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match="order"):
+            verify_drinfeld_series(spec, order)
+        with pytest.raises(ValueError, match="order"):
+            _series_check(spec, order)
+
+
+def test_relation_suite_refuses_a_negative_level():
+    module = tensor_module([(1, G(0)), (2, G(3))])
+    with pytest.raises(ValueError, match="K"):
+        defining_relation_failures(module, -1)
+    # K = 0 still checks the level-0 relations.
+    assert defining_relation_failures(module, 0) == []
+    assert defining_relation_failures(_with(module, x0p=module.x0p.scale(2)), 0) == [
+        "[x0+,x0-] - h0"
+    ]
 
 
 def test_trivial_submodule_check():
