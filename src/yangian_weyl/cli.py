@@ -41,6 +41,7 @@ from .exact import (
     rational_text,
 )
 from .rootsys import (
+    FAMILIES,
     LieType,
     cartan_datum,
     duality_shift,
@@ -88,8 +89,6 @@ MAX_SL2_ORDER = 32
 # takes 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
-# The families a document's "type" and the `--type` option name.
-_LIE_TYPES = ("A", "B", "C", "D", "G2")
 
 
 class SchemaError(ValueError):
@@ -137,8 +136,8 @@ def _parse_type(doc) -> LieType:
     if not isinstance(doc, dict):
         raise SchemaError("", "expected an object")
     family = doc.get("type")
-    if family not in _LIE_TYPES:
-        raise SchemaError("/type", "expected one of A, B, C, D, G2")
+    if family not in FAMILIES:
+        raise SchemaError("/type", f"expected one of {', '.join(FAMILIES)}")
     rank = doc.get("rank")
     if rank is None and family == "G2":
         rank = 2
@@ -164,13 +163,11 @@ def _parse_scalar_at(text, *at) -> GaussianRational:
 
 
 def _check_node_at(t: LieType, node, *at):
-    """Refuse, at the path `at`, a node that is not an integer (a JSON
-    boolean included) or that `t.check_node` refuses."""
+    """Refuse, at the path `at`, a node that `t.check_node` refuses: one
+    that is not an integer (a JSON boolean included) or is out of range."""
     if type(node) is int and 1 <= node <= t.rank:
         return
     try:
-        if type(node) is not int:
-            raise ValueError(f"expected an integer node in 1..{t.rank}")
         t.check_node(node)
     except ValueError as exc:
         raise SchemaError(_pointer(*at), str(exc)) from exc
@@ -594,7 +591,7 @@ def _unique_keys(pairs) -> dict:
 # default, required), where kind is a tuple of choices, `int` for an integer
 # or `bool` for a switch; its attribute is the flag without its "--".
 _JSON = ("--json", bool, False, False)
-_TYPE_OPTIONS = (("--type", _LIE_TYPES, None, True), ("--rank", int, None, False), _JSON)
+_TYPE_OPTIONS = (("--type", FAMILIES, None, True), ("--rank", int, None, False), _JSON)
 _COMMANDS = {
     "info": (_cmd_info, "Cartan data, longest word, dimensions", None, _TYPE_OPTIONS),
     "weyl": (
@@ -654,20 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
 # parse_args fills a fresh namespace on every call.
 _parser = cache(build_parser)
 
-# Per command, what `_table_parse` reads argv with: the namespace before any
-# option is read, {flag: (attribute, kind)}, and the attributes that argv
-# must set (the document, if any, and every required option).
-_TABLE = {
-    name: (
-        {"command": name, "func": func,
-         **{flag[2:]: default for flag, _, default, required in options if not required}},
-        {flag: (flag[2:], kind) for flag, kind, _, _ in options},
-        (() if document is None else ("document",))
-        + tuple(flag[2:] for flag, _, _, required in options if required),
-    )
-    for name, (func, _, document, options) in _COMMANDS.items()
-}
-
 
 def _table_parse(argv):
     """The namespace `_parser().parse_args(argv)` returns, read from the
@@ -678,22 +661,28 @@ def _table_parse(argv):
     (help, abbreviations, "=" forms, "--", "-" as the document, a usage
     error) is None, and argparse, which alone prints help and usage errors,
     parses it."""
-    table = _TABLE.get(argv[0]) if argv else None
-    if table is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    defaults, flags, required = table
-    values = dict(defaults)
+    func, _, document, options = command
+    # Every option but a required one starts at its default.
+    values = {"command": argv[0], "func": func}
+    kinds = {}
+    for flag, kind, default, required in options:
+        kinds[flag] = kind
+        if not required:
+            values[flag[2:]] = default
     tokens = iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
-            if "document" in values or "document" not in required:
+            if document is None or "document" in values:
                 return None
             values["document"] = token
             continue
-        option = flags.get(token)
-        if option is None:
+        kind = kinds.get(token)
+        if kind is None:
             return None
-        dest, kind = option
+        dest = token[2:]
         if kind is bool:
             values[dest] = True
             continue
@@ -710,9 +699,10 @@ def _table_parse(argv):
         elif value not in kind:
             return None
         values[dest] = value
-    for dest in required:
-        if dest not in values:
-            return None
+    if document is not None and "document" not in values:
+        return None
+    if any(flag[2:] not in values for flag, _, _, _ in options):  # a required option unset
+        return None
     return argparse.Namespace(**values)
 
 

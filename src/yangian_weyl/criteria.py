@@ -49,7 +49,7 @@ class Verdict:
     witnesses: Tuple[Tuple[int, int, GaussianRational], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _doubled_sets(t: LieType, p: int):
     """The sets 2 S(p, q) for q = 1..l, as ascending tuples of integers.
 
@@ -72,11 +72,12 @@ def _doubled_sets(t: LieType, p: int):
     return tuple(tuple(sorted(values)) for values in sets)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def criterion_set(t: LieType, b_m: int, b_n: int) -> CriterionSet:
     """Criterion set for the node pair (b_m, b_n), derived from the
     parameter ledger of node b_m; every value is a positive half-integer."""
     t.check_node(b_n)
+    t.check_node(b_m)
     values = _doubled_sets(t, b_m)[b_n - 1]
     return CriterionSet(t, b_m, b_n, frozenset(Fraction(s2, 2) for s2 in values))
 

@@ -20,6 +20,7 @@ from .exact import (
     ONE,
     Series,
     ZERO,
+    _count,
     _reduced,
     as_scalar,
     # Not called here: the benchmark's traced run wraps
@@ -91,9 +92,6 @@ class FactorChain:
             fixed.append((node, as_scalar(a)))
         object.__setattr__(self, "factors", tuple(fixed))
 
-    def __len__(self):
-        return len(self.factors)
-
 
 class TrivialModuleError(ValueError):
     pass
@@ -133,19 +131,13 @@ def shift_tuple(pi: DrinfeldTuple, a) -> DrinfeldTuple:
     )
 
 
-def _check_shift(d) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive integer")
-
-
 def eigenvalue_series(roots: Iterable, d: int, order: int) -> Series:
     """Truncated expansion of prod (u + d - a)/(u - a) about u = infinity.
 
     Each factor contributes 1 + d*(a^(k-1)) u^-k.
     """
-    _check_shift(d)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _count(d, "d")
+    _count(order, "order", 0)
     # With x = 1/u each factor is 1 + d*x/(1 - a*x).  Over the common
     # denominator L of the roots, C_k = c_k * L^k obeys the same recurrence
     # in Z[i] with A = a*L and d*L, so the loop runs on Python ints.
@@ -195,9 +187,8 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
     the contract: lowering it would turn that refusal of a series of order
     degree+1 .. 2*degree-1 into an answer.
     """
-    _check_shift(d)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _count(d, "d")
+    _count(degree, "degree", 0)
     if series.coeffs[0] != ONE:
         raise NotDrinfeldSeriesError("constant term is not 1")
     if degree == 0:

@@ -250,6 +250,19 @@ def as_scalar(value) -> GaussianRational:
     return value if type(value) is GaussianRational else _of(triple)
 
 
+def _count(value, name: str, least: int | None = 1) -> int:
+    """`value` if it is an int, not a bool, of at least `least` (1 or 0);
+    otherwise ValueError "<name> must be a positive integer" ("a
+    nonnegative integer" for least 0).  The one rule for integer
+    arguments.  least=None checks the type alone, for the rank and a
+    node: an int out of their range gets an error that names the type."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        least is not None and value < least
+    ):
+        raise ValueError(f"{name} must be a {'nonnegative' if least == 0 else 'positive'} integer")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Truncated formal power series in u^{-1}.
 

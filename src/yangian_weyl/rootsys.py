@@ -7,9 +7,11 @@ simple roots.
 
 Per-type tables, here and in weylpath, criteria and dims, are pure
 functions of the validated LieType and are cached on it, so no table
-rebuilds the type or repeats its validation.  `lie_type`, the one place
-that builds a LieType, hands out one instance per (family, rank) and
-issues the D3 warning at its caller's line.
+rebuilds the type or repeats its validation.  A table keyed by a node is
+cached with typed=True and checks the node in its body, so a bool node
+is refused and never shares the entry of its int.  `lie_type`, the one
+place that builds a LieType, hands out one instance per (family, rank)
+and issues the D3 warning at its caller's line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
+from .exact import _count
 from .record import record
 
 Weight = Tuple[int, ...]
@@ -36,7 +39,7 @@ class LieType:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         minimum = {"A": 1, "B": 2, "C": 2, "D": 3, "G2": 2}[self.family]
-        if self.rank < minimum:
+        if _count(self.rank, "rank", None) < minimum:
             raise ValueError(f"{self.family} requires rank >= {minimum}")
         if self.family == "G2" and self.rank != 2:
             raise ValueError("G2 has rank 2")
@@ -45,7 +48,7 @@ class LieType:
         return self.family if self.family == "G2" else f"{self.family}{self.rank}"
 
     def check_node(self, i: int):
-        if not 1 <= i <= self.rank:
+        if not 1 <= _count(i, "node", None) <= self.rank:
             raise ValueError(f"node {i} out of range for {self}")
 
 

@@ -69,7 +69,7 @@ def _applied_node_order(t: LieType, b: int):
     return list(reversed(longest_word(t)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def descent_chain(t: LieType, b: int) -> SigmaChain:
     w = fundamental_weight(t, b)
     steps = []
@@ -126,7 +126,7 @@ def _bump(powers: dict, x: int, by: int):
         del powers[x]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def parameter_ledger(t: LieType, b: int) -> Ledger:
     """Per-step polynomial roots along the descent chain of node b.
 

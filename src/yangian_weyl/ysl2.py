@@ -43,6 +43,7 @@ from .exact import (
     Matrix,
     _Echelon,
     _content,
+    _count,
     _lowest,
     _reduced,
     _row_sum,
@@ -211,11 +212,7 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
     """
     if not spec:
         raise ValueError("empty factor list")
-    factor_spec = []
-    for m, a in spec:
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise ValueError("m must be a positive integer")
-        factor_spec.append((m, as_scalar(a)))
+    factor_spec = [(_count(m, "m"), as_scalar(a)) for m, a in spec]
     ms = tuple(m for m, _ in factor_spec)
     shape = _shape(ms)
     triples = [a.triple for _, a in factor_spec]
@@ -252,15 +249,12 @@ class GeneratorLadder:
     xm: Tuple[Matrix, ...]
     h: Tuple[Matrix, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.h) - 1
-
 
 def _integer_ladder(module: SL2Module, K: int) -> dict:
     """{(g, k): (rows, scale)} for x_k^+ (g = "+"), x_k^- ("-") and h_k
-    ("h"), k = 0..K with K >= 1, each the matrix rows / scale with rows
-    over Z[i], starting from the `Matrix` rows and den of x_0^+/-, h_0, h_1.
+    ("h"), k = 0..K with K >= 0 (h_1 even at K = 0), each the matrix
+    rows / scale with rows over Z[i], starting from the `Matrix` rows and
+    den of x_0^+/-, h_0, h_1.
 
     With lh = lcm(scale of h_0, scale of h_1), D = lh (h_1 - h_0) and
     S = lh (h_1 + h_0) are integer matrices, step = 2 lh times
@@ -295,8 +289,7 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
     h_k = [x_k^+, x_0^-];
     the pairs of `_integer_ladder`, each a `Matrix` in lowest terms.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
+    _count(K, "K")
     view = {
         key: _lowest(rows, scale, module.dim)
         for key, (rows, scale) in _integer_ladder(module, K).items()
@@ -420,8 +413,7 @@ def _series_check(spec: Sequence[Tuple[int, object]], order: int):
     whether h_k acts on the top tensor vector by its coefficients."""
     from .drinfeld import eigenvalue_series
 
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    _count(order, "order", 0)
     module = tensor_module(spec)
     roots = []
     for m, a in spec:
@@ -455,8 +447,7 @@ def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     """Names of defining relations that fail as exact matrix identities,
     tested on the packed rows of `_packed_relations`; each relation's walk
     stops at its first nonzero row."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
+    _count(K, "K", 0)
     *_, relations = _packed_relations(module, K)
     return [name for name, rows in relations if any(value for _, value in rows)]
 

@@ -198,6 +198,9 @@ def test_series_to_roots_degree_bounds():
         series_to_roots(Series([G(1), G(1), ZERO]), 0, 1)
     with pytest.raises(ValueError, match="nonnegative"):
         series_to_roots(Series([G(1), ZERO, ZERO]), -1, 1)
+    for degree in (False, True, 1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer$"):
+            series_to_roots(Series([G(1), ZERO, ZERO]), degree, 1)
 
 
 def test_series_roundtrip_random():
@@ -407,6 +410,9 @@ def test_series_matching_only_the_first_coefficients_is_refused(monkeypatch):
         (-1, 4, "d must be"),
         (1, -1, "order must be"),
         (1, -3, "order must be"),
+        (1, True, "order must be"),
+        (1, 1.5, "order must be"),
+        (1, "2", "order must be"),
     ],
 )
 def test_eigenvalue_series_rejects_bad_arguments(d, order, message):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from yangian_weyl.criteria import criterion_set
+from yangian_weyl.criteria import _doubled_sets, criterion_set
 from yangian_weyl.dims import lie_fundamental_dim, yangian_fundamental_dim
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain
 from yangian_weyl.rootsys import (
@@ -71,6 +71,9 @@ def test_invalid_ranks():
         lie_type("G2", 3)
     with pytest.raises(ValueError):
         lie_type("E", 6)
+    for rank in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+            lie_type("A", rank)
     with pytest.warns(UserWarning):
         lie_type("D", 3)
 
@@ -116,6 +119,41 @@ def test_node_taking_functions_reject_out_of_range_nodes(name, t):
     for b in (0, -1, t.rank + 1):
         with pytest.raises(ValueError, match=f"^node {b} out of range for {t}$"):
             NODE_TAKERS[name](t, b)
+    for b in (True, 1.5, "1"):
+        with pytest.raises(ValueError, match="^node must be a positive integer$"):
+            NODE_TAKERS[name](t, b)
+
+
+def _pair(s):
+    return s.b_m, s.b_n
+
+
+# Every cache keyed by a node, and the nodes its answer for node b carries.
+# The doubled sets carry none; theirs is that of the ledger they are read off.
+NODE_CACHES = {
+    "descent_chain": lambda t, b: (descent_chain(t, b).node,),
+    "parameter_ledger": lambda t, b: (parameter_ledger(t, b).node,),
+    "_doubled_sets": lambda t, b: _doubled_sets(t, b) and (parameter_ledger(t, b).node,),
+    "criterion_set(b, 1)": lambda t, b: _pair(criterion_set(t, b, 1)),
+    "criterion_set(1, b)": lambda t, b: _pair(criterion_set(t, 1, b)),
+}
+
+
+@pytest.mark.parametrize("bool_first", [True, False])
+@pytest.mark.parametrize("name", sorted(NODE_CACHES))
+def test_node_keyed_caches_never_answer_for_a_bool(name, bool_first):
+    # True == 1 and hash(True) == hash(1): an untyped cache would hand the
+    # answer for one to the other.
+    for cached in (descent_chain, parameter_ledger, _doubled_sets, criterion_set):
+        cached.cache_clear()
+    t = lie_type("A", 3)
+    for b in ((True, 1) if bool_first else (1, True)):
+        if b is True:
+            with pytest.raises(ValueError, match="^node must be a positive integer$"):
+                NODE_CACHES[name](t, b)
+        else:
+            nodes = NODE_CACHES[name](t, b)
+            assert nodes == (1,) * len(nodes) and all(type(n) is int for n in nodes)
 
 
 def test_reflect_examples():

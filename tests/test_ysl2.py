@@ -181,8 +181,9 @@ def test_extend_generators_examples():
     for k in range(5):
         assert ladder.xm[k] == mod.x0m.scale(a**k)
     assert extend_generators(mod, 1).xm == (mod.x0m, mod.x1m)
-    with pytest.raises(ValueError):
-        extend_generators(mod, 0)
+    for K in (0, True, 1.5, "1"):
+        with pytest.raises(ValueError, match="^K must be a positive integer$"):
+            extend_generators(mod, K)
 
 
 def test_coassociativity_of_level_one():
@@ -477,7 +478,7 @@ def test_h_on_top_refuses_a_top_vector_it_cannot_read():
 
 def test_series_check_refuses_a_negative_order():
     spec = [(1, G(0)), (2, G(3))]
-    for order in (-1, -2):
+    for order in (-1, -2, True, 1.5, "1"):
         with pytest.raises(ValueError, match="order"):
             verify_drinfeld_series(spec, order)
         with pytest.raises(ValueError, match="order"):
@@ -486,8 +487,9 @@ def test_series_check_refuses_a_negative_order():
 
 def test_relation_suite_refuses_a_negative_level():
     module = tensor_module([(1, G(0)), (2, G(3))])
-    with pytest.raises(ValueError, match="K"):
-        defining_relation_failures(module, -1)
+    for K in (-1, True, 1.5, "1"):
+        with pytest.raises(ValueError, match="K"):
+            defining_relation_failures(module, K)
     # K = 0 still checks the level-0 relations.
     assert defining_relation_failures(module, 0) == []
     assert defining_relation_failures(_with(module, x0p=module.x0p.scale(2)), 0) == [
