@@ -163,10 +163,7 @@ def _parse_scalar_at(text, *at) -> GaussianRational:
 
 
 def _check_node_at(t: LieType, node, *at):
-    """Refuse, at the path `at`, a node that `t.check_node` refuses: one
-    that is not an integer (a JSON boolean included) or is out of range."""
-    if type(node) is int and 1 <= node <= t.rank:
-        return
+    """Refuse, at the path `at`, a node that `t.check_node` refuses."""
     try:
         t.check_node(node)
     except ValueError as exc:

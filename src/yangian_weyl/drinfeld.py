@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from heapq import heappop, heappush
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .exact import (
@@ -20,6 +20,7 @@ from .exact import (
     ONE,
     Series,
     ZERO,
+    _clear_denominators,
     _count,
     _reduced,
     as_scalar,
@@ -141,7 +142,7 @@ def eigenvalue_series(roots: Iterable, d: int, order: int) -> Series:
     # With x = 1/u each factor is 1 + d*x/(1 - a*x).  Over the common
     # denominator L of the roots, C_k = c_k * L^k obeys the same recurrence
     # in Z[i] with A = a*L and d*L, so the loop runs on Python ints.
-    den, scaled = _clear_denominators([as_scalar(r) for r in roots])
+    den, scaled = _clear_denominators(roots)
     dl = d * den
     c_re = [1] + [0] * order
     c_im = [0] * (order + 1)
@@ -159,14 +160,6 @@ def eigenvalue_series(roots: Iterable, d: int, order: int) -> Series:
         coeffs.append(_reduced(x_re, x_im, scale))
         scale *= den
     return Series(coeffs)
-
-
-def _clear_denominators(values):
-    """(L, [(re*L, im*L) for each value]) with L the least common
-    denominator of `values`: Gaussian rationals as Z[i] pairs."""
-    triples = [v.triple for v in values]
-    den = lcm(*(d for _, _, d in triples))
-    return den, [(re * (den // d), im * (den // d)) for re, im, d in triples]
 
 
 class NotDrinfeldSeriesError(ValueError):

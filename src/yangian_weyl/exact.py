@@ -17,6 +17,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
@@ -109,7 +110,7 @@ class GaussianRational:
         return _reduced((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * norm)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
         out = ONE
         base = self
@@ -324,6 +325,8 @@ Vector = tuple  # tuple[GaussianRational, ...]
 
 
 def unit_vector(n: int, k: int) -> Vector:
+    if _count(k, "k", 0) >= _count(n, "n", 0):
+        raise ValueError(f"k = {k} is out of range for n = {n}")
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
@@ -333,15 +336,20 @@ def _units(n: int) -> tuple:
     return tuple({i: (1, 0)} for i in range(n))
 
 
+def _clear_denominators(values) -> tuple:
+    """(L, [(re*L, im*L) for each value]) with L the lcm of the denominators
+    of `values`, scalars as `as_scalar` reads them (TypeError otherwise)."""
+    triples = [as_scalar(v).triple for v in values]
+    den = lcm(*(d for _, _, d in triples))
+    return den, [(re * (den // d), im * (den // d)) for re, im, d in triples]
+
+
 def _integral(vectors) -> tuple:
-    """(rows, den): dense vectors of scalars as Z[i] rows over den, the lcm
-    of the denominators of their entries."""
-    triples = [[as_scalar(e).triple for e in v] for v in vectors]
-    den = lcm(*(d for t in triples for _, _, d in t))
-    return [
-        {j: (re * (den // d), im * (den // d)) for j, (re, im, d) in enumerate(t) if re or im}
-        for t in triples
-    ], den
+    """(rows, den): a sequence of dense vectors of scalars as Z[i] rows over
+    den, the lcm of the denominators of their entries."""
+    den, pairs = _clear_denominators(e for v in vectors for e in v)
+    pairs = iter(pairs)
+    return [{j: p for j, p in enumerate(islice(pairs, len(v))) if p != (0, 0)} for v in vectors], den
 
 
 def _dense(row: dict, den: int, n: int) -> Vector:
@@ -430,7 +438,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._of(_units(n), 1, n)
+        return cls._of(_units(_count(n, "n", 0)), 1, n)
 
     def _plus(self, other: "Matrix", sign: int) -> "Matrix":
         """self + sign * other, over the lcm of the two denominators."""
@@ -604,7 +612,7 @@ def solve_linear(rows: Sequence[Vector], rhs: Vector):
     """
     ncols = len(rows[0]) if rows else 0
     basis = _Echelon(ncols + 1)
-    for vec in _integral(tuple(row) + (b,) for row, b in zip(rows, rhs))[0]:
+    for vec in _integral([tuple(row) + (b,) for row, b in zip(rows, rhs)])[0]:
         basis.insert(vec)
     if sorted(basis.rows) != list(range(ncols)):
         return None

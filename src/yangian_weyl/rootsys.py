@@ -48,7 +48,9 @@ class LieType:
         return self.family if self.family == "G2" else f"{self.family}{self.rank}"
 
     def check_node(self, i: int):
-        if not 1 <= _count(i, "node", None) <= self.rank:
+        if type(i) is not int:  # a plain int, the common case, skips the guard
+            _count(i, "node", None)
+        if not 1 <= i <= self.rank:
             raise ValueError(f"node {i} out of range for {self}")
 
 
@@ -182,27 +184,37 @@ def apply_word(t: LieType, word, w: Weight) -> Weight:
 
 
 @lru_cache(maxsize=None)
-def node_involution(t: LieType) -> Tuple[int, ...]:
-    """The permutation i -> -w0(i), as a tuple indexed by node-1.
-
-    Each fundamental weight goes through the longest word (l^2 letters)
-    sparsely: a letter s_k subtracts w_k times the nonzero entries of
-    alpha_k, the k-th Cartan column, and a letter with w_k = 0 is skipped.
-    """
+def _alpha_entries(t: LieType) -> tuple:
+    """Per node k, alpha_k's nonzero entries (j, C_jk), j 0-based: the k-th Cartan column."""
     cartan = cartan_datum(t).cartan
-    columns = [
-        [(j, row[k]) for j, row in enumerate(cartan) if row[k]] for k in range(t.rank)
-    ]
+    return tuple(tuple((j, row[k]) for j, row in enumerate(cartan) if row[k]) for k in range(t.rank))
+
+
+def _walk(t: LieType, w: list, letters):
+    """Apply the simple reflections `letters`, in order, to the weight list
+    w in place; yield (k, c), c = w_k before the step, for each s_k that
+    moves w, skipping those with c = 0.  The one sparse reflection, for
+    the involution, the chains and the ledgers; the dense `reflect` and
+    `apply_word` stay as the tests' independent reference."""
+    columns = _alpha_entries(t)
+    for k in letters:
+        c = w[k - 1]
+        if c:
+            for j, a in columns[k - 1]:
+                w[j] -= c * a
+            yield k, c
+
+
+@lru_cache(maxsize=None)
+def node_involution(t: LieType) -> Tuple[int, ...]:
+    """The permutation i -> -w0(i), as a tuple indexed by node-1: each
+    fundamental weight walked through the longest word (l^2 letters)."""
     word = longest_word(t)[::-1]  # the rightmost letter acts first
     nu = []
     for i in all_nodes(t):
-        w = [0] * t.rank
-        w[i - 1] = 1
-        for k in word:
-            c = w[k - 1]
-            if c:
-                for j, a in columns[k - 1]:
-                    w[j] -= c * a
+        w = list(fundamental_weight(t, i))
+        for _ in _walk(t, w, word):
+            pass
         support = [j for j, c in enumerate(w, 1) if c]
         if len(support) != 1 or w[support[0] - 1] != -1:
             raise RuntimeError(

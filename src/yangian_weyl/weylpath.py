@@ -20,10 +20,10 @@ from .record import record
 from .rootsys import (
     LieType,
     Weight,
+    _walk,
     cartan_datum,
     fundamental_weight,
     longest_word,
-    reflect,
 )
 
 
@@ -71,19 +71,17 @@ def _applied_node_order(t: LieType, b: int):
 
 @lru_cache(maxsize=None, typed=True)
 def descent_chain(t: LieType, b: int) -> SigmaChain:
-    w = fundamental_weight(t, b)
-    steps = []
-    for node in _applied_node_order(t, b):
-        c = w[node - 1]
-        if c == 0:
-            if t.family == "A":
-                raise RuntimeError("type A chain word produced a fixed step")
-            continue
+    w = list(fundamental_weight(t, b))
+    order = _applied_node_order(t, b)
+    before, steps = tuple(w), []
+    for node, c in _walk(t, w, order):
         if c < 0:
             raise RuntimeError(f"negative step coefficient in chain of {t}, node {b}")
-        after = reflect(t, w, node)
-        steps.append(ChainStep(len(steps), node, w, after, c))
-        w = after
+        after = tuple(w)
+        steps.append(ChainStep(len(steps), node, before, after, c))
+        before = after
+    if t.family == "A" and len(steps) != len(order):
+        raise RuntimeError("type A chain word produced a fixed step")
     return SigmaChain(t, b, tuple(steps))
 
 
@@ -132,16 +130,16 @@ def parameter_ledger(t: LieType, b: int) -> Ledger:
 
     The ledger is read off an l-weight, a product of Y_{j,x} kept per node
     as a map from 2x to its nonzero power, that starts at Y_{b,0}.  The
-    chain's weight is tracked alongside, without `descent_chain`: a step
-    on node i with coefficient c reflects it sparsely, to -c at i and up
-    by c * k at every neighbour j with k = -C_ji > 0.  The step records
-    the x of every Y_{i,x}, with multiplicity and in ascending order, then
-    lowers each of them: Y_{i,x} becomes Y_{i,x+d_i}^-1 times
-    Y_{j, x + (d_j - k + 1)/2 + s} for s = 0..k-1 at every such j
-    (Frenkel-Mukhin lowering, written additively).  A step must hold
-    exactly c many x and no Y_i of negative power.
+    steps come from the same sparse walk as `descent_chain`, `_walk` over
+    the fundamental weight, which yields each moving letter's node i and
+    coefficient c from the Cartan matrix alone.  A step records the x of
+    every Y_{i,x}, with multiplicity and in ascending order, then lowers
+    each of them: Y_{i,x} becomes Y_{i,x+d_i}^-1 times
+    Y_{j, x + (d_j - k + 1)/2 + s} for s = 0..k-1 at every neighbour j
+    with k = -C_ji > 0 (Frenkel-Mukhin lowering, written additively).  A
+    step must hold exactly c many x and no Y_i of negative power.
     """
-    t.check_node(b)
+    weight = list(fundamental_weight(t, b))
     datum = cartan_datum(t)
     cartan, d = datum.cartan, datum.d
     l = t.rank
@@ -156,16 +154,11 @@ def parameter_ledger(t: LieType, b: int) -> Ledger:
         ]
         for i in range(l)
     ]
-    weight = [0] * l
-    weight[b - 1] = 1
     powers = [{} for _ in range(l)]
     powers[b - 1][0] = 1
     entries = []
-    for node in _applied_node_order(t, b):
+    for node, c in _walk(t, weight, _applied_node_order(t, b)):
         i = node - 1
-        c = weight[i]
-        if c == 0:
-            continue
         held = powers[i]
         xs = sorted(x for x, p in held.items() for _ in range(p))
         if len(xs) != c or min(held.values()) < 0:
@@ -176,12 +169,10 @@ def parameter_ledger(t: LieType, b: int) -> Ledger:
         entries.append(LedgerEntry(node, tuple(map(_half, xs)), d[i]))
         # Every Y_{i,x} held is lowered, so node i keeps only the new
         # Y_{i,x+d_i}^-1.
-        weight[i] = -c
         powers[i] = held = {}
         for x in xs:
             _bump(held, x + 2 * d[i], -1)
         for j, shift in raised[i]:
-            weight[j] += c
             for x in xs:
                 _bump(powers[j], x + shift, 1)
     return Ledger(t, b, tuple(entries))

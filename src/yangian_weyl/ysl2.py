@@ -42,6 +42,7 @@ from .exact import (
     GaussianRational,
     Matrix,
     _Echelon,
+    _clear_denominators,
     _content,
     _count,
     _lowest,
@@ -215,9 +216,7 @@ def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
     factor_spec = [(_count(m, "m"), as_scalar(a)) for m, a in spec]
     ms = tuple(m for m, _ in factor_spec)
     shape = _shape(ms)
-    triples = [a.triple for _, a in factor_spec]
-    den = lcm(*(d for _, _, d in triples))
-    params = [(re * (den // d), im * (den // d)) for re, im, d in triples]
+    den, params = _clear_denominators(a for _, a in factor_spec)
 
     def along(part):
         """sum_k params[k][part] (2 t_k - m_k) over the labels, in order."""
@@ -420,9 +419,8 @@ def _series_check(spec: Sequence[Tuple[int, object]], order: int):
         a = as_scalar(a)
         roots.extend(a + s for s in range(m))
     series = eigenvalue_series(roots, 1, order + 1)
-    top = module.highest_index
     matches = all(
-        image.keys() <= {top} and _reduced(*image.get(top, (0, 0)), scale) == c
+        _reduced(*image.get(module.highest_index, (0, 0)), scale) == c
         for (image, scale), c in zip(_h_on_top(module, order), series.coeffs[1:])
     )
     return matches, series

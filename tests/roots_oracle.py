@@ -18,14 +18,13 @@ from yangian_weyl.drinfeld import (
     NotDrinfeldSeriesError,
     _canonical,
     _cauchy_square,
-    _clear_denominators,
     _divide_linear,
     _gaussian_divisors,
     _gi_norm,
     _gi_to_scalar,
     eigenvalue_series,
 )
-from yangian_weyl.exact import ONE, ZERO, GaussianRational, solve_linear
+from yangian_weyl.exact import ONE, ZERO, GaussianRational, _clear_denominators, solve_linear
 
 
 def series_to_roots_by_linear_system(series, degree: int, d: int):

@@ -695,3 +695,12 @@ def test_table_parse_agrees_with_argparse(argv):
                 pytest.fail(f"the table read an argv that argparse refuses: {argv!r}")
         assert args == expected
     assert _outcome(main, argv) == _outcome(_argparse_main, argv)
+
+
+def test_table_declines_an_integer_too_long_to_convert():
+    # int() refuses more digits than sys.get_int_max_str_digits(); the
+    # table declines such an argv and argparse refuses it with status 2.
+    argv = ["sl2", _DOCS["sl2"], "--verify", "series", "--order", "9" * 5000]
+    assert _table_parse(argv) is None
+    code, out, err = _outcome(main, argv)
+    assert (code, out) == (2, "") and "argument --order: invalid int value" in err

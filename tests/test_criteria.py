@@ -249,6 +249,36 @@ def test_node_validation():
         criterion_set(lie_type("A", 3), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "offset", [F(1, 3), F(-2)], ids=["not-a-half-integer", "not-positive"]
+)
+def test_doubled_sets_refuse_a_ledger_that_breaks_the_join(monkeypatch, offset):
+    # The join in criterion_hits needs every value to be a positive
+    # half-integer; a ledger step whose offset + divisor is not one is an
+    # error.  The uncached function, so that the cache keeps no such set.
+    import yangian_weyl.criteria as crit
+    from yangian_weyl.weylpath import Ledger, LedgerEntry
+
+    t = lie_type("A", 2)
+    bad = Ledger(t, 1, (LedgerEntry(1, (offset,), 1),))
+    monkeypatch.setattr(crit, "parameter_ledger", lambda t, p: bad)
+    with pytest.raises(RuntimeError, match=r"^criterion set for A2 \(1,1\) not positive"):
+        crit._doubled_sets.__wrapped__(t, 1)
+
+
+def test_irreducibility_refuses_a_duality_route_that_disagrees(monkeypatch):
+    # One factor has no pair, so the direct check guarantees it; a dual
+    # with a witness pair (a_2 - a_1 = 1, the A1 set) makes the duality
+    # route disagree.
+    import yangian_weyl.criteria as crit
+
+    t = lie_type("A", 1)
+    witness = FactorChain(t, ((1, G(0)), (1, G(1))))
+    monkeypatch.setattr(crit, "dual_chain", lambda chain: witness)
+    with pytest.raises(RuntimeError, match="disagrees with the duality route"):
+        irreducibility_guaranteed(FactorChain(t, ((1, G(0)),)))
+
+
 def test_rank_two_relabelling_consistency():
     # The rank-two odd orthogonal and symplectic algebras coincide up to
     # swapping the two nodes; their criterion tables must match under the

@@ -14,16 +14,16 @@ from yangian_weyl.drinfeld import (
     NotDrinfeldSeriesError,
     TrivialModuleError,
     _cauchy_square,
-    _clear_denominators,
     _gaussian_divisors,
     _gaussian_rational_roots,
+    _two_squares,
     chain_to_poly,
     eigenvalue_series,
     order_factors,
     series_to_roots,
     shift_tuple,
 )
-from yangian_weyl.exact import ZERO, GaussianRational as G, Series
+from yangian_weyl.exact import ZERO, GaussianRational as G, Series, _clear_denominators
 from yangian_weyl.rootsys import lie_type
 
 from pair_oracle import ordering_key
@@ -418,6 +418,32 @@ def test_series_matching_only_the_first_coefficients_is_refused(monkeypatch):
 def test_eigenvalue_series_rejects_bad_arguments(d, order, message):
     with pytest.raises(ValueError, match=message):
         eigenvalue_series([G(1)], d, order)
+
+
+@pytest.mark.parametrize("root", [0.5, "1", None, 1j])
+def test_eigenvalue_series_refuses_a_root_that_is_not_a_scalar(root):
+    with pytest.raises(TypeError, match="^cannot interpret .* as a scalar$"):
+        eigenvalue_series([G(1), root], 1, 3)
+
+
+def test_series_to_roots_rechecks_the_roots_it_found(monkeypatch):
+    # Roots of the right count that do not re-expand to the series: the
+    # final re-check refuses them, whatever the root search returned.
+    import yangian_weyl.drinfeld as dr
+
+    series = eigenvalue_series([G(2), G(-1, 1)], 1, 4)
+    monkeypatch.setattr(dr, "_gaussian_rational_roots", lambda poly: [G(2), G(-1, 2)])
+    with pytest.raises(NotDrinfeldSeriesError, match="^series is not of Drinfeld form$"):
+        series_to_roots(series, 2, 1)
+
+
+def test_two_squares():
+    for p in (5, 13, 17, 29, 37, 41, 10009):
+        x, y = _two_squares(p)
+        assert x * x + y * y == p
+    for p in (7, 3, 11):
+        with pytest.raises(ValueError, match=f"^{p} is not 1 mod 4$"):
+            _two_squares(p)
 
 
 # 1 + d u^-1 + d a u^-2 + ..., the series of the root 1/3 with shift 1/2.

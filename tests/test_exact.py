@@ -16,6 +16,7 @@ from yangian_weyl.exact import (
     ScalarParseError,
     Series,
     ZERO,
+    as_scalar,
     format_scalar,
     kron,
     parse_scalar,
@@ -112,6 +113,66 @@ def test_scalar_parts_must_be_exact(re, im):
     # parts; a float would carry its binary rounding into exact arithmetic.
     with pytest.raises(TypeError):
         G(re, im)
+
+
+# Every refusal in exact, each on an input that breaks one rule alone.  An
+# operator of GaussianRational returns NotImplemented for a foreign operand
+# or exponent, so that Python raises TypeError.
+M12, M21 = Matrix([[1, 2]]), Matrix([[1], [2]])
+REFUSALS = {
+    "as_scalar(str)": (lambda: as_scalar("1"), TypeError, "cannot interpret"),
+    "Series([])": (lambda: Series([]), ValueError, "constant term"),
+    "Series orders": (lambda: Series([1, 2]) * Series([1]), ValueError, "orders differ"),
+    "ragged rows": (lambda: Matrix([[1, 2], [3]]), ValueError, "ragged rows"),
+    "@ shape": (lambda: M12 @ M12, ValueError, "^matrix shape mismatch$"),
+    "+ shape": (lambda: M12 + M21, ValueError, "^matrix shape mismatch$"),
+    "- shape": (lambda: M12 - M21, ValueError, "^matrix shape mismatch$"),
+    "matvec shape": (lambda: M12.matvec((ONE,)), ValueError, "vector shape mismatch"),
+    "set scalar": (lambda: setattr(ONE, "triple", (2, 0, 1)), AttributeError, "immutable"),
+    "set series": (lambda: setattr(Series([1]), "coeffs", ()), AttributeError, "immutable"),
+    "set matrix": (lambda: setattr(M12, "den", 2), AttributeError, "immutable"),
+    "G + str": (lambda: G(1) + "x", TypeError, "^unsupported operand"),
+    "None + G": (lambda: None + G(1), TypeError, "^unsupported operand"),
+    "G - str": (lambda: G(1) - "x", TypeError, "^unsupported operand"),
+    "str - G": (lambda: "x" - G(1), TypeError, "^unsupported operand"),
+    "G * float": (lambda: G(1) * 0.5, TypeError, "^unsupported operand"),
+    "G / str": (lambda: G(1) / "x", TypeError, "^unsupported operand"),
+    "G ** -1": (lambda: G(2) ** -1, TypeError, "^unsupported operand"),
+    "G ** 1.0": (lambda: G(2) ** 1.0, TypeError, "^unsupported operand"),
+    "G ** True": (lambda: G(2) ** True, TypeError, "^unsupported operand"),
+    "unit_vector(3, 3)": (lambda: unit_vector(3, 3), ValueError, "^k = 3 is out of range for n = 3$"),
+    "unit_vector(3, 5)": (lambda: unit_vector(3, 5), ValueError, "^k = 5 is out of range for n = 3$"),
+    "unit_vector(0, 0)": (lambda: unit_vector(0, 0), ValueError, "^k = 0 is out of range for n = 0$"),
+    "unit_vector(3, -1)": (lambda: unit_vector(3, -1), ValueError, "^k must be a nonnegative integer$"),
+    "unit_vector(3, True)": (lambda: unit_vector(3, True), ValueError, "^k must be a nonnegative integer$"),
+    "unit_vector(3, 1.0)": (lambda: unit_vector(3, 1.0), ValueError, "^k must be a nonnegative integer$"),
+    "unit_vector(-1, 0)": (lambda: unit_vector(-1, 0), ValueError, "^n must be a nonnegative integer$"),
+    "unit_vector(True, 0)": (lambda: unit_vector(True, 0), ValueError, "^n must be a nonnegative integer$"),
+    "unit_vector(3.0, 0)": (lambda: unit_vector(3.0, 0), ValueError, "^n must be a nonnegative integer$"),
+    "identity(True)": (lambda: Matrix.identity(True), ValueError, "^n must be a nonnegative integer$"),
+    "identity(-1)": (lambda: Matrix.identity(-1), ValueError, "^n must be a nonnegative integer$"),
+    "identity(2.0)": (lambda: Matrix.identity(2.0), ValueError, "^n must be a nonnegative integer$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_exact_refuses_what_it_cannot_answer(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_scalar_equality_with_a_foreign_operand_is_false():
+    assert not G(1) == "x" and G(1) != "x" and not "x" == G(1)
+    assert not G(1) == 1.0 and G(1) == 1 and G(1, 0) == Fraction(1)
+
+
+def test_unit_vectors_and_identities_in_range():
+    assert unit_vector(3, 2) == (ZERO, ZERO, ONE)
+    assert unit_vector(1, 0) == (ONE,)
+    assert Matrix.identity(0).ncols == 0 and Matrix.identity(0).nrows == 0
+    one = Matrix.identity(1)
+    assert type(one.ncols) is int and one == Matrix([[1]])
 
 
 # -- row space closure -------------------------------------------------------

@@ -6,12 +6,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.criteria import _doubled_sets, criterion_set
 from yangian_weyl.dims import lie_fundamental_dim, yangian_fundamental_dim
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain
 from yangian_weyl.rootsys import (
     LieType,
+    _walk,
     all_nodes,
     apply_word,
     cartan_datum,
@@ -71,6 +73,8 @@ def test_invalid_ranks():
         lie_type("G2", 3)
     with pytest.raises(ValueError):
         lie_type("E", 6)
+    with pytest.raises(ValueError, match="^rank required$"):
+        lie_type("A")
     for rank in (True, 2.0, "3"):
         with pytest.raises(ValueError, match="^rank must be a positive integer$"):
             lie_type("A", rank)
@@ -183,6 +187,26 @@ def test_reflect_is_involutive(t):
             assert reflect(t, reflect(t, w, i), i) == w
     with pytest.raises(ValueError):
         reflect(t, (0,) * t.rank, t.rank + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_walk_matches_the_dense_reflections(data):
+    # The walk against the dense reference: `reflect` letter by letter,
+    # and `apply_word`, which reads a word right to left.  Small weights
+    # hold zeros, so letters that fix the weight are drawn often.
+    t = data.draw(st.sampled_from(ALL_SMALL), label="type")
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=t.rank, max_size=t.rank), label="w")
+    letters = data.draw(st.lists(st.integers(1, t.rank), max_size=3 * t.rank), label="letters")
+    dense, moving = tuple(w), []
+    for k in letters:
+        after = reflect(t, dense, k)
+        if after != dense:
+            moving.append((k, dense[k - 1]))
+        dense = after
+    walked = list(w)
+    assert list(_walk(t, walked, letters)) == moving
+    assert tuple(walked) == dense == apply_word(t, letters[::-1], tuple(w))
 
 
 def test_longest_word_examples():

@@ -289,6 +289,50 @@ def test_ledger_guard_catches_a_faulty_walk(monkeypatch, fault, b, message):
         wp.parameter_ledger.__wrapped__(lie_type("A", 3), b)
 
 
+def _fixed_step(monkeypatch):
+    # A type A word whose first letter fixes w_1, and no other fault.
+    import yangian_weyl.weylpath as wp
+
+    monkeypatch.setattr(wp, "_applied_node_order", lambda t, b: [3, 1, 2, 3])
+    return lambda: wp.descent_chain.__wrapped__(lie_type("A", 3), 1)
+
+
+def _negative_step(monkeypatch):
+    # Node 1 again at once, outside type A: s_1 w_1 has coefficient -1 there.
+    import yangian_weyl.weylpath as wp
+
+    monkeypatch.setattr(wp, "_applied_node_order", lambda t, b: [1, 1])
+    return lambda: wp.descent_chain.__wrapped__(lie_type("B", 3), 1)
+
+
+def _short_longest_word(monkeypatch):
+    # The longest word of A3 without its leftmost letter, the last to act.
+    import yangian_weyl.rootsys as rs
+
+    monkeypatch.setattr(rs, "longest_word", lambda t: longest_word(t)[1:])
+    return lambda: rs.node_involution.__wrapped__(lie_type("A", 3))
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        (_fixed_step, "^type A chain word produced a fixed step$"),
+        (_negative_step, "^negative step coefficient in chain of B3, node 1$"),
+        (
+            _short_longest_word,
+            "^longest word of A3 does not send node 1 to minus a fundamental "
+            "weight; word table is broken$",
+        ),
+    ],
+    ids=["fixed-step", "negative-step", "short-longest-word"],
+)
+def test_walk_guards_catch_a_faulty_word(monkeypatch, fault, message):
+    # The uncached functions, so that no cache keeps a faulty answer.
+    call = fault(monkeypatch)
+    with pytest.raises(RuntimeError, match=message):
+        call()
+
+
 def test_chain_rejects_bad_node():
     with pytest.raises(ValueError):
         descent_chain(lie_type("A", 2), 3)
