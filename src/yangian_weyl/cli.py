@@ -13,8 +13,8 @@ import math
 import os
 import sys
 from functools import cache
-from itertools import chain as iter_chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from . import __version__
 from .criteria import (
@@ -43,6 +43,7 @@ from .exact import (
 from .rootsys import (
     FAMILIES,
     LieType,
+    all_nodes,
     cartan_datum,
     duality_shift,
     lie_type,
@@ -81,11 +82,11 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 (acceptance criterion 17) it takes 0.14-0.16 s
-# (13.7 MB of JSON), of which forming the 124,750 differences takes 0.06 s
-# and writing the JSON 0.04 s; with pairwise-distinct six-digit
-# denominators, where no part repeats, 0.34-0.44 s.  Both grow as the
-# square of the degree.  `check` finds its witnesses by a hash join and
+# at 500 roots on A4 and D5 (acceptance criterion 17) it takes 0.06-0.14 s
+# (13.7 MB of JSON), of which forming the 124,750 differences takes
+# 0.04-0.07 s and writing the JSON 0.015-0.022 s; with pairwise-distinct
+# six-digit denominators, where no part repeats, 0.34-0.44 s.  Both grow as
+# the square of the degree.  `check` finds its witnesses by a hash join and
 # takes 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
@@ -291,13 +292,14 @@ class _PairAudit(list):
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
 # a list under a top-level key of the report: the opening of the list and its
-# first row, the difference, the text that names i (every row reads false, see
-# `_pair_audit`), and the text that names j, which also holds the separator
-# and the opening of the next row.
-_AUDIT_OPEN = '[\n    {\n      "difference": '
-_AUDIT_I = ',\n      "i": %d,\n      "in_criterion_set": false'
-_AUDIT_NEXT = ',\n    {\n      "difference": '
-_AUDIT_J = ',\n      "j": %d\n    }' + _AUDIT_NEXT
+# first row up to the difference's opening quote, the difference, the text
+# from its closing quote to j (every row reads false, see `_pair_audit`), and
+# the text that names j, which also holds the separator and the opening of
+# the next row.
+_AUDIT_OPEN = '[\n    {\n      "difference": "'
+_AUDIT_I = '",\n      "i": %d,\n      "in_criterion_set": false,\n      "j": '
+_AUDIT_NEXT = ',\n    {\n      "difference": "'
+_AUDIT_J = '%d\n    }' + _AUDIT_NEXT
 
 
 def _json_text(value) -> str:
@@ -312,8 +314,10 @@ def _write_json(value, out: list, nl: str):
     """Append to `out` the pieces of `value` as `json.dumps(indent=2,
     sort_keys=True)` prints it; `nl` is a newline and the indent of the
     line that holds `value`.  Strings go through the C string encoder that
-    `json` uses.  Any type but str, int, bool, None, a dict with str keys,
-    a list and a _PairAudit raises TypeError."""
+    `json` uses, except the difference texts of a _PairAudit: they hold only
+    digits, "/", "+", "-" and "i", which the encoder would only quote, so
+    the row templates carry the quotes.  Any type but str, int, bool, None,
+    a dict with str keys, a list and a _PairAudit raises TypeError."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -345,12 +349,14 @@ def _write_json(value, out: list, nl: str):
         out.append(nl + "]")
     elif kind is _PairAudit:
         # Each i's rows are joined in one call, so that no bytecode runs per
-        # row.  The last row, (n-1, n), opens no next row.
+        # row: the text that names i goes between each difference and the
+        # text that names its j, which is prefixed to the next difference.
+        # The last row, (n-1, n), opens no next row.
         named_j = [_AUDIT_J % j for j in range(len(value) + 2)]
         out.append(_AUDIT_OPEN)
         for i, diffs in enumerate(value, 1):
-            out.append("".join(iter_chain.from_iterable(zip(
-                map(encode_basestring_ascii, diffs), repeat(_AUDIT_I % i), named_j[i + 1:]))))
+            out.append((_AUDIT_I % i).join(
+                [diffs[0], *map(add, named_j[i + 1:], diffs[1:]), named_j[-1]]))
         out[-1] = out[-1][:-len(_AUDIT_NEXT)] + "\n  ]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -365,7 +371,7 @@ def _cmd_info(args) -> int:
     datum = cartan_datum(t)
     nu = node_involution(t)
     dims = []
-    for i in range(1, t.rank + 1):
+    for i in all_nodes(t):
         flagged = t.family == "G2" and i == 1
         dims.append(
             {
@@ -381,7 +387,7 @@ def _cmd_info(args) -> int:
         "d": list(datum.d),
         "kappa": _scalar_str(duality_shift(t)),
         "longest_word": list(longest_word(t)),
-        "involution": {str(i): nu[i - 1] for i in range(1, t.rank + 1)},
+        "involution": {str(i): nu[i - 1] for i in all_nodes(t)},
         "fundamental_dims": dims,
     }
     lines = lambda: [
@@ -544,7 +550,7 @@ def _cmd_ssets(args) -> int:
     t = _parse_type({"type": args.type, "rank": args.rank})
     table = {
         f"{b_m},{b_n}": [format_triple(s2, 0, 2) for s2 in doubled]
-        for b_m in range(1, t.rank + 1)
+        for b_m in all_nodes(t)
         for b_n, doubled in enumerate(_doubled_sets(t, b_m), 1)
     }
     body = {"lie_type": {"type": t.family, "rank": t.rank}, "sets": table}

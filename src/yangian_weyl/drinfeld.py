@@ -4,7 +4,7 @@ Polynomials are represented by their root multisets; monicity is
 structural.  The highest-weight eigenvalue series of a root multiset and
 its inverse live here too: the inverse recovers the polynomial from a
 series by forward substitution and its roots by a pruned divisor search
-in Z[i].
+in Z[i] that leaves the last quadratic to the formula.
 """
 
 from __future__ import annotations
@@ -261,54 +261,97 @@ def _gaussian_rational_roots(poly) -> list:
     """Roots in Q(i) of sum poly[j] u^j, with multiplicity.
 
     poly lists Gaussian-integer pairs from the constant term up, and its
-    leading coefficient is nonzero.  Over Z[i] a root p/q in lowest terms
-    has p dividing the constant and q the leading coefficient.  A factor's
-    constant and leading coefficients divide the polynomial's, so one pass
-    over these candidates finds every root: each is tried until it stops
-    dividing the deflated polynomial.
+    leading coefficient is nonzero.  After the roots at 0 come off, a
+    longer remainder goes to a divisor search: over Z[i] a root p/q in
+    lowest terms has q*u - p dividing the polynomial (Gauss's lemma), so p
+    divides its constant and q its leading coefficient.  One pass over
+    these candidates finds every root, each tried until it stops dividing,
+    and `_divide_linear` is the exact test of each.  A remainder of degree
+    1 or 2, whether deflated to it or given, is solved by formula: the
+    last two roots are never searched for, and the constant of a quadratic
+    is never factored.
     """
     roots = []
     while len(poly) > 1 and poly[0] == (0, 0):
         roots.append(ZERO)
         poly = poly[1:]
-    if len(poly) == 1:
-        return roots
+    if len(poly) > 3:
+        poly = _divisor_search(poly, roots)
+    if len(poly) == 2:
+        roots.append(_gi_to_scalar((-poly[0][0], -poly[0][1]), poly[1]))
+    elif len(poly) == 3:
+        (c0_re, c0_im), (c1_re, c1_im), (c2_re, c2_im) = poly
+        # w^2 = c1^2 - 4 c0 c2 in Z[i], or no root in Q(i): Z[i] is
+        # integrally closed, so a square root in Q(i) lies in Z[i].
+        w = _gi_sqrt((
+            c1_re * c1_re - c1_im * c1_im - 4 * (c0_re * c2_re - c0_im * c2_im),
+            2 * c1_re * c1_im - 4 * (c0_re * c2_im + c0_im * c2_re),
+        ))
+        if w is not None:
+            den = (2 * c2_re, 2 * c2_im)
+            roots.append(_gi_to_scalar((w[0] - c1_re, w[1] - c1_im), den))
+            roots.append(_gi_to_scalar((-w[0] - c1_re, -w[1] - c1_im), den))
+    return roots
+
+
+def _divisor_search(poly, roots):
+    """Deflate poly (degree at least 3, poly(0) != 0) by the roots p/q
+    that the divisor search finds, appending each to `roots`, until none
+    is left or the remainder has degree 2; return the remainder."""
     # Cauchy's bound on |root| and on |1/root| limits N(p)/N(q) to a window.
     norms = [_gi_norm(c) for c in poly]
     upper = _cauchy_square(norms[-1], max(norms[:-1]))
     lower = _cauchy_square(norms[0], max(norms[1:]))
     denominators = list(_gaussian_divisors(poly[-1]))
     denominator_norms = [norm for norm, _ in denominators]
-    # If q*u - p divides poly in Z[i][u], then q*t - p divides poly(t) for
-    # every t in Z[i]: at t = 1 and t = -1 that skips most candidates
-    # before the division, and skips only candidates it would reject.
-    at_one, at_minus_one = _gi_values_at_units(poly)
+    # Every prune reads the deflated remainder Q.  A factor's constant and
+    # leading coefficients divide Q's, and if q*u - p divides Q in Z[i][u],
+    # then q*t - p divides Q(t) for every t in Z[i]: at the four units
+    # that skips most candidates before the division, and skips only
+    # candidates it would reject.
+    at_one, at_minus_one, at_i, at_minus_i = _gi_values_at_units(poly)
     for p_norm, (a, b) in _gaussian_divisors(poly[0]):
+        if not _gi_divides(a, b, poly[0]):
+            continue
         first = bisect_left(denominator_norms, -(-norms[-1] * p_norm // upper))
         last = bisect_right(denominator_norms, lower * p_norm // norms[0])
         for _, q in denominators[first:last]:
             q_re, q_im = q
+            if not _gi_divides(q_re, q_im, poly[-1]):
+                continue
             for num in ((a, b), (-a, -b), (-b, a), (b, -a)):  # p times each unit
+                p_re, p_im = num
                 while (
-                    _gi_divides(q_re - num[0], q_im - num[1], at_one)
-                    and _gi_divides(-q_re - num[0], -q_im - num[1], at_minus_one)
+                    _gi_divides(q_re - p_re, q_im - p_im, at_one)
+                    and _gi_divides(-q_re - p_re, -q_im - p_im, at_minus_one)
+                    and _gi_divides(-q_im - p_re, q_re - p_im, at_i)
+                    and _gi_divides(q_im - p_re, -q_re - p_im, at_minus_i)
                     and (quotient := _divide_linear(poly, q, num)) is not None
                 ):
                     roots.append(_gi_to_scalar(num, q))
                     poly = quotient
-                    if len(poly) == 1:
-                        return roots
-                    at_one, at_minus_one = _gi_values_at_units(poly)
-    return roots
+                    if len(poly) == 3:
+                        return poly
+                    at_one, at_minus_one, at_i, at_minus_i = _gi_values_at_units(poly)
+    return poly
 
 
 def _gi_values_at_units(poly):
-    """poly(1) and poly(-1) for poly a list of Gaussian-integer pairs."""
-    even_re = sum(c[0] for c in poly[::2])
-    even_im = sum(c[1] for c in poly[::2])
-    odd_re = sum(c[0] for c in poly[1::2])
-    odd_im = sum(c[1] for c in poly[1::2])
-    return (even_re + odd_re, even_im + odd_im), (even_re - odd_re, even_im - odd_im)
+    """poly(1), poly(-1), poly(i) and poly(-i) for poly a list of
+    Gaussian-integer pairs."""
+    (s0_re, s0_im), (s1_re, s1_im), (s2_re, s2_im), (s3_re, s3_im) = [
+        (sum(c[0] for c in poly[k::4]), sum(c[1] for c in poly[k::4])) for k in range(4)
+    ]
+    # poly(t) = s0 + s1 t + s2 t^2 + s3 t^3 for t^4 = 1, s_k the sum of
+    # the coefficients of degree k mod 4.
+    e_re, e_im, o_re, o_im = s0_re + s2_re, s0_im + s2_im, s1_re + s3_re, s1_im + s3_im
+    x_re, x_im, y_re, y_im = s0_re - s2_re, s0_im - s2_im, s1_re - s3_re, s1_im - s3_im
+    return (
+        (e_re + o_re, e_im + o_im),
+        (e_re - o_re, e_im - o_im),
+        (x_re - y_im, x_im + y_re),
+        (x_re + y_im, x_im - y_re),
+    )
 
 
 def _gi_divides(re: int, im: int, z) -> bool:
@@ -317,6 +360,19 @@ def _gi_divides(re: int, im: int, z) -> bool:
     if not norm:
         return z == (0, 0)
     return not (z[0] * re + z[1] * im) % norm and not (z[1] * re - z[0] * im) % norm
+
+
+def _gi_sqrt(z):
+    """w in Z[i] with w^2 = z, or None when z is not a square in Z[i]."""
+    # w = a + bi has a^2 - b^2 = re, 2ab = im and a^2 + b^2 = |z|.
+    re, im = z
+    n = isqrt(re * re + im * im)
+    if n * n != re * re + im * im or (n + re) % 2:
+        return None
+    a, b = isqrt((n + re) // 2), isqrt((n - re) // 2)
+    if a * a - b * b != re or 2 * a * b != abs(im):
+        return None
+    return (a, b if im >= 0 else -b)
 
 
 def _cauchy_square(top: int, rest: int) -> int:

@@ -1,12 +1,14 @@
 """The package's former root recovery, kept as the oracle for the new one.
 
 `series_to_roots_by_linear_system` recovers the roots of Q from the series
-Q(u+d)/Q(u) exactly as `yangian_weyl.drinfeld.series_to_roots` did before
-it came to forward-substitute the coefficients of Q and prune its divisor
-search: it equates every computable Laurent coefficient in a windowed
-linear system, solves it with `exact.solve_linear`, and tries every
-candidate root p/q with a full division.  `tests/test_drinfeld.py` checks
-the package against it.
+Q(u+d)/Q(u) as `yangian_weyl.drinfeld.series_to_roots` did at first: it
+equates every computable Laurent coefficient in a windowed linear system
+and solves it with `exact.solve_linear`, where the package forward-
+substitutes the coefficients of Q.  Its `divisor_search_roots` then tries
+every candidate root p/q of the original polynomial with a full division,
+down to the last root; the package prunes the candidates against the
+deflated polynomial and solves the last quadratic by the formula.
+`tests/test_drinfeld.py` checks the package against both.
 """
 
 from __future__ import annotations

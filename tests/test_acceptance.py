@@ -537,14 +537,15 @@ def test_criterion_17_weyl_audit_at_max_factors(capsys):
 
 
 def test_criterion_18_prime_constant_refused_fast():
-    # Q(u) = u^2 + p with p = 100000007, a prime = 3 mod 4: Q has no root
-    # in Q(i), and N(p) = p^2 is the square of a large prime.
-    # Q(u+1)/Q(u) = 1 + (2u + 1)/(u^2 + p) = 1 + 2u^-1 + u^-2 - 2p u^-3 - p u^-4 + ...
-    p = 100000007
-    series = Series([G(c) for c in (1, 2, 1, -2 * p, -p)])
-    with _Timer("criterion 18: refusing the series of u^2 + 100000007", limit=0.05):
-        with pytest.raises(NotDrinfeldSeriesError, match=r"^polynomial does not split over Q\(i\)$"):
-            series_to_roots(series, 2, 1)
+    # Q(u) = u^2 + c has no root in Q(i) for either c below.  c = 100000007
+    # is a prime = 3 mod 4, so N(c) = c^2 is the square of a large prime;
+    # c = 10000025 + 2i is primitive and N(c) ~ 10^14 is prime.
+    # Q(u+1)/Q(u) = 1 + (2u + 1)/(u^2 + c) = 1 + 2u^-1 + u^-2 - 2c u^-3 - c u^-4 + ...
+    for c in (G(100000007), G(10000025, 2)):
+        series = Series([G(1), G(2), G(1), -2 * c, -c])
+        with _Timer(f"criterion 18: refusing the series of u^2 + {c}", limit=0.05):
+            with pytest.raises(NotDrinfeldSeriesError, match=r"^polynomial does not split over Q\(i\)$"):
+                series_to_roots(series, 2, 1)
 
 
 def test_criterion_19_series_to_order_32_on_eight_factors(capsys):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from yangian_weyl.drinfeld import (
     DrinfeldTuple,
@@ -16,6 +16,7 @@ from yangian_weyl.drinfeld import (
     _cauchy_square,
     _gaussian_divisors,
     _gaussian_rational_roots,
+    _gi_sqrt,
     _two_squares,
     chain_to_poly,
     eigenvalue_series,
@@ -321,8 +322,8 @@ def test_gaussian_divisors_against_brute_force():
 
 
 # Roots for the oracle comparison: the units and 0, where q*t - p vanishes
-# at t = 1 or t = -1; small Gaussian rationals; and (x + y i)/(1+i)^k,
-# whose denominators carry the ramified prime 1+i.
+# at one of the prune's points t = 1, -1, i, -i; small Gaussian rationals;
+# and (x + y i)/(1+i)^k, whose denominators carry the ramified prime 1+i.
 unit_root_st = st.sampled_from([G(0), G(1), G(-1), G(0, 1), G(0, -1)])
 ramified_root_st = st.builds(
     lambda x, y, k: G(x, y) / G(1, 1) ** k,
@@ -363,9 +364,21 @@ def test_series_to_roots_matches_linear_system_oracle(data):
     st.lists(st.one_of(unit_root_st, small_root_st, ramified_root_st), max_size=5),
     st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
 )
+# Quadratics, which the formula solves without a search: a Gaussian leading
+# coefficient, a double root, and u^2 + c for c = 1, 2, i, 1 + i, of which
+# only u^2 + 1 splits.
+@example([G(Fraction(1, 2), -1), G(3, 2)], [(2, 1)])
+@example([G(Fraction(-3, 2), 1), G(Fraction(-3, 2), 1)], [(1, 0)])
+@example([], [(1, 0), (0, 0), (1, 0)])
+@example([], [(2, 0), (0, 0), (1, 0)])
+@example([], [(0, 1), (0, 0), (1, 0)])
+@example([], [(1, 1), (0, 0), (1, 0)])
+# A double root left in the quadratic remainder of a longer search.
+@example([G(2), G(0, 1), G(Fraction(1, 2), 1), G(Fraction(1, 2), 1)], [(3, 0)])
 def test_pruned_divisor_search_matches_unpruned(roots, cofactor):
     # The planted roots times a cofactor that may or may not split: the
-    # prune at t = 1 and t = -1 must find exactly what the unpruned
+    # prunes at t = 1, -1, i and -i on the deflated polynomial and the
+    # formula for its last quadratic must find exactly what the unpruned
     # search finds.
     coeffs = [G(re, im) for re, im in cofactor[:-1]] + [G(*cofactor[-1]) or G(1)]
     for root in roots:  # times u - root
@@ -435,6 +448,21 @@ def test_series_to_roots_rechecks_the_roots_it_found(monkeypatch):
     monkeypatch.setattr(dr, "_gaussian_rational_roots", lambda poly: [G(2), G(-1, 2)])
     with pytest.raises(NotDrinfeldSeriesError, match="^series is not of Drinfeld form$"):
         series_to_roots(series, 2, 1)
+
+
+def test_gaussian_square_root_against_brute_force():
+    squares = set()
+    for a in range(-20, 21):
+        for b in range(-20, 21):
+            z = (a * a - b * b, 2 * a * b)
+            assert _gi_sqrt(z) in ((a, b), (-a, -b)), (a, b)
+            squares.add(z)
+    # A square w^2 in [-60, 60]^2 has N(w) = |w^2| <= 85, so w lies in the
+    # range above: every other z in the box is not a square.
+    for re in range(-60, 61):
+        for im in range(-60, 61):
+            if (re, im) not in squares:
+                assert _gi_sqrt((re, im)) is None, (re, im)
 
 
 def test_two_squares():
