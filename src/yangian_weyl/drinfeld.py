@@ -477,18 +477,60 @@ def _gaussian_divisors(z):
                 heappush(heap, (norm * _gi_norm(prime), _gi_mul(div, prime), i, k + 1))
 
 
+_TRIAL_BOUND = 1000
+# Miller-Rabin on the primes 2..41 decides primality exactly below this.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESSES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _prime_factors(n: int) -> list:
+    """Prime factors of |n| with multiplicity, ascending.
+
+    Trial division; past `_TRIAL_BOUND` each new cofactor is tested once
+    for primality, so a large prime cofactor ends the search at once."""
     out = []
     n = abs(n)
     f = 2
+    tested = False  # n has failed the primality test since it last changed
     while f * f <= n:
-        while n % f == 0:
-            out.append(f)
-            n //= f
+        if n % f == 0:
+            while n % f == 0:
+                out.append(f)
+                n //= f
+            tested = False
+        if f > _TRIAL_BOUND and not tested:
+            if _proven_prime(n):
+                break
+            tested = True
         f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
     return out
+
+
+def _proven_prime(n: int) -> bool:
+    """True if n is prime, False if it is not or if n is too large for the
+    fixed witnesses to decide: no answer rests on chance."""
+    if n < 2 or n >= _WITNESSES_EXACT_BELOW:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _two_squares(p: int):

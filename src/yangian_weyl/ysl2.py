@@ -71,12 +71,18 @@ class SL2Module:
     h1: Matrix
 
     @cached_property
-    def x1p(self) -> Matrix:
-        return extend_generators(self, 1).xp[1]
+    def _level_one(self) -> Tuple[Matrix, Matrix]:
+        """x_1^+ and x_1^-, read off one level-1 ladder."""
+        ladder = extend_generators(self, 1)
+        return ladder.xp[1], ladder.xm[1]
 
-    @cached_property
+    @property
+    def x1p(self) -> Matrix:
+        return self._level_one[0]
+
+    @property
     def x1m(self) -> Matrix:
-        return extend_generators(self, 1).xm[1]
+        return self._level_one[1]
 
     @property
     def dim(self) -> int:

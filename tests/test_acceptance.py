@@ -541,11 +541,24 @@ def test_criterion_18_prime_constant_refused_fast():
     # is a prime = 3 mod 4, so N(c) = c^2 is the square of a large prime;
     # c = 10000025 + 2i is primitive and N(c) ~ 10^14 is prime.
     # Q(u+1)/Q(u) = 1 + (2u + 1)/(u^2 + c) = 1 + 2u^-1 + u^-2 - 2c u^-3 - c u^-4 + ...
-    for c in (G(100000007), G(10000025, 2)):
-        series = Series([G(1), G(2), G(1), -2 * c, -c])
-        with _Timer(f"criterion 18: refusing the series of u^2 + {c}", limit=0.05):
+    # In degree 3 the divisor search factors the constant term, whose norm
+    # is N(c) itself: u^3 + c has no root, (u - 1)(u^2 + c) the root 1, and
+    # neither splits.  With x = 1/u their series are
+    # (1 + 3x + 3x^2 + (1 + c)x^3) / (1 + c x^3) and
+    # (1 + 2x + (1 + c)x^2) / (1 - x + c x^2 - c x^3).
+    c = G(10000025, 2)
+    rows = [
+        (f"u^2 + {a}", 2, [G(1), G(2), G(1), -2 * a, -a])
+        for a in (G(100000007), c)
+    ] + [
+        (f"u^3 + {c}", 3, [G(1), G(3), G(3), G(1), -3 * c, -3 * c, -c]),
+        (f"(u - 1)(u^2 + {c})", 3,
+         [G(1), G(3), G(4), 4 - 2 * c, 4 - 3 * c, 4 - 3 * c + 2 * c * c, 4 - 3 * c + 3 * c * c]),
+    ]
+    for name, degree, coeffs in rows:
+        with _Timer(f"criterion 18: refusing the series of {name}", limit=0.05):
             with pytest.raises(NotDrinfeldSeriesError, match=r"^polynomial does not split over Q\(i\)$"):
-                series_to_roots(series, 2, 1)
+                series_to_roots(Series(coeffs), degree, 1)
 
 
 def test_criterion_19_series_to_order_32_on_eight_factors(capsys):

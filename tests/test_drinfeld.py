@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,8 @@ from yangian_weyl.drinfeld import (
     _gaussian_divisors,
     _gaussian_rational_roots,
     _gi_sqrt,
+    _prime_factors,
+    _proven_prime,
     _two_squares,
     chain_to_poly,
     eigenvalue_series,
@@ -472,6 +475,45 @@ def test_two_squares():
     for p in (7, 3, 11):
         with pytest.raises(ValueError, match=f"^{p} is not 1 mod 4$"):
             _two_squares(p)
+
+
+def _primes_through(limit):
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+def test_prime_factors_against_trial_division():
+    primes = _primes_through(10**6 + 100)
+
+    def trial_division(n):
+        out = []
+        for p in primes:
+            if p * p > n:
+                break
+            while n % p == 0:
+                out.append(p)
+                n //= p
+        assert primes[-1] ** 2 > n  # the primes reached the square root
+        return out + [n] * (n > 1)
+
+    near_tera = 999999000001  # prime
+    rng = random.Random("prime-factors")
+    sample = [rng.randint(1, 10**9) for _ in range(20000)]
+    special = [561, 41041, 3215031751, 3825123056546413051, near_tera, (10**6 + 3) * (10**6 + 33)]
+    for n in sample + special:
+        assert _prime_factors(n) == trial_division(n), n
+    assert _prime_factors(near_tera) == [near_tera]
+    # Carmichael numbers and strong pseudoprimes to the first witnesses;
+    # the last fools every base 2-37.  2^89 - 1 is prime but above the
+    # bound where the witnesses decide, so it is not reported prime.
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461, 2**89 - 1):
+        assert not _proven_prime(n), n
+    for p in (2, 41, 43, 1000003, near_tera, 2**61 - 1):
+        assert _proven_prime(p), p
 
 
 # 1 + d u^-1 + d a u^-2 + ..., the series of the root 1/3 with shift 1/2.

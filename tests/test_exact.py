@@ -26,6 +26,7 @@ from yangian_weyl.exact import (
 )
 
 from pair_oracle import ordering_key
+from spin_oracle import _gauss_jordan
 
 G = GaussianRational
 
@@ -266,25 +267,6 @@ def test_closure_monotone_and_self_contained():
             union.extend(sub_basis)
         for vec in basis:
             assert _in_span(_gauss_jordan(union), vec)
-
-
-def _gauss_jordan(vectors):
-    """Reduced row-echelon basis of the span, by textbook Gauss-Jordan."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [e / lead for e in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                c = row[col]
-                rows[i] = [x - c * y for x, y in zip(row, rows[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in rows[:rank])
 
 
 def test_solve_linear_contract():

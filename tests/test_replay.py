@@ -1,18 +1,23 @@
-"""Replay one round of every benchmark workload and compare its outputs
-with a stored digest.
+"""Replay fixed corpora of package calls in process and compare every
+output with a stored digest.  The corpora, by key:
 
-The ops are those of `bench/workloads.py`: one round per seed 1-3 of
-`spin`, `relations`, `roots` and `verdicts`, on the "timed" stream that
-`bench/run.py` times.  Each runs in process.  A CLI op goes through
-`cli.main` with stdout and stderr captured and `SystemExit` read as its
-status; a `roots` op goes through `series_to_roots` on the series that
-`bench/run.py` hands over, and records the sorted `repr`s of the roots or
-the exception's type and text.
+- `<workload>/<seed>`: one round per seed 1-3 of each `bench/workloads.py`
+  workload, on the "timed" stream that `bench/run.py` times.
+- `sl2-golden`: 36 seeded products (1-4 factors, m <= 3, dimension <= 64,
+  half with Gaussian parameters) under `sl2 --json`, in each verify mode.
+- `verdicts-golden`: 48 seeded chains of 1-40 factors, eight per type of
+  `TYPES`, under `weyl` (on the chain's Drinfeld tuple) and `check` in
+  both modes, in JSON and human mode.  Most chains sit on half-integer
+  shifts of one base, so many have criterion witnesses.
+- `cli`: `info` and `ssets` on eleven types, the first four `sl2-golden`
+  products in human mode, and five schema errors.
 
-tests/data/replay_digest.json stores per op a short SHA-256 of its input
+tests/data/replay_digest.json stores per op a short SHA-256 of the input
 and of each of status, stdout and stderr, so a changed generator reads as
 a changed input and a changed output names its stream.  Rewrite it, from
-the repository root, only when the output is meant to change:
+the repository root, only when the output is meant to change; the script
+needs no pytest, prints every op that differs, and leaves the file as it
+is when none does:
 
     PYTHONPATH=src python tests/test_replay.py --write
 """
@@ -24,20 +29,24 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
+import random
 import sys
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from yangian_weyl.cli import main
 from yangian_weyl.drinfeld import series_to_roots
-from yangian_weyl.exact import GaussianRational, Series
+from yangian_weyl.exact import GaussianRational, Series, format_scalar
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST = Path(__file__).resolve().parent / "data" / "replay_digest.json"
+DIGEST = ROOT / "tests" / "data" / "replay_digest.json"
 SEEDS = (1, 2, 3)
 STREAMS = ("input", "status", "stdout", "stderr")
-SHOWN = 5  # mismatching ops named in a failure
 
 
+@lru_cache(maxsize=None)
 def _workloads():
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
@@ -47,72 +56,205 @@ def _workloads():
     return module
 
 
+MODES = {"closure": ["--verify", "closure"], "identities": ["--verify", "identities"],
+         "series": ["--verify", "series", "--order", "5"]}
+
+
+def _fraction(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+
+
+def golden_specs(count=36):
+    """Seeded products; most factors of a product sit on integer
+    shifts of one base parameter, so some products are not highest weight."""
+    rng = random.Random("sl2-golden")
+    specs = []
+    for n in range(count):
+        k = 1 + n % 4
+        gauss = (n % 4 + n // 4) % 2 == 1
+        while True:
+            ms = [rng.randint(1, 3) for _ in range(k)]
+            if math.prod(m + 1 for m in ms) <= 64:
+                break
+        base = _fraction(rng, 6)
+        im = Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 2))
+        spec = []
+        for m in ms:
+            re = base + rng.randint(-3, 3) if rng.random() < 0.8 else _fraction(rng, 6)
+            spec.append([m, format_scalar(GaussianRational(re, im if gauss else 0))])
+        specs.append(spec)
+    return specs
+
+
+def _sl2_argv(spec, mode, as_json=True):
+    return ["sl2", json.dumps(spec), *MODES[mode]] + ["--json"] * as_json
+
+
+TYPES = (("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G2", 2))
+COMMANDS = {"weyl": ["weyl"], "cyclic": ["check", "--mode", "cyclic"],
+            "irreducible": ["check", "--mode", "irreducible"]}
+
+
+def golden_chains(per_type=8):
+    """Seeded chains as (type, rank, [(node, scalar string), ...])."""
+    rng = random.Random("verdicts-golden")
+    chains = []
+    for family, rank in TYPES:
+        for n in range(per_type):
+            k = rng.randint(1, 40) if n > 1 else 1 + 2 * n
+            style = n % 4  # 0 real, 1 half-integer, 2 Gaussian, 3 mixed
+            base = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3)))
+            ims = [Fraction(0)] if style < 2 else [
+                Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(2)]
+            factors = []
+            for _ in range(k):
+                if rng.random() < 0.8:  # near the base: witnesses likely
+                    re = base + Fraction(rng.randint(0, 16), 1 if style == 0 else 2)
+                else:
+                    re = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5)))
+                im = rng.choice(ims) if style != 3 or rng.random() < 0.5 else Fraction(0)
+                factors.append((rng.randint(1, rank), _workloads().fmt((re, im))))
+            chains.append((family, rank, factors))
+    return chains
+
+
+def _verdict_argv(command, chain, as_json):
+    """`weyl` on the chain's Drinfeld tuple, or `check` on the chain."""
+    family, rank, factors = chain
+    polys = {}
+    for node, a in factors:
+        polys.setdefault(str(node), []).append(a)
+    doc = {"type": family, "rank": rank, **({"polys": polys} if command == "weyl" else
+           {"factors": [{"node": node, "a": a} for node, a in factors]})}
+    return [COMMANDS[command][0], json.dumps(doc), *COMMANDS[command][1:]] + ["--json"] * as_json
+
+
+# D3 is left out: its UserWarning prints a source line, and tier-1 makes it
+# an error.  So is argparse's help and usage text, which varies with Python.
+CLI_TYPES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+             ("C", 2), ("C", 3), ("D", 4), ("D", 5), ("G2", 2))
+SCHEMA_ERRORS = (
+    ["check", json.dumps({"type": "A", "rank": 3, "factors": [{"node": 4, "a": "0"}]})],
+    ["info", "--type", "A", "--rank", "65"],
+    ["sl2", json.dumps([[1, "0"]]), "--verify", "series", "--order", "33"],
+    ["check", json.dumps({"type": "A", "rank": 1, "factors": [{"node": 1, "b": "0"}]})],
+    ["weyl", '{"type":'],
+)
+
+
+@lru_cache(maxsize=None)
+def corpora() -> dict:
+    """{key: [op]}, each op a `bench/workloads.py` `Op`; the fixed corpora
+    hold CLI ops of kind "cli"."""
+    workloads = _workloads()
+    ops = {f"{workload}/{seed}": workloads.generate(workload, seed, 1)
+           for workload in sorted(workloads.GENERATORS) for seed in SEEDS}
+    specs = golden_specs()
+    fixed = {
+        "sl2-golden": [_sl2_argv(spec, mode) for spec in specs for mode in MODES],
+        "verdicts-golden": [_verdict_argv(command, chain, as_json) for chain in golden_chains()
+                            for command in COMMANDS for as_json in (True, False)],
+        "cli": [[command, "--type", family, "--rank", str(rank)] + ["--json"] * as_json
+                for family, rank in CLI_TYPES for command in ("info", "ssets")
+                for as_json in (True, False)]
+        + [_sl2_argv(spec, mode, False) for spec in specs[:4] for mode in MODES]
+        + list(SCHEMA_ERRORS),
+    }
+    for key, argvs in fixed.items():
+        ops[key] = [workloads.Op("cli", tuple(argv)) for argv in argvs]
+    return ops
+
+
 def _short(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _run(workloads, op):
-    """(status, stdout, stderr) texts of one op."""
-    if op.kind == "roots":
-        degree, d = op.argv
-        series = Series([GaussianRational(re, im) for re, im in workloads.roots_series(op)])
-        try:
-            roots = series_to_roots(series, degree, d)
-        except Exception as exc:  # a refusal is an output too
-            return "raised", "", f"{type(exc).__name__}: {exc}"
-        return "0", repr(sorted(repr(r) for r in roots)), ""
+def _cli(argv):
+    """(status, stdout, stderr) texts of one `cli.main` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            status = main(list(op.argv))
+            status = main(list(argv))
         except SystemExit as exc:
             status = exc.code
     return str(status), out.getvalue(), err.getvalue()
 
 
-def replay():
-    """{workload/seed: [[hash per stream] per op]} and the ops, by key."""
-    workloads = _workloads()
-    digest, ops = {}, {}
-    for workload in sorted(workloads.GENERATORS):
-        for seed in SEEDS:
-            key = f"{workload}/{seed}"
-            ops[key] = workloads.generate(workload, seed, 1)
-            digest[key] = [
-                [_short(repr((op.kind, op.argv, op.data))), *map(_short, _run(workloads, op))]
-                for op in ops[key]
-            ]
-    return digest, ops
+def _run(op):
+    """`_cli` of a CLI op; a `roots` op runs on the series `bench/run.py`
+    hands over and records its roots' sorted `repr`s, or the refusal."""
+    if op.kind != "roots":
+        return _cli(op.argv)
+    degree, d = op.argv
+    series = Series([GaussianRational(re, im) for re, im in _workloads().roots_series(op)])
+    try:
+        roots = series_to_roots(series, degree, d)
+    except Exception as exc:  # a refusal is an output too
+        return "raised", "", f"{type(exc).__name__}: {exc}"
+    return "0", repr(sorted(repr(r) for r in roots)), ""
 
 
-def _mismatches(stored, digest, ops) -> list:
+def replay(key) -> list:
+    """[hash per stream] per op of one corpus."""
+    return [[_short(repr((op.kind, op.argv, op.data))), *map(_short, _run(op))]
+            for op in corpora().get(key, [])]
+
+
+def _keys(stored) -> list:
+    """Every corpus, then any key stored for a corpus that no longer exists."""
+    return list(corpora()) + [key for key in stored if key not in corpora()]
+
+
+def _mismatches(key, old, new) -> list:
     lines = []
-    for key in sorted(stored.keys() | digest.keys()):
-        old, new = stored.get(key, []), digest.get(key, [])
-        if len(old) != len(new):
-            lines.append(f"{key}: {len(old)} ops stored, {len(new)} replayed")
-        for index, (was, now) in enumerate(zip(old, new)):
-            if was != now:
-                changed = [s for s, a, b in zip(STREAMS, was, now) if a != b]
-                shown = repr(ops[key][index].argv + ops[key][index].data)[:100]
-                lines.append(f"{key} op {index} {shown}: {', '.join(changed)} changed")
+    if len(old) != len(new):
+        lines.append(f"{key}: {len(old)} ops stored, {len(new)} replayed")
+    for index, (was, now) in enumerate(zip(old, new)):
+        if was != now:
+            changed = [s for s, a, b in zip(STREAMS, was, now) if a != b]
+            shown = repr(corpora()[key][index].argv + corpora()[key][index].data)[:100]
+            lines.append(f"{key} op {index} {shown}: {', '.join(changed)} changed")
     return lines
 
 
-def test_replay_digest_is_unchanged():
-    digest, ops = replay()
-    stored = json.loads(DIGEST.read_text())
-    lines = _mismatches(stored, digest, ops)
-    assert not lines, f"{len(lines)} ops differ; first:\n" + "\n".join(lines[:SHOWN])
+def pytest_generate_tests(metafunc):
+    if "key" in metafunc.fixturenames:
+        metafunc.parametrize("key", _keys(json.loads(DIGEST.read_text())))
+
+
+def test_replay_digest_is_unchanged(key):
+    lines = _mismatches(key, json.loads(DIGEST.read_text()).get(key, []), replay(key))
+    assert not lines, f"{len(lines)} ops differ; first:\n" + "\n".join(lines[:5])
+
+
+def test_fixed_corpora_cover_their_recipes():
+    specs = golden_specs()
+    assert sum(any("i" in a for _, a in spec) for spec in specs) == 18
+    chains = golden_chains()
+    lengths = [len(factors) for _, _, factors in chains]
+    assert min(lengths) >= 1 and 35 <= max(lengths) <= 40
+    assert sum(any("i" in a for _, a in factors) for _, _, factors in chains) >= 12
+    assert sum(any("/2" in a for _, a in factors) for _, _, factors in chains) >= 12
+    reports = [json.loads(_cli(_verdict_argv("irreducible", chain, True))[1]) for chain in chains]
+    witnessed = [len(report["verdict"]["witnesses"]) > 0 for report in reports]
+    assert sum(witnessed) >= 12 and not all(witnessed)
+    for argv in SCHEMA_ERRORS:
+        status, out, err = _cli(argv)
+        assert (status, out, err.count("\n")) == ("2", "", 1), argv
+        assert err.startswith("schema error at "), argv
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_replay.py --write")
-    digest, _ = replay()
-    # One op to a line, so that a rewrite shows in a diff op by op.
-    blocks = [
-        f"  {json.dumps(key)}: [\n" + ",\n".join(f"    {json.dumps(row)}" for row in rows) + "\n  ]"
-        for key, rows in digest.items()
-    ]
-    DIGEST.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
+    stored = json.loads(DIGEST.read_text())
+    digest = {key: replay(key) for key in corpora()}
+    lines = [line for key in _keys(stored)
+             for line in _mismatches(key, stored.get(key, []), digest.get(key, []))]
+    print("\n".join(lines) or f"all {sum(map(len, digest.values()))} ops match {DIGEST.name}")
+    if lines:
+        # One op to a line, so that a rewrite shows in a diff op by op.
+        blocks = [f"  {json.dumps(key)}: [\n" + ",\n".join(f"    {json.dumps(row)}" for row in rows)
+                  + "\n  ]" for key, rows in digest.items()]
+        DIGEST.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
+        print(f"rewrote {DIGEST.name}: {len(lines)} lines above")

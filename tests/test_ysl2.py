@@ -186,6 +186,23 @@ def test_extend_generators_examples():
             extend_generators(mod, K)
 
 
+def test_level_one_generators_share_one_ladder(monkeypatch):
+    mod = tensor_module([(1, G(F(1, 2))), (2, G(3, -1)), (3, G(-2))])
+    assert mod.dim == 24
+    calls = []
+
+    def counted(module, K):
+        calls.append(K)
+        return extend_generators(module, K)
+
+    monkeypatch.setattr("yangian_weyl.ysl2.extend_generators", counted)
+    x0p, x0m, x1p, x1m, h0, h1 = mod.generators()
+    assert mod.generators() == (x0p, x0m, x1p, x1m, h0, h1)
+    assert calls == [1]
+    ladder = extend_generators(mod, 1)
+    assert (x1p, x1m) == (ladder.xp[1], ladder.xm[1])
+
+
 def test_coassociativity_of_level_one():
     # Left- and right-associated triple products carry the same matrices.
     params = [(1, G(2)), (1, G(0)), (2, G(F(1, 2)))]
