@@ -14,7 +14,10 @@ output with a stored digest.  The corpora, by key:
 
 tests/data/replay_digest.json stores per op a short SHA-256 of the input
 and of each of status, stdout and stderr, so a changed generator reads as
-a changed input and a changed output names its stream.  Rewrite it, from
+a changed input and a changed output names its stream.  This module checks
+the workload and `cli` keys; tests/test_sl2_golden.py and
+tests/test_verdicts_golden.py check the two golden keys one verify mode or
+one type at a time, and hold their coverage checks.  Rewrite it, from
 the repository root, only when the output is meant to change; the script
 needs no pytest, prints every op that differs, and leaves the file as it
 is when none does:
@@ -142,6 +145,9 @@ SCHEMA_ERRORS = (
 )
 
 
+GOLDEN = ("sl2-golden", "verdicts-golden")
+
+
 @lru_cache(maxsize=None)
 def corpora() -> dict:
     """{key: [op]}, each op a `bench/workloads.py` `Op`; the fixed corpora
@@ -194,10 +200,17 @@ def _run(op):
     return "0", repr(sorted(repr(r) for r in roots)), ""
 
 
+def _row(op) -> list:
+    """[hash per stream] of one op."""
+    return [_short(repr((op.kind, op.argv, op.data))), *map(_short, _run(op))]
+
+
 def replay(key) -> list:
-    """[hash per stream] per op of one corpus."""
-    return [[_short(repr((op.kind, op.argv, op.data))), *map(_short, _run(op))]
-            for op in corpora().get(key, [])]
+    return [_row(op) for op in corpora().get(key, [])]
+
+
+def stored(key) -> list:
+    return json.loads(DIGEST.read_text()).get(key, [])
 
 
 def _keys(stored) -> list:
@@ -205,11 +218,16 @@ def _keys(stored) -> list:
     return list(corpora()) + [key for key in stored if key not in corpora()]
 
 
-def _mismatches(key, old, new) -> list:
+def _mismatches(key, old, new, indices=None) -> list:
+    """Lines naming each op whose replayed row in `new` differs from its
+    stored row in `old`; `new` holds the rows of the ops at `indices`, by
+    default all ops of the corpus."""
+    ops = corpora().get(key, [])
     lines = []
-    if len(old) != len(new):
-        lines.append(f"{key}: {len(old)} ops stored, {len(new)} replayed")
-    for index, (was, now) in enumerate(zip(old, new)):
+    if len(old) != len(ops):
+        lines.append(f"{key}: {len(old)} ops stored, {len(ops)} replayed")
+    for index, now in zip(range(len(new)) if indices is None else indices, new):
+        was = old[index] if index < len(old) else [None] * len(STREAMS)
         if was != now:
             changed = [s for s, a, b in zip(STREAMS, was, now) if a != b]
             shown = repr(corpora()[key][index].argv + corpora()[key][index].data)[:100]
@@ -217,27 +235,32 @@ def _mismatches(key, old, new) -> list:
     return lines
 
 
-def pytest_generate_tests(metafunc):
-    if "key" in metafunc.fixturenames:
-        metafunc.parametrize("key", _keys(json.loads(DIGEST.read_text())))
-
-
-def test_replay_digest_is_unchanged(key):
-    lines = _mismatches(key, json.loads(DIGEST.read_text()).get(key, []), replay(key))
+def check_replay(key, select=lambda op: True):
+    """Replay the ops of one corpus that `select` picks against their rows."""
+    ops = corpora().get(key, [])
+    indices = [index for index, op in enumerate(ops) if select(op)]
+    lines = _mismatches(key, stored(key), [_row(ops[index]) for index in indices], indices)
     assert not lines, f"{len(lines)} ops differ; first:\n" + "\n".join(lines[:5])
 
 
-def test_fixed_corpora_cover_their_recipes():
-    specs = golden_specs()
-    assert sum(any("i" in a for _, a in spec) for spec in specs) == 18
-    chains = golden_chains()
-    lengths = [len(factors) for _, _, factors in chains]
-    assert min(lengths) >= 1 and 35 <= max(lengths) <= 40
-    assert sum(any("i" in a for _, a in factors) for _, _, factors in chains) >= 12
-    assert sum(any("/2" in a for _, a in factors) for _, _, factors in chains) >= 12
-    reports = [json.loads(_cli(_verdict_argv("irreducible", chain, True))[1]) for chain in chains]
-    witnessed = [len(report["verdict"]["witnesses"]) > 0 for report in reports]
-    assert sum(witnessed) >= 12 and not all(witnessed)
+def check_golden_rows(key, count):
+    """A golden corpus has `count` stored rows, each of exit status 0 and empty stderr."""
+    rows = stored(key)
+    assert len(corpora()[key]) == len(rows) == count
+    assert all((status, stderr) == (_short("0"), _short("")) for _, status, _, stderr in rows)
+
+
+def pytest_generate_tests(metafunc):
+    if "key" in metafunc.fixturenames:
+        metafunc.parametrize("key", [key for key in _keys(json.loads(DIGEST.read_text()))
+                                     if key not in GOLDEN])
+
+
+def test_replay_digest_is_unchanged(key):
+    check_replay(key)
+
+
+def test_cli_corpus_errors_are_schema_errors():
     for argv in SCHEMA_ERRORS:
         status, out, err = _cli(argv)
         assert (status, out, err.count("\n")) == ("2", "", 1), argv
@@ -247,10 +270,9 @@ def test_fixed_corpora_cover_their_recipes():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_replay.py --write")
-    stored = json.loads(DIGEST.read_text())
     digest = {key: replay(key) for key in corpora()}
-    lines = [line for key in _keys(stored)
-             for line in _mismatches(key, stored.get(key, []), digest.get(key, []))]
+    lines = [line for key in _keys(json.loads(DIGEST.read_text()))
+             for line in _mismatches(key, stored(key), digest.get(key, []))]
     print("\n".join(lines) or f"all {sum(map(len, digest.values()))} ops match {DIGEST.name}")
     if lines:
         # One op to a line, so that a rewrite shows in a diff op by op.
