@@ -13,8 +13,9 @@ import math
 import os
 import sys
 from functools import cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import add
+from operator import add, mul, sub
 
 from . import __version__
 from .criteria import (
@@ -82,12 +83,15 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 (acceptance criterion 17) it takes 0.06-0.14 s
-# (13.7 MB of JSON), of which forming the 124,750 differences takes
-# 0.04-0.07 s and writing the JSON 0.015-0.022 s; with pairwise-distinct
-# six-digit denominators, where no part repeats, 0.34-0.44 s.  Both grow as
-# the square of the degree.  `check` finds its witnesses by a hash join and
-# takes 0.01-0.13 s at 500 factors (Python 3.11, one shared Xeon core).
+# at 500 roots on A4 and D5 (acceptance criterion 17), in sixths, it takes
+# 0.04-0.05 s (13.7 MB of JSON), of which forming the 124,750 differences
+# over the common denominator 6 takes 0.02-0.03 s and writing the audit's
+# JSON 0.014-0.017 s; with pairwise-distinct six-digit denominators, where
+# each pair is formed over its own denominator, 0.2-0.3 s, and with
+# 20-digit ones (criterion 24) 0.4-0.5 s (in-process `main` calls, Python
+# 3.11.7, two shared Xeon cores).  Both grow as the square of the degree.
+# `check` finds its witnesses by a hash join and takes 0.01-0.13 s at 500
+# factors (Python 3.11, one shared Xeon core).
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
@@ -274,9 +278,13 @@ def _emit(report: dict, as_json: bool, lines):
 
     The JSON is the text `json.dumps(report, indent=2, sort_keys=True)`
     prints, written by `_write_json` into one list of pieces that is
-    joined once, a `weyl` pair audit included.  With `indent` set, `json`
-    encodes in pure Python: on the 500-root `weyl` reports of
-    `MAX_FACTORS` it takes 0.53-0.94 s, against 0.03-0.05 s here."""
+    joined once, a `weyl` pair audit included: four pieces per pair, the
+    row's real part, its imaginary suffix and the texts that name i and j,
+    so no string is built per pair.  With `indent` set, `json` encodes in
+    pure Python: on the 500-root `weyl` reports of criterion 17 it takes
+    0.55-1.06 s, against 0.01-0.04 s here.  Nothing is printed before the
+    report is whole, so a `weyl` audit refused for a part too long to
+    print leaves stdout empty."""
     if as_json:
         print(_json_text(report))
     else:
@@ -285,9 +293,11 @@ def _emit(report: dict, as_json: bool, lines):
 
 
 class _PairAudit(list):
-    """A `weyl` pair audit: for i = 1 .. n-1, the list of the texts of
-    a_j - a_i for j = i+1 .. n, written as a list of row objects under a
-    top-level key of the report."""
+    """A `weyl` pair audit: for i = 1 .. n-1, the pair (real texts,
+    imaginary suffixes) of the differences a_j - a_i for j = i+1 .. n, two
+    lists of n - i strings whose sums are the printed differences (see
+    `_pair_audit`).  Written as a list of row objects under a top-level
+    key of the report."""
 
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
@@ -314,9 +324,10 @@ def _write_json(value, out: list, nl: str):
     """Append to `out` the pieces of `value` as `json.dumps(indent=2,
     sort_keys=True)` prints it; `nl` is a newline and the indent of the
     line that holds `value`.  Strings go through the C string encoder that
-    `json` uses, except the difference texts of a _PairAudit: they hold only
+    `json` uses, except the part texts of a _PairAudit: they hold only
     digits, "/", "+", "-" and "i", which the encoder would only quote, so
-    the row templates carry the quotes.  Any type but str, int, bool, None,
+    the row templates carry the quotes, and a row's difference is its real
+    text followed by its imaginary suffix.  Any type but str, int, bool, None,
     a dict with str keys, a list and a _PairAudit raises TypeError."""
     kind = type(value)
     if kind is str:
@@ -348,15 +359,18 @@ def _write_json(value, out: list, nl: str):
             sep = "," + inner
         out.append(nl + "]")
     elif kind is _PairAudit:
-        # Each i's rows are joined in one call, so that no bytecode runs per
-        # row: the text that names i goes between each difference and the
-        # text that names its j, which is prefixed to the next difference.
-        # The last row, (n-1, n), opens no next row.
+        # Each i's rows are laid out by slice assignment, so that no
+        # bytecode runs per row: the real part, the imaginary suffix, the
+        # text that names i and the text that names j, which opens the next
+        # row.  The last row, (n-1, n), opens no next row.
         named_j = [_AUDIT_J % j for j in range(len(value) + 2)]
         out.append(_AUDIT_OPEN)
-        for i, diffs in enumerate(value, 1):
-            out.append((_AUDIT_I % i).join(
-                [diffs[0], *map(add, named_j[i + 1:], diffs[1:]), named_j[-1]]))
+        for i, (reals, imags) in enumerate(value, 1):
+            row = [_AUDIT_I % i] * (4 * len(reals))
+            row[::4] = reals
+            row[1::4] = imags
+            row[3::4] = named_j[i + 1:]
+            out += row
         out[-1] = out[-1][:-len(_AUDIT_NEXT)] + "\n  ]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -411,52 +425,78 @@ def _cmd_info(args) -> int:
 
 
 def _pair_audit(chain: FactorChain) -> _PairAudit:
-    """The texts of a_j - a_i for every pair i < j of the chain, one list
-    per i: the JSON contract lists every pair.  No join runs, and every row
+    """The texts of a_j - a_i for every pair i < j of the chain, one row
+    per i, each the pair (real texts, imaginary suffixes) over j = i+1 .. n:
+    the JSON contract lists every pair.  No join runs, and every row
     reads "in_criterion_set": false: `order_factors` orders the chain by
     descending real part, so Re(a_j - a_i) <= 0 for i < j, and every
     criterion value is a positive half-integer.  (`check` runs the join.)
 
-    Each difference is taken over the denominator d = d_i * d_j and printed
-    with its parts in lowest terms, so it needs no reduction of its own.
-    The first pair over each d is formatted whole.  When d comes again, the
-    text is the real part's text followed by the imaginary suffix ("" or
-    "+...i" or "-...i"), each formatted once per (numerator, d): a chain
-    whose denominators and numerators repeat has far fewer distinct parts
-    than pairs, and one whose denominators never repeat makes no caches.
-    A part too long to print is refused at the first row that holds it,
-    the real part before the imaginary one, as when each whole difference
-    is formatted."""
+    Each part is printed in lowest terms, so any common denominator gives
+    the same text.  When the least common multiple L of the denominators
+    is no longer than the longest pair denominator d_i * d_j could be (in
+    bits, twice the longest d_i), every parameter is brought over L and a
+    row is two C-level maps over the numerator differences, each text
+    formed once per distinct numerator.  Otherwise, as on pairwise coprime
+    large denominators, where L would grow with the chain, each pair is
+    formatted over d_i * d_j.  A part too long to print is refused at the
+    first pair that holds it, the real part before the imaginary one: the
+    pairwise form runs in that order, and it runs again when the common
+    form meets such a part."""
     triples = [a.triple for _, a in chain.factors]
-    seen = set()  # each d met once so far
-    texts = {}  # each d met again -> ({real numerator: text}, {imaginary numerator: suffix})
-    audit = _PairAudit()
+    dens = [d for _, _, d in triples]
+    common = math.lcm(*dens)
+    if common.bit_length() <= 2 * max(dens).bit_length():
+        try:
+            return _common_audit(triples, common)
+        except ValueError:  # a part with more digits than str() converts
+            pass
     try:
-        for i, (r_i, m_i, d_i) in enumerate(triples[:-1], 1):
-            row = []
-            append = row.append
-            for r_j, m_j, d_j in triples[i:]:
-                d = d_i * d_j
-                re = r_j * d_i - r_i * d_j
-                im = m_j * d_i - m_i * d_j
-                parts = texts.get(d)
-                if parts is None:
-                    if d not in seen:
-                        seen.add(d)
-                        append(format_triple(re, im, d))
-                        continue
-                    parts = texts[d] = ({}, {})
-                reals, imags = parts
-                re_text = reals.get(re)
-                if re_text is None:
-                    re_text = reals[re] = rational_text(re, d)
-                im_text = imags.get(im)
-                if im_text is None:
-                    im_text = imags[im] = imaginary_suffix(im, d)
-                append(re_text + im_text)
-            audit.append(row)
-    except ValueError as exc:  # a part with more digits than str() converts
+        return _pairwise_audit(triples)
+    except ValueError as exc:
         raise _too_long(exc) from exc
+
+
+class _Texts(dict):
+    """Numerator n -> form(n, d), formed on the first lookup of n."""
+
+    __slots__ = ("form", "d")
+
+    def __init__(self, form, d: int):
+        self.form = form
+        self.d = d
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = self.form(n, self.d)
+        return text
+
+
+def _common_audit(triples, common: int) -> _PairAudit:
+    """The audit over the common denominator `common` of every parameter."""
+    scale = [common // d for _, _, d in triples]
+    reals = list(map(mul, [r for r, _, _ in triples], scale))
+    imags = list(map(mul, [m for _, m, _ in triples], scale))
+    real = _Texts(rational_text, common).__getitem__
+    imag = _Texts(imaginary_suffix, common).__getitem__
+    return _PairAudit(
+        (list(map(real, map(sub, reals[i:], repeat(reals[i - 1])))),
+         list(map(imag, map(sub, imags[i:], repeat(imags[i - 1])))))
+        for i in range(1, len(triples))
+    )
+
+
+def _pairwise_audit(triples) -> _PairAudit:
+    """The audit with each pair over its own denominator d_i * d_j."""
+    audit = _PairAudit()
+    for i, (r_i, m_i, d_i) in enumerate(triples[:-1], 1):
+        parts = [
+            text
+            for r_j, m_j, d_j in triples[i:]
+            for d in (d_i * d_j,)
+            for text in (rational_text(r_j * d_i - r_i * d_j, d),
+                         imaginary_suffix(m_j * d_i - m_i * d_j, d))
+        ]
+        audit.append((parts[::2], parts[1::2]))
     return audit
 
 
@@ -486,7 +526,8 @@ def _cmd_weyl(args) -> int:
         f"dimension = {body['dimension']}",
         "pair audit (i < j, difference, in criterion set):",
         *(f"  ({i},{j}) diff {d} -> False"
-          for i, row in enumerate(audit, 1) for j, d in enumerate(row, i + 1)),
+          for i, (reals, imags) in enumerate(audit, 1)
+          for j, d in enumerate(map(add, reals, imags), i + 1)),
     ]
     _emit(_report("weyl", body), args.json, lines)
     return 0

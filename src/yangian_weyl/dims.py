@@ -7,7 +7,7 @@ from math import comb
 from typing import Tuple
 
 from .drinfeld import DrinfeldTuple, FactorChain
-from .rootsys import LieType
+from .rootsys import LieType, all_nodes
 
 # How the Yangian fundamental module at a G2 node decomposes over the
 # underlying Lie algebra.  Node 2 restricts irreducibly.  Node 1 is not
@@ -67,17 +67,22 @@ def yangian_fundamental_dim(t: LieType, i: int) -> int:
     return sum(mult * _summand_dim(t, idx) for idx, mult in row)
 
 
+def _power_product(t: LieType, degrees) -> int:
+    """prod_i dim(fundamental module at node i) ** degrees[i - 1], one
+    table lookup per node that occurs."""
+    out = 1
+    for node, degree in enumerate(degrees, start=1):
+        if degree:
+            out *= yangian_fundamental_dim(t, node) ** degree
+    return out
+
+
 def weyl_module_dim(pi: DrinfeldTuple) -> int:
     """prod_i dim(fundamental module at node i) ** deg(pi_i)."""
-    out = 1
-    for node, degree in enumerate(pi.degrees, start=1):
-        if degree:
-            out *= yangian_fundamental_dim(pi.lie_type, node) ** degree
-    return out
+    return _power_product(pi.lie_type, pi.degrees)
 
 
 def chain_dim(chain: FactorChain) -> int:
-    out = 1
-    for node, _ in chain.factors:
-        out *= yangian_fundamental_dim(chain.lie_type, node)
-    return out
+    """The product of the dimensions of the chain's factors."""
+    nodes = [node for node, _ in chain.factors]
+    return _power_product(chain.lie_type, map(nodes.count, all_nodes(chain.lie_type)))

@@ -13,7 +13,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -680,3 +680,47 @@ def test_criterion_23_identities_on_eight_factors(capsys):
         assert main(["sl2", doc, "--verify", "identities", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
     assert report["relations_hold"] is True and report["failures"] == []
+
+
+def _fraction_text(x: F) -> str:
+    """x as the reports print a rational part, without the package's scalar
+    code."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def test_criterion_24_weyl_audit_over_distinct_denominators(capsys):
+    # 500 roots, the most `weyl` accepts, whose 20-digit denominators
+    # differ pairwise: their common denominator would have about 10,000
+    # digits, so the audit forms each pair over its own d_i * d_j.  The
+    # budget is criterion 17's.
+    from yangian_weyl.cli import MAX_FACTORS
+
+    rng = random.Random(24)
+    dens = set()
+    while len(dens) < MAX_FACTORS:
+        dens.add(rng.randrange(10**19, 10**20))
+    polys = {}
+    for d in sorted(dens):
+        text = f"{rng.randrange(-10 * d, 10 * d)}/{d}"
+        if rng.random() < 0.5:
+            text += f"{rng.choice('+-')}{rng.randrange(1, 10 * d)}/{d}i"
+        polys.setdefault(str(rng.randint(1, 4)), []).append(text)
+    doc = json.dumps({"type": "A", "rank": 4, "polys": polys})
+    with _Timer("criterion 24: weyl audit over 500 distinct 20-digit denominators", limit=3.0):
+        assert main(["weyl", doc, "--json"]) == 0
+        out = capsys.readouterr().out
+    report = json.loads(out)
+    parts = []
+    for f in report["chain"]:
+        re, _, im = f["a"].replace("-", "+-").lstrip("+").partition("+")
+        parts.append((F(re), F(im.rstrip("i") or 0)))
+    audit = report["pair_audit"]
+    assert [(row["i"], row["j"]) for row in audit] == list(
+        combinations(range(1, MAX_FACTORS + 1), 2))
+    for k in rng.sample(range(len(audit)), 2000):
+        row = audit[k]
+        (re_i, im_i), (re_j, im_j) = parts[row["i"] - 1], parts[row["j"] - 1]
+        re, im = re_j - re_i, im_j - im_i
+        want = _fraction_text(re) if not im else (
+            f"{_fraction_text(re)}{'+' if im > 0 else '-'}{_fraction_text(abs(im))}i")
+        assert (row["difference"], row["in_criterion_set"]) == (want, False)

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from itertools import count
+from math import lcm
 from pathlib import Path
 from unittest import mock
 
@@ -23,9 +25,12 @@ from yangian_weyl.cli import (
     MAX_FACTORS,
     MAX_RANK,
     SchemaError,
+    _common_audit,
     _emit,
     _pair_audit,
+    _pairwise_audit,
     _table_parse,
+    _triple_str,
     build_parser,
     chain_to_doc,
     main,
@@ -339,6 +344,43 @@ def test_refused_weyl_prints_nothing(capsys, doc):
         assert "schema error at : output scalar too long to print" in captured.err
 
 
+def test_weyl_refuses_the_first_too_long_part(capsys):
+    # Pair (1, 2) has a real part -1 and an imaginary part 2X = 10^4300, one
+    # digit too long; pair (1, 3), later in the same row, has a real part
+    # -14 * 10^4299, also too long.  The common form meets the real part of
+    # (1, 3) first, as it forms a row's real parts before its imaginary
+    # ones.  The refusal is that of the pairwise form, which runs next and
+    # meets the imaginary part of (1, 2) first, as the oracle's order does.
+    import yangian_weyl.cli as cli
+
+    x = int(_X)
+    roots = [f"{x}-{x}i", f"{x - 1}+{x}i", f"{-9 * 10**4299}"]
+    doc = json.dumps({"type": "A", "rank": 1, "polys": {"1": roots}})
+    chain = order_factors(parse_tuple_doc(json.loads(doc)))
+    assert [format_scalar(a) for _, a in chain.factors] == roots
+    with pytest.raises(SchemaError) as first:
+        _triple_str(-1, 2 * x, 1)
+    raised = []  # (formatter, numerator) of each part too long to print
+
+    def spy(form):
+        def call(n, d):
+            try:
+                return form(n, d)
+            except ValueError:
+                raised.append((form.__name__, n))
+                raise
+        return call
+
+    with mock.patch.object(cli, "rational_text", spy(cli.rational_text)), \
+            mock.patch.object(cli, "imaginary_suffix", spy(cli.imaginary_suffix)):
+        for flags in ([], ["--json"]):
+            assert main(["weyl", doc, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"schema error at {first.value}\n"
+    assert raised == [("rational_text", -14 * 10**4299), ("imaginary_suffix", 2 * x)] * 2
+
+
 def test_dash_reads_the_document_from_stdin(capsys, monkeypatch):
     doc = '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2","3-1i"]}}'
     for flags in ([], ["--json"]):
@@ -468,13 +510,17 @@ def test_weyl_json_is_what_json_dumps_prints(doc):
         (i, j, False) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-# Pairwise coprime and repeated denominators up to 10^6, and numerators of
-# one or two digits or of 201-301 digits.
-_audit_parts = st.builds(
-    Fraction,
-    st.integers(-12, 12) | st.builds(int.__mul__, st.integers(10**200, 10**300),
-                                     st.sampled_from([1, -1])),
+# Numerators of one or two digits or of 201-301 digits, over one of two
+# denominator pools: pairwise coprime and repeated denominators up to 10^6,
+# or seven primes near 10^9.  Over enough of those primes the common
+# denominator of the parts has more than twice the bits of the longest one,
+# and `_pair_audit` forms each pair over its own denominator.
+_audit_numerators = st.integers(-12, 12) | st.builds(
+    int.__mul__, st.integers(10**200, 10**300), st.sampled_from([1, -1]))
+_audit_denominators = (
     st.sampled_from([1, 2, 3, 5, 6, 7, 12, 999_983, 10**6]) | st.integers(1, 10**6),
+    st.sampled_from([999_999_751, 999_999_797, 999_999_883, 999_999_893, 999_999_929,
+                     999_999_937, 1_000_000_007]),
 )
 
 
@@ -487,9 +533,10 @@ def _audit_chains(draw):
     criterion set."""
     family, rank = draw(st.sampled_from(
         [("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G2", 2)]))
-    reals = draw(st.lists(_audit_parts, min_size=1, max_size=4))
-    imags = [Fraction(0)] + draw(st.lists(_audit_parts, max_size=3))
-    base = draw(_audit_parts)
+    parts = st.builds(Fraction, _audit_numerators, draw(st.sampled_from(_audit_denominators)))
+    reals = draw(st.lists(parts, min_size=1, max_size=4))
+    imags = [Fraction(0)] + draw(st.lists(parts, max_size=3))
+    base = draw(parts)
     factors = []
     for _ in range(draw(st.integers(1, 30))):
         if draw(st.booleans()):
@@ -503,19 +550,30 @@ def _audit_chains(draw):
     return order_factors(DrinfeldTuple.from_dict(lie_type(family, rank), polys))
 
 
+def _audit_rows(audit) -> list:
+    """The (i, j, difference) rows of a `_pair_audit` result."""
+    rows = []
+    for i, (reals, imags) in enumerate(audit, 1):
+        assert len(reals) == len(imags) == len(audit) + 1 - i
+        rows += [(i, j, re + im) for j, re, im in zip(count(i + 1), reals, imags)]
+    return rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(_audit_chains())
 def test_pair_audit_is_the_oracle_audit(chain):
-    # The audit formats the first difference over each denominator whole,
-    # and each part of a later one once per (numerator, denominator), and
-    # runs no join; the oracle formats every whole difference and joins
-    # the chain with its criterion sets, which on an ordered chain finds
-    # no pair.
+    # The audit forms every part over the common denominator of the chain,
+    # or each pair over its own, and runs no join; the oracle formats every
+    # whole difference and joins the chain with its criterion sets, which
+    # on an ordered chain finds no pair.  Each form, whichever the chain
+    # selects, gives the oracle's texts.
     expected = pair_audit(chain)
     assert not any(hit for _, _, _, hit in expected)
+    triples = [a.triple for _, a in chain.factors]
     audit = _pair_audit(chain)
-    assert [(i, j, d, False) for i, row in enumerate(audit, 1)
-            for j, d in enumerate(row, i + 1)] == expected
+    common = lcm(*(d for _, _, d in triples))
+    for rows in (audit, _common_audit(triples, common), _pairwise_audit(triples)):
+        assert [(*row, False) for row in _audit_rows(rows)] == expected
     # The writer.
     rows = [{"i": i, "j": j, "difference": d, "in_criterion_set": hit}
             for i, j, d, hit in expected]
@@ -535,6 +593,40 @@ def test_pair_audit_is_the_oracle_audit(chain):
     report = json.loads(out.getvalue())
     assert [(r["i"], r["j"], r["difference"], r["in_criterion_set"])
             for r in report["pair_audit"]] == expected
+
+
+@pytest.mark.parametrize(
+    "polys,calls",
+    [
+        # Sixths: the common denominator 6 is no longer than 6 * 6.
+        ({"1": ["1/2", "-1/3+5/6i", "7"], "2": ["1/6-1i"]}, (1, 0)),
+        # Two coprime denominators: their product is the longest pair's.
+        ({"1": ["1/999999937", "2/1000000007+1/999999937i"]}, (1, 0)),
+        # Three primes near 10^9: a pair's product has at most 60 bits, the
+        # common denominator 90.
+        ({"1": ["1/999999937", "2/1000000007", "-3/999999929+1/999999929i"]}, (0, 1)),
+        # The common form meets a part too long to print, and the pairwise
+        # form, which names it, runs again.
+        ({"1": ["0", "1", "5" + "0" * 4299, "-5" + "0" * 4299]}, (1, 1)),
+    ],
+    ids=["sixths", "two-primes", "three-primes", "too-long"],
+)
+def test_pair_audit_form_follows_the_denominators(polys, calls):
+    # The form is selected from the input alone: the common denominator of
+    # every part when it is no longer, in bits, than twice the longest
+    # denominator, else each pair over its own.
+    import yangian_weyl.cli as cli
+
+    chain = order_factors(parse_tuple_doc({"type": "A", "rank": 2, "polys": polys}))
+    with mock.patch.object(cli, "_common_audit", wraps=_common_audit) as common, \
+            mock.patch.object(cli, "_pairwise_audit", wraps=_pairwise_audit) as pairwise:
+        try:
+            audit = _pair_audit(chain)
+        except SchemaError:
+            audit = None
+    assert (common.call_count, pairwise.call_count) == calls
+    if audit is not None:
+        assert [(*row, False) for row in _audit_rows(audit)] == pair_audit(chain)
 
 
 def test_pair_audit_of_the_ordered_chain_has_no_hits(capsys):
