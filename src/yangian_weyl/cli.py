@@ -26,7 +26,7 @@ from .criteria import (
     irreducibility_guaranteed,
 )
 from .dims import (
-    chain_dim,
+    chain_dim,  # unused here; bench/spans.py wraps this name
     lie_fundamental_dim,
     weyl_module_dim,
     yangian_fundamental_dim,
@@ -66,15 +66,15 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
-# node involution of `info` and `check --mode irreducible` runs every
+# node involution of `info` and of the criterion-set check runs every
 # fundamental weight through the longest word, O(l^2) letters, and `ssets`
 # derives the ledger of every node), so `ssets` sets the bound.  At rank 64,
-# with the per-type caches empty, `ssets --json` takes 0.2 s on A64 and
-# 0.6-0.7 s on B64, C64 and D64, against 0.03-0.08 s at rank 32 and
-# 0.35-1.4 s at rank 80; `info` and `check --mode irreducible` take at most
-# 0.045 s at rank 64 (in-process `main` calls; Python 3.11, one shared Xeon
-# core).  The demos and the benchmark use rank 12 at most; the tests reach
-# rank 64.
+# with the per-type caches empty, `ssets --json` takes 0.25 s on A64 and
+# 0.7 s on B64, C64 and D64, against 0.03-0.08 s at rank 32 and 0.35-1.4 s
+# at rank 80; `info`, and `check` in either mode on two factors that share
+# a bucket of the join (so that it reads their sets), take at most 0.04 s
+# at rank 64 (in-process `main` calls; Python 3.11, one shared Xeon core).
+# The demos and the benchmark use rank 12 at most; the tests reach rank 64.
 MAX_RANK = 64
 # Largest `sl2 --order`: the series check applies h_0 and h_1 to a vector of
 # the second weight space up to `order` times, then runs the x_k^+ ladder as
@@ -517,8 +517,7 @@ def _cmd_weyl(args) -> int:
         "pair_audit": audit,
     }
     roots = ((node, r) for node, row in enumerate(pi.roots, 1) for r in row)
-    if (_root_multiset(chain.factors) != _root_multiset(roots)
-            or chain_dim(chain) != body["dimension"]):
+    if _root_multiset(chain.factors) != _root_multiset(roots):
         raise RuntimeError("ordered factorization does not reproduce the input module")
     lines = lambda: [
         f"ordered factorization over {chain.lie_type}:",

@@ -602,12 +602,17 @@ def test_criterion_20_ssets_at_max_rank(capsys):
 
 
 def test_criterion_21_involution_at_max_rank(capsys):
-    # `info` prints the node involution i -> -w0(i), and the duality check
-    # of `check --mode irreducible` twists the dual chain's nodes by it; at
-    # rank 64 the longest word has up to 4,096 letters.  The factors'
-    # imaginary parts differ pairwise, so the chain has no witness and the
-    # duality check builds the dual chain.  Every per-type cache is cleared
-    # before each call, so each call derives its tables afresh.
+    # `info` prints the node involution i -> -w0(i), walking every
+    # fundamental weight through the longest word, which has up to 4,096
+    # letters at rank 64.  The irreducible call's factors have pairwise
+    # distinct imaginary parts, so the join makes no lookup: it reads no
+    # criterion set and builds no dual chain.  The cyclic calls put two
+    # factors in one bucket of the join, so they read the sets of both
+    # nodes, and with them run the table check S(p, q) = S(nu p, nu q),
+    # which walks nu and reads the ledger of nu(p) too: the end nodes of
+    # A64 and the spinor nodes of D63, the largest odd rank of type D, are
+    # swapped by nu.  Every per-type cache is cleared before each call, so
+    # each call derives its tables afresh.
     import yangian_weyl.criteria as crit
     import yangian_weyl.dims as dims
     import yangian_weyl.rootsys as rs
@@ -639,6 +644,20 @@ def test_criterion_21_involution_at_max_rank(capsys):
         expected = {i: rank + 1 - i if family == "A" else i for i in range(1, rank + 1)}
         assert info["involution"] == {str(i): j for i, j in expected.items()}
         assert check["verdict"] == {"guaranteed": True, "exact": family == "A", "witnesses": []}
+    for family, rank in (("A", MAX_RANK), ("D", MAX_RANK - 1)):
+        t = lie_type(family, rank)
+        b_m, b_n = (1, rank) if family == "A" else (rank - 1, rank)
+        s = format_scalar(G(min(closed_form_set(t, b_m, b_n))))
+        doc = json.dumps({"type": family, "rank": rank, "factors": [
+            {"node": b_m, "a": "0"}, {"node": b_n, "a": s}]})
+        for f in cached:
+            f.cache_clear()
+        capsys.readouterr()
+        with _Timer(f"criterion 21: check --mode cyclic on {t}", limit=0.25):
+            assert main(["check", doc, "--mode", "cyclic", "--json"]) == 0
+            check = json.loads(capsys.readouterr().out)
+        assert check["verdict"] == {"guaranteed": False, "exact": False,
+                                    "witnesses": [{"i": 1, "j": 2, "difference": s}]}
 
 
 def test_criterion_22_ordering_with_distinct_large_denominators():

