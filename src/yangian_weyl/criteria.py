@@ -50,6 +50,7 @@ class Verdict:
     witnesses: Tuple[Tuple[int, int, GaussianRational], ...]
 
 
+@lru_cache(maxsize=None, typed=True)
 def _ledger_sets(t: LieType, p: int):
     """The sets 2 S(p, q) for q = 1..l, as ascending tuples of integers.
 

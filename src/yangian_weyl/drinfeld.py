@@ -3,16 +3,14 @@
 Polynomials are represented by their root multisets; monicity is
 structural.  The highest-weight eigenvalue series of a root multiset and
 its inverse live here too: the inverse recovers the polynomial from a
-series by forward substitution and its roots by a pruned divisor search
-in Z[i] that leaves the last quadratic to the formula.
+series by forward substitution and its roots by a p-adic lift in Z[i]
+that leaves the last quadratic to the formula.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
-from heapq import heappop, heappush
-from math import comb, gcd, isqrt
+from itertools import count
+from math import comb, gcd, isqrt, perm
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .exact import (
@@ -171,7 +169,11 @@ def series_to_roots(series: Series, degree: int, d: int) -> Tuple[GaussianRation
     Q(u+d)/Q(u) matching the series, returned as its root multiset.
 
     The coefficients of Q follow from the series by forward substitution,
-    one division each; roots must lie in Q(i).
+    one division each; roots must lie in Q(i).  They are lifted from the
+    roots of Q mod a Gaussian prime pi to roots mod a power of pi, each
+    kept only if it divides Q exactly (see `_lift_roots`); every root is
+    found whenever Q splits over Q(i), and fewer than `degree` otherwise,
+    which the count below refuses.
 
     A series of order below 2*degree is refused, the bound of the windowed
     linear solve that forward substitution replaced.  The substitution
@@ -254,112 +256,124 @@ def _drinfeld_polynomial(coeffs, degree: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Root extraction over Q(i) via the rational root theorem in Z[i].
+# Root extraction over Q(i) by a p-adic lift in Z[i].
 
 
 def _gaussian_rational_roots(poly) -> list:
-    """Roots in Q(i) of sum poly[j] u^j, with multiplicity.
+    """Roots in Q(i) of sum poly[j] u^j, with multiplicity: all of them
+    when the polynomial splits over Q(i), and fewer than its degree when it
+    does not.
 
     poly lists Gaussian-integer pairs from the constant term up, and its
-    leading coefficient is nonzero.  After the roots at 0 come off, a
-    longer remainder goes to a divisor search: over Z[i] a root p/q in
-    lowest terms has q*u - p dividing the polynomial (Gauss's lemma), so p
-    divides its constant and q its leading coefficient.  One pass over
-    these candidates finds every root, each tried until it stops dividing,
-    and `_divide_linear` is the exact test of each.  A remainder of degree
-    1 or 2, whether deflated to it or given, is solved by formula: the
-    last two roots are never searched for, and the constant of a quadratic
-    is never factored.
+    leading coefficient lc is nonzero.  After the roots at 0 come off, the
+    roots are read off the monic g(w) = lc^(n-1) poly(w/lc): its roots are
+    w = lc*u, and as Z[i] is integrally closed, those in Q(i) lie in Z[i].
+    A g of degree 3 or more goes to `_lift_roots`, and a remainder of
+    degree 1 or 2, whether deflated to it or given, is solved by formula.
     """
     roots = []
     while len(poly) > 1 and poly[0] == (0, 0):
         roots.append(ZERO)
         poly = poly[1:]
-    if len(poly) > 3:
-        poly = _divisor_search(poly, roots)
-    if len(poly) == 2:
-        roots.append(_gi_to_scalar((-poly[0][0], -poly[0][1]), poly[1]))
-    elif len(poly) == 3:
-        (c0_re, c0_im), (c1_re, c1_im), (c2_re, c2_im) = poly
-        # w^2 = c1^2 - 4 c0 c2 in Z[i], or no root in Q(i): Z[i] is
-        # integrally closed, so a square root in Q(i) lies in Z[i].
-        w = _gi_sqrt((
-            c1_re * c1_re - c1_im * c1_im - 4 * (c0_re * c2_re - c0_im * c2_im),
-            2 * c1_re * c1_im - 4 * (c0_re * c2_im + c0_im * c2_re),
-        ))
-        if w is not None:
-            den = (2 * c2_re, 2 * c2_im)
-            roots.append(_gi_to_scalar((w[0] - c1_re, w[1] - c1_im), den))
-            roots.append(_gi_to_scalar((-w[0] - c1_re, -w[1] - c1_im), den))
+    lc = poly[-1]
+    g, power = [(1, 0)], (1, 0)
+    for c in reversed(poly[:-1]):  # g_j = poly_j lc^(n-1-j)
+        g.append(_gi_mul(c, power))
+        power = _gi_mul(power, lc)
+    g.reverse()
+    if len(g) > 3:
+        # Cauchy's bound on |u| gives N(w) <= bound / 4.
+        bound = 4 * _cauchy_square(_gi_norm(lc), max(_gi_norm(c) for c in poly[:-1]))
+        g = _lift_roots(g, lc, bound, roots)
+    if len(g) == 2:
+        roots.append(_gi_to_scalar((-g[0][0], -g[0][1]), lc))
+    elif len(g) == 3:
+        (c0_re, c0_im), (c1_re, c1_im), _ = g
+        # s^2 = c1^2 - 4 c0 in Z[i], or no root in Q(i): Z[i] is integrally
+        # closed, so a square root in Q(i) lies in Z[i].
+        s = _gi_sqrt((c1_re * c1_re - c1_im * c1_im - 4 * c0_re, 2 * c1_re * c1_im - 4 * c0_im))
+        if s is not None:
+            den = (2 * lc[0], 2 * lc[1])
+            roots.append(_gi_to_scalar((s[0] - c1_re, s[1] - c1_im), den))
+            roots.append(_gi_to_scalar((-s[0] - c1_re, -s[1] - c1_im), den))
     return roots
 
 
-def _divisor_search(poly, roots):
-    """Deflate poly (degree at least 3, poly(0) != 0) by the roots p/q
-    that the divisor search finds, appending each to `roots`, until none
-    is left or the remainder has degree 2; return the remainder."""
-    # Cauchy's bound on |root| and on |1/root| limits N(p)/N(q) to a window.
-    norms = [_gi_norm(c) for c in poly]
-    upper = _cauchy_square(norms[-1], max(norms[:-1]))
-    lower = _cauchy_square(norms[0], max(norms[1:]))
-    denominators = list(_gaussian_divisors(poly[-1]))
-    denominator_norms = [norm for norm, _ in denominators]
-    # Every prune reads the deflated remainder Q.  A factor's constant and
-    # leading coefficients divide Q's, and if q*u - p divides Q in Z[i][u],
-    # then q*t - p divides Q(t) for every t in Z[i]: at the four units
-    # that skips most candidates before the division, and skips only
-    # candidates it would reject.
-    at_one, at_minus_one, at_i, at_minus_i = _gi_values_at_units(poly)
-    for p_norm, (a, b) in _gaussian_divisors(poly[0]):
-        if not _gi_divides(a, b, poly[0]):
+def _lift_roots(g, lc, bound, roots):
+    """Deflate the monic g (degree at least 3) by its roots w in Z[i],
+    appending each w/lc to `roots`, until the remainder has degree 2 or
+    is found not to split; return the remainder.  N(w) < bound/4 for every
+    root w.
+
+    Over the primes p = 1 mod 4 above the degree, with p = pi * conj(pi),
+    the roots of g mod pi are found by trying every residue.  If their
+    multiplicities fall short of the degree, g does not split: a
+    polynomial that splits over Q(i) splits mod pi.  A residue t of
+    multiplicity mu is a simple root of the (mu-1)-th derivative, and
+    Newton's method lifts it to a root mod pi^k with p^k > bound.  The
+    nearest point of that class is w if the mu roots above t are one root
+    w; `_divide_linear` is the exact test.  Where it fails, two roots
+    share the residue, and the next prime takes them: two distinct roots
+    meet mod only finitely many primes.  A g that does not split fails to
+    split mod a positive share of the primes (Chebotarev), so the loop
+    ends either way.
+    """
+    for p in count(len(g) + (1 - len(g)) % 4, 4):
+        if any(p % f == 0 for f in range(3, isqrt(p) + 1, 2)):
             continue
-        first = bisect_left(denominator_norms, -(-norms[-1] * p_norm // upper))
-        last = bisect_right(denominator_norms, lower * p_norm // norms[0])
-        for _, q in denominators[first:last]:
-            q_re, q_im = q
-            if not _gi_divides(q_re, q_im, poly[-1]):
-                continue
-            for num in ((a, b), (-a, -b), (-b, a), (b, -a)):  # p times each unit
-                p_re, p_im = num
-                while (
-                    _gi_divides(q_re - p_re, q_im - p_im, at_one)
-                    and _gi_divides(-q_re - p_re, -q_im - p_im, at_minus_one)
-                    and _gi_divides(-q_im - p_re, q_re - p_im, at_i)
-                    and _gi_divides(q_im - p_re, -q_re - p_im, at_minus_i)
-                    and (quotient := _divide_linear(poly, q, num)) is not None
-                ):
-                    roots.append(_gi_to_scalar(num, q))
-                    poly = quotient
-                    if len(poly) == 3:
-                        return poly
-                    at_one, at_minus_one, at_i, at_minus_i = _gi_values_at_units(poly)
-    return poly
+        # Z[i]/pi^k is Z/m, m = p^k = A^2 + B^2 for pi^k = A + Bi, with i
+        # sent to -A/B.
+        a, b = _two_squares(p)
+        big_a, big_b = a, b
+        while big_a * big_a + big_b * big_b <= bound:
+            big_a, big_b = big_a * a - big_b * b, big_a * b + big_b * a
+        m = big_a * big_a + big_b * big_b
+        iota = -big_a * pow(big_b, -1, m) % m
+        image = [(re + im * iota) % m for re, im in g]
+        # The k-th derivatives; with k! a unit mod p, t is a root of the
+        # k-th exactly when its multiplicity in g mod pi exceeds k.
+        derivatives = [[perm(j, k) * c for j, c in enumerate(image[k:], k)] for k in range(len(g))]
+        residues = []
+        for t in range(p):
+            mu = 0
+            while not _value(derivatives[mu], t, p):
+                mu += 1
+            if mu:
+                residues.append((t, mu))
+        if sum(mu for _, mu in residues) < len(g) - 1:
+            return g
+        for t, mu in residues:
+            r = _newton(derivatives[mu - 1], derivatives[mu], t, p, m)
+            # w = r - pi^k (x + yi), with x + yi the nearest point to r / pi^k.
+            x = (2 * r * big_a + m) // (2 * m)
+            y = (m - 2 * r * big_b) // (2 * m)
+            w = (r - big_a * x + big_b * y, -big_a * y - big_b * x)
+            for _ in range(mu):
+                quotient = _divide_linear(g, (1, 0), w)
+                if quotient is None:
+                    break
+                g = quotient
+                roots.append(_gi_to_scalar(w, lc))
+                if len(g) == 3:
+                    return g
 
 
-def _gi_values_at_units(poly):
-    """poly(1), poly(-1), poly(i) and poly(-i) for poly a list of
-    Gaussian-integer pairs."""
-    (s0_re, s0_im), (s1_re, s1_im), (s2_re, s2_im), (s3_re, s3_im) = [
-        (sum(c[0] for c in poly[k::4]), sum(c[1] for c in poly[k::4])) for k in range(4)
-    ]
-    # poly(t) = s0 + s1 t + s2 t^2 + s3 t^3 for t^4 = 1, s_k the sum of
-    # the coefficients of degree k mod 4.
-    e_re, e_im, o_re, o_im = s0_re + s2_re, s0_im + s2_im, s1_re + s3_re, s1_im + s3_im
-    x_re, x_im, y_re, y_im = s0_re - s2_re, s0_im - s2_im, s1_re - s3_re, s1_im - s3_im
-    return (
-        (e_re + o_re, e_im + o_im),
-        (e_re - o_re, e_im - o_im),
-        (x_re - y_im, x_im + y_re),
-        (x_re + y_im, x_im - y_re),
-    )
+def _value(f, t: int, m: int) -> int:
+    """sum f[j] t^j mod m."""
+    v = 0
+    for c in reversed(f):
+        v = (v * t + c) % m
+    return v
 
 
-def _gi_divides(re: int, im: int, z) -> bool:
-    """Whether re + im*i divides z in Z[i]; 0 divides only 0."""
-    norm = re * re + im * im
-    if not norm:
-        return z == (0, 0)
-    return not (z[0] * re + z[1] * im) % norm and not (z[1] * re - z[0] * im) % norm
+def _newton(f, df, t: int, p: int, m: int) -> int:
+    """The root mod m (a power of p) of f above t, a simple root of f mod
+    p, by Newton steps that square the modulus; df is f'."""
+    r, q = t, p
+    while q < m:
+        q = min(q * q, m)
+        r = (r - _value(f, r, q) * pow(_value(df, r, q), -1, q)) % q
+    return r
 
 
 def _gi_sqrt(z):
@@ -416,121 +430,11 @@ def _gi_norm(a) -> int:
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _gi_divmod_exact(a, b):
-    """a / b in Z[i] if exact, else None."""
-    n = _gi_norm(b)
-    re = a[0] * b[0] + a[1] * b[1]
-    im = a[1] * b[0] - a[0] * b[1]
-    if re % n or im % n:
-        return None
-    return (re // n, im // n)
-
-
 def _gi_to_scalar(num, den):
     """num / den for Gaussian integers num and den != 0."""
     return _reduced(
         num[0] * den[0] + num[1] * den[1], num[1] * den[0] - num[0] * den[1], _gi_norm(den)
     )
-
-
-def _gaussian_prime_factors(z):
-    """Gaussian prime factors of z (unit part dropped)."""
-    # Factoring the integer content and the norm of the primitive part
-    # apart keeps trial division at the square root of each: for a rational
-    # prime z, N(z) = z^2 would send it to z itself.
-    content = gcd(*z)
-    rational = set(_prime_factors(content)) | set(_prime_factors(_gi_norm(z) // content**2))
-    primes = []
-    for p in sorted(rational):
-        if p == 2:
-            candidates = [(1, 1)]
-        elif p % 4 == 3:
-            candidates = [(p, 0)]
-        else:
-            x, y = _two_squares(p)
-            candidates = [(x, y), (x, -y)]
-        for pi in candidates:
-            while True:
-                q = _gi_divmod_exact(z, pi)
-                if q is None:
-                    break
-                primes.append(pi)
-                z = q
-    return primes
-
-
-def _gaussian_divisors(z):
-    """Yield (norm, divisor) for the divisors of z in Z[i] (z nonzero), one
-    per class of associates, lazily and by ascending norm."""
-    # The primes are pairwise non-associate, so no product repeats.  Only
-    # the divisor with one factor fewer of its last prime pushes a divisor,
-    # so each is pushed once, and no divisor is popped before a smaller one.
-    primes = list(Counter(_gaussian_prime_factors(z)).items())
-    heap = [(1, (1, 0), 0, 0)]  # norm, divisor, last prime, its exponent
-    while heap:
-        norm, div, last, exponent = heappop(heap)
-        yield norm, div
-        for i in range(last, len(primes)):
-            prime, mult = primes[i]
-            k = exponent if i == last else 0
-            if k < mult:
-                heappush(heap, (norm * _gi_norm(prime), _gi_mul(div, prime), i, k + 1))
-
-
-_TRIAL_BOUND = 1000
-# Miller-Rabin on the primes 2..41 decides primality exactly below this.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_WITNESSES_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-def _prime_factors(n: int) -> list:
-    """Prime factors of |n| with multiplicity, ascending.
-
-    Trial division; past `_TRIAL_BOUND` each new cofactor is tested once
-    for primality, so a large prime cofactor ends the search at once."""
-    out = []
-    n = abs(n)
-    f = 2
-    tested = False  # n has failed the primality test since it last changed
-    while f * f <= n:
-        if n % f == 0:
-            while n % f == 0:
-                out.append(f)
-                n //= f
-            tested = False
-        if f > _TRIAL_BOUND and not tested:
-            if _proven_prime(n):
-                break
-            tested = True
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _proven_prime(n: int) -> bool:
-    """True if n is prime, False if it is not or if n is too large for the
-    fixed witnesses to decide: no answer rests on chance."""
-    if n < 2 or n >= _WITNESSES_EXACT_BELOW:
-        return False
-    for p in _WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _two_squares(p: int):

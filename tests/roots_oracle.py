@@ -4,25 +4,25 @@
 Q(u+d)/Q(u) as `yangian_weyl.drinfeld.series_to_roots` did at first: it
 equates every computable Laurent coefficient in a windowed linear system
 and solves it with `exact.solve_linear`, where the package forward-
-substitutes the coefficients of Q.  Its `divisor_search_roots` then tries
-every candidate root p/q of the original polynomial with a full division,
-down to the last root; the package prunes the candidates against the
-deflated polynomial and solves the last quadratic by the formula.
+substitutes the coefficients of Q.  Its `divisor_search_roots` then finds
+the roots by the rational root theorem in Z[i], as the package did before
+it lifted them p-adically: a root p/q in lowest terms has q*u - p dividing
+the polynomial (Gauss's lemma), so p divides its constant and q its
+leading coefficient, and every such candidate goes to a full division,
+down to the last root.  The divisors come from factoring by plain trial
+division, which suffices for constants of test size.
 `tests/test_drinfeld.py` checks the package against both.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from math import comb
+from collections import Counter
+from math import comb, gcd, isqrt
 
 from yangian_weyl.drinfeld import (
     NotDrinfeldSeriesError,
     _canonical,
-    _cauchy_square,
     _divide_linear,
-    _gaussian_divisors,
-    _gi_norm,
     _gi_to_scalar,
     eigenvalue_series,
 )
@@ -84,27 +84,79 @@ def series_to_roots_by_linear_system(series, degree: int, d: int):
 
 def divisor_search_roots(poly) -> list:
     """Roots in Q(i) of sum poly[j] u^j (Gaussian-integer pairs, constant
-    term first), with multiplicity: every candidate p/q inside the Cauchy
-    window goes to the division, with no prune."""
+    term first), with multiplicity: every candidate p/q goes to the
+    division, with no prune and no bound on its size."""
     roots = []
     while len(poly) > 1 and poly[0] == (0, 0):
         roots.append(ZERO)
         poly = poly[1:]
     if len(poly) == 1:
         return roots
-    norms = [_gi_norm(c) for c in poly]
-    upper = _cauchy_square(norms[-1], max(norms[:-1]))
-    lower = _cauchy_square(norms[0], max(norms[1:]))
-    denominators = list(_gaussian_divisors(poly[-1]))
-    denominator_norms = [norm for norm, _ in denominators]
-    for p_norm, (a, b) in _gaussian_divisors(poly[0]):
-        first = bisect_left(denominator_norms, -(-norms[-1] * p_norm // upper))
-        last = bisect_right(denominator_norms, lower * p_norm // norms[0])
-        for _, q in denominators[first:last]:
-            for num in ((a, b), (-a, -b), (-b, a), (b, -a)):
+    denominators = gaussian_divisors(poly[-1])
+    for a, b in gaussian_divisors(poly[0]):
+        for q in denominators:
+            for num in ((a, b), (-a, -b), (-b, a), (b, -a)):  # p times each unit
                 while (quotient := _divide_linear(poly, q, num)) is not None:
                     roots.append(_gi_to_scalar(num, q))
                     poly = quotient
                     if len(poly) == 1:
                         return roots
     return roots
+
+
+def gaussian_divisors(z) -> list:
+    """The divisors of z in Z[i] (z nonzero), one per class of associates."""
+    # The primes are pairwise non-associate, so no product repeats.
+    divisors = [(1, 0)]
+    for prime, mult in Counter(_gaussian_prime_factors(z)).items():
+        for d in list(divisors):
+            for _ in range(mult):
+                d = _mul(d, prime)
+                divisors.append(d)
+    return divisors
+
+
+def _gaussian_prime_factors(z) -> list:
+    """Gaussian prime factors of z with multiplicity (unit part dropped)."""
+    # Factoring the integer content and the norm of the primitive part
+    # apart keeps trial division at the square root of each.
+    content = gcd(*z)
+    rational = set(_prime_factors(content))
+    rational |= set(_prime_factors((z[0] ** 2 + z[1] ** 2) // content**2))
+    primes = []
+    for p in sorted(rational):
+        if p == 2:
+            candidates = [(1, 1)]
+        elif p % 4 == 3:
+            candidates = [(p, 0)]
+        else:  # p = x^2 + y^2 = (x + yi)(x - yi)
+            x = next(x for x in range(1, p) if isqrt(p - x * x) ** 2 == p - x * x)
+            candidates = [(x, isqrt(p - x * x)), (x, -isqrt(p - x * x))]
+        for pi in candidates:
+            while (q := _exact_quotient(z, pi)) is not None:
+                primes.append(pi)
+                z = q
+    return primes
+
+
+def _prime_factors(n: int) -> list:
+    """Prime factors of n >= 1 with multiplicity, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    return out + [n] * (n > 1)
+
+
+def _mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _exact_quotient(a, b):
+    """a / b in Z[i] if exact, else None."""
+    n = b[0] ** 2 + b[1] ** 2
+    re, im = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+    return None if re % n or im % n else (re // n, im // n)

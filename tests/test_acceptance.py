@@ -409,6 +409,31 @@ def test_criterion_14_degree_12_series_roundtrip():
             )
 
 
+def test_criterion_14_hard_roots_within_a_tenth_of_a_second():
+    # Degree 24 from the generator above (seeds 1-3), and degree 4 with
+    # parts up to 10^6/10^4, whose constant and leading coefficients have
+    # many divisors.
+    ops = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        roots = [
+            G(F(rng.randint(-9, 9), rng.randint(1, 5)),
+              F(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)))
+            for _ in range(24)
+        ]
+        ops.append((f"degree 24, seed {seed}", roots, 2))
+    rng = random.Random(4)
+    part = lambda: F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    ops.append(("degree 4, parts up to 10^6/10^4", [G(part(), part()) for _ in range(4)], 1))
+    for name, roots, d in ops:
+        series = eigenvalue_series(roots, d, 2 * len(roots))
+        with _Timer(f"criterion 14: {name}", limit=0.1):
+            recovered = series_to_roots(series, len(roots), d)
+        assert sorted((r.re, r.im) for r in recovered) == sorted(
+            (r.re, r.im) for r in roots
+        )
+
+
 def test_criterion_15_level_spin_on_eight_factors(capsys):
     with _Timer("criterion 15: level spin = string rule at dimension 256", limit=10.0):
         params = [F(0), F(7, 2), F(-5, 3), F(2), F(1, 7), F(-9, 4), F(5), F(11, 5)]
@@ -541,9 +566,10 @@ def test_criterion_18_prime_constant_refused_fast():
     # is a prime = 3 mod 4, so N(c) = c^2 is the square of a large prime;
     # c = 10000025 + 2i is primitive and N(c) ~ 10^14 is prime.
     # Q(u+1)/Q(u) = 1 + (2u + 1)/(u^2 + c) = 1 + 2u^-1 + u^-2 - 2c u^-3 - c u^-4 + ...
-    # In degree 3 the divisor search factors the constant term, whose norm
-    # is N(c) itself: u^3 + c has no root, (u - 1)(u^2 + c) the root 1, and
-    # neither splits.  With x = 1/u their series are
+    # In degree 3, u^3 + c has no root, (u - 1)(u^2 + c) the root 1, and
+    # neither splits; a root search that factored the constant term would
+    # meet N(c).  The last c, (3500 + 3i)(3508 + 37i), has a norm with two
+    # prime factors near 1.2 * 10^7.  With x = 1/u their series are
     # (1 + 3x + 3x^2 + (1 + c)x^3) / (1 + c x^3) and
     # (1 + 2x + (1 + c)x^2) / (1 - x + c x^2 - c x^3).
     c = G(10000025, 2)
@@ -551,7 +577,9 @@ def test_criterion_18_prime_constant_refused_fast():
         (f"u^2 + {a}", 2, [G(1), G(2), G(1), -2 * a, -a])
         for a in (G(100000007), c)
     ] + [
-        (f"u^3 + {c}", 3, [G(1), G(3), G(3), G(1), -3 * c, -3 * c, -c]),
+        (f"u^3 + {a}", 3, [G(1), G(3), G(3), G(1), -3 * a, -3 * a, -a])
+        for a in (c, G(3500, 3) * G(3508, 37))
+    ] + [
         (f"(u - 1)(u^2 + {c})", 3,
          [G(1), G(3), G(4), 4 - 2 * c, 4 - 3 * c, 4 - 3 * c + 2 * c * c, 4 - 3 * c + 3 * c * c]),
     ]
@@ -586,6 +614,7 @@ def test_criterion_20_ssets_at_max_rank(capsys):
     from yangian_weyl.cli import MAX_RANK
 
     for family in "BCD":
+        crit._ledger_sets.cache_clear()
         crit._doubled_sets.cache_clear()
         wp.parameter_ledger.cache_clear()
         capsys.readouterr()  # the previous type's PASS line

@@ -286,7 +286,8 @@ def test_node_validation():
 def test_doubled_sets_refuse_a_ledger_that_breaks_the_join(monkeypatch, offset):
     # The join in criterion_hits needs every value to be a positive
     # half-integer; a ledger step whose offset + divisor is not one is an
-    # error.  The uncached function, so that the cache keeps no such set.
+    # error.  The uncached function, so that the cache keeps no such set
+    # and no cached set answers in its place.
     import yangian_weyl.criteria as crit
     from yangian_weyl.weylpath import Ledger, LedgerEntry
 
@@ -294,7 +295,22 @@ def test_doubled_sets_refuse_a_ledger_that_breaks_the_join(monkeypatch, offset):
     bad = Ledger(t, 1, (LedgerEntry(1, (offset,), 1),))
     monkeypatch.setattr(crit, "parameter_ledger", lambda t, p: bad)
     with pytest.raises(RuntimeError, match=r"^criterion set for A2 \(1,1\) not positive"):
-        crit._doubled_sets.__wrapped__(t, 1)
+        crit._ledger_sets.__wrapped__(t, 1)
+
+
+def test_ssets_derives_each_nodes_sets_once(capsys):
+    # `_doubled_sets(t, p)` reads the sets of nu(p) to check the duality
+    # identity, and `_doubled_sets(t, nu(p))` reads them again: on A8, where
+    # nu swaps i and 9 - i, the cache derives each node's sets once.
+    import yangian_weyl.criteria as crit
+    from yangian_weyl.cli import main
+    from yangian_weyl.weylpath import parameter_ledger
+
+    for cached in (crit._ledger_sets, crit._doubled_sets, parameter_ledger):
+        cached.cache_clear()
+    assert main(["ssets", "--type", "A", "--rank", "8", "--json"]) == 0
+    capsys.readouterr()
+    assert crit._ledger_sets.cache_info().misses == 8
 
 
 def test_tables_that_break_the_duality_identity_are_refused(monkeypatch):

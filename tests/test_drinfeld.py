@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,11 +14,8 @@ from yangian_weyl.drinfeld import (
     NotDrinfeldSeriesError,
     TrivialModuleError,
     _cauchy_square,
-    _gaussian_divisors,
     _gaussian_rational_roots,
     _gi_sqrt,
-    _prime_factors,
-    _proven_prime,
     _two_squares,
     chain_to_poly,
     eigenvalue_series,
@@ -31,7 +27,7 @@ from yangian_weyl.exact import ZERO, GaussianRational as G, Series, _clear_denom
 from yangian_weyl.rootsys import lie_type
 
 from pair_oracle import ordering_key
-from roots_oracle import divisor_search_roots, series_to_roots_by_linear_system
+from roots_oracle import divisor_search_roots, gaussian_divisors, series_to_roots_by_linear_system
 
 A2 = lie_type("A", 2)
 
@@ -317,16 +313,14 @@ def test_gaussian_divisors_against_brute_force():
             and ((z[0] * a + z[1] * b) % (a * a + b * b)
                  == (z[1] * a - z[0] * b) % (a * a + b * b) == 0)
         }
-        got = list(_gaussian_divisors(z))
-        assert [n for n, _ in got] == sorted(n for n, _ in got)
-        assert all(n == w[0] ** 2 + w[1] ** 2 for n, w in got)
-        assert sorted(associate_class(w) for _, w in got) == sorted(expected), z
-        assert norm in {n for n, _ in got}
+        got = gaussian_divisors(z)
+        assert sorted(associate_class(w) for w in got) == sorted(expected), z
+        assert norm in {w[0] ** 2 + w[1] ** 2 for w in got}
 
 
-# Roots for the oracle comparison: the units and 0, where q*t - p vanishes
-# at one of the prune's points t = 1, -1, i, -i; small Gaussian rationals;
-# and (x + y i)/(1+i)^k, whose denominators carry the ramified prime 1+i.
+# Roots for the oracle comparison: the units and 0; small Gaussian
+# rationals; and (x + y i)/(1+i)^k, whose denominators carry the ramified
+# prime 1+i.
 unit_root_st = st.sampled_from([G(0), G(1), G(-1), G(0, 1), G(0, -1)])
 ramified_root_st = st.builds(
     lambda x, y, k: G(x, y) / G(1, 1) ** k,
@@ -367,7 +361,7 @@ def test_series_to_roots_matches_linear_system_oracle(data):
     st.lists(st.one_of(unit_root_st, small_root_st, ramified_root_st), max_size=5),
     st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
 )
-# Quadratics, which the formula solves without a search: a Gaussian leading
+# Quadratics, which the formula solves without a lift: a Gaussian leading
 # coefficient, a double root, and u^2 + c for c = 1, 2, i, 1 + i, of which
 # only u^2 + 1 splits.
 @example([G(Fraction(1, 2), -1), G(3, 2)], [(2, 1)])
@@ -376,22 +370,69 @@ def test_series_to_roots_matches_linear_system_oracle(data):
 @example([], [(2, 0), (0, 0), (1, 0)])
 @example([], [(0, 1), (0, 0), (1, 0)])
 @example([], [(1, 1), (0, 0), (1, 0)])
-# A double root left in the quadratic remainder of a longer search.
+# A double root left in the quadratic remainder of a longer lift.
 @example([G(2), G(0, 1), G(Fraction(1, 2), 1), G(Fraction(1, 2), 1)], [(3, 0)])
-def test_pruned_divisor_search_matches_unpruned(roots, cofactor):
-    # The planted roots times a cofactor that may or may not split: the
-    # prunes at t = 1, -1, i and -i on the deflated polynomial and the
-    # formula for its last quadratic must find exactly what the unpruned
-    # search finds.
+def test_lifted_roots_match_the_divisor_search(roots, cofactor):
+    # The planted roots times a cofactor that may or may not split.  Where
+    # the divisor search finds every root, the lift and the formula for
+    # its last quadratic must find the same ones; elsewhere the polynomial
+    # does not split, and the lift must come up short.
     coeffs = [G(re, im) for re, im in cofactor[:-1]] + [G(*cofactor[-1]) or G(1)]
     for root in roots:  # times u - root
         coeffs = [a - root * b for a, b in zip([ZERO] + coeffs, coeffs + [ZERO])]
     _, poly = _clear_denominators(coeffs)
     found = _gaussian_rational_roots(poly)
-    assert sorted(found, key=lambda r: r.triple) == sorted(
-        divisor_search_roots(poly), key=lambda r: r.triple
-    )
-    assert len(found) >= len(roots)
+    expected = divisor_search_roots(poly)
+    if len(expected) == len(poly) - 1:
+        assert sorted(found, key=lambda r: r.triple) == sorted(expected, key=lambda r: r.triple)
+    else:
+        assert len(found) < len(poly) - 1
+
+
+def _outcome(recover, series, degree, d):
+    try:
+        return recover(series, degree, d)
+    except NotDrinfeldSeriesError as error:
+        return str(error)
+
+
+_MEETING = 5 * 13 * 17 * 29
+_UNITS = [G(1), G(0, 1), G(-1), G(0, -1)]
+_OVER_13_AND_3_PLUS_2I = [e / 13 for e in _UNITS + [G(1, 1)]] + [e / G(3, 2) for e in _UNITS]
+
+
+@pytest.mark.parametrize(
+    "series, degree, d, primes",
+    [
+        # Each p dividing M is p = pi * conj(pi), and the roots 1 + kM meet
+        # mod pi: the residue 1 has multiplicity 4 but no root of that
+        # multiplicity lifts from it.  They part first at 37.
+        (eigenvalue_series([G(1 + k * _MEETING) for k in range(4)], 1, 8), 4, 1,
+         [5, 13, 17, 29, 37]),
+        # At degree 9 the lift starts at 13, whose pi = 3 + 2i divides the
+        # leading coefficient lc: the roots w = lc*u with u over 13 all meet
+        # at 0 mod pi.  They part at 17.
+        (eigenvalue_series(_OVER_13_AND_3_PLUS_2I, 1, 18), 9, 1, [13, 17]),
+        # One root of multiplicity 8, a simple root of the 7th derivative.
+        (eigenvalue_series([G(Fraction(2, 3), -1)] * 8, 2, 16), 8, 2, [13]),
+        # (u - 1)(u^2 - 6), whose series is (1 + 2x - 5x^2)/(1 - x - 6x^2 + 6x^3)
+        # with x = 1/u.  Mod 5 it is (u - 1)^2 (u + 1), which splits, and
+        # neither residue lifts to a root; 6 is not a square mod 13.
+        (Series([G(c) for c in (1, 3, 4, 16, 22, 94, 130)]), 3, 1, [5, 13]),
+    ],
+    ids=["residues-meet", "denominators-13-and-3+2i", "multiplicity-8", "splits-mod-5-only"],
+)
+def test_lift_branches_match_the_oracle(monkeypatch, series, degree, d, primes):
+    # The primes whose Gaussian factor `_two_squares` finds are the primes
+    # the lift tried.
+    import yangian_weyl.drinfeld as dr
+
+    tried = []
+    two_squares = dr._two_squares
+    monkeypatch.setattr(dr, "_two_squares", lambda p: tried.append(p) or two_squares(p))
+    got = _outcome(series_to_roots, series, degree, d)
+    assert got == _outcome(series_to_roots_by_linear_system, series, degree, d)
+    assert tried == primes
 
 
 def test_series_matching_only_the_first_coefficients_is_refused(monkeypatch):
@@ -475,45 +516,6 @@ def test_two_squares():
     for p in (7, 3, 11):
         with pytest.raises(ValueError, match=f"^{p} is not 1 mod 4$"):
             _two_squares(p)
-
-
-def _primes_through(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-def test_prime_factors_against_trial_division():
-    primes = _primes_through(10**6 + 100)
-
-    def trial_division(n):
-        out = []
-        for p in primes:
-            if p * p > n:
-                break
-            while n % p == 0:
-                out.append(p)
-                n //= p
-        assert primes[-1] ** 2 > n  # the primes reached the square root
-        return out + [n] * (n > 1)
-
-    near_tera = 999999000001  # prime
-    rng = random.Random("prime-factors")
-    sample = [rng.randint(1, 10**9) for _ in range(20000)]
-    special = [561, 41041, 3215031751, 3825123056546413051, near_tera, (10**6 + 3) * (10**6 + 33)]
-    for n in sample + special:
-        assert _prime_factors(n) == trial_division(n), n
-    assert _prime_factors(near_tera) == [near_tera]
-    # Carmichael numbers and strong pseudoprimes to the first witnesses;
-    # the last fools every base 2-37.  2^89 - 1 is prime but above the
-    # bound where the witnesses decide, so it is not reported prime.
-    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461, 2**89 - 1):
-        assert not _proven_prime(n), n
-    for p in (2, 41, 43, 1000003, near_tera, 2**61 - 1):
-        assert _proven_prime(p), p
 
 
 # 1 + d u^-1 + d a u^-2 + ..., the series of the root 1/3 with shift 1/2.

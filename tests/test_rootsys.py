@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangian_weyl.criteria import _doubled_sets, criterion_set
+from yangian_weyl.criteria import _doubled_sets, _ledger_sets, criterion_set
 from yangian_weyl.dims import lie_fundamental_dim, yangian_fundamental_dim
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain
 from yangian_weyl.rootsys import (
@@ -133,11 +133,12 @@ def _pair(s):
 
 
 # Every cache keyed by a node, and the nodes its answer for node b carries.
-# The doubled sets carry none; theirs is that of the ledger they are read off.
+# The sets carry none; theirs is that of the ledger they are read off.
 NODE_CACHES = {
     "descent_chain": lambda t, b: (descent_chain(t, b).node,),
     "parameter_ledger": lambda t, b: (parameter_ledger(t, b).node,),
     "_doubled_sets": lambda t, b: _doubled_sets(t, b) and (parameter_ledger(t, b).node,),
+    "_ledger_sets": lambda t, b: _ledger_sets(t, b) and (parameter_ledger(t, b).node,),
     "criterion_set(b, 1)": lambda t, b: _pair(criterion_set(t, b, 1)),
     "criterion_set(1, b)": lambda t, b: _pair(criterion_set(t, 1, b)),
 }
@@ -148,7 +149,7 @@ NODE_CACHES = {
 def test_node_keyed_caches_never_answer_for_a_bool(name, bool_first):
     # True == 1 and hash(True) == hash(1): an untyped cache would hand the
     # answer for one to the other.
-    for cached in (descent_chain, parameter_ledger, _doubled_sets, criterion_set):
+    for cached in (descent_chain, parameter_ledger, _ledger_sets, _doubled_sets, criterion_set):
         cached.cache_clear()
     t = lie_type("A", 3)
     for b in ((True, 1) if bool_first else (1, True)):
