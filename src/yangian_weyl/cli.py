@@ -68,12 +68,13 @@ MAX_SL2_DIM = 256
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
 # node involution of `info` and of the criterion-set check runs every
 # fundamental weight through the longest word, O(l^2) letters, and `ssets`
-# derives the ledger of every node), so `ssets` sets the bound.  At rank 64,
-# with the per-type caches empty, `ssets --json` takes 0.25 s on A64 and
-# 0.7 s on B64, C64 and D64, against 0.03-0.08 s at rank 32 and 0.35-1.4 s
-# at rank 80; `info`, and `check` in either mode on two factors that share
-# a bucket of the join (so that it reads their sets), take at most 0.04 s
-# at rank 64 (in-process `main` calls; Python 3.11, one shared Xeon core).
+# walks the ledger steps of every node), so `ssets` sets the bound.  At rank
+# 64, with the per-type caches empty, `ssets --json` takes 0.14 s on A64 and
+# 0.41-0.48 s on B64, C64 and D64, against 0.02-0.05 s at rank 32 and
+# 0.27-1.3 s at rank 80; `info`, and `check` in either mode on two factors
+# that share a bucket of the join (so that it reads their sets), take at
+# most 0.05 s at rank 64 (in-process `main` calls, min of 3; Python 3.11,
+# one shared Xeon core).
 # The demos and the benchmark use rank 12 at most; the tests reach rank 64.
 MAX_RANK = 64
 # Largest `sl2 --order`: the series check applies h_0 and h_1 to a vector of
@@ -606,7 +607,9 @@ def _load_doc(text: str):
     if text == "-":
         text = sys.stdin.read()
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM; decode() does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except SchemaError:
         raise
     except ValueError as exc:  # malformed, or an integer with too many digits
@@ -625,6 +628,11 @@ def _unique_keys(pairs) -> dict:
                 raise SchemaError("", f"repeated object key {key!r}")
             seen.add(key)
     return doc
+
+
+# One decoder for every document: `json.loads` with a hook builds a new
+# decoder and scanner on each call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 # The command-line grammar, each option written once: `build_parser` builds

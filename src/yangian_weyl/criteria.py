@@ -7,8 +7,8 @@ is guaranteed to be a highest weight module when no difference a_j - a_i
 pair (b_i, b_j); it is guaranteed irreducible when the same holds for all
 ordered pairs i != j.  Membership is exact: a difference belongs to a set
 only when its imaginary part is zero and its real part equals a member.
-The sets are not tabulated: each is read off the parameter ledger of
-b_i, which is computed from the Cartan data (see weylpath), and checked
+The sets are not tabulated: each is read off the ledger steps of b_i,
+which are computed from the Cartan data (see weylpath), and checked
 once per node against S(p, q) = S(nu p, nu q), nu the node involution.
 
 The pairs are found by a hash join, not by comparing every pair: a hit
@@ -32,7 +32,7 @@ from .drinfeld import FactorChain
 from .exact import GaussianRational
 from .record import record
 from .rootsys import LieType, duality_shift, node_involution
-from .weylpath import parameter_ledger
+from .weylpath import _ledger_steps
 
 
 @record
@@ -54,22 +54,18 @@ class Verdict:
 def _ledger_sets(t: LieType, p: int):
     """The sets 2 S(p, q) for q = 1..l, as ascending tuples of integers.
 
-    They are read off the parameter ledger of node p: at a chain step on
-    node q with rescaling divisor d, a second factor parameter a_q
-    obstructs exactly when (a_q - root)/d = 1 for some root of the step
-    polynomial, that is when a_q - a_p = offset + d.
+    They are read off the ledger steps of node p: at a chain step on node
+    q with rescaling divisor d, a second factor parameter a_q obstructs
+    exactly when (a_q - root)/d = 1 for some root a_p + x of the step
+    polynomial, that is when 2(a_q - a_p) = 2x + 2d.
     """
     sets = [set() for _ in range(t.rank)]
-    for entry in parameter_ledger(t, p).entries:
-        for offset in entry.offsets:
-            s2, rest = divmod(2 * offset.numerator, offset.denominator)
-            s2 += 2 * entry.divisor
-            # The join in criterion_hits relies on both properties.
-            if rest or s2 <= 0:
-                raise RuntimeError(
-                    f"criterion set for {t} ({p},{entry.node}) not positive half-integers"
-                )
-            sets[entry.node - 1].add(s2)
+    for q, held, d in _ledger_steps(t, p):
+        # The join in criterion_hits relies on every value being positive;
+        # `held` ascends, so its first 2x is the least.
+        if held[0][0] + 2 * d <= 0:
+            raise RuntimeError(f"criterion set for {t} ({p},{q}) not positive")
+        sets[q - 1].update(x2 + 2 * d for x2, _ in held)
     return tuple(tuple(sorted(values)) for values in sets)
 
 
@@ -88,7 +84,7 @@ def _doubled_sets(t: LieType, p: int):
 @lru_cache(maxsize=None, typed=True)
 def criterion_set(t: LieType, b_m: int, b_n: int) -> CriterionSet:
     """Criterion set for the node pair (b_m, b_n), derived from the
-    parameter ledger of node b_m; every value is a positive half-integer."""
+    ledger steps of node b_m; every value is a positive half-integer."""
     t.check_node(b_n)
     t.check_node(b_m)
     values = _doubled_sets(t, b_m)[b_n - 1]

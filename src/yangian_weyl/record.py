@@ -3,9 +3,11 @@
 It gives a class what `@dataclass(frozen=True)` gives a class whose fields
 have no defaults: `__init__` (which then calls `__post_init__`, if the
 class has one), `__eq__`, `__hash__`, the dataclass `__repr__` text,
-`__match_args__`, and a `__setattr__`/`__delattr__` that refuse.  Nothing
-is generated as source, so the decorator runs no `exec` at import; nor
-does the package import `dataclasses`, which pulls in `inspect`.
+`__match_args__`, and a `__setattr__`/`__delattr__` that refuse.  A call
+that does not match the fields raises one `TypeError` that names them,
+not the dataclass's wording for each fault.  Nothing is generated as
+source, so the decorator runs no `exec` at import; nor does the package
+import `dataclasses`, which pulls in `inspect`.
 
 The fields are the class's own annotations, in order.  No `__slots__`:
 instances keep a `__dict__`, which `functools.cached_property` needs.
@@ -18,49 +20,23 @@ from operator import attrgetter
 _setattr = object.__setattr__
 
 
-def _missing_text(names: list) -> str:
-    """Python's wording: 'a', 'a' and 'b', or 'a', 'b', and 'c'."""
-    quoted = [repr(n) for n in names]
-    if len(quoted) < 3:
-        return " and ".join(quoted)
-    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
-
-
 def record(cls):
     names = tuple(cls.__dict__.get("__annotations__", {}))
     n = len(names)
-    where = f"{cls.__qualname__}.__init__()"
+    bad_call = f"{cls.__qualname__}() takes the fields {', '.join(names)}, by position or keyword"
     post_init = getattr(cls, "__post_init__", None)
     # With two or more fields the key is the field tuple, so the hash is
     # the dataclass's; `lru_cache` hashes `LieType` keys once per factor.
     key = attrgetter(*names)
 
-    def bind(args, kwargs):
-        """The field values in order, or the TypeError Python raises for
-        a call that does not match the fields."""
-        if len(args) > n:
-            raise TypeError(
-                f"{where} takes {n + 1} positional arguments but {len(args) + 1} were given"
-            )
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names:
-                raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{where} got multiple values for argument {name!r}")
-            values[name] = value
-        if len(values) < n:
-            missing = [f for f in names if f not in values]
-            plural = "s" if len(missing) > 1 else ""
-            raise TypeError(
-                f"{where} missing {len(missing)} required positional "
-                f"argument{plural}: {_missing_text(missing)}"
-            )
-        return [values[f] for f in names]
-
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
-            args = bind(args, kwargs)
+            # Keywords name the fields after the positional ones, each
+            # once; a missing, extra, unknown or repeated one is refused.
+            rest = names[len(args):]
+            if len(args) > n or kwargs.keys() != set(rest):
+                raise TypeError(bad_call)
+            args = (*args, *map(kwargs.get, rest))
         # `object.__setattr__`, not the instance `__dict__`: touching that
         # turns the object's inline attribute values into a dict, and every
         # later field read is then slower.

@@ -5,21 +5,24 @@ highest weight down to the lowest one, one simple reflection at a time.
 The parameter ledger records, for every chain step, the roots of the
 rank-one polynomial attached to that step (affine expressions in the first
 factor parameter) together with the rescaling divisor of the sl2 copy at
-that node.  Ledgers are computed, not tabulated: one loop lowers an
-l-weight along the chain, reading only the Cartan matrix and the
-symmetrizers.  The criterion sets of `criteria` are read off them.
+that node.  Ledgers are computed, not tabulated: one loop,
+`_ledger_steps`, lowers an l-weight along the chain on doubled integers,
+reading only the Cartan matrix and the symmetrizers.  `parameter_ledger`
+and the criterion sets of `criteria` are both read off its steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Tuple
 
 from .record import record
 from .rootsys import (
     LieType,
     Weight,
+    _alpha_entries,
     _walk,
     cartan_datum,
     fundamental_weight,
@@ -109,70 +112,64 @@ class Ledger:
     entries: Tuple[LedgerEntry, ...]
 
 
-@lru_cache(maxsize=None)
-def _half(x: int) -> Fraction:
-    """x/2; ledger offsets repeat, so each is built once."""
-    return Fraction(x, 2)
+def _lowering_moves(t: LieType):
+    """Per node i, the (j, 2 * shift, sign) of each Y_{j,x+shift}^sign that
+    lowering Y_{i,x} brings in: Y_{i,x+d_i}^-1, and at every neighbour j
+    with k = -C_ji > 0, Y_{j,x+(d_j-k+1)/2+s} for s = 0..k-1."""
+    d = cartan_datum(t).d
+    return [
+        [(i, 2 * d[i], -1)]
+        + [(j, d[j] + a + 1 + 2 * s, 1) for j, a in column if a < 0 for s in range(-a)]
+        for i, column in enumerate(_alpha_entries(t))
+    ]
 
 
-def _bump(powers: dict, x: int, by: int):
-    """Add `by` to the power of x, dropping x when the power reaches 0."""
-    p = powers.get(x, 0) + by
-    if p:
-        powers[x] = p
-    else:
-        del powers[x]
+def _ledger_steps(t: LieType, b: int):
+    """Yield (node, held, divisor) for each step of the descent chain of
+    node b: `held` lists the pairs (2x, power) of the Y_{node,x} held
+    before the step, ascending in x, and `divisor` is d_node.
+
+    The steps are read off an l-weight, a product of Y_{j,x} kept per node
+    as a map from 2x to its nonzero power, that starts at Y_{b,0}.  They
+    come from the same sparse walk as `descent_chain`, `_walk` over the
+    fundamental weight, which yields each moving letter's node i and
+    coefficient c from the Cartan matrix alone.  A step lowers every
+    Y_{i,x} held by `_lowering_moves` (Frenkel-Mukhin lowering, written
+    additively), once per distinct x with its power.  The powers held must
+    sum to c, and none may be negative.
+    """
+    weight = list(fundamental_weight(t, b))  # checks b
+    d = cartan_datum(t).d
+    moves = _lowering_moves(t)
+    powers = [{} for _ in range(t.rank)]
+    powers[b - 1][0] = 1
+    for step, (node, c) in enumerate(_walk(t, weight, _applied_node_order(t, b))):
+        i = node - 1
+        held = powers[i]
+        # c != 0, so an empty map fails the sum before min() sees it.
+        if sum(held.values()) != c or min(held.values()) < 0:
+            raise RuntimeError(
+                f"l-weight at step {step} of {t} node {b} does not "
+                f"match the step coefficient {c}"
+            )
+        held = sorted(held.items())
+        yield node, held, d[i]
+        powers[i] = {}  # every Y_{i,x} held is lowered
+        for j, shift, sign in moves[i]:
+            target = powers[j]
+            for x, p in held:
+                # Add sign * p to the power of x + shift, dropping it at 0.
+                q = target.pop(x + shift, 0) + sign * p
+                if q:
+                    target[x + shift] = q
 
 
 @lru_cache(maxsize=None, typed=True)
 def parameter_ledger(t: LieType, b: int) -> Ledger:
-    """Per-step polynomial roots along the descent chain of node b.
-
-    The ledger is read off an l-weight, a product of Y_{j,x} kept per node
-    as a map from 2x to its nonzero power, that starts at Y_{b,0}.  The
-    steps come from the same sparse walk as `descent_chain`, `_walk` over
-    the fundamental weight, which yields each moving letter's node i and
-    coefficient c from the Cartan matrix alone.  A step records the x of
-    every Y_{i,x}, with multiplicity and in ascending order, then lowers
-    each of them: Y_{i,x} becomes Y_{i,x+d_i}^-1 times
-    Y_{j, x + (d_j - k + 1)/2 + s} for s = 0..k-1 at every neighbour j
-    with k = -C_ji > 0 (Frenkel-Mukhin lowering, written additively).  A
-    step must hold exactly c many x and no Y_i of negative power.
-    """
-    weight = list(fundamental_weight(t, b))
-    datum = cartan_datum(t)
-    cartan, d = datum.cartan, datum.d
-    l = t.rank
-    # raised[i]: (j, 2 * shift) for every Y_{j, x + shift} that lowering
-    # Y_{i,x} brings in; node j occurs k = -C_ji times.
-    raised = [
-        [
-            (j, d[j] - k + 1 + 2 * s)
-            for j in range(l)
-            if (k := -cartan[j][i]) > 0
-            for s in range(k)
-        ]
-        for i in range(l)
-    ]
-    powers = [{} for _ in range(l)]
-    powers[b - 1][0] = 1
-    entries = []
-    for node, c in _walk(t, weight, _applied_node_order(t, b)):
-        i = node - 1
-        held = powers[i]
-        xs = sorted(x for x, p in held.items() for _ in range(p))
-        if len(xs) != c or min(held.values()) < 0:
-            raise RuntimeError(
-                f"l-weight at step {len(entries)} of {t} node {b} does not "
-                f"match the step coefficient {c}"
-            )
-        entries.append(LedgerEntry(node, tuple(map(_half, xs)), d[i]))
-        # Every Y_{i,x} held is lowered, so node i keeps only the new
-        # Y_{i,x+d_i}^-1.
-        powers[i] = held = {}
-        for x in xs:
-            _bump(held, x + 2 * d[i], -1)
-        for j, shift in raised[i]:
-            for x in xs:
-                _bump(powers[j], x + shift, 1)
-    return Ledger(t, b, tuple(entries))
+    """Per-step polynomial roots along the descent chain of node b: for each
+    step of `_ledger_steps`, the offset x of every Y_{i,x} held, ascending
+    and repeated to its power, and the divisor d_i."""
+    return Ledger(t, b, tuple(
+        LedgerEntry(node, tuple(f for x2, p in held for f in repeat(Fraction(x2, 2), p)), divisor)
+        for node, held, divisor in _ledger_steps(t, b)
+    ))

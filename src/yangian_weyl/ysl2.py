@@ -38,6 +38,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Iterator, Sequence, Tuple
 
+from .drinfeld import eigenvalue_series
 from .exact import (
     GaussianRational,
     Matrix,
@@ -416,8 +417,6 @@ def _h_on_top(module: SL2Module, order: int) -> Iterator[Tuple[dict, int]]:
 def _series_check(spec: Sequence[Tuple[int, object]], order: int):
     """(matches, series): the product eigenvalue series to `order` and
     whether h_k acts on the top tensor vector by its coefficients."""
-    from .drinfeld import eigenvalue_series
-
     _count(order, "order", 0)
     module = tensor_module(spec)
     roots = []

@@ -49,6 +49,7 @@ from yangian_weyl.ysl2 import (
 
 from criteria_oracle import closed_form_set
 from pair_oracle import ordering_key
+from test_replay import _workloads
 from test_weylpath import chain_root_positivity
 
 F = Fraction
@@ -362,15 +363,9 @@ def test_criterion_12_defining_relations_on_registry():
 
 
 def _highest_weight_by_strings(spec):
-    """Chari-Pressley string rule: the ordered product of W_m(a) fails to be
-    highest weight iff some i < j has a_j - a_i = k, an integer with
-    0 < k <= m_i < k + m_j."""
-    for i, (m_i, a_i) in enumerate(spec):
-        for m_j, a_j in spec[i + 1:]:
-            k = a_j - a_i
-            if k.im == 0 and k.re.denominator == 1 and 0 < k.re <= m_i < k.re + m_j:
-                return False
-    return True
+    """The benchmark's Chari-Pressley string rule, on (re, im) `Fraction`
+    pairs."""
+    return _workloads().highest_weight_by_strings([(m, (a.re, a.im)) for m, a in spec])
 
 
 def test_criterion_13_oracle_matches_string_rule_up_to_dimension_128():

@@ -432,6 +432,17 @@ def test_weyl_self_check_catches_a_wrong_chain(capsys, monkeypatch, fault):
         main(["weyl", doc])
 
 
+def test_a_leading_byte_order_mark_is_refused_with_json_loads_message(capsys):
+    # Every document goes through one module-level JSONDecoder, whose
+    # decode() does not check for a byte-order mark; the CLI refuses one
+    # with the message json.loads gives.
+    doc = "\ufeff" + json.dumps({"type": "A", "rank": 2, "polys": {"1": ["0"]}})
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(doc)
+    assert main(["weyl", doc, "--json"]) == 2
+    assert capsys.readouterr().err == f"schema error at : invalid JSON: {expected.value}\n"
+
+
 def test_json_documents_roundtrip():
     rng = random.Random(97)
     types = [lie_type("A", 3), lie_type("B", 2), lie_type("C", 3), lie_type("G2")]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangian_weyl.criteria import (
+    _ledger_sets,
     criterion_set,
     cyclicity_guaranteed,
     dual_chain,
@@ -19,6 +20,7 @@ from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import all_nodes, lie_type, node_involution
 
 from criteria_oracle import closed_form_set
+from test_rootsys import ALL_SMALL
 
 F = Fraction
 
@@ -280,22 +282,34 @@ def test_node_validation():
         criterion_set(lie_type("A", 3), 0, 1)
 
 
-@pytest.mark.parametrize(
-    "offset", [F(1, 3), F(-2)], ids=["not-a-half-integer", "not-positive"]
-)
-def test_doubled_sets_refuse_a_ledger_that_breaks_the_join(monkeypatch, offset):
-    # The join in criterion_hits needs every value to be a positive
-    # half-integer; a ledger step whose offset + divisor is not one is an
-    # error.  The uncached function, so that the cache keeps no such set
-    # and no cached set answers in its place.
+@pytest.mark.parametrize("held", [[(-4, 1)]], ids=["not-positive"])
+def test_doubled_sets_refuse_a_ledger_that_breaks_the_join(monkeypatch, held):
+    # The join in criterion_hits needs every value to be positive; a ledger
+    # step whose 2x + 2d is not is an error.  The uncached function, so
+    # that the cache keeps no such set and no cached set answers in its
+    # place.
     import yangian_weyl.criteria as crit
-    from yangian_weyl.weylpath import Ledger, LedgerEntry
 
     t = lie_type("A", 2)
-    bad = Ledger(t, 1, (LedgerEntry(1, (offset,), 1),))
-    monkeypatch.setattr(crit, "parameter_ledger", lambda t, p: bad)
+    monkeypatch.setattr(crit, "_ledger_steps", lambda t, p: [(1, held, 1)])
     with pytest.raises(RuntimeError, match=r"^criterion set for A2 \(1,1\) not positive"):
         crit._ledger_sets.__wrapped__(t, 1)
+
+
+@pytest.mark.parametrize("t", ALL_SMALL + [lie_type(f, 64) for f in "ABCD"], ids=str)
+def test_ledger_sets_are_the_decoded_parameter_ledger(t):
+    # `_ledger_sets` reads the ledger steps as doubled integers; the
+    # reference decodes the `Fraction` records of `parameter_ledger`: at a
+    # step on node q with divisor d, 2 S(p, q) holds 2 * offset + 2d for
+    # every offset.  Every node of the small types, the end nodes at rank 64.
+    from yangian_weyl.weylpath import parameter_ledger
+
+    for p in (1, t.rank) if t.rank == 64 else all_nodes(t):
+        decoded = [set() for _ in range(t.rank)]
+        for entry in parameter_ledger(t, p).entries:
+            for offset in entry.offsets:
+                decoded[entry.node - 1].add(2 * offset + 2 * entry.divisor)
+        assert _ledger_sets(t, p) == tuple(tuple(sorted(v)) for v in decoded), (str(t), p)
 
 
 def test_ssets_derives_each_nodes_sets_once(capsys):

@@ -4,7 +4,8 @@ Each of the 12 record types was declared with `@dataclass(frozen=True)`
 before `yangian_weyl.record.record` replaced it.  A twin here is that old
 declaration: the same class body (fields, `__post_init__`, methods) under
 the old decorator, so the two can only differ by their decorator.  Every
-test builds both from the same arguments and requires the same outcome.
+test builds both from the same arguments and requires the same outcome;
+for a call that does not match the fields, a `TypeError` from each.
 """
 
 from __future__ import annotations
@@ -168,12 +169,13 @@ def test_bad_arguments_raise_what_the_twin_raises(data):
         "extra keyword": ((), {**kwargs, "extra": 1}),
         "repeated": (args[: k + 1], {names[k]: args[k]}),
     }
-    for what, (a, kw) in calls.items():
-        with pytest.raises(TypeError) as got:
+    # A bad call raises a TypeError that names the fields, not the
+    # dataclass's wording.
+    for a, kw in calls.values():
+        with pytest.raises(TypeError, match=", ".join(names)):
             cls(*a, **kw)
-        with pytest.raises(TypeError) as expected:
+        with pytest.raises(TypeError):
             twin(*a, **kw)
-        assert str(got.value) == str(expected.value), what
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

@@ -260,13 +260,12 @@ def _revisit_node_one(wp, monkeypatch):
 
 
 def _lose_inverses(wp, monkeypatch):
-    bump = wp._bump
+    moves = wp._lowering_moves
 
-    def positive_only(powers, x, by):
-        if by > 0:
-            bump(powers, x, by)
+    def raising_only(t):
+        return [[move for move in row if move[2] > 0] for row in moves(t)]
 
-    monkeypatch.setattr(wp, "_bump", positive_only)
+    monkeypatch.setattr(wp, "_lowering_moves", raising_only)
 
 
 @pytest.mark.parametrize(
@@ -275,7 +274,7 @@ def _lose_inverses(wp, monkeypatch):
         # Node 1 again at once: its coefficient is -1, held as Y^-1.
         (_revisit_node_one, 1, "step 1 of A3 node 1 .* step coefficient -1$"),
         # A lowering that drops each Y_{i,x+d_i}^-1 leaves every power
-        # positive, so only the count of the x held trips the guard.
+        # positive, so only the sum of the powers held trips the guard.
         (_lose_inverses, 2, "step 3 of A3 node 2 .* step coefficient 1$"),
     ],
     ids=["node-order", "lost-inverses"],
