@@ -91,8 +91,12 @@ MAX_SL2_ORDER = 32
 # each pair is formed over its own denominator, 0.2-0.3 s, and with
 # 20-digit ones (criterion 24) 0.4-0.5 s (in-process `main` calls, Python
 # 3.11.7, two shared Xeon cores).  Both grow as the square of the degree.
-# `check` finds its witnesses by a hash join and takes 0.01-0.13 s at 500
-# factors (Python 3.11, one shared Xeon core).
+# `check` finds its witnesses by a hash join; at 500 factors it takes
+# 0.003-0.01 s on non-real D5 and real A4 chains, 0.05-0.2 s on G2 chains
+# over the half-integers 0..15, and 0.3-0.5 s when every pair i < j is a
+# witness (on A1, 250 factors at 0 before 250 at 1: 62,500 witnesses, 4.9 MB
+# of JSON) (in-process `main` calls, min of 3; Python 3.11.7, two shared
+# Xeon cores).
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
@@ -204,6 +208,9 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
     return pi
 
 
+_FACTOR_KEYS = frozenset(("node", "a"))  # a set display would be built per factor
+
+
 def parse_chain_doc(doc) -> FactorChain:
     t = _parse_type(doc)
     _known_keys(doc, ("type", "rank", "factors"))
@@ -212,14 +219,25 @@ def parse_chain_doc(doc) -> FactorChain:
         raise SchemaError("/factors", "expected a nonempty list")
     if len(factors) > MAX_FACTORS:
         raise SchemaError("/factors", f"expected at most {MAX_FACTORS} factors")
+    rank = t.rank
     parsed = []
     for i, factor in enumerate(factors):
-        if not isinstance(factor, dict):
-            raise SchemaError(_pointer("factors", i), "expected an object")
-        _known_keys(factor, ("node", "a"), "factors", i)
-        node = factor.get("node")
-        _check_node_at(t, node, "factors", i, "node")
-        parsed.append((node, _parse_scalar_at(factor.get("a"), "factors", i, "a")))
+        # One C-level test passes a well-formed factor; the refusals run,
+        # in their order, only when it fails.
+        if not (isinstance(factor, dict) and factor.keys() <= _FACTOR_KEYS
+                and type(node := factor.get("node")) is int and 0 < node <= rank
+                and isinstance(text := factor.get("a"), str)):
+            if not isinstance(factor, dict):
+                raise SchemaError(_pointer("factors", i), "expected an object")
+            _known_keys(factor, ("node", "a"), "factors", i)
+            node, text = factor.get("node"), factor.get("a")
+            _check_node_at(t, node, "factors", i, "node")
+            if not isinstance(text, str):
+                raise SchemaError(_pointer("factors", i, "a"), "expected a scalar string")
+        try:
+            parsed.append((node, parse_scalar(text)))
+        except ScalarParseError as exc:
+            raise SchemaError(_pointer("factors", i, "a"), str(exc)) from exc
     return FactorChain(t, tuple(parsed))
 
 
@@ -249,13 +267,13 @@ def tuple_to_doc(pi: DrinfeldTuple) -> dict:
 
 def chain_to_doc(chain: FactorChain) -> dict:
     t = chain.lie_type
-    return {
-        "type": t.family,
-        "rank": t.rank,
-        "factors": [
-            {"node": node, "a": _scalar_str(a)} for node, a in chain.factors
-        ],
-    }
+    try:
+        factors = _FactorRows(
+            {"node": node, "a": format_triple(*a.triple)} for node, a in chain.factors
+        )
+    except ValueError as exc:  # a part with more digits than str() converts
+        raise _too_long(exc) from exc
+    return {"type": t.family, "rank": t.rank, "factors": factors}
 
 
 def _verdict_doc(verdict: Verdict) -> dict:
@@ -281,7 +299,9 @@ def _emit(report: dict, as_json: bool, lines):
     prints, written by `_write_json` into one list of pieces that is
     joined once, a `weyl` pair audit included: four pieces per pair, the
     row's real part, its imaginary suffix and the texts that name i and j,
-    so no string is built per pair.  With `indent` set, `json` encodes in
+    so no string is built per pair.  The factor rows of a chain (`weyl`'s
+    "chain", `check`'s "chain" / "factors") are one row template filled
+    from each row's dict.  With `indent` set, `json` encodes in
     pure Python: on the 500-root `weyl` reports of criterion 17 it takes
     0.55-1.06 s, against 0.01-0.04 s here.  Nothing is printed before the
     report is whole, so a `weyl` audit refused for a part too long to
@@ -299,6 +319,11 @@ class _PairAudit(list):
     lists of n - i strings whose sums are the printed differences (see
     `_pair_audit`).  Written as a list of row objects under a top-level
     key of the report."""
+
+
+class _FactorRows(list):
+    """`chain_to_doc`'s factors, one {"node": node, "a": text} per factor,
+    written by `_write_json` from one row template."""
 
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
@@ -325,11 +350,12 @@ def _write_json(value, out: list, nl: str):
     """Append to `out` the pieces of `value` as `json.dumps(indent=2,
     sort_keys=True)` prints it; `nl` is a newline and the indent of the
     line that holds `value`.  Strings go through the C string encoder that
-    `json` uses, except the part texts of a _PairAudit: they hold only
-    digits, "/", "+", "-" and "i", which the encoder would only quote, so
-    the row templates carry the quotes, and a row's difference is its real
-    text followed by its imaginary suffix.  Any type but str, int, bool, None,
-    a dict with str keys, a list and a _PairAudit raises TypeError."""
+    `json` uses, except the part texts of a _PairAudit and the parameter
+    texts of _FactorRows: they hold only digits, "/", "+", "-" and "i",
+    which the encoder would only quote, so the row templates carry the
+    quotes, and a pair row's difference is its real text followed by its
+    imaginary suffix.  Any type but str, int, bool, None, a dict with str
+    keys, a list, a _PairAudit and _FactorRows raises TypeError."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -339,7 +365,7 @@ def _write_json(value, out: list, nl: str):
         out.append("true" if value else "false")
     elif value is None:
         out.append("null")
-    elif not value and (kind is dict or kind is list or kind is _PairAudit):
+    elif not value and kind in (dict, list, _PairAudit, _FactorRows):
         out.append("{}" if kind is dict else "[]")
     elif kind is dict:
         inner = nl + "  "
@@ -373,6 +399,10 @@ def _write_json(value, out: list, nl: str):
             row[3::4] = named_j[i + 1:]
             out += row
         out[-1] = out[-1][:-len(_AUDIT_NEXT)] + "\n  ]"
+    elif kind is _FactorRows:  # `format_map` fills each row: no bytecode per row
+        inner = nl + "  "
+        row = inner + "{{" + inner + '  "a": "{a}",' + inner + '  "node": {node}' + inner + "}}"
+        out.append("[" + ",".join(map(row.format_map, value)) + nl + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

@@ -79,16 +79,20 @@ class DrinfeldTuple:
 
 @record
 class FactorChain:
-    """Ordered sequence of fundamental factors (node, parameter)."""
+    """Ordered sequence of fundamental factors (node, parameter), each
+    validated in one pass: `check_node` and `as_scalar` run only on a node
+    out of range or not a plain int and on a parameter not yet a scalar."""
 
     lie_type: LieType
     factors: Tuple[Tuple[int, GaussianRational], ...]
 
     def __post_init__(self):
+        rank = self.lie_type.rank
         fixed = []
         for node, a in self.factors:
-            self.lie_type.check_node(node)
-            fixed.append((node, as_scalar(a)))
+            if not (type(node) is int and 0 < node <= rank):
+                self.lie_type.check_node(node)
+            fixed.append((node, a if type(a) is GaussianRational else as_scalar(a)))
         object.__setattr__(self, "factors", tuple(fixed))
 
 

@@ -312,6 +312,72 @@ def test_schema_errors(capsys, argv, pointer):
     assert f"schema error at {pointer}:" in err
 
 
+def _chain_doc(*factors) -> str:
+    return json.dumps({"type": "A", "rank": 2, "factors": list(factors)})
+
+
+def _int_error(digits: str) -> str:
+    """int()'s message for `digits`, which names this Python's digit limit."""
+    with pytest.raises(ValueError) as exc:
+        int(digits)
+    return str(exc.value)
+
+
+_NOT_POSITIVE = "/factors/0/node: node must be a positive integer"
+_UNKNOWN = "unknown key; expected one of node, a"
+
+
+# The whole refusal line of every factor-level `check` refusal: the rows of
+# test_schema_errors pin only the pointer.  Each factor is refused for its
+# first fault in the order object, keys, node, a.
+@pytest.mark.parametrize(
+    "factors,line",
+    [
+        ([3], "/factors/0: expected an object"),
+        ([{"node": 1, "a": "0", "extra": 1}], "/factors/0/extra: " + _UNKNOWN),
+        ([{"node": 0, "a": "0", "extra": 1}], "/factors/0/extra: " + _UNKNOWN),
+        ([{"node": 1, "a": "0"}, {"a": "1", "node": 2, "a/b": 0}],
+         "/factors/1/a~1b: " + _UNKNOWN),
+        ([{"a": "0"}], _NOT_POSITIVE),
+        ([{"node": True, "a": "0"}], _NOT_POSITIVE),
+        ([{"node": 1.5, "a": "0"}], _NOT_POSITIVE),
+        ([{"node": "1", "a": "0"}], _NOT_POSITIVE),
+        ([{"node": 3, "a": "0"}], "/factors/0/node: node 3 out of range for A2"),
+        ([{"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 0, "a": "2"}],
+         "/factors/2/node: node 0 out of range for A2"),
+        ([{"node": 0, "a": "x"}], "/factors/0/node: node 0 out of range for A2"),
+        ([{"node": 1}], "/factors/0/a: expected a scalar string"),
+        ([{"node": 1, "a": 0}], "/factors/0/a: expected a scalar string"),
+        ([{"node": 1, "a": "x"}], "/factors/0/a: malformed scalar 'x'"),
+        ([{"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 1, "a": "2"},
+          {"node": 2, "a": "1/0"}], "/factors/3/a: zero denominator in '1/0'"),
+        ([{"node": 1, "a": _LONG_INT}],
+         "/factors/0/a: scalar part too long: " + _int_error(_LONG_INT)),
+    ],
+    ids=["not-an-object", "unknown-key", "unknown-key-before-bad-node", "escaped-key",
+         "missing-node", "node-true", "node-1.5", "node-string", "node-past-rank",
+         "node-0-at-2", "bad-node-before-bad-a", "missing-a", "a-number", "a-x",
+         "zero-denominator-at-3", "a-too-long"],
+)
+def test_factor_schema_errors_print_the_whole_line(capsys, factors, line):
+    assert main(["check", _chain_doc(*factors)]) == 2
+    assert capsys.readouterr().err == f"schema error at {line}\n"
+
+
+def test_a_padded_factor_parameter_is_accepted(capsys):
+    # parse_scalar strips the text; the chain echoes it in canonical form.
+    code, report = _run_json(capsys, ["check", _chain_doc({"node": 1, "a": " 1/2 "})])
+    assert code == 0 and report["chain"]["factors"] == [{"a": "1/2", "node": 1}]
+
+
+def test_chain_to_doc_refuses_a_parameter_too_long_to_print():
+    # No document reaches this (each part prints in at most the digits it
+    # was given in), but a chain built in Python can.
+    chain = FactorChain(lie_type("A", 1), ((1, G(0)), (1, G(1, 10**4300))))
+    with pytest.raises(SchemaError, match="^: output scalar too long to print: "):
+        chain_to_doc(chain)
+
+
 @pytest.mark.parametrize(
     "argv,listed",
     [
@@ -474,22 +540,32 @@ _fraction_st = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 
 
 
 @st.composite
-def _weyl_docs(draw):
-    """A `weyl` document of 1-60 Gaussian roots, most of them on
-    half-integer shifts of one base, so that many pairs differ by an element
-    of their criterion set (the ordered chain puts each such pair the
-    cyclic way round)."""
+def _verdict_factors(draw, longest: int):
+    """(type, rank, [(node, parameter text)]) with 1 to `longest` factors
+    over one of the six types of the benchmark's `verdicts` workload, most
+    of them Gaussian parameters on half-integer shifts of one base, so that
+    many pairs differ by an element of their criterion set."""
     family, rank = draw(st.sampled_from(
         [("A", 1), ("A", 4), ("B", 3), ("C", 3), ("D", 5), ("G2", 2)]))
     base_re, base_im = draw(_fraction_st), draw(_fraction_st)
-    polys = {}
-    for _ in range(draw(st.integers(1, 60))):
+    factors = []
+    for _ in range(draw(st.integers(1, longest))):
         if draw(st.booleans()) or draw(st.booleans()):
             re, im = base_re + Fraction(draw(st.integers(0, 12)), 2), base_im
         else:
             re, im = draw(_fraction_st), draw(_fraction_st)
-        node = draw(st.integers(1, rank))
-        polys.setdefault(str(node), []).append(format_scalar(G(re, im)))
+        factors.append((draw(st.integers(1, rank)), format_scalar(G(re, im))))
+    return family, rank, factors
+
+
+@st.composite
+def _weyl_docs(draw):
+    """A `weyl` document of 1-60 roots from `_verdict_factors` (the ordered
+    chain puts each pair in a criterion set the cyclic way round)."""
+    family, rank, factors = draw(_verdict_factors(60))
+    polys = {}
+    for node, a in factors:
+        polys.setdefault(str(node), []).append(a)
     return {"type": family, "rank": rank, "polys": polys}
 
 
@@ -507,6 +583,24 @@ def test_weyl_json_is_what_json_dumps_prints(doc):
     n = len(report["chain"])
     assert [(r["i"], r["j"], r["in_criterion_set"]) for r in report["pair_audit"]] == [
         (i, j, False) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_verdict_factors(40), st.sampled_from(["cyclic", "irreducible"]))
+def test_check_json_is_what_json_dumps_prints(drawn, mode):
+    # `check` writes its chain from one row template; the whole report must
+    # be the bytes json.dumps(indent=2, sort_keys=True) gives for it, and
+    # the chain must echo the factors, whose texts are already canonical.
+    family, rank, factors = drawn
+    factors = [{"node": node, "a": a} for node, a in factors]
+    doc = {"type": family, "rank": rank, "factors": factors}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", json.dumps(doc), "--mode", mode, "--json"]) == 0
+    text = out.getvalue()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert report["chain"] == doc
 
 
 # Numerators of one or two digits or of 201-301 digits, over one of two
