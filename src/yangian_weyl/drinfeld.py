@@ -272,8 +272,9 @@ def _gaussian_rational_roots(poly) -> list:
     leading coefficient lc is nonzero.  After the roots at 0 come off, the
     roots are read off the monic g(w) = lc^(n-1) poly(w/lc): its roots are
     w = lc*u, and as Z[i] is integrally closed, those in Q(i) lie in Z[i].
-    A g of degree 3 or more goes to `_lift_roots`, and a remainder of
-    degree 1 or 2, whether deflated to it or given, is solved by formula.
+    A g of degree 3 or more goes to `_lift_roots`, which keeps a root w
+    only when g(w), the remainder of g / (u - w), is 0; a g of degree 1 or
+    2, whether deflated to it or given, is solved by formula.
     """
     roots = []
     while len(poly) > 1 and poly[0] == (0, 0):
@@ -316,11 +317,11 @@ def _lift_roots(g, lc, bound, roots):
     multiplicity mu is a simple root of the (mu-1)-th derivative, and
     Newton's method lifts it to a root mod pi^k with p^k > bound.  The
     nearest point of that class is w if the mu roots above t are one root
-    w; `_divide_linear` is the exact test.  Where it fails, two roots
-    share the residue, and the next prime takes them: two distinct roots
-    meet mod only finitely many primes.  A g that does not split fails to
-    split mod a positive share of the primes (Chebotarev), so the loop
-    ends either way.
+    w; the exact test is the remainder g(w) of g / (u - w) (`_deflate`).
+    Where it is not 0, two roots share the residue, and the next prime
+    takes them: two distinct roots meet mod only finitely many primes.  A g
+    that does not split fails to split mod a positive share of the primes
+    (Chebotarev), so the loop ends either way.
     """
     for p in count(len(g) + (1 - len(g)) % 4, 4):
         if any(p % f == 0 for f in range(3, isqrt(p) + 1, 2)):
@@ -353,8 +354,7 @@ def _lift_roots(g, lc, bound, roots):
             y = (m - 2 * r * big_b) // (2 * m)
             w = (r - big_a * x + big_b * y, -big_a * y - big_b * x)
             for _ in range(mu):
-                quotient = _divide_linear(g, (1, 0), w)
-                if quotient is None:
+                if (quotient := _deflate(g, w)) is None:
                     break
                 g = quotient
                 roots.append(_gi_to_scalar(w, lc))
@@ -402,28 +402,20 @@ def _cauchy_square(top: int, rest: int) -> int:
     return top + rest + 2 * isqrt(top * rest) + 2
 
 
-def _divide_linear(poly, q, p):
-    """poly / (q*u - p) over Z[i] if exact, else None.
+def _deflate(g, w):
+    """g / (u - w) over Z[i], or None when the remainder g(w) is not 0.
 
-    poly lists Gaussian-integer pairs from the constant term up; the
-    quotient is built from the top, and the first inexact step rejects.
+    g lists Gaussian-integer pairs from the constant term up; synthetic
+    division runs from the top, and its last value is g(w).
     """
-    q_re, q_im = q
-    p_re, p_im = p
-    norm = q_re * q_re + q_im * q_im
-    out = [None] * (len(poly) - 1)
-    c_re = c_im = 0  # p times the quotient coefficient one degree up
-    for j in range(len(poly) - 1, 0, -1):
-        t_re, t_im = poly[j][0] + c_re, poly[j][1] + c_im
-        r_re, rest_re = divmod(t_re * q_re + t_im * q_im, norm)
-        r_im, rest_im = divmod(t_im * q_re - t_re * q_im, norm)
-        if rest_re or rest_im:
-            return None
-        out[j - 1] = (r_re, r_im)
-        c_re, c_im = p_re * r_re - p_im * r_im, p_re * r_im + p_im * r_re
-    if poly[0][0] + c_re or poly[0][1] + c_im:
+    w_re, w_im = w
+    out = [(0, 0)]
+    for re, im in reversed(g):
+        c_re, c_im = out[-1]
+        out.append((re + w_re * c_re - w_im * c_im, im + w_re * c_im + w_im * c_re))
+    if out.pop() != (0, 0):
         return None
-    return out
+    return out[:0:-1]
 
 
 def _gi_mul(a, b):

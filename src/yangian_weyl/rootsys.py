@@ -256,9 +256,5 @@ def is_positive_root_vector(root: Root) -> bool:
     return all(c >= 0 for c in root) and any(c > 0 for c in root)
 
 
-def highest_root(t: LieType) -> Root:
-    return max(positive_roots(t), key=sum)
-
-
 def all_nodes(t: LieType) -> range:
     return range(1, t.rank + 1)

@@ -53,10 +53,6 @@ class SigmaChain:
     def coefficients(self) -> Tuple[int, ...]:
         return tuple(s.coefficient for s in self.steps)
 
-    @property
-    def final_weight(self) -> Weight:
-        return self.steps[-1].weight_after if self.steps else None
-
 
 def _applied_node_order(t: LieType, b: int):
     """Reflection nodes in order of application for the chain of node b."""
@@ -99,10 +95,6 @@ class LedgerEntry:
     node: int
     offsets: Tuple[Fraction, ...]  # roots are a_1 + offset, unrescaled
     divisor: int                   # rescaling divisor of the sl2 copy
-
-    def roots_at(self, a):
-        """Polynomial roots of this step, evaluated at leading parameter a."""
-        return tuple(a + offset for offset in self.offsets)
 
 
 @record

@@ -10,23 +10,23 @@ it lifted them p-adically: a root p/q in lowest terms has q*u - p dividing
 the polynomial (Gauss's lemma), so p divides its constant and q its
 leading coefficient, and every such candidate goes to a full division,
 down to the last root.  The divisors come from factoring by plain trial
-division, which suffices for constants of test size.
+division, which suffices for constants of test size.  The general
+division by q*u - p lives here, since the package's lift divides only by
+a monic u - w, and the roots are formed and sorted on `Fraction`s.  So
+besides the general solver `exact.solve_linear`, the one package routine
+the oracle shares is `eigenvalue_series`, which has its own tests
+against `Series.__mul__`.
 `tests/test_drinfeld.py` checks the package against both.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import comb, gcd, isqrt
+from fractions import Fraction
+from math import comb, gcd, isqrt, lcm
 
-from yangian_weyl.drinfeld import (
-    NotDrinfeldSeriesError,
-    _canonical,
-    _divide_linear,
-    _gi_to_scalar,
-    eigenvalue_series,
-)
-from yangian_weyl.exact import ONE, ZERO, GaussianRational, _clear_denominators, solve_linear
+from yangian_weyl.drinfeld import NotDrinfeldSeriesError, eigenvalue_series
+from yangian_weyl.exact import ONE, ZERO, GaussianRational, solve_linear
 
 
 def series_to_roots_by_linear_system(series, degree: int, d: int):
@@ -73,13 +73,15 @@ def series_to_roots_by_linear_system(series, degree: int, d: int):
     solution = solve_linear(rows, tuple(rhs))
     if solution is None:
         raise NotDrinfeldSeriesError("no monic polynomial matches the series")
-    _, poly = _clear_denominators(list(solution) + [ONE])  # q_0 .. q_deg
+    coeffs = list(solution) + [ONE]  # q_0 .. q_deg
+    den = lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+    poly = [(int(c.re * den), int(c.im * den)) for c in coeffs]
     roots = divisor_search_roots(poly)
     if len(roots) != degree:
         raise NotDrinfeldSeriesError("polynomial does not split over Q(i)")
     if eigenvalue_series(roots, d, n) != series:
         raise NotDrinfeldSeriesError("series is not of Drinfeld form")
-    return _canonical(roots)
+    return tuple(sorted(roots, key=lambda r: (r.re, r.im)))
 
 
 def divisor_search_roots(poly) -> list:
@@ -97,11 +99,42 @@ def divisor_search_roots(poly) -> list:
         for q in denominators:
             for num in ((a, b), (-a, -b), (-b, a), (b, -a)):  # p times each unit
                 while (quotient := _divide_linear(poly, q, num)) is not None:
-                    roots.append(_gi_to_scalar(num, q))
+                    roots.append(_quotient(num, q))
                     poly = quotient
                     if len(poly) == 1:
                         return roots
     return roots
+
+
+def _divide_linear(poly, q, p):
+    """poly / (q*u - p) over Z[i] if exact, else None.
+
+    poly lists Gaussian-integer pairs from the constant term up; the
+    quotient is built from the top, and the first inexact step rejects.
+    """
+    q_re, q_im = q
+    p_re, p_im = p
+    norm = q_re * q_re + q_im * q_im
+    out = [None] * (len(poly) - 1)
+    c_re = c_im = 0  # p times the quotient coefficient one degree up
+    for j in range(len(poly) - 1, 0, -1):
+        t_re, t_im = poly[j][0] + c_re, poly[j][1] + c_im
+        r_re, rest_re = divmod(t_re * q_re + t_im * q_im, norm)
+        r_im, rest_im = divmod(t_im * q_re - t_re * q_im, norm)
+        if rest_re or rest_im:
+            return None
+        out[j - 1] = (r_re, r_im)
+        c_re, c_im = p_re * r_re - p_im * r_im, p_re * r_im + p_im * r_re
+    if poly[0][0] + c_re or poly[0][1] + c_im:
+        return None
+    return out
+
+
+def _quotient(num, den):
+    """num / den for Gaussian integers num and den != 0."""
+    norm = den[0] ** 2 + den[1] ** 2
+    return GaussianRational(Fraction(num[0] * den[0] + num[1] * den[1], norm),
+                            Fraction(num[1] * den[0] - num[0] * den[1], norm))
 
 
 def gaussian_divisors(z) -> list:

@@ -237,7 +237,7 @@ def test_criterion_06_chain_coefficients_and_positivity():
                 chain = descent_chain(t, b)
                 assert set(chain.coefficients) <= allowed
                 lowest = tuple(-c for c in fundamental_weight(t, nu[b - 1]))
-                assert chain.final_weight == lowest
+                assert chain.steps[-1].weight_after == lowest
                 assert chain_root_positivity(t, b)
 
 
@@ -636,7 +636,9 @@ def test_criterion_21_involution_at_max_rank(capsys):
     # which walks nu and reads the ledger of nu(p) too: the end nodes of
     # A64 and the spinor nodes of D63, the largest odd rank of type D, are
     # swapped by nu.  Every per-type cache is cleared before each call, so
-    # each call derives its tables afresh.
+    # each call derives its tables afresh.  Each `info` and irreducible
+    # `check` report must be the bytes json.dumps prints for it: `check`
+    # writes its chain from the factor-row template.
     import yangian_weyl.criteria as crit
     import yangian_weyl.dims as dims
     import yangian_weyl.rootsys as rs
@@ -661,7 +663,9 @@ def test_criterion_21_involution_at_max_rank(capsys):
             capsys.readouterr()  # the previous PASS line
             with _Timer(f"criterion 21: {name} on {family}{rank}", limit=0.25):
                 assert main(argv) == 0
-                reports.append(json.loads(capsys.readouterr().out))
+                out = capsys.readouterr().out
+                reports.append(json.loads(out))
+            assert out == json.dumps(reports[-1], indent=2, sort_keys=True) + "\n"
         info, check = reports
         # -w0 reverses the nodes of A and is the identity on B, C and D of
         # even rank.

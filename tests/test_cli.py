@@ -126,6 +126,16 @@ def test_weyl_command(capsys):
     )
     assert code == 0 and report["chain"][0]["a"] == "1-2i"
 
+    # Real parts that tie across the denominators 2 and 6 break by
+    # descending imaginary part, then ascending node, in both modes.
+    tied = '{"type":"A","rank":2,"polys":{"1":["1/2","1/2-1/3i","-7/6"],"2":["1/2+1/3i","1/2"]}}'
+    code, report = _run_json(capsys, ["weyl", tied])
+    assert code == 0 and report["chain"] == [
+        {"a": "1/2+1/3i", "node": 2}, {"a": "1/2", "node": 1}, {"a": "1/2", "node": 2},
+        {"a": "1/2-1/3i", "node": 1}, {"a": "-7/6", "node": 1}]
+    assert main(["weyl", tied]) == 0
+    assert "  1: node 2, a = 1/2+1/3i" in capsys.readouterr().out.splitlines()
+
 
 def test_check_command(capsys):
     doc = '{"type":"A","rank":3,"factors":[{"node":1,"a":"0"},{"node":2,"a":"3/2"}]}'
@@ -166,6 +176,36 @@ def test_sl2_command(capsys):
         capsys, ["sl2", '[[1,"0"],[2,"5"]]', "--verify", "identities"]
     )
     assert code == 0 and report["relations_hold"] is True
+
+    # A Gaussian three-factor product through the relation suite's packed
+    # integer rows.
+    code, report = _run_json(
+        capsys, ["sl2", '[[1,"0"],[2,"5/2+1i"],[1,"-1/3"]]', "--verify", "identities"]
+    )
+    assert code == 0 and report["relations_hold"] is True and report["failures"] == []
+
+    # Spins that cross from a full level into a short one.
+    for spec, dims in (('[[2,"0"],[2,"1"]]', (8, 9)),
+                       ('[[2,"0"],[2,"1"],[1,"1/2+1i"]]', (16, 18))):
+        code, report = _run_json(capsys, ["sl2", spec, "--verify", "closure"])
+        assert code == 0 and report["highest_weight"] is False
+        assert (report["closure_dimension"], report["dimension"]) == dims
+
+    # Gaussian parameters over large coprime denominators: the series
+    # check's recursion at orders 8 and 32 (h_k pairs with c_(k+1)), the
+    # relation suite's common denominator, and the closure.
+    coprime = '[[1,"7/999999937+2/7i"],[2,"-5/1000003"],[1,"1/2"]]'
+    for order in (8, 32):
+        code, report = _run_json(
+            capsys, ["sl2", coprime, "--verify", "series", "--order", str(order)]
+        )
+        assert code == 0 and report["matches"] is True and len(report["series"]) == order + 2
+    code, report = _run_json(capsys, ["sl2", coprime, "--verify", "identities"])
+    assert code == 0 and report["relations_hold"] is True and report["failures"] == []
+    code, report = _run_json(capsys, ["sl2", coprime, "--verify", "closure"])
+    assert code == 0
+    assert (report["closure_dimension"], report["dimension"], report["highest_weight"]) == (
+        12, 12, True)
 
 
 def test_ssets_command(capsys):

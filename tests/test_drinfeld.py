@@ -14,6 +14,7 @@ from yangian_weyl.drinfeld import (
     NotDrinfeldSeriesError,
     TrivialModuleError,
     _cauchy_square,
+    _deflate,
     _gaussian_rational_roots,
     _gi_sqrt,
     _two_squares,
@@ -27,7 +28,12 @@ from yangian_weyl.exact import ZERO, GaussianRational as G, Series, _clear_denom
 from yangian_weyl.rootsys import lie_type
 
 from pair_oracle import ordering_key
-from roots_oracle import divisor_search_roots, gaussian_divisors, series_to_roots_by_linear_system
+from roots_oracle import (
+    _divide_linear,
+    divisor_search_roots,
+    gaussian_divisors,
+    series_to_roots_by_linear_system,
+)
 
 A2 = lie_type("A", 2)
 
@@ -387,6 +393,35 @@ def test_lifted_roots_match_the_divisor_search(roots, cofactor):
         assert sorted(found, key=lambda r: r.triple) == sorted(expected, key=lambda r: r.triple)
     else:
         assert len(found) < len(poly) - 1
+
+
+_gi_st = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+def _times_root(q, w):
+    """(u - w) q, for q a list of scalars from the constant term up."""
+    w = G(*w)
+    return [a - w * b for a, b in zip([ZERO, *q], [*q, ZERO])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_deflation_is_the_general_division_at_q_one(data):
+    # g = (u - w)^k h for a monic h, of degree 1-10: w is a root at least
+    # half the time, sometimes a double one.  The remainder g(w) alone
+    # decides, and the quotient is the oracle's division by 1*u - w.
+    w = data.draw(st.just((0, 0)) | _gi_st)
+    k = data.draw(st.sampled_from([0, 0, 1, 2]))
+    g = [G(*c) for c in data.draw(st.lists(_gi_st, min_size=int(k == 0), max_size=10 - k))]
+    g.append(G(1))
+    for _ in range(k):
+        g = _times_root(g, w)
+    pairs = [(int(c.re), int(c.im)) for c in g]
+    quotient = _deflate(pairs, w)
+    assert (quotient is None) == bool(sum((c * G(*w) ** j for j, c in enumerate(g)), ZERO))
+    assert quotient == _divide_linear(pairs, (1, 0), w)
+    if quotient is not None:
+        assert _times_root([G(*c) for c in quotient], w) == g
 
 
 def _outcome(recover, series, degree, d):

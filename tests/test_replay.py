@@ -10,7 +10,9 @@ output with a stored digest.  The corpora, by key:
   both modes, in JSON and human mode.  Most chains sit on half-integer
   shifts of one base, so many have criterion witnesses.
 - `cli`: `info` and `ssets` on eleven types, the first four `sl2-golden`
-  products in human mode, and five schema errors.
+  products in human mode, five schema errors, and `weyl --json` on
+  pairwise coprime 9-10-digit denominators, whose pair audit is formed
+  pair by pair.
 
 tests/data/replay_digest.json stores per op a short SHA-256 of the input
 and of each of status, stdout and stderr, so a changed generator reads as
@@ -143,6 +145,9 @@ SCHEMA_ERRORS = (
     ["check", json.dumps({"type": "A", "rank": 1, "factors": [{"node": 1, "b": "0"}]})],
     ["weyl", '{"type":'],
 )
+PAIRWISE_WEYL = ["weyl", '{"type":"A","rank":2,"polys":{"1":["7/999999937+2/999999937i",'
+                 '"-5/1000000009","3/999999929-1/999999929i"],"2":["11/1000000007+4/1000000007i"]}}',
+                 "--json"]
 
 
 GOLDEN = ("sl2-golden", "verdicts-golden")
@@ -164,7 +169,7 @@ def corpora() -> dict:
                 for family, rank in CLI_TYPES for command in ("info", "ssets")
                 for as_json in (True, False)]
         + [_sl2_argv(spec, mode, False) for spec in specs[:4] for mode in MODES]
-        + list(SCHEMA_ERRORS),
+        + list(SCHEMA_ERRORS) + [PAIRWISE_WEYL],
     }
     for key, argvs in fixed.items():
         ops[key] = [workloads.Op("cli", tuple(argv)) for argv in argvs]

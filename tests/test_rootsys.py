@@ -19,7 +19,6 @@ from yangian_weyl.rootsys import (
     cartan_datum,
     duality_shift,
     fundamental_weight,
-    highest_root,
     is_positive_root_vector,
     lie_type,
     longest_word,
@@ -250,7 +249,7 @@ def _dual_coxeter_from_roots(t: LieType) -> Fraction:
     # 1 + sum of the highest root's coefficients in the coroot basis,
     # computed from the positive-root table and the symmetrizers.
     datum = cartan_datum(t)
-    theta = highest_root(t)
+    theta = max(positive_roots(t), key=sum)
     d_theta = max(
         datum.d[i] for i, c in enumerate(theta) if c
     )  # theta is a long root
