@@ -3,9 +3,10 @@
 
 Two-dimensional evaluation modules and their tensor products are small
 enough to handle with explicit exact matrices: spin the top vector under
-the six level-0/1 generators and compare the reached dimension with the
-full space.  This reproduces the pair condition (cyclic iff the
-difference is not 1) and exhibits the invariant line when it fails.
+the four matrices that define the module and compare the reached
+dimension with the full space.  This reproduces the pair condition
+(cyclic iff the difference is not 1) and exhibits the invariant line when
+it fails.
 """
 
 from fractions import Fraction

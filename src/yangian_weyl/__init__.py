@@ -42,7 +42,6 @@ from .exact import (
     Matrix,
     ScalarParseError,
     Series,
-    format_scalar,
     parse_scalar,
     row_space_closure,
 )

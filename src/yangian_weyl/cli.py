@@ -642,7 +642,7 @@ def _load_doc(text: str):
         return _DECODER.decode(text)
     except SchemaError:
         raise
-    except ValueError as exc:  # malformed, or an integer with too many digits
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits, too deep
         raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 

@@ -240,10 +240,6 @@ def parse_scalar(text: str) -> GaussianRational:
     return _reduced(n * (e // g), m * (d // g), d // g * e)
 
 
-def format_scalar(value: GaussianRational) -> str:
-    return str(value)
-
-
 def as_scalar(value) -> GaussianRational:
     triple = _triple(value)
     if triple is None:
@@ -570,6 +566,19 @@ class _Echelon:
         rows[pivot] = vec
         return vec
 
+    def spin(self, queue: Iterable, after: Sequence[Matrix], limit: int) -> None:
+        """Insert g vec for each (g, vec) pair of `queue` in turn, and queue
+        (h, row) for every new row and each h in `after`; stop when the
+        queue runs out or the basis holds `limit` rows.  Every subspace
+        spin of the package runs this one loop."""
+        queue, rows, insert = deque(queue), self.rows, self.insert
+        while queue and len(rows) < limit:
+            g, vec = queue.popleft()
+            row = insert(g.apply(vec))
+            if row is not None:
+                for h in after:
+                    queue.append((h, row))
+
     def scalar_rows(self) -> Tuple[Vector, ...]:
         """The reduced-row-echelon basis as dense tuples in pivot order."""
         n = len(self.units)
@@ -593,13 +602,8 @@ def row_space_closure(generators: Sequence[Matrix], seed: Vector):
     if not start:
         raise ValueError("seed vector is zero")
     basis = _Echelon(n)
-    queue = deque([basis.insert(start)])
-    while queue and len(basis.rows) < n:
-        vec = queue.popleft()
-        for g in generators:
-            row = basis.insert(g.apply(vec))
-            if row is not None:
-                queue.append(row)
+    row = basis.insert(start)
+    basis.spin(((g, row) for g in generators), generators, n)
     return len(basis.rows), basis.scalar_rows()
 
 

@@ -10,7 +10,7 @@ source, so the decorator runs no `exec` at import; nor does the package
 import `dataclasses`, which pulls in `inspect`.
 
 The fields are the class's own annotations, in order.  No `__slots__`:
-instances keep a `__dict__`, which `functools.cached_property` needs.
+instances keep a `__dict__`.
 """
 
 from __future__ import annotations

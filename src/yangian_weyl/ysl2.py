@@ -13,8 +13,8 @@ The top tensor vector v is a highest-weight vector, so it generates Y^- v.
 As h_0 is a scalar on each weight space, the recursion for x_{k+1}^- makes
 level r+1 of Y^- v (r+1 lowering steps below v) equal to C[h_1] x_0^- of
 level r: `lowering_levels` spins the levels one at a time with x_0^- and h_1
-only.  `submodule_dimension` spins any seed under all six level-0/1
-generators and stays as the independent cross-check.
+only.  `submodule_dimension` spins any seed under the four matrices that
+define the module and stays as the independent cross-check.
 
 Everything that depends only on the factor dimensions m = (m_1, .., m_N),
 the shape, is built once per shape by `_shape` and shared read-only: the
@@ -32,8 +32,8 @@ fraction-free echelon `_Echelon`.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from functools import cached_property, lru_cache
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 from typing import Iterator, Sequence, Tuple
@@ -62,7 +62,7 @@ from .record import record
 
 @record
 class SL2Module:
-    """Level-0/1 generator matrices; x_1^+/- are derived on first access."""
+    """The four matrices x_0^+/-, h_0 and h_1 that define the module."""
 
     factor_spec: Tuple[Tuple[int, GaussianRational], ...]
     basis_labels: Tuple[Tuple[int, ...], ...]
@@ -70,20 +70,6 @@ class SL2Module:
     x0m: Matrix
     h0: Matrix
     h1: Matrix
-
-    @cached_property
-    def _level_one(self) -> Tuple[Matrix, Matrix]:
-        """x_1^+ and x_1^-, read off one level-1 ladder."""
-        ladder = extend_generators(self, 1)
-        return ladder.xp[1], ladder.xm[1]
-
-    @property
-    def x1p(self) -> Matrix:
-        return self._level_one[0]
-
-    @property
-    def x1m(self) -> Matrix:
-        return self._level_one[1]
 
     @property
     def dim(self) -> int:
@@ -95,7 +81,7 @@ class SL2Module:
         return self.basis_labels.index(top)
 
     def generators(self) -> Tuple[Matrix, ...]:
-        return (self.x0p, self.x0m, self.x1p, self.x1m, self.h0, self.h1)
+        return (self.x0p, self.x0m, self.h0, self.h1)
 
     def basis_index(self, label: Tuple[int, ...]) -> int:
         return self.basis_labels.index(label)
@@ -185,11 +171,8 @@ def _lowered(shape: _Shape, r: int) -> dict:
     if rows is None:
         basis = _Echelon(len(shape.labels))
         above = sum(shape.ms) - r + 1
-        for j, label in enumerate(shape.labels):
-            if sum(label) == above:  # x_0^- of basis vector j is its column j
-                basis.insert(shape.x0m._columns()[j])
-                if len(basis.rows) == shape.sizes[r]:
-                    break
+        basis.spin(((shape.x0m, {j: (1, 0)}) for j, label in enumerate(shape.labels)
+                    if sum(label) == above), (), shape.sizes[r])
         rows = shape.lowered[r] = basis.rows
     return rows
 
@@ -304,7 +287,9 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
-    """Dimension of the submodule seed generates, spun under all six generators."""
+    """Dimension of the submodule seed generates, spun under the four
+    matrices that define the module: every x_k^+/-, h_k is a polynomial in
+    them (see `extend_generators`)."""
     dim, _ = row_space_closure(module.generators(), seed)
     return dim
 
@@ -331,14 +316,10 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
         basis = _Echelon(module.dim)
         if shared and len(level) == sizes[r - 1]:
             basis.rows.update(_lowered(shape, r))
-            queue = deque((module.h1, row) for row in basis.rows.values())
+            queue = [(module.h1, row) for row in basis.rows.values()]
         else:
-            queue = deque((module.x0m, vec) for vec in level)
-        while queue and len(basis.rows) < sizes[r]:
-            g, vec = queue.popleft()
-            row = basis.insert(g.apply(vec))
-            if row is not None:
-                queue.append((module.h1, row))
+            queue = [(module.x0m, vec) for vec in level]
+        basis.spin(queue, (module.h1,), sizes[r])
         level = list(basis.rows.values())
         yield len(level), sizes[r]
 
@@ -439,7 +420,7 @@ def verify_drinfeld_series(spec: Sequence[Tuple[int, object]], order: int) -> bo
 
 def trivial_submodule_check(a) -> bool:
     """In W_1(a+1) (x) W_1(a), the vector v+ (x) w- - v- (x) w+ is killed by
-    all six generators."""
+    the four matrices that define the module."""
     a = as_scalar(a)
     module = tensor_module([(1, a + 1), (1, a)])
     v0 = {module.basis_index((1, 0)): (1, 0), module.basis_index((0, 1)): (-1, 0)}

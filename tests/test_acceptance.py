@@ -34,7 +34,7 @@ from yangian_weyl.drinfeld import (
     order_factors,
     series_to_roots,
 )
-from yangian_weyl.exact import GaussianRational as G, Series, ZERO, format_scalar, unit_vector
+from yangian_weyl.exact import GaussianRational as G, Series, ZERO, unit_vector
 from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_involution
 from yangian_weyl.weylpath import descent_chain
 from yangian_weyl.ysl2 import (
@@ -435,7 +435,7 @@ def test_criterion_15_level_spin_on_eight_factors(capsys):
         spec = tuple((1, G(a)) for a in params)
         expected = _highest_weight_by_strings(spec)
         assert is_highest_weight(spec) == expected
-        doc = json.dumps([[1, format_scalar(G(a))] for a in params])
+        doc = json.dumps([[1, str(G(a))] for a in params])
         assert main(["sl2", doc, "--verify", "closure", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["dimension"] == 256
@@ -475,7 +475,7 @@ def test_criterion_16_verdicts_at_max_factors(capsys):
                 for _ in range(MAX_FACTORS)
             ]
             doc = {"type": t.family, "rank": t.rank, "factors": [
-                {"node": b, "a": format_scalar(G(F(x, 2), F(y, 2)))} for b, x, y in rows]}
+                {"node": b, "a": str(G(F(x, 2), F(y, 2)))} for b, x, y in rows]}
             cases.append((t, rows, dense, json.dumps(doc)))
     outputs = []
     with _Timer("criterion 16: check on 500-factor chains", limit=6.0):
@@ -484,7 +484,7 @@ def test_criterion_16_verdicts_at_max_factors(capsys):
                 assert main(["check", doc, "--mode", mode, "--json"]) == 0
                 outputs.append(capsys.readouterr().out)
     for k, (t, rows, dense, doc) in enumerate(cases):
-        pairs = [(i, j, format_scalar(G(F(d, 2)))) for i, j, d in _doubled_scan(t, rows)]
+        pairs = [(i, j, str(G(F(d, 2)))) for i, j, d in _doubled_scan(t, rows)]
         assert len(pairs) > (1000 if dense else 100)
         for mode, out in zip(("cyclic", "irreducible"), outputs[2 * k:2 * k + 2]):
             expected = [w for w in pairs if mode == "irreducible" or w[0] < w[1]]
@@ -588,7 +588,7 @@ def test_criterion_19_series_to_order_32_on_eight_factors(capsys):
     # The README's eight two-dimensional factors (dimension 256, the largest
     # `sl2` accepts) at the largest order it accepts.
     params = [F(0), F(7, 2), F(-5, 3), F(2), F(1, 7), F(-9, 4), F(5), F(11, 5)]
-    doc = json.dumps([[1, format_scalar(G(a))] for a in params])
+    doc = json.dumps([[1, str(G(a))] for a in params])
     assert main(["sl2", doc, "--verify", "identities", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["relations_hold"] is True and report["failures"] == []
@@ -621,7 +621,7 @@ def test_criterion_20_ssets_at_max_rank(capsys):
         assert len(sets) == MAX_RANK**2
         for b_m in (1, MAX_RANK):
             for b_n in all_nodes(t):
-                expected = [format_scalar(G(v)) for v in sorted(closed_form_set(t, b_m, b_n))]
+                expected = [str(G(v)) for v in sorted(closed_form_set(t, b_m, b_n))]
                 assert sets[f"{b_m},{b_n}"] == expected, (family, b_m, b_n)
 
 
@@ -675,7 +675,7 @@ def test_criterion_21_involution_at_max_rank(capsys):
     for family, rank in (("A", MAX_RANK), ("D", MAX_RANK - 1)):
         t = lie_type(family, rank)
         b_m, b_n = (1, rank) if family == "A" else (rank - 1, rank)
-        s = format_scalar(G(min(closed_form_set(t, b_m, b_n))))
+        s = str(G(min(closed_form_set(t, b_m, b_n))))
         doc = json.dumps({"type": family, "rank": rank, "factors": [
             {"node": b_m, "a": "0"}, {"node": b_n, "a": s}]})
         for f in cached:
@@ -722,7 +722,7 @@ def test_criterion_23_identities_on_eight_factors(capsys):
     # `sl2` accepts): the relation suite on packed integer rows, ladder
     # included, through the command line.
     params = [F(0), F(7, 2), F(-5, 3), F(2), F(1, 7), F(-9, 4), F(5), F(11, 5)]
-    doc = json.dumps([[1, format_scalar(G(a))] for a in params])
+    doc = json.dumps([[1, str(G(a))] for a in params])
     with _Timer("criterion 23: identities at dimension 256", limit=0.65):
         assert main(["sl2", doc, "--verify", "identities", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)

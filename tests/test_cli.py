@@ -40,7 +40,7 @@ from yangian_weyl.cli import (
     tuple_to_doc,
 )
 from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain, order_factors
-from yangian_weyl.exact import GaussianRational as G, format_scalar
+from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import all_nodes, lie_type
 
 from audit_oracle import pair_audit
@@ -463,7 +463,7 @@ def test_weyl_refuses_the_first_too_long_part(capsys):
     roots = [f"{x}-{x}i", f"{x - 1}+{x}i", f"{-9 * 10**4299}"]
     doc = json.dumps({"type": "A", "rank": 1, "polys": {"1": roots}})
     chain = order_factors(parse_tuple_doc(json.loads(doc)))
-    assert [format_scalar(a) for _, a in chain.factors] == roots
+    assert [str(a) for _, a in chain.factors] == roots
     with pytest.raises(SchemaError) as first:
         _triple_str(-1, 2 * x, 1)
     raised = []  # (formatter, numerator) of each part too long to print
@@ -549,6 +549,21 @@ def test_a_leading_byte_order_mark_is_refused_with_json_loads_message(capsys):
     assert capsys.readouterr().err == f"schema error at : invalid JSON: {expected.value}\n"
 
 
+@pytest.mark.parametrize("command", ["weyl", "check", "sl2"])
+def test_a_document_nested_too_deep_is_refused(capsys, monkeypatch, command):
+    # json raises RecursionError, which is not a ValueError, on nesting
+    # deeper than the interpreter's recursion limit.
+    for kind, opening in (("array", "["), ("object", '{"a":')):
+        doc = opening * 100_000
+        expected = ("schema error at : invalid JSON: maximum recursion depth exceeded"
+                    f" while decoding a JSON {kind} from a unicode string\n")
+        for flags in ([], ["--json"]):
+            for text in (doc, "-"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+                assert main([command, text, *flags]) == 2
+                assert capsys.readouterr() == ("", expected)
+
+
 def test_json_documents_roundtrip():
     rng = random.Random(97)
     types = [lie_type("A", 3), lie_type("B", 2), lie_type("C", 3), lie_type("G2")]
@@ -594,7 +609,7 @@ def _verdict_factors(draw, longest: int):
             re, im = base_re + Fraction(draw(st.integers(0, 12)), 2), base_im
         else:
             re, im = draw(_fraction_st), draw(_fraction_st)
-        factors.append((draw(st.integers(1, rank)), format_scalar(G(re, im))))
+        factors.append((draw(st.integers(1, rank)), str(G(re, im))))
     return family, rank, factors
 
 
@@ -718,7 +733,7 @@ def test_pair_audit_is_the_oracle_audit(chain):
     t = chain.lie_type
     polys = {}
     for node, a in chain.factors:
-        polys.setdefault(str(node), []).append(format_scalar(a))
+        polys.setdefault(str(node), []).append(str(a))
     doc = {"type": t.family, "rank": t.rank, "polys": polys}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

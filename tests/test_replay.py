@@ -10,7 +10,7 @@ output with a stored digest.  The corpora, by key:
   both modes, in JSON and human mode.  Most chains sit on half-integer
   shifts of one base, so many have criterion witnesses.
 - `cli`: `info` and `ssets` on eleven types, the first four `sl2-golden`
-  products in human mode, five schema errors, and `weyl --json` on
+  products in human mode, six schema errors, and `weyl --json` on
   pairwise coprime 9-10-digit denominators, whose pair audit is formed
   pair by pair.
 
@@ -43,7 +43,7 @@ from pathlib import Path
 
 from yangian_weyl.cli import main
 from yangian_weyl.drinfeld import series_to_roots
-from yangian_weyl.exact import GaussianRational, Series, format_scalar
+from yangian_weyl.exact import GaussianRational, Series
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = ROOT / "tests" / "data" / "replay_digest.json"
@@ -86,7 +86,7 @@ def golden_specs(count=36):
         spec = []
         for m in ms:
             re = base + rng.randint(-3, 3) if rng.random() < 0.8 else _fraction(rng, 6)
-            spec.append([m, format_scalar(GaussianRational(re, im if gauss else 0))])
+            spec.append([m, str(GaussianRational(re, im if gauss else 0))])
         specs.append(spec)
     return specs
 
@@ -144,6 +144,7 @@ SCHEMA_ERRORS = (
     ["sl2", json.dumps([[1, "0"]]), "--verify", "series", "--order", "33"],
     ["check", json.dumps({"type": "A", "rank": 1, "factors": [{"node": 1, "b": "0"}]})],
     ["weyl", '{"type":'],
+    ["sl2", "[" * 100_000],
 )
 PAIRWISE_WEYL = ["weyl", '{"type":"A","rank":2,"polys":{"1":["7/999999937+2/999999937i",'
                  '"-5/1000000009","3/999999929-1/999999929i"],"2":["11/1000000007+4/1000000007i"]}}',

@@ -11,7 +11,8 @@ from math import lcm, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from yangian_weyl.exact import GaussianRational as G, Matrix, ZERO, _dense, unit_vector
+from yangian_weyl.exact import (
+    GaussianRational as G, Matrix, ZERO, _dense, row_space_closure, unit_vector)
 from yangian_weyl.ysl2 import (
     SL2Module,
     _h_on_top,
@@ -52,6 +53,12 @@ def _with(module, **changes):
     return SL2Module(*(changes.get(f, getattr(module, f)) for f in SL2Module.__match_args__))
 
 
+def _level_one(module):
+    """x_1^+ and x_1^- of the module, read off one level-1 ladder."""
+    ladder = extend_generators(module, 1)
+    return ladder.xp[1], ladder.xm[1]
+
+
 def _apply(matrices, vec):
     for m in reversed(matrices):
         vec = m.matvec(vec)
@@ -63,13 +70,13 @@ def test_evaluation_module_level_one_actions():
     mod = evaluation_module(1, a)
     w1 = unit_vector(2, 1)
     assert mod.h1.matvec(w1) == tuple(a * e for e in w1)
-    assert mod.x1m.matvec(w1) == tuple(a * e for e in mod.x0m.matvec(w1))
+    assert _level_one(mod)[1].matvec(w1) == tuple(a * e for e in mod.x0m.matvec(w1))
     w0 = unit_vector(2, 0)
     assert mod.h1.matvec(w0) == tuple(-a * e for e in w0)
 
     mod2 = evaluation_module(2, a)
     w2 = unit_vector(3, 2)
-    assert mod2.x1m.matvec(w2) == tuple((a + 1) * e for e in unit_vector(3, 1))
+    assert _level_one(mod2)[1].matvec(w2) == tuple((a + 1) * e for e in unit_vector(3, 1))
     assert mod2.h1.matvec(w2) == tuple(2 * (a + 1) * e for e in w2)
 
     # x_1^+/- come from the recursion; the closed form is
@@ -82,8 +89,7 @@ def test_evaluation_module_level_one_actions():
         for s in range(m):
             xp[s + 1][s] = (s + a) * (s + 1)
             xm[s][s + 1] = (s + a) * (m - s)
-        assert mod.x1p == Matrix(xp)
-        assert mod.x1m == Matrix(xm)
+        assert _level_one(mod) == (Matrix(xp), Matrix(xm))
 
 
 def test_evaluation_module_rejects_bad_m():
@@ -180,27 +186,22 @@ def test_extend_generators_examples():
     ladder = extend_generators(mod, 4)
     for k in range(5):
         assert ladder.xm[k] == mod.x0m.scale(a**k)
-    assert extend_generators(mod, 1).xm == (mod.x0m, mod.x1m)
+    assert extend_generators(mod, 1).xm == ladder.xm[:2]
     for K in (0, True, 1.5, "1"):
         with pytest.raises(ValueError, match="^K must be a positive integer$"):
             extend_generators(mod, K)
 
 
-def test_level_one_generators_share_one_ladder(monkeypatch):
+def test_generators_are_the_four_defining_matrices(monkeypatch):
+    # x_1^+/- are polynomials in these four, so the closure spins under
+    # them alone and no ladder runs.
     mod = tensor_module([(1, G(F(1, 2))), (2, G(3, -1)), (3, G(-2))])
     assert mod.dim == 24
-    calls = []
-
-    def counted(module, K):
-        calls.append(K)
-        return extend_generators(module, K)
-
-    monkeypatch.setattr("yangian_weyl.ysl2.extend_generators", counted)
-    x0p, x0m, x1p, x1m, h0, h1 = mod.generators()
-    assert mod.generators() == (x0p, x0m, x1p, x1m, h0, h1)
-    assert calls == [1]
-    ladder = extend_generators(mod, 1)
-    assert (x1p, x1m) == (ladder.xp[1], ladder.xm[1])
+    monkeypatch.setattr("yangian_weyl.ysl2._integer_ladder", None)
+    assert mod.generators() == (mod.x0p, mod.x0m, mod.h0, mod.h1)
+    top = unit_vector(24, mod.highest_index)
+    assert submodule_dimension(mod, top) == sum(lowering_levels(mod))
+    assert trivial_submodule_check(G(F(1, 2)))
 
 
 def test_coassociativity_of_level_one():
@@ -211,9 +212,7 @@ def test_coassociativity_of_level_one():
     mid = tensor_module(params[1:])
     right = tensor_oracle.tensor_pair(evaluation_module(*params[0]), mid)
     assert left.h1 == right.h1
-    assert left.x1m == right.x1m
-    assert left.x1p == right.x1p
-    assert left.x1m is left.x1m
+    assert _level_one(left) == _level_one(right)
 
 
 def test_is_highest_weight_examples():
@@ -283,7 +282,7 @@ def _spec_st(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(_spec_st())
-def test_lowering_levels_agree_with_six_generator_closure(spec):
+def test_lowering_levels_agree_with_generator_closure(spec):
     module = tensor_module(spec)
     levels = lowering_levels(module)
     sizes = _depth_sizes(module)
@@ -525,7 +524,7 @@ def test_reversed_order_vector_is_not_a_submodule():
     mod = tensor_module([(1, a), (1, a + 1)])
     v0 = _vec(mod, {(1, 0): G(1), (0, 1): G(-1)})
     assert submodule_dimension(mod, v0) > 1
-    assert any(mod.x1m.matvec(v0))
+    assert any(_level_one(mod)[1].matvec(v0))
 
 
 def test_defining_relations_on_various_modules():
@@ -775,7 +774,44 @@ def test_ladder_is_the_oracle_ladder(spec, perturbation, c):
         assert (ladder.xp, ladder.xm, ladder.h) == (
             oracle.xp[: K + 1], oracle.xm[: K + 1], oracle.h[: K + 1]
         ), K
-    assert (module.x1p, module.x1m) == (oracle.xp[1], oracle.xm[1])
+
+
+_SMALL_GAUSSIAN = st.builds(G, st.integers(-2, 2), st.integers(-1, 1)).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_spec_st().filter(lambda spec: prod(m + 1 for m, _ in spec) <= 64),
+                  st.none(), st.just(G(1))),
+        st.tuples(*_PERTURBED_MODULE_ARGS),
+    ),
+    st.data(),
+)
+def test_closure_under_the_four_is_closure_under_x1_too(args, data):
+    # x_1^+ = ([h_1, x_0^+] - h_0 x_0^+ - x_0^+ h_0)/2 and x_1^- alike, on
+    # any module: a subspace closed under x_0^+/-, h_0 and h_1 is closed
+    # under x_1^+/-, and a vector the four kill is killed by x_1^+/-.
+    module = _perturbed_module(*args)
+    four = module.generators()
+    assert len(four) == 4
+    six = four + _level_one(module)
+    # The top and the bottom basis vector, which span proper submodules of
+    # many of these products, and a sum of up to three basis vectors.
+    bottom = module.basis_index((0,) * len(module.factor_spec))
+    mixed = [ZERO] * module.dim
+    for i, value in data.draw(st.lists(
+            st.tuples(st.integers(0, module.dim - 1), _SMALL_GAUSSIAN), min_size=1, max_size=3)):
+        mixed[i] += value
+    for seed in (unit_vector(module.dim, module.highest_index), unit_vector(module.dim, bottom),
+                 mixed):
+        if any(seed):
+            assert row_space_closure(four, seed) == row_space_closure(six, seed)
+    a = data.draw(st.builds(G, _SCALE_PART, _SCALE_PART))
+    pair = tensor_module([(1, a + 1), (1, a)])
+    v0 = _vec(pair, {(1, 0): G(1), (0, 1): G(-1)})
+    killed = not any(any(g.matvec(v0)) for g in pair.generators() + _level_one(pair))
+    assert trivial_submodule_check(a) is killed
 
 
 def _unpack(base, value, S, n):
