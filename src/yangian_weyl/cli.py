@@ -57,10 +57,10 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 # two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
 # (dimension 256; in-process `main` calls, Python 3.11.7, one shared Xeon
 # core; cold is the first call in a fresh process, with `ysl2._shape`
-# empty, warm a repeated one) closure takes about 0.07 s cold and
-# 0.03-0.04 s warm, identities 0.18-0.20 s, and series 0.005-0.008 s cold
+# empty, warm a repeated one) closure takes about 0.04-0.06 s cold and
+# 0.025-0.04 s warm, identities 0.18-0.20 s, and series 0.005-0.008 s cold
 # and 0.002-0.004 s warm at order 5 or 32; on the first seven, closure
-# 0.014 s cold and 0.006-0.007 s warm, identities 0.04-0.07 s.  Identities
+# 0.009-0.016 s cold and 0.006-0.010 s warm, identities 0.04-0.07 s.  Identities
 # sets the bound: with a ninth factor, -7/2, its relation suite takes
 # 0.65-0.71 s, of which the ladder is 0.11-0.13 s.
 MAX_SL2_DIM = 256
@@ -93,10 +93,10 @@ MAX_SL2_ORDER = 32
 # 3.11.7, two shared Xeon cores).  Both grow as the square of the degree.
 # `check` finds its witnesses by a hash join; at 500 factors it takes
 # 0.003-0.01 s on non-real D5 and real A4 chains, 0.05-0.2 s on G2 chains
-# over the half-integers 0..15, and 0.3-0.5 s when every pair i < j is a
+# over the half-integers 0..15, and 0.2-0.25 s when every pair i < j is a
 # witness (on A1, 250 factors at 0 before 250 at 1: 62,500 witnesses, 4.9 MB
-# of JSON) (in-process `main` calls, min of 3; Python 3.11.7, two shared
-# Xeon cores).
+# of JSON, of which writing takes 0.05 s) (in-process `main` calls, min of
+# 3; Python 3.11.7, two shared Xeon cores).
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 
@@ -268,7 +268,7 @@ def tuple_to_doc(pi: DrinfeldTuple) -> dict:
 def chain_to_doc(chain: FactorChain) -> dict:
     t = chain.lie_type
     try:
-        factors = _FactorRows(
+        factors = _Rows(
             {"node": node, "a": format_triple(*a.triple)} for node, a in chain.factors
         )
     except ValueError as exc:  # a part with more digits than str() converts
@@ -280,10 +280,10 @@ def _verdict_doc(verdict: Verdict) -> dict:
     return {
         "guaranteed": verdict.guaranteed,
         "exact": verdict.exact,
-        "witnesses": [
+        "witnesses": _Rows(
             {"i": i, "j": j, "difference": _scalar_str(d)}
             for i, j, d in verdict.witnesses
-        ],
+        ),
     }
 
 
@@ -300,12 +300,12 @@ def _emit(report: dict, as_json: bool, lines):
     joined once, a `weyl` pair audit included: four pieces per pair, the
     row's real part, its imaginary suffix and the texts that name i and j,
     so no string is built per pair.  The factor rows of a chain (`weyl`'s
-    "chain", `check`'s "chain" / "factors") are one row template filled
-    from each row's dict.  With `indent` set, `json` encodes in
-    pure Python: on the 500-root `weyl` reports of criterion 17 it takes
-    0.55-1.06 s, against 0.01-0.04 s here.  Nothing is printed before the
-    report is whole, so a `weyl` audit refused for a part too long to
-    print leaves stdout empty."""
+    "chain", `check`'s "chain" / "factors") and `check`'s witness rows
+    are one row template each, filled from each row's dict.  With
+    `indent` set, `json` encodes in pure Python: on the 500-root `weyl`
+    reports of criterion 17 it takes 0.55-1.06 s, against 0.01-0.04 s
+    here.  Nothing is printed before the report is whole, so a `weyl`
+    audit refused for a part too long to print leaves stdout empty."""
     if as_json:
         print(_json_text(report))
     else:
@@ -321,9 +321,11 @@ class _PairAudit(list):
     key of the report."""
 
 
-class _FactorRows(list):
-    """`chain_to_doc`'s factors, one {"node": node, "a": text} per factor,
-    written by `_write_json` from one row template."""
+class _Rows(list):
+    """Row objects of one shape, written by `_write_json` from one row
+    template: every row has the keys of the first, and under each key a
+    value of the same type, an int or a scalar text (`chain_to_doc`'s
+    factors, `_verdict_doc`'s witnesses)."""
 
 
 # One `pair_audit` row as `json.dumps(indent=2, sort_keys=True)` prints it in
@@ -351,11 +353,11 @@ def _write_json(value, out: list, nl: str):
     sort_keys=True)` prints it; `nl` is a newline and the indent of the
     line that holds `value`.  Strings go through the C string encoder that
     `json` uses, except the part texts of a _PairAudit and the parameter
-    texts of _FactorRows: they hold only digits, "/", "+", "-" and "i",
-    which the encoder would only quote, so the row templates carry the
-    quotes, and a pair row's difference is its real text followed by its
+    texts of _Rows: they hold only digits, "/", "+", "-" and "i", which
+    the encoder would only quote, so the row templates carry the quotes,
+    and a pair row's difference is its real text followed by its
     imaginary suffix.  Any type but str, int, bool, None, a dict with str
-    keys, a list, a _PairAudit and _FactorRows raises TypeError."""
+    keys, a list, a _PairAudit and _Rows raises TypeError."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -365,7 +367,7 @@ def _write_json(value, out: list, nl: str):
         out.append("true" if value else "false")
     elif value is None:
         out.append("null")
-    elif not value and kind in (dict, list, _PairAudit, _FactorRows):
+    elif not value and kind in (dict, list, _PairAudit, _Rows):
         out.append("{}" if kind is dict else "[]")
     elif kind is dict:
         inner = nl + "  "
@@ -399,9 +401,14 @@ def _write_json(value, out: list, nl: str):
             row[3::4] = named_j[i + 1:]
             out += row
         out[-1] = out[-1][:-len(_AUDIT_NEXT)] + "\n  ]"
-    elif kind is _FactorRows:  # `format_map` fills each row: no bytecode per row
+    elif kind is _Rows:  # `format_map` fills each row: no bytecode per row
         inner = nl + "  "
-        row = inner + "{{" + inner + '  "a": "{a}",' + inner + '  "node": {node}' + inner + "}}"
+        first = value[0]
+        fields = ",".join(
+            f'{inner}  "{key}": ' + ('"{%s}"' if type(first[key]) is str else "{%s}") % key
+            for key in sorted(first)
+        )
+        row = inner + "{{" + fields + inner + "}}"
         out.append("[" + ",".join(map(row.format_map, value)) + nl + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -13,14 +13,19 @@ The top tensor vector v is a highest-weight vector, so it generates Y^- v.
 As h_0 is a scalar on each weight space, the recursion for x_{k+1}^- makes
 level r+1 of Y^- v (r+1 lowering steps below v) equal to C[h_1] x_0^- of
 level r: `lowering_levels` spins the levels one at a time with x_0^- and h_1
-only.  `submodule_dimension` spins any seed under the four matrices that
-define the module and stays as the independent cross-check.
+only.  Y^- v = Y v is a finite-dimensional sl2-module under x_0^+/-, h_0,
+with level r in h_0-weight sum(m) - 2r, so its levels are a palindrome
+(dim W_r = dim W_{sum(m)-r}) on every product `tensor_module` builds: only
+the upper half is spun, and the lower half is read off it.
+`submodule_dimension` spins any seed under the four matrices that define
+the module and stays as the independent cross-check.
 
 Everything that depends only on the factor dimensions m = (m_1, .., m_N),
 the shape, is built once per shape by `_shape` and shared read-only: the
 basis labels, x_0^+/- and h_0, h_1 without its parameter-dependent
 diagonal, the weight-order tables of the relation suite, and x_0^- of
-every full level, on which the spin of the next level starts.
+every full level of the upper half, on which the spin of the next level
+starts.
 
 Every matrix is a `Matrix` of Z[i] rows over one denominator: 1 for the
 parameter-free ones, the lcm of the parameters' denominators for h_1.
@@ -106,7 +111,9 @@ class _Shape:
     dim V_r, the number of labels r lowering steps below the top.  `order`,
     `slot` and `start` put the basis in h_0-weight order for
     `_packed_relations`.  `lowered[r]` holds the echelon rows of
-    x_0^- V_{r-1}, filled on first use by `_lowered`.
+    x_0^- V_{r-1}, filled on first use by `_lowered`, for the depths
+    1 <= r <= sum(ms)/2 only: `_spin_levels` reads every deeper level off
+    the sl2 mirror, dim W_r = dim W_{sum(ms)-r}, and spins none of them.
     """
 
     ms: Tuple[int, ...]
@@ -164,9 +171,10 @@ def _shape(ms: Tuple[int, ...]) -> _Shape:
 
 
 def _lowered(shape: _Shape, r: int) -> dict:
-    """{pivot: row}, the `_Echelon` rows of x_0^- V_{r-1}, for r >= 1: the
-    images of the basis vectors r - 1 steps below the top, reduced until
-    they fill V_r.  Built once per shape and depth; callers copy it."""
+    """{pivot: row}, the `_Echelon` rows of x_0^- V_{r-1}, for
+    1 <= r <= sum(ms)/2 (`_spin_levels` spins no deeper level): the images
+    of the basis vectors r - 1 steps below the top, reduced until they fill
+    V_r.  Built once per shape and depth; callers copy it."""
     rows = shape.lowered.get(r)
     if rows is None:
         basis = _Echelon(len(shape.labels))
@@ -295,10 +303,17 @@ def submodule_dimension(module: SL2Module, seed) -> int:
 
 
 def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
-    """(dim W_r, dim V_r) for r = 0 .. sum(m).  V_r is spanned by the basis
-    vectors r lowering steps below the top; W_r, the part of Y top in V_r, is
-    spun as W_0 = <top>, W_{r+1} = C[h_1] x_0^- W_r.  A level that fills V_r
-    is closed under h_1 already, so its spinning stops there.
+    """(dim W_r, dim V_r) for r = 0 .. T, T = sum(m).  V_r is spanned by the
+    basis vectors r lowering steps below the top; W_r, the part of Y top in
+    V_r, is spun as W_0 = <top>, W_{r+1} = C[h_1] x_0^- W_r.  A level that
+    fills V_r is closed under h_1 already, so its spinning stops there.
+
+    Only the depths r <= T/2 are spun.  W = Y top is a finite-dimensional
+    sl2-module under x_0^+/-, h_0, and W_r is its h_0-weight space of weight
+    T - 2r, so dim W_r = dim W_{T-r}, as dim V_r = dim V_{T-r}: every depth
+    r > T/2 is read off depth T - r.  This holds on every product
+    `tensor_module` builds, and with h_1 replaced by c h_1 + d h_0 (c != 0),
+    which spins the same levels, as h_0 is a scalar on each V_r.
 
     When W_{r-1} fills V_{r-1} (always at r = 1), x_0^- W_{r-1} is the
     parameter-free x_0^- V_{r-1}: on a module that shares its shape's x_0^-,
@@ -310,9 +325,11 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
     shape = _shape(tuple(m for m, _ in module.factor_spec))
     shared = module.x0m is shape.x0m
     sizes = shape.sizes
+    top = len(sizes) - 1
     level = [{module.highest_index: (1, 0)}]
+    dims = [1]
     yield 1, 1
-    for r in range(1, len(sizes)):
+    for r in range(1, top // 2 + 1):
         basis = _Echelon(module.dim)
         if shared and len(level) == sizes[r - 1]:
             basis.rows.update(_lowered(shape, r))
@@ -321,12 +338,17 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
             queue = [(module.x0m, vec) for vec in level]
         basis.spin(queue, (module.h1,), sizes[r])
         level = list(basis.rows.values())
+        dims.append(len(level))
         yield len(level), sizes[r]
+    for r in range(top // 2 + 1, top + 1):
+        yield dims[top - r], sizes[r]
 
 
 def lowering_levels(module: SL2Module) -> Tuple[int, ...]:
-    """dim W_r for every depth r = 0 .. sum(m) below the top vector; their
-    sum is the dimension of the submodule the top vector generates."""
+    """dim W_r for every depth r = 0 .. sum(m) below the top vector, a
+    palindrome by the sl2 weight symmetry (see `_spin_levels`, which spins
+    only the upper half); their sum is the dimension of the submodule the
+    top vector generates."""
     return tuple(w for w, _ in _spin_levels(module))
 
 

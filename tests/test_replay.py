@@ -15,8 +15,10 @@ output with a stored digest.  The corpora, by key:
   pair by pair.
 
 tests/data/replay_digest.json stores per op a short SHA-256 of the input
-and of each of status, stdout and stderr, so a changed generator reads as
-a changed input and a changed output names its stream.  This module checks
+and of each of status, stdout and stderr.  Each op is compared with the
+stored row of its input hash, so an op that only moved reads as moved, and
+one added or removed as such; an op whose input changed in place reads as
+a changed input, and a changed output names its stream.  This module checks
 the workload and `cli` keys; tests/test_sl2_golden.py and
 tests/test_verdicts_golden.py check the two golden keys one verify mode or
 one type at a time, and hold their coverage checks.  Rewrite it, from
@@ -206,9 +208,13 @@ def _run(op):
     return "0", repr(sorted(repr(r) for r in roots)), ""
 
 
+def _input(op) -> str:
+    return _short(repr((op.kind, op.argv, op.data)))
+
+
 def _row(op) -> list:
     """[hash per stream] of one op."""
-    return [_short(repr((op.kind, op.argv, op.data))), *map(_short, _run(op))]
+    return [_input(op), *map(_short, _run(op))]
 
 
 def replay(key) -> list:
@@ -224,20 +230,45 @@ def _keys(stored) -> list:
     return list(corpora()) + [key for key in stored if key not in corpora()]
 
 
-def _mismatches(key, old, new, indices=None) -> list:
-    """Lines naming each op whose replayed row in `new` differs from its
-    stored row in `old`; `new` holds the rows of the ops at `indices`, by
-    default all ops of the corpus."""
-    ops = corpora().get(key, [])
+def _pairing(ops, old) -> list:
+    """The index of the stored row in `old` that each op of `ops` is
+    compared with, or None.  An op takes the stored row of its input hash,
+    the k-th op of one input the k-th such row; an op left over takes the
+    row at its own index if no op took that row, so that a changed input
+    in place reads as changed."""
+    rows = {}
+    for index, row in enumerate(old):
+        rows.setdefault(row[0], []).append(index)
+    pairs = [rows[key].pop(0) if rows.get(key) else None for key in map(_input, ops)]
+    free = set(range(len(old))) - set(pairs)
+    for index, paired in enumerate(pairs):
+        if paired is None and index in free:
+            pairs[index] = index
+    return pairs
+
+
+def _mismatches(key, ops, old, new, indices=None) -> list:
+    """Lines naming each op of `ops` whose replayed row in `new` is not its
+    stored row in `old`, and each stored row that no op is paired with
+    (see `_pairing`); `new` holds the rows of the ops at `indices`, by
+    default all of them.  An op is added if no stored row is paired with
+    it, moved if its row is stored at another index, and changed in each
+    stream whose hash differs."""
+    pairs = _pairing(ops, old)
     lines = []
-    if len(old) != len(ops):
-        lines.append(f"{key}: {len(old)} ops stored, {len(ops)} replayed")
     for index, now in zip(range(len(new)) if indices is None else indices, new):
-        was = old[index] if index < len(old) else [None] * len(STREAMS)
-        if was != now:
-            changed = [s for s, a, b in zip(STREAMS, was, now) if a != b]
-            shown = repr(corpora()[key][index].argv + corpora()[key][index].data)[:100]
-            lines.append(f"{key} op {index} {shown}: {', '.join(changed)} changed")
+        was = pairs[index]
+        if was is None:
+            found = ["added"]
+        else:
+            changed = [s for s, a, b in zip(STREAMS, old[was], now) if a != b]
+            found = [f"moved from op {was}"] * (was != index) + [
+                ", ".join(changed) + " changed"] * bool(changed)
+        if found:
+            shown = repr(ops[index].argv + ops[index].data)[:100]
+            lines.append(f"{key} op {index} {shown}: {', '.join(found)}")
+    lines += [f"{key} stored op {index} (input {old[index][0]}): removed"
+              for index in sorted(set(range(len(old))) - set(pairs))]
     return lines
 
 
@@ -245,7 +276,7 @@ def check_replay(key, select=lambda op: True):
     """Replay the ops of one corpus that `select` picks against their rows."""
     ops = corpora().get(key, [])
     indices = [index for index, op in enumerate(ops) if select(op)]
-    lines = _mismatches(key, stored(key), [_row(ops[index]) for index in indices], indices)
+    lines = _mismatches(key, ops, stored(key), [_row(ops[index]) for index in indices], indices)
     assert not lines, f"{len(lines)} ops differ; first:\n" + "\n".join(lines[:5])
 
 
@@ -266,6 +297,40 @@ def test_replay_digest_is_unchanged(key):
     check_replay(key)
 
 
+def test_mismatches_tell_moved_added_removed_and_changed_ops():
+    # A synthetic corpus and digest, one output per op: no op runs.
+    ops = {name: _workloads().Op("cli", ("info", "--type", name)) for name in "abcdef"}
+
+    def rows(names, changed=""):
+        return [[_input(ops[n]), "0", "out " + n + "!" * (n in changed), ""] for n in names]
+
+    def lines(stored_names, names, changed="", indices=None):
+        new = rows(names, changed)
+        if indices is not None:
+            new = [new[i] for i in indices]
+        return _mismatches("k", [ops[n] for n in names], rows(stored_names), new, indices)
+
+    def op(index, name):
+        return f"k op {index} {('info', '--type', name)!r}"
+
+    assert lines("abca", "abca") == []
+    # One op inserted: it is added, and the op after it only moved.
+    assert lines("abc", "abdc") == [
+        op(2, "d") + ": added", op(3, "c") + ": moved from op 2"]
+    assert lines("abc", "ac") == [
+        op(1, "c") + ": moved from op 2", f"k stored op 1 (input {_input(ops['b'])}): removed"]
+    assert lines("ab", "ba", changed="a") == [
+        op(0, "b") + ": moved from op 1", op(1, "a") + ": moved from op 0, stdout changed"]
+    # A changed output in place, and a changed input in place.
+    assert lines("abc", "abc", changed="b") == [op(1, "b") + ": stdout changed"]
+    assert lines("abc", "aec") == [op(1, "e") + ": input, stdout changed"]
+    # Two ops of one input pair with their stored rows in order.
+    assert lines("aab", "aba") == [op(1, "b") + ": moved from op 2", op(2, "a") + ": moved from op 1"]
+    # A subset replay names only the ops it replays, and every row no op takes.
+    assert lines("abcf", "abdc", indices=[0, 3]) == [
+        op(3, "c") + ": moved from op 2", f"k stored op 3 (input {_input(ops['f'])}): removed"]
+
+
 def test_cli_corpus_errors_are_schema_errors():
     for argv in SCHEMA_ERRORS:
         status, out, err = _cli(argv)
@@ -278,7 +343,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_replay.py --write")
     digest = {key: replay(key) for key in corpora()}
     lines = [line for key in _keys(json.loads(DIGEST.read_text()))
-             for line in _mismatches(key, stored(key), digest.get(key, []))]
+             for line in _mismatches(key, corpora().get(key, []), stored(key), digest.get(key, []))]
     print("\n".join(lines) or f"all {sum(map(len, digest.values()))} ops match {DIGEST.name}")
     if lines:
         # One op to a line, so that a rewrite shows in a diff op by op.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from yangian_weyl.exact import (
-    GaussianRational as G, Matrix, ZERO, _dense, row_space_closure, unit_vector)
+    GaussianRational as G, Matrix, ZERO, _Echelon, _dense, row_space_closure, unit_vector)
 from yangian_weyl.ysl2 import (
     SL2Module,
     _h_on_top,
@@ -327,13 +327,58 @@ def test_lowering_levels_are_the_oracle_levels(spec, h1_change):
     # cached rows must be the spin from x_0^- of every level as it stands.
     # An h_1 scaled by 3 or shifted by h_0 keeps x_0^- shared and still
     # maps every V_r into itself.
-    module = tensor_module(spec)
-    if h1_change == "scale":
-        module = _with(module, h1=module.h1.scale(3))
-    elif h1_change == "shift":
-        module = _with(module, h1=module.h1 + module.h0)
+    module = _h1_changed(tensor_module(spec), h1_change)
     assert tuple(_spin_levels(module)) == tuple(spin_oracle._spin_levels(module))
     assert lowering_levels(module) == spin_oracle.lowering_levels(module)
+
+
+def _h1_changed(module, h1_change):
+    """The module with h_1 scaled by 3 or shifted by h_0, or as it is."""
+    if h1_change == "scale":
+        return _with(module, h1=module.h1.scale(3))
+    if h1_change == "shift":
+        return _with(module, h1=module.h1 + module.h0)
+    return module
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_spec_st(), _pool_spec_st()), st.sampled_from((None, "scale", "shift")))
+def test_oracle_levels_are_a_palindrome(spec, h1_change):
+    # The sl2 weight symmetry that lets `_spin_levels` spin only the upper
+    # half, read off the oracle, which spins every level: Y top is an
+    # sl2-module under x_0^+/-, h_0, with depth r in weight sum(m) - 2r.
+    module = _h1_changed(tensor_module(spec), h1_change)
+    levels = spin_oracle.lowering_levels(module)
+    assert levels == levels[::-1]
+    assert all(w <= v for w, v in zip(levels, _depth_sizes(module)))
+    top = unit_vector(module.dim, module.highest_index)
+    assert sum(levels) == submodule_dimension(module, top)
+
+
+@pytest.mark.parametrize("spec", [
+    [(1, G(0)), (1, G(1)), (1, G(2))],  # T = 3, not highest weight
+    [(2, G(0)), (2, G(1))],  # T = 4, short from depth 2
+    [(1, G(1)), (2, G(F(1, 2), 1)), (1, G(0))],  # T = 4, highest weight
+    [(1, G(0))] * 3 + [(1, G(1))] * 2,  # T = 5
+])
+def test_lower_half_is_read_off_the_mirror(spec, monkeypatch):
+    # No echelon is built for a depth below the middle, by the level spin
+    # or by `_lowered`, and the shape caches no such depth.
+    built = []
+
+    class Counted(_Echelon):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr("yangian_weyl.ysl2._Echelon", Counted)
+    _shape.cache_clear()
+    module = tensor_module(spec)
+    top = sum(m for m, _ in spec)
+    assert lowering_levels(module) == spin_oracle.lowering_levels(module)
+    depths = {top - sum(module.basis_labels[p]) for basis in built for p in basis.rows}
+    assert built and max(depths) == top // 2
+    assert max(_shape(tuple(m for m, _ in spec)).lowered) <= top // 2
 
 
 def test_shape_cache_entries_stay_as_built():
