@@ -31,11 +31,9 @@ from .drinfeld import (
     FactorChain,
     NotDrinfeldSeriesError,
     TrivialModuleError,
-    chain_to_poly,
     eigenvalue_series,
     order_factors,
     series_to_roots,
-    shift_tuple,
 )
 from .exact import (
     GaussianRational,
@@ -60,14 +58,12 @@ from .weylpath import (
     Ledger,
     SigmaChain,
     descent_chain,
-    lowering_word,
     parameter_ledger,
 )
 from .ysl2 import (
     GeneratorLadder,
     SL2Module,
     defining_relation_failures,
-    evaluation_module,
     extend_generators,
     is_highest_weight,
     is_irreducible,

@@ -120,20 +120,6 @@ def order_factors(pi: DrinfeldTuple) -> FactorChain:
     return FactorChain(pi.lie_type, tuple(items[k] for k in order))
 
 
-def chain_to_poly(chain: FactorChain) -> DrinfeldTuple:
-    rows = [[] for _ in range(chain.lie_type.rank)]
-    for node, a in chain.factors:
-        rows[node - 1].append(a)
-    return DrinfeldTuple(chain.lie_type, tuple(tuple(r) for r in rows))
-
-
-def shift_tuple(pi: DrinfeldTuple, a) -> DrinfeldTuple:
-    a = as_scalar(a)
-    return DrinfeldTuple(
-        pi.lie_type, tuple(tuple(r + a for r in row) for row in pi.roots)
-    )
-
-
 def eigenvalue_series(roots: Iterable, d: int, order: int) -> Series:
     """Truncated expansion of prod (u + d - a)/(u - a) about u = infinity.
 

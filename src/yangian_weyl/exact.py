@@ -5,10 +5,10 @@ anywhere.  A scalar is a `GaussianRational` that stores one integer triple
 (re, im, d) standing for (re + im*i) / d, in lowest terms.  Arithmetic and
 formatting work on those integers, and each result is reduced once.
 A matrix keeps sparse Gaussian-integer rows that never store a zero over
-one denominator, in lowest terms.  One row kernel forms every product, sum
-and matrix-vector application, and one fraction-free echelon does all row
-reduction inside Z[i].  Scalars and dense tuples appear only where values
-cross the public API.
+one denominator, in lowest terms.  One row kernel forms the package's
+matrix products, matrix-vector applications and row combinations, and one
+fraction-free echelon does all row reduction inside Z[i].  Scalars and
+dense tuples appear only where values cross the public API.
 """
 
 from __future__ import annotations
@@ -284,6 +284,8 @@ class Series:
         return len(self.coeffs) - 1
 
     def __mul__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError("series orders differ")
         n = self.order
@@ -358,7 +360,7 @@ def _row_sum(terms, i: int) -> dict:
     A a sequence of Z[i] rows and B any sequence or mapping that holds a
     Z[i] row for every column of A[i].  No entry is reduced.  A matrix
     applied to a vector v is the case A = [v], i = 0, with B the matrix's
-    columns; a sum of matrices has the identity rows `_units(n)` as B."""
+    columns; a combination of rows has the identity rows `_units(n)` as B."""
     acc = {}
     for c, A, B in terms:
         for k, (ar, ai) in A[i].items():
@@ -402,10 +404,10 @@ class Matrix:
     `rows` holds one Z[i] row {column: (re, im)} per row, with no zero
     stored, and `den` is a positive integer.  The matrix is kept in lowest
     terms, gcd(den, every re and im) = 1, a form its value determines, so
-    equal matrices compare and hash equal.  Every product, sum and
-    matrix-vector application runs the row kernel `_row_sum` on the
-    nonzero entries.  `Matrix(rows)` takes dense rows of scalars.  The
-    columns, which `apply` reads, are indexed on first use.
+    equal matrices compare and hash equal.  A product and a matrix-vector
+    application run the row kernel `_row_sum` on the nonzero entries.
+    `Matrix(rows)` takes dense rows of scalars.  The columns, which `apply`
+    reads, are indexed on first use.
     """
 
     __slots__ = ("rows", "den", "ncols", "_cols")
@@ -432,25 +434,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._of(_units(_count(n, "n", 0)), 1, n)
-
-    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
-        """self + sign * other, over the lcm of the two denominators."""
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch")
-        den, units = lcm(self.den, other.den), _units(self.ncols)
-        a, b = den // self.den, sign * (den // other.den)
-        terms = ((a, self.rows, units), (b, other.rows, units))
-        return _lowest((_row_sum(terms, i) for i in range(self.nrows)), den, self.ncols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, -1)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
@@ -458,10 +441,6 @@ class Matrix:
         return _lowest(
             (_row_sum(terms, i) for i in range(self.nrows)), self.den * other.den, other.ncols
         )
-
-    def scale(self, c) -> "Matrix":
-        """c times the matrix: its Kronecker product with the 1 x 1 matrix [c]."""
-        return kron(self, Matrix([[c]]))
 
     def _columns(self) -> list:
         """The columns as Z[i] rows, built on first use."""

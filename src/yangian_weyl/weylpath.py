@@ -84,12 +84,6 @@ def descent_chain(t: LieType, b: int) -> SigmaChain:
     return SigmaChain(t, b, tuple(steps))
 
 
-def lowering_word(t: LieType, b: int) -> Tuple[Tuple[int, int], ...]:
-    """(node, exponent) pairs in product order, rightmost factor applied first."""
-    chain = descent_chain(t, b)
-    return tuple((s.node, s.coefficient) for s in reversed(chain.steps))
-
-
 @record
 class LedgerEntry:
     node: int

@@ -185,21 +185,15 @@ def _lowered(shape: _Shape, r: int) -> dict:
     return rows
 
 
-def evaluation_module(m: int, a) -> SL2Module:
-    """The (m+1)-dimensional evaluation module with parameter a, built as
-    the one-factor case of `tensor_module`.
-
-    Basis w_0 .. w_m; the highest weight vector is w_m.  Closed-form action:
-    x_k^+ w_s = (s+a)^k (s+1) w_{s+1}
-    x_k^- w_s = (s+a-1)^k (m-s+1) w_{s-1}
-    h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
-    """
-    return tensor_module(((m, a),))
-
-
 def tensor_module(spec: Sequence[Tuple[int, object]]) -> SL2Module:
     """Ordered tensor product W_{m_1}(a_1) (x) ... (x) W_{m_N}(a_N), written
     from the N-factor coproduct in the module docstring.
+
+    One factor, [(m, a)], is the (m+1)-dimensional evaluation module W_m(a)
+    with basis w_0 .. w_m and highest weight vector w_m.  Closed-form action:
+    x_k^+ w_s = (s+a)^k (s+1) w_{s+1}
+    x_k^- w_s = (s+a-1)^k (m-s+1) w_{s-1}
+    h_k  w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s
 
     Everything but the diagonal of h_1 depends only on the factor
     dimensions and comes from `_shape`: modules of one shape share their

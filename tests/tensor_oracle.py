@@ -4,14 +4,17 @@ Each evaluation module is written from its dense closed form, and the
 product is the left fold of the two-factor coproduct
 Delta(h_1) = h_1 (x) 1 + 1 (x) h_1 + h_0 (x) h_0 - 2 x_0^- (x) x_0^+
 (and Delta(g) = g (x) 1 + 1 (x) g for g = x_0^+/-, h_0), with every term a
-Kronecker product.  `tensor_module` writes the same matrices in one pass
-over the mixed-radix basis; the two must agree as `SL2Module`s.
+Kronecker product formed by the dense loops of `dense_oracle`.
+`tensor_module` writes the same matrices in one pass over the mixed-radix
+basis; the two must agree as `SL2Module`s.
 """
 
 from __future__ import annotations
 
-from yangian_weyl.exact import GaussianRational, Matrix, ZERO, as_scalar, kron
+from yangian_weyl.exact import GaussianRational, Matrix, ZERO, as_scalar
 from yangian_weyl.ysl2 import SL2Module
+
+from dense_oracle import add, dense, identity, kron, scale, sub
 
 
 def evaluation_module(m: int, a) -> SL2Module:
@@ -27,39 +30,21 @@ def evaluation_module(m: int, a) -> SL2Module:
         if s < m:
             xp[s + 1][s] = GaussianRational(s + 1)
             xm[s][s + 1] = GaussianRational(m - s)
-    return SL2Module(
-        factor_spec=((m, a),),
-        basis_labels=tuple((s,) for s in range(n)),
-        x0p=Matrix(xp),
-        x0m=Matrix(xm),
-        h0=Matrix(h0),
-        h1=Matrix(h1),
-    )
+    return SL2Module(((m, a),), tuple((s,) for s in range(n)), *map(Matrix, (xp, xm, h0, h1)))
 
 
 def tensor_pair(left: SL2Module, right: SL2Module) -> SL2Module:
     """left (x) right under the coproduct of x_0^+/-, h_0 and h_1."""
-    il = Matrix.identity(left.dim)
-    ir = Matrix.identity(right.dim)
-    x0p = kron(left.x0p, ir) + kron(il, right.x0p)
-    x0m = kron(left.x0m, ir) + kron(il, right.x0m)
-    h0 = kron(left.h0, ir) + kron(il, right.h0)
-    h1 = (
-        kron(left.h1, ir)
-        + kron(il, right.h1)
-        + kron(left.h0, right.h0)
-        - kron(left.x0m, right.x0p).scale(2)
-    )
-    labels = tuple(
-        ll + rl for ll in left.basis_labels for rl in right.basis_labels
-    )
+    lp, lm, l0, l1 = map(dense, left.generators())
+    rp, rm, r0, r1 = map(dense, right.generators())
+    il, ir = identity(left.dim), identity(right.dim)
+    x0p = add(kron(lp, ir), kron(il, rp))
+    x0m = add(kron(lm, ir), kron(il, rm))
+    h0 = add(kron(l0, ir), kron(il, r0))
+    h1 = sub(add(add(kron(l1, ir), kron(il, r1)), kron(l0, r0)), scale(2, kron(lm, rp)))
+    labels = tuple(ll + rl for ll in left.basis_labels for rl in right.basis_labels)
     return SL2Module(
-        factor_spec=left.factor_spec + right.factor_spec,
-        basis_labels=labels,
-        x0p=x0p,
-        x0m=x0m,
-        h0=h0,
-        h1=h1,
+        left.factor_spec + right.factor_spec, labels, *map(Matrix, (x0p, x0m, h0, h1))
     )
 
 

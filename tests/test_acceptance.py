@@ -39,7 +39,6 @@ from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_i
 from yangian_weyl.weylpath import descent_chain
 from yangian_weyl.ysl2 import (
     defining_relation_failures,
-    evaluation_module,
     extend_generators,
     is_highest_weight,
     submodule_dimension,
@@ -48,6 +47,7 @@ from yangian_weyl.ysl2 import (
 )
 
 from criteria_oracle import closed_form_set
+from dense_oracle import combine
 from pair_oracle import ordering_key
 from test_replay import _workloads
 from test_weylpath import chain_root_positivity
@@ -120,7 +120,7 @@ def test_criterion_03_trivial_submodule_structure():
             assert submodule_dimension(module, top) == 4
             # The quotient by the invariant line is the 3-dimensional
             # module: its top eigenvalues of h0, h1 appear on the top vector.
-            w2 = evaluation_module(2, a)
+            w2 = tensor_module([(2, a)])
             w2_top = unit_vector(3, 2)
             assert module.h0.matvec(top) == tuple(2 * e for e in top)
             assert w2.h0.matvec(w2_top) == tuple(2 * e for e in w2_top)
@@ -170,7 +170,7 @@ def test_criterion_05_corollary_batteries():
 
 
 def _w2_battery(a):
-    module = evaluation_module(2, a)
+    module = tensor_module([(2, a)])
     _MODULE_REGISTRY.append(module)
     ladder = extend_generators(module, 2)
     top, mid, bot = unit_vector(3, 2), unit_vector(3, 1), unit_vector(3, 0)
@@ -181,8 +181,8 @@ def _w2_battery(a):
         assert ladder.xm[k].matvec(mid) == tuple(2 * a**k * e for e in bot)
     assert (x0 @ x1).matvec(top) == tuple((a + 1) * e for e in sq)
     assert (x1 @ x0).matvec(top) == tuple(a * e for e in sq)
-    assert (x1 @ x0 + x0 @ x1).matvec(top) == tuple((2 * a + 1) * e for e in sq)
-    assert (x2 @ x0 + x0 @ x2).matvec(top) == tuple(
+    assert combine((1, x1 @ x0), (1, x0 @ x1)).matvec(top) == tuple((2 * a + 1) * e for e in sq)
+    assert combine((1, x2 @ x0), (1, x0 @ x2)).matvec(top) == tuple(
         (2 * a * a + 2 * a + 1) * e for e in sq
     )
     assert (x1 @ x1).matvec(top) == tuple(a * (a + 1) * e for e in sq)
@@ -203,7 +203,7 @@ def _pair_battery(b, a):
 
     assert (x0 @ x1).matvec(top) == tuple((a + b + 1) / 2 * e for e in sq)
     assert (x1 @ x0).matvec(top) == tuple((a + b - 1) / 2 * e for e in sq)
-    assert (x1 @ x0 + x0 @ x1).matvec(top) == tuple((a + b) * e for e in sq)
+    assert combine((1, x1 @ x0), (1, x0 @ x1)).matvec(top) == tuple((a + b) * e for e in sq)
     assert x2.matvec(top) == vec({(0, 1): b * b + b + a, (1, 0): a * a})
     assert (x0 @ x2).matvec(top) == tuple(
         (b * b + b + a + a * a) / 2 * e for e in sq

@@ -18,11 +18,9 @@ from yangian_weyl.drinfeld import (
     _gaussian_rational_roots,
     _gi_sqrt,
     _two_squares,
-    chain_to_poly,
     eigenvalue_series,
     order_factors,
     series_to_roots,
-    shift_tuple,
 )
 from yangian_weyl.exact import ZERO, GaussianRational as G, Series, _clear_denominators
 from yangian_weyl.rootsys import lie_type
@@ -70,7 +68,8 @@ def test_order_factors_real_parts_weakly_decreasing():
         chain = order_factors(DrinfeldTuple.from_dict(A2, rows))
         res = [a.re for _, a in chain.factors]
         assert all(x >= y for x, y in zip(res, res[1:]))
-        assert chain_to_poly(chain) == DrinfeldTuple.from_dict(A2, rows)
+        by_node = tuple(tuple(a for n, a in chain.factors if n == node) for node in (1, 2))
+        assert DrinfeldTuple(A2, by_node) == DrinfeldTuple.from_dict(A2, rows)
 
 
 # Denominators small, just past 2^64, and near 10^30, some of them sharing
@@ -129,20 +128,6 @@ def test_integer_sort_keys_match_the_fraction_oracle(roots):
 def test_order_factors_rejects_trivial():
     with pytest.raises(TrivialModuleError):
         order_factors(DrinfeldTuple.from_dict(A2, {}))
-
-
-def test_chain_to_poly_examples():
-    chain = FactorChain(A2, ((1, G(5)),))
-    assert chain_to_poly(chain) == DrinfeldTuple.from_dict(A2, {1: [G(5)]})
-    chain2 = FactorChain(A2, ((2, G(0)), (2, G(0))))
-    assert chain_to_poly(chain2).degrees == (0, 2)
-
-
-def test_shift_tuple():
-    pi = DrinfeldTuple.from_dict(A2, {1: [G(1)]})
-    assert shift_tuple(pi, G(2)) == DrinfeldTuple.from_dict(A2, {1: [G(3)]})
-    assert shift_tuple(pi, G(0)) == pi
-    assert shift_tuple(shift_tuple(pi, G(7)), G(-7)) == pi
 
 
 def test_eigenvalue_series_single_root():

@@ -24,6 +24,7 @@ from yangian_weyl.exact import (
     unit_vector,
 )
 
+from dense_oracle import dense, identity, kron as dense_kron, matmul, matvec
 from pair_oracle import ordering_key
 from spin_oracle import _gauss_jordan
 
@@ -118,15 +119,14 @@ def test_scalar_parts_must_be_exact(re, im):
 # Every refusal in exact, each on an input that breaks one rule alone.  An
 # operator of GaussianRational returns NotImplemented for a foreign operand
 # or exponent, so that Python raises TypeError.
-M12, M21 = Matrix([[1, 2]]), Matrix([[1], [2]])
+M12 = Matrix([[1, 2]])
 REFUSALS = {
     "as_scalar(str)": (lambda: as_scalar("1"), TypeError, "cannot interpret"),
     "Series([])": (lambda: Series([]), ValueError, "constant term"),
     "Series orders": (lambda: Series([1, 2]) * Series([1]), ValueError, "orders differ"),
+    "Series * int": (lambda: Series([1, 2]) * 2, TypeError, "^unsupported operand"),
     "ragged rows": (lambda: Matrix([[1, 2], [3]]), ValueError, "ragged rows"),
     "@ shape": (lambda: M12 @ M12, ValueError, "^matrix shape mismatch$"),
-    "+ shape": (lambda: M12 + M21, ValueError, "^matrix shape mismatch$"),
-    "- shape": (lambda: M12 - M21, ValueError, "^matrix shape mismatch$"),
     "matvec shape": (lambda: M12.matvec((ONE,)), ValueError, "vector shape mismatch"),
     "set scalar": (lambda: setattr(ONE, "triple", (2, 0, 1)), AttributeError, "immutable"),
     "set series": (lambda: setattr(Series([1]), "coeffs", ()), AttributeError, "immutable"),
@@ -149,9 +149,6 @@ REFUSALS = {
     "unit_vector(-1, 0)": (lambda: unit_vector(-1, 0), ValueError, "^n must be a nonnegative integer$"),
     "unit_vector(True, 0)": (lambda: unit_vector(True, 0), ValueError, "^n must be a nonnegative integer$"),
     "unit_vector(3.0, 0)": (lambda: unit_vector(3.0, 0), ValueError, "^n must be a nonnegative integer$"),
-    "identity(True)": (lambda: Matrix.identity(True), ValueError, "^n must be a nonnegative integer$"),
-    "identity(-1)": (lambda: Matrix.identity(-1), ValueError, "^n must be a nonnegative integer$"),
-    "identity(2.0)": (lambda: Matrix.identity(2.0), ValueError, "^n must be a nonnegative integer$"),
 }
 
 
@@ -170,8 +167,8 @@ def test_scalar_equality_with_a_foreign_operand_is_false():
 def test_unit_vectors_and_identities_in_range():
     assert unit_vector(3, 2) == (ZERO, ZERO, ONE)
     assert unit_vector(1, 0) == (ONE,)
-    assert Matrix.identity(0).ncols == 0 and Matrix.identity(0).nrows == 0
-    one = Matrix.identity(1)
+    assert Matrix([]).ncols == 0 and Matrix([]).nrows == 0
+    one = Matrix([[ONE]])
     assert type(one.ncols) is int and one == Matrix([[1]])
 
 
@@ -179,7 +176,7 @@ def test_unit_vectors_and_identities_in_range():
 
 
 def test_closure_identity_fixes_lines():
-    dim, basis = row_space_closure([Matrix.identity(3)], unit_vector(3, 0))
+    dim, basis = row_space_closure([Matrix(identity(3))], unit_vector(3, 0))
     assert dim == 1
     assert basis == (unit_vector(3, 0),)
 
@@ -234,9 +231,9 @@ def test_closure_rejects_bad_input():
     with pytest.raises(ValueError):
         row_space_closure([Matrix([[ZERO] * 3] * 2)], unit_vector(2, 0))
     with pytest.raises(ValueError):
-        row_space_closure([Matrix.identity(3)], unit_vector(2, 0))
+        row_space_closure([Matrix(identity(3))], unit_vector(2, 0))
     with pytest.raises(ValueError):
-        row_space_closure([Matrix.identity(2)], (ZERO, ZERO))
+        row_space_closure([Matrix(identity(2))], (ZERO, ZERO))
 
 
 def _random_matrix(rng, n):
@@ -304,28 +301,11 @@ def _half_zero_rows(draw, nrows, ncols, entries=entry_st):
     return [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
 
 
-def _naive_matmul(a, b):
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _naive_kron(a, b):
-    return [
-        [x * y for x in arow for y in brow] for arow in a for brow in b
-    ]
-
-
-def _naive_matvec(a, v):
-    return tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in a)
-
-
 def _naive_closure(gens, seed):
     """Span of seed under gens, grown by dense loops until it stops."""
     span = _gauss_jordan([seed])
     while True:
-        images = [_naive_matvec(g, v) for g in gens for v in span]
+        images = [matvec(g, v) for g in gens for v in span]
         grown = _gauss_jordan(list(span) + images)
         if len(grown) == len(span):
             return span
@@ -362,30 +342,24 @@ def _fraction_parts(values):
 def _check_against_dense_loops(data, entries):
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
     a = data.draw(_half_zero_rows(n, k, entries))
-    a2 = data.draw(_half_zero_rows(n, k, entries))
     b = data.draw(_half_zero_rows(k, m, entries))
-    c = data.draw(entries)
     v = tuple(data.draw(st.lists(entries, min_size=k, max_size=k)))
-    A, A2, B = Matrix(a), Matrix(a2), Matrix(b)
+    A, B = Matrix(a), Matrix(b)
+    assert dense(A) == a and dense(B) == b
 
     results = {
-        "matmul": (A @ B, _naive_matmul(a, b)),
-        "kron": (kron(A, B), _naive_kron(a, b)),
-        "add": (A + A2, [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)]),
-        "sub": (A - A2, [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)]),
-        "scale": (A.scale(c), [[c * x for x in r] for r in a]),
+        "matmul": (A @ B, matmul(a, b)),
+        "kron": (kron(A, B), dense_kron(a, b)),
     }
     for name, (got, want) in results.items():
         assert got == Matrix(want), name
         assert _canonical_entries(got), name
         assert (got.nrows, got.ncols) == (len(want), len(want[0])), name
     image = A.matvec(v)
-    assert image == _naive_matvec(a, v)
+    assert image == matvec(a, v)
     assert _fraction_parts(image)
 
-    assert (A + A2) - A2 == A
-    assert not any((A - A).rows) and _canonical_entries(A - A)
-    built = [A, A @ Matrix.identity(k), Matrix.identity(n) @ A, (A + A) - A, A.scale(1)]
+    built = [A, A @ Matrix(identity(k)), Matrix(identity(n)) @ A, kron(A, Matrix([[1]]))]
     for other in built:
         assert other == A and hash(other) == hash(A)
 

@@ -79,7 +79,12 @@ def _examples():
             v for c in chains
             for v in (criteria.cyclicity_guaranteed(c), criteria.irreducibility_guaranteed(c))
         ],
-        drinfeld.DrinfeldTuple: [drinfeld.chain_to_poly(c) for c in chains],
+        drinfeld.DrinfeldTuple: [
+            drinfeld.DrinfeldTuple(c.lie_type, tuple(
+                tuple(a for n, a in c.factors if n == node) for node in range(1, c.lie_type.rank + 1)
+            ))
+            for c in chains
+        ],
         drinfeld.FactorChain: chains,
         ysl2.SL2Module: modules,
         ysl2.GeneratorLadder: [ysl2.extend_generators(m, 1) for m in modules],

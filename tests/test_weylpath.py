@@ -32,7 +32,7 @@ from yangian_weyl.rootsys import (
     reflect_root,
     simple_root_in_weights,
 )
-from yangian_weyl.weylpath import descent_chain, lowering_word, parameter_ledger
+from yangian_weyl.weylpath import descent_chain, parameter_ledger
 
 from ambient_tables import ambient
 
@@ -61,11 +61,17 @@ def chain_root_positivity(t, b) -> bool:
     return True
 
 
+def _lowering_word(t, b):
+    """(node, exponent) pairs in product order, rightmost factor applied
+    first: the descent chain's steps, last step first."""
+    return tuple((s.node, s.coefficient) for s in reversed(descent_chain(t, b).steps))
+
+
 def root_lattice_balance(t, b) -> bool:
     """Sum of exponent * alpha_node over the lowering word equals
     omega_b - w0(omega_b) in fundamental-weight coordinates."""
     total = [0] * t.rank
-    for node, exp in lowering_word(t, b):
+    for node, exp in _lowering_word(t, b):
         alpha = simple_root_in_weights(t, node)
         total = [acc + exp * a for acc, a in zip(total, alpha)]
     start = fundamental_weight(t, b)
@@ -120,9 +126,9 @@ def test_chain_invariants(t):
 
 
 def test_lowering_word_examples():
-    assert lowering_word(lie_type("G2"), 1) == ((1, 1), (2, 3), (1, 2), (2, 3), (1, 1))
-    assert lowering_word(lie_type("C", 2), 2) == ((2, 1), (1, 2), (2, 1))
-    assert lowering_word(lie_type("A", 2), 1) == ((2, 1), (1, 1))
+    assert _lowering_word(lie_type("G2"), 1) == ((1, 1), (2, 3), (1, 2), (2, 3), (1, 1))
+    assert _lowering_word(lie_type("C", 2), 2) == ((2, 1), (1, 2), (2, 1))
+    assert _lowering_word(lie_type("A", 2), 1) == ((2, 1), (1, 1))
 
 
 @pytest.mark.parametrize("t", SWEEP, ids=str)

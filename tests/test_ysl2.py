@@ -11,6 +11,7 @@ from math import lcm, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from yangian_weyl import exact
 from yangian_weyl.exact import (
     GaussianRational as G, Matrix, ZERO, _Echelon, _dense, row_space_closure, unit_vector)
 from yangian_weyl.ysl2 import (
@@ -22,7 +23,6 @@ from yangian_weyl.ysl2 import (
     _shape,
     _spin_levels,
     defining_relation_failures,
-    evaluation_module,
     extend_generators,
     is_highest_weight,
     is_irreducible,
@@ -36,6 +36,7 @@ from yangian_weyl.ysl2 import (
 import relations_oracle
 import spin_oracle
 import tensor_oracle
+from dense_oracle import combine
 
 F = Fraction
 HALF = F(1, 2)
@@ -67,14 +68,14 @@ def _apply(matrices, vec):
 
 def test_evaluation_module_level_one_actions():
     a = G(F(7, 2))
-    mod = evaluation_module(1, a)
+    mod = tensor_module([(1, a)])
     w1 = unit_vector(2, 1)
     assert mod.h1.matvec(w1) == tuple(a * e for e in w1)
     assert _level_one(mod)[1].matvec(w1) == tuple(a * e for e in mod.x0m.matvec(w1))
     w0 = unit_vector(2, 0)
     assert mod.h1.matvec(w0) == tuple(-a * e for e in w0)
 
-    mod2 = evaluation_module(2, a)
+    mod2 = tensor_module([(2, a)])
     w2 = unit_vector(3, 2)
     assert _level_one(mod2)[1].matvec(w2) == tuple((a + 1) * e for e in unit_vector(3, 1))
     assert mod2.h1.matvec(w2) == tuple(2 * (a + 1) * e for e in w2)
@@ -82,7 +83,7 @@ def test_evaluation_module_level_one_actions():
     # x_1^+/- come from the recursion; the closed form is
     # x_1^+ w_s = (s+a)(s+1) w_{s+1} and x_1^- w_s = (s+a-1)(m-s+1) w_{s-1}.
     for m, a in product([1, 2, 3], [G(0), G(F(-5, 3)), G(F(1, 2), 2)]):
-        mod = evaluation_module(m, a)
+        mod = tensor_module([(m, a)])
         n = m + 1
         xp = [[ZERO] * n for _ in range(n)]
         xm = [[ZERO] * n for _ in range(n)]
@@ -96,7 +97,7 @@ def test_evaluation_module_rejects_bad_m():
     # A bool is not a dimension, although it is an int subclass.
     for m in (0, -1, True, False, 1.5, F(2), "2", G(1)):
         with pytest.raises(ValueError):
-            evaluation_module(m, G(0))
+            tensor_module([(m, G(0))])
         with pytest.raises(ValueError):
             tensor_module([(1, G(0)), (m, G(1))])
 
@@ -105,7 +106,7 @@ def test_evaluation_module_rejects_bad_m():
 def test_w2_identity_battery(a):
     """Six identities of the three-dimensional module, plus the level-k
     lowering patterns."""
-    mod = evaluation_module(2, a)
+    mod = tensor_module([(2, a)])
     ladder = extend_generators(mod, 3)
     top = unit_vector(3, 2)
     w1 = unit_vector(3, 1)
@@ -121,10 +122,10 @@ def test_w2_identity_battery(a):
         (a + 1) * e for e in sq.matvec(top)
     )
     assert (ladder.xm[1] @ x0m).matvec(top) == tuple(a * e for e in sq.matvec(top))
-    assert (ladder.xm[1] @ x0m + x0m @ ladder.xm[1]).matvec(top) == tuple(
+    assert combine((1, ladder.xm[1] @ x0m), (1, x0m @ ladder.xm[1])).matvec(top) == tuple(
         (2 * a + 1) * e for e in sq.matvec(top)
     )
-    assert (ladder.xm[2] @ x0m + x0m @ ladder.xm[2]).matvec(top) == tuple(
+    assert combine((1, ladder.xm[2] @ x0m), (1, x0m @ ladder.xm[2])).matvec(top) == tuple(
         (2 * a * a + 2 * a + 1) * e for e in sq.matvec(top)
     )
     assert (ladder.xm[1] @ ladder.xm[1]).matvec(top) == tuple(
@@ -156,7 +157,7 @@ def test_pair_identity_battery(a, b):
         )
     assert (x0m @ x1m).matvec(top) == scaled((a + b + 1) / 2, sq_top)
     assert (x1m @ x0m).matvec(top) == scaled((a + b - 1) / 2, sq_top)
-    assert (x1m @ x0m + x0m @ x1m).matvec(top) == scaled(a + b, sq_top)
+    assert combine((1, x1m @ x0m), (1, x0m @ x1m)).matvec(top) == scaled(a + b, sq_top)
     expected = _vec(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
     assert x2m.matvec(top) == expected
     assert (x0m @ x2m).matvec(top) == scaled((b * b + b + a + a * a) / 2, sq_top)
@@ -182,10 +183,10 @@ def test_tensor_top_eigenvalue_matches_series():
 
 def test_extend_generators_examples():
     a = G(F(2, 5))
-    mod = evaluation_module(1, a)
+    mod = tensor_module([(1, a)])
     ladder = extend_generators(mod, 4)
     for k in range(5):
-        assert ladder.xm[k] == mod.x0m.scale(a**k)
+        assert ladder.xm[k] == combine((a**k, mod.x0m))
     assert extend_generators(mod, 1).xm == ladder.xm[:2]
     for K in (0, True, 1.5, "1"):
         with pytest.raises(ValueError, match="^K must be a positive integer$"):
@@ -210,7 +211,7 @@ def test_coassociativity_of_level_one():
     left = tensor_module(params)
 
     mid = tensor_module(params[1:])
-    right = tensor_oracle.tensor_pair(evaluation_module(*params[0]), mid)
+    right = tensor_oracle.tensor_pair(tensor_module(params[:1]), mid)
     assert left.h1 == right.h1
     assert _level_one(left) == _level_one(right)
 
@@ -232,7 +233,7 @@ def test_lowering_levels_examples():
     assert lowering_levels(
         tensor_module([(1, G(1)), (1, G(0)), (1, G(2))])
     ) == (1, 2, 2, 1)
-    assert lowering_levels(evaluation_module(3, G(F(1, 2), 1))) == (1, 1, 1, 1)
+    assert lowering_levels(tensor_module([(3, G(F(1, 2), 1))])) == (1, 1, 1, 1)
     # W_2(0) (x) W_2(1) is full at depth 1 and short at depth 2, so its
     # depth-2 spin starts from the cached x_0^- V_1 and its depth 3 does
     # not; W_2(1) (x) W_2(0) is full.  Each order of the two runs on a
@@ -335,9 +336,9 @@ def test_lowering_levels_are_the_oracle_levels(spec, h1_change):
 def _h1_changed(module, h1_change):
     """The module with h_1 scaled by 3 or shifted by h_0, or as it is."""
     if h1_change == "scale":
-        return _with(module, h1=module.h1.scale(3))
+        return _with(module, h1=combine((3, module.h1)))
     if h1_change == "shift":
-        return _with(module, h1=module.h1 + module.h0)
+        return _with(module, h1=combine((1, module.h1), (1, module.h0)))
     return module
 
 
@@ -395,7 +396,7 @@ def test_shape_cache_entries_stay_as_built():
             module = tensor_module(spec)
             lowering_levels(module)
             defining_relation_failures(module, 2)
-            defining_relation_failures(_with(module, h1=module.h1.scale(2)), 1)
+            defining_relation_failures(_with(module, h1=combine((2, module.h1))), 1)
             _series_check(spec, 3)
     for ms in _SHAPE_POOL:
         cached = _shape(ms)
@@ -498,7 +499,8 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     module = tensor_module(spec)
     if perturbation:
         field, addend = perturbation
-        module = _with(module, **{field: getattr(module, field) + getattr(module, addend)})
+        added = combine((1, getattr(module, field)), (1, getattr(module, addend)))
+        module = _with(module, **{field: added})
         diff, total = relations_oracle.half_diff(module), relations_oracle.half_sum(module)
         assume(diff @ total != total @ diff)
     if not _top_is_highest(module, order):
@@ -511,7 +513,7 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     images = list(_h_on_top(module, order))
     assert len(images) == order + 1
     for k, image in enumerate(images):
-        bracket = ladder.xp[k] @ module.x0m - module.x0m @ ladder.xp[k]
+        bracket = combine((1, ladder.xp[k] @ module.x0m), (-1, module.x0m @ ladder.xp[k]))
         assert _dense(*image, module.dim) == bracket.matvec(top), k
         if not perturbation:  # off a module, h_0 and h_1 are no commutators
             assert bracket == ladder.h[k], k
@@ -527,9 +529,9 @@ def test_h_on_top_refuses_a_top_vector_it_cannot_read():
     # line of top, and x_0^+ x_0^- top off that line with x_0^+ top = 0.
     corner = Matrix([[G(int(i == 0 and j == top)) for j in range(n)] for i in range(n)])
     broken = (
-        _with(module, x0p=x0p + corner),
-        _with(module, h1=module.h1 + x0m),
-        _with(module, x0p=x0p + x0m @ x0p),
+        _with(module, x0p=combine((1, x0p), (1, corner))),
+        _with(module, h1=combine((1, module.h1), (1, x0m))),
+        _with(module, x0p=combine((1, x0p), (1, x0m @ x0p))),
     )
     for bad in broken:
         assert not _top_is_highest(bad, 0)
@@ -553,7 +555,7 @@ def test_relation_suite_refuses_a_negative_level():
             defining_relation_failures(module, K)
     # K = 0 still checks the level-0 relations.
     assert defining_relation_failures(module, 0) == []
-    assert defining_relation_failures(_with(module, x0p=module.x0p.scale(2)), 0) == [
+    assert defining_relation_failures(_with(module, x0p=combine((2, module.x0p))), 0) == [
         "[x0+,x0-] - h0"
     ]
 
@@ -574,8 +576,8 @@ def test_reversed_order_vector_is_not_a_submodule():
 
 def test_defining_relations_on_various_modules():
     modules = [
-        evaluation_module(1, G(F(1, 3))),
-        evaluation_module(3, G(-1)),
+        tensor_module([(1, G(F(1, 3)))]),
+        tensor_module([(3, G(-1))]),
         tensor_module([(1, G(1)), (1, G(0))]),
         tensor_module([(2, G(F(1, 2))), (1, G(2))]),
         tensor_module([(1, G(0, 1)), (1, G(1)), (1, G(-1))]),
@@ -748,7 +750,7 @@ def test_relation_failures_on_perturbed_modules():
     for spec in ([(1, G(0)), (2, G(3))], [(1, G(HALF, 1)), (1, G(-1, -2))]):
         module = tensor_module(spec)
         for field, lists in expected.items():
-            scaled = _with(module, **{field: getattr(module, field).scale(2)})
+            scaled = _with(module, **{field: combine((2, getattr(module, field)))})
             for K, names in enumerate(lists, start=1):
                 assert names
                 assert defining_relation_failures(scaled, K) == names, (spec, field, K)
@@ -786,10 +788,10 @@ _PERTURBED_MODULE_ARGS = (
 def _perturbed_module(spec, perturbation, c):
     module = tensor_module(spec)
     if isinstance(perturbation, str):
-        return _with(module, **{perturbation: getattr(module, perturbation).scale(c)})
+        return _with(module, **{perturbation: combine((c, getattr(module, perturbation)))})
     if perturbation:
         field, addend = perturbation
-        added = getattr(module, field) + getattr(module, addend).scale(c)
+        added = combine((1, getattr(module, field)), (c, getattr(module, addend)))
         return _with(module, **{field: added})
     return module
 
@@ -934,3 +936,23 @@ def _oracle_spec_st(draw):
 def test_tensor_module_matches_kron_fold(spec):
     # Labels, factor_spec and all four matrices, as record equality.
     assert tensor_module(spec) == tensor_oracle.tensor_module(spec)
+
+
+def test_oracles_do_not_run_the_package_kernel(monkeypatch):
+    # The oracles reach the package's answers with its row kernel, its
+    # lowest-terms step, its kron and its matrix product all made to raise.
+    spec = [(1, G(0)), (2, G(F(5, 2), 1)), (1, G(F(-1, 3)))]
+    module = tensor_module(spec)
+    assert module.dim == 12
+    ladder = extend_generators(module, 2)
+    failures = defining_relation_failures(module, 2)
+
+    def refuse(*args):
+        raise AssertionError("an oracle ran the package's matrix arithmetic")
+
+    for name in ("_row_sum", "_lowest", "kron"):
+        monkeypatch.setattr(exact, name, refuse)
+    monkeypatch.setattr(exact.Matrix, "__matmul__", refuse)
+    assert tensor_oracle.tensor_module(spec) == module
+    assert relations_oracle.oracle_ladder(module, 2) == ladder
+    assert relations_oracle.defining_relation_failures(module, 2) == failures
