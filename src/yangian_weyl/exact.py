@@ -435,6 +435,8 @@ class Matrix:
         return len(self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch")
         terms = ((1, self.rows, other.rows),)
@@ -478,6 +480,8 @@ class Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i1*b.nrows + i2, j1*b.ncols + j2)."""
+    if not (isinstance(a, Matrix) and isinstance(b, Matrix)):
+        raise TypeError("kron takes two matrices")
     bn = b.ncols
     return _lowest(
         (

@@ -3,19 +3,19 @@
 `series_to_roots_by_linear_system` recovers the roots of Q from the series
 Q(u+d)/Q(u) as `yangian_weyl.drinfeld.series_to_roots` did at first: it
 equates every computable Laurent coefficient in a windowed linear system
-and solves it with `exact.solve_linear`, where the package forward-
-substitutes the coefficients of Q.  Its `divisor_search_roots` then finds
-the roots by the rational root theorem in Z[i], as the package did before
-it lifted them p-adically: a root p/q in lowest terms has q*u - p dividing
-the polynomial (Gauss's lemma), so p divides its constant and q its
-leading coefficient, and every such candidate goes to a full division,
-down to the last root.  The divisors come from factoring by plain trial
-division, which suffices for constants of test size.  The general
-division by q*u - p lives here, since the package's lift divides only by
-a monic u - w, and the roots are formed and sorted on `Fraction`s.  So
-besides the general solver `exact.solve_linear`, the one package routine
-the oracle shares is `eigenvalue_series`, which has its own tests
-against `Series.__mul__`.
+and solves it by textbook Gauss-Jordan (`dense_oracle.solve`), where
+the package forward-substitutes the coefficients of Q.  Its
+`divisor_search_roots` then finds the roots by the rational root theorem
+in Z[i], as the package did before it lifted them p-adically: a root p/q
+in lowest terms has q*u - p dividing the polynomial (Gauss's lemma), so
+p divides its constant and q its leading coefficient, and every such
+candidate goes to a full division, down to the last root.  The divisors
+come from factoring by plain trial division, which suffices for
+constants of test size.  The general division by q*u - p lives here,
+since the package's lift divides only by a monic u - w, and the roots
+are formed and sorted on `Fraction`s.  So the one package routine the
+oracle shares is `eigenvalue_series`, which has its own tests against
+`Series.__mul__`; it runs none of the package's elimination.
 `tests/test_drinfeld.py` checks the package against both.
 """
 
@@ -26,7 +26,9 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
 from yangian_weyl.drinfeld import NotDrinfeldSeriesError, eigenvalue_series
-from yangian_weyl.exact import ONE, ZERO, GaussianRational, solve_linear
+from yangian_weyl.exact import ONE, ZERO, GaussianRational
+
+from dense_oracle import solve
 
 
 def series_to_roots_by_linear_system(series, degree: int, d: int):
@@ -70,7 +72,7 @@ def series_to_roots_by_linear_system(series, degree: int, d: int):
                     row[j] = row[j] - c
         rows.append(tuple(row))
         rhs.append(target)
-    solution = solve_linear(rows, tuple(rhs))
+    solution = solve(rows, tuple(rhs))
     if solution is None:
         raise NotDrinfeldSeriesError("no monic polynomial matches the series")
     coeffs = list(solution) + [ONE]  # q_0 .. q_deg

@@ -1,54 +1,62 @@
 """The pairwise tensor build, kept as the oracle for `ysl2.tensor_module`.
 
-Each evaluation module is written from its dense closed form, and the
-product is the left fold of the two-factor coproduct
+A module here is (factor_spec, basis_labels, generators), with the four
+generators x_0^+/-, h_0 and h_1 as their nonzero entries; `read` puts a
+package `SL2Module` in that form.  Each evaluation module is written from
+its closed form, and the product is the left fold of the two-factor
+coproduct
 Delta(h_1) = h_1 (x) 1 + 1 (x) h_1 + h_0 (x) h_0 - 2 x_0^- (x) x_0^+
 (and Delta(g) = g (x) 1 + 1 (x) g for g = x_0^+/-, h_0), with every term a
-Kronecker product formed by the dense loops of `dense_oracle`.
-`tensor_module` writes the same matrices in one pass over the mixed-radix
-basis; the two must agree as `SL2Module`s.
+Kronecker product formed on entries by `dense_oracle`.  `tensor_module`
+writes the same matrices in one pass over the mixed-radix basis; the two
+must agree entry for entry.
 """
 
 from __future__ import annotations
 
-from yangian_weyl.exact import GaussianRational, Matrix, ZERO, as_scalar
+from yangian_weyl.exact import GaussianRational, as_scalar
 from yangian_weyl.ysl2 import SL2Module
 
-from dense_oracle import add, dense, identity, kron, scale, sub
+from dense_oracle import add, entries, identity, kron
 
 
-def evaluation_module(m: int, a) -> SL2Module:
+def read(module: SL2Module) -> tuple:
+    """A package module in the form of this oracle."""
+    return module.factor_spec, module.basis_labels, tuple(map(entries, module.generators()))
+
+
+def evaluation_module(m: int, a) -> tuple:
     """W_m(a) from x_0^+ w_s = (s+1) w_{s+1}, x_0^- w_s = (m-s+1) w_{s-1}
     and h_k w_s = ((s+a-1)^k s (m-s+1) - (s+a)^k (s+1)(m-s)) w_s."""
     a = as_scalar(a)
-    n = m + 1
-    xp, xm, h0, h1 = ([[ZERO] * n for _ in range(n)] for _ in range(4))
-    for s in range(n):
+    xp, xm, h0, h1 = {}, {}, {}, {}
+    for s in range(m + 1):
         lower, upper = s * (m - s + 1), (s + 1) * (m - s)
-        h0[s][s] = GaussianRational(lower - upper)
-        h1[s][s] = (s + a - 1) * lower - (s + a) * upper
+        h0[s, s] = GaussianRational(lower - upper)
+        h1[s, s] = (s + a - 1) * lower - (s + a) * upper
         if s < m:
-            xp[s + 1][s] = GaussianRational(s + 1)
-            xm[s][s + 1] = GaussianRational(m - s)
-    return SL2Module(((m, a),), tuple((s,) for s in range(n)), *map(Matrix, (xp, xm, h0, h1)))
+            xp[s + 1, s] = GaussianRational(s + 1)
+            xm[s, s + 1] = GaussianRational(m - s)
+    gens = tuple({key: x for key, x in g.items() if x} for g in (xp, xm, h0, h1))
+    return ((m, a),), tuple((s,) for s in range(m + 1)), gens
 
 
-def tensor_pair(left: SL2Module, right: SL2Module) -> SL2Module:
+def tensor_pair(left: tuple, right: tuple) -> tuple:
     """left (x) right under the coproduct of x_0^+/-, h_0 and h_1."""
-    lp, lm, l0, l1 = map(dense, left.generators())
-    rp, rm, r0, r1 = map(dense, right.generators())
-    il, ir = identity(left.dim), identity(right.dim)
-    x0p = add(kron(lp, ir), kron(il, rp))
-    x0m = add(kron(lm, ir), kron(il, rm))
-    h0 = add(kron(l0, ir), kron(il, r0))
-    h1 = sub(add(add(kron(l1, ir), kron(il, r1)), kron(l0, r0)), scale(2, kron(lm, rp)))
-    labels = tuple(ll + rl for ll in left.basis_labels for rl in right.basis_labels)
-    return SL2Module(
-        left.factor_spec + right.factor_spec, labels, *map(Matrix, (x0p, x0m, h0, h1))
-    )
+    (lspec, llabels, (lp, lm, l0, l1)), (rspec, rlabels, (rp, rm, r0, r1)) = left, right
+    n = len(rlabels)
+    il, ir = identity(len(llabels)), identity(n)
+
+    def delta(g, h):
+        """g (x) 1 + 1 (x) h."""
+        return add((1, kron(g, ir, n, n)), (1, kron(il, h, n, n)))
+
+    h1 = add((1, delta(l1, r1)), (1, kron(l0, r0, n, n)), (-2, kron(lm, rp, n, n)))
+    labels = tuple(ll + rl for ll in llabels for rl in rlabels)
+    return lspec + rspec, labels, (delta(lp, rp), delta(lm, rm), delta(l0, r0), h1)
 
 
-def tensor_module(spec) -> SL2Module:
+def tensor_module(spec) -> tuple:
     """Left-associated tensor product of evaluation modules."""
     module = evaluation_module(*spec[0])
     for m, a in spec[1:]:

@@ -34,7 +34,7 @@ from yangian_weyl.drinfeld import (
     order_factors,
     series_to_roots,
 )
-from yangian_weyl.exact import GaussianRational as G, Series, ZERO, unit_vector
+from yangian_weyl.exact import GaussianRational as G, Series, unit_vector
 from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_involution
 from yangian_weyl.weylpath import descent_chain
 from yangian_weyl.ysl2 import (
@@ -47,7 +47,7 @@ from yangian_weyl.ysl2 import (
 )
 
 from criteria_oracle import closed_form_set
-from dense_oracle import combine
+from dense_oracle import combine, vector
 from pair_oracle import ordering_key
 from test_replay import _workloads
 from test_weylpath import chain_root_positivity
@@ -195,23 +195,17 @@ def _pair_battery(b, a):
     x0, x1, x2, x3 = ladder.xm[:4]
     sq = (x0 @ x0).matvec(top)
 
-    def vec(coeffs):
-        out = [ZERO] * 4
-        for label, value in coeffs.items():
-            out[module.basis_index(label)] = value
-        return tuple(out)
-
     assert (x0 @ x1).matvec(top) == tuple((a + b + 1) / 2 * e for e in sq)
     assert (x1 @ x0).matvec(top) == tuple((a + b - 1) / 2 * e for e in sq)
     assert combine((1, x1 @ x0), (1, x0 @ x1)).matvec(top) == tuple((a + b) * e for e in sq)
-    assert x2.matvec(top) == vec({(0, 1): b * b + b + a, (1, 0): a * a})
+    assert x2.matvec(top) == vector(module, {(0, 1): b * b + b + a, (1, 0): a * a})
     assert (x0 @ x2).matvec(top) == tuple(
         (b * b + b + a + a * a) / 2 * e for e in sq
     )
     assert (x1 @ x2).matvec(top) == tuple(a * b * (a + b + 1) / 2 * e for e in sq)
     assert (x1 @ x1).matvec(top) == tuple(a * b * e for e in sq)
-    assert x3.matvec(top) == vec(
-        {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3}
+    assert x3.matvec(top) == vector(
+        module, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3}
     )
     assert (x0 @ x3).matvec(top) == tuple(
         (b**3 + b * b + a * b + a * a + a**3) / 2 * e for e in sq

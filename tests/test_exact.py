@@ -24,23 +24,11 @@ from yangian_weyl.exact import (
     unit_vector,
 )
 
-from dense_oracle import dense, identity, kron as dense_kron, matmul, matvec
+from dense_oracle import (
+    closure, entries, identity, in_span, kron as oracle_kron, matmul, matrix, matvec, rref, solve, vector)
 from pair_oracle import ordering_key
-from spin_oracle import _gauss_jordan
 
 G = GaussianRational
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def vec_is_zero(a):
-    return all(not x for x in a)
 
 
 def test_parse_examples():
@@ -127,6 +115,8 @@ REFUSALS = {
     "Series * int": (lambda: Series([1, 2]) * 2, TypeError, "^unsupported operand"),
     "ragged rows": (lambda: Matrix([[1, 2], [3]]), ValueError, "ragged rows"),
     "@ shape": (lambda: M12 @ M12, ValueError, "^matrix shape mismatch$"),
+    "Matrix @ int": (lambda: M12 @ 2, TypeError, "^unsupported operand"),
+    "kron(Matrix, int)": (lambda: kron(M12, 2), TypeError, "^kron takes two matrices$"),
     "matvec shape": (lambda: M12.matvec((ONE,)), ValueError, "vector shape mismatch"),
     "set scalar": (lambda: setattr(ONE, "triple", (2, 0, 1)), AttributeError, "immutable"),
     "set series": (lambda: setattr(Series([1]), "coeffs", ()), AttributeError, "immutable"),
@@ -176,7 +166,7 @@ def test_unit_vectors_and_identities_in_range():
 
 
 def test_closure_identity_fixes_lines():
-    dim, basis = row_space_closure([Matrix(identity(3))], unit_vector(3, 0))
+    dim, basis = row_space_closure([matrix(identity(3), 3, 3)], unit_vector(3, 0))
     assert dim == 1
     assert basis == (unit_vector(3, 0),)
 
@@ -203,37 +193,22 @@ def test_closure_lowering_operators_on_reversed_pair():
     assert dim == 3
     by_hand = [
         top,
-        _basis_vec(module, {(0, 1): ONE, (1, 0): ONE}),
-        _basis_vec(module, {(0, 0): ONE}),
+        vector(module, {(0, 1): ONE, (1, 0): ONE}),
+        vector(module, {(0, 0): ONE}),
     ]
     for vec in by_hand:
-        assert _in_span(basis, vec)
-    missing = _basis_vec(module, {(0, 1): ONE, (1, 0): -ONE})
-    assert not _in_span(basis, missing)
-
-
-def _basis_vec(module, coeffs):
-    out = [ZERO] * module.dim
-    for label, value in coeffs.items():
-        out[module.basis_index(label)] = value
-    return tuple(out)
-
-
-def _in_span(basis, vec):
-    for row in basis:
-        pivot = next(j for j, e in enumerate(row) if e)
-        if vec[pivot]:
-            vec = vec_sub(vec, vec_scale(vec[pivot], row))
-    return vec_is_zero(vec)
+        assert in_span(basis, vec)
+    missing = vector(module, {(0, 1): ONE, (1, 0): -ONE})
+    assert not in_span(basis, missing)
 
 
 def test_closure_rejects_bad_input():
     with pytest.raises(ValueError):
         row_space_closure([Matrix([[ZERO] * 3] * 2)], unit_vector(2, 0))
     with pytest.raises(ValueError):
-        row_space_closure([Matrix(identity(3))], unit_vector(2, 0))
+        row_space_closure([matrix(identity(3), 3, 3)], unit_vector(2, 0))
     with pytest.raises(ValueError):
-        row_space_closure([Matrix(identity(2))], (ZERO, ZERO))
+        row_space_closure([matrix(identity(2), 2, 2)], (ZERO, ZERO))
 
 
 def _random_matrix(rng, n):
@@ -248,7 +223,7 @@ def test_closure_monotone_and_self_contained():
         n = rng.randint(2, 4)
         gens = [_random_matrix(rng, n) for _ in range(rng.randint(1, 3))]
         seed = tuple(G(rng.randint(-2, 2)) for _ in range(n))
-        if vec_is_zero(seed):
+        if not any(seed):
             seed = unit_vector(n, 0)
         dim, basis = row_space_closure(gens, seed)
         bigger, _ = row_space_closure(gens + [_random_matrix(rng, n)], seed)
@@ -260,10 +235,10 @@ def test_closure_monotone_and_self_contained():
             sub_dim, sub_basis = row_space_closure(gens, vec)
             assert sub_dim <= dim
             for row in sub_basis:
-                assert _in_span(basis, row)
+                assert in_span(basis, row)
             union.extend(sub_basis)
         for vec in basis:
-            assert _in_span(_gauss_jordan(union), vec)
+            assert in_span(rref(union), vec)
 
 
 def test_solve_linear_contract():
@@ -276,7 +251,7 @@ def test_solve_linear_contract():
     assert solve_linear([(G(0), G(2))], (G(3),)) is None
 
 
-# -- sparse matrices against dense loops --------------------------------------
+# -- sparse matrices against the oracle's entry loops -------------------------
 
 entry_st = st.builds(
     G,
@@ -292,34 +267,13 @@ wide_entry_st = st.builds(G, _wide_part, _wide_part)
 
 
 @st.composite
-def _half_zero_rows(draw, nrows, ncols, entries=entry_st):
+def _half_zero_rows(draw, nrows, ncols, scalars=entry_st):
     """Dense rows of which at least half the entries are zero."""
     size = nrows * ncols
-    values = draw(st.lists(entries, min_size=size, max_size=size))
+    values = draw(st.lists(scalars, min_size=size, max_size=size))
     keep = draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=size // 2))
     flat = [e if k in keep else ZERO for k, e in enumerate(values)]
     return [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-
-
-def _naive_closure(gens, seed):
-    """Span of seed under gens, grown by dense loops until it stops."""
-    span = _gauss_jordan([seed])
-    while True:
-        images = [matvec(g, v) for g in gens for v in span]
-        grown = _gauss_jordan(list(span) + images)
-        if len(grown) == len(span):
-            return span
-        span = grown
-
-
-def _naive_solve(rows, rhs):
-    """The unique solution read off the Gauss-Jordan form of [rows | rhs]."""
-    ncols = len(rows[0])
-    reduced = _gauss_jordan([tuple(r) + (b,) for r, b in zip(rows, rhs)])
-    pivots = [next(j for j, e in enumerate(r) if e) for r in reduced]
-    if pivots != list(range(ncols)):
-        return None
-    return tuple(r[ncols] for r in reduced)
 
 
 def _canonical_entries(m):
@@ -339,54 +293,60 @@ def _fraction_parts(values):
     return all(type(e.re) is Fraction and type(e.im) is Fraction for e in values)
 
 
-def _check_against_dense_loops(data, entries):
+def _nonzero(rows):
+    """The nonzero entries of dense rows of scalars."""
+    return {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+
+
+def _check_against_entry_loops(data, scalars):
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
-    a = data.draw(_half_zero_rows(n, k, entries))
-    b = data.draw(_half_zero_rows(k, m, entries))
-    v = tuple(data.draw(st.lists(entries, min_size=k, max_size=k)))
+    a = data.draw(_half_zero_rows(n, k, scalars))
+    b = data.draw(_half_zero_rows(k, m, scalars))
+    v = tuple(data.draw(st.lists(scalars, min_size=k, max_size=k)))
     A, B = Matrix(a), Matrix(b)
-    assert dense(A) == a and dense(B) == b
+    ea, eb = _nonzero(a), _nonzero(b)
+    assert entries(A) == ea and entries(B) == eb
 
     results = {
-        "matmul": (A @ B, matmul(a, b)),
-        "kron": (kron(A, B), dense_kron(a, b)),
+        "matmul": (A @ B, matmul(ea, eb), (n, m)),
+        "kron": (kron(A, B), oracle_kron(ea, eb, k, m), (n * k, k * m)),
     }
-    for name, (got, want) in results.items():
-        assert got == Matrix(want), name
+    for name, (got, want, shape) in results.items():
+        assert entries(got) == want, name
         assert _canonical_entries(got), name
-        assert (got.nrows, got.ncols) == (len(want), len(want[0])), name
+        assert (got.nrows, got.ncols) == shape, name
     image = A.matvec(v)
-    assert image == matvec(a, v)
+    assert image == matvec(ea, v, n)
     assert _fraction_parts(image)
 
-    built = [A, A @ Matrix(identity(k)), Matrix(identity(n)) @ A, kron(A, Matrix([[1]]))]
+    built = [A, A @ matrix(identity(k), k, k), matrix(identity(n), n, n) @ A, kron(A, Matrix([[1]]))]
     for other in built:
         assert other == A and hash(other) == hash(A)
 
-    gens = [data.draw(_half_zero_rows(k, k, entries)) for _ in range(data.draw(st.integers(1, 3)))]
+    gens = [data.draw(_half_zero_rows(k, k, scalars)) for _ in range(data.draw(st.integers(1, 3)))]
     seed = v if any(v) else unit_vector(k, 0)
     dim, basis = row_space_closure([Matrix(g) for g in gens], seed)
-    assert basis == _naive_closure(gens, seed)
+    assert basis == closure([_nonzero(g) for g in gens], seed)
     assert dim == len(basis)
     assert all(_fraction_parts(row) for row in basis)
 
     # A square system with the drawn matrix gens[0]: uniquely solvable,
     # inconsistent or underdetermined as the oracle says.
     x = solve_linear(gens[0], v)
-    assert x == _naive_solve(gens[0], v)
+    assert x == solve(gens[0], v)
     assert x is None or _fraction_parts(x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_matrix_ops_match_dense_loops(data):
-    _check_against_dense_loops(data, entry_st)
+    _check_against_entry_loops(data, entry_st)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_sparse_kernels_match_dense_loops_on_wide_denominators(data):
-    _check_against_dense_loops(data, wide_entry_st)
+    _check_against_entry_loops(data, wide_entry_st)
 
 
 # -- series ------------------------------------------------------------------

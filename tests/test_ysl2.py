@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from yangian_weyl import exact
+from yangian_weyl.drinfeld import eigenvalue_series, series_to_roots
 from yangian_weyl.exact import (
-    GaussianRational as G, Matrix, ZERO, _Echelon, _dense, row_space_closure, unit_vector)
+    GaussianRational as G, ZERO, _Echelon, _dense, row_space_closure, unit_vector)
 from yangian_weyl.ysl2 import (
     SL2Module,
     _h_on_top,
@@ -34,19 +35,13 @@ from yangian_weyl.ysl2 import (
 )
 
 import relations_oracle
+import roots_oracle
 import spin_oracle
 import tensor_oracle
-from dense_oracle import combine
+from dense_oracle import combine, entries, matmul, matrix, matvec, vector
 
 F = Fraction
 HALF = F(1, 2)
-
-
-def _vec(module, coeffs):
-    out = [ZERO] * module.dim
-    for label, value in coeffs.items():
-        out[module.basis_index(label)] = value
-    return tuple(out)
 
 
 def _with(module, **changes):
@@ -58,12 +53,6 @@ def _level_one(module):
     """x_1^+ and x_1^- of the module, read off one level-1 ladder."""
     ladder = extend_generators(module, 1)
     return ladder.xp[1], ladder.xm[1]
-
-
-def _apply(matrices, vec):
-    for m in reversed(matrices):
-        vec = m.matvec(vec)
-    return vec
 
 
 def test_evaluation_module_level_one_actions():
@@ -84,13 +73,9 @@ def test_evaluation_module_level_one_actions():
     # x_1^+ w_s = (s+a)(s+1) w_{s+1} and x_1^- w_s = (s+a-1)(m-s+1) w_{s-1}.
     for m, a in product([1, 2, 3], [G(0), G(F(-5, 3)), G(F(1, 2), 2)]):
         mod = tensor_module([(m, a)])
-        n = m + 1
-        xp = [[ZERO] * n for _ in range(n)]
-        xm = [[ZERO] * n for _ in range(n)]
-        for s in range(m):
-            xp[s + 1][s] = (s + a) * (s + 1)
-            xm[s][s + 1] = (s + a) * (m - s)
-        assert _level_one(mod) == (Matrix(xp), Matrix(xm))
+        xp = {(s + 1, s): (s + a) * (s + 1) for s in range(m)}
+        xm = {(s, s + 1): (s + a) * (m - s) for s in range(m)}
+        assert _level_one(mod) == (matrix(xp, m + 1, m + 1), matrix(xm, m + 1, m + 1))
 
 
 def test_evaluation_module_rejects_bad_m():
@@ -158,12 +143,12 @@ def test_pair_identity_battery(a, b):
     assert (x0m @ x1m).matvec(top) == scaled((a + b + 1) / 2, sq_top)
     assert (x1m @ x0m).matvec(top) == scaled((a + b - 1) / 2, sq_top)
     assert combine((1, x1m @ x0m), (1, x0m @ x1m)).matvec(top) == scaled(a + b, sq_top)
-    expected = _vec(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
+    expected = vector(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
     assert x2m.matvec(top) == expected
     assert (x0m @ x2m).matvec(top) == scaled((b * b + b + a + a * a) / 2, sq_top)
     assert (x1m @ x2m).matvec(top) == scaled(a * b * (a + b + 1) / 2, sq_top)
     assert (x1m @ x1m).matvec(top) == scaled(a * b, sq_top)
-    expected3 = _vec(mod, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3})
+    expected3 = vector(mod, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3})
     assert x3m.matvec(top) == expected3
     assert (x0m @ x3m).matvec(top) == scaled(
         (b**3 + b * b + a * b + a * a + a**3) / 2, sq_top
@@ -171,8 +156,6 @@ def test_pair_identity_battery(a, b):
 
 
 def test_tensor_top_eigenvalue_matches_series():
-    from yangian_weyl.drinfeld import eigenvalue_series
-
     a, b = G(F(5, 3)), G(-2)
     mod = tensor_module([(1, b), (1, a)])
     top = unit_vector(4, mod.highest_index)
@@ -211,7 +194,9 @@ def test_coassociativity_of_level_one():
     left = tensor_module(params)
 
     mid = tensor_module(params[1:])
-    right = tensor_oracle.tensor_pair(tensor_module(params[:1]), mid)
+    spec, labels, gens = tensor_oracle.tensor_pair(
+        tensor_oracle.read(tensor_module(params[:1])), tensor_oracle.read(mid))
+    right = SL2Module(spec, labels, *(matrix(g, len(labels), len(labels)) for g in gens))
     assert left.h1 == right.h1
     assert _level_one(left) == _level_one(right)
 
@@ -468,7 +453,7 @@ _OFF_COMMUTING = (("h1", "x0p"), ("h1", "x0m"), ("h0", "x0p"), ("h0", "x0m"))
 
 
 def _top_is_highest(module, order):
-    """The conditions `_h_on_top` checks, on the dense matrices: x_0^+ top
+    """The conditions `_h_on_top` checks, on the whole matrices: x_0^+ top
     is 0, h_0 top and h_1 top lie on the line of top, and so does
     x_0^+ S^j x_0^- top for j = 0..order, with S = (h_1 + h_0)/2."""
     t = module.highest_index
@@ -479,11 +464,11 @@ def _top_is_highest(module, order):
 
     if any(module.x0p.matvec(top)) or not all(on_line(h.matvec(top)) for h in (module.h0, module.h1)):
         return False
-    S, v = relations_oracle.half_sum(module), module.x0m.matvec(top)
+    S, v = relations_oracle.Relations(module).S, module.x0m.matvec(top)
     for _ in range(order + 1):
         if not on_line(module.x0p.matvec(v)):
             return False
-        v = S.matvec(v)
+        v = matvec(S, v, module.dim)
     return True
 
 
@@ -492,7 +477,7 @@ def _top_is_highest(module, order):
 def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     # The series check runs the x_k^+ recursion on the top two weight
     # spaces and reads h_k top = [x_k^+, x_0^-] top off one scalar
-    # recursion.  It must refuse exactly the modules on which the dense
+    # recursion.  It must refuse exactly the modules on which the whole
     # matrices break one of its conditions, never a true module, and
     # elsewhere give the vectors of the full ladder's brackets, on true
     # modules and off the commuting case.
@@ -501,22 +486,23 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
         field, addend = perturbation
         added = combine((1, getattr(module, field)), (1, getattr(module, addend)))
         module = _with(module, **{field: added})
-        diff, total = relations_oracle.half_diff(module), relations_oracle.half_sum(module)
-        assume(diff @ total != total @ diff)
+    oracle = relations_oracle.Relations(module)
+    D, S = oracle.D, oracle.S
+    assume(not perturbation or matmul(D, S) != matmul(S, D))
     if not _top_is_highest(module, order):
         assert perturbation
         with pytest.raises(ValueError):
             list(_h_on_top(module, order))
         return
-    ladder = relations_oracle.oracle_ladder(module, max(order, 1))
+    _, _, h = oracle.ladder(max(order, 1))
     top = unit_vector(module.dim, module.highest_index)
     images = list(_h_on_top(module, order))
     assert len(images) == order + 1
     for k, image in enumerate(images):
-        bracket = combine((1, ladder.xp[k] @ module.x0m), (-1, module.x0m @ ladder.xp[k]))
-        assert _dense(*image, module.dim) == bracket.matvec(top), k
+        bracket = oracle.bracket("+", k, "-", 0)
+        assert _dense(*image, module.dim) == matvec(bracket, top, module.dim), k
         if not perturbation:  # off a module, h_0 and h_1 are no commutators
-            assert bracket == ladder.h[k], k
+            assert bracket == h[k], k
     if not perturbation:
         assert verify_drinfeld_series(spec, order)
 
@@ -527,7 +513,7 @@ def test_h_on_top_refuses_a_top_vector_it_cannot_read():
     # Each module breaks one condition alone at order 0: x_0^+ top != 0
     # (an entry taking top to the lowest basis vector), h_1 top off the
     # line of top, and x_0^+ x_0^- top off that line with x_0^+ top = 0.
-    corner = Matrix([[G(int(i == 0 and j == top)) for j in range(n)] for i in range(n)])
+    corner = matrix({(0, top): G(1)}, n, n)
     broken = (
         _with(module, x0p=combine((1, x0p), (1, corner))),
         _with(module, h1=combine((1, module.h1), (1, x0m))),
@@ -569,7 +555,7 @@ def test_reversed_order_vector_is_not_a_submodule():
     # In W_1(a) (x) W_1(a+1) the analogous vector generates more than a line.
     a = G(0)
     mod = tensor_module([(1, a), (1, a + 1)])
-    v0 = _vec(mod, {(1, 0): G(1), (0, 1): G(-1)})
+    v0 = vector(mod, {(1, 0): G(1), (0, 1): G(-1)})
     assert submodule_dimension(mod, v0) > 1
     assert any(_level_one(mod)[1].matvec(v0))
 
@@ -802,10 +788,9 @@ def test_relation_failures_match_subtracting_oracle(spec, perturbation, c):
     # The packed row sums must fail exactly the relations whose difference
     # matrix, formed and subtracted in full, is nonzero.
     module = _perturbed_module(spec, perturbation, c)
+    oracle = relations_oracle.Relations(module)
     for K in (1, 2, 3):
-        assert defining_relation_failures(module, K) == (
-            relations_oracle.defining_relation_failures(module, K)
-        ), K
+        assert defining_relation_failures(module, K) == oracle.failures(K), K
 
 
 @settings(max_examples=40, deadline=None)
@@ -814,13 +799,16 @@ def test_ladder_is_the_oracle_ladder(spec, perturbation, c):
     # The Z[i] ladder over tracked scales, reduced once per entry, must be
     # the whole-matrix recursion matrix for matrix, x_1^+/- included.
     module = _perturbed_module(spec, perturbation, c)
-    oracle = relations_oracle.oracle_ladder(module, 3)
+    oracle = relations_oracle.Relations(module)
     for K in (1, 2, 3):
         ladder = extend_generators(module, K)
         assert ladder.module is module
-        assert (ladder.xp, ladder.xm, ladder.h) == (
-            oracle.xp[: K + 1], oracle.xm[: K + 1], oracle.h[: K + 1]
-        ), K
+        assert _ladder_entries(ladder) == oracle.ladder(K), K
+
+
+def _ladder_entries(ladder):
+    """(x^+, x^-, h) of a package ladder, each a list of entry dicts."""
+    return tuple(list(map(entries, ms)) for ms in (ladder.xp, ladder.xm, ladder.h))
 
 
 _SMALL_GAUSSIAN = st.builds(G, st.integers(-2, 2), st.integers(-1, 1)).filter(bool)
@@ -856,7 +844,7 @@ def test_closure_under_the_four_is_closure_under_x1_too(args, data):
             assert row_space_closure(four, seed) == row_space_closure(six, seed)
     a = data.draw(st.builds(G, _SCALE_PART, _SCALE_PART))
     pair = tensor_module([(1, a + 1), (1, a)])
-    v0 = _vec(pair, {(1, 0): G(1), (0, 1): G(-1)})
+    v0 = vector(pair, {(1, 0): G(1), (0, 1): G(-1)})
     killed = not any(any(g.matvec(v0)) for g in pair.generators() + _level_one(pair))
     assert trivial_submodule_check(a) is killed
 
@@ -885,22 +873,21 @@ def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
     # Every row of every relation, read back digit by digit, is L^2 times
     # that row of the oracle's difference matrix: no digit overflows into
     # the next, and every term was shifted to its own slots.  L is the lcm
-    # of the oracle ladder's denominators, each matrix in lowest terms.
+    # of the denominators of the oracle ladder's entries.
     module = _perturbed_module(spec, perturbation, c)
     den, S, order, relations = _packed_relations(module, 2)
-    ladder = relations_oracle.oracle_ladder(module, 2)
-    matrices = ladder.xp + ladder.xm + ladder.h
-    assert den == lcm(*(m.den for m in matrices))
+    oracle = relations_oracle.Relations(module)
+    matrices = [m for ms in oracle.ladder(2) for m in ms]
+    assert den == lcm(*(x.triple[2] for m in matrices for x in m.values()))
     slot = {j: t for t, j in enumerate(order)}
-    differences = list(relations_oracle.relation_differences(module, 2))
+    differences = list(oracle.differences(2))
     assert [name for name, _ in relations] == [name for name, _ in differences]
     for (name, rows), (_, diff) in zip(relations, differences):
-        for i, ((base, value), row) in enumerate(zip(rows, diff.rows)):
-            want = {
-                slot[j]: (re * den * den // diff.den, im * den * den // diff.den)
-                for j, (re, im) in row.items()
-            }
-            assert _unpack(base, value, S, len(order)) == want, (name, i)
+        want = [{} for _ in rows]
+        for (i, j), x in diff.items():
+            want[i][slot[j]] = (x.re * den * den, x.im * den * den)
+        for i, (base, value) in enumerate(rows):
+            assert _unpack(base, value, S, len(order)) == want[i], (name, i)
 
 
 def test_tensor_module_rejects_empty():
@@ -935,17 +922,21 @@ def _oracle_spec_st(draw):
 @given(_oracle_spec_st())
 def test_tensor_module_matches_kron_fold(spec):
     # Labels, factor_spec and all four matrices, as record equality.
-    assert tensor_module(spec) == tensor_oracle.tensor_module(spec)
+    assert tensor_oracle.read(tensor_module(spec)) == tensor_oracle.tensor_module(spec)
 
 
 def test_oracles_do_not_run_the_package_kernel(monkeypatch):
     # The oracles reach the package's answers with its row kernel, its
-    # lowest-terms step, its kron and its matrix product all made to raise.
+    # lowest-terms step, its kron, its matrix product and its echelon all
+    # made to raise.
     spec = [(1, G(0)), (2, G(F(5, 2), 1)), (1, G(F(-1, 3)))]
     module = tensor_module(spec)
     assert module.dim == 12
     ladder = extend_generators(module, 2)
     failures = defining_relation_failures(module, 2)
+    levels = lowering_levels(module)
+    series = eigenvalue_series([G(1), G(F(1, 2), 1), G(-2), G(0, 3)], 2, 8)
+    roots = series_to_roots(series, 4, 2)
 
     def refuse(*args):
         raise AssertionError("an oracle ran the package's matrix arithmetic")
@@ -953,6 +944,10 @@ def test_oracles_do_not_run_the_package_kernel(monkeypatch):
     for name in ("_row_sum", "_lowest", "kron"):
         monkeypatch.setattr(exact, name, refuse)
     monkeypatch.setattr(exact.Matrix, "__matmul__", refuse)
-    assert tensor_oracle.tensor_module(spec) == module
-    assert relations_oracle.oracle_ladder(module, 2) == ladder
-    assert relations_oracle.defining_relation_failures(module, 2) == failures
+    monkeypatch.setattr(exact._Echelon, "insert", refuse)
+    assert tensor_oracle.tensor_module(spec) == tensor_oracle.read(module)
+    oracle = relations_oracle.Relations(module)
+    assert oracle.ladder(2) == _ladder_entries(ladder)
+    assert oracle.failures(2) == failures
+    assert spin_oracle.lowering_levels(module) == levels
+    assert roots_oracle.series_to_roots_by_linear_system(series, 4, 2) == roots
