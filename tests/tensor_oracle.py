@@ -37,8 +37,8 @@ def evaluation_module(m: int, a) -> tuple:
         if s < m:
             xp[s + 1, s] = GaussianRational(s + 1)
             xm[s, s + 1] = GaussianRational(m - s)
-    gens = tuple({key: x for key, x in g.items() if x} for g in (xp, xm, h0, h1))
-    return ((m, a),), tuple((s,) for s in range(m + 1)), gens
+    # add drops the zero diagonal entries of h_0 and h_1.
+    return ((m, a),), tuple((s,) for s in range(m + 1)), (xp, xm, add((1, h0)), add((1, h1)))
 
 
 def tensor_pair(left: tuple, right: tuple) -> tuple:

@@ -47,10 +47,10 @@ from yangian_weyl.ysl2 import (
 )
 
 from criteria_oracle import closed_form_set
-from dense_oracle import combine, vector
 from pair_oracle import ordering_key
 from test_replay import _workloads
 from test_weylpath import chain_root_positivity
+from test_ysl2 import pair_identity_battery, w2_identity_battery
 
 F = Fraction
 
@@ -162,54 +162,13 @@ def test_criterion_04_drinfeld_series_to_order_five():
 def test_criterion_05_corollary_batteries():
     with _Timer("criterion 5: identity batteries", limit=5.0):
         for a_val in (G(0), G(1), G(-2), G(F(1, 2))):
-            _w2_battery(a_val)
+            _registered_tensor([(2, a_val)])
+            w2_identity_battery(a_val)
         for b_val, a_val in product(
             (G(0), G(1), G(2), G(-1), G(F(3, 2))), repeat=2
         ):
-            _pair_battery(b_val, a_val)
-
-
-def _w2_battery(a):
-    module = tensor_module([(2, a)])
-    _MODULE_REGISTRY.append(module)
-    ladder = extend_generators(module, 2)
-    top, mid, bot = unit_vector(3, 2), unit_vector(3, 1), unit_vector(3, 0)
-    x0, x1, x2 = ladder.xm[0], ladder.xm[1], ladder.xm[2]
-    sq = (x0 @ x0).matvec(top)
-    for k in range(3):
-        assert ladder.xm[k].matvec(top) == tuple((a + 1) ** k * e for e in mid)
-        assert ladder.xm[k].matvec(mid) == tuple(2 * a**k * e for e in bot)
-    assert (x0 @ x1).matvec(top) == tuple((a + 1) * e for e in sq)
-    assert (x1 @ x0).matvec(top) == tuple(a * e for e in sq)
-    assert combine((1, x1 @ x0), (1, x0 @ x1)).matvec(top) == tuple((2 * a + 1) * e for e in sq)
-    assert combine((1, x2 @ x0), (1, x0 @ x2)).matvec(top) == tuple(
-        (2 * a * a + 2 * a + 1) * e for e in sq
-    )
-    assert (x1 @ x1).matvec(top) == tuple(a * (a + 1) * e for e in sq)
-
-
-def _pair_battery(b, a):
-    module = _registered_tensor([(1, b), (1, a)])
-    ladder = extend_generators(module, 3)
-    top = unit_vector(4, module.highest_index)
-    x0, x1, x2, x3 = ladder.xm[:4]
-    sq = (x0 @ x0).matvec(top)
-
-    assert (x0 @ x1).matvec(top) == tuple((a + b + 1) / 2 * e for e in sq)
-    assert (x1 @ x0).matvec(top) == tuple((a + b - 1) / 2 * e for e in sq)
-    assert combine((1, x1 @ x0), (1, x0 @ x1)).matvec(top) == tuple((a + b) * e for e in sq)
-    assert x2.matvec(top) == vector(module, {(0, 1): b * b + b + a, (1, 0): a * a})
-    assert (x0 @ x2).matvec(top) == tuple(
-        (b * b + b + a + a * a) / 2 * e for e in sq
-    )
-    assert (x1 @ x2).matvec(top) == tuple(a * b * (a + b + 1) / 2 * e for e in sq)
-    assert (x1 @ x1).matvec(top) == tuple(a * b * e for e in sq)
-    assert x3.matvec(top) == vector(
-        module, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3}
-    )
-    assert (x0 @ x3).matvec(top) == tuple(
-        (b**3 + b * b + a * b + a * a + a**3) / 2 * e for e in sq
-    )
+            _registered_tensor([(1, b_val), (1, a_val)])
+            pair_identity_battery(a_val, b_val)
 
 
 def test_criterion_06_chain_coefficients_and_positivity():
