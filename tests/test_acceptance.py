@@ -1,9 +1,9 @@
 """Acceptance criteria.
 
 Every check here is exact (no tolerances); each test prints one PASS line
-with its measured runtime.  Criteria 1-5 register every module they build;
-criterion 12 replays the defining-relation suite over that registry, so it
-must run after them (pytest executes this file top to bottom).
+with its measured runtime.  Each criterion runs on its own: criterion 12
+builds the products of criteria 1-5 again and runs the defining-relation
+suite on them.
 """
 
 from __future__ import annotations
@@ -47,22 +47,13 @@ from yangian_weyl.ysl2 import (
 )
 
 from criteria_oracle import closed_form_set
+from dense_oracle import combine, vector
 from pair_oracle import ordering_key
+from test_criteria import _sweep_types
 from test_replay import _workloads
 from test_weylpath import chain_root_positivity
-from test_ysl2 import pair_identity_battery, w2_identity_battery
 
 F = Fraction
-
-# Modules built while running criteria 1-5, replayed by criterion 12.
-_MODULE_REGISTRY: list = []
-
-
-def _registered_tensor(spec):
-    module = tensor_module(spec)
-    _MODULE_REGISTRY.append(module)
-    return module
-
 
 class _Timer:
     def __init__(self, name, limit=None):
@@ -84,7 +75,14 @@ class _Timer:
         return False
 
 
+# The parameters of the products criteria 1-5 build; criterion 12 builds
+# them all again.
 HALF_GRID = [F(n, 2) for n in range(-4, 5)]  # -2, -3/2, ..., 2
+TRIPLE_GRID = [F(0), F(1), F(2), F(3)]
+TRIVIAL_BASES = (G(0), G(5), G(F(-3, 2)))
+SERIES_PARAMS = [F(0), F(1), F(2), F(7, 2)]
+W2_PARAMS = (G(0), G(1), G(-2), G(F(1, 2)))
+PAIR_PARAMS = (G(0), G(1), G(2), G(-1), G(F(3, 2)))
 
 
 def test_criterion_01_pair_highest_weight_iff():
@@ -92,7 +90,7 @@ def test_criterion_01_pair_highest_weight_iff():
         assert len(HALF_GRID) == 9
         for a1, a2 in product(HALF_GRID, repeat=2):
             spec = [(1, G(a1)), (1, G(a2))]
-            module = _registered_tensor(spec)
+            module = tensor_module(spec)
             top = unit_vector(module.dim, module.highest_index)
             hw = submodule_dimension(module, top) == module.dim
             assert hw == (a2 - a1 != 1), (a1, a2)
@@ -100,9 +98,9 @@ def test_criterion_01_pair_highest_weight_iff():
 
 def test_criterion_02_triple_highest_weight_iff():
     with _Timer("criterion 2: rank-one triple cyclicity iff", limit=30.0):
-        for a1, a2, a3 in product([F(0), F(1), F(2), F(3)], repeat=3):
+        for a1, a2, a3 in product(TRIPLE_GRID, repeat=3):
             spec = [(1, G(a1)), (1, G(a2)), (1, G(a3))]
-            module = _registered_tensor(spec)
+            module = tensor_module(spec)
             top = unit_vector(module.dim, module.highest_index)
             hw = submodule_dimension(module, top) == module.dim
             expected = all(
@@ -113,9 +111,9 @@ def test_criterion_02_triple_highest_weight_iff():
 
 def test_criterion_03_trivial_submodule_structure():
     with _Timer("criterion 3: pair structure with the invariant line", limit=1.0):
-        for a in (G(0), G(5), G(F(-3, 2))):
+        for a in TRIVIAL_BASES:
             assert trivial_submodule_check(a)
-            module = _registered_tensor([(1, a + 1), (1, a)])
+            module = tensor_module([(1, a + 1), (1, a)])
             top = unit_vector(module.dim, module.highest_index)
             assert submodule_dimension(module, top) == 4
             # The quotient by the invariant line is the 3-dimensional
@@ -145,11 +143,10 @@ def _ordered_specs(params, max_len):
 
 def test_criterion_04_drinfeld_series_to_order_five():
     with _Timer("criterion 4: eigenvalue series of ordered products", limit=10.0):
-        params = [F(0), F(1), F(2), F(7, 2)]
         order = 5
-        for values in _ordered_specs(params, 3):
+        for values in _ordered_specs(SERIES_PARAMS, 3):
             spec = [(1, G(v)) for v in values]
-            module = _registered_tensor(spec)
+            module = tensor_module(spec)
             ladder = extend_generators(module, order)
             series = eigenvalue_series([G(v) for v in values], 1, order + 1)
             top = unit_vector(module.dim, module.highest_index)
@@ -159,15 +156,73 @@ def test_criterion_04_drinfeld_series_to_order_five():
                 ), (values, k)
 
 
+def w2_identity_battery(a):
+    """Six identities of the three-dimensional module, plus the level-k
+    lowering patterns."""
+    mod = tensor_module([(2, a)])
+    ladder = extend_generators(mod, 3)
+    top = unit_vector(3, 2)
+    w1 = unit_vector(3, 1)
+    x0m = ladder.xm[0]
+    sq = x0m @ x0m
+
+    for k in range(4):
+        assert ladder.xm[k].matvec(top) == tuple((a + 1) ** k * e for e in w1)
+        assert ladder.xm[k].matvec(w1) == tuple(
+            2 * a**k * e for e in unit_vector(3, 0)
+        )
+    assert (x0m @ ladder.xm[1]).matvec(top) == tuple(
+        (a + 1) * e for e in sq.matvec(top)
+    )
+    assert (ladder.xm[1] @ x0m).matvec(top) == tuple(a * e for e in sq.matvec(top))
+    assert combine((1, ladder.xm[1] @ x0m), (1, x0m @ ladder.xm[1])).matvec(top) == tuple(
+        (2 * a + 1) * e for e in sq.matvec(top)
+    )
+    assert combine((1, ladder.xm[2] @ x0m), (1, x0m @ ladder.xm[2])).matvec(top) == tuple(
+        (2 * a * a + 2 * a + 1) * e for e in sq.matvec(top)
+    )
+    assert (ladder.xm[1] @ ladder.xm[1]).matvec(top) == tuple(
+        a * (a + 1) * e for e in sq.matvec(top)
+    )
+
+
+def pair_identity_battery(a, b):
+    """Identities on W_1(b) (x) W_1(a); the first-level vectors are
+    independent exactly away from a - b = 1."""
+    mod = tensor_module([(1, b), (1, a)])
+    ladder = extend_generators(mod, 3)
+    top = unit_vector(4, mod.highest_index)
+    x0m, x1m, x2m, x3m = ladder.xm[:4]
+    sq_top = (x0m @ x0m).matvec(top)
+
+    def scaled(c, vec):
+        return tuple(c * e for e in vec)
+
+    if a - b != G(1):
+        d1, d2 = x0m.matvec(top), x1m.matvec(top)
+        assert any(
+            d1[i] * d2[j] - d1[j] * d2[i] for i in range(4) for j in range(4)
+        )
+    assert (x0m @ x1m).matvec(top) == scaled((a + b + 1) / 2, sq_top)
+    assert (x1m @ x0m).matvec(top) == scaled((a + b - 1) / 2, sq_top)
+    assert combine((1, x1m @ x0m), (1, x0m @ x1m)).matvec(top) == scaled(a + b, sq_top)
+    expected = vector(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
+    assert x2m.matvec(top) == expected
+    assert (x0m @ x2m).matvec(top) == scaled((b * b + b + a + a * a) / 2, sq_top)
+    assert (x1m @ x2m).matvec(top) == scaled(a * b * (a + b + 1) / 2, sq_top)
+    assert (x1m @ x1m).matvec(top) == scaled(a * b, sq_top)
+    expected3 = vector(mod, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3})
+    assert x3m.matvec(top) == expected3
+    assert (x0m @ x3m).matvec(top) == scaled(
+        (b**3 + b * b + a * b + a * a + a**3) / 2, sq_top
+    )
+
+
 def test_criterion_05_corollary_batteries():
     with _Timer("criterion 5: identity batteries", limit=5.0):
-        for a_val in (G(0), G(1), G(-2), G(F(1, 2))):
-            _registered_tensor([(2, a_val)])
+        for a_val in W2_PARAMS:
             w2_identity_battery(a_val)
-        for b_val, a_val in product(
-            (G(0), G(1), G(2), G(-1), G(F(3, 2))), repeat=2
-        ):
-            _registered_tensor([(1, b_val), (1, a_val)])
+        for b_val, a_val in product(PAIR_PARAMS, repeat=2):
             pair_identity_battery(a_val, b_val)
 
 
@@ -196,12 +251,7 @@ def test_criterion_06_chain_coefficients_and_positivity():
 
 def test_criterion_07_criterion_set_oracle_equivalence():
     with _Timer("criterion 7: ledger-derived criterion sets = closed forms", limit=5.0):
-        sweep = [lie_type("A", l) for l in range(2, 11)] + [lie_type("G2")]
-        sweep += [lie_type(f, l) for f in "BC" for l in range(2, 7)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sweep += [lie_type("D", l) for l in range(3, 7)]
-        for t in sweep:
+        for t in _sweep_types(16):
             for b_m in all_nodes(t):
                 for b_n in all_nodes(t):
                     assert (
@@ -264,7 +314,7 @@ def test_criterion_10_verdict_consistency():
                  limit=10.0):
         types = [
             lie_type("A", 4), lie_type("B", 3), lie_type("C", 3),
-            lie_type("D", 5), lie_type("G2"),
+            lie_type("D", 4), lie_type("D", 5), lie_type("G2"),
         ]
         rng = random.Random(4096)
         for t in types:
@@ -283,12 +333,13 @@ def test_criterion_10_verdict_consistency():
                         for _ in range(k)
                     ),
                 )
-                direct = irreducibility_guaranteed(chain).guaranteed
+                direct = irreducibility_guaranteed(chain)
+                assert direct.guaranteed == (not direct.witnesses)
                 via_dual = (
                     cyclicity_guaranteed(chain).guaranteed
                     and cyclicity_guaranteed(dual_chain(chain)).guaranteed
                 )
-                assert direct == via_dual
+                assert direct.guaranteed == via_dual
 
 
 def test_criterion_11_series_roundtrip():
@@ -298,7 +349,7 @@ def test_criterion_11_series_roundtrip():
             degree = rng.randint(1, 4)
             d = rng.choice([1, 2, 3])
             roots = [
-                G(F(rng.randint(-9, 9), rng.randint(1, 3)))
+                G(F(rng.randint(-9, 9), rng.randint(1, 4)))
                 for _ in range(degree)
             ]
             series = eigenvalue_series(roots, d, 2 * degree)
@@ -309,10 +360,19 @@ def test_criterion_11_series_roundtrip():
 
 
 def test_criterion_12_defining_relations_on_registry():
-    with _Timer("criterion 12: defining relations on every module built above"):
-        assert len(_MODULE_REGISTRY) > 200, "criteria 1-5 must run first"
-        for module in _MODULE_REGISTRY:
-            assert defining_relation_failures(module, K=2) == []
+    # The registry: every product criteria 1-5 build, built here again.
+    registry = (
+        [[(1, G(a1)), (1, G(a2))] for a1, a2 in product(HALF_GRID, repeat=2)]
+        + [[(1, G(a)) for a in params] for params in product(TRIPLE_GRID, repeat=3)]
+        + [[(1, a + 1), (1, a)] for a in TRIVIAL_BASES]
+        + [[(1, G(v)) for v in values] for values in _ordered_specs(SERIES_PARAMS, 3)]
+        + [[(2, a)] for a in W2_PARAMS]
+        + [[(1, b), (1, a)] for b, a in product(PAIR_PARAMS, repeat=2)]
+    )
+    assert len(registry) == 211
+    with _Timer("criterion 12: defining relations on every module of criteria 1-5"):
+        for spec in registry:
+            assert defining_relation_failures(tensor_module(spec), K=2) == []
 
 
 def _highest_weight_by_strings(spec):

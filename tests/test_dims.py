@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from yangian_weyl.dims import (
     weyl_module_dim,
     yangian_fundamental_dim,
 )
-from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain, order_factors
+from yangian_weyl.drinfeld import DrinfeldTuple, FactorChain
 from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import all_nodes, lie_type
 
@@ -120,24 +119,3 @@ def test_lie_dims_match_product_formula(t):
     for i in all_nodes(t):
         assert _product_formula_dim(t, i) == lie_fundamental_dim(t, i)
 
-
-def test_chain_dim_matches_weyl_module_dim():
-    rng = random.Random(31)
-    types = (
-        [lie_type("A", l) for l in range(1, 7)]
-        + [lie_type("B", l) for l in range(2, 7)]
-        + [lie_type("C", l) for l in range(2, 7)]
-        + [lie_type("D", l) for l in range(4, 7)]
-        + [lie_type("G2")]
-    )
-    for t in types:
-        for _ in range(30):
-            rows = {
-                node: [G(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
-                       for _ in range(rng.randint(0, 2))]
-                for node in all_nodes(t)
-            }
-            pi = DrinfeldTuple.from_dict(t, rows)
-            if pi.total_degree == 0:
-                continue
-            assert chain_dim(order_factors(pi)) == weyl_module_dim(pi)

@@ -194,22 +194,6 @@ def test_series_to_roots_degree_bounds():
             series_to_roots(Series([G(1), ZERO, ZERO]), degree, 1)
 
 
-def test_series_roundtrip_random():
-    rng = random.Random(23)
-    for _ in range(60):
-        degree = rng.randint(1, 4)
-        d = rng.choice([1, 2, 3])
-        roots = [
-            G(Fraction(rng.randint(-8, 8), rng.randint(1, 4)))
-            for _ in range(degree)
-        ]
-        series = eigenvalue_series(roots, d, 2 * degree)
-        recovered = series_to_roots(series, degree, d)
-        assert sorted((r.re, r.im) for r in recovered) == sorted(
-            (r.re, r.im) for r in roots
-        )
-
-
 def test_series_roundtrip_gaussian_roots():
     roots = [G(1, 1), G(1, -1), G(Fraction(1, 2))]
     series = eigenvalue_series(roots, 1, 6)

@@ -87,82 +87,6 @@ def test_evaluation_module_rejects_bad_m():
             tensor_module([(1, G(0)), (m, G(1))])
 
 
-def w2_identity_battery(a):
-    """Six identities of the three-dimensional module, plus the level-k
-    lowering patterns."""
-    mod = tensor_module([(2, a)])
-    ladder = extend_generators(mod, 3)
-    top = unit_vector(3, 2)
-    w1 = unit_vector(3, 1)
-    x0m = ladder.xm[0]
-    sq = x0m @ x0m
-
-    for k in range(4):
-        assert ladder.xm[k].matvec(top) == tuple((a + 1) ** k * e for e in w1)
-        assert ladder.xm[k].matvec(w1) == tuple(
-            2 * a**k * e for e in unit_vector(3, 0)
-        )
-    assert (x0m @ ladder.xm[1]).matvec(top) == tuple(
-        (a + 1) * e for e in sq.matvec(top)
-    )
-    assert (ladder.xm[1] @ x0m).matvec(top) == tuple(a * e for e in sq.matvec(top))
-    assert combine((1, ladder.xm[1] @ x0m), (1, x0m @ ladder.xm[1])).matvec(top) == tuple(
-        (2 * a + 1) * e for e in sq.matvec(top)
-    )
-    assert combine((1, ladder.xm[2] @ x0m), (1, x0m @ ladder.xm[2])).matvec(top) == tuple(
-        (2 * a * a + 2 * a + 1) * e for e in sq.matvec(top)
-    )
-    assert (ladder.xm[1] @ ladder.xm[1]).matvec(top) == tuple(
-        a * (a + 1) * e for e in sq.matvec(top)
-    )
-
-
-@pytest.mark.parametrize("a", [G(0), G(1), G(-2), G(F(1, 2))])
-def test_w2_identity_battery(a):
-    w2_identity_battery(a)
-
-
-def pair_identity_battery(a, b):
-    """Identities on W_1(b) (x) W_1(a); the first-level vectors are
-    independent exactly away from a - b = 1."""
-    mod = tensor_module([(1, b), (1, a)])
-    ladder = extend_generators(mod, 3)
-    top = unit_vector(4, mod.highest_index)
-    x0m, x1m, x2m, x3m = ladder.xm[:4]
-    sq_top = (x0m @ x0m).matvec(top)
-
-    def scaled(c, vec):
-        return tuple(c * e for e in vec)
-
-    if a - b != G(1):
-        d1, d2 = x0m.matvec(top), x1m.matvec(top)
-        assert any(
-            d1[i] * d2[j] - d1[j] * d2[i] for i in range(4) for j in range(4)
-        )
-    assert (x0m @ x1m).matvec(top) == scaled((a + b + 1) / 2, sq_top)
-    assert (x1m @ x0m).matvec(top) == scaled((a + b - 1) / 2, sq_top)
-    assert combine((1, x1m @ x0m), (1, x0m @ x1m)).matvec(top) == scaled(a + b, sq_top)
-    expected = vector(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
-    assert x2m.matvec(top) == expected
-    assert (x0m @ x2m).matvec(top) == scaled((b * b + b + a + a * a) / 2, sq_top)
-    assert (x1m @ x2m).matvec(top) == scaled(a * b * (a + b + 1) / 2, sq_top)
-    assert (x1m @ x1m).matvec(top) == scaled(a * b, sq_top)
-    expected3 = vector(mod, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3})
-    assert x3m.matvec(top) == expected3
-    assert (x0m @ x3m).matvec(top) == scaled(
-        (b**3 + b * b + a * b + a * a + a**3) / 2, sq_top
-    )
-
-
-@pytest.mark.parametrize(
-    "a,b",
-    [(x, y) for x in (G(0), G(1), G(2), G(-1), G(F(3, 2)))
-     for y in (G(0), G(1), G(2), G(-1), G(F(3, 2)))],
-)
-def test_pair_identity_battery(a, b):
-    pair_identity_battery(a, b)
-
-
 def test_tensor_top_eigenvalue_matches_series():
     a, b = G(F(5, 3)), G(-2)
     mod = tensor_module([(1, b), (1, a)])
@@ -442,17 +366,22 @@ def test_verify_drinfeld_series_examples():
 
 
 @st.composite
-def _series_spec_st(draw):
-    """1-4 factors with m in {1,2,3} and dimension at most 48; the
-    parameters are all real or all Gaussian."""
+def _product_st(draw, factors, top_m, cap, part):
+    """1 to `factors` factors with m in 1..top_m and dimension at most
+    `cap`; the parameters' parts are drawn from `part`, and are all real
+    or all Gaussian."""
     ms = draw(
-        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
-            lambda ms: prod(m + 1 for m in ms) <= 48
+        st.lists(st.integers(1, top_m), min_size=1, max_size=factors).filter(
+            lambda ms: prod(m + 1 for m in ms) <= cap
         )
     )
-    part = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     gauss = draw(st.booleans())
     return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
+
+
+# Up to 4 factors with m at most 3 and dimension at most 48, with parts in
+# [-4, 4] of denominator at most 3.
+_SERIES_SPECS = _product_st(4, 3, 48, st.fractions(min_value=-4, max_value=4, max_denominator=3))
 
 
 # h_0 or h_1 plus a raising or lowering matrix: h_0 and h_1 then need not
@@ -482,7 +411,7 @@ def _top_is_highest(module, order, S):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_series_spec_st(), st.integers(0, 6), st.sampled_from((None, *_OFF_COMMUTING)))
+@given(_SERIES_SPECS, st.integers(0, 6), st.sampled_from((None, *_OFF_COMMUTING)))
 def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     # The series check runs the x_k^+ recursion on the top two weight
     # spaces and reads h_k top = [x_k^+, x_0^-] top off one scalar
@@ -755,19 +684,10 @@ def test_relation_failures_on_perturbed_modules():
 _SCALE_PART = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
-@st.composite
-def _wide_spec_st(draw):
-    """1-3 factors with m in {1,2} and dimension at most 12; the parameters
-    have numerators up to 10^12 and denominators up to 10^9, and are all
-    real or all Gaussian."""
-    ms = draw(
-        st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(
-            lambda ms: prod(m + 1 for m in ms) <= 12
-        )
-    )
-    part = st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**9))
-    gauss = draw(st.booleans())
-    return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
+# Up to 3 factors with m at most 2 and dimension at most 12, with parts of
+# numerators up to 10^12 and denominators up to 10^9.
+_WIDE_SPECS = _product_st(
+    3, 2, 12, st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**9)))
 
 
 # One of x0p, x0m, h0, h1 scaled by a nonzero Gaussian rational c, h_0 or
@@ -775,7 +695,7 @@ def _wide_spec_st(draw):
 # one term of a relation can start at another weight than a row of the
 # next.
 _PERTURBED_MODULE_ARGS = (
-    st.one_of(_series_spec_st(), _wide_spec_st()),
+    st.one_of(_SERIES_SPECS, _WIDE_SPECS),
     st.sampled_from((None, "x0p", "x0m", "h0", "h1", *_OFF_COMMUTING)),
     st.builds(G, _SCALE_PART, _SCALE_PART).filter(bool),
 )
@@ -914,22 +834,8 @@ def test_tensor_module_refuses_bad_m_in_any_position(bad, position):
         tensor_module(spec)
 
 
-@st.composite
-def _oracle_spec_st(draw):
-    """1-5 factors with m in {1,2,3} and dimension at most 256; the
-    parameters are all real or all Gaussian, with denominators up to 5."""
-    ms = draw(
-        st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(
-            lambda ms: prod(m + 1 for m in ms) <= 256
-        )
-    )
-    part = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-    gauss = draw(st.booleans())
-    return [(m, G(draw(part), draw(part) if gauss else 0)) for m in ms]
-
-
 @settings(max_examples=60, deadline=None)
-@given(_oracle_spec_st())
+@given(_product_st(5, 3, 256, st.fractions(min_value=-6, max_value=6, max_denominator=5)))
 def test_tensor_module_matches_kron_fold(spec):
     # Labels, factor_spec and all four matrices, as record equality.
     assert tensor_oracle.read(tensor_module(spec)) == tensor_oracle.tensor_module(spec)
