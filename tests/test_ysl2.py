@@ -87,6 +87,47 @@ def test_evaluation_module_rejects_bad_m():
             tensor_module([(1, G(0)), (m, G(1))])
 
 
+def pair_identity_battery(a, b):
+    """Identities on W_1(b) (x) W_1(a); the first-level vectors are
+    independent exactly away from a - b = 1."""
+    mod = tensor_module([(1, b), (1, a)])
+    ladder = extend_generators(mod, 3)
+    top = unit_vector(4, mod.highest_index)
+    x0m, x1m, x2m, x3m = ladder.xm[:4]
+    sq_top = (x0m @ x0m).matvec(top)
+
+    def scaled(c, vec):
+        return tuple(c * e for e in vec)
+
+    if a - b != G(1):
+        d1, d2 = x0m.matvec(top), x1m.matvec(top)
+        assert any(
+            d1[i] * d2[j] - d1[j] * d2[i] for i in range(4) for j in range(4)
+        )
+    assert (x0m @ x1m).matvec(top) == scaled((a + b + 1) / 2, sq_top)
+    assert (x1m @ x0m).matvec(top) == scaled((a + b - 1) / 2, sq_top)
+    assert combine((1, x1m @ x0m), (1, x0m @ x1m)).matvec(top) == scaled(a + b, sq_top)
+    expected = vector(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
+    assert x2m.matvec(top) == expected
+    assert (x0m @ x2m).matvec(top) == scaled((b * b + b + a + a * a) / 2, sq_top)
+    assert (x1m @ x2m).matvec(top) == scaled(a * b * (a + b + 1) / 2, sq_top)
+    assert (x1m @ x1m).matvec(top) == scaled(a * b, sq_top)
+    expected3 = vector(mod, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3})
+    assert x3m.matvec(top) == expected3
+    assert (x0m @ x3m).matvec(top) == scaled(
+        (b**3 + b * b + a * b + a * a + a**3) / 2, sq_top
+    )
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(x, y) for x in (G(0), G(1), G(2), G(-1), G(F(3, 2)))
+     for y in (G(0), G(1), G(2), G(-1), G(F(3, 2)))],
+)
+def test_pair_identity_battery(a, b):
+    pair_identity_battery(a, b)
+
+
 def test_tensor_top_eigenvalue_matches_series():
     a, b = G(F(5, 3)), G(-2)
     mod = tensor_module([(1, b), (1, a)])
