@@ -1,4 +1,4 @@
-"""Weight chains along reduced words, lowering words, and parameter ledgers.
+"""Weight chains along reduced words and parameter ledgers.
 
 For each node b the descent chain tracks the extremal-weight path from the
 highest weight down to the lowest one, one simple reflection at a time.

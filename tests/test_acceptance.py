@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 import time
-import warnings
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -35,7 +34,14 @@ from yangian_weyl.drinfeld import (
     series_to_roots,
 )
 from yangian_weyl.exact import GaussianRational as G, Series, unit_vector
-from yangian_weyl.rootsys import all_nodes, fundamental_weight, lie_type, node_involution
+from yangian_weyl.rootsys import (
+    all_nodes,
+    fundamental_weight,
+    is_positive_root_vector,
+    lie_type,
+    node_involution,
+    reflect_root,
+)
 from yangian_weyl.weylpath import descent_chain
 from yangian_weyl.ysl2 import (
     defining_relation_failures,
@@ -47,12 +53,10 @@ from yangian_weyl.ysl2 import (
 )
 
 from criteria_oracle import closed_form_set
-from dense_oracle import combine
+from dense_oracle import combine, vector
 from pair_oracle import ordering_key
 from test_criteria import _sweep_types
 from test_replay import _workloads
-from test_weylpath import chain_root_positivity
-from test_ysl2 import pair_identity_battery
 
 F = Fraction
 
@@ -187,6 +191,38 @@ def w2_identity_battery(a):
     )
 
 
+def pair_identity_battery(a, b):
+    """Identities on W_1(b) (x) W_1(a); the first-level vectors are
+    independent exactly away from a - b = 1."""
+    mod = tensor_module([(1, b), (1, a)])
+    ladder = extend_generators(mod, 3)
+    top = unit_vector(4, mod.highest_index)
+    x0m, x1m, x2m, x3m = ladder.xm[:4]
+    sq_top = (x0m @ x0m).matvec(top)
+
+    def scaled(c, vec):
+        return tuple(c * e for e in vec)
+
+    if a - b != G(1):
+        d1, d2 = x0m.matvec(top), x1m.matvec(top)
+        assert any(
+            d1[i] * d2[j] - d1[j] * d2[i] for i in range(4) for j in range(4)
+        )
+    assert (x0m @ x1m).matvec(top) == scaled((a + b + 1) / 2, sq_top)
+    assert (x1m @ x0m).matvec(top) == scaled((a + b - 1) / 2, sq_top)
+    assert combine((1, x1m @ x0m), (1, x0m @ x1m)).matvec(top) == scaled(a + b, sq_top)
+    expected = vector(mod, {(0, 1): b * b + b + a, (1, 0): a * a})
+    assert x2m.matvec(top) == expected
+    assert (x0m @ x2m).matvec(top) == scaled((b * b + b + a + a * a) / 2, sq_top)
+    assert (x1m @ x2m).matvec(top) == scaled(a * b * (a + b + 1) / 2, sq_top)
+    assert (x1m @ x1m).matvec(top) == scaled(a * b, sq_top)
+    expected3 = vector(mod, {(0, 1): b**3 + b * b + a * b + a * a, (1, 0): a**3})
+    assert x3m.matvec(top) == expected3
+    assert (x0m @ x3m).matvec(top) == scaled(
+        (b**3 + b * b + a * b + a * a + a**3) / 2, sq_top
+    )
+
+
 def test_criterion_05_corollary_batteries():
     with _Timer("criterion 5: identity batteries", limit=5.0):
         for a_val in W2_PARAMS:
@@ -195,19 +231,23 @@ def test_criterion_05_corollary_batteries():
             pair_identity_battery(a_val, b_val)
 
 
+def chain_root_positivity(t, b) -> bool:
+    """Each step's simple root, pulled back through the earlier steps,
+    stays positive: the chain always moves strictly downward."""
+    chain = descent_chain(t, b)
+    l = t.rank
+    for k, step in enumerate(chain.steps):
+        vec = tuple(1 if j == step.node - 1 else 0 for j in range(l))
+        for earlier in reversed(chain.steps[:k]):
+            vec = reflect_root(t, vec, earlier.node)
+        if not is_positive_root_vector(vec):
+            return False
+    return True
+
+
 def test_criterion_06_chain_coefficients_and_positivity():
     with _Timer("criterion 6: descent chain combinatorics", limit=5.0):
-        sweep = (
-            [lie_type("A", l) for l in range(2, 9)]
-            + [lie_type("B", l) for l in range(2, 9)]
-            + [lie_type("C", l) for l in range(2, 9)]
-            + [lie_type("D", l) for l in range(4, 9)]
-            + [lie_type("G2")]
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sweep.append(lie_type("D", 3))
-        for t in sweep:
+        for t in _sweep_types(8):
             allowed = {1, 2, 3} if t.family == "G2" else {1, 2}
             nu = node_involution(t)
             for b in all_nodes(t):
@@ -216,6 +256,11 @@ def test_criterion_06_chain_coefficients_and_positivity():
                 lowest = tuple(-c for c in fundamental_weight(t, nu[b - 1]))
                 assert chain.steps[-1].weight_after == lowest
                 assert chain_root_positivity(t, b)
+                for k, step in enumerate(chain.steps):
+                    assert step.index == k
+                    assert step.weight_before[step.node - 1] == step.coefficient
+                    if k:
+                        assert step.weight_before == chain.steps[k - 1].weight_after
 
 
 def test_criterion_07_criterion_set_oracle_equivalence():
@@ -590,7 +635,7 @@ def test_criterion_20_ssets_at_max_rank(capsys):
     import yangian_weyl.weylpath as wp
     from yangian_weyl.cli import MAX_RANK
 
-    for family in "BCD":
+    for family in "ABCD":
         crit._ledger_sets.cache_clear()
         crit._doubled_sets.cache_clear()
         wp.parameter_ledger.cache_clear()

@@ -18,13 +18,11 @@ tests/data/replay_digest.json stores per op a short SHA-256 of the input
 and of each of status, stdout and stderr.  Each op is compared with the
 stored row of its input hash, so an op that only moved reads as moved, and
 one added or removed as such; an op whose input changed in place reads as
-a changed input, and a changed output names its stream.  This module checks
-the workload and `cli` keys; tests/test_sl2_golden.py and
-tests/test_verdicts_golden.py check the two golden keys one verify mode or
-one type at a time, and hold their coverage checks.  Rewrite it, from
-the repository root, only when the output is meant to change; the script
-needs no pytest, prints every op that differs, and leaves the file as it
-is when none does:
+a changed input, and a changed output names its stream.  Each key is one
+test; the two golden keys also have their recipes checked.  Rewrite the
+digest, from the repository root, only when the output is meant to
+change; the script needs no pytest, prints every op that differs, and
+leaves the file as it is when none does:
 
     PYTHONPATH=src python tests/test_replay.py --write
 """
@@ -153,9 +151,6 @@ PAIRWISE_WEYL = ["weyl", '{"type":"A","rank":2,"polys":{"1":["7/999999937+2/9999
                  "--json"]
 
 
-GOLDEN = ("sl2-golden", "verdicts-golden")
-
-
 @lru_cache(maxsize=None)
 def corpora() -> dict:
     """{key: [op]}, each op a `bench/workloads.py` `Op`; the fixed corpora
@@ -247,16 +242,15 @@ def _pairing(ops, old) -> list:
     return pairs
 
 
-def _mismatches(key, ops, old, new, indices=None) -> list:
+def _mismatches(key, ops, old, new) -> list:
     """Lines naming each op of `ops` whose replayed row in `new` is not its
     stored row in `old`, and each stored row that no op is paired with
-    (see `_pairing`); `new` holds the rows of the ops at `indices`, by
-    default all of them.  An op is added if no stored row is paired with
-    it, moved if its row is stored at another index, and changed in each
+    (see `_pairing`).  An op is added if no stored row is paired with it,
+    moved if its row is stored at another index, and changed in each
     stream whose hash differs."""
     pairs = _pairing(ops, old)
     lines = []
-    for index, now in zip(range(len(new)) if indices is None else indices, new):
+    for index, now in enumerate(new):
         was = pairs[index]
         if was is None:
             found = ["added"]
@@ -272,11 +266,9 @@ def _mismatches(key, ops, old, new, indices=None) -> list:
     return lines
 
 
-def check_replay(key, select=lambda op: True):
-    """Replay the ops of one corpus that `select` picks against their rows."""
-    ops = corpora().get(key, [])
-    indices = [index for index, op in enumerate(ops) if select(op)]
-    lines = _mismatches(key, ops, stored(key), [_row(ops[index]) for index in indices], indices)
+def check_replay(key):
+    """Replay the ops of one corpus against their stored rows."""
+    lines = _mismatches(key, corpora().get(key, []), stored(key), replay(key))
     assert not lines, f"{len(lines)} ops differ; first:\n" + "\n".join(lines[:5])
 
 
@@ -289,8 +281,7 @@ def check_golden_rows(key, count):
 
 def pytest_generate_tests(metafunc):
     if "key" in metafunc.fixturenames:
-        metafunc.parametrize("key", [key for key in _keys(json.loads(DIGEST.read_text()))
-                                     if key not in GOLDEN])
+        metafunc.parametrize("key", _keys(json.loads(DIGEST.read_text())))
 
 
 def test_replay_digest_is_unchanged(key):
@@ -304,11 +295,8 @@ def test_mismatches_tell_moved_added_removed_and_changed_ops():
     def rows(names, changed=""):
         return [[_input(ops[n]), "0", "out " + n + "!" * (n in changed), ""] for n in names]
 
-    def lines(stored_names, names, changed="", indices=None):
-        new = rows(names, changed)
-        if indices is not None:
-            new = [new[i] for i in indices]
-        return _mismatches("k", [ops[n] for n in names], rows(stored_names), new, indices)
+    def lines(stored_names, names, changed=""):
+        return _mismatches("k", [ops[n] for n in names], rows(stored_names), rows(names, changed))
 
     def op(index, name):
         return f"k op {index} {('info', '--type', name)!r}"
@@ -326,9 +314,23 @@ def test_mismatches_tell_moved_added_removed_and_changed_ops():
     assert lines("abc", "aec") == [op(1, "e") + ": input, stdout changed"]
     # Two ops of one input pair with their stored rows in order.
     assert lines("aab", "aba") == [op(1, "b") + ": moved from op 2", op(2, "a") + ": moved from op 1"]
-    # A subset replay names only the ops it replays, and every row no op takes.
-    assert lines("abcf", "abdc", indices=[0, 3]) == [
-        op(3, "c") + ": moved from op 2", f"k stored op 3 (input {_input(ops['f'])}): removed"]
+
+
+def test_sl2_golden_corpus_matches_its_recipe():
+    check_golden_rows("sl2-golden", 3 * 36)
+    assert sum(any("i" in a for _, a in spec) for spec in golden_specs()) == 18
+
+
+def test_verdicts_golden_corpus_matches_its_recipe():
+    check_golden_rows("verdicts-golden", 6 * 48)
+    chains = golden_chains()
+    assert all(1 <= len(factors) <= 40 for _, _, factors in chains)
+    assert max(len(factors) for _, _, factors in chains) >= 35
+    assert sum(any("i" in a for _, a in factors) for _, _, factors in chains) >= 12
+    assert sum(any("/2" in a for _, a in factors) for _, _, factors in chains) >= 12
+    reports = [json.loads(_cli(_verdict_argv("irreducible", chain, True))[1]) for chain in chains]
+    witnessed = [len(report["verdict"]["witnesses"]) > 0 for report in reports]
+    assert sum(witnessed) >= 12 and not all(witnessed)
 
 
 def test_cli_corpus_errors_are_schema_errors():

@@ -1,4 +1,4 @@
-"""Descent chains, lowering words, and parameter ledgers.
+"""Descent chains and parameter ledgers.
 
 tests/data/ledger_golden.json pins the parameter ledger of every node of
 A1-A8, B2-B8, C2-C8, D3-D8 and G2.  Each entry is stored as
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,16 +24,14 @@ from yangian_weyl.rootsys import (
     apply_word,
     cartan_datum,
     fundamental_weight,
-    is_positive_root_vector,
     lie_type,
     longest_word,
-    node_involution,
-    reflect_root,
     simple_root_in_weights,
 )
 from yangian_weyl.weylpath import descent_chain, parameter_ledger
 
 from ambient_tables import ambient
+from test_criteria import _sweep_types
 
 LEDGER_CORPUS = Path(__file__).resolve().parent / "data" / "ledger_golden.json"
 
@@ -47,33 +44,13 @@ SWEEP = (
 )
 
 
-def chain_root_positivity(t, b) -> bool:
-    """Each step's simple root, pulled back through the earlier steps,
-    stays positive: the chain always moves strictly downward."""
-    chain = descent_chain(t, b)
-    l = t.rank
-    for k, step in enumerate(chain.steps):
-        vec = tuple(1 if j == step.node - 1 else 0 for j in range(l))
-        for earlier in reversed(chain.steps[:k]):
-            vec = reflect_root(t, vec, earlier.node)
-        if not is_positive_root_vector(vec):
-            return False
-    return True
-
-
-def _lowering_word(t, b):
-    """(node, exponent) pairs in product order, rightmost factor applied
-    first: the descent chain's steps, last step first."""
-    return tuple((s.node, s.coefficient) for s in reversed(descent_chain(t, b).steps))
-
-
 def root_lattice_balance(t, b) -> bool:
-    """Sum of exponent * alpha_node over the lowering word equals
+    """Sum of coefficient * alpha_node over the chain's steps equals
     omega_b - w0(omega_b) in fundamental-weight coordinates."""
     total = [0] * t.rank
-    for node, exp in _lowering_word(t, b):
-        alpha = simple_root_in_weights(t, node)
-        total = [acc + exp * a for acc, a in zip(total, alpha)]
+    for step in descent_chain(t, b).steps:
+        alpha = simple_root_in_weights(t, step.node)
+        total = [acc + step.coefficient * a for acc, a in zip(total, alpha)]
     start = fundamental_weight(t, b)
     end = apply_word(t, longest_word(t), start)
     return tuple(total) == tuple(s - e for s, e in zip(start, end))
@@ -86,6 +63,7 @@ def test_g2_chain_matches_weight_path():
     assert weights == [
         (1, 0), (-1, 3), (2, -3), (-2, 3), (1, -3), (-1, 0),
     ]
+    assert chain.nodes == (1, 2, 1, 2, 1)
     assert chain.coefficients == (1, 3, 2, 3, 1)
     chain2 = descent_chain(t, 2)
     assert chain2.nodes == (2, 1, 2, 1, 2)
@@ -98,6 +76,9 @@ def test_a2_chain():
     assert chain.nodes == (1, 2)
     assert chain.coefficients == (1, 1)
     assert [s.weight_after for s in chain.steps] == [(-1, 1), (0, -1)]
+    c2 = descent_chain(lie_type("C", 2), 2)
+    assert c2.nodes == (2, 1, 2)
+    assert c2.coefficients == (1, 2, 1)
 
 
 def test_a_chain_order_is_blockwise():
@@ -106,29 +87,6 @@ def test_a_chain_order_is_blockwise():
     t = lie_type("A", 3)
     assert descent_chain(t, 2).nodes == (2, 3, 1, 2)
     assert descent_chain(t, 1).nodes == (1, 2, 3)
-
-
-@pytest.mark.parametrize("t", SWEEP, ids=str)
-def test_chain_invariants(t):
-    classical_range = {1, 2} if t.family != "G2" else {1, 2, 3}
-    nu = node_involution(t)
-    for b in all_nodes(t):
-        chain = descent_chain(t, b)
-        assert set(chain.coefficients) <= classical_range
-        lowest = tuple(-c for c in fundamental_weight(t, nu[b - 1]))
-        assert chain.steps[-1].weight_after == lowest
-        assert chain_root_positivity(t, b)
-        for k, step in enumerate(chain.steps):
-            assert step.index == k
-            assert step.weight_before[step.node - 1] == step.coefficient
-            if k:
-                assert step.weight_before == chain.steps[k - 1].weight_after
-
-
-def test_lowering_word_examples():
-    assert _lowering_word(lie_type("G2"), 1) == ((1, 1), (2, 3), (1, 2), (2, 3), (1, 1))
-    assert _lowering_word(lie_type("C", 2), 2) == ((2, 1), (1, 2), (2, 1))
-    assert _lowering_word(lie_type("A", 2), 1) == ((2, 1), (1, 1))
 
 
 @pytest.mark.parametrize("t", SWEEP, ids=str)
@@ -192,17 +150,6 @@ def test_type_a_ledger_entry_counts(l):
             assert count == max(expected, 0)
 
 
-def _corpus_types():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # D3 is A3 relabelled
-        return (
-            [lie_type("A", l) for l in range(1, 9)]
-            + [lie_type(f, l) for f in "BC" for l in range(2, 9)]
-            + [lie_type("D", l) for l in range(3, 9)]
-            + [lie_type("G2")]
-        )
-
-
 def build_ledger_corpus():
     """{type: {node: [[node, divisor, [offset, ...]], ...]}} with sorted offsets."""
     return {
@@ -213,7 +160,7 @@ def build_ledger_corpus():
             ]
             for b in all_nodes(t)
         }
-        for t in _corpus_types()
+        for t in _sweep_types(8)
     }
 
 
@@ -224,7 +171,7 @@ def test_ledgers_match_the_golden_corpus():
 
 
 def test_ledger_offsets_ascend():
-    for t in _corpus_types():
+    for t in _sweep_types(8):
         for b in all_nodes(t):
             for entry in parameter_ledger(t, b).entries:
                 assert list(entry.offsets) == sorted(entry.offsets), (str(t), b)
