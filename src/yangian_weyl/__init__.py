@@ -73,4 +73,7 @@ from .ysl2 import (
     verify_drinfeld_series,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _Module
+
+# Every public name bound above, but none of the submodules the imports bind.
+__all__ = [k for k, v in sorted(globals().items()) if k[0] != "_" and not isinstance(v, _Module)]

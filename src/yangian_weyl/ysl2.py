@@ -242,18 +242,18 @@ class GeneratorLadder:
 
 
 def _integer_ladder(module: SL2Module, K: int) -> dict:
-    """{(g, k): (rows, scale)} for x_k^+ (g = "+"), x_k^- ("-") and h_k
-    ("h"), k = 0..K with K >= 0 (h_1 even at K = 0), each the matrix
-    rows / scale with rows over Z[i], starting from the `Matrix` rows and
-    den of x_0^+/-, h_0, h_1.
+    """{(g, k): Matrix} for x_k^+ (g = "+"), x_k^- ("-") and h_k ("h"),
+    k = 0..K with K >= 0 (h_1 even at K = 0), each formed as rows / scale
+    with rows over Z[i], starting from the `Matrix` rows and den of
+    x_0^+/-, h_0, h_1, and brought to lowest terms at the end.
 
     With lh = lcm(scale of h_0, scale of h_1), D = lh (h_1 - h_0) and
     S = lh (h_1 + h_0) are integer matrices, step = 2 lh times
     (h_1 -/+ h_0)/2, so the ladder steps x_{k+1}^+ = D x_k^+ - x_k^+ S and
     x_{k+1}^- = x_k^- D - S x_k^- keep their form on the rows, over step
     times the scale of level k; h_k = [x_k^+, x_0^-] is over the product
-    of their scales.  Nothing is reduced, so x_k^+/- is over
-    scale(x_0^+/-) step^k.
+    of their scales.  Nothing is reduced before the end, so x_k^+/- is
+    over scale(x_0^+/-) step^k.
     """
     start = {("+", 0): module.x0p, ("-", 0): module.x0m, ("h", 0): module.h0, ("h", 1): module.h1}
     ladder = {key: (m.rows, m.den) for key, m in start.items()}
@@ -270,7 +270,7 @@ def _integer_ladder(module: SL2Module, K: int) -> dict:
     for k in range(2, K + 1):
         xp, sp = ladder["+", k]
         ladder["h", k] = [_row_sum(((1, xp, x0m), (-1, x0m, xp)), i) for i in range(n)], sp * sm
-    return ladder
+    return {key: _lowest(rows, scale, n) for key, (rows, scale) in ladder.items()}
 
 
 def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
@@ -278,14 +278,11 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
     x_{k+1}^- = -1/2([h_1, x_k^-] + h_0 x_k^- + x_k^- h_0),
     x_{k+1}^+ = +1/2([h_1, x_k^+] - h_0 x_k^+ - x_k^+ h_0),
     h_k = [x_k^+, x_0^-];
-    the pairs of `_integer_ladder`, each a `Matrix` in lowest terms.
+    the matrices of `_integer_ladder`.
     """
     _count(K, "K")
-    view = {
-        key: _lowest(rows, scale, module.dim)
-        for key, (rows, scale) in _integer_ladder(module, K).items()
-    }
-    return GeneratorLadder(module, *(tuple(view[g, k] for k in range(K + 1)) for g in "+-h"))
+    ladder = _integer_ladder(module, K)
+    return GeneratorLadder(module, *(tuple(ladder[g, k] for k in range(K + 1)) for g in "+-h"))
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
@@ -365,10 +362,10 @@ def is_irreducible(spec: Sequence[Tuple[int, object]]) -> bool:
     return is_highest_weight(spec) and is_highest_weight(tuple(reversed(tuple(spec))))
 
 
-def _h_on_top(module: SL2Module, order: int) -> Iterator[Tuple[dict, int]]:
-    """h_k top for k = 0..order, each as an unreduced pair (Z[i] vector, scale),
-    read off the top two weight spaces: D and S of `_integer_ladder` and
-    x_k^+ for k >= 1 are never formed.
+def _h_on_top(module: SL2Module, order: int) -> Iterator[Tuple[Tuple[int, int], int]]:
+    """h_k top = (re + im i) / scale top for k = 0..order, as unreduced
+    ((re, im), scale), read off the top two weight spaces: D and S of
+    `_integer_ladder` and x_k^+ for k >= 1 are never formed.
 
     h_k top = x_k^+ x_0^- top - x_0^- x_k^+ top, as in `extend_generators`.
     Put w_{k,j} = x_k^+ S^j x_0^- top; the ladder step
@@ -408,7 +405,7 @@ def _h_on_top(module: SL2Module, order: int) -> Iterator[Tuple[dict, int]]:
             ws = [(dr * wr - di * wi - nr, dr * wi + di * wr - ni)
                   for (wr, wi), (nr, ni) in zip(ws, ws[1:])]
             scale *= 2 * lh
-        yield ({top: ws[0]} if any(ws[0]) else {}), scale
+        yield ws[0], scale
 
 
 def _series_check(spec: Sequence[Tuple[int, object]], order: int):
@@ -422,8 +419,8 @@ def _series_check(spec: Sequence[Tuple[int, object]], order: int):
         roots.extend(a + s for s in range(m))
     series = eigenvalue_series(roots, 1, order + 1)
     matches = all(
-        _reduced(*image.get(module.highest_index, (0, 0)), scale) == c
-        for (image, scale), c in zip(_h_on_top(module, order), series.coeffs[1:])
+        _reduced(*pair, scale) == c
+        for (pair, scale), c in zip(_h_on_top(module, order), series.coeffs[1:])
     )
     return matches, series
 
@@ -509,9 +506,9 @@ def _packed_relations(module: SL2Module, K: int):
     sign of its symmetric term.  No product and no sum is formed as a
     matrix.
 
-    Every matrix of `_integer_ladder` is brought to lowest terms and then
-    to Z[i] rows over one common denominator L, the lcm of their
-    denominators (and the identity is L I), and the basis is put in
+    Every matrix of `_integer_ladder`, in lowest terms, is brought to Z[i]
+    rows over one common denominator L, the lcm of their denominators
+    (and the identity is L I), and the basis is put in
     h_0-weight order, column order[t] at slot t, so that each weight space
     is a run of slots.  Row k of a right factor B, with entries
     b_j = br_j + bi_j i, is packed from the start `base` of the run of its
@@ -540,13 +537,12 @@ def _packed_relations(module: SL2Module, K: int):
     relations = _relation_terms(K)
 
     n = module.dim
-    lowest = {key: _lowest(m, scale, n) for key, (m, scale) in ladder.items()}
-    den = lcm(*(m.den for m in lowest.values()))
+    den = lcm(*(m.den for m in ladder.values()))
     rows = {
         key: m.rows if m.den == den else [
             {j: (re * f, im * f) for j, (re, im) in row.items()} for row in m.rows
         ]
-        for key, m in lowest.items()
+        for key, m in ladder.items()
         for f in (den // m.den,)
     }
     rows[None] = [{i: (den, 0)} for i in range(n)]

@@ -10,7 +10,6 @@ for a call that does not match the fields, a `TypeError` from each.
 
 from __future__ import annotations
 
-import ast
 import os
 import subprocess
 import sys
@@ -232,29 +231,3 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
 
-
-_RUNTIME_CODE = {"exec", "eval", "compile"}
-
-
-def _runtime_code_calls(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            f = node.func
-            if isinstance(f, ast.Name) and f.id in _RUNTIME_CODE:
-                yield node.lineno, f.id
-            elif (isinstance(f, ast.Attribute) and f.attr in _RUNTIME_CODE
-                  and isinstance(f.value, ast.Name) and f.value.id == "builtins"):
-                yield node.lineno, f.attr
-
-
-def test_no_module_generates_code_at_runtime():
-    modules = sorted((SRC / "yangian_weyl").glob("*.py"))
-    assert {p.stem for p in modules} >= {"record", "rootsys", "ysl2"}
-    for path in modules:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        assert list(_runtime_code_calls(tree)) == [], path.name
-
-
-def test_the_scan_finds_exec_eval_and_compile():
-    source = "exec('1')\ny = eval('2')\nz = compile('3', '', 'eval')\nbuiltins.exec('4')\nre.compile('5')\n"
-    assert [line for line, _ in _runtime_code_calls(ast.parse(source))] == [1, 2, 3, 4]

@@ -13,16 +13,21 @@ output with a stored digest.  The corpora, by key:
   products in human mode, six schema errors, and `weyl --json` on
   pairwise coprime 9-10-digit denominators, whose pair audit is formed
   pair by pair.
+- `ledger`: the parameter ledger of every node of A1-A8, B2-B8, C2-C8,
+  D3-D8 and G2, one op per (type, node), each printed as the JSON list of
+  its entries [node, divisor, [offset, ...]] with the offsets as strings,
+  in the ledger's (ascending) order.
 
 tests/data/replay_digest.json stores per op a short SHA-256 of the input
 and of each of status, stdout and stderr.  Each op is compared with the
 stored row of its input hash, so an op that only moved reads as moved, and
 one added or removed as such; an op whose input changed in place reads as
 a changed input, and a changed output names its stream.  Each key is one
-test; the two golden keys also have their recipes checked.  Rewrite the
-digest, from the repository root, only when the output is meant to
-change; the script needs no pytest, prints every op that differs, and
-leaves the file as it is when none does:
+test; the golden keys and `ledger` also have their recipes checked.  The
+script below is the one writer of tests/data/.  Rewrite the digest, from
+the repository root, only when the output is meant to change; the script
+needs no pytest, prints every op that differs, and leaves the file as it
+is when none does:
 
     PYTHONPATH=src python tests/test_replay.py --write
 """
@@ -44,6 +49,8 @@ from pathlib import Path
 from yangian_weyl.cli import main
 from yangian_weyl.drinfeld import series_to_roots
 from yangian_weyl.exact import GaussianRational, Series
+from yangian_weyl.rootsys import LieType
+from yangian_weyl.weylpath import parameter_ledger
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = ROOT / "tests" / "data" / "replay_digest.json"
@@ -149,12 +156,16 @@ SCHEMA_ERRORS = (
 PAIRWISE_WEYL = ["weyl", '{"type":"A","rank":2,"polys":{"1":["7/999999937+2/999999937i",'
                  '"-5/1000000009","3/999999929-1/999999929i"],"2":["11/1000000007+4/1000000007i"]}}',
                  "--json"]
+# `LieType` itself, not `lie_type`: D3 then builds without its UserWarning.
+LEDGER_TYPES = [LieType(family, rank) for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                for rank in range(low, 9)] + [LieType("G2", 2)]
 
 
 @lru_cache(maxsize=None)
 def corpora() -> dict:
     """{key: [op]}, each op a `bench/workloads.py` `Op`; the fixed corpora
-    hold CLI ops of kind "cli"."""
+    hold CLI ops of kind "cli", and `ledger` ops (family, rank, node) of
+    kind "ledger"."""
     workloads = _workloads()
     ops = {f"{workload}/{seed}": workloads.generate(workload, seed, 1)
            for workload in sorted(workloads.GENERATORS) for seed in SEEDS}
@@ -171,6 +182,8 @@ def corpora() -> dict:
     }
     for key, argvs in fixed.items():
         ops[key] = [workloads.Op("cli", tuple(argv)) for argv in argvs]
+    ops["ledger"] = [workloads.Op("ledger", (t.family, t.rank, b))
+                     for t in LEDGER_TYPES for b in range(1, t.rank + 1)]
     return ops
 
 
@@ -191,7 +204,13 @@ def _cli(argv):
 
 def _run(op):
     """`_cli` of a CLI op; a `roots` op runs on the series `bench/run.py`
-    hands over and records its roots' sorted `repr`s, or the refusal."""
+    hands over and records its roots' sorted `repr`s, or the refusal; a
+    `ledger` op prints the entries of one node's ledger."""
+    if op.kind == "ledger":
+        family, rank, node = op.argv
+        entries = parameter_ledger(LieType(family, rank), node).entries
+        rows = [[e.node, e.divisor, [str(o) for o in e.offsets]] for e in entries]
+        return "0", json.dumps(rows, separators=(",", ":")), ""
     if op.kind != "roots":
         return _cli(op.argv)
     degree, d = op.argv
@@ -272,8 +291,8 @@ def check_replay(key):
     assert not lines, f"{len(lines)} ops differ; first:\n" + "\n".join(lines[:5])
 
 
-def check_golden_rows(key, count):
-    """A golden corpus has `count` stored rows, each of exit status 0 and empty stderr."""
+def check_fixed_rows(key, count):
+    """A fixed corpus has `count` stored rows, each of exit status 0 and empty stderr."""
     rows = stored(key)
     assert len(corpora()[key]) == len(rows) == count
     assert all((status, stderr) == (_short("0"), _short("")) for _, status, _, stderr in rows)
@@ -317,12 +336,12 @@ def test_mismatches_tell_moved_added_removed_and_changed_ops():
 
 
 def test_sl2_golden_corpus_matches_its_recipe():
-    check_golden_rows("sl2-golden", 3 * 36)
+    check_fixed_rows("sl2-golden", 3 * 36)
     assert sum(any("i" in a for _, a in spec) for spec in golden_specs()) == 18
 
 
 def test_verdicts_golden_corpus_matches_its_recipe():
-    check_golden_rows("verdicts-golden", 6 * 48)
+    check_fixed_rows("verdicts-golden", 6 * 48)
     chains = golden_chains()
     assert all(1 <= len(factors) <= 40 for _, _, factors in chains)
     assert max(len(factors) for _, _, factors in chains) >= 35
@@ -331,6 +350,10 @@ def test_verdicts_golden_corpus_matches_its_recipe():
     reports = [json.loads(_cli(_verdict_argv("irreducible", chain, True))[1]) for chain in chains]
     witnessed = [len(report["verdict"]["witnesses"]) > 0 for report in reports]
     assert sum(witnessed) >= 12 and not all(witnessed)
+
+
+def test_ledger_corpus_matches_its_recipe():
+    check_fixed_rows("ledger", 141)
 
 
 def test_cli_corpus_errors_are_schema_errors():

@@ -1,20 +1,10 @@
-"""Descent chains and parameter ledgers.
-
-tests/data/ledger_golden.json pins the parameter ledger of every node of
-A1-A8, B2-B8, C2-C8, D3-D8 and G2.  Each entry is stored as
-[node, divisor, offsets] with the offsets as strings in ascending numeric
-order.  Regenerate it, from the repository root, only when the ledgers are
-meant to change:
-
-    PYTHONPATH=src python tests/test_weylpath.py > tests/data/ledger_golden.json
-"""
+"""Descent chains and parameter ledgers.  The `ledger` key of
+tests/data/replay_digest.json pins the ledger of every node of A1-A8,
+B2-B8, C2-C8, D3-D8 and G2 (see tests/test_replay.py)."""
 
 from __future__ import annotations
 
-import json
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -32,8 +22,6 @@ from yangian_weyl.weylpath import descent_chain, parameter_ledger
 
 from ambient_tables import ambient
 from test_criteria import _sweep_types
-
-LEDGER_CORPUS = Path(__file__).resolve().parent / "data" / "ledger_golden.json"
 
 SWEEP = (
     [lie_type("A", l) for l in range(1, 9)]
@@ -148,26 +136,6 @@ def test_type_a_ledger_entry_counts(l):
             if b_m > b_n:
                 expected -= b_m - b_n
             assert count == max(expected, 0)
-
-
-def build_ledger_corpus():
-    """{type: {node: [[node, divisor, [offset, ...]], ...]}} with sorted offsets."""
-    return {
-        str(t): {
-            str(b): [
-                [e.node, e.divisor, [str(o) for o in sorted(e.offsets)]]
-                for e in parameter_ledger(t, b).entries
-            ]
-            for b in all_nodes(t)
-        }
-        for t in _sweep_types(8)
-    }
-
-
-def test_ledgers_match_the_golden_corpus():
-    corpus = json.loads(LEDGER_CORPUS.read_text())
-    assert sum(len(ledgers) for ledgers in corpus.values()) == 141
-    assert corpus == build_ledger_corpus()
 
 
 def test_ledger_offsets_ascend():
@@ -312,8 +280,3 @@ def test_chain_length_counts_nonorthogonal_positive_roots(t):
             tables.form(omega, tables.root_vector(root)) != 0 for root in positive_roots(t)
         )
         assert len(descent_chain(t, b).steps) == count
-
-
-if __name__ == "__main__":
-    json.dump(build_ledger_corpus(), sys.stdout, separators=(",", ":"))
-    sys.stdout.write("\n")

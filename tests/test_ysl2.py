@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from yangian_weyl import exact
 from yangian_weyl.drinfeld import eigenvalue_series, series_to_roots
 from yangian_weyl.exact import (
-    GaussianRational as G, ZERO, _Echelon, _dense, row_space_closure, unit_vector)
+    GaussianRational as G, ZERO, _Echelon, _reduced, row_space_closure, unit_vector)
 from yangian_weyl.ysl2 import (
     SL2Module,
     _h_on_top,
@@ -436,8 +436,9 @@ def test_series_check_h_on_top_matches_ladder(spec, order, perturbation):
     n, top = module.dim, unit_vector(module.dim, module.highest_index)
     images = list(_h_on_top(module, order))
     assert len(images) == order + 1
-    for k, image in enumerate(images):
-        assert _dense(*image, n) == matvec(oracle.bracket("+", k, "-", 0), top, n), k
+    for k, (pair, scale) in enumerate(images):
+        on_top = tuple(_reduced(*pair, scale) * e for e in top)
+        assert on_top == matvec(oracle.bracket("+", k, "-", 0), top, n), k
         if not perturbation:  # off a module, h_0 and h_1 are no commutators
             # The package's own product, against the oracle's h_k.
             X = matrix(xp[k], n, n)
