@@ -9,7 +9,9 @@ difference has a nonzero entry.  Its generators come from
 `Relations.ladder`, the ladder recursion on whole matrices that
 `yangian_weyl.ysl2.extend_generators` ran before it came to run on Z[i]
 rows over tracked scales.  `tests/test_ysl2.py` checks the package
-against both.
+against both; `test_relation_failures_on_perturbed_modules` takes the
+failures it expects of each module with one generator doubled from
+`Relations.failures`.
 
 A `Relations` holds one module's ladder, grown to the largest level asked
 for, and every product, bracket and difference it forms, each formed

@@ -1,4 +1,12 @@
-"""Exact scalar arithmetic, series algebra, and subspace spinning."""
+"""The exact layer: scalars, sparse matrices, subspace spinning, series.
+
+Scalar arithmetic, parsing and text are checked against the former
+scalar class in `tests/test_scalar_oracle.py`.  Here the scalar keeps its
+parse examples, its exact-parts rule, its refusals and its equality with
+foreign operands.  The sparse kernels, the spin and `solve_linear` are
+checked against the entry loops of `dense_oracle`, and series
+multiplication for associativity.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +21,6 @@ from yangian_weyl.exact import (
     GaussianRational,
     Matrix,
     ONE,
-    ScalarParseError,
     Series,
     ZERO,
     as_scalar,
@@ -26,7 +33,6 @@ from yangian_weyl.exact import (
 
 from dense_oracle import (
     closure, entries, identity, in_span, kron as oracle_kron, matmul, matrix, matvec, rref, solve, vector)
-from pair_oracle import ordering_key
 
 G = GaussianRational
 
@@ -38,60 +44,6 @@ def test_parse_examples():
     assert parse_scalar("4/2").re == Fraction(2, 1)
     assert parse_scalar("-7/3+1/2i") == G(Fraction(-7, 3), Fraction(1, 2))
     assert parse_scalar("0+1i") == G(0, 1)
-
-
-@pytest.mark.parametrize("text", ["", "abc", "2i", "1 + 2i", "1+-2i", "--3", "i"])
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ScalarParseError):
-        parse_scalar(text)
-
-
-def test_parse_rejects_zero_denominator():
-    with pytest.raises(ScalarParseError, match="3/0"):
-        parse_scalar("3/0")
-    with pytest.raises(ScalarParseError, match="2/0"):
-        parse_scalar("1+2/0i")
-
-
-fractions_st = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12
-)
-
-
-@given(fractions_st, fractions_st)
-def test_format_parse_roundtrip(re, im):
-    value = G(re, im)
-    assert parse_scalar(str(value)) == value
-
-
-# The Fraction key that `drinfeld` sorted on before it built integer keys;
-# it is now their oracle.
-def test_ordering_key_examples():
-    assert ordering_key(G(2)) < ordering_key(G(1, 1))
-    assert ordering_key(G(1, 1)) < ordering_key(G(1, -1))
-    assert ordering_key(G(0)) == ordering_key(G(0))
-    assert ordering_key(G(0, -1)) > ordering_key(G(1))
-
-
-@given(st.lists(st.tuples(fractions_st, fractions_st), min_size=2, max_size=6))
-def test_ordering_key_total_order(pairs):
-    values = [G(re, im) for re, im in pairs]
-    # Equal keys only for equal scalars, and the order is antisymmetric.
-    for x in values:
-        for y in values:
-            assert (ordering_key(x) == ordering_key(y)) == (x == y)
-            assert (ordering_key(x) < ordering_key(y)) == (ordering_key(y) > ordering_key(x))
-
-
-def test_scalar_arithmetic():
-    x = G(Fraction(1, 2), 1)
-    y = G(2, Fraction(-1, 3))
-    assert (x + y) - y == x
-    assert (x * y) / y == x
-    assert x * G(x.re, -x.im) == G(x.re * x.re + x.im * x.im)
-    assert x ** 3 == x * x * x
-    with pytest.raises(ZeroDivisionError):
-        x / G(0)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +302,10 @@ def test_sparse_kernels_match_dense_loops_on_wide_denominators(data):
 
 
 # -- series ------------------------------------------------------------------
+
+fractions_st = st.fractions(
+    min_value=-50, max_value=50, max_denominator=12
+)
 
 small_scalars = st.builds(G, fractions_st, fractions_st)
 

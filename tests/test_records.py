@@ -208,7 +208,10 @@ A2 = rootsys.LieType("A", 2)
     (drinfeld.DrinfeldTuple, (A2, ((), (), ()))),
     (drinfeld.FactorChain, (A2, ((3, G(0)),))),
     (drinfeld.FactorChain, (A2, ((0, G(0)),))),
-    (drinfeld.FactorChain, (A2, ((1, G(0)), (2, G(1)), (4, G(2))))),
+    # Named by hand: the repr of its three scalars makes an ID of 271
+    # characters.
+    pytest.param(drinfeld.FactorChain, (A2, ((1, G(0)), (2, G(1)), (4, G(2)))),
+                 id="FactorChain-(A2, ((1, 0), (2, 1), (4, 2)))"),
 ], ids=lambda v: getattr(v, "__name__", None) or repr(v))
 def test_post_init_still_refuses_bad_input(cls, args):
     with pytest.raises(ValueError) as got:
