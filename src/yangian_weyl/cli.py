@@ -186,6 +186,8 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
     polys = doc.get("polys")
     if not isinstance(polys, dict):
         raise SchemaError("/polys", "expected an object mapping nodes to root lists")
+    if sum(len(r) for r in polys.values() if isinstance(r, list)) > MAX_FACTORS:
+        raise SchemaError("/polys", f"expected at most {MAX_FACTORS} roots in all")
     rows = {}
     for key, roots in polys.items():
         try:
@@ -203,8 +205,6 @@ def parse_tuple_doc(doc) -> DrinfeldTuple:
     pi = DrinfeldTuple.from_dict(t, rows)
     if pi.total_degree == 0:
         raise SchemaError("/polys", "trivial module: at least one root is required")
-    if pi.total_degree > MAX_FACTORS:
-        raise SchemaError("/polys", f"expected at most {MAX_FACTORS} roots in all")
     return pi
 
 

@@ -299,13 +299,7 @@ def test_criterion_09_dimension_identities():
             assert yangian_fundamental_dim(t, node) == expected
 
         rng = random.Random(2024)
-        types = (
-            [lie_type("A", l) for l in range(1, 7)]
-            + [lie_type("B", l) for l in range(2, 7)]
-            + [lie_type("C", l) for l in range(2, 7)]
-            + [lie_type("D", l) for l in range(4, 7)]
-            + [lie_type("G2")]
-        )
+        types = _sweep_types(6)
         per_type = {f: 0 for f in "ABCDG"}
         while any(v < 200 for v in per_type.values()):
             t = rng.choice(types)

@@ -343,6 +343,9 @@ _LONG_LATER_IMAGINARY = json.dumps({"type": "A", "rank": 1, "polys": {
         (["weyl", _LONG_IMAGINARY], ""),
         (["weyl", _LONG_LATER_REAL], ""),
         (["weyl", _LONG_LATER_IMAGINARY], ""),
+        # Too many roots, counted before any root is parsed.
+        (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
+            "1": ["x"] + ["0"] * MAX_FACTORS}})], "/polys"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):

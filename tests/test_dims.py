@@ -1,4 +1,5 @@
-"""Dimension tables and product identities."""
+"""Dimension tables and product identities; the Lie fundamental dimensions
+are checked in `test_lie_dims_match_product_formula`, up to rank 6."""
 
 from __future__ import annotations
 
@@ -19,25 +20,7 @@ from yangian_weyl.exact import GaussianRational as G
 from yangian_weyl.rootsys import all_nodes, lie_type
 
 from ambient_tables import ambient
-
-
-def test_lie_fundamental_dims():
-    assert lie_fundamental_dim(lie_type("A", 3), 2) == 6
-    assert lie_fundamental_dim(lie_type("C", 2), 2) == 5
-    assert lie_fundamental_dim(lie_type("C", 2), 1) == 4
-    assert lie_fundamental_dim(lie_type("D", 4), 4) == 8
-    assert lie_fundamental_dim(lie_type("D", 4), 3) == 8
-    assert lie_fundamental_dim(lie_type("B", 3), 3) == 8
-    assert lie_fundamental_dim(lie_type("B", 3), 1) == 7
-    assert lie_fundamental_dim(lie_type("G2"), 1) == 14
-    assert lie_fundamental_dim(lie_type("G2"), 2) == 7
-    with pytest.raises(ValueError):
-        lie_fundamental_dim(lie_type("A", 3), 4)
-
-
-def test_type_c_first_node_is_natural_module():
-    for l in range(2, 7):
-        assert lie_fundamental_dim(lie_type("C", l), 1) == 2 * l
+from test_criteria import _sweep_types
 
 
 def test_yangian_fundamental_dims():
@@ -105,15 +88,7 @@ def _product_formula_dim(t, b):
     return num / den
 
 
-@pytest.mark.parametrize(
-    "t",
-    [lie_type("A", l) for l in range(1, 7)]
-    + [lie_type("B", l) for l in range(2, 7)]
-    + [lie_type("C", l) for l in range(2, 7)]
-    + [lie_type("D", l) for l in range(4, 7)]
-    + [lie_type("G2")],
-    ids=str,
-)
+@pytest.mark.parametrize("t", _sweep_types(6), ids=str)
 def test_lie_dims_match_product_formula(t):
     for i in all_nodes(t):
         assert _product_formula_dim(t, i) == lie_fundamental_dim(t, i)

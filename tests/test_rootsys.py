@@ -180,7 +180,7 @@ def test_reflect_examples():
 def test_reflect_is_involutive(t):
     import random
 
-    rng = random.Random(hash(str(t)) & 0xFFFF)
+    rng = random.Random(str(t))
     for _ in range(10):
         w = tuple(rng.randint(-3, 3) for _ in range(t.rank))
         for i in all_nodes(t):
@@ -262,15 +262,6 @@ def _dual_coxeter_from_roots(t: LieType) -> Fraction:
 @pytest.mark.parametrize("t", ALL_SMALL, ids=str)
 def test_duality_shift_is_half_dual_coxeter(t):
     assert duality_shift(t) == Fraction(_dual_coxeter_from_roots(t), 2)
-
-
-def test_duality_shift_examples():
-    assert duality_shift(lie_type("A", 1)) == 1
-    assert duality_shift(lie_type("A", 3)) == 2
-    assert duality_shift(lie_type("D", 4)) == 3
-    assert duality_shift(lie_type("B", 3)) == Fraction(5, 2)
-    assert duality_shift(lie_type("C", 3)) == 2
-    assert duality_shift(lie_type("G2")) == 2
 
 
 @pytest.mark.parametrize("t", ALL_SMALL, ids=str)

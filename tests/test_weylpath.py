@@ -23,13 +23,7 @@ from yangian_weyl.weylpath import descent_chain, parameter_ledger
 from ambient_tables import ambient
 from test_criteria import _sweep_types
 
-SWEEP = (
-    [lie_type("A", l) for l in range(1, 9)]
-    + [lie_type("B", l) for l in range(2, 9)]
-    + [lie_type("C", l) for l in range(2, 9)]
-    + [lie_type("D", l) for l in range(4, 9)]
-    + [lie_type("G2")]
-)
+SWEEP = _sweep_types(8)
 
 
 def root_lattice_balance(t, b) -> bool:
@@ -251,13 +245,6 @@ def test_walk_guards_catch_a_faulty_word(monkeypatch, fault, message):
     call = fault(monkeypatch)
     with pytest.raises(RuntimeError, match=message):
         call()
-
-
-def test_chain_rejects_bad_node():
-    with pytest.raises(ValueError):
-        descent_chain(lie_type("A", 2), 3)
-    with pytest.raises(ValueError):
-        parameter_ledger(lie_type("B", 3), 0)
 
 
 def test_final_weight_equals_longest_word_action():
