@@ -85,9 +85,9 @@ MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
 # at 500 roots on A4 and D5 (acceptance criterion 17), in sixths, it takes
-# 0.04-0.05 s (13.7 MB of JSON), of which forming the 124,750 differences
-# over the common denominator 6 takes 0.02-0.03 s and writing the audit's
-# JSON 0.014-0.017 s; with pairwise-distinct six-digit denominators, where
+# 0.02-0.025 s (13.7 MB of JSON), of which forming the 124,750 differences
+# over the common denominator 6 takes 0.009-0.012 s and writing the audit's
+# JSON 0.007-0.009 s; with pairwise-distinct six-digit denominators, where
 # each pair is formed over its own denominator, 0.2-0.3 s, and with
 # 20-digit ones (criterion 24) 0.4-0.5 s (in-process `main` calls, Python
 # 3.11.7, two shared Xeon cores).  Both grow as the square of the degree.
@@ -473,8 +473,10 @@ def _pair_audit(chain: FactorChain) -> _PairAudit:
     Each part is printed in lowest terms, so any common denominator gives
     the same text.  When the least common multiple L of the denominators
     is no longer than the longest pair denominator d_i * d_j could be (in
-    bits, twice the longest d_i), every parameter is brought over L and a
-    row is two C-level maps over the numerator differences, each text
+    bits, twice the longest d_i), every parameter is brought over L.  The
+    row of each part is then two C-level maps over the numerator
+    differences, formed once per distinct anchor a_i and sliced for every
+    later row with the same anchor (`_anchor_rows`), and each text is
     formed once per distinct numerator.  Otherwise, as on pairwise coprime
     large denominators, where L would grow with the chain, each pair is
     formatted over d_i * d_j.  A part too long to print is refused at the
@@ -514,13 +516,26 @@ def _common_audit(triples, common: int) -> _PairAudit:
     scale = [common // d for _, _, d in triples]
     reals = list(map(mul, [r for r, _, _ in triples], scale))
     imags = list(map(mul, [m for _, m, _ in triples], scale))
-    real = _Texts(rational_text, common).__getitem__
-    imag = _Texts(imaginary_suffix, common).__getitem__
-    return _PairAudit(
-        (list(map(real, map(sub, reals[i:], repeat(reals[i - 1])))),
-         list(map(imag, map(sub, imags[i:], repeat(imags[i - 1])))))
-        for i in range(1, len(triples))
-    )
+    return _PairAudit(zip(
+        _anchor_rows(reals, _Texts(rational_text, common).__getitem__),
+        _anchor_rows(imags, _Texts(imaginary_suffix, common).__getitem__)))
+
+
+def _anchor_rows(parts, text):
+    """For i = 1 .. n-1, the texts of parts[j] - parts[i-1], j = i .. n-1.
+    The row of an anchor value v = parts[i-1] is formed once, at the first
+    i0 where v appears, over parts[i0:]; a later row i with the same anchor
+    is its slice from i - i0.  Sorted real parts repeat next to each other,
+    and imaginary parts take few values."""
+    first = {}
+    for i, v in enumerate(parts[:-1], 1):
+        if v in first:
+            i0, row = first[v]
+            yield row[i - i0:]
+        else:
+            row = list(map(text, map(sub, parts[i:], repeat(v))))
+            first[v] = i, row
+            yield row
 
 
 def _pairwise_audit(triples) -> _PairAudit:

@@ -675,6 +675,14 @@ _audit_denominators = (
 )
 
 
+def _ordered_chain(family: str, rank: int, factors) -> FactorChain:
+    """The ordered chain of the (node, root) factors."""
+    polys = {}
+    for node, a in factors:
+        polys.setdefault(node, []).append(a)
+    return order_factors(DrinfeldTuple.from_dict(lie_type(family, rank), polys))
+
+
 @st.composite
 def _audit_chains(draw):
     """The ordered chain of 1-30 factors.  The parts come from small
@@ -695,10 +703,7 @@ def _audit_chains(draw):
         else:
             a = G(draw(st.sampled_from(reals)), draw(st.sampled_from(imags)))
         factors.append((draw(st.integers(1, rank)), a))
-    polys = {}
-    for node, a in factors:
-        polys.setdefault(node, []).append(a)
-    return order_factors(DrinfeldTuple.from_dict(lie_type(family, rank), polys))
+    return _ordered_chain(family, rank, factors)
 
 
 def _audit_rows(audit) -> list:
@@ -712,6 +717,17 @@ def _audit_rows(audit) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(_audit_chains())
+# Fixed chains for the common form, which slices a later row from the row
+# of the first equal anchor: an all-real chain, where every row has the
+# imaginary anchor 0; the imaginary anchor 0 at rows 1, 3 and 5, so rows 3
+# and 5 are slices at offsets 2 and 4; the real anchor 2 at rows 1-3; and
+# pairwise-distinct parts, where no anchor repeats.
+@example(_ordered_chain("A", 4, [(1, G(3)), (2, G(Fraction(5, 2))), (1, G(1)), (4, G(0))]))
+@example(_ordered_chain("A", 4, [(1, G(5)), (2, G(4, 1)), (3, G(3)), (1, G(2, 2)),
+                                 (4, G(1)), (2, G(0, 3))]))
+@example(_ordered_chain("D", 5, [(1, G(2, 1)), (2, G(2)), (5, G(2, -1)), (3, G(1))]))
+@example(_ordered_chain("B", 3, [(1, G(Fraction(7, 2), Fraction(1, 3))), (2, G(2, 2)),
+                                 (3, G(Fraction(1, 6), -1))]))
 def test_pair_audit_is_the_oracle_audit(chain):
     # The audit forms every part over the common denominator of the chain,
     # or each pair over its own, and runs no join; the oracle formats every
