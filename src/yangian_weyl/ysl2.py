@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat, tee
 from math import lcm, prod
 from typing import Iterator, Sequence, Tuple
 
@@ -442,8 +442,8 @@ def trivial_submodule_check(a) -> bool:
 
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     """Names of defining relations that fail as exact matrix identities,
-    tested on the packed rows of `_packed_relations`; each relation's walk
-    stops at its first nonzero row."""
+    tested on the packed rows of `_packed_relations`.  Each walk stops at
+    the relation's first nonzero row; names that share rows form them once."""
     _count(K, "K", 0)
     *_, relations = _packed_relations(module, K)
     return [name for name, rows in relations if any(value for _, value in rows)]
@@ -494,6 +494,49 @@ def _relation_terms(K: int) -> tuple:
     return tuple(relations)
 
 
+@lru_cache(maxsize=4)
+def _relation_plan(K: int) -> tuple:
+    """(formed, plan, c_total) for the relations of `_relation_terms(K)`.
+    `formed` holds (terms, uses) for each distinct relation matrix: its
+    merged terms (c, A, B) and the number of names that read it.  `plan`
+    holds (name, index, sign) for every name in order: the relation is sign
+    times formed[index], or 0 if index is None.  c_total is the largest sum
+    of |c| over one formed relation.  Each rule is an exact matrix identity
+    on any module, as the ladder of `extend_generators` defines x_{k+1}^+/-
+    and h_k (k >= 2):
+    - like terms are merged and zero sums dropped, and relations with the
+      same merged terms are formed once: the x family at (r, s) is the one
+      at (s, r);
+    - [h1,x_s] - [h0,x_{s+1}] -/+ (h0x_s + x_sh0) is minus
+      [h0,x_{s+1}] -/+ 2 x_{s+1}, for x = x^+/-;
+    - [x_k^+, x_0^-] - h_k is 0 for k >= 2."""
+    negated = {
+        f"[h1,x{s}{x}] - [h0,x{s+1}{x}] {op} (h0x{s}{x} + x{s}{x}h0)":
+            f"[h0,x{s+1}{x}] {op} 2 x{s+1}{x}"
+        for s in range(K) for x, op in (("+", "-"), ("-", "+"))
+    }
+    zero = {f"[x{k}+,x0-] - h{k}" for k in range(2, K + 1)}
+    formed, index, plan = [], {}, {}
+    for name, terms in _relation_terms(K):
+        if name in negated:
+            i, sign = plan[negated[name]]
+            plan[name] = i, -sign
+        elif name in zero:
+            plan[name] = None, 0
+        else:
+            merged = Counter()
+            for c, a, b in terms:
+                merged[a, b] += c
+            terms = tuple((c, a, b) for (a, b), c in merged.items() if c)
+            plan[name] = index.setdefault(frozenset(terms), len(formed)), 1
+            if len(index) > len(formed):
+                formed.append(terms)
+    uses = Counter(i for i, _ in plan.values())
+    c_total = max(sum(abs(c) for c, _, _ in terms) for terms in formed)
+    return (tuple((terms, uses[i]) for i, terms in enumerate(formed)),
+            tuple((name, i, sign) for name, (i, sign) in plan.items()), c_total)
+
+
 def _packed_relations(module: SL2Module, K: int):
     """(L, S, order, relations): the defining relations up to level K as
     packed integer rows, with `relations` a list of (name, rows) and rows
@@ -503,8 +546,11 @@ def _packed_relations(module: SL2Module, K: int):
     sum to zero, e.g. [h_0, x_k^+] - 2 x_k^+ is (1, h_0, x_k^+),
     (-1, x_k^+, h_0), (-2, 1, x_k^+), with 1 the identity.  A family with
     x_k^+/- is written once for x in "+-": the x^- form differs only in the
-    sign of its symmetric term.  No product and no sum is formed as a
-    matrix.
+    sign of its symmetric term.  Each relation of `_relation_plan` is
+    formed once: the names that share it read its rows through
+    `itertools.tee`, negated where the plan says so, and a relation the
+    plan takes as 0 is n rows (None, 0).  No product and no sum is formed
+    as a matrix.
 
     Every matrix of `_integer_ladder`, in lowest terms, is brought to Z[i]
     rows over one common denominator L, the lcm of their denominators
@@ -515,17 +561,18 @@ def _packed_relations(module: SL2Module, K: int):
     lowest column into two integers in digits of S bits: p holds br_j and
     bi_j in digits 2(t - base) and 2(t - base) + 1, with t the slot of j,
     and q holds -bi_j and br_j there, so that the packed row of
-    (ar + ai i) b is ar p + ai q.  Row i of sum c A B, times L^2, is then
-    one integer `value`, summed over the nonzeros A[i, k] of each term with
-    one multiply-add each; a term whose row starts at another base is
-    shifted into place, which only happens off weight-homogeneous matrices
-    (a perturbed module).  A row with no term is (None, 0).  The relation
-    holds iff every row's value is 0.
+    (ar + ai i) b is ar p + ai q.  A term c A B reads the packed rows of
+    B times c, one multiply per row.  Row i of the relation, times L^2, is
+    then one integer `value`, summed over the nonzeros A[i, k] of each
+    term with one multiply-add each; a term whose row starts at another
+    base is shifted into place, which only happens off weight-homogeneous
+    matrices (a perturbed module).  A row with no term is (None, 0).  The
+    relation holds iff every row's value is 0.
 
     Exactness: write |a| = |re| + |im| for an entry, let top be the
     largest of L and the sums of |a| over a row of L times a ladder
-    matrix, and bound = top^2 times the largest sum of |c| over the terms
-    of one relation.  A digit of row i collects at most
+    matrix, and bound = top^2 times c_total of `_relation_plan`, the
+    largest sum of |c| over one relation.  A digit of row i collects at most
     sum_t |c_t| sum_k |A_t[i, k]| |B_t[k, j]| <= bound in absolute value,
     partial sums included, and S = bit_length(bound) + 2 keeps every digit
     below 2^(S - 1): each row's value has exactly one expansion
@@ -534,7 +581,7 @@ def _packed_relations(module: SL2Module, K: int):
     d_s 2^(sS) modulo 2^((s + 1)S), which is not 0 as 0 < |d_s| < 2^S.
     """
     ladder = _integer_ladder(module, K)
-    relations = _relation_terms(K)
+    formed, plan, c_total = _relation_plan(K)
 
     n = module.dim
     den = lcm(*(m.den for m in ladder.values()))
@@ -546,8 +593,10 @@ def _packed_relations(module: SL2Module, K: int):
         for f in (den // m.den,)
     }
     rows[None] = [{i: (den, 0)} for i in range(n)]
-    top = max(sum(abs(re) + abs(im) for re, im in row.values()) for m in rows.values() for row in m)
-    bound = max(sum(abs(c) for c, _, _ in terms) for _, terms in relations) * top * top
+    # The largest sum of |re| + |im| over a row, iterated in C alone.
+    top = max(map(sum, map(map, repeat(abs), map(chain.from_iterable, map(
+        dict.values, chain.from_iterable(rows.values()))))))
+    bound = c_total * top * top
     S = bound.bit_length() + 2
     width = 2 * S
 
@@ -558,25 +607,27 @@ def _packed_relations(module: SL2Module, K: int):
         """A row of a right factor as (base, p, q), or None if it is 0."""
         if not row:
             return None
-        base = min(start[j] for j in row)
-        p = q = 0
+        base = min(map(start.__getitem__, row))
+        pr = pi = 0
         for j, (re, im) in row.items():
             shift = (slot[j] - base) * width
-            p += (re << shift) + (im << (shift + S))
-            q += (re << (shift + S)) - (im << shift)
-        return base, p, q
+            pr += re << shift
+            pi += im << shift
+        return base, pr + (pi << S), (pr << S) - pi
 
-    used = [term for _, terms in relations for term in terms]
-    packed = {b: [pack(row) for row in rows[b]] for b in {b for _, _, b in used}}
-    scaled = {  # c times the rows of a left factor a, as iterables of (k, (re, im))
-        (c, a): [row.items() for row in rows[a]] if c == 1 else [
-            [(k, (c * re, c * im)) for k, (re, im) in row.items()] for row in rows[a]
+    used = {(c, b) for terms, _ in formed for c, _, b in terms}
+    packed = {b: [pack(row) for row in rows[b]] for b in {b for _, b in used}}
+    scaled = {  # c times the packed rows of a right factor b
+        (c, b): packed[b] if c == 1 else [
+            None if entry is None else (entry[0], c * entry[1], c * entry[2]) for entry in packed[b]
         ]
-        for c, a in {(c, a) for c, a, _ in used}
+        for c, b in used
     }
 
+    items = {a: [list(row.items()) for row in m] for a, m in rows.items()}
+
     def row_sums(terms):
-        factors = [(scaled[c, a], packed[b]) for c, a, b in terms]
+        factors = [(items[a], scaled[c, b]) for c, a, b in terms]
         for i in range(n):
             value = 0
             at = None
@@ -597,4 +648,12 @@ def _packed_relations(module: SL2Module, K: int):
                         value, at = (value << ((at - base) * width)) + v, base
             yield at, value
 
-    return den, S, order, [(name, row_sums(terms)) for name, terms in relations]
+    walks = [iter(tee(row_sums(terms), uses)) for terms, uses in formed]
+    relations = []
+    for name, i, sign in plan:
+        if i is None:
+            relations.append((name, repeat((None, 0), n)))
+        else:
+            walk = next(walks[i])
+            relations.append((name, walk if sign > 0 else ((at, -value) for at, value in walk)))
+    return den, S, order, relations

@@ -5,7 +5,10 @@ oracles for the new ones.
 `lhs op rhs` the way `yangian_weyl.ysl2.defining_relation_failures` did
 before it came to test signed terms as one fused vanishing sum: both sides
 are formed as matrices and subtracted or added.  A relation fails iff its
-difference has a nonzero entry.  Its generators come from
+difference has a nonzero entry.  Unlike the package's `_relation_plan`,
+the oracle forms every relation in full from its own two sides: it merges
+no terms and shares, negates or takes as 0 no relation, so it checks the
+plan's rules on every module it is given.  Its generators come from
 `Relations.ladder`, the ladder recursion on whole matrices that
 `yangian_weyl.ysl2.extend_generators` ran before it came to run on Z[i]
 rows over tracked scales.  `tests/test_ysl2.py` checks the package
