@@ -29,17 +29,17 @@ starts.
 
 Every matrix is a `Matrix` of Z[i] rows over one denominator: 1 for the
 parameter-free ones, the lcm of the parameters' denominators for h_1.
-The ladder and the relation suite run the row kernel `_row_sum` on
-those rows as they stand, the series check runs it only on vectors of the
-top two weight spaces, and the level spin reduces them in the
-fraction-free echelon `_Echelon`.
+The ladder runs the row kernel `_row_sum` on those rows as they stand,
+the series check runs it only on vectors of the top two weight spaces, the
+relation suite sums them packed into big integers by `_packed_relations`,
+and the level spin reduces them in the fraction-free echelon `_Echelon`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, product, repeat, tee
+from itertools import chain, product, repeat
 from math import lcm, prod
 from typing import Iterator, Sequence, Tuple
 
@@ -441,21 +441,42 @@ def trivial_submodule_check(a) -> bool:
 
 
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
-    """Names of defining relations that fail as exact matrix identities,
-    tested on the packed rows of `_packed_relations`.  Each walk stops at
-    the relation's first nonzero row; names that share rows form them once."""
+    """Names of defining relations that fail as exact matrix identities, in
+    the order of `_relation_plan`.  Each distinct relation matrix is walked
+    once, on the packed rows of `_packed_relations`, up to its first
+    nonzero row: a name fails iff its matrix does."""
     _count(K, "K", 0)
-    *_, relations = _packed_relations(module, K)
-    return [name for name, rows in relations if any(value for _, value in rows)]
+    _, plan, _ = _relation_plan(K)
+    *_, walks = _packed_relations(module, K)
+    failed = [any(value for _, value in rows) for rows in walks]
+    return [name for name, i in plan if i is not None and failed[i]]
 
 
 @lru_cache(maxsize=4)
-def _relation_terms(K: int) -> tuple:
-    """The defining relations up to level K as (name, terms), each a list
-    of signed terms (c, A, B) as described in `_packed_relations`, with
-    A and B keys of `_integer_ladder` or None for the identity."""
+def _relation_plan(K: int) -> tuple:
+    """(formed, plan, c_total) for the defining relations up to level K.
+
+    Each relation is written once below as signed terms (c, A, B) whose
+    products must sum to zero, with A and B keys of `_integer_ladder` or
+    None for the identity: [h_0, x_k^+] - 2 x_k^+ is (1, h_0, x_k^+),
+    (-1, x_k^+, h_0), (-2, None, x_k^+).  A family with x_k^+/- is written
+    once for x in "+-": the x^- form differs only in the sign of its
+    symmetric term.  `formed` holds the merged terms of each distinct
+    relation matrix, and `plan` holds (name, index) for every name in
+    order: the relation is formed[index] up to sign, or 0 if index is None.
+    c_total is the largest sum of |c| over one formed relation.  Each rule
+    stands where its relation is written, and each is an exact matrix
+    identity on any module, as the ladder of `extend_generators` defines
+    x_{k+1}^+/- and h_k (k >= 2):
+    - `form` merges like terms, drops zero sums and forms relations with
+      the same merged terms once: the x family at (r, s) is the one at
+      (s, r);
+    - [h1,x_s] - [h0,x_{s+1}] -/+ (h0x_s + x_sh0) is minus
+      [h0,x_{s+1}] -/+ 2 x_{s+1}, for x = x^+/-;
+    - [x_k^+, x_0^-] - h_k is 0 for k >= 2."""
     signs = (("+", "-", -1), ("-", "+", 1))  # x, and the op and sign of its symmetric term
-    relations = []
+    formed, index, plan = [], {}, []
+    shifted = {}  # (x, k): the index of [h0,x_k] op 2 x_k
 
     def label(g, k):
         return f"h{k}" if g == "h" else f"x{k}{g}"
@@ -464,19 +485,33 @@ def _relation_terms(K: int) -> tuple:
         """c [a_r, b_s] as two signed terms."""
         return [(c, (a, r), (b, s)), (-c, (b, s), (a, r))]
 
+    def form(name, terms):
+        """Plan name as the merged terms, formed once; returns its index."""
+        merged = Counter()
+        for c, a, b in terms:
+            merged[a, b] += c
+        terms = tuple((c, a, b) for (a, b), c in merged.items() if c)
+        i = index.setdefault(frozenset(terms), len(formed))
+        if i == len(formed):
+            formed.append(terms)
+        plan.append((name, i))
+        return i
+
     for r in range(K + 1):
         for s in range(r + 1, K + 1):  # [h_r, h_r] is zero on any matrix
-            relations.append((f"[h{r},h{s}]", bracket("h", r, "h", s)))
+            form(f"[h{r},h{s}]", bracket("h", r, "h", s))
     for k in range(K + 1):
         for x, op, sign in signs:
             X = label(x, k)
-            relations.append(
-                (f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, None, (x, k))])
-            )
+            shifted[x, k] = form(
+                f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, None, (x, k))])
     for r in range(K + 1):
         for s in range(K + 1 - r):
             name = f"[x{r}+,x{s}-] - h{r+s}"
-            relations.append((name, bracket("+", r, "-", s) + [(-1, None, ("h", r + s))]))
+            if r >= 2 and s == 0:  # the ladder's h_r
+                plan.append((name, None))
+            else:
+                form(name, bracket("+", r, "-", s) + [(-1, None, ("h", r + s))])
     for left in ("x", "h"):
         for r in range(K):
             for s in range(K):
@@ -484,73 +519,20 @@ def _relation_terms(K: int) -> tuple:
                     g = x if left == "x" else "h"
                     A0, A1 = label(g, r), label(g, r + 1)
                     X0, X1 = label(x, s), label(x, s + 1)
-                    relations.append((
-                        f"[{A1},{X0}] - [{A0},{X1}] {op} ({A0}{X0} + {X0}{A0})",
-                        bracket(g, r + 1, x, s)
-                        + bracket(g, r, x, s + 1, -1)
-                        + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))],
-                    ))
-
-    return tuple(relations)
-
-
-@lru_cache(maxsize=4)
-def _relation_plan(K: int) -> tuple:
-    """(formed, plan, c_total) for the relations of `_relation_terms(K)`.
-    `formed` holds (terms, uses) for each distinct relation matrix: its
-    merged terms (c, A, B) and the number of names that read it.  `plan`
-    holds (name, index, sign) for every name in order: the relation is sign
-    times formed[index], or 0 if index is None.  c_total is the largest sum
-    of |c| over one formed relation.  Each rule is an exact matrix identity
-    on any module, as the ladder of `extend_generators` defines x_{k+1}^+/-
-    and h_k (k >= 2):
-    - like terms are merged and zero sums dropped, and relations with the
-      same merged terms are formed once: the x family at (r, s) is the one
-      at (s, r);
-    - [h1,x_s] - [h0,x_{s+1}] -/+ (h0x_s + x_sh0) is minus
-      [h0,x_{s+1}] -/+ 2 x_{s+1}, for x = x^+/-;
-    - [x_k^+, x_0^-] - h_k is 0 for k >= 2."""
-    negated = {
-        f"[h1,x{s}{x}] - [h0,x{s+1}{x}] {op} (h0x{s}{x} + x{s}{x}h0)":
-            f"[h0,x{s+1}{x}] {op} 2 x{s+1}{x}"
-        for s in range(K) for x, op in (("+", "-"), ("-", "+"))
-    }
-    zero = {f"[x{k}+,x0-] - h{k}" for k in range(2, K + 1)}
-    formed, index, plan = [], {}, {}
-    for name, terms in _relation_terms(K):
-        if name in negated:
-            i, sign = plan[negated[name]]
-            plan[name] = i, -sign
-        elif name in zero:
-            plan[name] = None, 0
-        else:
-            merged = Counter()
-            for c, a, b in terms:
-                merged[a, b] += c
-            terms = tuple((c, a, b) for (a, b), c in merged.items() if c)
-            plan[name] = index.setdefault(frozenset(terms), len(formed)), 1
-            if len(index) > len(formed):
-                formed.append(terms)
-    uses = Counter(i for i, _ in plan.values())
+                    name = f"[{A1},{X0}] - [{A0},{X1}] {op} ({A0}{X0} + {X0}{A0})"
+                    if g == "h" and r == 0:  # the ladder's x_{s+1}
+                        plan.append((name, shifted[x, s + 1]))
+                    else:
+                        form(name, bracket(g, r + 1, x, s) + bracket(g, r, x, s + 1, -1)
+                             + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))])
     c_total = max(sum(abs(c) for c, _, _ in terms) for terms in formed)
-    return (tuple((terms, uses[i]) for i, terms in enumerate(formed)),
-            tuple((name, i, sign) for name, (i, sign) in plan.items()), c_total)
+    return tuple(formed), tuple(plan), c_total
 
 
 def _packed_relations(module: SL2Module, K: int):
-    """(L, S, order, relations): the defining relations up to level K as
-    packed integer rows, with `relations` a list of (name, rows) and rows
-    yielding (base, value) for each row i of the relation's sum.
-
-    Each relation is a list of signed terms (c, A, B) whose products must
-    sum to zero, e.g. [h_0, x_k^+] - 2 x_k^+ is (1, h_0, x_k^+),
-    (-1, x_k^+, h_0), (-2, 1, x_k^+), with 1 the identity.  A family with
-    x_k^+/- is written once for x in "+-": the x^- form differs only in the
-    sign of its symmetric term.  Each relation of `_relation_plan` is
-    formed once: the names that share it read its rows through
-    `itertools.tee`, negated where the plan says so, and a relation the
-    plan takes as 0 is n rows (None, 0).  No product and no sum is formed
-    as a matrix.
+    """(L, S, order, walks): the relations `formed` by `_relation_plan(K)`
+    as packed integer rows, with walks[i] yielding (base, value) for each
+    row of formed[i] in turn.  No product and no sum is formed as a matrix.
 
     Every matrix of `_integer_ladder`, in lowest terms, is brought to Z[i]
     rows over one common denominator L, the lcm of their denominators
@@ -581,7 +563,7 @@ def _packed_relations(module: SL2Module, K: int):
     d_s 2^(sS) modulo 2^((s + 1)S), which is not 0 as 0 < |d_s| < 2^S.
     """
     ladder = _integer_ladder(module, K)
-    formed, plan, c_total = _relation_plan(K)
+    formed, _, c_total = _relation_plan(K)
 
     n = module.dim
     den = lcm(*(m.den for m in ladder.values()))
@@ -615,7 +597,7 @@ def _packed_relations(module: SL2Module, K: int):
             pi += im << shift
         return base, pr + (pi << S), (pr << S) - pi
 
-    used = {(c, b) for terms, _ in formed for c, _, b in terms}
+    used = {(c, b) for terms in formed for c, _, b in terms}
     packed = {b: [pack(row) for row in rows[b]] for b in {b for _, b in used}}
     scaled = {  # c times the packed rows of a right factor b
         (c, b): packed[b] if c == 1 else [
@@ -648,12 +630,4 @@ def _packed_relations(module: SL2Module, K: int):
                         value, at = (value << ((at - base) * width)) + v, base
             yield at, value
 
-    walks = [iter(tee(row_sums(terms), uses)) for terms, uses in formed]
-    relations = []
-    for name, i, sign in plan:
-        if i is None:
-            relations.append((name, repeat((None, 0), n)))
-        else:
-            walk = next(walks[i])
-            relations.append((name, walk if sign > 0 else ((at, -value) for at, value in walk)))
-    return den, S, order, relations
+    return den, S, order, [row_sums(terms) for terms in formed]

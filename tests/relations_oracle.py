@@ -5,10 +5,12 @@ oracles for the new ones.
 `lhs op rhs` the way `yangian_weyl.ysl2.defining_relation_failures` did
 before it came to test signed terms as one fused vanishing sum: both sides
 are formed as matrices and subtracted or added.  A relation fails iff its
-difference has a nonzero entry.  Unlike the package's `_relation_plan`,
-the oracle forms every relation in full from its own two sides: it merges
-no terms and shares, negates or takes as 0 no relation, so it checks the
-plan's rules on every module it is given.  Its generators come from
+difference has a nonzero entry.  The package's `_relation_plan` writes
+each relation once beside its rule, and maps its name to a distinct
+merged matrix, to another relation's matrix up to sign, or to 0.  The
+oracle instead forms every relation in full from its own two sides: it
+merges no terms and shares, derives or takes as 0 no relation, so it
+checks the plan's rules on every module it is given.  Its generators come from
 `Relations.ladder`, the ladder recursion on whole matrices that
 `yangian_weyl.ysl2.extend_generators` ran before it came to run on Z[i]
 rows over tracked scales.  `tests/test_ysl2.py` checks the package
@@ -21,8 +23,8 @@ for, and every product, bracket and difference it forms, each formed
 once, so the suites at K = 1, 2 and 3 share their work.  Both run on
 nonzero scalar entries with the routines of `dense_oracle`, and read a
 package `Matrix` only through its entries, so neither runs the package's
-row kernel `exact._row_sum`, which the ladder, the relation suite and the
-series check all run.  `tests/test_ysl2.py` checks that the oracles still
+row kernel `exact._row_sum`, which the ladder (and so the relation suite)
+and the series check run.  `tests/test_ysl2.py` checks that the oracles still
 answer with that kernel, `kron`, `Matrix @` and the echelon made to
 raise.
 """

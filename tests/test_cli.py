@@ -346,6 +346,10 @@ _LONG_LATER_IMAGINARY = json.dumps({"type": "A", "rank": 1, "polys": {
         # Too many roots, counted before any root is parsed.
         (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
             "1": ["x"] + ["0"] * MAX_FACTORS}})], "/polys"),
+        # Refusals that no other row reaches, kept last so that the rows
+        # above keep their IDs: a root or a parameter that is not a string.
+        (["weyl", '{"type":"A","rank":2,"polys":{"1":[1]}}'], "/polys/1/0"),
+        (["sl2", '[[1,0]]'], "/0/1"),
     ],
 )
 def test_schema_errors(capsys, argv, pointer):

@@ -21,7 +21,6 @@ from yangian_weyl.ysl2 import (
     _lowered,
     _packed_relations,
     _relation_plan,
-    _relation_terms,
     _series_check,
     _shape,
     _spin_levels,
@@ -643,45 +642,52 @@ def _unpack(base, value, S, n):
 @settings(max_examples=40, deadline=None)
 @given(*_PERTURBED_MODULE_ARGS)
 def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
-    # Every row of every relation at K = 1, 2 and 3, read back digit by
-    # digit, is L^2 times that row of the oracle's difference matrix: no
+    # Every row of every formed relation at K = 1, 2 and 3, read back digit
+    # by digit, is L^2 times that row of the oracle's difference matrix, or
+    # of its negation, for every name the plan maps to that relation: no
     # digit overflows into the next, every term was shifted to its own
-    # slots, and every relation the plan shares, negates or takes as 0 is
-    # that relation.  L is the lcm of the denominators of the oracle
-    # ladder's entries.
+    # slots, and every name the plan shares or derives is that relation.  A
+    # name the plan takes as 0 has a zero difference.  L is the lcm of the
+    # denominators of the oracle ladder's entries.
     module = _perturbed_module(spec, perturbation, c)
     oracle = relations_oracle.Relations(module)
     for K in (1, 2, 3):
-        den, S, order, relations = _packed_relations(module, K)
+        formed, plan, _ = _relation_plan(K)
+        den, S, order, walks = _packed_relations(module, K)
         matrices = [m for ms in oracle.ladder(K) for m in ms]
         assert den == lcm(*(x.triple[2] for m in matrices for x in m.values())), K
         slot = {j: t for t, j in enumerate(order)}
-        differences = list(oracle.differences(K))
-        assert [name for name, _ in relations] == [name for name, _ in differences]
-        for (name, rows), (_, diff) in zip(relations, differences):
+        differences = dict(oracle.differences(K))
+        assert [name for name, _ in plan] == list(differences), K
+        got = [[_unpack(base, value, S, len(order)) for base, value in rows] for rows in walks]
+        assert len(got) == len(formed), K
+        for name, index in plan:
+            diff = differences[name]
+            if index is None:
+                assert not diff, (K, name)
+                continue
             want = [{} for _ in range(module.dim)]
             for (i, j), x in diff.items():
                 want[i][slot[j]] = (x.re * den * den, x.im * den * den)
-            got = [_unpack(base, value, S, len(order)) for base, value in rows]
-            assert got == want, (K, name)
+            negated = [{t: (-re, -im) for t, (re, im) in row.items()} for row in want]
+            assert got[index] in (want, negated), (K, name)
 
 
 @pytest.mark.parametrize("K, most_formed, most_products", [(0, 3, 9), (1, 10, 29), (2, 24, 83),
                                                           (3, 46, 178)])
 def test_relation_plan_forms_each_distinct_relation_once(K, most_formed, most_products):
-    # The suite reports every name of `_relation_terms(K)`, in order, but
-    # forms only the plan's distinct relations, with at most `most_products`
-    # term products among at most `most_formed` of them, each read by as
-    # many names as the plan lists.
-    names = [name for name, _ in _relation_terms(K)]
-    formed, plan, _ = _relation_plan(K)
-    assert [name for name, _, _ in plan] == names
+    # The plan lists every name of the oracle's suite, in order, but forms
+    # only its distinct relations, with at most `most_products` term
+    # products among at most `most_formed` of them, each read by at least
+    # one name; `_packed_relations` walks each formed relation.
     module = tensor_module([(1, G(0)), (2, G(3))])
-    assert [name for name, _ in _packed_relations(module, K)[3]] == names
+    names = [name for name, _ in relations_oracle.Relations(module).differences(K)]
+    formed, plan, _ = _relation_plan(K)
+    assert [name for name, _ in plan] == names
+    assert len(_packed_relations(module, K)[3]) == len(formed)
     assert len(formed) <= most_formed
-    assert sum(len(terms) for terms, _ in formed) <= most_products
-    assert [uses for _, uses in formed] == [
-        sum(i == index for _, i, _ in plan) for index in range(len(formed))]
+    assert sum(map(len, formed)) <= most_products
+    assert {index for _, index in plan} - {None} == set(range(len(formed)))
 
 
 def test_tensor_module_rejects_empty():
