@@ -58,12 +58,12 @@ from .ysl2 import _series_check, defining_relation_failures, lowering_levels, te
 # (dimension 256; in-process `main` calls, Python 3.11.7, one shared Xeon
 # core; cold is the first call in a fresh process, with `ysl2._shape`
 # empty, warm a repeated one) closure takes about 0.04-0.06 s cold and
-# 0.025-0.04 s warm, identities 0.12-0.19 s, and series 0.005-0.008 s cold
-# and 0.002-0.004 s warm at order 5 or 32; on the first seven, closure
-# 0.009-0.016 s cold and 0.006-0.010 s warm, identities 0.04-0.06 s.  Identities
-# sets the bound: with a ninth factor, -7/2, its relation suite takes
-# 0.44-0.67 s, of which the ladder is 0.09-0.11 s (identities figures: min
-# to median of 8 fresh processes).
+# 0.025-0.04 s warm, identities 0.086-0.106 s cold and 0.085-0.092 s warm,
+# and series 0.005-0.008 s cold and 0.002-0.004 s warm at order 5 or 32; on
+# the first seven, closure 0.009-0.016 s cold and 0.006-0.010 s warm,
+# identities 0.023-0.027 s.  Identities sets the bound: with a ninth factor,
+# -7/2, its relation suite takes 0.32-0.34 s, of which the ladder is
+# 0.06-0.07 s (identities figures: min to median of 8 fresh processes).
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the

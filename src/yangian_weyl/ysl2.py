@@ -29,10 +29,13 @@ starts.
 
 Every matrix is a `Matrix` of Z[i] rows over one denominator: 1 for the
 parameter-free ones, the lcm of the parameters' denominators for h_1.
-The ladder runs the row kernel `_row_sum` on those rows as they stand,
-the series check runs it only on vectors of the top two weight spaces, the
-relation suite sums them packed into big integers by `_packed_relations`,
-and the level spin reduces them in the fraction-free echelon `_Echelon`.
+The ladder runs the row kernel `_row_sum` on those rows as they stand and
+keeps its own rows unreduced, over their recursion scales:
+`extend_generators` brings them to lowest terms, and the relation suite
+sums them as they are, packed into big integers by `_packed_relations`.
+The series check runs the kernel only on vectors of the top two weight
+spaces, and the level spin reduces rows in the fraction-free echelon
+`_Echelon`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import chain, product, repeat
 from math import lcm, prod
+from operator import itemgetter
 from typing import Iterator, Sequence, Tuple
 
 from .drinfeld import eigenvalue_series
@@ -54,7 +58,6 @@ from .exact import (
     _lowest,
     _reduced,
     _row_sum,
-    _units,
     as_scalar,
     # Not called here: the benchmark's traced run wraps `ysl2.kron` by
     # name, and tests/test_bench_sites.py requires every wrapped name to
@@ -242,26 +245,38 @@ class GeneratorLadder:
 
 
 def _integer_ladder(module: SL2Module, K: int) -> dict:
-    """{(g, k): Matrix} for x_k^+ (g = "+"), x_k^- ("-") and h_k ("h"),
-    k = 0..K with K >= 0 (h_1 even at K = 0), each formed as rows / scale
-    with rows over Z[i], starting from the `Matrix` rows and den of
-    x_0^+/-, h_0, h_1, and brought to lowest terms at the end.
+    """{(g, k): (rows, scale)} for x_k^+ (g = "+"), x_k^- ("-") and h_k
+    ("h"), k = 0..K with K >= 0 (h_1 even at K = 0): the matrix rows / scale
+    with rows over Z[i] (no zero stored), as the recursion forms it from
+    the `Matrix` rows and den of x_0^+/-, h_0 and h_1.  Nothing is reduced:
+    `extend_generators` brings each matrix to lowest terms, and the
+    relation suite reads the rows as they stand.
 
     With lh = lcm(scale of h_0, scale of h_1), D = lh (h_1 - h_0) and
-    S = lh (h_1 + h_0) are integer matrices, step = 2 lh times
-    (h_1 -/+ h_0)/2, so the ladder steps x_{k+1}^+ = D x_k^+ - x_k^+ S and
-    x_{k+1}^- = x_k^- D - S x_k^- keep their form on the rows, over step
-    times the scale of level k; h_k = [x_k^+, x_0^-] is over the product
-    of their scales.  Nothing is reduced before the end, so x_k^+/- is
-    over scale(x_0^+/-) step^k.
+    S = lh (h_1 + h_0) are integer matrices, formed together in one merge
+    of the rows of h_1 and h_0.  They are step = 2 lh times
+    (h_1 -/+ h_0)/2, so the ladder steps
+    x_{k+1}^+ = D x_k^+ - x_k^+ S and x_{k+1}^- = x_k^- D - S x_k^- keep
+    their form on the rows, over step times the scale of level k; h_k =
+    [x_k^+, x_0^-] (k >= 2) is over the product of their scales.  So
+    x_k^+/- is over scale(x_0^+/-) step^k, and h_k over
+    scale(x_0^+) scale(x_0^-) step^k.
     """
     start = {("+", 0): module.x0p, ("-", 0): module.x0m, ("h", 0): module.h0, ("h", 1): module.h1}
     ladder = {key: (m.rows, m.den) for key, m in start.items()}
     (x0m, sm), (h0, s0), (h1, s1) = ladder["-", 0], ladder["h", 0], ladder["h", 1]
     n, lh = module.dim, lcm(s0, s1)
-    one, step = _units(n), 2 * lh
-    D = [_row_sum(((lh // s1, h1, one), (-(lh // s0), h0, one)), i) for i in range(n)]
-    S = [_row_sum(((lh // s1, h1, one), (lh // s0, h0, one)), i) for i in range(n)]
+    a, b, step = lh // s1, lh // s0, 2 * lh
+    D, S = [], []  # an entry may be 0 here: the row kernel drops zero sums
+    for r1, r0 in zip(h1, h0):
+        d = {j: (a * re, a * im) for j, (re, im) in r1.items()}
+        s = d.copy()
+        for j, (re, im) in r0.items():
+            pr, pi = d.get(j, (0, 0))
+            d[j] = pr - b * re, pi - b * im
+            s[j] = pr + b * re, pi + b * im
+        D.append(d)
+        S.append(s)
     for k in range(K):
         xp, sp = ladder["+", k]
         xm, sx = ladder["-", k]
@@ -270,7 +285,7 @@ def _integer_ladder(module: SL2Module, K: int) -> dict:
     for k in range(2, K + 1):
         xp, sp = ladder["+", k]
         ladder["h", k] = [_row_sum(((1, xp, x0m), (-1, x0m, xp)), i) for i in range(n)], sp * sm
-    return {key: _lowest(rows, scale, n) for key, (rows, scale) in ladder.items()}
+    return ladder
 
 
 def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
@@ -278,11 +293,13 @@ def extend_generators(module: SL2Module, K: int) -> GeneratorLadder:
     x_{k+1}^- = -1/2([h_1, x_k^-] + h_0 x_k^- + x_k^- h_0),
     x_{k+1}^+ = +1/2([h_1, x_k^+] - h_0 x_k^+ - x_k^+ h_0),
     h_k = [x_k^+, x_0^-];
-    the matrices of `_integer_ladder`.
+    the rows of `_integer_ladder`, each matrix brought to lowest terms by
+    one gcd.
     """
     _count(K, "K")
-    ladder = _integer_ladder(module, K)
-    return GeneratorLadder(module, *(tuple(ladder[g, k] for k in range(K + 1)) for g in "+-h"))
+    n, ladder = module.dim, _integer_ladder(module, K)
+    return GeneratorLadder(module, *(
+        tuple(_lowest(*ladder[g, k], n) for k in range(K + 1)) for g in "+-h"))
 
 
 def submodule_dimension(module: SL2Module, seed) -> int:
@@ -443,18 +460,25 @@ def trivial_submodule_check(a) -> bool:
 def defining_relation_failures(module: SL2Module, K: int = 2) -> list:
     """Names of defining relations that fail as exact matrix identities, in
     the order of `_relation_plan`.  Each distinct relation matrix is walked
-    once, on the packed rows of `_packed_relations`, up to its first
-    nonzero row: a name fails iff its matrix does."""
+    at most once, on the packed rows of `_packed_relations`, up to its first
+    nonzero row: a name fails iff its matrix does.  The premises of the
+    plan's grading rule are walked first, and the relations they imply
+    only if one of them fails."""
     _count(K, "K", 0)
-    _, plan, _ = _relation_plan(K)
+    _, plan, _, premises, implied = _relation_plan(K)
     *_, walks = _packed_relations(module, K)
-    failed = [any(value for _, value in rows) for rows in walks]
+    value = itemgetter(1)
+    failed = {i: any(map(value, walks[i])) for i in premises}
+    if not any(failed.values()):
+        failed.update(dict.fromkeys(implied, False))
+    failed = [failed[i] if i in failed else any(map(value, rows)) for i, rows in enumerate(walks)]
     return [name for name, i in plan if i is not None and failed[i]]
 
 
 @lru_cache(maxsize=4)
 def _relation_plan(K: int) -> tuple:
-    """(formed, plan, c_total) for the defining relations up to level K.
+    """(formed, plan, c_total, premises, implied) for the defining
+    relations up to level K.
 
     Each relation is written once below as signed terms (c, A, B) whose
     products must sum to zero, with A and B keys of `_integer_ladder` or
@@ -473,10 +497,25 @@ def _relation_plan(K: int) -> tuple:
       (s, r);
     - [h1,x_s] - [h0,x_{s+1}] -/+ (h0x_s + x_sh0) is minus
       [h0,x_{s+1}] -/+ 2 x_{s+1}, for x = x^+/-;
-    - [x_k^+, x_0^-] - h_k is 0 for k >= 2."""
+    - [x_k^+, x_0^-] - h_k is 0 for k >= 2.
+
+    One rule is conditional, the grading rule: on any module, the formed
+    relations `implied`, [h0,x_k^+/-] -/+ 2 x_k^+/- (k >= 1) and
+    [h0,h_k] (k >= 2), are 0 whenever the three formed relations
+    `premises`, [h0,h1], [h0,x0+] - 2 x0+ and [h0,x0-] + 2 x0-, all are.
+    Proof: ad h_0 = [h_0, .] is a derivation of matrix products, and
+    [h_0, h_1] = 0 makes it commute with ad h_1 (Jacobi).  The ladder's
+    x_{k+1}^+ = ([h_1, x] - h_0 x - x h_0)/2 and
+    x_{k+1}^- = -([h_1, x] + h_0 x + x h_0)/2, with x = x_k^+/-, so
+    ad h_0 x = +/-2 x gives ad h_0 x_{k+1}^+/- = +/-2 x_{k+1}^+/-, and by
+    induction on k from the premises at k = 0 it holds for every k.  Then
+    ad h_0 h_k = [ad h_0 x_k^+, x_0^-] + [x_k^+, ad h_0 x_0^-]
+    = 2 [x_k^+, x_0^-] - 2 [x_k^+, x_0^-] = 0.  At K = 0 there is no
+    [h0,h1] to check and nothing is implied."""
     signs = (("+", "-", -1), ("-", "+", 1))  # x, and the op and sign of its symmetric term
     formed, index, plan = [], {}, []
     shifted = {}  # (x, k): the index of [h0,x_k] op 2 x_k
+    premises, implied = [], []  # the grading rule's formed relations
 
     def label(g, k):
         return f"h{k}" if g == "h" else f"x{k}{g}"
@@ -499,12 +538,15 @@ def _relation_plan(K: int) -> tuple:
 
     for r in range(K + 1):
         for s in range(r + 1, K + 1):  # [h_r, h_r] is zero on any matrix
-            form(f"[h{r},h{s}]", bracket("h", r, "h", s))
+            i = form(f"[h{r},h{s}]", bracket("h", r, "h", s))
+            if r == 0:
+                (premises if s == 1 else implied).append(i)
     for k in range(K + 1):
         for x, op, sign in signs:
             X = label(x, k)
             shifted[x, k] = form(
                 f"[h0,{X}] {op} 2 {X}", bracket("h", 0, x, k) + [(2 * sign, None, (x, k))])
+            (implied if k else premises).append(shifted[x, k])
     for r in range(K + 1):
         for s in range(K + 1 - r):
             name = f"[x{r}+,x{s}-] - h{r+s}"
@@ -526,7 +568,7 @@ def _relation_plan(K: int) -> tuple:
                         form(name, bracket(g, r + 1, x, s) + bracket(g, r, x, s + 1, -1)
                              + [(sign, (g, r), (x, s)), (sign, (x, s), (g, r))])
     c_total = max(sum(abs(c) for c, _, _ in terms) for terms in formed)
-    return tuple(formed), tuple(plan), c_total
+    return tuple(formed), tuple(plan), c_total, tuple(premises), frozenset(implied)
 
 
 def _packed_relations(module: SL2Module, K: int):
@@ -534,9 +576,12 @@ def _packed_relations(module: SL2Module, K: int):
     as packed integer rows, with walks[i] yielding (base, value) for each
     row of formed[i] in turn.  No product and no sum is formed as a matrix.
 
-    Every matrix of `_integer_ladder`, in lowest terms, is brought to Z[i]
-    rows over one common denominator L, the lcm of their denominators
-    (and the identity is L I), and the basis is put in
+    Every matrix of `_integer_ladder`, rows over its recursion scale as the
+    ladder forms them, is brought to Z[i] rows over one common denominator
+    L, the lcm of those scales (and the identity is L I).  With sp, sm, s0,
+    s1 the denominators of x_0^+, x_0^-, h_0, h_1 and step = 2 lcm(s0, s1),
+    L is lcm(sp, sm, s0, s1) at K = 0, lcm(sp, sm) step at K = 1 and
+    sp sm step^K at K >= 2.  The basis is put in
     h_0-weight order, column order[t] at slot t, so that each weight space
     is a run of slots.  Row k of a right factor B, with entries
     b_j = br_j + bi_j i, is packed from the start `base` of the run of its
@@ -561,18 +606,21 @@ def _packed_relations(module: SL2Module, K: int):
     sum_s d_s 2^(sS) in such digits, the entries of the row.  It is 0 only
     if every d_s is: with d_s the lowest nonzero digit, the value is
     d_s 2^(sS) modulo 2^((s + 1)S), which is not 0 as 0 < |d_s| < 2^S.
+    The argument needs only that L is a common denominator.  Over the lcm
+    L' of the ladder's lowest-terms denominators every entry and top would
+    be L/L' times smaller, so S is about 2 log2(L/L') bits wider here.
     """
     ladder = _integer_ladder(module, K)
-    formed, _, c_total = _relation_plan(K)
+    formed, _, c_total, _, _ = _relation_plan(K)
 
     n = module.dim
-    den = lcm(*(m.den for m in ladder.values()))
+    den = lcm(*(scale for _, scale in ladder.values()))
     rows = {
-        key: m.rows if m.den == den else [
-            {j: (re * f, im * f) for j, (re, im) in row.items()} for row in m.rows
+        key: m if scale == den else [
+            {j: (re * f, im * f) for j, (re, im) in row.items()} for row in m
         ]
-        for key, m in ladder.items()
-        for f in (den // m.den,)
+        for key, (m, scale) in ladder.items()
+        for f in (den // scale,)
     }
     rows[None] = [{i: (den, 0)} for i in range(n)]
     # The largest sum of |re| + |im| over a row, iterated in C alone.

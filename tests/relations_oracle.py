@@ -7,10 +7,12 @@ before it came to test signed terms as one fused vanishing sum: both sides
 are formed as matrices and subtracted or added.  A relation fails iff its
 difference has a nonzero entry.  The package's `_relation_plan` writes
 each relation once beside its rule, and maps its name to a distinct
-merged matrix, to another relation's matrix up to sign, or to 0.  The
-oracle instead forms every relation in full from its own two sides: it
-merges no terms and shares, derives or takes as 0 no relation, so it
-checks the plan's rules on every module it is given.  Its generators come from
+merged matrix, to another relation's matrix up to sign, or to 0; the
+package's suite also skips the relations that the plan's grading rule
+implies when the rule's three premises hold.  The oracle instead forms
+every relation in full from its own two sides: it merges no terms,
+shares, derives, takes as 0 or skips no relation, so it checks the plan's
+rules on every module it is given.  Its generators come from
 `Relations.ladder`, the ladder recursion on whole matrices that
 `yangian_weyl.ysl2.extend_generators` ran before it came to run on Z[i]
 rows over tracked scales.  `tests/test_ysl2.py` checks the package

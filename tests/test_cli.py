@@ -262,96 +262,109 @@ _LONG_LATER_IMAGINARY = json.dumps({"type": "A", "rank": 1, "polys": {
     "1": ["0", "1+1i", "1+%si" % _X, "1-%si" % _X]}})
 
 
+# (ID, argv, pointer) for each refusal.  The IDs are fixed here, so a row
+# can sit beside its kin and a new row renames no other; the first 56 keep
+# the positional IDs they were first collected under.
+_SCHEMA_ERRORS = [
+    ("argv0-/type", ["weyl", '{"type":"Z","rank":2,"polys":{}}'], "/type"),
+    ("argv1-/rank", ["weyl", '{"type":"A","polys":{}}'], "/rank"),
+    ("argv2-/polys/5", ["weyl", '{"type":"A","rank":2,"polys":{"5":["0"]}}'], "/polys/5"),
+    ("argv3-/polys/1/0", ["weyl", '{"type":"A","rank":2,"polys":{"1":["x"]}}'], "/polys/1/0"),
+    ("argv4-/polys", ["weyl", '{"type":"A","rank":2,"polys":{}}'], "/polys"),
+    ("argv5-", ["weyl", "not json"], ""),
+    ("argv6-/factors", ["check", '{"type":"A","rank":2,"factors":[]}'], "/factors"),
+    ("argv7-/factors/0/node", ["check", '{"type":"A","rank":2,"factors":[{"node":9,"a":"0"}]}'],
+     "/factors/0/node"),
+    ("argv8-/0/0", ["sl2", '[[0,"1"]]'], "/0/0"),
+    ("argv9-/0/1", ["sl2", '[[1,"1/0"]]'], "/0/1"),
+    ("argv10-/rank", ["check", '{"type":"A","rank":true,"factors":[{"node":1,"a":"0"}]}'],
+     "/rank"),
+    ("argv11-/factors/0/node",
+     ["check", '{"type":"A","rank":2,"factors":[{"node":true,"a":"0"}]}'],
+     "/factors/0/node"),
+    ("argv12-/0/0", ["sl2", '[[true,"0"]]'], "/0/0"),
+    ("argv13---order", ["sl2", '[[1,"0"]]', "--verify", "series", "--order", "-1"], "--order"),
+    ("argv14-", ["sl2", json.dumps([[1, "0"]] * 12)], ""),
+    ("argv15-/polys/01", ["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"01":["5"]}}'],
+     "/polys/01"),
+    ("argv16-/polys/ 2", ["weyl", '{"type":"A","rank":2,"polys":{" 2":["0"]}}'], "/polys/ 2"),
+    ("argv17-/polys/+1", ["weyl", '{"type":"A","rank":2,"polys":{"+1":["0"]}}'], "/polys/+1"),
+    ("argv18-", ["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"1":["5"]}}'], ""),
+    ("argv19---order", ["sl2", '[[1,"0"]]', "--verify", "series", "--order", "33"], "--order"),
+    ("argv20-", ["check", '{"type":"A","rank":%s,"factors":[]}' % _LONG_INT], ""),
+    ("argv21-/factors/0/a",
+     ["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"%s"}]}' % _LONG_INT],
+     "/factors/0/a"),
+    ("argv22-/0/1", ["sl2", '[[1,"1/%s"]]' % _LONG_INT], "/0/1"),
+    ("argv23-/rank", ["info", "--type", "A", "--rank", str(MAX_RANK + 1)], "/rank"),
+    ("argv24-/rank", ["check", json.dumps({"type": "B", "rank": MAX_RANK + 1,
+                                           "factors": [{"node": 1, "a": "0"}]})], "/rank"),
+    # Inputs that pass the schema but print a part too long for str().
+    ("argv25-", ["sl2", '[[1,"%s"]]' % ("3" * 2500), "--verify", "series", "--order", "2",
+                 "--json"], ""),
+    ("argv26-", ["weyl", _LONG_REAL], ""),
+    ("argv27-/polys", ["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
+        "1": [str(k) for k in range(MAX_FACTORS)], "2": ["0"]}})], "/polys"),
+    ("argv28-/factors", ["check", json.dumps({"type": "A", "rank": 2, "factors": [
+        {"node": 1, "a": str(k)} for k in range(MAX_FACTORS + 1)]})], "/factors"),
+    # RFC 6901 escapes in keys: "/" as "~1", "~" as "~0".
+    ("argv29-/polys/1~12",
+     ["weyl", '{"type":"A","rank":2,"polys":{"1/2":["0"]}}'], "/polys/1~12"),
+    ("argv30-/polys/a~0b",
+     ["weyl", '{"type":"A","rank":2,"polys":{"a~b":["0"]}}'], "/polys/a~0b"),
+    # Unknown keys, at the top level and in a check factor; the top
+    # level is checked first.
+    ("argv31-/factors/0/extra",
+     ["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","extra":1}]}'],
+     "/factors/0/extra"),
+    ("argv32-/zzz",
+     ["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","extra":1}],"zzz":2}'],
+     "/zzz"),
+    ("argv33-/factors/1/a~1b",
+     ["check", '{"type":"G2","factors":[{"node":1,"a":"0"},{"a":"1","node":2,"a/b":0}]}'],
+     "/factors/1/a~1b"),
+    ("argv34-/", ["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"":1}'], "/"),
+    ("argv35-/factors",
+     ["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"factors":[]}'], "/factors"),
+    # Node 0 and node rank + 1, on both sides of the range.
+    ("argv36-/polys/0", ["weyl", '{"type":"A","rank":2,"polys":{"0":["0"]}}'], "/polys/0"),
+    ("argv37-/polys/3", ["weyl", '{"type":"A","rank":2,"polys":{"3":["0"]}}'], "/polys/3"),
+    # The whole document is the empty pointer; "/" names the key "".
+    ("argv38-", ["weyl", "[1]"], ""),
+    ("argv39-", ["sl2", '{"m":1}'], ""),
+    # Refusals that no other row reaches.
+    ("argv40-/rank", ["weyl", '{"type":"B","rank":1,"polys":{}}'], "/rank"),
+    ("argv41-/factors/0/a",
+     ["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":0}]}'], "/factors/0/a"),
+    ("argv42-/polys", ["weyl", '{"type":"A","rank":2,"polys":[]}'], "/polys"),
+    ("argv43-/polys/1", ["weyl", '{"type":"A","rank":2,"polys":{"1":"0"}}'], "/polys/1"),
+    ("argv44-/factors/0", ["check", '{"type":"A","rank":2,"factors":[3]}'], "/factors/0"),
+    # A root and a parameter that are not strings, as the factor's "a" above.
+    ("argv54-/polys/1/0", ["weyl", '{"type":"A","rank":2,"polys":{"1":[1]}}'], "/polys/1/0"),
+    ("argv55-/0/1", ["sl2", '[[1,0]]'], "/0/1"),
+    # Pointers past index 0, built only when the input is refused.
+    ("argv45-/factors/3/a", ["check", json.dumps({"type": "A", "rank": 2, "factors": [
+        {"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 1, "a": "2"},
+        {"node": 2, "a": "1/0"}]})], "/factors/3/a"),
+    ("argv46-/factors/2/node", ["check", json.dumps({"type": "A", "rank": 2, "factors": [
+        {"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 0, "a": "2"}]})],
+     "/factors/2/node"),
+    ("argv47-/polys/2/1",
+     ["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2","x"]}}'], "/polys/2/1"),
+    ("argv48-/2/1", ["sl2", '[[1,"0"],[2,"1/2"],[1,"x"]]'], "/2/1"),
+    ("argv49-", ["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","a":"1"}]}'], ""),
+    # A difference with real part 0 and an imaginary part too long to print.
+    ("argv50-", ["weyl", _LONG_IMAGINARY], ""),
+    ("argv51-", ["weyl", _LONG_LATER_REAL], ""),
+    ("argv52-", ["weyl", _LONG_LATER_IMAGINARY], ""),
+    # Too many roots, counted before any root is parsed.
+    ("argv53-/polys", ["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
+        "1": ["x"] + ["0"] * MAX_FACTORS}})], "/polys"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,pointer",
-    [
-        (["weyl", '{"type":"Z","rank":2,"polys":{}}'], "/type"),
-        (["weyl", '{"type":"A","polys":{}}'], "/rank"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"5":["0"]}}'], "/polys/5"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["x"]}}'], "/polys/1/0"),
-        (["weyl", '{"type":"A","rank":2,"polys":{}}'], "/polys"),
-        (["weyl", "not json"], ""),
-        (["check", '{"type":"A","rank":2,"factors":[]}'], "/factors"),
-        (["check", '{"type":"A","rank":2,"factors":[{"node":9,"a":"0"}]}'],
-         "/factors/0/node"),
-        (["sl2", '[[0,"1"]]'], "/0/0"),
-        (["sl2", '[[1,"1/0"]]'], "/0/1"),
-        (["check", '{"type":"A","rank":true,"factors":[{"node":1,"a":"0"}]}'],
-         "/rank"),
-        (["check", '{"type":"A","rank":2,"factors":[{"node":true,"a":"0"}]}'],
-         "/factors/0/node"),
-        (["sl2", '[[true,"0"]]'], "/0/0"),
-        (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "-1"], "--order"),
-        (["sl2", json.dumps([[1, "0"]] * 12)], ""),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"01":["5"]}}'],
-         "/polys/01"),
-        (["weyl", '{"type":"A","rank":2,"polys":{" 2":["0"]}}'], "/polys/ 2"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"+1":["0"]}}'], "/polys/+1"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"1":["5"]}}'], ""),
-        (["sl2", '[[1,"0"]]', "--verify", "series", "--order", "33"], "--order"),
-        (["check", '{"type":"A","rank":%s,"factors":[]}' % _LONG_INT], ""),
-        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"%s"}]}' % _LONG_INT],
-         "/factors/0/a"),
-        (["sl2", '[[1,"1/%s"]]' % _LONG_INT], "/0/1"),
-        (["info", "--type", "A", "--rank", str(MAX_RANK + 1)], "/rank"),
-        (["check", json.dumps({"type": "B", "rank": MAX_RANK + 1,
-                               "factors": [{"node": 1, "a": "0"}]})], "/rank"),
-        # Inputs that pass the schema but print a part too long for str().
-        (["sl2", '[[1,"%s"]]' % ("3" * 2500), "--verify", "series", "--order", "2",
-          "--json"], ""),
-        (["weyl", _LONG_REAL], ""),
-        (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
-            "1": [str(k) for k in range(MAX_FACTORS)], "2": ["0"]}})], "/polys"),
-        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
-            {"node": 1, "a": str(k)} for k in range(MAX_FACTORS + 1)]})], "/factors"),
-        # RFC 6901 escapes in keys: "/" as "~1", "~" as "~0".
-        (["weyl", '{"type":"A","rank":2,"polys":{"1/2":["0"]}}'], "/polys/1~12"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"a~b":["0"]}}'], "/polys/a~0b"),
-        # Unknown keys, at the top level and in a check factor; the top
-        # level is checked first.
-        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","extra":1}]}'],
-         "/factors/0/extra"),
-        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","extra":1}],"zzz":2}'],
-         "/zzz"),
-        (["check", '{"type":"G2","factors":[{"node":1,"a":"0"},{"a":"1","node":2,"a/b":0}]}'],
-         "/factors/1/a~1b"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"":1}'], "/"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"]},"factors":[]}'], "/factors"),
-        # Node 0 and node rank + 1, on both sides of the range.
-        (["weyl", '{"type":"A","rank":2,"polys":{"0":["0"]}}'], "/polys/0"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"3":["0"]}}'], "/polys/3"),
-        # The whole document is the empty pointer; "/" names the key "".
-        (["weyl", "[1]"], ""),
-        (["sl2", '{"m":1}'], ""),
-        # Refusals that no other row reaches.
-        (["weyl", '{"type":"B","rank":1,"polys":{}}'], "/rank"),
-        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":0}]}'], "/factors/0/a"),
-        (["weyl", '{"type":"A","rank":2,"polys":[]}'], "/polys"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":"0"}}'], "/polys/1"),
-        (["check", '{"type":"A","rank":2,"factors":[3]}'], "/factors/0"),
-        # Pointers past index 0, built only when the input is refused.
-        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
-            {"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 1, "a": "2"},
-            {"node": 2, "a": "1/0"}]})], "/factors/3/a"),
-        (["check", json.dumps({"type": "A", "rank": 2, "factors": [
-            {"node": 1, "a": "0"}, {"node": 2, "a": "1"}, {"node": 0, "a": "2"}]})],
-         "/factors/2/node"),
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":["0"],"2":["1/2","x"]}}'], "/polys/2/1"),
-        (["sl2", '[[1,"0"],[2,"1/2"],[1,"x"]]'], "/2/1"),
-        (["check", '{"type":"A","rank":2,"factors":[{"node":1,"a":"0","a":"1"}]}'], ""),
-        # A difference with real part 0 and an imaginary part too long to print.
-        (["weyl", _LONG_IMAGINARY], ""),
-        (["weyl", _LONG_LATER_REAL], ""),
-        (["weyl", _LONG_LATER_IMAGINARY], ""),
-        # Too many roots, counted before any root is parsed.
-        (["weyl", json.dumps({"type": "A", "rank": 2, "polys": {
-            "1": ["x"] + ["0"] * MAX_FACTORS}})], "/polys"),
-        # Refusals that no other row reaches, kept last so that the rows
-        # above keep their IDs: a root or a parameter that is not a string.
-        (["weyl", '{"type":"A","rank":2,"polys":{"1":[1]}}'], "/polys/1/0"),
-        (["sl2", '[[1,0]]'], "/0/1"),
-    ],
-)
+    "argv,pointer", [row[1:] for row in _SCHEMA_ERRORS], ids=[row[0] for row in _SCHEMA_ERRORS])
 def test_schema_errors(capsys, argv, pointer):
     code = main(argv)
     err = capsys.readouterr().err

@@ -24,11 +24,13 @@ stored row of its input hash, so an op that only moved reads as moved, and
 one added or removed as such; an op whose input changed in place reads as
 a changed input, and a changed output names its stream.  Each key is one
 test; the golden keys and `ledger` also have their recipes checked.  The
-script below is the one writer of tests/data/.  Rewrite the digest, from
-the repository root, only when the output is meant to change; the script
-needs no pytest, prints every op that differs, and leaves the file as it
-is when none does:
+script below is the one writer of tests/data/ and needs no pytest.  Run
+from the repository root, it prints every op that differs; `--check`
+then exits 1 if any does and writes nothing, and `--write` rewrites the
+digest, which is only for when the output is meant to change, and leaves
+the file as it is when no op differs:
 
+    PYTHONPATH=src python tests/test_replay.py --check
     PYTHONPATH=src python tests/test_replay.py --write
 """
 
@@ -364,12 +366,14 @@ def test_cli_corpus_errors_are_schema_errors():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_replay.py --write")
+    if sys.argv[1:] not in (["--check"], ["--write"]):
+        sys.exit("usage: PYTHONPATH=src python tests/test_replay.py --check | --write")
     digest = {key: replay(key) for key in corpora()}
     lines = [line for key in _keys(json.loads(DIGEST.read_text()))
              for line in _mismatches(key, corpora().get(key, []), stored(key), digest.get(key, []))]
     print("\n".join(lines) or f"all {sum(map(len, digest.values()))} ops match {DIGEST.name}")
+    if lines and sys.argv[1] == "--check":
+        sys.exit(1)
     if lines:
         # One op to a line, so that a rewrite shows in a diff op by op.
         blocks = [f"  {json.dumps(key)}: [\n" + ",\n".join(f"    {json.dumps(row)}" for row in rows)

@@ -621,6 +621,78 @@ def test_closure_under_the_four_is_closure_under_x1_too(args, data):
     assert trivial_submodule_check(a) is killed
 
 
+def _graded(K):
+    """(premise names, implied names) of the plan's grading rule at K."""
+    _, plan, _, premises, implied = _relation_plan(K)
+    return [name for name, i in plan if i in premises], {name for name, i in plan if i in implied}
+
+
+def _h0_graded(K):
+    """The names the grading rule implies at K >= 1: [h0,x_k] -/+ 2 x_k
+    (k >= 1), [h0,h_k] (k >= 2), and the h-family names the plan derives
+    from [h0,x_k] -/+ 2 x_k."""
+    names = {f"[h0,h{k}]" for k in range(2, K + 1)}
+    for x, op in (("+", "-"), ("-", "+")):
+        names |= {f"[h0,x{k}{x}] {op} 2 x{k}{x}" for k in range(1, K + 1)}
+        names |= {f"[h1,x{s}{x}] - [h0,x{s + 1}{x}] {op} (h0x{s}{x} + x{s}{x}h0)" for s in range(K)}
+    return names
+
+
+# Each breaks a premise of the grading rule on every product: h_0 doubled
+# breaks [h0,x0+] - 2 x0+, h_0 + c x_0^+/- breaks [h0,x0-/+] +/- 2 x0-/+,
+# and h_1 + c x_0^+/- breaks [h0,h1].
+_BREAKING = ("h0", *_OFF_COMMUTING)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_PERTURBED_MODULE_ARGS, st.sampled_from(_BREAKING))
+def test_grading_rule_holds_on_the_oracle(spec, perturbation, c, breaking):
+    # The plan's grading rule, from the oracle's differences alone: on
+    # any module on which [h0,h1], [h0,x0+] - 2 x0+ and [h0,x0-] + 2 x0-
+    # are 0, every relation the plan takes as implied is 0 too.  On a
+    # module that breaks a premise the suite must still give the oracle's
+    # failures, implied relations included.
+    oracle = relations_oracle.Relations(_perturbed_module(spec, perturbation, c))
+    broken = _perturbed_module(spec, breaking, 2 if breaking == "h0" else c)
+    broken_oracle = relations_oracle.Relations(broken)
+    for K in (1, 2, 3):
+        premises, implied = _graded(K)
+        assert premises == ["[h0,h1]", "[h0,x0+] - 2 x0+", "[h0,x0-] + 2 x0-"], K
+        assert implied == _h0_graded(K), K
+        differences = dict(oracle.differences(K))
+        if not any(differences[name] for name in premises):
+            assert not any(differences[name] for name in implied), K
+        differences = dict(broken_oracle.differences(K))
+        assert any(differences[name] for name in premises), (K, breaking)
+        assert defining_relation_failures(broken, K) == broken_oracle.failures(K), K
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_suite_walks_the_implied_relations_only_when_a_premise_fails(K, monkeypatch):
+    # On a module, the suite walks every formed relation but the implied
+    # ones; with h_0 doubled, [h0,x0+] - 2 x0+ fails and it walks them all.
+    walked = set()
+
+    def packed(module, K):
+        *head, walks = _packed_relations(module, K)
+
+        def walk(i, rows):
+            walked.add(i)
+            yield from rows
+
+        return (*head, [walk(i, rows) for i, rows in enumerate(walks)])
+
+    monkeypatch.setattr("yangian_weyl.ysl2._packed_relations", packed)
+    formed, _, _, _, implied = _relation_plan(K)
+    module = tensor_module([(1, G(0)), (2, G(3))])
+    assert defining_relation_failures(module, K) == []
+    assert walked == set(range(len(formed))) - implied and implied, K
+    walked.clear()
+    broken = _with(module, h0=combine((2, module.h0)))
+    assert defining_relation_failures(broken, K) == relations_oracle.Relations(broken).failures(K)
+    assert walked == set(range(len(formed))), K
+
+
 def _unpack(base, value, S, n):
     """The balanced S-bit digits of value, two per slot from the slot
     `base` up to slot n, as {slot: (re, im)}; whatever is left over is kept
@@ -648,14 +720,21 @@ def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
     # digit overflows into the next, every term was shifted to its own
     # slots, and every name the plan shares or derives is that relation.  A
     # name the plan takes as 0 has a zero difference.  L is the lcm of the
-    # denominators of the oracle ladder's entries.
+    # ladder's unreduced scales: with sp, sm, s0, s1 the denominators of
+    # x_0^+, x_0^-, h_0, h_1 and step = 2 lcm(s0, s1), x_k^+/- is over
+    # sp step^k, sm step^k and h_k (k >= 2) over sp sm step^k.  Every
+    # denominator of the oracle ladder divides it.
     module = _perturbed_module(spec, perturbation, c)
     oracle = relations_oracle.Relations(module)
+    sp, sm, s0, s1 = (g.den for g in module.generators())
+    step = 2 * lcm(s0, s1)
     for K in (1, 2, 3):
-        formed, plan, _ = _relation_plan(K)
+        formed, plan, *_ = _relation_plan(K)
         den, S, order, walks = _packed_relations(module, K)
+        scales = [s0, s1] + [s * step**k for k in range(K + 1) for s in (sp, sm)]
+        assert den == lcm(*scales, *(sp * sm * step**k for k in range(2, K + 1))), K
         matrices = [m for ms in oracle.ladder(K) for m in ms]
-        assert den == lcm(*(x.triple[2] for m in matrices for x in m.values())), K
+        assert den % lcm(*(x.triple[2] for m in matrices for x in m.values())) == 0, K
         slot = {j: t for t, j in enumerate(order)}
         differences = dict(oracle.differences(K))
         assert [name for name, _ in plan] == list(differences), K
@@ -682,7 +761,7 @@ def test_relation_plan_forms_each_distinct_relation_once(K, most_formed, most_pr
     # one name; `_packed_relations` walks each formed relation.
     module = tensor_module([(1, G(0)), (2, G(3))])
     names = [name for name, _ in relations_oracle.Relations(module).differences(K)]
-    formed, plan, _ = _relation_plan(K)
+    formed, plan, *_ = _relation_plan(K)
     assert [name for name, _ in plan] == names
     assert len(_packed_relations(module, K)[3]) == len(formed)
     assert len(formed) <= most_formed
