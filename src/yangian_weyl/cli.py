@@ -53,17 +53,10 @@ from .rootsys import (
 )
 from .ysl2 import _series_check, defining_relation_failures, lowering_levels, tensor_module
 
-# Largest product dimension prod(m + 1) that `sl2` builds.  On eight
-# two-dimensional factors with parameters 0, 7/2, -5/3, 2, 1/7, -9/4, 5, 11/5
-# (dimension 256; in-process `main` calls, Python 3.11.7, one shared Xeon
-# core; cold is the first call in a fresh process, with `ysl2._shape`
-# empty, warm a repeated one) closure takes about 0.04-0.06 s cold and
-# 0.025-0.04 s warm, identities 0.086-0.106 s cold and 0.085-0.092 s warm,
-# and series 0.005-0.008 s cold and 0.002-0.004 s warm at order 5 or 32; on
-# the first seven, closure 0.009-0.016 s cold and 0.006-0.010 s warm,
-# identities 0.023-0.027 s.  Identities sets the bound: with a ninth factor,
-# -7/2, its relation suite takes 0.32-0.34 s, of which the ladder is
-# 0.06-0.07 s (identities figures: min to median of 8 fresh processes).
+# Largest product dimension prod(m + 1) that `sl2` builds.  Identities sets
+# the bound: its relation suite is the costliest check, and a ninth
+# two-dimensional factor, dimension 512, multiplies its time several-fold.
+# README.md gives the measured times at dimension 256 and beyond.
 MAX_SL2_DIM = 256
 # Largest rank `info`, `ssets`, `weyl` and `check` accept.  The per-type
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
@@ -80,8 +73,9 @@ MAX_SL2_DIM = 256
 MAX_RANK = 64
 # Largest `sl2 --order`: the series check applies h_0 and h_1 to a vector of
 # the second weight space up to `order` times, then runs the x_k^+ ladder as
-# about order^2 / 2 products of Gaussian integers; at order 32 it takes
-# 0.005-0.008 s cold on the eight factors above.  32 is over six times the order the benchmark uses (5).
+# about order^2 / 2 products of Gaussian integers, a few milliseconds at
+# order 32 even at dimension 256 (README.md gives the figures).  32 is over
+# six times the order the benchmark uses (5).
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:

@@ -6,9 +6,11 @@ anywhere.  A scalar is a `GaussianRational` that stores one integer triple
 formatting work on those integers, and each result is reduced once.
 A matrix keeps sparse Gaussian-integer rows that never store a zero over
 one denominator, in lowest terms.  One row kernel forms the package's
-matrix products, matrix-vector applications and row combinations, and one
-fraction-free echelon does all row reduction inside Z[i].  Scalars and
-dense tuples appear only where values cross the public API.
+matrix products and matrix-vector applications, and one fraction-free
+echelon does all row reduction inside Z[i].  The echelon eliminates
+forward only; the reduced basis is formed where it is read, by
+`row_space_closure` and `solve_linear`.  Scalars and dense tuples appear
+only where values cross the public API.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
@@ -328,12 +329,6 @@ def unit_vector(n: int, k: int) -> Vector:
     return tuple(ONE if j == k else ZERO for j in range(n))
 
 
-@lru_cache(maxsize=64)
-def _units(n: int) -> tuple:
-    """The rows of the n x n identity, shared read-only."""
-    return tuple({i: (1, 0)} for i in range(n))
-
-
 def _clear_denominators(values) -> tuple:
     """(L, [(re*L, im*L) for each value]) with L the lcm of the denominators
     of `values`, scalars as `as_scalar` reads them (TypeError otherwise)."""
@@ -360,7 +355,7 @@ def _row_sum(terms, i: int) -> dict:
     A a sequence of Z[i] rows and B any sequence or mapping that holds a
     Z[i] row for every column of A[i].  No entry is reduced.  A matrix
     applied to a vector v is the case A = [v], i = 0, with B the matrix's
-    columns; a combination of rows has the identity rows `_units(n)` as B."""
+    columns."""
     acc = {}
     for c, A, B in terms:
         for k, (ar, ai) in A[i].items():
@@ -509,44 +504,51 @@ def _primitive(row: dict) -> dict:
 
 
 class _Echelon:
-    """Fraction-free reduced echelon basis of a growing subspace of Q(i)^n.
+    """Fraction-free forward echelon basis of a growing subspace of Q(i)^n.
 
-    `rows` maps each pivot p to a Z[i] row whose entry at p is a positive
-    integer, which is 0 at every other pivot, and whose parts have integer
-    gcd 1.  Row p is then the reduced-row-echelon row at p times the lcm of
-    that row's denominators, so the subspace determines every row.  A
-    vector's denominator does not change its span and is never asked for.
+    `rows` maps each pivot p to a Z[i] row whose lowest column is p, where
+    it holds a positive integer, which is 0 at every pivot stored before
+    it, and whose parts have integer gcd 1.  A stored row is never
+    rewritten.  Rows with distinct lowest columns are independent, and
+    their pivots are the pivot columns of the subspace, so the rows span
+    it and their number is its dimension.  `scalar_rows` forms the
+    reduced basis, which the subspace determines.  A vector's
+    denominator does not change its span and is never asked for.
     """
 
     def __init__(self, n: int):
-        self.units = _units(n)
+        self.n = n
         self.rows: dict[int, dict] = {}
 
     def insert(self, vec: dict):
-        """Reduce vec against the basis; if it is independent, add the
-        result and return it, else return None."""
-        rows, units = self.rows, self.units
-        hits = [(p, e, rows[p][p][0]) for p, e in vec.items() if p in rows]
-        if hits:
-            # Rows vanish at each other's pivots, so over the lcm L of the
-            # pivots met the multiples to subtract are read off vec once.
-            L = lcm(*(q for _, _, q in hits))
-            coeffs = {p: (L // q * re, L // q * im) for p, (re, im), q in hits}
-            vec = _row_sum(((L, (vec,), units), (-1, (coeffs,), rows)), 0)
+        """Reduce vec against the stored rows, one pivot at a time in
+        increasing pivot order; if it is independent, store the result and
+        return it, else return None.  Row p is 0 at every column before p,
+        so eliminating at p keeps the pivots already cleared at 0."""
+        rows = self.rows
+        for p in sorted(rows):
+            e = vec.get(p)
+            if e is None:
+                continue
+            row = rows[p]
+            er, ei = e
+            q = row[p][0]
+            vec = {j: (q * a, q * b) for j, (a, b) in vec.items()}
+            for j, (a, b) in row.items():  # vec = q vec - e row
+                x, y = vec.get(j, (0, 0))
+                x -= er * a - ei * b
+                y -= er * b + ei * a
+                if x or y:
+                    vec[j] = (x, y)
+                else:
+                    del vec[j]
         if not vec:
             return None
         pivot = min(vec)
         re, im = vec[pivot]
         if im or re < 0:  # times the conjugate of the pivot entry
             vec = {j: (re * a + im * b, re * b - im * a) for j, (a, b) in vec.items()}
-        vec = _primitive(vec)
-        q = vec[pivot][0]
-        new = {pivot: vec}
-        for p, row in rows.items():
-            e = row.get(pivot)
-            if e is not None:
-                rows[p] = _primitive(_row_sum(((q, (row,), units), (-1, ({pivot: e},), new)), 0))
-        rows[pivot] = vec
+        vec = rows[pivot] = _primitive(vec)
         return vec
 
     def spin(self, queue: Iterable, after: Sequence[Matrix], limit: int) -> None:
@@ -563,9 +565,13 @@ class _Echelon:
                     queue.append((h, row))
 
     def scalar_rows(self) -> Tuple[Vector, ...]:
-        """The reduced-row-echelon basis as dense tuples in pivot order."""
-        n = len(self.units)
-        return tuple(_dense(self.rows[p], self.rows[p][p][0], n) for p in sorted(self.rows))
+        """The reduced-row-echelon basis as dense tuples in pivot order:
+        the rows inserted into a fresh basis, the last pivot first, so that
+        each meets only rows already reduced."""
+        reduced = _Echelon(self.n)
+        for p in sorted(self.rows, reverse=True):
+            reduced.insert(self.rows[p])
+        return tuple(_dense(row, row[p][0], self.n) for p, row in sorted(reduced.rows.items()))
 
 
 def row_space_closure(generators: Sequence[Matrix], seed: Vector):
@@ -595,11 +601,17 @@ def solve_linear(rows: Sequence[Vector], rhs: Vector):
 
     Returns the solution vector, or None when the system is inconsistent
     (a pivot in the rhs column) or underdetermined (fewer pivots than
-    unknowns).
+    unknowns).  Ragged rows, or a rhs whose length is not the number of
+    rows, raise ValueError.
     """
+    rows, rhs = [tuple(row) for row in rows], tuple(rhs)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("ragged rows")
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length must equal the number of rows")
     ncols = len(rows[0]) if rows else 0
     basis = _Echelon(ncols + 1)
-    for vec in _integral([tuple(row) + (b,) for row, b in zip(rows, rhs)])[0]:
+    for vec in _integral([row + (b,) for row, b in zip(rows, rhs)])[0]:
         basis.insert(vec)
     if sorted(basis.rows) != list(range(ncols)):
         return None

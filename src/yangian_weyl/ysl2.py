@@ -34,8 +34,9 @@ keeps its own rows unreduced, over their recursion scales:
 `extend_generators` brings them to lowest terms, and the relation suite
 sums them as they are, packed into big integers by `_packed_relations`.
 The series check runs the kernel only on vectors of the top two weight
-spaces, and the level spin reduces rows in the fraction-free echelon
-`_Echelon`.
+spaces.  The level spin keeps each level as the rows of the fraction-free
+forward echelon `_Echelon`: it reads only their number, and spins the next
+level from them as a spanning set, so no level is brought to reduced form.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class _Shape:
     `consts` holds the integer part of each diagonal entry.  `sizes[r]` is
     dim V_r, the number of labels r lowering steps below the top.  `order`,
     `slot` and `start` put the basis in h_0-weight order for
-    `_packed_relations`.  `lowered[r]` holds the echelon rows of
+    `_packed_relations`.  `lowered[r]` holds the forward echelon rows of
     x_0^- V_{r-1}, filled on first use by `_lowered`, for the depths
     1 <= r <= sum(ms)/2 only: `_spin_levels` reads every deeper level off
     the sl2 mirror, dim W_r = dim W_{sum(ms)-r}, and spins none of them.
@@ -174,10 +175,11 @@ def _shape(ms: Tuple[int, ...]) -> _Shape:
 
 
 def _lowered(shape: _Shape, r: int) -> dict:
-    """{pivot: row}, the `_Echelon` rows of x_0^- V_{r-1}, for
+    """{pivot: row}, the forward `_Echelon` rows of x_0^- V_{r-1}, for
     1 <= r <= sum(ms)/2 (`_spin_levels` spins no deeper level): the images
-    of the basis vectors r - 1 steps below the top, reduced until they fill
-    V_r.  Built once per shape and depth; callers copy it."""
+    of the basis vectors r - 1 steps below the top, reduced forward until
+    they fill V_r.  Built once per shape and depth.  An insertion never
+    rewrites a stored row, so callers copy the dict and share its rows."""
     rows = shape.lowered.get(r)
     if rows is None:
         basis = _Echelon(len(shape.labels))
@@ -326,10 +328,12 @@ def _spin_levels(module: SL2Module) -> Iterator[Tuple[int, int]]:
     When W_{r-1} fills V_{r-1} (always at r = 1), x_0^- W_{r-1} is the
     parameter-free x_0^- V_{r-1}: on a module that shares its shape's x_0^-,
     the spin starts from a copy of that subspace's echelon rows, `_lowered`,
-    and runs under h_1 alone.  A subspace has one `_Echelon` basis and its
-    h_1-closure does not depend on the spanning set spun, so the levels are
-    exactly those of spinning x_0^- W_{r-1}.  A level below a short one is
-    spun from x_0^- W_{r-1} as it stands."""
+    and runs under h_1 alone.  The rows of an `_Echelon` span what was
+    inserted into it, and the h_1-closure of a subspace does not depend on
+    the spanning set spun, so the levels are exactly those of spinning
+    x_0^- W_{r-1}.  A level below a short one is spun from x_0^- W_{r-1} as
+    it stands, its rows as the spanning set: only the number of rows of a
+    level is read, and no level is brought to reduced form."""
     shape = _shape(tuple(m for m, _ in module.factor_spec))
     shared = module.x0m is shape.x0m
     sizes = shape.sizes

@@ -4,8 +4,9 @@ Scalar arithmetic, parsing and text are checked against the former
 scalar class in `tests/test_scalar_oracle.py`.  Here the scalar keeps its
 parse examples, its exact-parts rule, its refusals and its equality with
 foreign operands.  The sparse kernels, the spin and `solve_linear` are
-checked against the entry loops of `dense_oracle`, and series
-multiplication for associativity.
+checked against the entry loops of `dense_oracle`, the echelon's
+forward form on vectors with 30-digit parts, and series multiplication
+for associativity.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from yangian_weyl.exact import (
     ONE,
     Series,
     ZERO,
+    _Echelon,
     as_scalar,
     kron,
     parse_scalar,
@@ -91,6 +93,8 @@ REFUSALS = {
     "unit_vector(-1, 0)": (lambda: unit_vector(-1, 0), ValueError, "^n must be a nonnegative integer$"),
     "unit_vector(True, 0)": (lambda: unit_vector(True, 0), ValueError, "^n must be a nonnegative integer$"),
     "unit_vector(3.0, 0)": (lambda: unit_vector(3.0, 0), ValueError, "^n must be a nonnegative integer$"),
+    "solve_linear rhs": (lambda: solve_linear([(1,), (2,)], (1,)), ValueError, "^rhs length"),
+    "solve_linear ragged": (lambda: solve_linear([(1, 0), (0, 1, 5)], (1, 2)), ValueError, "^ragged rows$"),
 }
 
 
@@ -201,6 +205,58 @@ def test_solve_linear_contract():
     # Underdetermined: one equation in two unknowns, consistent.
     assert solve_linear([(G(1), G(1))], (G(3),)) is None
     assert solve_linear([(G(0), G(2))], (G(3),)) is None
+
+
+_big_part = st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def _gaussian_vectors(draw):
+    """(n, vectors): 1-8 Z[i] vectors of length n <= 6 with parts of up to
+    30 digits, each entry zero half the time; about half of them are
+    combinations of two earlier ones with small Gaussian coefficients, so
+    that dependent vectors occur below full rank."""
+    n = draw(st.integers(1, 6))
+    vectors = []
+    for _ in range(draw(st.integers(1, 8))):
+        if vectors and draw(st.booleans()):
+            vec = {}
+            for _ in range(2):
+                row = draw(st.sampled_from(vectors))
+                cr, ci = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+                for j, (a, b) in row.items():
+                    x, y = vec.get(j, (0, 0))
+                    vec[j] = (x + cr * a - ci * b, y + cr * b + ci * a)
+        else:
+            vec = {j: (draw(_big_part), draw(_big_part)) for j in range(n) if draw(st.booleans())}
+        vectors.append({j: e for j, e in vec.items() if e != (0, 0)})
+    return n, vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gaussian_vectors())
+def test_echelon_keeps_a_forward_form(drawn):
+    # Insertion never rewrites a stored row or its input.  Each row's lowest
+    # column is its pivot, a positive integer, its content is 1, and it
+    # vanishes at every pivot stored before it.  The reduced basis is the
+    # textbook one.
+    n, vectors = drawn
+    basis, stored = _Echelon(n), []
+    for vec in vectors:
+        before = dict(vec)
+        row = basis.insert(vec)
+        assert vec == before
+        assert all(basis.rows[p] is kept and kept == copy for p, kept, copy in stored)
+        if row is not None:
+            pivot = min(row)
+            assert basis.rows[pivot] is row
+            assert row[pivot][0] > 0 and row[pivot][1] == 0
+            assert gcd(*(part for e in row.values() for part in e)) == 1
+            assert all(p not in row for p, _, _ in stored)
+            stored.append((pivot, row, dict(row)))
+    assert len(basis.rows) == len(stored)
+    dense = [tuple(G(*vec[j]) if j in vec else ZERO for j in range(n)) for vec in vectors]
+    assert basis.scalar_rows() == rref(dense)
 
 
 # -- sparse matrices against the oracle's entry loops -------------------------

@@ -4,6 +4,10 @@
   `complex`.
 - No code generated at runtime: no call of `exec`, `eval` or `compile`,
   bare or as an attribute of `builtins`.
+- No dead private helper: every private function or class (a name with
+  a leading underscore, dunders aside) is named again in the code of some
+  module, as a name or an attribute.  Docstrings and comments do not
+  count, and neither does an import.
 
 The package's `__all__` names its API and none of its submodules.
 """
@@ -41,6 +45,22 @@ def _sites(tree: ast.AST):
                 yield node.lineno, f.attr
 
 
+def _unreferenced(trees: dict) -> list:
+    """(module, name, line) for each private function or class defined in
+    the trees, {module: tree}, that no name or attribute of any tree names."""
+    defined, named = [], set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((module, node.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(site for site in defined if site[1] not in named)
+
+
 def test_every_module_is_scanned():
     assert {p.stem for p in MODULES} >= {
         "cli", "criteria", "drinfeld", "exact", "record", "rootsys", "weylpath", "ysl2"}
@@ -62,6 +82,25 @@ def test_the_scan_finds_exec_eval_and_compile():
     source = "exec('1')\ny = eval('2')\nz = compile('3', '', 'eval')\nbuiltins.exec('4')\nre.compile('5')\n"
     assert sorted(_sites(ast.parse(source))) == [
         (1, "exec"), (2, "eval"), (3, "compile"), (4, "exec")]
+
+
+def test_every_private_helper_is_named_again():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _unreferenced(trees) == []
+
+
+def test_the_scan_finds_an_unreferenced_helper():
+    # Named only in a docstring, a comment or an import: still unreferenced.
+    helpers = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    \"\"\"Not _used.\"\"\"\n"
+        "class _Kept:\n    def _method(self):\n        return _used()\n"
+        "    def __init__(self):\n        pass\n"
+        "# _dead is named here\n"
+    )
+    caller = "from helpers import _dead\nx = _Kept()._method()\n"
+    trees = {"helpers": ast.parse(helpers), "caller": ast.parse(caller)}
+    assert _unreferenced(trees) == [("helpers", "_dead", 3)]
 
 
 def test_the_star_import_binds_no_submodule():

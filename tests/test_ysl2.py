@@ -251,6 +251,39 @@ def test_lowering_levels_are_the_oracle_levels(spec, h1_change):
     assert lowering_levels(module) == spin_oracle.lowering_levels(module)
 
 
+@st.composite
+def _height_spec_st(draw):
+    """2-4 factors with m in {1,2,3} and dimension at most 16, with
+    10-30-digit Gaussian parts: a common base (r + s i)/d, r and s of 10-30
+    digits and d 1 or of 10-30 digits, plus a step in {0, 1, 2} and
+    sometimes 1/2 per factor, so that strings still overlap."""
+    k = draw(st.integers(2, 4))
+    ms, budget = [], 16
+    for i in range(k):
+        m = draw(st.integers(1, min(3, budget // 2 ** (k - i - 1) - 1)))
+        ms.append(m)
+        budget //= m + 1
+
+    def digits():
+        n = draw(st.integers(10, 30))
+        return draw(st.integers(10 ** (n - 1), 10 ** n - 1))
+
+    d = digits() if draw(st.booleans()) else 1
+    r, s = (digits() * draw(st.sampled_from((1, -1))) for _ in range(2))
+    base = G(F(r, d), F(s, d))
+    return [(m, base + draw(st.integers(0, 2)) + draw(st.sampled_from([0, 0, HALF]))) for m in ms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_height_spec_st(), st.sampled_from((None, "scale", "shift")))
+def test_lowering_levels_are_the_oracle_levels_at_height(spec, h1_change):
+    # The same comparison with 10-30-digit parameter parts, where the
+    # echelon rows carry big integers.
+    module = _h1_changed(tensor_module(spec), h1_change)
+    assert tuple(_spin_levels(module)) == tuple(spin_oracle._spin_levels(module))
+    assert lowering_levels(module) == spin_oracle.lowering_levels(module)
+
+
 def _h1_changed(module, h1_change):
     """The module with h_1 scaled by 3 or shifted by h_0, or as it is."""
     if h1_change == "scale":
