@@ -62,13 +62,8 @@ MAX_SL2_DIM = 256
 # tables grow with the rank l (`_tridiagonal` allocates an l x l list, the
 # node involution of `info` and of the criterion-set check runs every
 # fundamental weight through the longest word, O(l^2) letters, and `ssets`
-# walks the ledger steps of every node), so `ssets` sets the bound.  At rank
-# 64, with the per-type caches empty, `ssets --json` takes 0.14 s on A64 and
-# 0.41-0.48 s on B64, C64 and D64, against 0.02-0.05 s at rank 32 and
-# 0.27-1.3 s at rank 80; `info`, and `check` in either mode on two factors
-# that share a bucket of the join (so that it reads their sets), take at
-# most 0.05 s at rank 64 (in-process `main` calls, min of 3; Python 3.11,
-# one shared Xeon core).
+# walks the ledger steps of every node), so `ssets` sets the bound.
+# README.md gives the measured times at rank 64 and around it.
 # The demos and the benchmark use rank 12 at most; the tests reach rank 64.
 MAX_RANK = 64
 # Largest `sl2 --order`: the series check applies h_0 and h_1 to a vector of
@@ -79,19 +74,9 @@ MAX_RANK = 64
 MAX_SL2_ORDER = 32
 # Largest total degree `weyl` accepts and longest chain `check` accepts.
 # `weyl` prints a JSON row for every pair of factors, so it sets the bound:
-# at 500 roots on A4 and D5 (acceptance criterion 17), in sixths, it takes
-# 0.02-0.025 s (13.7 MB of JSON), of which forming the 124,750 differences
-# over the common denominator 6 takes 0.009-0.012 s and writing the audit's
-# JSON 0.007-0.009 s; with pairwise-distinct six-digit denominators, where
-# each pair is formed over its own denominator, 0.2-0.3 s, and with
-# 20-digit ones (criterion 24) 0.4-0.5 s (in-process `main` calls, Python
-# 3.11.7, two shared Xeon cores).  Both grow as the square of the degree.
-# `check` finds its witnesses by a hash join; at 500 factors it takes
-# 0.003-0.01 s on non-real D5 and real A4 chains, 0.05-0.2 s on G2 chains
-# over the half-integers 0..15, and 0.2-0.25 s when every pair i < j is a
-# witness (on A1, 250 factors at 0 before 250 at 1: 62,500 witnesses, 4.9 MB
-# of JSON, of which writing takes 0.05 s) (in-process `main` calls, min of
-# 3; Python 3.11.7, two shared Xeon cores).
+# its time and its output grow as the square of the degree.  `check` finds
+# its witnesses by a hash join, but its witness list is quadratic too when
+# most pairs hit.  README.md gives the measured times at 500.
 # The benchmark's longest chain and largest degree are 120.
 MAX_FACTORS = 500
 

@@ -32,7 +32,8 @@ parameter-free ones, the lcm of the parameters' denominators for h_1.
 The ladder runs the row kernel `_row_sum` on those rows as they stand and
 keeps its own rows unreduced, over their recursion scales:
 `extend_generators` brings them to lowest terms, and the relation suite
-sums them as they are, packed into big integers by `_packed_relations`.
+reads them as they are, each matrix with one factor L/scale to their common
+denominator L, packed into big integers by `_packed_relations`.
 The series check runs the kernel only on vectors of the top two weight
 spaces.  The level spin keeps each level as the rows of the fraction-free
 forward echelon `_Echelon`: it reads only their number, and spins the next
@@ -112,9 +113,9 @@ class _Shape:
     a = -2 (m_k - t_k) t_l at column j = i + stride_k - stride_l for each
     k < l with t_k < m_k and t_l > 0;
     `consts` holds the integer part of each diagonal entry.  `sizes[r]` is
-    dim V_r, the number of labels r lowering steps below the top.  `order`,
-    `slot` and `start` put the basis in h_0-weight order for
-    `_packed_relations`.  `lowered[r]` holds the forward echelon rows of
+    dim V_r, the number of labels r lowering steps below the top.  `slot`
+    and `start` put the basis in h_0-weight order for `_packed_relations`.
+    `lowered[r]` holds the forward echelon rows of
     x_0^- V_{r-1}, filled on first use by `_lowered`, for the depths
     1 <= r <= sum(ms)/2 only: `_spin_levels` reads every deeper level off
     the sl2 mirror, dim W_r = dim W_{sum(ms)-r}, and spins none of them.
@@ -128,7 +129,6 @@ class _Shape:
     h1_off: Tuple[Tuple[int, int, int], ...]
     consts: Tuple[int, ...]
     sizes: Tuple[int, ...]
-    order: Tuple[int, ...]
     slot: Tuple[int, ...]
     start: Tuple[int, ...]
     lowered: dict
@@ -170,7 +170,7 @@ def _shape(ms: Tuple[int, ...]) -> _Shape:
     return _Shape(
         ms, labels, *(Matrix._of(rows, 1, n) for rows in (xp, xm, h0)),
         tuple(h1_off), tuple(consts), tuple(sizes[r] for r in range(top + 1)),
-        tuple(order), tuple(slot), tuple(run[w] for w in weights), {},
+        tuple(slot), tuple(run[w] for w in weights), {},
     )
 
 
@@ -576,35 +576,35 @@ def _relation_plan(K: int) -> tuple:
 
 
 def _packed_relations(module: SL2Module, K: int):
-    """(L, S, order, walks): the relations `formed` by `_relation_plan(K)`
+    """(L, S, slot, walks): the relations `formed` by `_relation_plan(K)`
     as packed integer rows, with walks[i] yielding (base, value) for each
     row of formed[i] in turn.  No product and no sum is formed as a matrix.
 
-    Every matrix of `_integer_ladder`, rows over its recursion scale as the
-    ladder forms them, is brought to Z[i] rows over one common denominator
-    L, the lcm of those scales (and the identity is L I).  With sp, sm, s0,
-    s1 the denominators of x_0^+, x_0^-, h_0, h_1 and step = 2 lcm(s0, s1),
-    L is lcm(sp, sm, s0, s1) at K = 0, lcm(sp, sm) step at K = 1 and
-    sp sm step^K at K >= 2.  The basis is put in
-    h_0-weight order, column order[t] at slot t, so that each weight space
-    is a run of slots.  Row k of a right factor B, with entries
-    b_j = br_j + bi_j i, is packed from the start `base` of the run of its
-    lowest column into two integers in digits of S bits: p holds br_j and
-    bi_j in digits 2(t - base) and 2(t - base) + 1, with t the slot of j,
-    and q holds -bi_j and br_j there, so that the packed row of
-    (ar + ai i) b is ar p + ai q.  A term c A B reads the packed rows of
-    B times c, one multiply per row.  Row i of the relation, times L^2, is
-    then one integer `value`, summed over the nonzeros A[i, k] of each
-    term with one multiply-add each; a term whose row starts at another
-    base is shifted into place, which only happens off weight-homogeneous
-    matrices (a perturbed module).  A row with no term is (None, 0).  The
-    relation holds iff every row's value is 0.
+    Every matrix of `_integer_ladder` is read as it stands, rows over Z[i]
+    over its recursion scale, with one factor f = L / scale, L the lcm of
+    those scales: f times a row is that row of L times the matrix.  The
+    identity joins them as the rows of I over scale 1.  With sp, sm, s0, s1
+    the denominators of x_0^+, x_0^-, h_0, h_1 and step = 2 lcm(s0, s1), L
+    is lcm(sp, sm, s0, s1) at K = 0, lcm(sp, sm) step at K = 1 and
+    sp sm step^K at K >= 2.  The basis is put in h_0-weight order, column j
+    at slot[j], so that each weight space is a run of slots.  Row k of a
+    right factor B, with entries b_j = br_j + bi_j i as it stands, is packed
+    from the start `base` of the run of its lowest column into two integers
+    in digits of S bits: p holds f_B br_j and f_B bi_j in digits 2(t - base)
+    and 2(t - base) + 1, with t the slot of j, and q holds -f_B bi_j and
+    f_B br_j there, so that the packed row of (ar + ai i) f_B b is
+    ar p + ai q.  Row i of the relation, times L^2, is then one integer
+    `value`: each nonzero A[i, k] = ar + ai i of a term c A B, read as it
+    stands, adds c f_A ar p + c f_A ai q.  A term whose row starts at
+    another base is shifted into place, which only happens off
+    weight-homogeneous matrices (a perturbed module).  A row with no term
+    is (None, 0).  The relation holds iff every row's value is 0.
 
     Exactness: write |a| = |re| + |im| for an entry, let top be the
-    largest of L and the sums of |a| over a row of L times a ladder
-    matrix, and bound = top^2 times c_total of `_relation_plan`, the
+    largest over the matrices, the identity included, of f times the sum of
+    |a| over a row, and bound = top^2 times c_total of `_relation_plan`, the
     largest sum of |c| over one relation.  A digit of row i collects at most
-    sum_t |c_t| sum_k |A_t[i, k]| |B_t[k, j]| <= bound in absolute value,
+    sum_t |c_t| sum_k |L A_t[i, k]| |L B_t[k, j]| <= bound in absolute value,
     partial sums included, and S = bit_length(bound) + 2 keeps every digit
     below 2^(S - 1): each row's value has exactly one expansion
     sum_s d_s 2^(sS) in such digits, the entries of the row.  It is 0 only
@@ -618,27 +618,21 @@ def _packed_relations(module: SL2Module, K: int):
     formed, _, c_total, _, _ = _relation_plan(K)
 
     n = module.dim
+    ladder[None] = [{i: (1, 0)} for i in range(n)], 1
     den = lcm(*(scale for _, scale in ladder.values()))
-    rows = {
-        key: m if scale == den else [
-            {j: (re * f, im * f) for j, (re, im) in row.items()} for row in m
-        ]
-        for key, (m, scale) in ladder.items()
-        for f in (den // scale,)
-    }
-    rows[None] = [{i: (den, 0)} for i in range(n)]
-    # The largest sum of |re| + |im| over a row, iterated in C alone.
-    top = max(map(sum, map(map, repeat(abs), map(chain.from_iterable, map(
-        dict.values, chain.from_iterable(rows.values()))))))
+    factor = {key: den // scale for key, (_, scale) in ladder.items()}
+    # f times the largest sum of |re| + |im| over a row, each row summed in C.
+    top = max(factor[key] * max(map(sum, map(map, repeat(abs), map(chain.from_iterable, map(
+        dict.values, rows))))) for key, (rows, _) in ladder.items())
     bound = c_total * top * top
     S = bound.bit_length() + 2
     width = 2 * S
 
     shape = _shape(tuple(m for m, _ in module.factor_spec))
-    order, slot, start = shape.order, shape.slot, shape.start
+    slot, start = shape.slot, shape.start
 
-    def pack(row):
-        """A row of a right factor as (base, p, q), or None if it is 0."""
+    def pack(row, f):
+        """A row of a right factor, times f, as (base, p, q), or None if it is 0."""
         if not row:
             return None
         base = min(map(start.__getitem__, row))
@@ -647,31 +641,23 @@ def _packed_relations(module: SL2Module, K: int):
             shift = (slot[j] - base) * width
             pr += re << shift
             pi += im << shift
-        return base, pr + (pi << S), (pr << S) - pi
+        return base, f * (pr + (pi << S)), f * ((pr << S) - pi)
 
-    used = {(c, b) for terms in formed for c, _, b in terms}
-    packed = {b: [pack(row) for row in rows[b]] for b in {b for _, b in used}}
-    scaled = {  # c times the packed rows of a right factor b
-        (c, b): packed[b] if c == 1 else [
-            None if entry is None else (entry[0], c * entry[1], c * entry[2]) for entry in packed[b]
-        ]
-        for c, b in used
-    }
-
-    items = {a: [list(row.items()) for row in m] for a, m in rows.items()}
+    packed = {b: [pack(row, factor[b]) for row in ladder[b][0]]
+              for b in {b for terms in formed for _, _, b in terms}}
 
     def row_sums(terms):
-        factors = [(items[a], scaled[c, b]) for c, a, b in terms]
+        factors = [(ladder[a][0], c * factor[a], packed[b]) for c, a, b in terms]
         for i in range(n):
             value = 0
             at = None
-            for left, right in factors:
-                for k, (ar, ai) in left[i]:
+            for left, c, right in factors:
+                for k, (ar, ai) in left[i].items():
                     entry = right[k]
                     if entry is None:
                         continue
                     base, p, q = entry
-                    v = ar * p + ai * q if ai else ar * p
+                    v = c * ar * p + c * ai * q if ai else c * ar * p
                     if base == at:
                         value += v
                     elif at is None:
@@ -682,4 +668,4 @@ def _packed_relations(module: SL2Module, K: int):
                         value, at = (value << ((at - base) * width)) + v, base
             yield at, value
 
-    return den, S, order, [row_sums(terms) for terms in formed]
+    return den, S, slot, [row_sums(terms) for terms in formed]

@@ -594,7 +594,7 @@ def test_relation_failures_match_subtracting_oracle(spec, perturbation, c):
     # matrix, formed and subtracted in full, is nonzero.
     module = _perturbed_module(spec, perturbation, c)
     oracle = relations_oracle.Relations(module)
-    for K in (1, 2, 3):
+    for K in (0, 1, 2, 3):
         assert defining_relation_failures(module, K) == oracle.failures(K), K
 
 
@@ -747,31 +747,31 @@ def _unpack(base, value, S, n):
 @settings(max_examples=40, deadline=None)
 @given(*_PERTURBED_MODULE_ARGS)
 def test_packed_rows_are_the_difference_matrices(spec, perturbation, c):
-    # Every row of every formed relation at K = 1, 2 and 3, read back digit
-    # by digit, is L^2 times that row of the oracle's difference matrix, or
-    # of its negation, for every name the plan maps to that relation: no
-    # digit overflows into the next, every term was shifted to its own
-    # slots, and every name the plan shares or derives is that relation.  A
-    # name the plan takes as 0 has a zero difference.  L is the lcm of the
-    # ladder's unreduced scales: with sp, sm, s0, s1 the denominators of
-    # x_0^+, x_0^-, h_0, h_1 and step = 2 lcm(s0, s1), x_k^+/- is over
-    # sp step^k, sm step^k and h_k (k >= 2) over sp sm step^k.  Every
-    # denominator of the oracle ladder divides it.
+    # Every row of every formed relation at K = 0, 1, 2 and 3, read back
+    # digit by digit, is L^2 times that row of the oracle's difference
+    # matrix, or of its negation, for every name the plan maps to that
+    # relation: no digit overflows into the next, every term was shifted to
+    # its own slots, and every name the plan shares or derives is that
+    # relation.  A name the plan takes as 0 has a zero difference.  L is the
+    # lcm of the ladder's unreduced scales: with sp, sm, s0, s1 the
+    # denominators of x_0^+, x_0^-, h_0, h_1 and step = 2 lcm(s0, s1),
+    # x_k^+/- is over sp step^k, sm step^k and h_k (k >= 2) over
+    # sp sm step^k, so L is lcm(sp, sm, s0, s1) at K = 0.  Every denominator
+    # of the oracle ladder divides it.
     module = _perturbed_module(spec, perturbation, c)
     oracle = relations_oracle.Relations(module)
     sp, sm, s0, s1 = (g.den for g in module.generators())
     step = 2 * lcm(s0, s1)
-    for K in (1, 2, 3):
+    for K in (0, 1, 2, 3):
         formed, plan, *_ = _relation_plan(K)
-        den, S, order, walks = _packed_relations(module, K)
+        den, S, slot, walks = _packed_relations(module, K)
         scales = [s0, s1] + [s * step**k for k in range(K + 1) for s in (sp, sm)]
         assert den == lcm(*scales, *(sp * sm * step**k for k in range(2, K + 1))), K
         matrices = [m for ms in oracle.ladder(K) for m in ms]
         assert den % lcm(*(x.triple[2] for m in matrices for x in m.values())) == 0, K
-        slot = {j: t for t, j in enumerate(order)}
         differences = dict(oracle.differences(K))
         assert [name for name, _ in plan] == list(differences), K
-        got = [[_unpack(base, value, S, len(order)) for base, value in rows] for rows in walks]
+        got = [[_unpack(base, value, S, len(slot)) for base, value in rows] for rows in walks]
         assert len(got) == len(formed), K
         for name, index in plan:
             diff = differences[name]
